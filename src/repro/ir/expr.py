@@ -13,8 +13,43 @@ paper) have defs/uses to reason about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, FrozenSet, Tuple
+
+
+def slotted(cls):
+    """Rebuild a dataclass with ``__slots__`` for its fields.
+
+    ``dataclass(slots=True)`` needs Python 3.10; this does the same on
+    3.9.  A program held parsed keeps one node per expression and
+    statement, and a per-instance ``__dict__`` would roughly double its
+    size.  Field defaults live in the generated ``__init__``, so they
+    leave the class body without changing construction.  The class
+    gets a ``__getstate__``/``__setstate__`` pair that bypasses a
+    frozen ``__setattr__``, so instances pickle under every protocol
+    (the analysis process pool ships parsed functions).
+    """
+    names = tuple(f.name for f in fields(cls))
+    body = dict(cls.__dict__)
+    for name in names:
+        body.pop(name, None)
+    body.pop("__dict__", None)
+    body.pop("__weakref__", None)
+    body["__slots__"] = names
+    body["__getstate__"] = _slotted_getstate
+    body["__setstate__"] = _slotted_setstate
+    new = type(cls)(cls.__name__, cls.__bases__, body)
+    new.__qualname__ = cls.__qualname__
+    return new
+
+
+def _slotted_getstate(self) -> tuple:
+    return tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _slotted_setstate(self, state: tuple) -> None:
+    for f, value in zip(fields(self), state):
+        object.__setattr__(self, f.name, value)
 
 
 class Expr:
@@ -36,6 +71,7 @@ class Expr:
         raise NotImplementedError
 
 
+@slotted
 @dataclass(frozen=True)
 class Const(Expr):
     """An integer literal."""
@@ -52,6 +88,7 @@ class Const(Expr):
         return str(self.value)
 
 
+@slotted
 @dataclass(frozen=True)
 class Var(Expr):
     """A read of a local variable."""
@@ -119,6 +156,7 @@ def _checked_mod(a: int, b: int) -> int:
     return a % b
 
 
+@slotted
 @dataclass(frozen=True)
 class BinOp(Expr):
     """A binary operation ``left op right``."""
@@ -141,6 +179,7 @@ class BinOp(Expr):
         return f"({self.left} {self.op} {self.right})"
 
 
+@slotted
 @dataclass(frozen=True)
 class UnaryOp(Expr):
     """A unary operation ``op operand``."""
@@ -178,6 +217,7 @@ INTRINSICS: Dict[str, Callable[..., int]] = {
 }
 
 
+@slotted
 @dataclass(frozen=True)
 class Intrinsic(Expr):
     """A call to a pure, built-in integer function.

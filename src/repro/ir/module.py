@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .expr import Expr
+from .expr import Expr, slotted
 from .stmt import Call, Stmt, Terminator
 
 
@@ -19,6 +19,7 @@ class IRError(Exception):
     """Raised for structurally invalid IR."""
 
 
+@slotted
 @dataclass
 class BasicBlock:
     """A straight-line sequence of statements ending in one terminator."""

@@ -17,7 +17,7 @@ The grammar is what the printer produces:
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .expr import BINARY_OPS, INTRINSICS, UNARY_OPS, BinOp, Const, Expr, Intrinsic, UnaryOp, Var
 from .module import BasicBlock, Function, IRError, Program, verify_program
@@ -86,12 +86,22 @@ def _tokenize(text: str, line_no: int) -> List[str]:
 
 
 class _ExprParser:
-    """Recursive-descent over the printer's fully parenthesised form."""
+    """Recursive-descent over the printer's fully parenthesised form.
 
-    def __init__(self, tokens: List[str], line_no: int):
+    ``leaves`` interns :class:`Var`/:class:`Const` nodes across one
+    :func:`parse_program` call, so a program names each distinct leaf
+    once however often it appears.  Statements are never shared:
+    :class:`~repro.analysis.facts.DefinitionFrom` matches them by
+    identity.
+    """
+
+    def __init__(
+        self, tokens: List[str], line_no: int, leaves: Dict[tuple, Expr]
+    ):
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
+        self.leaves = leaves
 
     def error(self, message: str) -> ParseError:
         return ParseError(f"line {self.line_no}: {message}")
@@ -121,12 +131,19 @@ class _ExprParser:
         if token == "(":
             return self._parse_parenthesised()
         if re.fullmatch(r"-?\d+", token):
-            return Const(int(token))
+            return self._leaf(Const, int(token))
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", token):
             if self.peek() == "(" and token in INTRINSICS:
                 return self._parse_intrinsic(token)
-            return Var(token)
+            return self._leaf(Var, token)
         raise self.error(f"unexpected token {token!r} in expression")
+
+    def _leaf(self, kind: type, value) -> Expr:
+        key = (kind, value)
+        leaf = self.leaves.get(key)
+        if leaf is None:
+            leaf = self.leaves[key] = kind(value)
+        return leaf
 
     def _parse_parenthesised(self) -> Expr:
         head = self.peek()
@@ -180,7 +197,9 @@ def _parse_call(parser: _ExprParser, dest: Optional[str]) -> Call:
     return Call(callee, tuple(args), dest)
 
 
-def _parse_line(block: BasicBlock, text: str, line_no: int) -> None:
+def _parse_line(
+    block: BasicBlock, text: str, line_no: int, leaves: Dict[tuple, Expr]
+) -> None:
     """Parse one statement or terminator line into ``block``."""
     # Breakpoint names are free-form (may contain '-' etc.): take the
     # rest of the line verbatim rather than tokenizing it.
@@ -193,7 +212,7 @@ def _parse_line(block: BasicBlock, text: str, line_no: int) -> None:
     tokens = _tokenize(text, line_no)
     if not tokens:
         return
-    parser = _ExprParser(tokens, line_no)
+    parser = _ExprParser(tokens, line_no, leaves)
     head = parser.next()
 
     if head == "jump":
@@ -272,6 +291,7 @@ def parse_program(
     current_func: Optional[Function] = None
     current_block: Optional[BasicBlock] = None
     first_name: Optional[str] = None
+    leaves: Dict[tuple, Expr] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -320,7 +340,7 @@ def parse_program(
                 f"line {line_no}: statement after terminator in "
                 f"B{current_block.block_id}"
             )
-        _parse_line(current_block, line, line_no)
+        _parse_line(current_block, line, line_no, leaves)
 
     if current_func is not None:
         raise ParseError("unterminated function (missing '}')")

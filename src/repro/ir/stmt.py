@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
-from .expr import Expr
+from .expr import Expr, slotted
 
 
 class Stmt:
@@ -29,6 +29,7 @@ class Stmt:
         return frozenset()
 
 
+@slotted
 @dataclass(frozen=True)
 class Assign(Stmt):
     """``dest = expr``."""
@@ -46,6 +47,7 @@ class Assign(Stmt):
         return f"{self.dest} = {self.expr}"
 
 
+@slotted
 @dataclass(frozen=True)
 class Read(Stmt):
     """``dest = read()`` -- consume the next value of the input stream.
@@ -64,6 +66,7 @@ class Read(Stmt):
         return f"{self.dest} = read()"
 
 
+@slotted
 @dataclass(frozen=True)
 class Load(Stmt):
     """``dest = MEM[addr]`` -- read one heap cell.
@@ -85,6 +88,7 @@ class Load(Stmt):
         return f"{self.dest} = load {self.addr}"
 
 
+@slotted
 @dataclass(frozen=True)
 class Store(Stmt):
     """``MEM[addr] = value`` -- write one heap cell."""
@@ -99,6 +103,7 @@ class Store(Stmt):
         return f"store {self.addr} = {self.value}"
 
 
+@slotted
 @dataclass(frozen=True)
 class Call(Stmt):
     """``dest = callee(args...)`` (dest optional).
@@ -130,6 +135,7 @@ class Call(Stmt):
         return f"{self.dest} = call {call}"
 
 
+@slotted
 @dataclass(frozen=True)
 class Write(Stmt):
     """``write expr`` -- append a value to the program's output list."""
@@ -143,6 +149,7 @@ class Write(Stmt):
         return f"write {self.expr}"
 
 
+@slotted
 @dataclass(frozen=True)
 class Breakpoint(Stmt):
     """A named debugger breakpoint marker.
@@ -172,6 +179,7 @@ class Terminator:
         return frozenset()
 
 
+@slotted
 @dataclass(frozen=True)
 class Jump(Terminator):
     """Unconditional branch to ``target``."""
@@ -185,6 +193,7 @@ class Jump(Terminator):
         return f"jump B{self.target}"
 
 
+@slotted
 @dataclass(frozen=True)
 class CondJump(Terminator):
     """Two-way branch: ``if cond != 0 goto then_target else else_target``."""
@@ -203,6 +212,7 @@ class CondJump(Terminator):
         return f"if {self.cond} then B{self.then_target} else B{self.else_target}"
 
 
+@slotted
 @dataclass(frozen=True)
 class Switch(Terminator):
     """N-way branch on ``selector``.
@@ -234,6 +244,7 @@ class Switch(Terminator):
         return f"switch {self.selector} [{body}] default B{self.default}"
 
 
+@slotted
 @dataclass(frozen=True)
 class Return(Terminator):
     """Return from the current function, optionally with a value."""
