@@ -221,10 +221,25 @@ class DemandDrivenEngine:
         ``n`` at positions ``S`` equals the verdict of the origin
         instances ``S + k`` -- so the finished result classifies them.
         """
+        holds, fails, unresolved = result.holds, result.fails, result.unresolved
+        empty = TimestampSet()
         for node, instances, offset in trail:
-            h = instances.intersect(result.holds.shift(-offset))
-            f = instances.intersect(result.fails.shift(-offset))
-            u = instances.intersect(result.unresolved.shift(-offset))
+            lo, hi, _step = instances.entries[0]
+            if len(instances.entries) == 1 and lo == hi:
+                # One position: look its origin verdict up.
+                origin = lo + offset
+                if origin in holds:
+                    h, f, u = instances, empty, empty
+                elif origin in fails:
+                    h, f, u = empty, instances, empty
+                else:
+                    h, f, u = empty, empty, instances
+            else:
+                # Shift the residue, not the (wider) result sets.
+                moved = instances.shift(offset)
+                h = moved.intersect(holds).shift(-offset)
+                f = moved.intersect(fails).shift(-offset)
+                u = moved.intersect(unresolved).shift(-offset)
             entry = self._memo.get(node)
             if entry is None:
                 self._memo[node] = (h, f, u)
@@ -271,10 +286,11 @@ class DemandDrivenEngine:
                 trail.append((n, current, offset))
             # Instances at trace position 1 have no predecessor: the
             # query reaches the start of the path trace unresolved.
-            at_start = current.intersect(TimestampSet.single(1))
-            if at_start:
+            # Entries are sorted by ``lo``, so position 1 can only be
+            # the first entry's.
+            if current.entries[0][0] == 1:
                 result.unresolved = result.unresolved.union(
-                    at_start.shift(offset)
+                    TimestampSet.single(1 + offset)
                 )
             shifted = current.shift(-1)
             if not shifted:
@@ -314,10 +330,12 @@ class DemandDrivenEngine:
         (``None`` timestamps mean all of the node's instances).  Results
         come back in request order and are set-identical to issuing the
         queries one at a time on a fresh engine; the shared residue memo
-        means queries whose timestamp vectors overlap -- including the
-        all-blocks sweep of a frequency analysis, where every traversal
-        crosses other blocks' positions -- resolve each position's
-        backward walk once for the whole batch.
+        means a position resolved by one query -- e.g. in the all-blocks
+        sweep of a frequency analysis, where every traversal crosses
+        other blocks' positions -- is looked up, not walked again, by
+        every later query.  The memo shares walks across queries only:
+        within one query, overlapping origin bundles each walk a shared
+        position once.
         """
         results: List[QueryResult] = []
         for request in requests:

@@ -192,8 +192,9 @@ class InterproceduralSlicer:
             frontier: List[Tuple[int, TimestampSet]] = [(blk, current)]
             while frontier:
                 n, cur = frontier.pop()
-                at_entry = cur.intersect(TimestampSet.single(1))
-                if at_entry:
+                # Entries are sorted by ``lo``: position 1, the
+                # activation's entry, can only open the first one.
+                if cur.entries[0][0] == 1:
                     self._escape_to_caller(
                         act, var, add_node, enqueue, call_stack_context
                     )

@@ -15,7 +15,10 @@ removed progression into at most ``step``-residue fragments (prefix,
 the ``k - 1`` surviving residue classes modulo ``k = S/s``, suffix);
 union adds the entries of ``other - self``.  No operation ever
 materializes individual timestamps, so cost scales with the number of
-series entries, not with set cardinality.
+series entries, not with set cardinality.  Most propagated vectors hold
+one position, so ``intersect`` and ``subtract`` (and through it
+``union``) answer a one-position operand ``((t, t, 1),)`` with a
+membership test instead.
 
 Entries are kept sorted by ``(lo, hi, step)`` and pairwise disjoint *as
 sets*; residue fragments may interleave in their ``[lo, hi]`` spans, so
@@ -206,6 +209,13 @@ class TimestampSet:
         """
         if not self.entries or not other.entries:
             return TimestampSet()
+        # One-position operand: a membership test answers it.
+        t = _lone(self.entries)
+        if t is not None:
+            return self if t in other else TimestampSet()
+        t = _lone(other.entries)
+        if t is not None:
+            return other if t in self else TimestampSet()
         # Drive the loop from the narrower operand so index bisection
         # prunes the wider one.
         a_set, b_set = self, other
@@ -229,6 +239,12 @@ class TimestampSet:
         -- never a materialized timestamp list.
         """
         if not other.entries or not self.entries:
+            return self
+        t = _lone(self.entries)
+        if t is not None:
+            return TimestampSet() if t in other else self
+        t = _lone(other.entries)
+        if t is not None and t not in self:
             return self
         out: List[Entry] = []
         changed = False
@@ -257,6 +273,8 @@ class TimestampSet:
             return self
         if not self.entries:
             return other
+        # A one-position operand reaches ``subtract``'s membership
+        # shortcut, so ``union`` needs none of its own.
         extra = other.subtract(self)
         if not extra.entries:
             return self
@@ -272,6 +290,15 @@ class TimestampSet:
             else:
                 parts.append(f"{lo}:{hi}:{step}")
         return "{" + ", ".join(parts) + "}"
+
+
+def _lone(entries: Tuple[Entry, ...]) -> Optional[int]:
+    """The member of a one-position set ``((t, t, 1),)``, else ``None``."""
+    if len(entries) == 1:
+        lo, hi, step = entries[0]
+        if lo == hi and step == 1:
+            return lo
+    return None
 
 
 def _intersect_entries(a: Entry, b: Entry) -> Optional[Entry]:

@@ -1,10 +1,12 @@
 """Unit + property tests for collective timestamp-set manipulation."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import TimestampSet
+from repro.analysis import TimestampSet, tsvector
 
 
 def ts(*values):
@@ -75,6 +77,19 @@ def value_sets(draw):
     return draw(st.sets(st.integers(1, 120), max_size=30))
 
 
+@st.composite
+def fragmented_sets(draw):
+    """Sets whose residue fragments interleave: a run minus a series."""
+    lo = draw(st.integers(1, 60))
+    run = TimestampSet(entries=((lo, lo + draw(st.integers(0, 60)), 1),))
+    cut_lo = draw(st.integers(1, 120))
+    cut = TimestampSet(entries=(
+        (cut_lo, cut_lo + draw(st.integers(1, 12)) * draw(st.integers(2, 5)),
+         draw(st.integers(2, 5))),
+    ))
+    return run.subtract(cut).union(ts(*draw(value_sets())))
+
+
 class TestSetSemantics:
     @given(value_sets(), value_sets())
     @settings(max_examples=300)
@@ -95,6 +110,66 @@ class TestSetSemantics:
     @settings(max_examples=200)
     def test_shift(self, a, d):
         assert set(ts(*a).shift(d)) == {x + d for x in a if x + d > 0}
+
+    @given(value_sets(), st.integers(1, 120), st.booleans())
+    @settings(max_examples=300)
+    def test_singleton_operands(self, a, t, left):
+        """One-position operands, on either side, keep set semantics."""
+        one, other = ts(t), ts(*a)
+        x, y = (one, other) if left else (other, one)
+        xs, ys = ({t}, a) if left else (a, {t})
+        assert set(x.intersect(y)) == xs & ys
+        assert set(x.subtract(y)) == xs - ys
+        assert set(x.union(y)) == xs | ys
+
+    @given(st.integers(1, 120), st.integers(-10, 10))
+    @settings(max_examples=200)
+    def test_singleton_shift(self, t, d):
+        shifted = ts(t).shift(d)
+        assert set(shifted) == ({t + d} if t + d > 0 else set())
+
+    @given(value_sets(), st.integers(1, 120))
+    @settings(max_examples=300)
+    def test_one_position_results_are_canonical(self, a, t):
+        """Any one-position result is the single entry ``(t, t, 1)``."""
+        one, other = ts(t), ts(*a)
+        results = [
+            one.intersect(other), other.intersect(one),
+            one.subtract(other), other.subtract(one),
+            one.union(other), other.union(one),
+            one.shift(3), other.shift(-5),
+        ]
+        for result in results:
+            if len(result) == 1:
+                (member,) = result.values()
+                assert result.entries == ((member, member, 1),)
+
+    @given(fragmented_sets(), st.integers(1, 130))
+    @settings(max_examples=300)
+    def test_one_position_entries_match_general_path(self, other, t):
+        """The membership shortcut returns exactly the entries the
+        entry-pair path computes, even around interleaved fragments."""
+        one = ts(t)
+        ops = [
+            lambda: one.intersect(other), lambda: other.intersect(one),
+            lambda: one.subtract(other), lambda: other.subtract(one),
+            lambda: one.union(other), lambda: other.union(one),
+        ]
+        fast = [op().entries for op in ops]
+        with mock.patch.object(tsvector, "_lone", return_value=None):
+            general = [op().entries for op in ops]
+        assert fast == general
+
+    def test_singleton_against_series_never_expands(self):
+        """A member test against a 10-million-member series, not a scan."""
+        series = TimestampSet(entries=((2, 20_000_000, 2),))
+        assert series.intersect(ts(1_000_000)).entries == (
+            (1_000_000, 1_000_000, 1),
+        )
+        assert not ts(1_000_001).intersect(series)
+        assert series.union(ts(40)) is series
+        assert ts(7).subtract(series) == ts(7)
+        assert series.subtract(ts(9)) is series
 
     @given(value_sets())
     @settings(max_examples=200)
