@@ -21,6 +21,7 @@ Usage (also via ``python -m repro``)::
     repro-wpp corpus diff corpus/ run1 run8          # cross-run diff
     repro-wpp corpus hot corpus/ --top 10            # corpus-wide hot paths
     repro-wpp corpus stats corpus/                   # sharing/compaction report
+    repro-wpp corpus check corpus/                   # refs, shas, pack tail
     repro-wpp experiments --scale 1.0                # all tables+figures
 
 Every command reads/writes the documented on-disk formats, so the CLI
@@ -500,6 +501,30 @@ def _cmd_corpus_hot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_corpus_check(args: argparse.Namespace) -> int:
+    import json
+
+    from .api import Session
+
+    with Session() as session:
+        with session.corpus(args.root) as corpus:
+            problems = corpus.check()
+            runs = len(corpus.runs())
+            recovered = corpus.recovered_bytes
+    if args.json:
+        print(json.dumps({"ok": not problems, "problems": problems,
+                          "recovered_bytes": recovered},
+                         indent=2, sort_keys=True))
+    else:
+        if recovered:
+            print(f"recovered: opening dropped {recovered} pack byte(s)"
+                  f" an interrupted ingest left")
+        for problem in problems:
+            print(problem)
+        print(f"corpus: {runs} run(s), {len(problems)} problem(s)")
+    return 1 if problems else 0
+
+
 def _cmd_corpus_stats(args: argparse.Namespace) -> int:
     import json
 
@@ -803,6 +828,16 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--json", action="store_true",
                     help="emit the full report as JSON")
     cp.set_defaults(func=_cmd_corpus_stats)
+
+    cp = corpus_sub.add_parser(
+        "check",
+        help="verify blob refs, blob shas and the pack tail "
+             "(exit 1 on any problem)",
+    )
+    cp.add_argument("root", help="corpus directory")
+    cp.add_argument("--json", action="store_true",
+                    help="emit {ok, problems, recovered_bytes} as JSON")
+    cp.set_defaults(func=_cmd_corpus_check)
 
     p = sub.add_parser("check", help="verify a .twpp file's integrity")
     p.add_argument("twpp")

@@ -22,25 +22,30 @@ MAX_CODES = 1 << 20
 
 
 def lzw_compress(data: bytes) -> bytes:
-    """Compress ``data``; returns the varint-packed code stream."""
+    """Compress ``data``; returns the varint-packed code stream.
+
+    A dictionary string is its prefix's code plus one byte, so the
+    table is keyed by the int ``prefix_code << 8 | byte`` instead of by
+    byte strings; single bytes are their own codes and need no entry.
+    """
     if not data:
         return b""
-    table: Dict[bytes, int] = {bytes([i]): i for i in range(256)}
+    table: Dict[int, int] = {}
     next_code = 256
     out = bytearray()
 
-    current = bytes([data[0]])
+    code = data[0]
     for byte in data[1:]:
-        candidate = current + bytes([byte])
-        if candidate in table:
-            current = candidate
+        key = code << 8 | byte
+        if key in table:
+            code = table[key]
             continue
-        write_uvarint(out, table[current])
+        write_uvarint(out, code)
         if next_code < MAX_CODES:
-            table[candidate] = next_code
+            table[key] = next_code
             next_code += 1
-        current = bytes([byte])
-    write_uvarint(out, table[current])
+        code = byte
+    write_uvarint(out, code)
     return bytes(out)
 
 

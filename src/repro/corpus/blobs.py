@@ -25,10 +25,12 @@ can always be rebuilt by replaying the pack
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
 import threading
-from typing import Iterator, Tuple, Union
+from contextlib import contextmanager
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from ..compact.dbb import DbbDictionary
 from ..compact.lzw import lzw_compress, lzw_decompress
@@ -61,6 +63,8 @@ SHA_BYTES = 20
 
 PACK_MAGIC = b"CWPK"
 PACK_VERSION = 1
+#: Magic + version byte; an empty pack is exactly this long.
+PACK_HEADER_BYTES = len(PACK_MAGIC) + 1
 
 __all__ = [
     "BlobPack",
@@ -69,6 +73,7 @@ __all__ = [
     "KIND_DCG",
     "KIND_DICT",
     "KIND_NAMES",
+    "PACK_HEADER_BYTES",
     "PACK_MAGIC",
     "SHA_BYTES",
     "blob_sha",
@@ -78,7 +83,17 @@ __all__ = [
     "encode_body",
     "encode_dcg_chunk",
     "encode_dictionary",
+    "fsync_dir",
 ]
+
+
+def fsync_dir(path: PathLike) -> None:
+    """Make a directory's entries (a created or renamed file) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def blob_sha(kind: int, payload: bytes) -> bytes:
@@ -175,11 +190,15 @@ class BlobPack:
 
     Records are framed ``kind byte, uvarint payload length, payload``
     after a 5-byte header (magic + version), so the file alone suffices
-    to rebuild the catalog's blob index.  ``append`` returns the
-    payload's (offset, length) -- what the catalog stores -- and
-    ``read`` serves it back with one seek.  Thread-safe behind one
-    lock; appends are flushed before returning so a catalog row never
-    points past the end of the pack.
+    to rebuild the catalog's blob index.  ``append_many`` writes one
+    run's new records and returns each payload's (offset, length) --
+    what the catalog stores -- and ``read`` serves one back with one
+    seek.  Thread-safe behind one lock.  A run's records are written
+    and fsynced before the run's commit, so a committed catalog row
+    never points at bytes that are not on disk; records past the last
+    committed row are a torn ingest's tail, which :meth:`truncate`
+    drops.  Writers serialize on :meth:`locked`, which is also what
+    tells a reader whether a tail is torn or still being written.
     """
 
     def __init__(self, path: PathLike) -> None:
@@ -189,7 +208,7 @@ class BlobPack:
         self._fh = open(self.path, "a+b")
         if exists:
             self._fh.seek(0)
-            header = self._fh.read(5)
+            header = self._fh.read(PACK_HEADER_BYTES)
             if header[:4] != PACK_MAGIC:
                 raise ValueError(f"{self.path}: not a corpus pack file")
             if header[4] != PACK_VERSION:
@@ -199,6 +218,8 @@ class BlobPack:
         else:
             self._fh.write(PACK_MAGIC + bytes([PACK_VERSION]))
             self._fh.flush()
+            os.fsync(self._fh.fileno())
+            fsync_dir(os.path.dirname(os.path.abspath(self.path)))
 
     def close(self) -> None:
         with self._lock:
@@ -210,17 +231,64 @@ class BlobPack:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def append(self, kind: int, payload: bytes) -> Tuple[int, int]:
-        """Write one record; returns the payload's (offset, length)."""
-        frame = bytearray([kind])
-        write_uvarint(frame, len(payload))
+    @contextmanager
+    def locked(
+        self, exclusive: bool = True, wait: bool = True
+    ) -> Iterator[bool]:
+        """Hold an advisory ``flock`` on the pack file for the block.
+
+        The lock is taken on a descriptor of its own, so it excludes
+        every other holder -- another process, another ``BlobPack`` on
+        the same file, another thread -- and dies with its process.
+        Yields whether it was taken: with ``wait=False`` a conflicting
+        holder makes it yield ``False`` at once.
+        """
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            mode = fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH
+            try:
+                fcntl.flock(fd, mode if wait else mode | fcntl.LOCK_NB)
+                held = True
+            except BlockingIOError:
+                held = False
+            yield held
+        finally:
+            os.close(fd)  # releases the lock
+
+    def append_many(
+        self, records: Sequence[Tuple[int, bytes]]
+    ) -> List[Tuple[int, int]]:
+        """Write (kind, payload) records, then flush and fsync once.
+
+        Returns each payload's (offset, length), in record order.
+        """
+        spans = []
         with self._lock:
-            self._fh.seek(0, os.SEEK_END)
-            base = self._fh.tell()
-            self._fh.write(frame)
-            self._fh.write(payload)
+            cursor = self._fh.seek(0, os.SEEK_END)
+            for kind, payload in records:
+                frame = bytearray([kind])
+                write_uvarint(frame, len(payload))
+                self._fh.write(frame)
+                self._fh.write(payload)
+                cursor += len(frame)
+                spans.append((cursor, len(payload)))
+                cursor += len(payload)
             self._fh.flush()
-        return base + len(frame), len(payload)
+            os.fsync(self._fh.fileno())
+        return spans
+
+    def truncate(self, end: int) -> int:
+        """Drop every byte past ``end``; returns how many were dropped.
+
+        Only for a holder of the exclusive :meth:`locked`: past ``end``
+        may lie another writer's records, written but not yet committed.
+        """
+        with self._lock:
+            size = self._fh.seek(0, os.SEEK_END)
+            if size <= end:
+                return 0
+            self._fh.truncate(end)
+            return size - end
 
     def read(self, offset: int, length: int) -> bytes:
         """One payload back by (offset, length)."""
@@ -247,7 +315,7 @@ class BlobPack:
         with self._lock:
             self._fh.seek(0, os.SEEK_END)
             end = self._fh.tell()
-        cursor = 5  # past magic + version
+        cursor = PACK_HEADER_BYTES
         while cursor < end:
             with self._lock:
                 self._fh.seek(cursor)

@@ -11,8 +11,11 @@ is set algebra over blob-id pairs and corpus-wide hot paths are one
 
 Schema (version 1) is documented in ``docs/FORMATS.md``.  All access
 is serialized behind one lock, same discipline as
-:class:`repro.store.catalog.TraceCatalog`; a run's rows land in one
-transaction so a crashed ingest never leaves a partial run visible.
+:class:`repro.store.catalog.TraceCatalog`.  :meth:`CorpusCatalog.add_run`
+is the only write: a run's new blob rows, the reference bumps on the
+blobs it shares, and its run, function, pair and DCG-chunk rows commit
+in one transaction, so a crashed ingest leaves no partial run, no
+orphan blob row and no reference-count drift behind.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 import sqlite3
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -150,30 +153,43 @@ class CorpusCatalog:
 
     # ---- blobs --------------------------------------------------------
 
-    def blob_id(self, sha: bytes) -> Optional[Tuple[int, int, int, int]]:
-        """(id, kind, offset, length) for a sha, or None if unknown."""
+    def known_blobs(
+        self, shas: Iterable[bytes]
+    ) -> Tuple[Dict[bytes, int], int]:
+        """Ids of the already-catalogued ``shas``, and the next free id.
+
+        The next id is the one SQLite would give the next inserted row
+        (one past the largest id), so ids handed out from it before a
+        commit are the ids an insert-per-blob catalog assigns.
+        """
+        known: Dict[bytes, int] = {}
         with self._lock:
-            row = self._db.execute(
-                "SELECT id, kind, offset, length FROM blobs WHERE sha = ?",
-                (sha,),
+            for sha in shas:
+                row = self._db.execute(
+                    "SELECT id FROM blobs WHERE sha = ?", (sha,)
+                ).fetchone()
+                if row is not None:
+                    known[sha] = row[0]
+            (next_id,) = self._db.execute(
+                "SELECT COALESCE(MAX(id), 0) + 1 FROM blobs"
             ).fetchone()
-        return row
+        return known, next_id
 
-    def add_blob(self, sha: bytes, kind: int, offset: int, length: int) -> int:
-        """Register a freshly packed blob; returns its id (refs = 1)."""
-        with self._lock, self._db:
-            cur = self._db.execute(
-                "INSERT INTO blobs (sha, kind, offset, length, refs)"
-                " VALUES (?, ?, ?, ?, 1)",
-                (sha, kind, offset, length),
-            )
-            return cur.lastrowid
+    def pack_end(self) -> Optional[int]:
+        """One past the last pack byte any blob row covers (None: no blobs)."""
+        with self._lock:
+            (end,) = self._db.execute(
+                "SELECT MAX(offset + length) FROM blobs"
+            ).fetchone()
+        return end
 
-    def bump_ref(self, blob_id: int) -> None:
-        with self._lock, self._db:
-            self._db.execute(
-                "UPDATE blobs SET refs = refs + 1 WHERE id = ?", (blob_id,)
-            )
+    def blob_rows(self) -> List[Tuple[int, bytes, int, int, int, int]]:
+        """Every blob's (id, sha, kind, offset, length, refs), id order."""
+        with self._lock:
+            return self._db.execute(
+                "SELECT id, sha, kind, offset, length, refs FROM blobs"
+                " ORDER BY id"
+            ).fetchall()
 
     def blob(self, blob_id: int) -> Tuple[bytes, int, int, int, int]:
         """(sha, kind, offset, length, refs) for one blob id."""
@@ -200,16 +216,31 @@ class CorpusCatalog:
     def add_run(
         self,
         record: CorpusRun,
+        new_blobs: Sequence[Tuple[int, bytes, int, int, int]],
+        shared_ids: Sequence[int],
         function_rows: Sequence[Tuple[int, str, int, int]],
         pair_rows: Sequence[Tuple[str, int, int, int, int]],
         dcg_chunk_ids: Sequence[int],
     ) -> int:
-        """Insert one run and all its membership rows in one transaction.
+        """Commit one run, its blobs and all its membership rows at once.
 
-        ``function_rows`` are (original_index, name, call_count, pairs);
-        ``pair_rows`` are (func, position, body_blob, dict_blob, weight).
+        ``new_blobs`` are (id, sha, kind, offset, length) for payloads
+        the run added to the pack (ids from :meth:`known_blobs`, refs
+        start at 1); ``shared_ids`` are the catalogued blobs it also
+        references, whose refs go up by one.  ``function_rows`` are
+        (original_index, name, call_count, pairs); ``pair_rows`` are
+        (func, position, body_blob, dict_blob, weight).
         """
         with self._lock, self._db:
+            self._db.executemany(
+                "INSERT INTO blobs (id, sha, kind, offset, length, refs)"
+                " VALUES (?, ?, ?, ?, ?, 1)",
+                new_blobs,
+            )
+            self._db.executemany(
+                "UPDATE blobs SET refs = refs + 1 WHERE id = ?",
+                [(blob_id,) for blob_id in shared_ids],
+            )
             cur = self._db.execute(
                 f"INSERT INTO runs ({_RUN_COLUMNS})"
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",

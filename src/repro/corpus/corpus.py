@@ -35,9 +35,12 @@ from .blobs import (
     KIND_DCG,
     KIND_DICT,
     KIND_NAMES,
+    PACK_HEADER_BYTES,
+    blob_sha,
     decode_body,
     decode_dcg_chunk,
     decode_dictionary,
+    fsync_dir,
 )
 from .catalog import CorpusCatalog, CorpusRun
 from .manifest import (
@@ -45,6 +48,7 @@ from .manifest import (
     RunDigest,
     RunManifest,
     assemble_dcg,
+    decode_manifest,
     encode_manifest,
     scan_run,
 )
@@ -110,7 +114,12 @@ class TraceCorpus:
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / RUNS_DIR).mkdir(exist_ok=True)
+        try:
+            (self.root / RUNS_DIR).mkdir()
+        except FileExistsError:
+            pass
+        else:
+            fsync_dir(self.root)
         if session is None:
             from ..api import Session
 
@@ -122,6 +131,11 @@ class TraceCorpus:
         self.metrics = session.metrics
         self._catalog = CorpusCatalog(self.root / CORPUS_DB)
         self._pack = BlobPack(self.root / PACK_NAME)
+        #: Pack bytes of a killed ingest that opening dropped (0: none).
+        self.recovered_bytes = 0
+        with self._pack.locked(wait=False) as idle:
+            if idle:  # no ingest in flight, so any tail is a torn one
+                self.recovered_bytes = self._drop_uncommitted_tail()
         budget = (
             cache_bytes
             if cache_bytes is not None
@@ -242,103 +256,168 @@ class TraceCorpus:
     def _ingest_digest(
         self, run: str, source: str, digest: RunDigest
     ) -> IngestResult:
-        with self._ingest_lock, self.metrics.timer("corpus.ingest"):
+        writer = self._pack.locked()  # one ingest per corpus, any process
+        with self._ingest_lock, self.metrics.timer("corpus.ingest"), writer:
             self._check_run_name(run)
-            ids: Dict[bytes, int] = {}
-            blobs_added = blobs_shared = bytes_added = bytes_shared = 0
-            for sha, kind, payload in digest.blobs:
-                row = self._catalog.blob_id(sha)
-                if row is None:
-                    offset, length = self._pack.append(kind, payload)
-                    ids[sha] = self._catalog.add_blob(
-                        sha, kind, offset, length
-                    )
-                    blobs_added += 1
-                    bytes_added += length
-                else:
-                    self._catalog.bump_ref(row[0])
-                    ids[sha] = row[0]
-                    blobs_shared += 1
-                    bytes_shared += len(payload)
-
-            functions = []
-            function_rows = []
-            pair_rows = []
-            for index, fn in enumerate(digest.functions):
-                bodies = tuple(ids[sha] for sha in fn.body_shas)
-                dicts = tuple(ids[sha] for sha in fn.dict_shas)
-                functions.append(
-                    ManifestFunction(
-                        name=fn.name,
-                        call_count=fn.call_count,
-                        bodies=bodies,
-                        dicts=dicts,
-                        pairs=fn.pairs,
-                    )
-                )
-                function_rows.append(
-                    (index, fn.name, fn.call_count, len(fn.pairs))
-                )
-                for pos, (body_idx, dict_idx) in enumerate(fn.pairs):
-                    pair_rows.append(
-                        (
-                            fn.name,
-                            pos,
-                            bodies[body_idx],
-                            dicts[dict_idx],
-                            fn.weights[pos],
-                        )
-                    )
-
-            manifest = RunManifest(
-                run=run,
-                source=source,
-                dcg_nodes=digest.dcg_nodes,
-                dcg_chunks=tuple(ids[sha] for sha in digest.dcg_shas),
-                functions=tuple(functions),
-            )
-            data = encode_manifest(manifest)
-            manifest_path = self.root / RUNS_DIR / f"{run}.manifest"
-            manifest_path.write_bytes(data)
-
-            record = CorpusRun(
-                run=run,
-                source=source,
-                manifest_path=str(manifest_path),
-                twpp_bytes=digest.twpp_bytes,
-                manifest_bytes=len(data),
-                blobs_added=blobs_added,
-                blobs_shared=blobs_shared,
-                bytes_added=bytes_added,
-                bytes_shared=bytes_shared,
-                functions=len(digest.functions),
-                pairs=len(pair_rows),
-                calls=sum(fn.call_count for fn in digest.functions),
-                dcg_nodes=digest.dcg_nodes,
-            )
-            self._catalog.add_run(
-                record, function_rows, pair_rows, manifest.dcg_chunks
-            )
+            # A writer killed since this corpus opened left its tail.
+            self._drop_uncommitted_tail()
+            try:
+                record = self._commit_run(run, source, digest)
+            except BaseException:
+                # Nothing committed: drop the run's pack records so the
+                # next ingest appends where they began.
+                self._drop_uncommitted_tail()
+                raise
 
         self.metrics.inc("corpus.runs_ingested")
-        self.metrics.inc("corpus.blobs_added", blobs_added)
-        self.metrics.inc("corpus.blobs_shared", blobs_shared)
-        self.metrics.inc("corpus.bytes_added", bytes_added)
-        self.metrics.inc("corpus.bytes_shared", bytes_shared)
-        self.metrics.observe("corpus.manifest_bytes", len(data))
+        self.metrics.inc("corpus.blobs_added", record.blobs_added)
+        self.metrics.inc("corpus.blobs_shared", record.blobs_shared)
+        self.metrics.inc("corpus.bytes_added", record.bytes_added)
+        self.metrics.inc("corpus.bytes_shared", record.bytes_shared)
+        self.metrics.observe("corpus.manifest_bytes", record.manifest_bytes)
         return IngestResult(
             run=run,
             source=source,
             twpp_bytes=record.twpp_bytes,
             manifest_bytes=record.manifest_bytes,
-            blobs_added=blobs_added,
-            blobs_shared=blobs_shared,
-            bytes_added=bytes_added,
-            bytes_shared=bytes_shared,
+            blobs_added=record.blobs_added,
+            blobs_shared=record.blobs_shared,
+            bytes_added=record.bytes_added,
+            bytes_shared=record.bytes_shared,
             functions=record.functions,
             pairs=record.pairs,
             calls=record.calls,
         )
+
+    def _commit_run(
+        self, run: str, source: str, digest: RunDigest
+    ) -> CorpusRun:
+        """Add one digested run as a single catalog transaction.
+
+        Order is what makes a killed ingest harmless: the run's new
+        pack records are written and fsynced first, then its manifest
+        replaces any stale one, and the catalog commits last -- so a
+        committed row never points at bytes that are not on disk, and
+        anything a kill leaves behind (a pack tail, an uncommitted
+        run's manifest) is dropped or overwritten by the next open or
+        ingest.  The caller holds the pack's exclusive lock throughout,
+        so blob ids and pack offsets are this writer's alone.
+        """
+        ids, next_id = self._catalog.known_blobs(
+            sha for sha, _, _ in digest.blobs
+        )
+        shared_ids = list(ids.values())
+        bytes_shared = 0
+        fresh = []
+        for sha, kind, payload in digest.blobs:
+            if sha in ids:
+                bytes_shared += len(payload)
+            else:
+                ids[sha] = next_id + len(fresh)
+                fresh.append((sha, kind, payload))
+        new_blobs = []
+        if fresh:
+            spans = self._pack.append_many(
+                [(kind, payload) for _, kind, payload in fresh]
+            )
+            new_blobs = [
+                (ids[sha], sha, kind, offset, length)
+                for (sha, kind, _), (offset, length) in zip(fresh, spans)
+            ]
+        blobs_added = len(new_blobs)
+        blobs_shared = len(shared_ids)
+        bytes_added = sum(length for *_, length in new_blobs)
+
+        functions = []
+        function_rows = []
+        pair_rows = []
+        for index, fn in enumerate(digest.functions):
+            bodies = tuple(ids[sha] for sha in fn.body_shas)
+            dicts = tuple(ids[sha] for sha in fn.dict_shas)
+            functions.append(
+                ManifestFunction(
+                    name=fn.name,
+                    call_count=fn.call_count,
+                    bodies=bodies,
+                    dicts=dicts,
+                    pairs=fn.pairs,
+                )
+            )
+            function_rows.append(
+                (index, fn.name, fn.call_count, len(fn.pairs))
+            )
+            for pos, (body_idx, dict_idx) in enumerate(fn.pairs):
+                pair_rows.append(
+                    (
+                        fn.name,
+                        pos,
+                        bodies[body_idx],
+                        dicts[dict_idx],
+                        fn.weights[pos],
+                    )
+                )
+
+        manifest = RunManifest(
+            run=run,
+            source=source,
+            dcg_nodes=digest.dcg_nodes,
+            dcg_chunks=tuple(ids[sha] for sha in digest.dcg_shas),
+            functions=tuple(functions),
+        )
+        data = encode_manifest(manifest)
+        manifest_path = self._write_manifest(run, data)
+
+        record = CorpusRun(
+            run=run,
+            source=source,
+            manifest_path=str(manifest_path),
+            twpp_bytes=digest.twpp_bytes,
+            manifest_bytes=len(data),
+            blobs_added=blobs_added,
+            blobs_shared=blobs_shared,
+            bytes_added=bytes_added,
+            bytes_shared=bytes_shared,
+            functions=len(digest.functions),
+            pairs=len(pair_rows),
+            calls=sum(fn.call_count for fn in digest.functions),
+            dcg_nodes=digest.dcg_nodes,
+        )
+        self._catalog.add_run(
+            record,
+            new_blobs,
+            shared_ids,
+            function_rows,
+            pair_rows,
+            manifest.dcg_chunks,
+        )
+        return record
+
+    def _drop_uncommitted_tail(self) -> int:
+        """Truncate the pack past the last committed blob's bytes.
+
+        Only an ingest that did not commit leaves records there: no
+        catalog row points at them, and re-ingesting the run rewrites
+        them at the same offsets.  The caller holds the pack's
+        exclusive lock.  Returns the number of bytes dropped.
+        """
+        end = self._catalog.pack_end()
+        return self._pack.truncate(PACK_HEADER_BYTES if end is None else end)
+
+    def _write_manifest(self, run: str, data: bytes) -> Path:
+        """Write ``runs/<run>.manifest`` whole and durably.
+
+        The temp file is fsynced before the rename and ``runs/`` after
+        it, so once the run commits its manifest survives a power loss.
+        """
+        path = self.root / RUNS_DIR / f"{run}.manifest"
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        fsync_dir(path.parent)
+        return path
 
     # ---- reads --------------------------------------------------------
 
@@ -385,8 +464,6 @@ class TraceCorpus:
                 f" expected {KIND_NAMES[expect_kind]}"
             )
         payload = self._pack.read(offset, length)
-        from .blobs import blob_sha
-
         if blob_sha(kind, payload) != sha:
             raise ValueError(
                 f"blob {blob_id} failed its content check"
@@ -510,6 +587,75 @@ class TraceCorpus:
         return totals
 
     # ---- reporting ----------------------------------------------------
+
+    def check(self) -> List[str]:
+        """Verify the corpus on disk; returns its problems (none: clean).
+
+        Three invariants: every blob's ``refs`` equals the number of
+        committed runs whose manifest references it (as a body, a
+        dictionary or a DCG chunk); every blob's sha re-verifies from
+        the pack; and no pack bytes lie past the last catalogued
+        record.  Holds the pack's shared lock, so an ingest in flight
+        first commits or fails, and none starts until the check ends:
+        the catalog and pack it reads are one state, and a tail it sees
+        is one no writer is still going to commit.
+        """
+        with self._pack.locked(exclusive=False):
+            return self._check()
+
+    def _check(self) -> List[str]:
+        problems: List[str] = []
+        referrers: Dict[int, int] = {}
+        for record in self._catalog.runs():
+            path = self.root / RUNS_DIR / f"{record.run}.manifest"
+            try:
+                manifest = decode_manifest(path.read_bytes())
+            except (OSError, ValueError) as exc:
+                problems.append(
+                    f"run {record.run}: unreadable manifest: {exc}"
+                )
+                continue
+            if manifest.run != record.run:
+                problems.append(
+                    f"run {record.run}: manifest names run {manifest.run!r}"
+                )
+            used = set(manifest.dcg_chunks)
+            for fn in manifest.functions:
+                used.update(fn.bodies)
+                used.update(fn.dicts)
+            for blob_id in used:
+                referrers[blob_id] = referrers.get(blob_id, 0) + 1
+
+        end = PACK_HEADER_BYTES
+        for row in self._catalog.blob_rows():
+            blob_id, sha, kind, offset, length, refs = row
+            expected = referrers.pop(blob_id, 0)
+            if refs != expected:
+                problems.append(
+                    f"blob {blob_id}: refs {refs}, but {expected} run"
+                    f" manifest(s) reference it"
+                )
+            try:
+                payload = self._pack.read(offset, length)
+            except ValueError as exc:
+                problems.append(f"blob {blob_id}: {exc}")
+            else:
+                if blob_sha(kind, payload) != sha:
+                    problems.append(
+                        f"blob {blob_id}: sha mismatch at pack offset {offset}"
+                    )
+            end = max(end, offset + length)
+        for blob_id, count in sorted(referrers.items()):
+            problems.append(
+                f"blob {blob_id}: referenced by {count} run manifest(s)"
+                f" but not catalogued"
+            )
+        size = self._pack.size()
+        if size > end:
+            problems.append(
+                f"pack: {size - end} byte(s) past the last catalogued record"
+            )
+        return problems
 
     def stats(self) -> Dict:
         """Corpus-level accounting: per-run and overall compaction.

@@ -4,7 +4,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compact import lzw_compress, lzw_decompress
+from repro.compact import lzw, lzw_compress, lzw_decompress
+from repro.trace.encoding import write_uvarint
+
+
+def reference_compress(data: bytes) -> bytes:
+    """The byte-string-keyed LZW encoder, kept as the output oracle.
+
+    Reads ``lzw.MAX_CODES`` at call time so a patched ceiling applies
+    to both encoders alike.
+    """
+    if not data:
+        return b""
+    table = {bytes([i]): i for i in range(256)}
+    next_code = 256
+    out = bytearray()
+    current = bytes([data[0]])
+    for byte in data[1:]:
+        candidate = current + bytes([byte])
+        if candidate in table:
+            current = candidate
+            continue
+        write_uvarint(out, table[current])
+        if next_code < lzw.MAX_CODES:
+            table[candidate] = next_code
+            next_code += 1
+        current = bytes([byte])
+    write_uvarint(out, table[current])
+    return bytes(out)
 
 
 class TestBasics:
@@ -62,6 +89,33 @@ class TestProperties:
         comp = lzw_compress(data)
         assert lzw_decompress(comp) == data
         assert len(comp) < len(data)
+
+    @given(st.binary(max_size=3000))
+    @settings(max_examples=200)
+    def test_matches_reference_encoder(self, data):
+        assert lzw_compress(data) == reference_compress(data)
+
+    @given(st.binary(min_size=1, max_size=40), st.integers(1, 80))
+    def test_matches_reference_on_repeats(self, chunk, times):
+        """Long dictionary strings: codes well past one varint byte."""
+        data = chunk * times
+        assert lzw_compress(data) == reference_compress(data)
+
+    def test_matches_reference_on_kwkwk(self):
+        for data in (b"ababababa", b"aaaaaaa", b"\x00" * 1000):
+            assert lzw_compress(data) == reference_compress(data)
+
+    @pytest.mark.parametrize("ceiling", [256, 257, 300, 1000])
+    def test_matches_reference_at_frozen_dictionary(
+        self, monkeypatch, ceiling
+    ):
+        """Past ``MAX_CODES`` the dictionary freezes; both encoders
+        must stop adding entries at the same code."""
+        monkeypatch.setattr(lzw, "MAX_CODES", ceiling)
+        data = bytes(range(256)) * 4 + b"abcabcabcab" * 300
+        comp = lzw_compress(data)
+        assert comp == reference_compress(data)
+        assert lzw_decompress(comp) == data
 
     def test_dcg_like_input(self, small_partitioned):
         """The real use: the serialized DCG compresses and round-trips."""

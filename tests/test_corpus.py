@@ -223,13 +223,12 @@ class TestStorage:
     def test_pack_replay_matches_catalog(self, corpus_env):
         _, corpus, _, _ = corpus_env
         replayed = list(corpus._pack.iter_records())
-        assert len(replayed) == sum(
-            count for count, _ in corpus._catalog.blob_totals().values()
-        )
-        for sha, kind, offset, length in replayed:
-            row = corpus._catalog.blob_id(sha)
-            assert row is not None
-            assert (row[1], row[2], row[3]) == (kind, offset, length)
+        rows = corpus._catalog.blob_rows()
+        assert replayed == [
+            (sha, kind, offset, length)
+            for _id, sha, kind, offset, length, _refs in rows
+        ]
+        for _sha, kind, _offset, _length in replayed:
             assert kind in (KIND_BODY, KIND_DICT, KIND_DCG)
 
     def test_manifest_files_decode(self, corpus_env):
