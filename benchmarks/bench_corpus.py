@@ -88,7 +88,7 @@ def run_bench(scale=1.0, smoke=False, tmp_dir=None, jobs=2):
         corpus = TraceCorpus(Path(tmp_dir) / "corpus", session=session)
         try:
             t0 = time.perf_counter()
-            results = corpus.ingest_runs(paths, runs=runs, jobs=jobs)
+            results = corpus.ingest_runs(paths, runs=runs)
             ingest_s = time.perf_counter() - t0
             stats = corpus.stats()
 
@@ -232,7 +232,7 @@ def main(argv=None):
     parser.add_argument("--scale", type=float, default=None,
                         help="base workload scale (default: REPRO_BENCH_SCALE)")
     parser.add_argument("--jobs", type=int, default=2,
-                        help="worker processes for build and ingest")
+                        help="stream-compaction consumer threads for the build")
     parser.add_argument("--out", default=None,
                         help="output JSON path (default results/BENCH_corpus.json)")
     args = parser.parse_args(argv)

@@ -1,29 +1,26 @@
-"""Extension bench: true multi-core read/analysis via the worker pool.
+"""Extension bench: multi-core analysis through the process executor.
 
-Measures the two workloads ROADMAP Open item 2 demands real scaling
-on, comparing serial (``jobs=1``) execution against the persistent
-self-mapping worker pool (``jobs=2``):
+Measures the one fan-out whose work is long enough to pay for worker
+processes: a multi-fact frequency sweep over every traced function of
+the perl-like workload (several seconds of backward propagation),
+serial (``jobs=1``) against
+:func:`repro.analysis.frequency.fact_frequencies_many` at ``jobs=2``.
+The fanned-out time includes starting the executor's workers: a
+per-call :class:`concurrent.futures.ProcessPoolExecutor` (see
+:mod:`repro.analysis.parallel`) is the cost every ``analyze -j 2`` pays.
 
-* **analysis** — a multi-fact frequency sweep over the hottest
-  functions (several seconds of backward propagation), LPT-balanced
-  across workers;
-* **query** — repeated cold batch extraction of every function
-  (engines evicted between rounds), sticky-routed across workers.
-
-Both are checked exactly identical to serial (entries, diagnostic
-``total_queries`` accounting, trace tuples -- everything), and the
-compact wire discipline is verified twice: parent-side (every payload
-smaller than pickling the decoded objects it replaces) and through the
-``pool.result_bytes`` histogram the pool itself records.
+Reports are checked exactly identical to serial (entries, per-block
+``queries_issued`` and the memo-dependent ``total_queries``), and the
+``analysis.parallel_fallback`` counter must stay at zero, so a gate
+can only pass on processes that really ran.
 
 The gates auto-scale to the runner: ``jobs=2 >= 1.3x`` needs two real
-CPUs, and on machines exposing >= 4 cores both legs run again with a
-``jobs=4`` pool gated at >= 2.0x
-(:func:`repro.bench.workbench.cpu_guard` records the skip in the
-emitted JSON on smaller machines).
+CPUs, and on machines exposing >= 4 cores the sweep runs again at
+``jobs=4`` gated at >= 2.0x (:func:`repro.bench.workbench.cpu_guard`
+records the skip in the emitted JSON on smaller machines).
 
 Results land in ``BENCH_parallel.json`` (schema
-``repro.bench_parallel/2``).  Runs two ways::
+``repro.bench_parallel/3``).  Runs two ways::
 
     pytest benchmarks/bench_parallel.py            # bench suite
     python benchmarks/bench_parallel.py --smoke    # CI smoke (no gate)
@@ -34,27 +31,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import sys
 import time
 from pathlib import Path
 
 from repro.analysis.facts import ExpressionAvailable, LoadAvailable, VarHasDefinition
 from repro.analysis.frequency import fact_frequencies_many
-from repro.bench.workbench import (
-    bench_scale,
-    build_all_artifacts,
-    build_artifacts,
-    cpu_guard,
-)
+from repro.bench.workbench import bench_scale, build_artifacts, cpu_guard
 from repro.compact.qserve import QueryEngine
 from repro.obs import MetricsRegistry
-from repro.parallel import WorkerPool, wire
 
-BENCH_SCHEMA = "repro.bench_parallel/2"
+BENCH_SCHEMA = "repro.bench_parallel/3"
 MIN_SPEEDUP = 1.3
-#: The auto-scaled leg: with >= 4 exposed cores the same two
-#: workloads run against a jobs=4 pool and must reach this speedup.
+#: The auto-scaled leg: with >= 4 exposed cores the same sweep runs at
+#: jobs=4 and must reach this speedup.
 JOBS4 = 4
 MIN_SPEEDUP_JOBS4 = 2.0
 
@@ -80,174 +70,73 @@ def _canon_report(report):
     )
 
 
-def _analysis_tasks(art, engine):
+def _analysis_tasks(art):
     prog = art.program
     tasks = []
-    for name in art.traced_function_names():
-        func = prog.function(name)
-        for trace in engine.traces(name):
-            for fact in ANALYSIS_FACTS:
-                tasks.append((func, trace, fact))
+    with QueryEngine(art.twpp_path) as engine:
+        for name in art.traced_function_names():
+            func = prog.function(name)
+            for trace in engine.traces(name):
+                for fact in ANALYSIS_FACTS:
+                    tasks.append((func, trace, fact))
     return tasks
 
 
-def _bench_analysis(art, pool):
-    engine = QueryEngine(art.twpp_path)
-    try:
-        tasks = _analysis_tasks(art, engine)
-    finally:
-        engine.close()
+def _bench_analysis(tasks, serial, jobs1_ms, jobs):
+    """One fanned-out sweep, executor start-up included."""
+    metrics = MetricsRegistry()
+    t0 = time.perf_counter()
+    fanned = fact_frequencies_many(tasks, jobs=jobs, metrics=metrics)
+    fanned_ms = (time.perf_counter() - t0) * 1000.0
+    return {
+        "tasks": len(tasks),
+        "facts": len(ANALYSIS_FACTS),
+        "jobs": jobs,
+        "jobs1_ms": round(jobs1_ms, 1),
+        "executor_ms": round(fanned_ms, 1),
+        "speedup": round(jobs1_ms / fanned_ms, 2) if fanned_ms else None,
+        "shards": metrics.counter("analysis.shards"),
+        "fallback": metrics.counter("analysis.parallel_fallback"),
+        "identical_to_serial": [_canon_report(r) for r in serial]
+        == [_canon_report(r) for r in fanned],
+    }
+
+
+def run_bench(scale=1.0, smoke=False, out_dir=None):
+    """The jobs 1-vs-2 (and, given the cores, 1-vs-4) sweep; returns
+    the JSON document."""
+    art = build_artifacts(
+        "perl-like",
+        scale=min(scale, 0.25) if smoke else scale,
+        out_dir=out_dir,
+        with_sequitur=False,
+    )
+    tasks = _analysis_tasks(art)
+    guard = cpu_guard(2)
 
     t0 = time.perf_counter()
     serial = fact_frequencies_many(tasks)
     jobs1_ms = (time.perf_counter() - t0) * 1000.0
+    analysis = _bench_analysis(tasks, serial, jobs1_ms, 2)
 
-    t0 = time.perf_counter()
-    pooled = fact_frequencies_many(tasks, pool=pool, program=art.program)
-    pool_ms = (time.perf_counter() - t0) * 1000.0
-
-    identical = [_canon_report(r) for r in serial] == [
-        _canon_report(r) for r in pooled
-    ]
-    return {
-        "tasks": len(tasks),
-        "facts": len(ANALYSIS_FACTS),
-        "jobs": pool.jobs,
-        "jobs1_ms": round(jobs1_ms, 1),
-        "pool_ms": round(pool_ms, 1),
-        "speedup": round(jobs1_ms / pool_ms, 2) if pool_ms else None,
-        "identical_to_serial": identical,
-    }
-
-
-def _bench_query(arts, pool, rounds):
-    """Cold batch extraction across every workload corpus per round."""
-    corpus = [
-        (str(art.twpp_path), art.traced_function_names()) for art in arts
-    ]
-
-    references = {}
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        for path, names in corpus:
-            with QueryEngine(path) as engine:  # fresh = cold every round
-                out = engine.traces_many(names, threads=1)
-            references.setdefault(path, out)
-    jobs1_ms = (time.perf_counter() - t0) * 1000.0
-
-    identical = True
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        for path, _names in corpus:
-            pool.evict(path)  # cold workers every round
-        for path, names in corpus:
-            decoded = pool.traces_many(path, names)
-            identical = identical and decoded == references[path]
-    pool_ms = (time.perf_counter() - t0) * 1000.0
-
-    # Wire-size accounting against what pickling the decoded traces
-    # (the old fan-out's payload) would have shipped.  Re-encoding is
-    # deterministic, so these are the exact worker payload sizes.
-    payload_bytes = []
-    pickled_bytes = []
-    for path, names in corpus:
-        for name in names:
-            payload_bytes.append(len(wire.encode_traces(references[path][name])))
-            pickled_bytes.append(
-                len(
-                    pickle.dumps(
-                        references[path][name],
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                )
-            )
-    return {
-        "corpora": len(corpus),
-        "functions": sum(len(names) for _path, names in corpus),
-        "rounds": rounds,
-        "jobs": pool.jobs,
-        "jobs1_ms": round(jobs1_ms, 1),
-        "pool_ms": round(pool_ms, 1),
-        "speedup": round(jobs1_ms / pool_ms, 2) if pool_ms else None,
-        "identical_to_serial": identical,
-    }, {
-        "max_payload_bytes": max(payload_bytes),
-        "sum_payload_bytes": sum(payload_bytes),
-        "max_pickled_bytes": max(pickled_bytes),
-        "sum_pickled_bytes": sum(pickled_bytes),
-        "compaction_vs_pickle": round(
-            sum(pickled_bytes) / max(1, sum(payload_bytes)), 1
-        ),
-    }
-
-
-def run_bench(scale=1.0, smoke=False, out_dir=None, rounds=None):
-    """The jobs 1-vs-2 sweep; returns the JSON document."""
-    if smoke:
-        arts = [
-            build_artifacts(
-                "perl-like",
-                scale=min(scale, 0.25),
-                out_dir=out_dir,
-                with_sequitur=False,
-            )
-        ]
-    else:
-        # Analysis stresses one deep workload; the query leg batches
-        # cold extraction over every corpus so per-dispatch overhead
-        # is amortized across real decode work.
-        arts = build_all_artifacts(
-            scale=scale, out_dir=out_dir, with_sequitur=False
-        )
-    art = next(a for a in arts if a.name == "perl-like")
-    if rounds is None:
-        rounds = 3 if smoke else 10
-    guard = cpu_guard(2)
-    metrics = MetricsRegistry()
-
-    with WorkerPool(2, metrics=metrics) as pool:
-        analysis = _bench_analysis(art, pool)
-        query, wire_doc = _bench_query(arts, pool, rounds)
-        inline = pool.inline
-        pool_doc = metrics.to_dict()
-
-    # Auto-scaled leg: rerun both workloads against a jobs=4 pool when
-    # the machine actually exposes that many cores (fresh serial
-    # baselines, so neither leg borrows the other's warm state).
     guard4 = cpu_guard(JOBS4)
     if guard4 is None and not smoke:
-        with WorkerPool(JOBS4, metrics=MetricsRegistry()) as pool4:
-            jobs4 = {
-                "jobs": JOBS4,
-                "analysis": _bench_analysis(art, pool4),
-            }
-            jobs4["query"], _ = _bench_query(arts, pool4, rounds)
+        jobs4 = {"analysis": _bench_analysis(tasks, serial, jobs1_ms, JOBS4)}
     else:
         jobs4 = {"skipped": guard4 or "smoke"}
 
-    hist = pool_doc.get("histograms", {}).get("pool.result_bytes")
     return {
         "schema": BENCH_SCHEMA,
         "unix_time": round(time.time(), 3),
         "smoke": smoke,
         "workload": art.name,
-        "query_workloads": [a.name for a in arts],
         "scale": art.spec.scale,
-        "events": sum(len(a.wpp) for a in arts),
+        "events": len(art.wpp),
         "functions": len(art.partitioned.func_names),
         "cpus": os.cpu_count(),
         "cpu_guard": guard,
-        "inline_fallback": inline,
         "analysis": analysis,
-        "query": query,
         "jobs4": jobs4,
-        "wire": wire_doc,
-        "result_bytes": hist,
-        "pool_counters": {
-            k: v
-            for k, v in pool_doc.get("counters", {}).items()
-            if k.startswith("pool.")
-        },
         "gate": {
             "min_speedup": MIN_SPEEDUP,
             "enforced": guard is None and not smoke,
@@ -264,41 +153,21 @@ def run_bench(scale=1.0, smoke=False, out_dir=None, rounds=None):
 def check_doc(doc):
     """Every assertion the bench/CI gate makes; returns error strings."""
     errors = []
-    if not doc["analysis"]["identical_to_serial"]:
-        errors.append("pooled analysis diverged from serial")
-    if not doc["query"]["identical_to_serial"]:
-        errors.append("pooled query batch diverged from serial")
-    hist = doc["result_bytes"]
-    if not hist or not hist["count"]:
-        errors.append("pool.result_bytes histogram is empty")
-    elif hist["max"] >= doc["wire"]["sum_pickled_bytes"]:
-        # Even a whole-worker grouped payload must undercut pickling
-        # the decoded traces it replaces.
-        errors.append(
-            "compact wire results not smaller than pickled decoded traces: "
-            f"{hist['max']} >= {doc['wire']['sum_pickled_bytes']}"
-        )
-    if doc["wire"]["sum_payload_bytes"] >= doc["wire"]["sum_pickled_bytes"]:
-        errors.append("wire bytes exceed pickled decoded-trace bytes")
-    if doc["gate"]["enforced"]:
-        for workload in ("analysis", "query"):
-            speedup = doc[workload]["speedup"]
-            if speedup is None or speedup < doc["gate"]["min_speedup"]:
-                errors.append(
-                    f"{workload} jobs=2 speedup {speedup} below "
-                    f"{doc['gate']['min_speedup']}x"
-                )
+    legs = [("jobs=2", doc["analysis"], doc["gate"])]
     if doc["gate"]["jobs4"]["enforced"]:
-        floor = doc["gate"]["jobs4"]["min_speedup"]
-        for workload in ("analysis", "query"):
-            leg = doc["jobs4"][workload]
-            if not leg["identical_to_serial"]:
-                errors.append(f"jobs=4 {workload} diverged from serial")
-            if leg["speedup"] is None or leg["speedup"] < floor:
-                errors.append(
-                    f"{workload} jobs=4 speedup {leg['speedup']} below "
-                    f"{floor}x"
-                )
+        legs.append(("jobs=4", doc["jobs4"]["analysis"], doc["gate"]["jobs4"]))
+    for label, leg, gate in legs:
+        if not leg["identical_to_serial"]:
+            errors.append(f"{label} analysis diverged from serial")
+        if leg["fallback"]:
+            errors.append(f"{label} executor fell back to serial")
+        if gate["enforced"] and (
+            leg["speedup"] is None or leg["speedup"] < gate["min_speedup"]
+        ):
+            errors.append(
+                f"analysis {label} speedup {leg['speedup']} below "
+                f"{gate['min_speedup']}x"
+            )
     return errors
 
 
@@ -313,14 +182,13 @@ def write_doc(doc, out_path):
 # pytest entry point (bench suite)
 
 
-def test_parallel_read_analysis_scaling(results_dir, tmp_path):
+def test_parallel_analysis_scaling(results_dir, tmp_path):
     """jobs=2 matches serial exactly; beats it >= 1.3x given >= 2 CPUs."""
     doc = run_bench(scale=max(1.0, bench_scale()), out_dir=tmp_path)
     out = write_doc(doc, Path(results_dir) / "BENCH_parallel.json")
     print(f"\nwrote {out}")
     print(
-        f"analysis x{doc['analysis']['speedup']}, "
-        f"query x{doc['query']['speedup']} "
+        f"analysis x{doc['analysis']['speedup']} "
         f"(gate {'on' if doc['gate']['enforced'] else 'skipped'})"
     )
     errors = check_doc(doc)
@@ -333,7 +201,7 @@ def test_parallel_read_analysis_scaling(results_dir, tmp_path):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="jobs 1-vs-2 scaling for the pooled read/analysis path"
+        description="jobs 1-vs-2 scaling of the analysis process executor"
     )
     parser.add_argument("--smoke", action="store_true",
                         help="small workload, identity checks only")

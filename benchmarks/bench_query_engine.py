@@ -1,4 +1,4 @@
-"""Extension bench: the cached, mmap-backed concurrent query engine.
+"""Extension bench: the cached, mmap-backed query engine.
 
 Three measurements over the largest generated workload:
 
@@ -8,15 +8,11 @@ Three measurements over the largest generated workload:
 * **warm** — the same query served by a long-lived
   :class:`~repro.compact.qserve.QueryEngine` whose byte-budgeted LRU
   already holds the decoded record;
-* **concurrency** — batch extraction of every function under a thread
-  sweep, checked byte-identical to the serial reference.  Thread rows
-  are GIL-bound (the sweep historically *degraded* past one thread)
-  and carry ``"gil_bound": true`` so nobody reads them as a parallel
-  regression; the preferred fan-out for ``jobs > 1`` is the
-  **process-pool** sweep over :class:`repro.parallel.WorkerPool` --
-  self-mapping worker processes returning compact wire results.
+* **batch** — :meth:`~repro.compact.qserve.QueryEngine.traces_many`
+  over every function, cold on a fresh engine and then warm on the same
+  one, checked identical to one-at-a-time queries.
 
-Results land in ``BENCH_query.json`` (schema ``repro.bench_query/2``)
+Results land in ``BENCH_query.json`` (schema ``repro.bench_query/3``)
 so successive runs accumulate perf data points over time.
 
 Runs two ways::
@@ -41,9 +37,7 @@ from repro.bench.workbench import bench_scale, build_all_artifacts, build_artifa
 from repro.compact import QueryEngine, extract_function_traces
 from repro.obs import MetricsRegistry
 
-THREAD_SWEEP = (1, 2, 4, 8)
-JOBS_SWEEP = (1, 2)
-BENCH_SCHEMA = "repro.bench_query/2"
+BENCH_SCHEMA = "repro.bench_query/3"
 
 
 def _percentile(values, q):
@@ -70,7 +64,7 @@ def _largest_artifacts(scale, out_dir, smoke):
 
 
 def run_bench(scale=1.0, smoke=False, out_dir=None):
-    """Run the cold/warm/concurrency sweep; returns the JSON document."""
+    """Run the cold/warm/batch measurements; returns the JSON document."""
     art = _largest_artifacts(scale, out_dir, smoke)
     path = art.twpp_path
     hot = art.traced_function_names()[0]
@@ -90,34 +84,16 @@ def run_bench(scale=1.0, smoke=False, out_dir=None):
         ]
         cache = engine.cache_stats()
 
-    sweep = []
-    reference = None
-    for threads in THREAD_SWEEP:
-        with QueryEngine(path, threads=threads) as eng:
-            t0 = time.perf_counter()
-            out = eng.traces_many()
-            batch_ms = (time.perf_counter() - t0) * 1000.0
-            # Warm pass over the same engine: every section now cached.
-            t0 = time.perf_counter()
-            warm_out = eng.traces_many()
-            warm_batch_ms = (time.perf_counter() - t0) * 1000.0
-        if reference is None:
-            reference = out
-        sweep.append(
-            {
-                "threads": threads,
-                # In-process threads share one GIL: past 1 thread these
-                # rows measure contention, not parallelism.  Kept for
-                # continuity; jobs>1 should read the process_pool rows.
-                "gil_bound": threads > 1,
-                "batch_cold_ms": round(batch_ms, 3),
-                "batch_warm_ms": round(warm_batch_ms, 3),
-                "identical_to_serial": out == reference
-                and warm_out == reference,
-            }
-        )
-
-    pool_sweep = _process_pool_sweep(path, reference)
+    with QueryEngine(path, cache_bytes=0) as eng:
+        reference = {name: eng.traces(name) for name in eng.function_names()}
+    with QueryEngine(path) as eng:
+        t0 = time.perf_counter()
+        out = eng.traces_many()
+        batch_ms = (time.perf_counter() - t0) * 1000.0
+        # Warm pass over the same engine: every section now cached.
+        t0 = time.perf_counter()
+        warm_out = eng.traces_many()
+        warm_batch_ms = (time.perf_counter() - t0) * 1000.0
 
     cold_p50 = _percentile(cold_ms, 0.5)
     warm_p50 = _percentile(warm_ms, 0.5)
@@ -139,43 +115,11 @@ def run_bench(scale=1.0, smoke=False, out_dir=None):
         "warm_ms_min": round(min(warm_ms), 4),
         "warm_rounds": warm_rounds,
         "speedup_p50": round(cold_p50 / warm_p50, 1) if warm_p50 else None,
-        "concurrency": sweep,
-        "process_pool": pool_sweep,
+        "batch_cold_ms": round(batch_ms, 3),
+        "batch_warm_ms": round(warm_batch_ms, 3),
+        "batch_identical": out == reference and warm_out == reference,
         "cache": cache,
     }
-
-
-def _process_pool_sweep(path, reference):
-    """Batch extraction through the persistent worker-process pool --
-    the fan-out ``jobs > 1`` callers should actually use."""
-    from repro.parallel import WorkerPool, wire
-
-    names = list(reference)
-    rows = []
-    for jobs in JOBS_SWEEP:
-        with WorkerPool(jobs) as pool:
-            items = [("traces", str(path), name) for name in names]
-            t0 = time.perf_counter()
-            cold = pool.run(items)
-            batch_ms = (time.perf_counter() - t0) * 1000.0
-            t0 = time.perf_counter()
-            warm = pool.run(items)
-            warm_batch_ms = (time.perf_counter() - t0) * 1000.0
-            inline = pool.inline
-        out = {n: wire.decode_traces(p) for n, p in zip(names, cold)}
-        warm_out = {n: wire.decode_traces(p) for n, p in zip(names, warm)}
-        rows.append(
-            {
-                "jobs": jobs,
-                "gil_bound": False,
-                "inline_fallback": inline,
-                "batch_cold_ms": round(batch_ms, 3),
-                "batch_warm_ms": round(warm_batch_ms, 3),
-                "identical_to_serial": out == reference
-                and warm_out == reference,
-            }
-        )
-    return rows
 
 
 def write_doc(doc, out_path):
@@ -189,9 +133,9 @@ def write_doc(doc, out_path):
 # pytest entry point (bench suite)
 
 
-def test_query_engine_cold_warm_concurrency(results_dir, tmp_path):
+def test_query_engine_cold_warm_batch(results_dir, tmp_path):
     """Warm cached queries beat cold by >= 5x on the largest workload;
-    concurrent batch extraction is byte-identical to serial."""
+    batch extraction is identical to one-at-a-time queries."""
     doc = run_bench(scale=max(1.0, bench_scale()), out_dir=tmp_path)
     out = write_doc(doc, Path(results_dir) / "BENCH_query.json")
     print(f"\nwrote {out}")
@@ -200,8 +144,7 @@ def test_query_engine_cold_warm_concurrency(results_dir, tmp_path):
         f"=> x{doc['speedup_p50']} ({doc['workload']}, "
         f"{doc['events']} events)"
     )
-    assert all(row["identical_to_serial"] for row in doc["concurrency"])
-    assert all(row["identical_to_serial"] for row in doc["process_pool"])
+    assert doc["batch_identical"]
     assert doc["speedup_p50"] >= 5, doc
     assert doc["cache"]["hits"] > 0
 
@@ -212,7 +155,7 @@ def test_query_engine_cold_warm_concurrency(results_dir, tmp_path):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Cold-vs-warm/concurrency sweep for the TWPP query engine"
+        description="Cold-vs-warm and batch timings for the TWPP query engine"
     )
     parser.add_argument("--smoke", action="store_true",
                         help="small workload, direction-only assertion")
@@ -231,11 +174,8 @@ def main(argv=None):
     print(json.dumps(doc, indent=2))
     print(f"wrote {out}", file=sys.stderr)
 
-    if not all(
-        row["identical_to_serial"]
-        for row in doc["concurrency"] + doc["process_pool"]
-    ):
-        print("FAIL: concurrent batch diverged from serial", file=sys.stderr)
+    if not doc["batch_identical"]:
+        print("FAIL: batch diverged from single queries", file=sys.stderr)
         return 1
     if args.smoke:
         if doc["warm_ms_p50"] >= doc["cold_ms_p50"]:

@@ -1,39 +1,19 @@
-"""Extension bench: scaling of indexed access and parallel compaction.
+"""Extension bench: scaling of indexed access with trace size.
 
-Two scaling dimensions of the system:
-
-* **Access** (the paper's Table 4 mechanism): the raw scan (U) grows
-  linearly with the trace while the indexed read (C) stays flat.
-* **Compaction throughput** (the parallel sharded engine): per-function
-  work fans across a process pool; with the workers saturated the
-  sharded stage's wall-clock drops with the job count while the
-  compacted output stays byte-identical.
+The paper's Table 4 mechanism: the raw scan (U) grows linearly with the
+trace while the indexed read (C) stays flat.
 """
 
-import os
 import time
 
 from conftest import emit
 
 from repro.bench.tables import Table, fmt_ms
-from repro.bench.workbench import bench_scale, build_artifacts
-from repro.compact import (
-    compact_function,
-    compact_functions_parallel,
-    compact_wpp,
-    extract_function_traces,
-    serialize_twpp,
-)
-from repro.obs import MetricsRegistry
-from repro.trace import PartitionedWpp, scan_function_traces
+from repro.bench.workbench import build_artifacts
+from repro.compact import extract_function_traces
+from repro.trace import scan_function_traces
 
 SCALES = (0.5, 1.0, 2.0, 4.0)
-JOBS_SWEEP = (1, 2, 4)
-# Replication factor for the throughput measurement: the bundled
-# workloads compact in milliseconds, so the sharded stage is measured
-# over a work list of REPLICAS copies of every perl-like function --
-# the per-function units a fleet of runs would enqueue.
-REPLICAS = 128
 
 
 def _measure(art):
@@ -91,130 +71,3 @@ def test_speedup_grows_with_trace_size(benchmark, results_dir, tmp_path):
     # And the speedup must improve with scale.
     assert last["u_ms"] / last["c_ms"] > first["u_ms"] / first["c_ms"]
 
-
-def _best_of(n, fn):
-    best = float("inf")
-    result = None
-    for _ in range(n):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, (time.perf_counter() - t0) * 1000)
-    return best, result
-
-
-def test_parallel_compaction_jobs_sweep(benchmark, results_dir, tmp_path):
-    """End-to-end compact_wpp under a jobs sweep: byte-identical output,
-    stage metrics exported as JSON (perl-like at scale >= 1.0)."""
-    scale = max(1.0, bench_scale())
-    art = build_artifacts(
-        "perl-like", scale=scale, out_dir=tmp_path, with_sequitur=False
-    )
-    part = art.partitioned
-
-    rows = []
-    baseline_bytes = None
-    metrics = MetricsRegistry()
-    for jobs in JOBS_SWEEP:
-        reg = metrics if jobs != 1 else MetricsRegistry()
-        ms, pair = _best_of(2, lambda j=jobs, r=reg: compact_wpp(part, jobs=j, metrics=r))
-        compacted, _stats = pair
-        blob = serialize_twpp(compacted, metrics=reg)
-        if baseline_bytes is None:
-            baseline_bytes = blob
-        assert blob == baseline_bytes, f"jobs={jobs} changed the .twpp bytes"
-        rows.append((jobs, ms, len(blob)))
-
-    benchmark.pedantic(
-        lambda: compact_wpp(part, jobs=2), rounds=3, iterations=1
-    )
-
-    metrics_path = results_dir / "extension_parallel_compaction_metrics.json"
-    metrics.write_json(metrics_path)
-    doc = metrics.to_dict()
-    assert doc["timers_ms"].get("compact.functions", 0) > 0
-    assert doc["counters"]["compact.bytes.ctwpp_traces"] > 0
-    assert doc["counters"]["compact.parallel_runs"] >= 1
-
-    table = Table(
-        title=f"Extension: compact_wpp jobs sweep (perl-like, scale {scale})",
-        headers=["jobs", "compact (ms)", ".twpp bytes"],
-        note=(
-            "Output is byte-identical at every job count; per-stage "
-            "timers, counters and byte histograms are in "
-            f"{metrics_path.name}.  Pool startup dominates at this "
-            "trace size -- the throughput table below saturates the "
-            "workers."
-        ),
-    )
-    for jobs, ms, size in rows:
-        table.add_row(
-            [jobs, fmt_ms(ms), size], {"jobs": jobs, "ms": ms, "bytes": size}
-        )
-    emit(results_dir, "extension_parallel_compaction", table)
-
-
-def test_parallel_sharded_stage_throughput(results_dir, tmp_path):
-    """Saturated sharded-stage throughput: the per-function work list of
-    REPLICAS perl-like runs, serial loop vs worker pool."""
-    art = build_artifacts(
-        "perl-like", scale=max(1.0, bench_scale()), out_dir=tmp_path,
-        with_sequitur=False,
-    )
-    part = art.partitioned
-    counts = part.dcg.calls_per_function(len(part.func_names))
-
-    big = PartitionedWpp(
-        func_names=[
-            f"{name}@{r}"
-            for r in range(REPLICAS)
-            for name in part.func_names
-        ],
-        dcg=part.dcg,
-        traces=[t for _ in range(REPLICAS) for t in part.traces],
-    )
-    big_counts = list(counts) * REPLICAS
-
-    serial_ms, serial_results = _best_of(
-        2,
-        lambda: [
-            compact_function(name, big_counts[i], big.traces[i])
-            for i, name in enumerate(big.func_names)
-        ],
-    )
-
-    rows = [(1, serial_ms, 1.0)]
-    best_parallel_ms = float("inf")
-    for jobs in JOBS_SWEEP[1:]:
-        ms, results = _best_of(
-            2, lambda j=jobs: compact_functions_parallel(big, big_counts, j)
-        )
-        assert results == serial_results, f"jobs={jobs} changed results"
-        best_parallel_ms = min(best_parallel_ms, ms)
-        rows.append((jobs, ms, serial_ms / ms))
-
-    table = Table(
-        title=(
-            f"Extension: sharded compaction throughput "
-            f"({len(big.func_names)} function units, perl-like x{REPLICAS})"
-        ),
-        headers=["jobs", "stage (ms)", "speedup"],
-        note=(
-            f"{os.cpu_count()} CPU(s) visible.  Deterministic merge: "
-            "every job count produced identical per-function results."
-        ),
-    )
-    for jobs, ms, speedup in rows:
-        table.add_row(
-            [jobs, fmt_ms(ms), f"x{speedup:.2f}"],
-            {"jobs": jobs, "ms": ms, "speedup": speedup},
-        )
-    emit(results_dir, "extension_parallel_throughput", table)
-
-    cpus = os.cpu_count() or 1
-    if cpus >= 2:
-        # With real cores available the saturated sharded stage must
-        # show a measured wall-clock win over the serial loop.
-        assert best_parallel_ms < serial_ms, (
-            f"no speedup on {cpus} CPUs: serial {serial_ms:.1f}ms, "
-            f"best parallel {best_parallel_ms:.1f}ms"
-        )

@@ -19,10 +19,6 @@ hot functions dominating a long tail.  Measurements:
   reusing one connection each for a 10x-longer stream.  This is the
   ``http_qps`` the schema ``/2`` gate holds at >= 10x the open/close
   baseline.
-* **multicore** — the keep-alive stream against a ``jobs=4`` pooled
-  store (cold decodes in worker processes, shm cross-worker cache);
-  recorded only when the machine exposes >= 4 CPUs, a skip marker
-  otherwise.
 * **eviction sweep** — the store replayed under shrinking global cache
   budgets, recording hit rate and cross-file evictions per budget.
 
@@ -50,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import socket
 import sys
@@ -91,7 +86,6 @@ QPS_GATE_FACTOR = 10
 #: The keep-alive stream is this many times longer than the base
 #: schedule so the fast row still measures a meaningful wall time.
 KEEPALIVE_STREAM_FACTOR = 10
-MULTICORE_JOBS = 4
 
 
 def _percentile(values, q):
@@ -332,39 +326,6 @@ def check_identity(server, store, schedule, runs):
     return checks
 
 
-def measure_multicore(root, corpus_root, schedule, clients):
-    """The keep-alive stream against a ``jobs=4`` pooled store.
-
-    Cold decodes run in worker processes (shm cross-worker cache, wire
-    results); the warm path stays in the parent.  Only meaningful with
-    real cores behind the pool, so machines below ``MULTICORE_JOBS``
-    CPUs record a skip marker instead of a misleading number.
-    """
-    cpus = os.cpu_count() or 1
-    if cpus < MULTICORE_JOBS:
-        return {
-            "skipped": f"{cpus} cpu(s) < jobs={MULTICORE_JOBS}",
-            "cpus": cpus,
-        }
-    session = Session(jobs=MULTICORE_JOBS)
-    store = session.store(root, jobs=MULTICORE_JOBS, corpus=corpus_root)
-    server = TraceServer(store).start()
-    ms, wall, errors = measure_keepalive(server, clients, schedule)
-    server.stop()
-    doc = {
-        "jobs": MULTICORE_JOBS,
-        "cpus": cpus,
-        "requests": len(ms),
-        "http_ms_p50": round(_percentile(ms, 0.5), 4) if ms else None,
-        "http_qps": round(len(ms) / wall, 1) if wall and ms else None,
-        "shm_appends": session.metrics.counter("shm.appends"),
-        "errors": errors,
-    }
-    store.close()
-    session.close()
-    return doc
-
-
 def check_coalescing(root, hot_key, n_threads=8):
     """T threads, one barrier, one cold key -> exactly one decode."""
     session = Session()
@@ -500,7 +461,6 @@ def run_bench(scale=1.0, smoke=False, out_dir=None, clients=8, requests=400):
         schedule,
         budgets=[bytes_needed * 2, max(bytes_needed // 2, 1024), 4096],
     )
-    multicore = measure_multicore(root, corpus_root, ka_schedule, clients)
 
     cold_p50 = _percentile(cold_ms, 0.5)
     store_p50 = _percentile(store_ms, 0.5)
@@ -543,7 +503,6 @@ def run_bench(scale=1.0, smoke=False, out_dir=None, clients=8, requests=400):
         "serve_counters": serve_counters,
         "coalesce": coalesce,
         "eviction_sweep": sweep,
-        "multicore": multicore,
         "errors": store_errors + oc_errors + ka_errors,
     }
 
@@ -571,9 +530,6 @@ def check_doc(doc, smoke):
             f"coalescing broken: {doc['coalesce']['decodes']} decodes for "
             "one hot key"
         )
-    multicore = doc["multicore"]
-    if "skipped" not in multicore and multicore.get("errors"):
-        failures.append(f"multicore errors: {multicore['errors'][:3]}")
     if smoke:
         if doc["store_ms_p50"] >= doc["cold_ms_p50"]:
             failures.append("warm store p50 not below cold p50")

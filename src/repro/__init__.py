@@ -9,7 +9,7 @@ of :mod:`repro.store`:
 
 >>> import repro
 >>> wpp = repro.trace(program)          # run + collect the WPP
->>> result = repro.compact(wpp, jobs=4) # parallel sharded compaction
+>>> result = repro.compact(wpp)         # redundancy, DBBs, TWPP, LZW
 >>> result.save("run.twpp")
 >>> repro.query("run.twpp", "main")     # indexed per-function read
 >>> repro.stats(wpp).overall_factor     # Tables 1-3 accounting
@@ -32,7 +32,7 @@ Subpackages
     The paper's core contribution: redundant-trace elimination, dynamic
     basic block dictionaries, the timestamped WPP (TWPP), arithmetic
     series compaction, LZW, the indexed ``.twpp`` file format, the
-    parallel sharded compaction engine, and the cached mmap-backed
+    overlapped streaming compactor, and the cached mmap-backed
     query-serving engine (``repro.compact.qserve``).
 ``repro.store``
     The serving layer: a directory of traces behind a SQLite catalog,

@@ -157,11 +157,11 @@ def has_calls(statements: Sequence[Stmt]) -> bool:
 def fact_to_spec(fact: Fact) -> "str | None":
     """The :func:`parse_fact` spelling of a fact, or ``None``.
 
-    Only facts that survive a parse round-trip get a spelling -- the
-    worker pool uses this to decide whether an analysis can ship to a
-    worker process as a spec string (:class:`DefinitionFrom` and any
-    fact whose arguments collide with the spec syntax stay on the
-    serial/thread path).
+    Only facts that survive a parse round-trip get a spelling --
+    :func:`~repro.analysis.frequency.fact_frequencies_many` uses this
+    to decide whether a batch may leave the process (:class:`DefinitionFrom`,
+    matched by statement identity, and any fact whose arguments collide
+    with the spec syntax stay serial).
     """
     if isinstance(fact, LoadAvailable):
         spec = f"load:{fact.addr}"

@@ -10,7 +10,6 @@ the batch API: evaluate one fact at every executed block of a trace
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -18,7 +17,7 @@ from ..ir.module import Function
 from ..obs import MetricsRegistry
 from .dyncfg import TimestampedCfg
 from .engine import DemandDrivenEngine, QueryResult
-from .facts import Fact
+from .facts import Fact, fact_to_spec
 
 
 @dataclass(frozen=True)
@@ -124,11 +123,8 @@ FrequencyTask = Tuple
 
 def fact_frequencies_many(
     tasks: Sequence[FrequencyTask],
-    threads: Optional[int] = None,
     jobs: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    pool=None,
-    program=None,
 ) -> List[FrequencyReport]:
     """Batch :func:`fact_frequencies` over many (function, trace, fact)
     tasks, preserving input order.
@@ -136,49 +132,30 @@ def fact_frequencies_many(
     This is the multi-function analysis pass a profile server runs
     after a batch :meth:`~repro.compact.qserve.QueryEngine.traces_many`
     pull.  Each task builds its own demand-driven engine, so tasks
-    share nothing and any interleaving yields identical reports; the
-    two fan-out knobs trade setup cost against isolation:
-
-    * ``threads > 1`` fans tasks across a thread pool in-process --
-      cheap, but the GIL serializes the series arithmetic;
-    * ``jobs`` (``0`` = all cores) ships LPT-packed shards of tasks to
-      worker *processes* via :func:`repro.analysis.parallel.analyze_tasks_parallel`
-      -- true parallelism for CPU-bound sweeps over many functions.
-      Tasks must then be picklable (identity-based facts such as
-      :class:`~repro.analysis.facts.DefinitionFrom` need the thread
-      path).
-
-    ``jobs`` wins when both are given.  Passing a persistent
-    :class:`~repro.parallel.pool.WorkerPool` as ``pool`` (with the
-    owning ``program``) wins over both: items ship as (program key,
-    function name, fact spec, varint-compacted trace) references and
-    reports return compactly encoded -- no decoded object ever crosses
-    the pipe.  Batches the pool cannot express (identity-based facts,
-    foreign functions) silently take the ``jobs``/``threads`` path.
+    share nothing and any interleaving yields identical reports.
+    ``jobs`` (``0`` = all cores) above one ships LPT-packed shards of
+    tasks to worker *processes* via
+    :func:`repro.analysis.parallel.analyze_tasks_parallel`.  A batch
+    holding a fact with no spec spelling
+    (:func:`~repro.analysis.facts.fact_to_spec`), such as the
+    identity-based :class:`~repro.analysis.facts.DefinitionFrom`, runs
+    serially whatever ``jobs`` says.
     """
     items = [tuple(task) for task in tasks]
-
-    if pool is not None and program is not None and len(items) > 1:
-        from .parallel import analyze_tasks_pooled
-
-        reports = analyze_tasks_pooled(
-            items, pool, program, metrics=metrics
-        )
-        if reports is not None:
-            return reports
 
     if jobs is not None and len(items) > 1:
         from .parallel import analyze_tasks_parallel, resolve_jobs
 
-        if resolve_jobs(jobs) > 1:
+        if resolve_jobs(jobs) > 1 and all(
+            fact_to_spec(item[2]) is not None for item in items
+        ):
             return analyze_tasks_parallel(items, jobs, metrics=metrics)
 
-    def run(item: FrequencyTask) -> FrequencyReport:
+    reports = []
+    for item in items:
         func, trace, fact = item[:3]
         blocks = item[3] if len(item) > 3 else None
-        return fact_frequencies(func, trace, fact, blocks=blocks, metrics=metrics)
-
-    if threads is not None and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-            return list(pool.map(run, items))
-    return [run(item) for item in items]
+        reports.append(
+            fact_frequencies(func, trace, fact, blocks=blocks, metrics=metrics)
+        )
+    return reports

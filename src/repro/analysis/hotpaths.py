@@ -20,9 +20,8 @@ these are ground truth for the recorded run).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from ..trace.partition import PartitionedWpp
 
@@ -147,25 +146,16 @@ def path_profile(partitioned: PartitionedWpp) -> PathProfile:
 
 def path_profile_compacted(
     source: Union["PathLike", "object"],
-    threads: Optional[int] = None,
-    pool=None,
 ) -> PathProfile:
     """Recover the path profile straight from a ``.twpp`` file.
 
     ``source`` is a ``.twpp`` path or an already-open
     :class:`~repro.compact.qserve.QueryEngine` (reused warm, not
     closed).  The DCG supplies per-pair activation weights; each
-    function's sections are then pulled through the engine -- fanned
-    across its thread pool when ``threads`` (default: the engine's
-    pool size) allows -- decomposed into acyclic subpaths, and merged.
+    function's sections are then pulled through the engine, decomposed
+    into acyclic subpaths, and merged in function index order.
     Produces exactly the same profile as :func:`path_profile` over the
     partitioned form.
-
-    With a :class:`~repro.parallel.pool.WorkerPool` as ``pool``, the
-    per-function decomposition runs in worker processes instead: each
-    item ships only (path, name, varint-encoded pair weights) and the
-    subpath tallies come back compactly encoded, merged in the same
-    deterministic function order as the serial loop.
     """
     from ..compact.qserve import QueryEngine
 
@@ -181,59 +171,15 @@ def path_profile_compacted(
             weights = per_func.setdefault(func_idx, {})
             weights[pair_id] = weights.get(pair_id, 0) + 1
 
-        if pool is not None:
-            profile = _decompose_pooled(engine, per_func, pool)
-            if profile is not None:
-                return profile
-
-        def decompose(item: Tuple[int, Dict[int, int]]) -> Dict:
-            func_idx, weights = item
+        profile = PathProfile()
+        for func_idx, weights in sorted(per_func.items()):
             name = engine.name_of_original_index(func_idx)
             fc = engine.extract(name)
-            counts: Dict[Tuple[str, Path], int] = {}
             for pair_id, weight in weights.items():
                 for path in acyclic_paths(fc.expand_pair(pair_id)):
                     key = (name, path)
-                    counts[key] = counts.get(key, 0) + weight
-            return counts
-
-        items = sorted(per_func.items())
-        n_threads = engine.threads if threads is None else threads
-        if n_threads > 1 and len(items) > 1:
-            workers = min(n_threads, len(items))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(decompose, items))
-        else:
-            partials = [decompose(item) for item in items]
-
-        profile = PathProfile()
-        for counts in partials:
-            for key, weight in counts.items():
-                profile.counts[key] = profile.counts.get(key, 0) + weight
+                    profile.counts[key] = profile.counts.get(key, 0) + weight
         return profile
     finally:
         if own:
             engine.close()
-
-
-def _decompose_pooled(engine, per_func: Dict[int, Dict[int, int]], pool):
-    """Fan per-function subpath decomposition across the worker pool;
-    ``None`` means "fall back to the in-process path"."""
-    from ..parallel import WorkerCrashed, wire
-
-    items = []
-    names = []
-    for func_idx, weights in sorted(per_func.items()):
-        name = engine.name_of_original_index(func_idx)
-        names.append(name)
-        items.append(("hotpaths", engine.path, name, wire.encode_pairs(weights)))
-    try:
-        payloads = pool.run(items)
-    except WorkerCrashed:
-        return None
-    profile = PathProfile()
-    for name, payload in zip(names, payloads):
-        for path, weight in wire.decode_path_counts(payload).items():
-            key = (name, path)
-            profile.counts[key] = profile.counts.get(key, 0) + weight
-    return profile

@@ -1,15 +1,16 @@
 """Parallel fan-out of independent data-flow analysis tasks.
 
-Per-function partitioning makes profile-limited analysis exactly as
-parallel as it made compaction: one (function, trace, fact) frequency
-task reads nothing but its own trace, so tasks fan across a
-``concurrent.futures.ProcessPoolExecutor`` the same way
-:mod:`repro.compact.parallel` shards compaction --
+Per-function partitioning makes profile-limited analysis embarrassingly
+parallel: one (function, trace, fact) frequency task reads nothing but
+its own trace, so tasks fan across a per-call
+``concurrent.futures.ProcessPoolExecutor`` --
 
 1. estimate each task's cost (trace length, the bound on backward
    propagation work);
-2. pack tasks into ``jobs * chunks_per_job`` shards with the same
-   greedy LPT bin packing (:func:`repro.compact.parallel.plan_shards`);
+2. pack tasks into ``jobs * chunks_per_job`` shards with a greedy
+   longest-processing-time bin packing (:func:`plan_shards`), so one
+   heavy task cannot serialize the pool while small shards keep the
+   queue fed;
 3. ship each shard to a worker, which builds a memoized
    :class:`~repro.analysis.engine.DemandDrivenEngine` per task and
    returns plain :class:`~repro.analysis.frequency.FrequencyReport`\\ s;
@@ -19,29 +20,62 @@ task reads nothing but its own trace, so tasks fan across a
 Per-task engines share nothing, and the per-task computation is
 deterministic, so any interleaving yields reports identical to the
 serial loop -- the equivalence tests pin this down.  If a pool cannot
-be created or breaks (restricted sandboxes, interpreter teardown), the
-shards run in-process and the ``analysis.parallel_fallback`` counter
-records it.
+be created or breaks (restricted sandboxes, a killed worker,
+interpreter teardown), the shards run in-process and the
+``analysis.parallel_fallback`` counter records it.
+
+This is the package's only process fan-out: nothing else imports
+``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Sequence, Tuple
 
 from ..obs import MetricsRegistry
-from ..compact.parallel import DEFAULT_CHUNKS_PER_JOB, plan_shards, resolve_jobs
 
 __all__ = [
     "analyze_tasks_parallel",
-    "analyze_tasks_pooled",
     "plan_shards",
     "resolve_jobs",
 ]
 
+DEFAULT_CHUNKS_PER_JOB = 4
+
 # One payload item: (task index, (func, trace, fact[, blocks])).
 _ShardItem = Tuple[int, Tuple]
+
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalize a ``--jobs`` value: ``None``/``0`` means one per CPU."""
+    if jobs is None or jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs
+
+
+def plan_shards(costs: Sequence[int], n_shards: int) -> List[List[int]]:
+    """Pack item indices into at most ``n_shards`` cost-balanced shards.
+
+    Greedy LPT: place items largest-first onto the currently lightest
+    shard.  Ties break on the lowest shard index, so the plan is
+    deterministic for a given cost vector.  Empty shards are dropped.
+    """
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    n_shards = min(n_shards, len(costs)) or 1
+    shards: List[List[int]] = [[] for _ in range(n_shards)]
+    loads = [0] * n_shards
+    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
+    for idx in order:
+        lightest = loads.index(min(loads))
+        shards[lightest].append(idx)
+        loads[lightest] += costs[idx] + 1  # +1: per-item fixed overhead
+    return [shard for shard in shards if shard]
 
 
 def _task_cost(task: Tuple) -> int:
@@ -73,8 +107,7 @@ def analyze_tasks_parallel(
     task, in task order -- exactly what the serial loop in
     :func:`~repro.analysis.frequency.fact_frequencies_many` produces.
     Tasks must be picklable; facts that rely on statement identity
-    (:class:`~repro.analysis.facts.DefinitionFrom`) must stay on the
-    serial or thread path.
+    (:class:`~repro.analysis.facts.DefinitionFrom`) must stay serial.
     """
     if metrics is None:
         metrics = MetricsRegistry()
@@ -96,7 +129,8 @@ def analyze_tasks_parallel(
                     results[task_idx] = report
     except (OSError, BrokenProcessPool, RuntimeError, ImportError):
         # Pool creation/teardown failed (restricted sandbox, missing
-        # semaphores, interpreter shutdown): analyze in-process instead.
+        # semaphores, a killed worker, interpreter shutdown): analyze
+        # in-process instead.
         metrics.inc("analysis.parallel_fallback")
         results = [None] * len(tasks)
         for payload in payloads:
@@ -107,87 +141,3 @@ def analyze_tasks_parallel(
     if missing:  # pragma: no cover - defensive; plan covers every index
         raise RuntimeError(f"shard plan dropped task indices {missing}")
     return results
-
-
-def analyze_tasks_pooled(
-    tasks: Sequence[Tuple],
-    pool,
-    program,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Optional[List[object]]:
-    """Run frequency tasks on a persistent :class:`~repro.parallel.pool.WorkerPool`.
-
-    Unlike :func:`analyze_tasks_parallel`, nothing decoded is pickled:
-    each item carries only (program key, function name, fact spec, a
-    varint-compacted trace, optional block subset), and the report
-    comes back as a compact varint payload.  Tasks are LPT-packed by
-    trace length across the pool's workers, so a handful of heavy
-    tasks still balances.  Returns ``None`` when the batch cannot ship
-    (a fact with no spec spelling, a function not owned by ``program``,
-    or an unrecoverable worker crash) -- callers fall back to the
-    serial/executor paths, which produce identical reports.
-    """
-    from ..ir.printer import format_program
-    from ..parallel import WorkerCrashed, program_key, wire
-    from .facts import fact_to_spec
-
-    def fallback():
-        if metrics is not None:
-            metrics.inc("analysis.pool_fallback")
-        return None
-
-    specs = []
-    for task in tasks:
-        func, _trace, fact = task[:3]
-        spec = fact_to_spec(fact)
-        if spec is None or program.functions.get(func.name) is not func:
-            return fallback()
-        specs.append(spec)
-
-    text = format_program(program)
-    key = program_key(text)
-    try:
-        pool.register_program(key, text)
-    except Exception:
-        # Textual IR doesn't round-trip (hand-built unvalidated
-        # program): the serial path handles it.
-        return fallback()
-
-    items = []
-    for task, spec in zip(tasks, specs):
-        func, trace = task[0], task[1]
-        blocks = (
-            tuple(task[3])
-            if len(task) > 3 and task[3] is not None
-            else None
-        )
-        items.append(
-            (
-                "freq",
-                key,
-                func.name,
-                spec,
-                wire.encode_traces([tuple(trace)]),
-                blocks,
-            )
-        )
-
-    # Freq items carry their trace, so worker warm state doesn't matter
-    # -- balance by cost instead of routing sticky.
-    shards = plan_shards([_task_cost(t) for t in tasks], pool.workers)
-    workers = [0] * len(tasks)
-    for worker_id, shard in enumerate(shards):
-        for task_idx in shard:
-            workers[task_idx] = worker_id
-
-    if metrics is not None:
-        metrics.inc("analysis.pool_runs")
-        metrics.inc("analysis.tasks", len(tasks))
-    try:
-        payloads = pool.run(items, workers=workers)
-    except WorkerCrashed:
-        return fallback()
-    return [
-        wire.decode_reports(payload, fact=task[2])[0]
-        for task, payload in zip(tasks, payloads)
-    ]

@@ -22,9 +22,7 @@ The result is a program-wide slice of ``(function, block)`` pairs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from threading import Lock
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..compact.pipeline import CompactedWpp
@@ -108,16 +106,11 @@ class InterproceduralSlicer:
             for slot, child in enumerate(kids):
                 self._parent_slot[child] = (parent, slot)
         self._ctx: Dict[int, _ActCtx] = {}
-        self._ctx_lock = Lock()
 
     def _context(self, node: int) -> _ActCtx:
         ctx = self._ctx.get(node)
         if ctx is None:
-            ctx = _ActCtx(self.compacted, self.program, node)
-            # slice_many shares the slicer across threads; the lock
-            # keeps concurrent builders from half-publishing a context.
-            with self._ctx_lock:
-                ctx = self._ctx.setdefault(node, ctx)
+            ctx = self._ctx[node] = _ActCtx(self.compacted, self.program, node)
         return ctx
 
     # ------------------------------------------------------------------
@@ -220,33 +213,20 @@ class InterproceduralSlicer:
             queries_issued=queries,
         )
 
-    def slice_many(
-        self,
-        criteria: Sequence[Tuple],
-        threads: Optional[int] = None,
-    ) -> List[InterSliceResult]:
+    def slice_many(self, criteria: Sequence[Tuple]) -> List[InterSliceResult]:
         """Batch :meth:`slice` over many criteria, preserving order.
 
         Each criterion is ``(node, block_id, variables)`` or
-        ``(node, block_id, variables, ts)``.  Criteria are independent
-        -- every slice builds its own worklist and result set, and the
-        shared per-activation context cache is read-mostly -- so with
-        ``threads > 1`` they fan across a thread pool while producing
-        results identical to the serial loop.
+        ``(node, block_id, variables, ts)``; every slice builds its own
+        worklist and result set, sharing only the per-activation
+        context cache.
         """
-        items = [tuple(c) for c in criteria]
-
-        def run(item: Tuple) -> InterSliceResult:
-            node, block_id, variables = item[:3]
-            ts = item[3] if len(item) > 3 else None
-            return self.slice(node, block_id, variables, ts=ts)
-
-        if threads is not None and threads > 1 and len(items) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(threads, len(items))
-            ) as pool:
-                return list(pool.map(run, items))
-        return [run(item) for item in items]
+        results = []
+        for criterion in criteria:
+            node, block_id, variables = criterion[:3]
+            ts = criterion[3] if len(criterion) > 3 else None
+            results.append(self.slice(node, block_id, variables, ts=ts))
+        return results
 
     # ------------------------------------------------------------------
 

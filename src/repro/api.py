@@ -6,7 +6,7 @@ module fronts them with a single coherent surface:
 
 >>> import repro
 >>> wpp = repro.trace(program)                    # run + collect the WPP
->>> result = repro.compact(wpp, jobs=4)           # parallel compaction
+>>> result = repro.compact(wpp)                   # TWPP compaction
 >>> result.save("run.twpp")
 >>> repro.query("run.twpp", "main")               # indexed extraction
 >>> repro.stats(wpp).overall_factor               # Table 1-3 accounting
@@ -19,8 +19,13 @@ metrics across calls:
 >>> s.compact(s.trace(program)).save("run.twpp")
 >>> s.query("run.twpp", "main")                   # cold: opens an engine
 >>> s.query("run.twpp", "main")                   # warm: cache hit
->>> s.query("run.twpp", names=["f", "g"])         # batch, thread fan-out
+>>> s.query("run.twpp", names=["f", "g"])         # batch, one engine
+>>> s.analyze("run.twpp", program, "def:i")       # 4 analysis processes
 >>> s.metrics.to_json()                           # stage timers, cache hits
+
+``jobs`` fans out exactly two things: the streaming compactor's
+consumer threads (:meth:`Session.trace` with ``stream=True``) and the
+per-call analysis process pool of :mod:`repro.analysis.parallel`.
 
 Inputs are polymorphic the way a CLI is: ``trace`` accepts a
 :class:`~repro.ir.module.Program` or a path to textual IR; ``compact``
@@ -99,12 +104,12 @@ class CompactResult:
 class Session:
     """Shared defaults and metrics for a sequence of pipeline calls.
 
-    ``jobs`` is the default worker count for compaction (1 = serial,
-    0/None = one per CPU); ``metrics`` is the
-    :class:`~repro.obs.MetricsRegistry` every stage reports into (a
-    fresh one is created when not supplied).  ``cache_bytes`` budgets
-    each query engine's decoded-record LRU (0 disables caching) and
-    ``threads`` sizes batch-query fan-out (None/0 = auto).  ``interp``
+    ``jobs`` is the default worker count for streaming-compaction
+    consumer threads and analysis processes (1 = serial, 0/None = one
+    per CPU); ``metrics`` is the :class:`~repro.obs.MetricsRegistry`
+    every stage reports into (a fresh one is created when not
+    supplied).  ``cache_bytes`` budgets each query engine's
+    decoded-record LRU (0 disables caching).  ``interp``
     picks the execution engine for trace verbs (``"compiled"``/
     ``"tree"``; None defers to ``REPRO_INTERP`` then the compiled
     default -- see :func:`repro.interp.run_program`).  Engines are
@@ -118,17 +123,14 @@ class Session:
         jobs: int = 1,
         metrics: Optional[MetricsRegistry] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        threads: Optional[int] = None,
         interp: Optional[str] = None,
     ) -> None:
         self.jobs = jobs
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache_bytes = cache_bytes
-        self.threads = threads
         self.interp = interp
         self._engines: Dict[str, QueryEngine] = {}
         self._engines_lock = threading.Lock()
-        self._pool = None
         self._programs: "OrderedDict[Tuple[str, int, int], Program]" = (
             OrderedDict()
         )
@@ -137,16 +139,13 @@ class Session:
     # ---- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
-        """Close every query engine and worker the session opened."""
+        """Close every query engine the session opened."""
         with self._programs_lock:
             self._programs.clear()
         with self._engines_lock:
             engines, self._engines = list(self._engines.values()), {}
-            pool, self._pool = self._pool, None
         for engine in engines:
             engine.close()
-        if pool is not None:
-            pool.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -218,9 +217,7 @@ class Session:
         file is written incrementally.  ``jobs`` sets the consumer
         thread count (defaults to the session's).  ``verify=True``
         reads the finished file back and checks every function's
-        traces against the in-memory compaction -- through the
-        session's worker pool when its ``jobs`` resolve to more than
-        one worker, serially otherwise.
+        traces against the in-memory compaction.
         """
         return _stream_compact(
             self._load_program(program),
@@ -232,7 +229,6 @@ class Session:
             metrics=self.metrics,
             interp=self.interp,
             verify=verify,
-            pool=self.pool() if verify else None,
         )
 
     def partition(self, wpp: WppSource) -> PartitionedWpp:
@@ -241,23 +237,17 @@ class Session:
             return wpp
         return partition_wpp(self._load_wpp(wpp), metrics=self.metrics)
 
-    def compact(
-        self, wpp: WppSource, jobs: Optional[int] = None
-    ) -> CompactResult:
-        """Run the compaction pipeline; ``jobs`` overrides the session's."""
-        compacted, stats = compact_wpp(
-            self.partition(wpp),
-            jobs=self.jobs if jobs is None else jobs,
-            metrics=self.metrics,
-        )
+    def compact(self, wpp: WppSource) -> CompactResult:
+        """Run the compaction pipeline."""
+        compacted, stats = compact_wpp(self.partition(wpp), metrics=self.metrics)
         return CompactResult(compacted=compacted, stats=stats, session=self)
 
     def engine(self, twpp: PathLike) -> QueryEngine:
         """The session's cached query engine for one ``.twpp`` path.
 
-        Created on first use with the session's ``cache_bytes`` /
-        ``threads`` defaults and reused afterwards, so repeated queries
-        against the same file share one mmap and one warm cache.
+        Created on first use with the session's ``cache_bytes`` and
+        reused afterwards, so repeated queries against the same file
+        share one mmap and one warm cache.
         """
         key = os.fspath(twpp)
         # Lock-free fast path: dict reads are atomic, and the lock
@@ -266,10 +256,7 @@ class Session:
         engine = self._engines.get(key)
         if engine is None:
             engine = QueryEngine(
-                twpp,
-                cache_bytes=self.cache_bytes,
-                threads=self.threads,
-                metrics=self.metrics,
+                twpp, cache_bytes=self.cache_bytes, metrics=self.metrics
             )
             with self._engines_lock:
                 # Another thread may have raced us here; keep the first.
@@ -278,33 +265,6 @@ class Session:
                 engine.close()
                 engine = winner
         return engine
-
-    def pool(self):
-        """The session's shared worker pool, or ``None`` when the
-        session's ``jobs`` resolve to a single worker.
-
-        Created lazily on first use (``jobs`` workers, the session's
-        ``cache_bytes`` split across them, metrics folded into the
-        session registry) and kept for the session's lifetime, so
-        every read/analysis verb shares the same warm worker caches.
-        """
-        from .compact.parallel import resolve_jobs
-
-        if resolve_jobs(self.jobs) <= 1:
-            return None
-        pool = self._pool
-        if pool is None:
-            with self._engines_lock:
-                if self._pool is None:
-                    from .parallel import WorkerPool
-
-                    self._pool = WorkerPool(
-                        resolve_jobs(self.jobs),
-                        cache_bytes=self.cache_bytes,
-                        metrics=self.metrics,
-                    )
-                pool = self._pool
-        return pool
 
     def evict(self, twpp: PathLike) -> bool:
         """Release one path's warm engine (its cache and mmap) without
@@ -320,11 +280,6 @@ class Session:
         key = os.fspath(twpp)
         with self._engines_lock:
             engine = self._engines.pop(key, None)
-            pool = self._pool
-        if pool is not None:
-            # Workers keep their own warm engines for the path; a
-            # store-level eviction must reach them too.
-            pool.evict(key)
         if engine is None:
             return False
         engine.close()
@@ -336,7 +291,6 @@ class Session:
         root: PathLike,
         cache_bytes: Optional[int] = None,
         catalog_path: Optional[PathLike] = None,
-        jobs: int = 1,
         corpus: Optional[PathLike] = None,
     ):
         """Open a :class:`~repro.store.store.TraceStore` over a directory
@@ -347,7 +301,7 @@ class Session:
         the store evicts least-recently-queried files through
         :meth:`evict` to stay inside it.  ``catalog_path`` overrides
         where the SQLite catalog lives (default ``catalog.sqlite`` in
-        the store directory); ``jobs`` fans the initial catalog scan.
+        the store directory).
         ``corpus`` attaches a multi-run corpus directory so the store's
         ``corpus_stats``/``corpus_hot``/``corpus_diff`` verbs (and the
         HTTP daemon's ``/corpus/*`` endpoints) can serve it.
@@ -359,7 +313,6 @@ class Session:
             session=self,
             cache_bytes=cache_bytes,
             catalog_path=catalog_path,
-            jobs=jobs,
             corpus=corpus,
         )
 
@@ -367,14 +320,14 @@ class Session:
         self, root: PathLike, cache_bytes: Optional[int] = None
     ):
         """Open (or create) a content-addressed multi-run corpus at
-        ``root``, backed by this session's warm engines and pool.
+        ``root``, backed by this session's warm engines.
 
         Runs ingested through the corpus are scanned with the
-        session's cached :class:`QueryEngine` per file (parallel scans
-        go through :meth:`pool`); cross-run queries are served from
-        the corpus's shared blobs.  ``cache_bytes`` budgets the
-        corpus's expanded-pair cache (default: the session's engine
-        budget).  See :class:`repro.corpus.TraceCorpus`.
+        session's cached :class:`QueryEngine` per file; cross-run
+        queries are served from the corpus's shared blobs.
+        ``cache_bytes`` budgets the corpus's expanded-pair cache
+        (default: the session's engine budget).  See
+        :class:`repro.corpus.TraceCorpus`.
         """
         from .corpus import TraceCorpus
 
@@ -409,8 +362,7 @@ class Session:
 
         ``func`` may be one function name (returns its trace list) or a
         sequence of names -- equivalently passed as ``names=[...]`` --
-        which returns an ordered ``{name: traces}`` dict, fanned across
-        the engine's thread pool for ``.twpp`` inputs.
+        which returns an ordered ``{name: traces}`` dict.
 
         A ``.twpp`` path is served by the session's cached
         :class:`QueryEngine` (first query cold, repeats warm); an
@@ -458,29 +410,12 @@ class Session:
         with self.metrics.timer("query"):
             magic = _sniff_magic(twpp)
             if magic == b"TWPP":
-                pool = self.pool()
-                if pool is not None:
-                    result = self._query_many_pooled(twpp, names, pool)
-                    if result is not None:
-                        return result
                 return self.engine(twpp).traces_many(names)
         return {name: self._query_one(twpp, name) for name in names}
 
-    def _query_many_pooled(self, twpp: TwppSource, names: List[str], pool):
-        """Batch traces through the worker pool (compact wire results);
-        ``None`` means "fall back to the in-process engine"."""
-        from .parallel import WorkerCrashed
-
-        try:
-            return pool.traces_many(os.fspath(twpp), names)
-        except WorkerCrashed:
-            return None
-
-    def stats(
-        self, wpp: WppSource, jobs: Optional[int] = None
-    ) -> CompactionStats:
+    def stats(self, wpp: WppSource) -> CompactionStats:
         """Per-stage size accounting (Tables 1-3) for a WPP."""
-        return self.compact(wpp, jobs=jobs).stats
+        return self.compact(wpp).stats
 
     def analyze(
         self,
@@ -498,23 +433,17 @@ class Session:
         pulled through the session's warm query engine (one batch
         :meth:`~repro.compact.qserve.QueryEngine.traces_many` call for
         ``.twpp`` paths), then one frequency task per (function, path
-        trace) fans out with the session's ``threads`` or -- when
-        ``jobs`` (or the session default) resolves to more than one
-        worker -- across a process pool.  Returns an ordered
-        ``{name: [FrequencyReport, ...]}`` dict, one report per path
-        trace, identical for every fan-out setting.
-
-        Sessions whose ``jobs`` resolve to >1 route ``.twpp`` paths to
-        the persistent worker pool instead: each worker pulls a
-        function's traces from its *own* mmap and returns compact
-        encoded reports, so no decoded trace ever crosses the pipe.
-        Reports are identical either way (the wire format is exact).
+        trace) runs serially or -- when ``jobs`` (or the session
+        default) resolves to more than one worker -- across a per-call
+        process pool (:mod:`repro.analysis.parallel`).  Returns an
+        ordered ``{name: [FrequencyReport, ...]}`` dict, one report per
+        path trace, identical for every ``jobs``.
 
         A ``program`` given as a path is parsed once and kept (see
         :meth:`_analysis_program`), so repeated analyses of one trace's
         program skip the parse.
         """
-        from .analysis.facts import fact_to_spec, parse_fact
+        from .analysis.facts import parse_fact
         from .analysis.frequency import fact_frequencies_many
 
         if isinstance(fact, str):
@@ -522,15 +451,6 @@ class Session:
         prog = self._analysis_program(program)
         names = list(functions) if functions is not None else None
         with self.metrics.timer("analyze"):
-            if not isinstance(twpp, CompactedWpp):
-                spec = fact_to_spec(fact)
-                pool = self.pool()
-                if pool is not None and spec is not None:
-                    out = self._analyze_pooled(
-                        twpp, program, prog, fact, spec, names
-                    )
-                    if out is not None:
-                        return out
             if isinstance(twpp, CompactedWpp):
                 if names is None:
                     names = [fc.name for fc in twpp.functions]
@@ -550,7 +470,6 @@ class Session:
                     owners.append(name)
             reports = fact_frequencies_many(
                 tasks,
-                threads=self.threads,
                 jobs=self.jobs if jobs is None else jobs,
                 metrics=self.metrics,
             )
@@ -558,51 +477,6 @@ class Session:
         out: Dict[str, list] = {name: [] for name in names}
         for name, report in zip(owners, reports):
             out[name].append(report)
-        return out
-
-    def _analyze_pooled(
-        self,
-        twpp: TwppSource,
-        program: Union[Program, PathLike],
-        prog: Program,
-        fact,
-        spec: str,
-        names: Optional[List[str]],
-    ):
-        """Fan ``analyze`` across the worker pool, one item per
-        function; ``None`` means "fall back to the serial path"."""
-        from .parallel import WorkerCrashed, program_key, wire
-
-        pool = self.pool()
-        path = os.fspath(twpp)
-        if names is None:
-            names = self.engine(twpp).function_names()
-        if isinstance(program, Program):
-            from .ir.printer import format_program
-
-            text = format_program(prog)
-        else:
-            with open(program) as fh:
-                text = fh.read()
-        key = program_key(text)
-        try:
-            pool.register_program(key, text)
-        except Exception:
-            # The program's textual IR doesn't round-trip (e.g. it was
-            # hand-built and skips validation): analyze it serially.
-            return None
-        items = [("analyze", path, key, name, spec) for name in names]
-        try:
-            payloads = pool.run(items)
-        except WorkerCrashed:
-            return None
-        out: Dict[str, list] = {
-            name: wire.decode_reports(payload, fact=fact)
-            for name, payload in zip(names, payloads)
-        }
-        self.metrics.inc(
-            "analysis.session_tasks", sum(len(v) for v in out.values())
-        )
         return out
 
     # ---- persistence --------------------------------------------------
@@ -698,11 +572,10 @@ def trace(
 
 def compact(
     wpp: WppSource,
-    jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
 ) -> CompactResult:
-    """Compact a WPP (``jobs > 1`` shards functions across a pool)."""
-    return Session(jobs=jobs, metrics=metrics).compact(wpp)
+    """Compact a WPP into its TWPP form plus size accounting."""
+    return Session(metrics=metrics).compact(wpp)
 
 
 def stream_compact(
@@ -751,11 +624,10 @@ def query(
 
 def stats(
     wpp: WppSource,
-    jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
 ) -> CompactionStats:
     """Compaction stage-size accounting for a WPP."""
-    return Session(jobs=jobs, metrics=metrics).stats(wpp)
+    return Session(metrics=metrics).stats(wpp)
 
 
 def analyze(
@@ -771,7 +643,7 @@ def analyze(
     ``fact`` accepts a :class:`~repro.analysis.facts.Fact` or a spec
     string (``load:100``, ``expr:a,b``, ``def:x``).  Returns an ordered
     ``{function: [FrequencyReport, ...]}`` dict; ``jobs > 1`` fans the
-    per-trace analysis tasks across a process pool.
+    per-trace analysis tasks across a per-call process pool.
     """
     with Session(jobs=jobs, metrics=metrics) as session:
         return session.analyze(twpp, program, fact, functions=functions)

@@ -4,12 +4,11 @@ Usage (also via ``python -m repro``)::
 
     repro-wpp generate perl-like -o prog.ir          # textual IR out
     repro-wpp trace prog.ir -o run.wpp --arg 0       # run + collect WPP
-    repro-wpp compact run.wpp -o run.twpp -j 4       # parallel compaction
     repro-wpp compact run.wpp -o run.twpp --metrics-out m.json
     repro-wpp sequitur run.wpp -o run.sqwp           # Larus baseline
     repro-wpp info run.twpp                          # header/summary
     repro-wpp query run.twpp some_function           # per-function traces
-    repro-wpp query run.twpp f g h --threads 4       # cached batch query
+    repro-wpp query run.twpp f g h                   # cached batch query
     repro-wpp stats run.wpp                          # stage size report
     repro-wpp check run.twpp --program prog.ir       # integrity fsck
     repro-wpp analyze run.twpp --program prog.ir --fact load:100 -j 4
@@ -17,7 +16,7 @@ Usage (also via ``python -m repro``)::
     repro-wpp hotpaths run.wpp                       # hot acyclic paths
     repro-wpp scan traces/                           # refresh store catalog
     repro-wpp serve traces/ --port 8080              # trace-serving daemon
-    repro-wpp corpus ingest corpus/ run*.twpp -j 4   # shared multi-run corpus
+    repro-wpp corpus ingest corpus/ run*.twpp        # shared multi-run corpus
     repro-wpp corpus diff corpus/ run1 run8          # cross-run diff
     repro-wpp corpus hot corpus/ --top 10            # corpus-wide hot paths
     repro-wpp corpus stats corpus/                   # sharing/compaction report
@@ -28,7 +27,9 @@ Every command reads/writes the documented on-disk formats, so the CLI
 composes with the library and with itself.  The pipeline commands share
 two parent parsers: ``--metrics-out`` (write the ``repro.metrics/1``
 JSON the run accumulated) and ``-j/--jobs`` (worker count, 0 = one per
-CPU) mean the same thing everywhere they appear.
+CPU).  Only two commands fan work out, so only they take ``-j``:
+``trace --stream`` (compaction consumer threads) and ``analyze``
+(analysis worker processes).
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry()
     wpp = read_wpp(args.wpp)
     part = partition_wpp(wpp, metrics=metrics)
-    compacted, stats = compact_wpp(part, jobs=args.jobs, metrics=metrics)
+    compacted, stats = compact_wpp(part, metrics=metrics)
     size = write_twpp(compacted, args.output, metrics=metrics)
     print(f"wrote {args.output} ({size} bytes)")
     print(
@@ -219,14 +220,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"{path}: unknown format", file=sys.stderr)
         return 2
 
-    # -j fans TWPP queries across the worker-process pool; for the
-    # scan-based formats (no pool path) it still aliases --threads.
-    threads = args.threads
-    if not threads and args.jobs != 1 and magic != b"TWPP":
-        threads = args.jobs
-    with Session(
-        cache_bytes=args.cache_bytes, threads=threads, jobs=args.jobs
-    ) as s:
+    with Session(cache_bytes=args.cache_bytes) as s:
         results = s.query(path, names=args.functions)
         metrics = s.metrics
     for name, traces in results.items():
@@ -255,7 +249,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     catalog = TraceCatalog(root / CATALOG_NAME)
     try:
         with metrics.timer("store.scan"):
-            result = catalog.scan(root, jobs=args.jobs)
+            result = catalog.scan(root)
         rows = catalog.traces()
     finally:
         catalog.close()
@@ -292,12 +286,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .api import Session
     from .store.server import TraceServer
 
-    session = Session(
-        jobs=args.jobs,
-        cache_bytes=args.cache_bytes,
-        threads=args.threads or None,
-    )
-    store = session.store(args.store, jobs=args.jobs, corpus=args.corpus)
+    session = Session(cache_bytes=args.cache_bytes)
+    store = session.store(args.store, corpus=args.corpus)
     server = TraceServer(
         store,
         host=args.host,
@@ -340,7 +330,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .api import Session
 
-    with Session(jobs=args.jobs, threads=args.threads) as s:
+    with Session(jobs=args.jobs) as s:
         reports = s.analyze(
             args.twpp,
             args.program,
@@ -372,7 +362,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from .api import Session
     from .trace.format import read_wpp
 
-    session = Session(jobs=args.jobs)
+    session = Session()
     metrics = session.metrics
     wpp = read_wpp(args.wpp)
     part = session.partition(wpp)
@@ -431,11 +421,9 @@ def _cmd_corpus_ingest(args: argparse.Namespace) -> int:
     from .obs import MetricsRegistry
 
     metrics = MetricsRegistry()
-    with Session(jobs=args.jobs, metrics=metrics) as session:
+    with Session(metrics=metrics) as session:
         with session.corpus(args.root) as corpus:
-            results = corpus.ingest_runs(
-                args.twpp, runs=args.run or None, jobs=args.jobs
-            )
+            results = corpus.ingest_runs(args.twpp, runs=args.run or None)
             for r in results:
                 print(
                     f"{r.run}: {r.twpp_bytes} bytes -> "
@@ -610,7 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     The pipeline subcommands share two argparse *parent* parsers
     instead of per-command copies, so ``--metrics-out`` and
-    ``-j/--jobs`` spell and behave identically everywhere they appear.
+    ``-j/--jobs`` spell and behave identically everywhere they appear;
+    ``-j`` appears only on ``trace`` and ``analyze``, the two commands
+    that fan work out.
     """
     from .compact.qserve import DEFAULT_CACHE_BYTES
     from .store.server import DEFAULT_WORKERS
@@ -623,7 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_parent = argparse.ArgumentParser(add_help=False)
     jobs_parent.add_argument(
         "-j", "--jobs", type=int, default=1,
-        help="worker processes/threads (0 = one per CPU, 1 = serial)",
+        help="worker count: trace --stream consumer threads, analyze "
+             "processes (0 = one per CPU, 1 = serial)",
     )
 
     parser = argparse.ArgumentParser(
@@ -654,8 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the consumer thread count)")
     p.add_argument("--verify", action="store_true",
                    help="with --stream: read the written .twpp back and "
-                        "check every function's traces (through the worker "
-                        "pool when -j > 1)")
+                        "check every function's traces")
     p.add_argument("--interp", choices=["tree", "compiled"], default=None,
                    help="execution engine: 'compiled' translates the program "
                         "once to dispatch-free Python (default; falls back to "
@@ -664,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("compact", help="compact a .wpp into an indexed .twpp",
-                       parents=[metrics_parent, jobs_parent])
+                       parents=[metrics_parent])
     p.add_argument("wpp", help=".wpp input path")
     p.add_argument("-o", "--output", required=True, help=".twpp output path")
     p.set_defaults(func=_cmd_compact)
@@ -680,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "query", help="extract one or more functions' path traces",
-        parents=[metrics_parent, jobs_parent],
+        parents=[metrics_parent],
     )
     p.add_argument("file", help=".wpp, .twpp or .sqwp file")
     p.add_argument("functions", nargs="+", metavar="function",
@@ -690,9 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
                    help="decoded-record LRU cache budget in bytes for "
                         ".twpp serving (0 disables caching; default 64 MiB)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for batch .twpp queries "
-                        "(0 = auto, 1 = serial; synonym for -j)")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser(
@@ -708,9 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[], metavar="NAME",
                    help="restrict to this function (repeatable; "
                         "default: every function)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for the batch trace pull "
-                        "(0 = auto, 1 = serial)")
     p.add_argument("--threshold", type=float, default=0.9,
                    help="hot-fact frequency threshold (default 0.9)")
     p.add_argument("--limit", type=int, default=10,
@@ -718,14 +702,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("stats", help="compaction stage report for a .wpp",
-                       parents=[metrics_parent, jobs_parent])
+                       parents=[metrics_parent])
     p.add_argument("wpp")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser(
         "scan",
         help="build/refresh a trace store's SQLite catalog",
-        parents=[metrics_parent, jobs_parent],
+        parents=[metrics_parent],
     )
     p.add_argument("store", help="directory of .twpp files")
     p.set_defaults(func=_cmd_scan)
@@ -733,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="HTTP daemon serving a directory of .twpp traces",
-        parents=[metrics_parent, jobs_parent],
+        parents=[metrics_parent],
     )
     p.add_argument("store", help="directory of .twpp files")
     p.add_argument("--host", default="127.0.0.1")
@@ -743,9 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
                    help="global decoded-bytes budget across every served "
                         "file (LRU-evicts whole files; default 64 MiB)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads per engine for batch pulls "
-                        "(0 = auto)")
     p.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
                    help="HTTP worker threads handling keep-alive "
                         f"connections (default {DEFAULT_WORKERS})")
@@ -784,8 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_sub = p.add_subparsers(dest="corpus_command", required=True)
 
     cp = corpus_sub.add_parser(
-        "ingest", help="add .twpp runs to a corpus (parallel scans with -j)",
-        parents=[metrics_parent, jobs_parent],
+        "ingest", help="add .twpp runs to a corpus (one transaction per run)",
+        parents=[metrics_parent],
     )
     cp.add_argument("root", help="corpus directory (created if missing)")
     cp.add_argument("twpp", nargs="+", help=".twpp file(s) to ingest")

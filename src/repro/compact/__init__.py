@@ -39,11 +39,6 @@ from .format import (
     write_twpp,
 )
 from .lzw import lzw_compress, lzw_decompress
-from .parallel import (
-    compact_functions_parallel,
-    plan_shards,
-    resolve_jobs,
-)
 from .pipeline import (
     CompactedWpp,
     CompactionStats,
@@ -61,7 +56,6 @@ from .qserve import (
     PooledFileSource,
     QueryEngine,
     open_source,
-    resolve_threads,
 )
 from .query import (
     TwppReader,
@@ -105,7 +99,6 @@ __all__ = [
     "TwppPathTrace",
     "TwppReader",
     "compact_function",
-    "compact_functions_parallel",
     "compact_trace",
     "compact_wpp",
     "compress_series",
@@ -125,11 +118,8 @@ __all__ = [
     "lzw_compress",
     "lzw_decompress",
     "open_source",
-    "plan_shards",
     "read_header",
     "read_twpp",
-    "resolve_jobs",
-    "resolve_threads",
     "serialize_twpp",
     "series_contains",
     "series_len",

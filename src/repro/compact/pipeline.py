@@ -15,10 +15,10 @@ Stages (paper, Section 2):
 
 Stages 3 and 4 are per-function work with no cross-function coupling,
 so :func:`compact_function` packages them (plus the per-function size
-accounting) as a pure unit.  :func:`compact_wpp` runs the units either
-serially or -- with ``jobs > 1`` -- fanned across a process pool via
-:mod:`repro.compact.parallel`; both paths merge results in function
-index order, so the compacted output is byte-identical either way.
+accounting) as a pure unit.  :func:`compact_wpp` runs the units in
+function index order; the streaming pipeline
+(:mod:`repro.compact.stream`) runs the same units on its consumer
+threads, and the output is byte-identical either way.
 
 The returned :class:`CompactionStats` carries the serialized byte size
 after every stage, which is precisely the data behind the paper's
@@ -168,9 +168,10 @@ def _ratio(a: int, b: int) -> float:
 class FunctionCompactResult:
     """One function's compaction output plus its size accounting.
 
-    This is the unit of parallel work: everything in it derives from a
-    single function's raw trace table, so shards of functions can be
-    compacted on worker processes and merged by function index.
+    This is the per-function unit of work: everything in it derives
+    from a single function's raw trace table, so functions can be
+    compacted in any order (the streaming consumers do) and merged by
+    function index.
     ``pair_map`` maps the function's raw trace ids to pair ids (needed
     to rewrite DCG trace references); the ``*_sizes`` tuples hold the
     serialized size of each unique body (dictionary-compacted form),
@@ -222,22 +223,15 @@ def compact_function(
 
 def compact_wpp(
     partitioned: PartitionedWpp,
-    jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Tuple[CompactedWpp, CompactionStats]:
     """Run the full compaction pipeline on a partitioned WPP.
 
-    ``jobs`` selects the execution strategy: 1 compacts every function
-    on this process, ``> 1`` shards functions across a worker pool
-    (``0``/``None`` means one worker per CPU).  Output is byte-for-byte
-    identical regardless of ``jobs``.  ``metrics`` (optional) collects
-    per-stage timers, counters and byte histograms.
+    ``metrics`` (optional) collects per-stage timers, counters and byte
+    histograms.
     """
-    from .parallel import compact_functions_parallel, resolve_jobs
-
     if metrics is None:
         metrics = MetricsRegistry()
-    n_jobs = resolve_jobs(jobs)
 
     with metrics.timer("compact.total"):
         with metrics.timer("compact.accounting"):
@@ -252,17 +246,10 @@ def compact_wpp(
         )
 
         with metrics.timer("compact.functions"):
-            if n_jobs > 1 and len(partitioned.func_names) > 1:
-                results = compact_functions_parallel(
-                    partitioned, call_counts, n_jobs, metrics=metrics
-                )
-            else:
-                results = [
-                    compact_function(
-                        name, call_counts[i], partitioned.traces[i]
-                    )
-                    for i, name in enumerate(partitioned.func_names)
-                ]
+            results = [
+                compact_function(name, call_counts[i], partitioned.traces[i])
+                for i, name in enumerate(partitioned.func_names)
+            ]
 
         functions: List[FunctionCompact] = []
         pair_maps: List[List[int]] = []

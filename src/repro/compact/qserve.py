@@ -18,8 +18,8 @@ module is its mirror for the *read* path the paper actually motivates:
   and expanded path-trace lists.  Hit/miss/eviction counters feed the
   session's :class:`~repro.obs.MetricsRegistry` under ``qserve.cache.*``.
 * **:class:`QueryEngine`** — the façade: cached single-function
-  ``extract``/``traces``, batch ``extract_many``/``traces_many`` with
-  thread-pool fan-out, and a lazily decoded DCG for whole-run analyses
+  ``extract``/``traces``, batch ``extract_many``/``traces_many``, and a
+  lazily decoded DCG for whole-run analyses
   (:func:`repro.analysis.hotpaths.path_profile_compacted`).
 
 The cold-path helpers (:func:`repro.compact.query.extract_function_traces`)
@@ -34,7 +34,6 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..obs import MetricsRegistry
@@ -56,17 +55,7 @@ __all__ = [
     "PooledFileSource",
     "QueryEngine",
     "open_source",
-    "resolve_threads",
 ]
-
-
-def resolve_threads(threads: Optional[int]) -> int:
-    """Worker-thread count for batch queries (None/0 = auto, capped at 8)."""
-    if threads is None or threads == 0:
-        return min(8, os.cpu_count() or 1)
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
-    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +200,8 @@ class LruByteCache:
     evicts least-recently-used entries until the total fits.  A value
     costing more than the whole budget is simply not cached.  When a
     registry is supplied, ``<prefix>.hits`` / ``.misses`` /
-    ``.evictions`` / ``.oversize`` counters are maintained under the
-    cache's own lock (the registry itself is lock-free by design).
+    ``.evictions`` / ``.oversize`` counters are maintained alongside
+    the cache's own tallies.
     """
 
     def __init__(
@@ -220,11 +209,10 @@ class LruByteCache:
         capacity_bytes: int,
         metrics: Optional[MetricsRegistry] = None,
         prefix: str = "qserve.cache",
-        lock: Optional[threading.Lock] = None,
     ):
         self.capacity_bytes = max(0, int(capacity_bytes))
         self._entries: "OrderedDict[object, Tuple[object, int]]" = OrderedDict()
-        self._lock = lock if lock is not None else threading.Lock()
+        self._lock = threading.Lock()
         self._metrics = metrics
         self._prefix = prefix
         self._metric_names: Dict[str, str] = {}
@@ -333,18 +321,18 @@ def _traces_cost(traces: List[PathTrace]) -> int:
 
 
 class QueryEngine:
-    """Cached, concurrent profile queries over one ``.twpp`` file.
+    """Cached, thread-safe profile queries over one ``.twpp`` file.
 
     One engine owns one section source (mmap by default) and one
     :class:`LruByteCache` shared by every thread that queries it.
     Single-function reads (:meth:`extract`, :meth:`traces`) consult the
     cache first; batch reads (:meth:`extract_many`, :meth:`traces_many`)
-    fan the misses across a thread pool.  Decoded records are shared
-    with callers -- treat them as read-only; :meth:`traces` hands back a
-    fresh list each call (the traces themselves are immutable tuples).
+    call them once per name, in request order.  Decoded records are
+    shared with callers -- treat them as read-only; :meth:`traces`
+    hands back a fresh list each call (the traces themselves are
+    immutable tuples).
 
-    ``cache_bytes=0`` disables caching (every query decodes);
-    ``threads``/``None``/``0`` auto-sizes the batch pool.
+    ``cache_bytes=0`` disables caching (every query decodes).
     """
 
     def __init__(
@@ -352,7 +340,6 @@ class QueryEngine:
         path: PathLike,
         *,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        threads: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         use_mmap: bool = True,
     ):
@@ -367,10 +354,7 @@ class QueryEngine:
         }
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
-        self._cache = LruByteCache(
-            cache_bytes, metrics=self._metrics, lock=self._lock
-        )
-        self.threads = resolve_threads(threads)
+        self._cache = LruByteCache(cache_bytes, metrics=self._metrics)
         self._dcg: Optional[DynamicCallGraph] = None
 
     # ---- lifecycle ----------------------------------------------------
@@ -417,7 +401,7 @@ class QueryEngine:
     def extract(self, name: str) -> FunctionCompact:
         """One function's decoded record, from cache when warm."""
         entry = self._entry(name)
-        self._count("qserve.queries")
+        self._metrics.inc("qserve.queries")
         key = ("record", name)
         fc = self._cache.get(key)
         if fc is None:
@@ -448,54 +432,25 @@ class QueryEngine:
             self._cache.put(key, traces, _traces_cost(traces))
         return list(traces)
 
-    def put_traces(self, name: str, traces: List[PathTrace]) -> List[PathTrace]:
-        """Insert pre-decoded traces for ``name`` under the budget.
-
-        The parallel read path decodes sections in worker processes;
-        the parent calls this so its own warm cache still fills (LRU
-        accounting identical to a local :meth:`traces` decode).  The
-        name must exist in the header -- unknown functions raise
-        ``KeyError`` rather than poison the cache.  Returns the list a
-        :meth:`traces` call would have returned.
-        """
-        self._entry(name)
-        traces = [tuple(t) for t in traces]
-        self._cache.put(("traces", name), traces, _traces_cost(traces))
-        return list(traces)
-
     # ---- batch queries ------------------------------------------------
 
     def extract_many(
-        self,
-        names: Optional[Iterable[str]] = None,
-        threads: Optional[int] = None,
+        self, names: Optional[Iterable[str]] = None
     ) -> Dict[str, FunctionCompact]:
         """Decoded records for many functions (default: all), in order."""
-        return self._many(self.extract, names, threads)
+        return self._many(self.extract, names)
 
     def traces_many(
-        self,
-        names: Optional[Iterable[str]] = None,
-        threads: Optional[int] = None,
+        self, names: Optional[Iterable[str]] = None
     ) -> Dict[str, List[PathTrace]]:
         """Expanded path traces for many functions (default: all)."""
-        return self._many(self.traces, names, threads)
+        return self._many(self.traces, names)
 
-    def _many(self, fn, names, threads):
-        names = (
-            self.function_names() if names is None else list(names)
-        )
-        n_threads = (
-            self.threads if threads is None else resolve_threads(threads)
-        )
-        self._count("qserve.batches")
+    def _many(self, fn, names):
+        names = self.function_names() if names is None else list(names)
+        self._metrics.inc("qserve.batches")
         t0 = time.perf_counter()
-        if n_threads <= 1 or len(names) <= 1:
-            out = {name: fn(name) for name in names}
-        else:
-            workers = min(n_threads, len(names))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                out = dict(zip(names, pool.map(fn, names)))
+        out = {name: fn(name) for name in names}
         self._time("qserve.batch", t0)
         return out
 
@@ -534,7 +489,7 @@ class QueryEngine:
 
     def _decode(self, entry: FunctionIndexEntry) -> FunctionCompact:
         t0 = time.perf_counter()
-        self._count("qserve.decodes")
+        self._metrics.inc("qserve.decodes")
         data = self._source.read_section(entry)
         try:
             fc = _parse_section(data, entry.name, entry.call_count)
@@ -544,11 +499,5 @@ class QueryEngine:
         self._time("qserve.decode", t0)
         return fc
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._metrics.inc(name, amount)
-
     def _time(self, name: str, t0: float) -> None:
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        with self._lock:
-            self._metrics.add_ms(name, elapsed_ms)
+        self._metrics.add_ms(name, (time.perf_counter() - t0) * 1000.0)

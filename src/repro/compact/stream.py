@@ -209,7 +209,6 @@ def stream_compact(
     metrics: Optional[MetricsRegistry] = None,
     interp: Optional[str] = None,
     verify: bool = False,
-    pool=None,
 ) -> StreamResult:
     """Run a program and write its compacted ``.twpp`` in one pass.
 
@@ -223,15 +222,12 @@ def stream_compact(
     ``ingest.stall`` (blocked on consumer backpressure), alongside the
     consumer-side ``ingest.compact`` timer.
 
-    ``verify=True`` reads the written file back and checks every
+    ``verify=True`` reads the written file back through a fresh
+    :class:`~repro.compact.qserve.QueryEngine` and checks every
     function's expanded traces against the in-memory compaction
-    (``ingest.verify`` timer).  Pass a
-    :class:`~repro.parallel.pool.WorkerPool` as ``pool`` to fan the
-    read-back across worker processes -- their own mmaps, so the check
-    also covers what a *fresh* reader sees; a crashed worker falls back
-    to an in-process engine.
+    (``ingest.verify`` timer).
     """
-    from .parallel import resolve_jobs
+    from ..analysis.parallel import resolve_jobs
 
     if metrics is None:
         metrics = MetricsRegistry()
@@ -332,7 +328,7 @@ def stream_compact(
 
         if verify:
             with metrics.timer("ingest.verify"):
-                _verify_readback(path, functions, pool, metrics)
+                _verify_readback(path, functions, metrics)
 
     metrics.inc("ingest.events", events)
     metrics.inc("ingest.activations", len(dcg.node_func))
@@ -364,38 +360,22 @@ def stream_compact(
 def _verify_readback(
     path: PathLike,
     functions: List[FunctionCompact],
-    pool,
     metrics: MetricsRegistry,
 ) -> None:
     """Check the written file serves the traces we just compacted.
 
     Expectations come from the in-memory tables (no file access); the
-    read side goes through the worker pool when one is supplied --
-    after evicting any engine a worker may hold for a previous file at
-    this path -- or a throwaway in-process engine otherwise.
+    read side goes through a throwaway engine over the file on disk.
     """
+    from .qserve import QueryEngine
+
     expected = {
         fc.name: [fc.expand_pair(p) for p in range(len(fc.pairs))]
         for fc in functions
     }
     names = list(expected)
-    got = None
-    if pool is not None:
-        from ..parallel import WorkerCrashed
-
-        fspath = os.fspath(path)
-        pool.evict(fspath)  # workers may hold mmaps of an older file here
-        try:
-            got = pool.traces_many(fspath, names)
-        except WorkerCrashed:
-            got = None
-        else:
-            metrics.inc("ingest.verify_pooled")
-    if got is None:
-        from .qserve import QueryEngine
-
-        with QueryEngine(path, cache_bytes=0, metrics=metrics) as engine:
-            got = engine.traces_many(names)
+    with QueryEngine(path, cache_bytes=0, metrics=metrics) as engine:
+        got = engine.traces_many(names)
     for name in names:
         if got[name] != expected[name]:
             raise ValueError(

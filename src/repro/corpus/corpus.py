@@ -145,7 +145,6 @@ class TraceCorpus:
             budget,
             metrics=self.metrics,
             prefix="corpus.cache",
-            lock=threading.Lock(),
         )
         self._ingest_lock = threading.Lock()
 
@@ -177,18 +176,13 @@ class TraceCorpus:
         self,
         paths: Sequence[PathLike],
         runs: Optional[Sequence[str]] = None,
-        jobs: Optional[int] = None,
     ) -> List[IngestResult]:
-        """Ingest many ``.twpp`` files, scanning them in parallel.
+        """Ingest many ``.twpp`` files, one catalog transaction each.
 
-        Scans fan across the session's worker pool (or a transient one
-        when ``jobs`` asks for more workers than the session has);
-        ingestion itself stays serial in input order, so the catalog,
-        pack, and manifests come out byte-identical at any ``jobs``.
-        A crashed worker falls back to serial scanning.
+        Every file is scanned before the first ingest, so a bad name or
+        an unreadable file fails the batch before anything commits;
+        ingestion then runs in input order.
         """
-        from ..compact.parallel import resolve_jobs
-
         paths = [os.fspath(p) for p in paths]
         names = (
             [Path(p).stem for p in paths]
@@ -201,28 +195,7 @@ class TraceCorpus:
             raise ValueError("duplicate run names in one ingest batch")
         for name in names:
             self._check_run_name(name)
-
-        effective = self._session.jobs if jobs is None else jobs
-        digests = None
-        if resolve_jobs(effective) > 1 and len(paths) > 1:
-            pool, transient = self._session.pool(), None
-            if pool is None:
-                from ..parallel import WorkerPool
-
-                transient = pool = WorkerPool(
-                    resolve_jobs(effective),
-                    cache_bytes=getattr(
-                        self._session, "cache_bytes", DEFAULT_CACHE_BYTES
-                    ),
-                    metrics=self.metrics,
-                )
-            try:
-                digests = self._scan_pooled(paths, pool)
-            finally:
-                if transient is not None:
-                    transient.close()
-        if digests is None:
-            digests = [self._scan(path) for path in paths]
+        digests = [self._scan(path) for path in paths]
         return [
             self._ingest_digest(name, path, digest)
             for name, path, digest in zip(names, paths, digests)
@@ -231,21 +204,6 @@ class TraceCorpus:
     def _scan(self, path: str) -> RunDigest:
         with self.metrics.timer("corpus.scan"):
             return scan_run(self._session.engine(path))
-
-    def _scan_pooled(self, paths: List[str], pool) -> Optional[List[RunDigest]]:
-        """Digest many files across the pool; ``None`` = fall back."""
-        from ..parallel import WorkerCrashed
-        from .manifest import decode_digest
-
-        with self.metrics.timer("corpus.scan"):
-            try:
-                payloads = pool.run(
-                    [("corpus_scan", path) for path in paths]
-                )
-            except WorkerCrashed:
-                return None
-        self.metrics.inc("corpus.scan_pooled", len(paths))
-        return [decode_digest(payload) for payload in payloads]
 
     def _check_run_name(self, name: str) -> None:
         if not _RUN_NAME.match(name):

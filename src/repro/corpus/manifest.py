@@ -9,15 +9,12 @@ corpus catalog's -- varint-small where a 20-byte sha per reference
 would rival the sections it replaces -- and resolve through the
 catalog or by replaying the self-describing pack.
 
-A **digest** (:class:`RunDigest`) is the transportable intermediate
-:func:`scan_run` produces from a warm query engine: the same structure
-but carrying shas and full blob payloads, so a worker process can scan
-a ``.twpp`` against its own mmap and ship one compact frame back for
-the parent to ingest (:func:`encode_digest` / :func:`decode_digest`
--- shas are recomputed on decode, so the frame is self-validating).
-Ingestion order is the digest's blob order, which makes catalog and
-pack contents byte-identical whether runs were scanned serially or by
-a pool.
+A **digest** (:class:`RunDigest`) is the intermediate :func:`scan_run`
+produces from a warm query engine: the same structure but carrying
+shas and full blob payloads, so a whole run can be scanned before the
+corpus commits any of it.  Ingestion order is the digest's blob order,
+which makes catalog and pack contents byte-identical for the same
+sequence of runs.
 """
 
 from __future__ import annotations
@@ -57,9 +54,7 @@ __all__ = [
     "ManifestFunction",
     "RunDigest",
     "RunManifest",
-    "decode_digest",
     "decode_manifest",
-    "encode_digest",
     "encode_manifest",
     "scan_run",
 ]
@@ -254,92 +249,3 @@ def assemble_dcg(node_count: int, chunks: List[bytes]) -> DynamicCallGraph:
     for chunk in chunks:
         buf += chunk
     return DynamicCallGraph.deserialize(bytes(buf))
-
-
-# ---------------------------------------------------------------------------
-# digest wire codec (worker -> parent)
-
-
-def encode_digest(digest: RunDigest) -> bytes:
-    buf = bytearray()
-    write_uvarint(buf, digest.twpp_bytes)
-    write_uvarint(buf, digest.dcg_nodes)
-    write_uvarint(buf, len(digest.blobs))
-    index: Dict[bytes, int] = {}
-    for sha, kind, payload in digest.blobs:
-        index[sha] = len(index)
-        buf.append(kind)
-        write_uvarint(buf, len(payload))
-        buf += payload
-    write_uvarint(buf, len(digest.dcg_shas))
-    buf += encode_uvarints([index[sha] for sha in digest.dcg_shas])
-    write_uvarint(buf, len(digest.functions))
-    for fn in digest.functions:
-        write_string(buf, fn.name)
-        write_uvarint(buf, fn.call_count)
-        write_uvarint(buf, len(fn.body_shas))
-        buf += encode_uvarints([index[sha] for sha in fn.body_shas])
-        write_uvarint(buf, len(fn.dict_shas))
-        buf += encode_uvarints([index[sha] for sha in fn.dict_shas])
-        write_uvarint(buf, len(fn.pairs))
-        flat: List[int] = []
-        for body_idx, dict_idx in fn.pairs:
-            flat.append(body_idx)
-            flat.append(dict_idx)
-        buf += encode_uvarints(flat)
-        buf += encode_uvarints(fn.weights)
-    return bytes(buf)
-
-
-def decode_digest(data: bytes) -> RunDigest:
-    twpp_bytes, offset = read_uvarint(data, 0)
-    dcg_nodes, offset = read_uvarint(data, offset)
-    n_blobs, offset = read_uvarint(data, offset)
-    check_count(n_blobs, data, offset, min_bytes=0)
-    blobs: List[Tuple[bytes, int, bytes]] = []
-    shas: List[bytes] = []
-    for _ in range(n_blobs):
-        kind = data[offset]
-        offset += 1
-        length, offset = read_uvarint(data, offset)
-        payload = bytes(data[offset : offset + length])
-        if len(payload) != length:
-            raise ValueError("truncated blob payload in run digest")
-        offset += length
-        sha = blob_sha(kind, payload)
-        blobs.append((sha, kind, payload))
-        shas.append(sha)
-    n_chunks, offset = read_uvarint(data, offset)
-    chunk_refs, offset = decode_uvarints(data, offset, n_chunks)
-    n_functions, offset = read_uvarint(data, offset)
-    check_count(n_functions, data, offset, min_bytes=0)
-    functions = []
-    for _ in range(n_functions):
-        name, offset = read_string(data, offset)
-        call_count, offset = read_uvarint(data, offset)
-        n_bodies, offset = read_uvarint(data, offset)
-        body_refs, offset = decode_uvarints(data, offset, n_bodies)
-        n_dicts, offset = read_uvarint(data, offset)
-        dict_refs, offset = decode_uvarints(data, offset, n_dicts)
-        n_pairs, offset = read_uvarint(data, offset)
-        flat, offset = decode_uvarints(data, offset, 2 * n_pairs)
-        weights, offset = decode_uvarints(data, offset, n_pairs)
-        functions.append(
-            DigestFunction(
-                name=name,
-                call_count=call_count,
-                body_shas=tuple(shas[i] for i in body_refs),
-                dict_shas=tuple(shas[i] for i in dict_refs),
-                pairs=tuple(zip(flat[0::2], flat[1::2])),
-                weights=tuple(weights),
-            )
-        )
-    if offset != len(data):
-        raise ValueError("run digest has trailing bytes")
-    return RunDigest(
-        functions=tuple(functions),
-        dcg_nodes=dcg_nodes,
-        dcg_shas=tuple(shas[i] for i in chunk_refs),
-        blobs=tuple(blobs),
-        twpp_bytes=twpp_bytes,
-    )

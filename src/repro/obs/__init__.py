@@ -1,10 +1,10 @@
 """Observability: lightweight metrics for the compaction pipeline.
 
-The compaction pipeline is a staged byte-shrinking machine; once it
-fans work across a process pool the only way to *see* it scaling is a
-metrics layer.  :class:`~repro.obs.metrics.MetricsRegistry` carries
-counters, wall-clock stage timers and power-of-two byte histograms,
-is cheap enough to thread through every stage unconditionally, and
+The compaction pipeline is a staged byte-shrinking machine, and the
+only way to *see* where its time and bytes go is a metrics layer.
+:class:`~repro.obs.metrics.MetricsRegistry` carries counters,
+wall-clock stage timers and power-of-two byte histograms behind its own
+lock, is cheap enough to thread through every stage unconditionally, and
 exports a stable JSON document (``repro.metrics/1``, documented in
 ``docs/FORMATS.md``) from both the library and the CLI
 (``repro-wpp compact --metrics-out``).

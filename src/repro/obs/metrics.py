@@ -10,12 +10,15 @@ Three instrument kinds, all addressed by dotted string names:
   (per-function section sizes, per-body trace sizes) that keep the
   shape of the data without storing every observation.
 
-A registry is deliberately dumb: no locks, no background threads, no
-global state.  The pipeline threads one registry object through
-partition -> compact -> LZW -> write; parallel workers do their own
-accounting and the coordinator folds the results in deterministically,
-so two runs over the same input report identical counters and
-histograms (timers, being wall-clock, differ).
+A registry is deliberately small: no background threads, no global
+state, and one lock of its own around every read-modify-write, so any
+number of threads (the stream consumers, the HTTP workers, the store
+and its engines) may share one registry and no update is lost.  The
+pipeline threads one registry object through partition -> compact ->
+LZW -> write; parallel workers do their own accounting and the
+coordinator folds the results in deterministically, so two runs over
+the same input report identical counters and histograms (timers, being
+wall-clock, differ).
 
 The JSON export (:meth:`MetricsRegistry.to_dict`) is a stable schema,
 ``repro.metrics/1``, documented in ``docs/FORMATS.md``.
@@ -24,6 +27,7 @@ The JSON export (:meth:`MetricsRegistry.to_dict`) is a stable schema,
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -101,18 +105,25 @@ class StageTimer:
 
 
 class MetricsRegistry:
-    """Counters, stage timers and byte histograms behind one object."""
+    """Counters, stage timers and byte histograms behind one object.
+
+    Every update and export holds the registry's own lock, so one
+    registry is safe to share between threads.  Reading a single value
+    (:meth:`counter`, ``timers_ms.get``) needs no lock.
+    """
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
         self.timers_ms: Dict[str, float] = {}
         self.histograms: Dict[str, ByteHistogram] = {}
+        self._lock = threading.Lock()
 
     # ---- counters -----------------------------------------------------
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
-        self.counters[name] = self.counters.get(name, 0) + amount
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + amount
 
     def counter(self, name: str) -> int:
         """Current value of a counter (0 if never incremented)."""
@@ -126,44 +137,56 @@ class MetricsRegistry:
 
     def add_ms(self, name: str, elapsed_ms: float) -> None:
         """Add already-measured milliseconds to timer ``name``."""
-        self.timers_ms[name] = self.timers_ms.get(name, 0.0) + elapsed_ms
+        with self._lock:
+            self.timers_ms[name] = self.timers_ms.get(name, 0.0) + elapsed_ms
 
     # ---- histograms ---------------------------------------------------
 
     def observe(self, name: str, value: int) -> None:
         """Record one size observation into histogram ``name``."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = ByteHistogram()
-        hist.observe(value)
+        with self._lock:
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = self.histograms[name] = ByteHistogram()
+            hist.observe(value)
 
     # ---- combination and export --------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry (e.g. a worker's) into this one."""
-        for name, value in other.counters.items():
-            self.inc(name, value)
-        for name, ms in other.timers_ms.items():
-            self.add_ms(name, ms)
-        for name, hist in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = ByteHistogram()
-            mine.merge(hist)
+        with other._lock:
+            counters = list(other.counters.items())
+            timers = list(other.timers_ms.items())
+            histograms = []
+            for name, hist in other.histograms.items():
+                copy = ByteHistogram()
+                copy.merge(hist)
+                histograms.append((name, copy))
+        with self._lock:
+            for name, value in counters:
+                self.counters[name] = self.counters.get(name, 0) + value
+            for name, ms in timers:
+                self.timers_ms[name] = self.timers_ms.get(name, 0.0) + ms
+            for name, hist in histograms:
+                mine = self.histograms.get(name)
+                if mine is None:
+                    mine = self.histograms[name] = ByteHistogram()
+                mine.merge(hist)
 
     def to_dict(self) -> Dict:
         """Export as the ``repro.metrics/1`` JSON-ready document."""
-        return {
-            "schema": METRICS_SCHEMA,
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "timers_ms": {
-                k: round(self.timers_ms[k], 3) for k in sorted(self.timers_ms)
-            },
-            "histograms": {
-                k: self.histograms[k].to_dict()
-                for k in sorted(self.histograms)
-            },
-        }
+        with self._lock:
+            return {
+                "schema": METRICS_SCHEMA,
+                "counters": {k: self.counters[k] for k in sorted(self.counters)},
+                "timers_ms": {
+                    k: round(self.timers_ms[k], 3) for k in sorted(self.timers_ms)
+                },
+                "histograms": {
+                    k: self.histograms[k].to_dict()
+                    for k in sorted(self.histograms)
+                },
+            }
 
     def to_json(self, indent: int = 2) -> str:
         """The :meth:`to_dict` document as a JSON string."""

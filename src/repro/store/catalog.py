@@ -7,9 +7,8 @@ and one row per (trace, function) with the name, call count, and
 section offset/length lifted straight from the ``.twpp`` header index.
 :meth:`TraceCatalog.scan` reconciles the database against the directory
 using (mtime_ns, size) as the change signature -- unchanged files are
-skipped entirely, new/modified files get their header re-read (in
-parallel when ``jobs`` says so), and rows for deleted files are
-dropped.
+skipped entirely, new/modified files get their header re-read, and
+rows for deleted files are dropped.
 
 The schema (version 1) is documented in ``docs/FORMATS.md``.  The
 catalog lives beside the traces by default (``catalog.sqlite``) so a
@@ -23,7 +22,6 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -156,14 +154,13 @@ class TraceCatalog:
 
     # ---- scanning -----------------------------------------------------
 
-    def scan(self, root: PathLike, jobs: int = 1) -> ScanResult:
+    def scan(self, root: PathLike) -> ScanResult:
         """Reconcile the catalog against ``root``'s ``.twpp`` files.
 
         Unchanged files (same mtime_ns and size) are skipped; new or
-        modified files get their header index re-read, fanned across a
-        thread pool when ``jobs`` is 0 (one per CPU) or > 1.  Files
-        whose header fails to parse are reported in ``errors`` and
-        dropped from the catalog rather than aborting the scan.
+        modified files get their header index re-read.  Files whose
+        header fails to parse are reported in ``errors`` and dropped
+        from the catalog rather than aborting the scan.
         """
         root = Path(root)
         seen: Dict[str, str] = {}
@@ -199,15 +196,7 @@ class TraceCatalog:
             else:
                 stale.append((trace, path, False))
 
-        if jobs == 0:
-            jobs = os.cpu_count() or 1
-        if jobs > 1 and len(stale) > 1:
-            with ThreadPoolExecutor(min(jobs, len(stale))) as pool:
-                indexed = list(
-                    pool.map(self._try_read, (s[1] for s in stale))
-                )
-        else:
-            indexed = [self._try_read(path) for _, path, _ in stale]
+        indexed = [self._try_read(path) for _, path, _ in stale]
 
         added = updated = 0
         errors: List[str] = []

@@ -311,7 +311,7 @@ class TraceServer:
             sock.setblocking(True)
             sock.settimeout(self.request_timeout)
             conn = _Conn(sock, peer)
-            self.store._inc("serve.connections")
+            self.store.metrics.inc("serve.connections")
             self._register(sel, idle, conn)
 
     def _drain_wake(self, sel, idle) -> None:
@@ -353,7 +353,7 @@ class TraceServer:
                 except (KeyError, ValueError):
                     pass
                 del idle[fileno]
-                self.store._inc("serve.idle_closed")
+                self.store.metrics.inc("serve.idle_closed")
                 self._close_conn(conn)
 
     def _close_conn(self, conn: _Conn) -> None:
@@ -377,8 +377,8 @@ class TraceServer:
             try:
                 request = self._read_request(conn)
             except _BadRequest as exc:
-                self.store._inc("http.requests")
-                self.store._inc("http.errors")
+                self.store.metrics.inc("http.requests")
+                self.store.metrics.inc("http.errors")
                 self._log(conn, f"400 {exc}")
                 try:
                     self._write_response(
@@ -396,7 +396,7 @@ class TraceServer:
                 return
             conn.requests += 1
             if conn.requests > 1:
-                self.store._inc("serve.keepalive_requests")
+                self.store.metrics.inc("serve.keepalive_requests")
             status, doc, extra = self._handle(request)
             self._log(conn, f"{request.method} {request.target} {status}")
             keep = request.keep_alive and not self._stop.is_set()
@@ -411,7 +411,7 @@ class TraceServer:
                 self._close_conn(conn)
                 return
             if conn.buf:
-                self.store._inc("serve.pipelined")
+                self.store.metrics.inc("serve.pipelined")
                 continue
             if self._next_request_ready(conn):
                 continue
@@ -537,7 +537,7 @@ class TraceServer:
     def _handle(
         self, request: _Request
     ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
-        self.store._inc("http.requests")
+        self.store.metrics.inc("http.requests")
         url = urlsplit(request.target)
         params = parse_qs(url.query, keep_blank_values=True)
         get_routes = {
@@ -585,13 +585,13 @@ class TraceServer:
     def _error(
         self, status: int, message: str
     ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
-        self.store._inc("http.errors")
+        self.store.metrics.inc("http.errors")
         return status, {"error": message}, None
 
     def _method_not_allowed(
         self, allowed: str
     ) -> Tuple[int, Dict, Dict[str, str]]:
-        self.store._inc("http.errors")
+        self.store.metrics.inc("http.errors")
         return 405, {"error": f"use {allowed}"}, {"Allow": allowed}
 
     # ---- endpoints -------------------------------------------------------

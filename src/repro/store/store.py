@@ -8,7 +8,7 @@ file -- held through the owning :class:`~repro.api.Session` under a
 **global** cache byte budget with LRU eviction across files
 (:meth:`Session.evict` releases one file's engine; the store decides
 which).  Concurrent requests for the same (file, function) are
-coalesced into a single decode via per-key in-flight futures, so a
+coalesced into a single decode via per-key in-flight records, so a
 thundering herd on a cold hot key costs one section parse, not N.
 
 The three verbs -- :meth:`query`, :meth:`analyze`, :meth:`stats` --
@@ -24,7 +24,6 @@ import itertools
 import os
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -73,7 +72,6 @@ class TraceStore:
         session=None,
         cache_bytes: Optional[int] = None,
         catalog_path: Optional[PathLike] = None,
-        jobs: int = 1,
         corpus: Optional[PathLike] = None,
     ) -> None:
         from ..api import Session
@@ -106,25 +104,13 @@ class TraceStore:
         self._entries: Dict[str, CatalogTrace] = {}
         self._functions: Dict[str, List[str]] = {}
         self._function_sets: Dict[str, frozenset] = {}
-        self._inflight: Dict[Tuple[str, str], Future] = {}
+        self._inflight: Dict[Tuple[str, str], _Inflight] = {}
         # Optional attached corpus (the /corpus/* endpoints); opened
         # lazily so a store without corpus traffic never touches it.
         self._corpus_root = None if corpus is None else Path(corpus)
         self._corpus = None
         self._lock = threading.Lock()
-        # The registry is lock-free by design; the store serves many
-        # threads, so its own metric writes go through this lock.
-        self._metrics_lock = threading.Lock()
-        self.scan(jobs=jobs)
-
-    def _inc(self, name: str, amount: int = 1) -> None:
-        with self._metrics_lock:
-            self.metrics.inc(name, amount)
-
-    def _time(self, name: str, t0: float) -> None:
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        with self._metrics_lock:
-            self.metrics.add_ms(name, elapsed_ms)
+        self.scan()
 
     # ---- lifecycle ----------------------------------------------------
 
@@ -159,11 +145,10 @@ class TraceStore:
 
     # ---- catalog ------------------------------------------------------
 
-    def scan(self, jobs: int = 1) -> ScanResult:
+    def scan(self) -> ScanResult:
         """Reconcile the catalog with the directory; evict stale engines."""
-        t0 = time.perf_counter()
-        result = self.catalog.scan(self.root, jobs=jobs)
-        self._time("store.scan", t0)
+        with self.metrics.timer("store.scan"):
+            result = self.catalog.scan(self.root)
         for name, amount in (
             ("added", result.added),
             ("updated", result.updated),
@@ -171,7 +156,7 @@ class TraceStore:
             ("unchanged", result.unchanged),
         ):
             if amount:
-                self._inc(f"store.scan.{name}", amount)
+                self.metrics.inc(f"store.scan.{name}", amount)
         if result.changed:
             live = {t.path for t in self.catalog.traces()}
             with self._lock:
@@ -229,11 +214,9 @@ class TraceStore:
                 )
             self._touch(entry, enforce=decoded)
         finally:
-            elapsed_ms = (time.perf_counter() - t0) * 1000.0
             metrics = self._session.metrics
-            with self._metrics_lock:
-                metrics.inc("store.requests.query")
-                metrics.add_ms("store.query", elapsed_ms)
+            metrics.inc("store.requests.query")
+            metrics.add_ms("store.query", (time.perf_counter() - t0) * 1000.0)
         return {"trace": entry.trace, "functions": results}
 
     def analyze(self, request: AnalyzeRequest) -> Dict:
@@ -242,9 +225,8 @@ class TraceStore:
             raise RequestError("analyze() takes an AnalyzeRequest")
         from ..analysis.facts import parse_fact
 
-        self._inc("store.requests.analyze")
-        t0 = time.perf_counter()
-        try:
+        self.metrics.inc("store.requests.analyze")
+        with self.metrics.timer("store.analyze"):
             entry = self._check_fresh(self._entry(request.trace))
             try:
                 parse_fact(request.fact)
@@ -256,8 +238,6 @@ class TraceStore:
                 entry.path, program, request.fact, functions=names
             )
             self._touch(entry)
-        finally:
-            self._time("store.analyze", t0)
         return {
             "trace": entry.trace,
             "fact": request.fact,
@@ -272,7 +252,7 @@ class TraceStore:
         request = StatsRequest() if request is None else request
         if not isinstance(request, StatsRequest):
             raise RequestError("stats() takes a StatsRequest")
-        self._inc("store.requests.stats")
+        self.metrics.inc("store.requests.stats")
         if request.trace is None:
             rows = self.catalog.traces()
             return {
@@ -332,12 +312,9 @@ class TraceStore:
         request = CorpusStatsRequest() if request is None else request
         if not isinstance(request, CorpusStatsRequest):
             raise RequestError("corpus_stats() takes a CorpusStatsRequest")
-        self._inc("store.requests.corpus_stats")
-        t0 = time.perf_counter()
-        try:
+        self.metrics.inc("store.requests.corpus_stats")
+        with self.metrics.timer("store.corpus_stats"):
             return self.corpus().stats()
-        finally:
-            self._time("store.corpus_stats", t0)
 
     def corpus_hot(self, request: Optional[CorpusHotRequest] = None) -> Dict:
         """Cross-run hot paths (``GET /corpus/hot``), JSON-ready."""
@@ -346,9 +323,8 @@ class TraceStore:
             raise RequestError("corpus_hot() takes a CorpusHotRequest")
         from ..corpus import hot_doc
 
-        self._inc("store.requests.corpus_hot")
-        t0 = time.perf_counter()
-        try:
+        self.metrics.inc("store.requests.corpus_hot")
+        with self.metrics.timer("store.corpus_hot"):
             corpus = self.corpus()
             for run in request.runs:
                 self._corpus_run(corpus, run)
@@ -357,8 +333,6 @@ class TraceStore:
                 functions=list(request.functions) or None,
             )
             return hot_doc(profile, top=request.top, coverage=request.coverage)
-        finally:
-            self._time("store.corpus_hot", t0)
 
     def corpus_diff(self, request: CorpusDiffRequest) -> Dict:
         """Run-pair comparison (``GET /corpus/diff``), JSON-ready."""
@@ -366,16 +340,13 @@ class TraceStore:
             raise RequestError("corpus_diff() takes a CorpusDiffRequest")
         from ..corpus import diff_doc
 
-        self._inc("store.requests.corpus_diff")
-        t0 = time.perf_counter()
-        try:
+        self.metrics.inc("store.requests.corpus_diff")
+        with self.metrics.timer("store.corpus_diff"):
             corpus = self.corpus()
             for run in (request.run_a, request.run_b):
                 self._corpus_run(corpus, run)
             delta = corpus.diff(request.run_a, request.run_b)
             return diff_doc(delta, limit=request.limit)
-        finally:
-            self._time("store.corpus_diff", t0)
 
     @staticmethod
     def _corpus_run(corpus, name: str):
@@ -389,20 +360,8 @@ class TraceStore:
     # ---- cache accounting ---------------------------------------------
 
     def metrics_snapshot(self) -> Dict:
-        """The session's ``repro.metrics/1`` document (``GET /metrics``).
-
-        Engines mutate the shared registry under their own locks, so a
-        concurrent export can rarely observe a dict resize mid-copy;
-        retry a few times rather than lock every engine write.
-        """
-        for _ in range(8):
-            try:
-                with self._metrics_lock:
-                    return self.metrics.to_dict()
-            except RuntimeError:  # pragma: no cover - needs a precise race
-                continue
-        with self._metrics_lock:  # pragma: no cover
-            return self.metrics.to_dict()
+        """The session's ``repro.metrics/1`` document (``GET /metrics``)."""
+        return self.metrics.to_dict()
 
     def cache_stats(self) -> Dict:
         """Global budget occupancy plus the engines' aggregate traffic."""
@@ -473,7 +432,7 @@ class TraceStore:
                 evict.append(path)
         for path in evict:
             self._session.evict(path)
-            self._inc("store.evictions")
+            self.metrics.inc("store.evictions")
 
     # ---- coalescing ---------------------------------------------------
 
@@ -496,49 +455,24 @@ class TraceStore:
         engine = self._session.engine(entry.path)
         key = (entry.path, name)
         with self._lock:
-            fut = self._inflight.get(key)
-            owner = fut is None
+            pending = self._inflight.get(key)
+            owner = pending is None
             if owner:
-                fut = Future()
-                self._inflight[key] = fut
+                pending = self._inflight[key] = _Inflight()
             else:
-                self._inc("store.coalesced")
+                self.metrics.inc("store.coalesced")
         if not owner:
-            return fut.result(), True
+            return pending.wait(), True
         try:
-            result = self._decode(engine, entry, name)
+            pending.result = engine.traces(name)
         except BaseException as exc:
-            fut.set_exception(exc)
+            pending.error = exc
             raise
-        else:
-            fut.set_result(result)
-            return result, True
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
-
-    def _decode(self, engine, entry: CatalogTrace, name: str):
-        """Cold decode of one function, preferring the worker pool.
-
-        When the owning session runs a pool, the section is decoded in
-        a worker process (its own mmap, compact wire result) and the
-        parent engine's cache is warmed with
-        :meth:`~repro.compact.qserve.QueryEngine.put_traces`, so the
-        store's budget accounting and warm fast path behave exactly as
-        if the engine had decoded locally.
-        """
-        pool = self._session.pool()
-        if pool is not None:
-            from ..parallel import WorkerCrashed, wire
-
-            try:
-                payload = pool.submit(("traces", entry.path, name)).result()
-            except WorkerCrashed:
-                pass
-            else:
-                self._inc("store.pool_decodes")
-                return engine.put_traces(name, wire.decode_traces(payload))
-        return engine.traces(name)
+            pending.done.set()
+        return pending.result, True
 
     # ---- helpers ------------------------------------------------------
 
@@ -565,7 +499,7 @@ class TraceStore:
         if fresh:
             return entry
         self._session.evict(entry.path)
-        self._inc("store.stale_detected")
+        self.metrics.inc("store.stale_detected")
         self.scan()
         with self._lock:
             self._entries.pop(entry.trace, None)
@@ -639,6 +573,24 @@ class TraceStore:
         engine = self._session.engine(entry.path)
         self._touch(entry)
         return engine
+
+
+class _Inflight:
+    """One cold decode in progress: waiters block until the owner
+    publishes its result or its exception."""
+
+    __slots__ = ("done", "result", "error")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.result = None
+        self.error: Optional[BaseException] = None
+
+    def wait(self):
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.result
 
 
 def _report_to_dict(report) -> Dict:

@@ -136,12 +136,6 @@ class TestCompactedProfile:
         from_file = path_profile_compacted(path)
         assert from_file.counts == reference.counts
 
-    def test_threaded_matches_serial(self, twpp_and_partitioned):
-        path, part = twpp_and_partitioned
-        reference = path_profile(part)
-        threaded = path_profile_compacted(path, threads=4)
-        assert threaded.counts == reference.counts
-
     def test_reuses_an_open_engine(self, twpp_and_partitioned):
         path, part = twpp_and_partitioned
         with QueryEngine(path) as engine:

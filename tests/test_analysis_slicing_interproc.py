@@ -173,11 +173,11 @@ class TestSliceMany:
             for c in criteria
         ]
         fresh_slicer, _ = self._slicer_and_criteria()
-        threaded = fresh_slicer.slice_many(criteria, threads=4)
-        assert [r.slice_nodes for r in threaded] == [
+        batch = fresh_slicer.slice_many(criteria)
+        assert [r.slice_nodes for r in batch] == [
             r.slice_nodes for r in serial
         ]
-        assert [r.criterion for r in threaded] == [
+        assert [r.criterion for r in batch] == [
             r.criterion for r in serial
         ]
 

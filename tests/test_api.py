@@ -150,7 +150,7 @@ class TestSessionQueryEngine:
 class TestTopLevelVerbs:
     def test_pipeline_via_module_functions(self, program, tmp_path):
         wpp = repro.trace(program)
-        result = repro.compact(wpp, jobs=2)
+        result = repro.compact(wpp)
         assert isinstance(result, CompactResult)
         path = tmp_path / "run.twpp"
         assert result.save(path) == path.stat().st_size
@@ -238,15 +238,15 @@ class TestSessionAnalyze:
         session, _wpp, _r, _wp, twpp_path = session_and_artifacts
         program = figure1_program()
         serial = session.analyze(twpp_path, program, "def:i", jobs=1)
-        pooled = session.analyze(twpp_path, program, "def:i", jobs=2)
-        assert list(serial) == list(pooled)
+        fanned = session.analyze(twpp_path, program, "def:i", jobs=2)
+        assert list(serial) == list(fanned)
         for name in serial:
             got = [
                 {
                     b: (e.executions, e.holds, e.fails, e.unresolved)
                     for b, e in rep.entries.items()
                 }
-                for rep in pooled[name]
+                for rep in fanned[name]
             ]
             ref = [
                 {

@@ -103,7 +103,7 @@ class TestQuery:
         }
         assert trace_lines[".wpp"] == trace_lines[".twpp"] == trace_lines[".sqwp"]
 
-    def test_batch_query_with_cache_and_threads(self, pipeline_files, capsys):
+    def test_batch_query_with_cache_budget(self, pipeline_files, capsys):
         _ir, _wpp, twpp, _sqwp = pipeline_files
         # Find two traced functions from info output.
         assert main(["info", str(twpp)]) == 0
@@ -124,8 +124,6 @@ class TestQuery:
                     "1",
                     "--cache-bytes",
                     str(1 << 20),
-                    "--threads",
-                    "2",
                 ]
             )
             == 0
@@ -153,7 +151,7 @@ class TestQuery:
         with pytest.raises(SystemExit):
             main(["query", "--help"])
         out = capsys.readouterr().out
-        assert "--cache-bytes" in out and "--threads" in out
+        assert "--cache-bytes" in out
         assert "LRU cache" in out
 
     def test_limit_truncates(self, pipeline_files, capsys):
@@ -262,10 +260,9 @@ class TestScan:
         assert main(["scan", str(store_dir)]) == 0
         assert "1 unchanged" in capsys.readouterr().out
 
-    def test_scan_flags_metrics_and_jobs(self, store_dir, tmp_path, capsys):
+    def test_scan_flags_metrics(self, store_dir, tmp_path, capsys):
         metrics = tmp_path / "scan-metrics.json"
-        rc = main(["scan", str(store_dir), "-j", "2",
-                   "--metrics-out", str(metrics)])
+        rc = main(["scan", str(store_dir), "--metrics-out", str(metrics)])
         assert rc == 0
         import json
 
@@ -286,6 +283,7 @@ class TestScan:
 MINIMAL_ARGV = {
     "trace": ["trace", "x", "-o", "y"],
     "compact": ["compact", "x", "-o", "y"],
+    "corpus-ingest": ["corpus", "ingest", "root", "x"],
     "query": ["query", "x", "main"],
     "analyze": ["analyze", "x", "--program", "p.ir", "--fact", "def:i"],
     "stats": ["stats", "x"],
@@ -294,9 +292,14 @@ MINIMAL_ARGV = {
 }
 
 
+#: The subcommands that fan work out: trace --stream (consumer threads)
+#: and analyze (analysis processes).
+JOBS_COMMANDS = ("analyze", "trace")
+
+
 class TestSharedParentFlags:
-    """Every data-facing subcommand takes --metrics-out, and the
-    parallel-capable ones take -j/--jobs, via shared parent parsers."""
+    """Every data-facing subcommand takes --metrics-out, and the two
+    that fan work out take -j/--jobs, via shared parent parsers."""
 
     @pytest.mark.parametrize("cmd", sorted(MINIMAL_ARGV))
     def test_metrics_out_everywhere(self, cmd):
@@ -308,7 +311,7 @@ class TestSharedParentFlags:
         )
         assert args.metrics_out == "m.json"
 
-    @pytest.mark.parametrize("cmd", sorted(MINIMAL_ARGV))
+    @pytest.mark.parametrize("cmd", JOBS_COMMANDS)
     def test_jobs_everywhere(self, cmd):
         from repro.cli import build_parser
 
@@ -316,13 +319,23 @@ class TestSharedParentFlags:
         args = parser.parse_args(MINIMAL_ARGV[cmd] + ["-j", "3"])
         assert args.jobs == 3
 
+    @pytest.mark.parametrize(
+        "cmd", sorted(set(MINIMAL_ARGV) - set(JOBS_COMMANDS))
+    )
+    def test_no_jobs_where_nothing_fans_out(self, cmd, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(MINIMAL_ARGV[cmd] + ["-j", "3"])
+        assert "unrecognized arguments: -j" in capsys.readouterr().err
+
     def test_serve_parser_defaults(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["serve", "store"])
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.jobs == 1
+        assert not hasattr(args, "jobs")
 
     def test_trace_metrics_out_written(self, tmp_path, capsys):
         import json
@@ -336,16 +349,3 @@ class TestSharedParentFlags:
         assert rc == 0
         doc = json.loads(metrics.read_text())
         assert doc["counters"]["trace.events"] > 0
-
-    def test_query_jobs_alias_for_threads(self, pipeline_files, tmp_path,
-                                          capsys):
-        import json
-
-        _ir, _wpp, twpp, _sqwp = pipeline_files
-        metrics = tmp_path / "query-metrics.json"
-        rc = main(["query", str(twpp), "main", "-j", "2",
-                   "--metrics-out", str(metrics)])
-        assert rc == 0
-        assert metrics.exists()
-        doc = json.loads(metrics.read_text())
-        assert doc["schema"] == "repro.metrics/1"

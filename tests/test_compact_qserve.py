@@ -13,7 +13,6 @@ from repro.compact import (
     compact_wpp,
     open_source,
     read_twpp,
-    resolve_threads,
     write_twpp,
 )
 from repro.compact.format import _serialize_section
@@ -143,13 +142,6 @@ class TestSectionSources:
         with pytest.raises(ValueError, match="closed"):
             source.read_section(source.header.entries[0])
 
-    def test_resolve_threads(self):
-        assert resolve_threads(3) == 3
-        assert resolve_threads(None) >= 1
-        assert resolve_threads(0) >= 1
-        with pytest.raises(ValueError):
-            resolve_threads(-1)
-
 
 class TestQueryEngine:
     def test_extract_matches_reader(self, files):
@@ -200,7 +192,7 @@ class TestQueryEngine:
         part, _compacted, twpp_path = files
         subset = list(reversed(part.func_names[:3]))
         with QueryEngine(twpp_path) as engine:
-            out = engine.traces_many(subset, threads=4)
+            out = engine.traces_many(subset)
             assert list(out) == subset
             for name in subset:
                 assert out[name] == part.traces[part.func_index(name)]
@@ -324,11 +316,10 @@ class TestConcurrentReads:
         assert metrics.counter("qserve.cache.hits") > 0
         engine.close()
 
-    def test_batch_fanout_equals_serial(self, files):
-        part, _compacted, twpp_path = files
+    def test_batch_equals_single_queries(self, files):
+        _part, _compacted, twpp_path = files
         with QueryEngine(twpp_path) as engine:
-            serial = {
+            single = {
                 name: engine.traces(name) for name in engine.function_names()
             }
-            for threads in (1, 2, 8):
-                assert engine.traces_many(threads=threads) == serial
+            assert engine.traces_many() == single

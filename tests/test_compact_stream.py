@@ -164,7 +164,6 @@ class TestVerify:
             res.compacted.functions
         )
         assert "ingest.verify" in metrics.timers_ms
-        assert metrics.counter("ingest.verify_pooled") == 0
 
     def test_verify_output_unchanged(self, perl_small, two_phase_bytes, tmp_path):
         ref, _ = two_phase_bytes
@@ -172,7 +171,7 @@ class TestVerify:
         stream_compact(perl_small, out, verify=True)
         assert out.read_bytes() == ref
 
-    def test_verify_pooled_via_session(self, perl_small, tmp_path):
+    def test_verify_via_session(self, perl_small, tmp_path):
         with repro.Session(jobs=2) as session:
             res = session.trace(
                 perl_small,
@@ -184,7 +183,6 @@ class TestVerify:
             assert metrics.counter("ingest.verified_functions") == len(
                 res.compacted.functions
             )
-            assert metrics.counter("ingest.verify_pooled") == 1
 
     def test_verify_detects_mismatch(self, perl_small, tmp_path):
         from repro.compact.stream import _verify_readback
@@ -196,9 +194,7 @@ class TestVerify:
         # Expectations from a different run of the same program shape:
         # at least one function's traces must read back differently.
         with pytest.raises(ValueError, match="stream verify failed"):
-            _verify_readback(
-                out, other.compacted.functions, None, MetricsRegistry()
-            )
+            _verify_readback(out, other.compacted.functions, MetricsRegistry())
 
     def test_cli_verify_flag(self, tmp_path, capsys):
         from repro.cli import main

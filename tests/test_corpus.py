@@ -89,20 +89,21 @@ class TestIngest:
                 [paths["li-a"], paths["li-b"]], runs=["x", "x"]
             )
 
-    def test_pooled_ingest_matches_serial_byte_for_byte(
+    def test_batch_ingest_matches_single_ingests_byte_for_byte(
         self, corpus_env, tmp_path
     ):
         session, _, paths, _ = corpus_env
         ordered = sorted(paths.values())
-        with TraceCorpus(tmp_path / "serial", session=session) as serial:
-            serial.ingest_runs(ordered, jobs=1)
-        with TraceCorpus(tmp_path / "pooled", session=session) as pooled:
-            pooled.ingest_runs(ordered, jobs=2)
-        assert (tmp_path / "serial" / "blobs.pack").read_bytes() == (
-            tmp_path / "pooled" / "blobs.pack"
+        with TraceCorpus(tmp_path / "single", session=session) as single:
+            for path in ordered:
+                single.ingest(path)
+        with TraceCorpus(tmp_path / "batch", session=session) as batch:
+            batch.ingest_runs(ordered)
+        assert (tmp_path / "single" / "blobs.pack").read_bytes() == (
+            tmp_path / "batch" / "blobs.pack"
         ).read_bytes()
-        for manifest in sorted((tmp_path / "serial" / "runs").iterdir()):
-            twin = tmp_path / "pooled" / "runs" / manifest.name
+        for manifest in sorted((tmp_path / "single" / "runs").iterdir()):
+            twin = tmp_path / "batch" / "runs" / manifest.name
             assert manifest.read_bytes() == twin.read_bytes()
 
 

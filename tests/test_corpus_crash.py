@@ -194,13 +194,11 @@ class TestOneCommitPerRun:
             corpus.ingest(runs["b"], run="b2")  # every blob shared
             assert commits(statements) == 3
 
-    def test_pooled_batch_commits_once_per_run(self, runs, tmp_path):
+    def test_batch_commits_once_per_run(self, runs, tmp_path):
         with TraceCorpus(tmp_path / "corpus") as corpus:
             statements = []
             corpus._catalog._db.set_trace_callback(statements.append)
-            results = corpus.ingest_runs(
-                [runs[name] for name in "abc"], jobs=2
-            )
+            results = corpus.ingest_runs([runs[name] for name in "abc"])
             assert len(results) == 3
             assert commits(statements) == 3
 

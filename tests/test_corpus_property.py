@@ -1,10 +1,9 @@
 """Property tests for the corpus codecs and dedup invariants.
 
 Round-trips cover every wire format the corpus owns -- body, dictionary
-and DCG-chunk blobs, run manifests, and scan digests -- over generated
-values from each codec's real domain (entry streams come from
-``compress_series`` over random strictly-increasing timestamps, blob
-shas are recomputed, digest references index real blobs).  The
+and DCG-chunk blobs, and run manifests -- over generated values from
+each codec's real domain (entry streams come from ``compress_series``
+over random strictly-increasing timestamps, blob shas are recomputed).  The
 generated-program tests then check the two end-to-end invariants the
 formats exist for: ingesting identical content twice adds zero blobs,
 and corpus-served traces are byte-identical to the original ``.twpp``
@@ -33,13 +32,9 @@ from repro.corpus.blobs import (
     split_dcg_stream,
 )
 from repro.corpus.manifest import (
-    DigestFunction,
     ManifestFunction,
-    RunDigest,
     RunManifest,
-    decode_digest,
     decode_manifest,
-    encode_digest,
     encode_manifest,
 )
 from repro.trace import collect_wpp, partition_wpp
@@ -81,52 +76,6 @@ manifests = st.builds(
     dcg_chunks=st.lists(st.integers(0, 10**6), max_size=5).map(tuple),
     functions=st.lists(manifest_functions, max_size=4).map(tuple),
 )
-
-
-@st.composite
-def digests(draw):
-    """A RunDigest whose sha references all index real inline blobs."""
-    raw = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from([KIND_BODY, KIND_DICT, KIND_DCG]),
-                st.binary(max_size=64),
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    interned = {}
-    for kind, payload in raw:
-        interned.setdefault(blob_sha(kind, payload), (kind, payload))
-    blobs = tuple((sha, k, p) for sha, (k, p) in interned.items())
-    shas = [sha for sha, _, _ in blobs]
-    refs = st.lists(st.integers(0, len(shas) - 1), max_size=4)
-    functions = []
-    for _ in range(draw(st.integers(0, 3))):
-        n_pairs = draw(st.integers(0, 3))
-        functions.append(
-            DigestFunction(
-                name=draw(st.text(max_size=6)),
-                call_count=draw(st.integers(0, 10**4)),
-                body_shas=tuple(shas[i] for i in draw(refs)),
-                dict_shas=tuple(shas[i] for i in draw(refs)),
-                pairs=tuple(
-                    (draw(st.integers(0, 8)), draw(st.integers(0, 8)))
-                    for _ in range(n_pairs)
-                ),
-                weights=tuple(
-                    draw(st.integers(0, 100)) for _ in range(n_pairs)
-                ),
-            )
-        )
-    return RunDigest(
-        functions=tuple(functions),
-        dcg_nodes=draw(st.integers(0, 10**6)),
-        dcg_shas=tuple(shas[i] for i in draw(refs)),
-        blobs=blobs,
-        twpp_bytes=draw(st.integers(0, 10**9)),
-    )
 
 
 class TestBlobCodecs:
@@ -181,17 +130,6 @@ class TestContainerCodecs:
     def test_manifest_rejects_trailing_bytes(self, manifest):
         with pytest.raises(ValueError):
             decode_manifest(encode_manifest(manifest) + b"\x00")
-
-    @SETTINGS
-    @given(digests())
-    def test_digest_round_trip(self, digest):
-        assert decode_digest(encode_digest(digest)) == digest
-
-    @SETTINGS
-    @given(digests())
-    def test_digest_rejects_trailing_bytes(self, digest):
-        with pytest.raises(ValueError):
-            decode_digest(encode_digest(digest) + b"\x00")
 
 
 @pytest.mark.parametrize("seed", [5, 23, 404])

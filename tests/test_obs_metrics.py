@@ -103,3 +103,110 @@ class TestMergeAndExport:
         path = tmp_path / "m.json"
         reg.write_json(path)
         assert json.loads(path.read_text()) == doc
+
+
+class TestSharedRegistryHammer:
+    """One registry shared by a store, its session and an engine.
+
+    Eight threads drive every layer that writes the registry at once,
+    with the interpreter switching threads as often as it can.  Each
+    counter must come out exact, and exporting while they run must
+    never trip over a dict that changes size mid-copy.
+    """
+
+    THREADS = 8
+    ROUNDS = 400
+    DIRECT = 20
+
+    def test_totals_exact_and_export_never_raises(self, tmp_path):
+        import sys
+        import threading
+
+        from repro.api import Session
+        from repro.store import QueryRequest
+        from repro.trace import collect_wpp, partition_wpp
+        from repro.workloads.specs import workload
+
+        program, _spec = workload("li-like", scale=0.05)
+        with Session() as writer:
+            writer.compact(partition_wpp(collect_wpp(program))).save(
+                tmp_path / "run.twpp"
+            )
+        with Session() as session:
+            store = session.store(tmp_path)
+            engine = store.engine("run")
+            fn = engine.function_names()[0]
+            request = QueryRequest(trace="run", functions=(fn,))
+            # Warm every path, so each round below is cache hits only.
+            store.query(request)
+            session.query(engine.path, fn)
+            engine.extract(fn)
+            metrics = session.metrics
+            watched = (
+                "store.requests.query",
+                "query.calls",
+                "qserve.queries",
+                "qserve.cache.hits",
+            )
+            before = {name: metrics.counter(name) for name in watched}
+
+            start = threading.Barrier(self.THREADS + 1, timeout=60)
+            done = threading.Event()
+            errors = []
+
+            def hammer(index):
+                try:
+                    start.wait()
+                    for i in range(self.ROUNDS):
+                        store.query(request)
+                        session.query(engine.path, fn)
+                        engine.extract(fn)
+                        metrics.inc(f"hammer.{index}.{i % 16}")
+                        for _ in range(self.DIRECT):
+                            metrics.inc("hammer.shared")
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            def export():
+                start.wait()
+                while not done.wait(0.0005):
+                    try:
+                        metrics.to_dict()
+                    except Exception as exc:  # noqa: BLE001
+                        errors.append(exc)
+                        return
+
+            workers = [
+                threading.Thread(target=hammer, args=(i,))
+                for i in range(self.THREADS)
+            ]
+            exporter = threading.Thread(target=export)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in workers + [exporter]:
+                    thread.start()
+                for thread in workers:
+                    thread.join(timeout=60)
+            finally:
+                done.set()
+                exporter.join(timeout=60)
+                sys.setswitchinterval(interval)
+            store.close()
+
+        assert not any(t.is_alive() for t in workers + [exporter])
+        assert not errors, errors
+        n = self.THREADS * self.ROUNDS
+        delta = {name: metrics.counter(name) - before[name] for name in watched}
+        assert delta == {
+            "store.requests.query": n,
+            "query.calls": n,
+            "qserve.queries": n,
+            # store warm peek + session traces lookup + engine extract
+            "qserve.cache.hits": 3 * n,
+        }
+        assert metrics.counter("hammer.shared") == n * self.DIRECT
+        for index in range(self.THREADS):
+            assert sum(
+                metrics.counter(f"hammer.{index}.{k}") for k in range(16)
+            ) == self.ROUNDS
