@@ -68,14 +68,14 @@ def _build_family(session, tmp_dir, name, base_scale, n_runs):
     return out
 
 
-def run_bench(scale=1.0, smoke=False, tmp_dir=None, jobs=2):
+def run_bench(scale=1.0, smoke=False, tmp_dir=None):
     """Build the run families, ingest, measure; returns the doc."""
     names = SMOKE_WORKLOADS if smoke else WORKLOAD_NAMES
     n_runs = N_RUNS_SMOKE if smoke else N_RUNS_FULL
     if smoke:
         scale = min(scale, 0.2)
 
-    with Session(jobs=jobs) as session:
+    with Session() as session:
         t0 = time.perf_counter()
         families = {
             name: _build_family(session, tmp_dir, name, scale, n_runs)
@@ -162,7 +162,6 @@ def run_bench(scale=1.0, smoke=False, tmp_dir=None, jobs=2):
         "runs_per_workload": n_runs,
         "runs": len(runs),
         "cpus": os.cpu_count(),
-        "jobs": jobs,
         "build_ms": round(build_s * 1e3, 1),
         "ingest_ms": round(ingest_s * 1e3, 1),
         "ingest_runs_per_sec": round(len(runs) / ingest_s, 2)
@@ -231,8 +230,6 @@ def main(argv=None):
                         help="small run families, direction-only compaction gate")
     parser.add_argument("--scale", type=float, default=None,
                         help="base workload scale (default: REPRO_BENCH_SCALE)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="stream-compaction consumer threads for the build")
     parser.add_argument("--out", default=None,
                         help="output JSON path (default results/BENCH_corpus.json)")
     args = parser.parse_args(argv)
@@ -241,9 +238,7 @@ def main(argv=None):
 
     scale = args.scale if args.scale is not None else bench_scale()
     with tempfile.TemporaryDirectory() as tmp_dir:
-        doc = run_bench(
-            scale=scale, smoke=args.smoke, tmp_dir=tmp_dir, jobs=args.jobs
-        )
+        doc = run_bench(scale=scale, smoke=args.smoke, tmp_dir=tmp_dir)
     default_out = (
         Path(__file__).resolve().parent.parent / "results" / "BENCH_corpus.json"
     )

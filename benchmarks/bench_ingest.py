@@ -32,13 +32,13 @@ Measures how fast trace events move from the interpreter to an indexed
   checked.  This is the headline for the compiled-interpreter work: the
   full bench gates compiled >= 5x tree end-to-end, the smoke gate >= 2x.
 
-* **end-to-end overlap** — wall clock of ``repro-wpp trace --stream``'s
-  engine (:func:`stream_compact`, jobs sweep) vs the two-phase route
-  from the same program, files ``cmp``-identical; each jobs row reports
-  the producer/consumer attribution (``interp_ms`` / ``compact_ms`` /
-  ``stall_ms``) from the ``ingest.*`` stage timers.
+* **end-to-end stream** — wall clock of ``repro-wpp trace --stream``'s
+  engine (:func:`stream_compact`) vs the two-phase route from the same
+  program, files ``cmp``-identical; the row splits the run's execute
+  time into ``interp_ms`` and inline ``compact_ms`` from the
+  ``ingest.*`` stage timers.
 
-Results land in ``BENCH_ingest.json`` (schema ``repro.bench_ingest/2``).
+Results land in ``BENCH_ingest.json`` (schema ``repro.bench_ingest/3``).
 
 Runs two ways::
 
@@ -77,9 +77,8 @@ from repro.trace.partition import partition_wpp
 from repro.trace.wpp import WppBuilder, WppTrace
 from repro.workloads.specs import workload
 
-BENCH_SCHEMA = "repro.bench_ingest/2"
+BENCH_SCHEMA = "repro.bench_ingest/3"
 WORKLOAD = "perl-like"
-JOBS_SWEEP = (1, 2)
 INTERP_MODES = ("tree", "compiled")
 
 
@@ -341,11 +340,11 @@ def _interp_sweep(program, n_events, rounds):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end overlap (stream_compact vs two-phase, from the program)
+# end-to-end stream (stream_compact vs two-phase, from the program)
 
 
-def _overlap_sweep(program, tmp_dir, rounds):
-    tmp_dir = Path(tmp_dir)
+def _stream_vs_two_phase(program, tmp_dir, rounds):
+    out_path = Path(tmp_dir) / "stream.twpp"
 
     def two_phase():
         recorder = WppBuilder()
@@ -353,44 +352,32 @@ def _overlap_sweep(program, tmp_dir, rounds):
         compacted, _ = compact_wpp(partition_wpp(recorder.finish()))
         return serialize_twpp(compacted)
 
+    last_metrics = {}
+
+    def streamed():
+        metrics = MetricsRegistry()
+        result = stream_compact(program, out_path, metrics=metrics)
+        last_metrics["m"] = metrics
+        return result
+
     t_two, ref = _time_best(two_phase, rounds)
-    sweep = []
-    for jobs in JOBS_SWEEP:
-        out_path = tmp_dir / f"stream_j{jobs}.twpp"
-        last_metrics = {}
-
-        def streamed(jobs=jobs, out_path=out_path, last_metrics=last_metrics):
-            metrics = MetricsRegistry()
-            result = stream_compact(program, out_path, jobs=jobs, metrics=metrics)
-            last_metrics["m"] = metrics
-            return result
-
-        t_stream, res = _time_best(streamed, rounds)
-        timers = last_metrics["m"].timers_ms
-        sweep.append(
-            {
-                "jobs": jobs,
-                "stream_ms": round(t_stream * 1e3, 3),
-                "stream_events_per_sec": round(res.events / t_stream),
-                # Producer/consumer attribution from the ingest.* timers:
-                # pure interpreter time, backpressure stalls, and
-                # consumer-side compaction (overlapped, so the sum can
-                # exceed wall clock).
-                "interp_ms": round(timers.get("ingest.interp", 0.0), 3),
-                "stall_ms": round(timers.get("ingest.stall", 0.0), 3),
-                "compact_ms": round(timers.get("ingest.compact", 0.0), 3),
-                "identical_to_two_phase": out_path.read_bytes() == ref,
-            }
-        )
+    t_stream, res = _time_best(streamed, rounds)
+    timers = last_metrics["m"].timers_ms
     return {
         "two_phase_ms": round(t_two * 1e3, 3),
         "twpp_bytes": len(ref),
-        "jobs_sweep": sweep,
+        "stream_ms": round(t_stream * 1e3, 3),
+        "stream_events_per_sec": round(res.events / t_stream),
+        # The producer's execute time, split by the ingest.* timers
+        # into inline compaction and everything else.
+        "interp_ms": round(timers.get("ingest.interp", 0.0), 3),
+        "compact_ms": round(timers.get("ingest.compact", 0.0), 3),
+        "identical_to_two_phase": out_path.read_bytes() == ref,
     }
 
 
 def run_bench(scale=1.0, smoke=False, tmp_dir=None):
-    """Run the replay + component + overlap sweep; returns the doc."""
+    """Run the replay + component + stream benches; returns the doc."""
     if smoke:
         scale = min(scale, 0.2)
     program, spec = workload(WORKLOAD, scale=scale)
@@ -411,8 +398,10 @@ def run_bench(scale=1.0, smoke=False, tmp_dir=None):
 
     components = _component_times(segments, flat, rounds)
     interp = _interp_sweep(program, n_events, rounds)
-    overlap = (
-        _overlap_sweep(program, tmp_dir, rounds) if tmp_dir is not None else None
+    stream = (
+        _stream_vs_two_phase(program, tmp_dir, rounds)
+        if tmp_dir is not None
+        else None
     )
 
     seed_eps = n_events / t_seed if t_seed else 0.0
@@ -436,7 +425,7 @@ def run_bench(scale=1.0, smoke=False, tmp_dir=None):
         "twpp_identical": identical,
         "components": components,
         "interp": interp,
-        "overlap": overlap,
+        "stream": stream,
     }
 
 
@@ -470,9 +459,7 @@ def test_ingest_batched_vs_per_event(results_dir, tmp_path):
         f"=> x{interp['e2e_speedup']}"
     )
     assert doc["twpp_identical"]
-    assert all(
-        row["identical_to_two_phase"] for row in doc["overlap"]["jobs_sweep"]
-    )
+    assert doc["stream"]["identical_to_two_phase"]
     assert doc["ingest_speedup"] >= 3, doc
     assert interp["e2e_identical"], interp
     assert interp["e2e_speedup"] >= 5, interp
@@ -509,9 +496,7 @@ def main(argv=None):
     if not doc["twpp_identical"]:
         print("FAIL: batched pipeline diverged from seed bytes", file=sys.stderr)
         return 1
-    if doc["overlap"] and not all(
-        row["identical_to_two_phase"] for row in doc["overlap"]["jobs_sweep"]
-    ):
+    if doc["stream"] and not doc["stream"]["identical_to_two_phase"]:
         print("FAIL: stream_compact diverged from two-phase", file=sys.stderr)
         return 1
     interp = doc["interp"]

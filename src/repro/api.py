@@ -23,9 +23,8 @@ metrics across calls:
 >>> s.analyze("run.twpp", program, "def:i")       # 4 analysis processes
 >>> s.metrics.to_json()                           # stage timers, cache hits
 
-``jobs`` fans out exactly two things: the streaming compactor's
-consumer threads (:meth:`Session.trace` with ``stream=True``) and the
-per-call analysis process pool of :mod:`repro.analysis.parallel`.
+``jobs`` fans out exactly one thing: the per-call analysis process
+pool of :mod:`repro.analysis.parallel`.
 
 Inputs are polymorphic the way a CLI is: ``trace`` accepts a
 :class:`~repro.ir.module.Program` or a path to textual IR; ``compact``
@@ -104,9 +103,8 @@ class CompactResult:
 class Session:
     """Shared defaults and metrics for a sequence of pipeline calls.
 
-    ``jobs`` is the default worker count for streaming-compaction
-    consumer threads and analysis processes (1 = serial, 0/None = one
-    per CPU); ``metrics`` is the :class:`~repro.obs.MetricsRegistry`
+    ``jobs`` is the default analysis process count (1 = serial,
+    0/None = one per CPU); ``metrics`` is the :class:`~repro.obs.MetricsRegistry`
     every stage reports into (a fresh one is created when not
     supplied).  ``cache_bytes`` budgets each query engine's
     decoded-record LRU (0 disables caching).  ``interp``
@@ -163,13 +161,12 @@ class Session:
         max_events: Optional[int] = None,
         stream: bool = False,
         output: Optional[PathLike] = None,
-        jobs: Optional[int] = None,
         verify: bool = False,
     ) -> Union[WppTrace, StreamResult]:
         """Run a program (object or textual-IR path), collect its WPP.
 
         With ``stream=True`` the run is compacted *while executing*
-        (the overlapped pipeline of :mod:`repro.compact.stream`) and
+        (the one-pass pipeline of :mod:`repro.compact.stream`) and
         written straight to ``output`` as a ``.twpp`` -- no raw WPP is
         ever materialized.  Returns a :class:`StreamResult` instead of
         a :class:`~repro.trace.wpp.WppTrace` in that mode.  ``verify``
@@ -185,7 +182,6 @@ class Session:
                 args=args,
                 inputs=inputs,
                 max_events=max_events,
-                jobs=jobs,
                 verify=verify,
             )
         with self.metrics.timer("trace"):
@@ -207,15 +203,13 @@ class Session:
         args: Tuple[int, ...] = (),
         inputs: Tuple[int, ...] = (),
         max_events: Optional[int] = None,
-        jobs: Optional[int] = None,
         verify: bool = False,
     ) -> StreamResult:
-        """Trace + compact + write a ``.twpp`` in one overlapped pass.
+        """Trace + compact + write a ``.twpp`` in one pass.
 
         Byte-identical to ``session.compact(session.trace(p)).save(path)``
-        but compaction consumers run concurrently with execution and the
-        file is written incrementally.  ``jobs`` sets the consumer
-        thread count (defaults to the session's).  ``verify=True``
+        but each unique trace is compacted as the run first produces
+        it, and no raw WPP is held.  ``verify=True``
         reads the finished file back and checks every function's
         traces against the in-memory compaction.
         """
@@ -224,7 +218,6 @@ class Session:
             path,
             args=args,
             inputs=inputs,
-            jobs=self.jobs if jobs is None else jobs,
             max_events=max_events,
             metrics=self.metrics,
             interp=self.interp,
@@ -584,7 +577,6 @@ def stream_compact(
     args: Tuple[int, ...] = (),
     inputs: Tuple[int, ...] = (),
     max_events: Optional[int] = None,
-    jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
     interp: Optional[str] = None,
     verify: bool = False,
@@ -594,7 +586,7 @@ def stream_compact(
     ``verify=True`` read-checks the written file before returning (see
     :meth:`Session.stream_compact`).
     """
-    with Session(jobs=jobs, metrics=metrics, interp=interp) as session:
+    with Session(metrics=metrics, interp=interp) as session:
         return session.stream_compact(
             program,
             path,

@@ -27,9 +27,8 @@ Every command reads/writes the documented on-disk formats, so the CLI
 composes with the library and with itself.  The pipeline commands share
 two parent parsers: ``--metrics-out`` (write the ``repro.metrics/1``
 JSON the run accumulated) and ``-j/--jobs`` (worker count, 0 = one per
-CPU).  Only two commands fan work out, so only they take ``-j``:
-``trace --stream`` (compaction consumer threads) and ``analyze``
-(analysis worker processes).
+CPU).  Only ``analyze`` fans work out (analysis worker processes), so
+only it takes ``-j``.
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             args.output,
             args=tuple(args.arg),
             inputs=tuple(args.input),
-            jobs=args.jobs,
             max_events=args.max_events,
             metrics=metrics,
             interp=args.interp,
@@ -599,8 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     The pipeline subcommands share two argparse *parent* parsers
     instead of per-command copies, so ``--metrics-out`` and
     ``-j/--jobs`` spell and behave identically everywhere they appear;
-    ``-j`` appears only on ``trace`` and ``analyze``, the two commands
-    that fan work out.
+    ``-j`` appears only on ``analyze``, the one command that fans work
+    out.
     """
     from .compact.qserve import DEFAULT_CACHE_BYTES
     from .store.server import DEFAULT_WORKERS
@@ -613,8 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_parent = argparse.ArgumentParser(add_help=False)
     jobs_parent.add_argument(
         "-j", "--jobs", type=int, default=1,
-        help="worker count: trace --stream consumer threads, analyze "
-             "processes (0 = one per CPU, 1 = serial)",
+        help="analysis worker processes (0 = one per CPU, 1 = serial)",
     )
 
     parser = argparse.ArgumentParser(
@@ -630,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("trace", help="run a textual-IR program, collect its WPP",
-                       parents=[metrics_parent, jobs_parent])
+                       parents=[metrics_parent])
     p.add_argument("program", help="textual IR file")
     p.add_argument("-o", "--output", required=True,
                    help=".wpp output path (.twpp with --stream)")
@@ -641,8 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-events", type=int, default=50_000_000)
     p.add_argument("--stream", action="store_true",
                    help="compact while executing and write a .twpp directly "
-                        "(overlapped trace->compact->write pipeline; -j sets "
-                        "the consumer thread count)")
+                        "(one-pass trace->compact->write pipeline)")
     p.add_argument("--verify", action="store_true",
                    help="with --stream: read the written .twpp back and "
                         "check every function's traces")

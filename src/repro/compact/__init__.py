@@ -43,7 +43,7 @@ from .pipeline import (
     CompactedWpp,
     CompactionStats,
     FunctionCompact,
-    FunctionCompactResult,
+    FunctionCompactor,
     compact_function,
     compact_wpp,
     dictionary_bytes,
@@ -63,7 +63,6 @@ from .query import (
     extract_function_traces,
 )
 from .stream import (
-    STREAM_QUEUE_CAP,
     StreamResult,
     stream_compact,
 )
@@ -84,7 +83,7 @@ __all__ = [
     "DEFAULT_CACHE_BYTES",
     "DbbDictionary",
     "FunctionCompact",
-    "FunctionCompactResult",
+    "FunctionCompactor",
     "FunctionDelta",
     "FunctionIndexEntry",
     "IntegrityError",
@@ -92,7 +91,6 @@ __all__ = [
     "MmapSource",
     "PooledFileSource",
     "QueryEngine",
-    "STREAM_QUEUE_CAP",
     "StreamResult",
     "TwppDelta",
     "TwppHeader",

@@ -145,6 +145,40 @@ def _parse_section(data, name: str, call_count: int) -> FunctionCompact:
     return fc
 
 
+def twpp_chunks(
+    functions: List[FunctionCompact], dcg_raw: bytes, dcg_comp: bytes
+) -> List[bytes]:
+    """Lay a ``.twpp`` out as ``[header, compressed DCG, *sections]``.
+
+    The one writer of the file layout: both the two-phase route
+    (:func:`serialize_twpp`) and the streaming route concatenate these
+    chunks.  ``functions`` are in original (DCG) index order;
+    ``dcg_comp`` is ``lzw_compress(dcg_raw)``, passed in so a caller
+    that already compressed the DCG for its size accounting does not
+    compress it again.
+    """
+    # Storage order: hottest functions first (paper: "the path traces
+    # ... of the most frequently called function are stored first").
+    order = sorted(
+        range(len(functions)), key=lambda i: (-functions[i].call_count, i)
+    )
+    sections = [_serialize_section(functions[idx]) for idx in order]
+    header = bytearray(MAGIC)
+    write_uvarint(header, len(order))
+    cursor = 0
+    for idx, data in zip(order, sections):
+        fc = functions[idx]
+        write_string(header, fc.name)
+        write_uvarint(header, fc.call_count)
+        write_uvarint(header, idx)
+        write_uvarint(header, cursor)
+        write_uvarint(header, len(data))
+        cursor += len(data)
+    write_uvarint(header, len(dcg_raw))
+    write_uvarint(header, len(dcg_comp))
+    return [bytes(header), dcg_comp, *sections]
+
+
 def serialize_twpp(
     compacted: CompactedWpp, metrics: Optional[MetricsRegistry] = None
 ) -> bytes:
@@ -152,41 +186,13 @@ def serialize_twpp(
     if metrics is None:
         metrics = MetricsRegistry()
     with metrics.timer("twpp.serialize"):
-        # Storage order: hottest functions first (paper: "the path traces
-        # ... of the most frequently called function are stored first").
-        order = sorted(
-            range(len(compacted.functions)),
-            key=lambda i: (-compacted.functions[i].call_count, i),
-        )
-        sections: List[bytes] = []
-        offsets: List[int] = []
-        cursor = 0
-        for idx in order:
-            data = _serialize_section(compacted.functions[idx])
-            offsets.append(cursor)
-            sections.append(data)
-            cursor += len(data)
-            metrics.observe("twpp.section_bytes", len(data))
-
         dcg_raw = compacted.dcg.serialize()
-        dcg_comp = lzw_compress(dcg_raw)
-
-        buf = bytearray()
-        buf.extend(MAGIC)
-        write_uvarint(buf, len(order))
-        for pos, idx in enumerate(order):
-            fc = compacted.functions[idx]
-            write_string(buf, fc.name)
-            write_uvarint(buf, fc.call_count)
-            write_uvarint(buf, idx)
-            write_uvarint(buf, offsets[pos])
-            write_uvarint(buf, len(sections[pos]))
-        write_uvarint(buf, len(dcg_raw))
-        write_uvarint(buf, len(dcg_comp))
-        buf.extend(dcg_comp)
-        for data in sections:
-            buf.extend(data)
-    return bytes(buf)
+        chunks = twpp_chunks(
+            compacted.functions, dcg_raw, lzw_compress(dcg_raw)
+        )
+        for data in chunks[2:]:
+            metrics.observe("twpp.section_bytes", len(data))
+        return b"".join(chunks)
 
 
 def write_twpp(

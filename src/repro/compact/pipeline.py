@@ -14,11 +14,12 @@ Stages (paper, Section 2):
 5. LZW-compress the DCG.
 
 Stages 3 and 4 are per-function work with no cross-function coupling,
-so :func:`compact_function` packages them (plus the per-function size
-accounting) as a pure unit.  :func:`compact_wpp` runs the units in
-function index order; the streaming pipeline
-(:mod:`repro.compact.stream`) runs the same units on its consumer
-threads, and the output is byte-identical either way.
+so :class:`FunctionCompactor` packages them (plus the per-function size
+accounting) as one incremental unit.  :func:`compact_wpp` feeds each
+function's finished trace list to one, in function index order; the
+streaming pipeline (:mod:`repro.compact.stream`) feeds it each trace as
+the trace is first seen, on the interpreter thread.  The output is
+byte-identical either way.
 
 The returned :class:`CompactionStats` carries the serialized byte size
 after every stage, which is precisely the data behind the paper's
@@ -28,7 +29,6 @@ records per-stage wall-clock timers, counters and byte histograms.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -164,61 +164,69 @@ def _ratio(a: int, b: int) -> float:
     return a / b if b else float("inf")
 
 
-@dataclass
-class FunctionCompactResult:
-    """One function's compaction output plus its size accounting.
+class FunctionCompactor:
+    """Pipeline stages 3-4 for one function, one unique raw trace at a time.
 
-    This is the per-function unit of work: everything in it derives
-    from a single function's raw trace table, so functions can be
-    compacted in any order (the streaming consumers do) and merged by
-    function index.
-    ``pair_map`` maps the function's raw trace ids to pair ids (needed
-    to rewrite DCG trace references); the ``*_sizes`` tuples hold the
-    serialized size of each unique body (dictionary-compacted form),
-    each DBB dictionary, and each TWPP-converted body respectively.
+    Owns the function's body and dictionary intern tables, the tables of
+    its :class:`FunctionCompact`, and the serialized size of each unique
+    body (dictionary-compacted form), each DBB dictionary and each
+    TWPP-converted body.  Each :meth:`add` appends exactly one pair, so
+    the ``k``-th raw trace added becomes pair ``k`` and DCG trace
+    references need no rewrite.  :func:`compact_function` feeds it a
+    partition's trace list; the streaming tracer feeds it each trace as
+    the trace is first interned.  Both therefore build identical tables.
     """
 
-    function: FunctionCompact
-    pair_map: List[int]
-    body_sizes: Tuple[int, ...]
-    dict_sizes: Tuple[int, ...]
-    twpp_sizes: Tuple[int, ...]
+    __slots__ = (
+        "function", "body_sizes", "dict_sizes", "twpp_sizes",
+        "_bodies", "_dicts",
+    )
+
+    def __init__(self, name: str, call_count: int = 0) -> None:
+        self.function = FunctionCompact(name=name, call_count=call_count)
+        self.body_sizes: List[int] = []
+        self.dict_sizes: List[int] = []
+        self.twpp_sizes: List[int] = []
+        self._bodies: Dict[PathTrace, int] = {}
+        self._dicts: Dict[DbbDictionary, int] = {}
+
+    def add(self, raw_trace: PathTrace) -> None:
+        """Compact one unique raw trace into the next pair."""
+        fc = self.function
+        body, dictionary = compact_trace(raw_trace)
+        body_id = self._bodies.get(body)
+        if body_id is None:
+            body_id = self._bodies[body] = len(fc.trace_table)
+            twpp = trace_to_twpp(body)
+            fc.trace_table.append(body)
+            fc.twpp_table.append(twpp)
+            self.body_sizes.append(_trace_bytes(body))
+            self.twpp_sizes.append(twpp_bytes(twpp))
+        dict_id = self._dicts.get(dictionary)
+        if dict_id is None:
+            dict_id = self._dicts[dictionary] = len(fc.dict_table)
+            fc.dict_table.append(dictionary)
+            self.dict_sizes.append(dictionary_bytes(dictionary))
+        fc.pairs.append((body_id, dict_id))
+
+    def account(self, stats: CompactionStats) -> None:
+        """Add this function's stage 3-4 sizes to ``stats``."""
+        stats.dict_stage_trace_bytes += sum(self.body_sizes)
+        stats.dictionary_bytes += sum(self.dict_sizes)
+        stats.ctwpp_trace_bytes += sum(self.twpp_sizes)
 
 
 def compact_function(
     name: str, call_count: int, raw_traces: List[PathTrace]
-) -> FunctionCompactResult:
+) -> FunctionCompactor:
     """Compact one function's unique raw traces (pipeline stages 3-4).
 
-    Pure and deterministic: the result depends only on the arguments,
-    which is what makes per-function sharding safe.
+    Pure and deterministic: the result depends only on the arguments.
     """
-    fc = FunctionCompact(name=name, call_count=call_count)
-    body_intern: Dict[PathTrace, int] = {}
-    dict_intern: Dict[DbbDictionary, int] = {}
-    pair_map: List[int] = []
+    compactor = FunctionCompactor(name, call_count)
     for raw_trace in raw_traces:
-        body, dictionary = compact_trace(raw_trace)
-        body_id = body_intern.get(body)
-        if body_id is None:
-            body_id = len(fc.trace_table)
-            body_intern[body] = body_id
-            fc.trace_table.append(body)
-            fc.twpp_table.append(trace_to_twpp(body))
-        dict_id = dict_intern.get(dictionary)
-        if dict_id is None:
-            dict_id = len(fc.dict_table)
-            dict_intern[dictionary] = dict_id
-            fc.dict_table.append(dictionary)
-        pair_map.append(len(fc.pairs))
-        fc.pairs.append((body_id, dict_id))
-    return FunctionCompactResult(
-        function=fc,
-        pair_map=pair_map,
-        body_sizes=tuple(_trace_bytes(b) for b in fc.trace_table),
-        dict_sizes=tuple(dictionary_bytes(d) for d in fc.dict_table),
-        twpp_sizes=tuple(twpp_bytes(t) for t in fc.twpp_table),
-    )
+        compactor.add(raw_trace)
+    return compactor
 
 
 def compact_wpp(
@@ -246,37 +254,23 @@ def compact_wpp(
         )
 
         with metrics.timer("compact.functions"):
-            results = [
+            compactors = [
                 compact_function(name, call_counts[i], partitioned.traces[i])
                 for i, name in enumerate(partitioned.func_names)
             ]
 
         functions: List[FunctionCompact] = []
-        pair_maps: List[List[int]] = []
-        for res in results:
-            functions.append(res.function)
-            pair_maps.append(res.pair_map)
-            for size in res.body_sizes:
+        for compactor in compactors:
+            functions.append(compactor.function)
+            for size in compactor.body_sizes:
                 metrics.observe("compact.body_bytes", size)
-            for size in res.dict_sizes:
+            for size in compactor.dict_sizes:
                 metrics.observe("compact.dict_bytes", size)
-            stats.dict_stage_trace_bytes += sum(res.body_sizes)
-            stats.dictionary_bytes += sum(res.dict_sizes)
-            stats.ctwpp_trace_bytes += sum(res.twpp_sizes)
+            compactor.account(stats)
 
-        # Rewrite DCG trace references from raw-trace ids to pair ids.
-        with metrics.timer("compact.dcg"):
-            new_trace = array("I")
-            for func_idx, trace_id in zip(
-                partitioned.dcg.node_func, partitioned.dcg.node_trace
-            ):
-                new_trace.append(pair_maps[func_idx][trace_id])
-            dcg = DynamicCallGraph(
-                node_func=partitioned.dcg.node_func,
-                node_trace=new_trace,
-                node_parent=partitioned.dcg.node_parent,
-            )
-
+        # Pair ids coincide with raw trace ids (one pair per unique raw
+        # trace), so the partition's DCG already references pairs.
+        dcg = partitioned.dcg
         with metrics.timer("compact.lzw_dcg"):
             stats.dcg_lzw_bytes = len(lzw_compress(dcg.serialize()))
 

@@ -1,76 +1,58 @@
-"""Overlapped streaming ingestion: trace -> compact -> write in one pass.
+"""Streaming ingestion: trace -> compact -> write in one pass.
 
 The two-phase pipeline runs the program to completion, holds the full
-partitioned WPP, then compacts it and writes the ``.twpp``.  For large
-runs most of that compaction work is ready long before the program
-exits: a unique path trace can be dictionary-compacted and converted to
-TWPP form the moment the activation that produced it returns.  This
-module overlaps the three stages:
+partitioned WPP, then compacts it and writes the ``.twpp``.  Most of
+that compaction work can happen while the program runs: a unique path
+trace can be dictionary-compacted and converted to TWPP form the moment
+the activation that produced it returns.  This module does exactly
+that, on the interpreter thread:
 
-* the **producer** is the interpreter thread itself, running the
-  program under a :class:`_StreamingTracer` (an
-  :class:`~repro.trace.online.OnlinePartitioner` that hands each newly
-  interned unique trace to a bounded queue);
-* one or more **consumer** threads drain the queues and run pipeline
-  stages 3-4 (:func:`~repro.compact.dbb.compact_trace`, body/dictionary
-  interning, TWPP conversion) incrementally, in first-seen order, so
-  the per-function tables they build are element-for-element identical
-  to :func:`~repro.compact.pipeline.compact_function`'s;
-* after the run finishes, consumers serialize their functions' sections
-  in parallel and the producer streams the header plus sections to the
-  output file one section at a time.
+* the program runs under a :class:`_StreamingTracer` (an
+  :class:`~repro.trace.online.OnlinePartitioner` whose new-trace hook
+  feeds each newly interned unique trace to its function's
+  :class:`~repro.compact.pipeline.FunctionCompactor` inline);
+* after the run finishes, the DCG is compressed once and
+  :func:`~repro.compact.format.twpp_chunks` lays the file out.
 
-Because interning order is first-seen order regardless of ``jobs``
-(each function is owned by exactly one consumer, and a queue preserves
-enqueue order), the resulting file is **byte-identical** to the
-two-phase ``compact_wpp`` + ``write_twpp`` output -- the tests ``cmp``
-them.  Only unique traces cross the queue, so after the warm-up phase
-of a run (when most traces are repeats) the queue traffic is a tiny
-fraction of the event volume; the paper's redundancy observation is
-what makes the overlap cheap.
+Each compactor sees its function's unique traces in first-seen order,
+the order the two-phase route's trace tables hold them in, so the
+tables it builds are element-for-element identical to
+:func:`~repro.compact.pipeline.compact_function`'s and the file is
+**byte-identical** to the two-phase ``compact_wpp`` + ``write_twpp``
+output -- the tests ``cmp`` them.  Only unique traces reach the
+compactor, so after the warm-up phase of a run (when most traces are
+repeats) compaction is a small share of the run; the paper's
+redundancy observation is what makes compacting inline cheap.  No
+thread is started: Python threads cannot overlap this work with the
+pure-Python interpreter anyway.
 
-Backpressure: queues are bounded (``STREAM_QUEUE_CAP``); when a put
-would block, the producer records an ``ingest.queue_stalls`` tick and
-waits, so a slow consumer throttles the interpreter instead of growing
-memory without bound.  All pipeline activity reports ``ingest.*``
-metrics (events, unique traces, queue depth, run flushes, stalls,
-section bytes, per-stage timers) on the shared registry.
+All pipeline activity reports ``ingest.*`` metrics on the shared
+registry: counters (events, unique traces, run flushes, bytes written)
+and per-stage timers, with the producer's ``ingest.execute`` split into
+``ingest.compact`` (inline compaction) and ``ingest.interp`` (the rest).
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..interp.interpreter import DEFAULT_MAX_EVENTS, RunResult, run_program
 from ..obs import MetricsRegistry
-from ..trace.encoding import write_string, write_uvarint
 from ..trace.online import OnlinePartitioner
 from ..trace.partition import PathTrace
-from .dbb import DbbDictionary, compact_trace
-from .format import MAGIC, _serialize_section
+from .format import twpp_chunks
 from .lzw import lzw_compress
 from .pipeline import (
     CompactedWpp,
     CompactionStats,
     FunctionCompact,
-    _trace_bytes,
-    dictionary_bytes,
-    twpp_bytes,
+    FunctionCompactor,
 )
-from .twpp import trace_to_twpp
 
 PathLike = Union[str, "os.PathLike[str]"]
-
-#: Bound on each consumer queue (unique traces in flight).  Small enough
-#: to cap memory, large enough that stalls are rare in practice.
-STREAM_QUEUE_CAP = 256
-
-_SENTINEL = None
 
 
 @dataclass
@@ -90,45 +72,19 @@ class StreamResult:
         return iter((self.compacted, self.stats))
 
 
-class _FuncState:
-    """One function's incrementally built compaction state."""
-
-    __slots__ = (
-        "fc",
-        "body_intern",
-        "dict_intern",
-        "section",
-        "body_sizes",
-        "dict_sizes",
-        "twpp_sizes",
-    )
-
-    def __init__(self, name: str) -> None:
-        self.fc = FunctionCompact(name=name)
-        self.body_intern: Dict[PathTrace, int] = {}
-        self.dict_intern: Dict[DbbDictionary, int] = {}
-        self.section: bytes = b""
-        self.body_sizes: List[int] = []
-        self.dict_sizes: List[int] = []
-        self.twpp_sizes: List[int] = []
-
-
 class _StreamingTracer(OnlinePartitioner):
-    """Online partitioner that feeds unique traces to consumer queues.
+    """Online partitioner that compacts each unique trace as it is interned.
 
-    Function ``i`` is owned by consumer ``i % n_consumers``; since one
-    consumer sees all of a function's unique traces in enqueue (==
-    first-seen) order, its interning replicates the serial pipeline's
-    exactly, for any number of consumers.
+    ``compactors`` maps a function index to its compactor, created with
+    the function's first trace (trace id 0); pair ``k`` of a compactor
+    is therefore the function's trace ``k``.  ``compact_ms`` is the
+    wall time spent compacting.
     """
 
-    def __init__(
-        self, queues: List["queue.Queue"], metrics: MetricsRegistry
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._queues = queues
-        self._n_queues = len(queues)
-        self._metrics = metrics
+        self.compactors: Dict[int, FunctionCompactor] = {}
+        self.compact_ms = 0.0
         self.run_flushes = 0
 
     def block_run(self, buf, n: Optional[int] = None) -> None:
@@ -138,65 +94,13 @@ class _StreamingTracer(OnlinePartitioner):
     def _on_new_trace(
         self, func_idx: int, trace_id: int, trace: PathTrace
     ) -> None:
-        q = self._queues[func_idx % self._n_queues]
-        item = (func_idx, self._func_names[func_idx], trace)
-        try:
-            q.put_nowait(item)
-        except queue.Full:
-            self._metrics.inc("ingest.queue_stalls")
-            stall_start = time.perf_counter()
-            q.put(item)
-            self._metrics.add_ms(
-                "ingest.stall", (time.perf_counter() - stall_start) * 1000.0
+        started = time.perf_counter()
+        if trace_id == 0:
+            self.compactors[func_idx] = FunctionCompactor(
+                self._func_names[func_idx]
             )
-        self._metrics.observe("ingest.queue_depth", q.qsize())
-
-
-def _consume(
-    q: "queue.Queue",
-    states: Dict[int, _FuncState],
-    metrics: MetricsRegistry,
-    errors: List[BaseException],
-) -> None:
-    """Drain one queue: compact each unique trace as it arrives.
-
-    On the shutdown sentinel, serialize the sections of every owned
-    function (this runs in parallel across consumers) and exit.
-    """
-    try:
-        while True:
-            item = q.get()
-            if item is _SENTINEL:
-                break
-            func_idx, name, trace = item
-            st = states.get(func_idx)
-            if st is None:
-                st = states[func_idx] = _FuncState(name)
-            with metrics.timer("ingest.compact"):
-                fc = st.fc
-                body, dictionary = compact_trace(trace)
-                body_id = st.body_intern.get(body)
-                if body_id is None:
-                    body_id = len(fc.trace_table)
-                    st.body_intern[body] = body_id
-                    fc.trace_table.append(body)
-                    fc.twpp_table.append(trace_to_twpp(body))
-                    st.body_sizes.append(_trace_bytes(body))
-                    st.twpp_sizes.append(twpp_bytes(fc.twpp_table[-1]))
-                dict_id = st.dict_intern.get(dictionary)
-                if dict_id is None:
-                    dict_id = len(fc.dict_table)
-                    st.dict_intern[dictionary] = dict_id
-                    fc.dict_table.append(dictionary)
-                    st.dict_sizes.append(dictionary_bytes(dictionary))
-                fc.pairs.append((body_id, dict_id))
-            metrics.inc("ingest.traces_compacted")
-        with metrics.timer("ingest.serialize"):
-            for st in states.values():
-                st.section = _serialize_section(st.fc)
-                metrics.observe("ingest.section_bytes", len(st.section))
-    except BaseException as exc:  # surfaced by the producer after join
-        errors.append(exc)
+        self.compactors[func_idx].add(trace)
+        self.compact_ms += (time.perf_counter() - started) * 1000.0
 
 
 def stream_compact(
@@ -204,7 +108,6 @@ def stream_compact(
     path: PathLike,
     args: Sequence[int] = (),
     inputs: Sequence[int] = (),
-    jobs: int = 1,
     max_events: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
     interp: Optional[str] = None,
@@ -212,78 +115,40 @@ def stream_compact(
 ) -> StreamResult:
     """Run a program and write its compacted ``.twpp`` in one pass.
 
-    Execution, per-function compaction and section serialization are
-    overlapped; the output file is byte-identical to the two-phase
-    ``write_twpp(compact_wpp(partition)...)`` route for any ``jobs``.
-    ``jobs`` is the number of consumer threads (``0`` = one per CPU).
-    ``interp`` selects the execution engine (``"tree"``/``"compiled"``,
-    see :func:`repro.interp.run_program`); the producer's time splits
-    into ``ingest.interp`` (pure interpreter + tracer work) and
-    ``ingest.stall`` (blocked on consumer backpressure), alongside the
-    consumer-side ``ingest.compact`` timer.
+    Each unique trace is compacted as it is first seen; the output file
+    is byte-identical to the two-phase
+    ``write_twpp(compact_wpp(partition)...)`` route.  ``interp`` selects
+    the execution engine (``"tree"``/``"compiled"``, see
+    :func:`repro.interp.run_program`).  The producer's
+    ``ingest.execute`` time splits into ``ingest.compact`` (inline
+    compaction) and ``ingest.interp`` (interpreter and tracer work).
 
     ``verify=True`` reads the written file back through a fresh
     :class:`~repro.compact.qserve.QueryEngine` and checks every
     function's expanded traces against the in-memory compaction
     (``ingest.verify`` timer).
     """
-    from ..analysis.parallel import resolve_jobs
-
     if metrics is None:
         metrics = MetricsRegistry()
-    n_consumers = resolve_jobs(jobs)
-
-    queues: List["queue.Queue"] = [
-        queue.Queue(maxsize=STREAM_QUEUE_CAP) for _ in range(n_consumers)
-    ]
-    states: List[Dict[int, _FuncState]] = [{} for _ in range(n_consumers)]
-    consumer_metrics = [MetricsRegistry() for _ in range(n_consumers)]
-    errors: List[BaseException] = []
-    tracer = _StreamingTracer(queues, metrics)
-
-    threads = [
-        threading.Thread(
-            target=_consume,
-            args=(queues[i], states[i], consumer_metrics[i], errors),
-            name=f"twpp-stream-{i}",
-            daemon=True,
-        )
-        for i in range(n_consumers)
-    ]
+    tracer = _StreamingTracer()
 
     with metrics.timer("ingest.total"):
-        for t in threads:
-            t.start()
-        stalled_before = metrics.timers_ms.get("ingest.stall", 0.0)
         execute_started = time.perf_counter()
-        try:
-            with metrics.timer("ingest.execute"):
-                run = run_program(
-                    program,
-                    args=args,
-                    inputs=inputs,
-                    tracer=tracer,
-                    max_events=(
-                        DEFAULT_MAX_EVENTS if max_events is None else max_events
-                    ),
-                    interp=interp,
-                    metrics=metrics,
-                )
-            # Producer wall time minus backpressure blocking = time the
-            # interpreter (and tracer hooks) actually ran.
-            execute_ms = (time.perf_counter() - execute_started) * 1000.0
-            stalled_ms = metrics.timers_ms.get("ingest.stall", 0.0) - stalled_before
-            metrics.add_ms("ingest.interp", max(0.0, execute_ms - stalled_ms))
-        finally:
-            with metrics.timer("ingest.drain"):
-                for q in queues:
-                    q.put(_SENTINEL)
-                for t in threads:
-                    t.join()
-        for m in consumer_metrics:
-            metrics.merge(m)
-        if errors:
-            raise errors[0]
+        with metrics.timer("ingest.execute"):
+            run = run_program(
+                program,
+                args=args,
+                inputs=inputs,
+                tracer=tracer,
+                max_events=(
+                    DEFAULT_MAX_EVENTS if max_events is None else max_events
+                ),
+                interp=interp,
+                metrics=metrics,
+            )
+        execute_ms = (time.perf_counter() - execute_started) * 1000.0
+        metrics.add_ms("ingest.compact", tracer.compact_ms)
+        metrics.add_ms("ingest.interp", max(0.0, execute_ms - tracer.compact_ms))
 
         partitioned = tracer.finish()
         events = tracer.events_seen
@@ -291,40 +156,32 @@ def stream_compact(
         call_counts = partitioned.dcg.calls_per_function(n_funcs)
 
         with metrics.timer("ingest.finalize"):
-            merged: Dict[int, _FuncState] = {}
-            for owned in states:
-                merged.update(owned)
-            functions: List[FunctionCompact] = []
-            sections: List[bytes] = []
             stats = CompactionStats(
                 owpp_trace_bytes=partitioned.trace_bytes_with_redundancy(),
                 dcg_raw_bytes=partitioned.dcg_bytes(),
                 dedup_trace_bytes=partitioned.trace_bytes_deduped(),
             )
+            # Every entered function has returned (finish() checked), so
+            # every function has a compactor.
+            functions: List[FunctionCompact] = []
             for idx in range(n_funcs):
-                st = merged.get(idx)
-                if st is None:  # function entered but produced no traces
-                    st = _FuncState(partitioned.func_names[idx])
-                    st.section = _serialize_section(st.fc)
-                st.fc.call_count = call_counts[idx]
-                functions.append(st.fc)
-                sections.append(st.section)
-                stats.dict_stage_trace_bytes += sum(st.body_sizes)
-                stats.dictionary_bytes += sum(st.dict_sizes)
-                stats.ctwpp_trace_bytes += sum(st.twpp_sizes)
-
-            # DCG trace refs are already pair ids: pairs append once per
-            # unique raw trace, so the id spaces coincide (the two-phase
-            # pipeline's pair_map is the identity for the same reason).
+                compactor = tracer.compactors[idx]
+                compactor.function.call_count = call_counts[idx]
+                functions.append(compactor.function)
+                compactor.account(stats)
+            # Pair ids coincide with raw trace ids (one pair per unique
+            # raw trace), so the DCG already references pairs.
             dcg = partitioned.dcg
             dcg_raw = dcg.serialize()
             dcg_comp = lzw_compress(dcg_raw)
             stats.dcg_lzw_bytes = len(dcg_comp)
 
         with metrics.timer("ingest.write"):
-            bytes_written = _write_incremental(
-                path, functions, sections, dcg_raw, dcg_comp
-            )
+            with open(path, "wb") as fh:
+                bytes_written = sum(
+                    fh.write(chunk)
+                    for chunk in twpp_chunks(functions, dcg_raw, dcg_comp)
+                )
 
         if verify:
             with metrics.timer("ingest.verify"):
@@ -383,45 +240,3 @@ def _verify_readback(
                 " differently than it was compacted"
             )
     metrics.inc("ingest.verified_functions", len(names))
-
-
-def _write_incremental(
-    path: PathLike,
-    functions: List[FunctionCompact],
-    sections: List[bytes],
-    dcg_raw: bytes,
-    dcg_comp: bytes,
-) -> int:
-    """Write header + sections to ``path`` one piece at a time.
-
-    Mirrors :func:`repro.compact.format.serialize_twpp` byte for byte
-    (storage order, header fields, DCG, sections) but never assembles
-    the whole file in memory: sections were serialized by the consumers
-    and are streamed out individually.
-    """
-    order = sorted(
-        range(len(functions)),
-        key=lambda i: (-functions[i].call_count, i),
-    )
-    header = bytearray()
-    header.extend(MAGIC)
-    write_uvarint(header, len(order))
-    cursor = 0
-    for idx in order:
-        fc = functions[idx]
-        write_string(header, fc.name)
-        write_uvarint(header, fc.call_count)
-        write_uvarint(header, idx)
-        write_uvarint(header, cursor)
-        write_uvarint(header, len(sections[idx]))
-        cursor += len(sections[idx])
-    write_uvarint(header, len(dcg_raw))
-    write_uvarint(header, len(dcg_comp))
-
-    total = 0
-    with open(path, "wb") as fh:
-        total += fh.write(header)
-        total += fh.write(dcg_comp)
-        for idx in order:
-            total += fh.write(sections[idx])
-    return total

@@ -12,8 +12,8 @@ Three instrument kinds, all addressed by dotted string names:
 
 A registry is deliberately small: no background threads, no global
 state, and one lock of its own around every read-modify-write, so any
-number of threads (the stream consumers, the HTTP workers, the store
-and its engines) may share one registry and no update is lost.  The
+number of threads (the HTTP workers, the store and its engines) may
+share one registry and no update is lost.  The
 pipeline threads one registry object through partition -> compact ->
 LZW -> write; parallel workers do their own accounting and the
 coordinator folds the results in deterministically, so two runs over

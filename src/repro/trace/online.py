@@ -91,8 +91,9 @@ class OnlinePartitioner:
         """Hook: called once per newly interned unique trace.
 
         The streaming compactor (:mod:`repro.compact.stream`) overrides
-        this to hand fresh traces to its compaction consumers while the
-        program is still running.
+        this to compact each fresh trace inline, on the interpreter
+        thread, while the program is still running.  ``trace_id`` 0 is
+        a function's first trace.
         """
 
     # ---- results -----------------------------------------------------------

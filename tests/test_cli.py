@@ -292,14 +292,13 @@ MINIMAL_ARGV = {
 }
 
 
-#: The subcommands that fan work out: trace --stream (consumer threads)
-#: and analyze (analysis processes).
-JOBS_COMMANDS = ("analyze", "trace")
+#: The subcommands that fan work out: analyze (analysis processes).
+JOBS_COMMANDS = ("analyze",)
 
 
 class TestSharedParentFlags:
-    """Every data-facing subcommand takes --metrics-out, and the two
-    that fan work out take -j/--jobs, via shared parent parsers."""
+    """Every data-facing subcommand takes --metrics-out, and the one
+    that fans work out takes -j/--jobs, via shared parent parsers."""
 
     @pytest.mark.parametrize("cmd", sorted(MINIMAL_ARGV))
     def test_metrics_out_everywhere(self, cmd):

@@ -1,15 +1,19 @@
-"""Tests for the overlapped streaming ingest pipeline (compact.stream)."""
+"""Tests for the one-pass streaming ingest pipeline (compact.stream)."""
 
 import pytest
 
 import repro
 from repro.compact.format import read_twpp, serialize_twpp
-from repro.compact.pipeline import compact_wpp
-from repro.compact.stream import StreamResult, stream_compact
+from repro.compact.pipeline import (
+    CompactionStats,
+    compact_function,
+    compact_wpp,
+)
+from repro.compact.stream import StreamResult, _StreamingTracer, stream_compact
 from repro.interp import FuelExhausted
 from repro.obs import MetricsRegistry
 from repro.trace import collect_wpp, partition_wpp
-from repro.workloads import workload
+from repro.workloads import FIGURE1_F_TRACE_A, FIGURE1_F_TRACE_B, workload
 
 
 @pytest.fixture(scope="module")
@@ -25,13 +29,12 @@ def two_phase_bytes(perl_small):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_identical_to_two_phase(
-        self, perl_small, two_phase_bytes, tmp_path, jobs
+    def test_one_pass_identical_to_two_phase(
+        self, perl_small, two_phase_bytes, tmp_path
     ):
         ref, _ = two_phase_bytes
-        out = tmp_path / f"stream_{jobs}.twpp"
-        res = stream_compact(perl_small, out, jobs=jobs)
+        out = tmp_path / "stream.twpp"
+        res = stream_compact(perl_small, out)
         assert out.read_bytes() == ref
         assert res.bytes_written == len(ref)
 
@@ -41,7 +44,7 @@ class TestByteIdentity:
             compacted, _ = compact_wpp(partition_wpp(collect_wpp(program)))
             ref = serialize_twpp(compacted)
             out = tmp_path / f"{name}.twpp"
-            stream_compact(program, out, jobs=2)
+            stream_compact(program, out)
             assert out.read_bytes() == ref
 
     def test_readable_by_standard_reader(self, perl_small, tmp_path):
@@ -59,7 +62,7 @@ class TestStatsAndResult:
         self, perl_small, two_phase_bytes, tmp_path
     ):
         _, ref_stats = two_phase_bytes
-        res = stream_compact(perl_small, tmp_path / "s.twpp", jobs=2)
+        res = stream_compact(perl_small, tmp_path / "s.twpp")
         for name in (
             "owpp_trace_bytes",
             "dcg_raw_bytes",
@@ -85,27 +88,71 @@ class TestStatsAndResult:
         assert metrics.counter("ingest.unique_traces") == sum(
             len(fc.pairs) for fc in res.compacted.functions
         )
-        assert metrics.counter("ingest.traces_compacted") == metrics.counter(
-            "ingest.unique_traces"
-        )
         assert metrics.counter("ingest.run_flushes") > 0
         assert metrics.counter("ingest.bytes_written") == res.bytes_written
-        assert "ingest.queue_depth" in metrics.histograms
-        assert "ingest.section_bytes" in metrics.histograms
-        for timer in ("ingest.total", "ingest.execute", "ingest.write"):
+        for timer in (
+            "ingest.total",
+            "ingest.execute",
+            "ingest.compact",
+            "ingest.interp",
+            "ingest.write",
+        ):
             assert timer in metrics.timers_ms
+        # Compaction runs inline: execute = compact + interp.
+        timers = metrics.timers_ms
+        assert timers["ingest.compact"] > 0
+        assert timers["ingest.compact"] + timers["ingest.interp"] == (
+            pytest.approx(timers["ingest.execute"], rel=0.05, abs=1.0)
+        )
+        # The consumer-thread metrics are gone.
+        for timer in ("ingest.stall", "ingest.drain", "ingest.serialize"):
+            assert timer not in metrics.timers_ms
+        for counter in ("ingest.queue_stalls", "ingest.traces_compacted"):
+            assert counter not in metrics.counters
+        for histogram in ("ingest.queue_depth", "ingest.section_bytes"):
+            assert histogram not in metrics.histograms
+
+
+class TestOneCompactor:
+    def test_inline_path_matches_compact_function(self):
+        """Both routes share one compactor: the same traces give the same
+        tables and sizes, including Figure 5's shared body for ``f``
+        (traces A and B fold to one body under two dictionaries)."""
+        unique = [FIGURE1_F_TRACE_A, FIGURE1_F_TRACE_B, (1, 10), (1, 2, 10)]
+        tracer = _StreamingTracer()
+        for trace in unique[:2] + unique + unique[1:]:  # repeats dedup
+            tracer.enter("f")
+            tracer.block_run(list(trace))
+            tracer.leave()
+        streamed = tracer.compactors[0]
+        staged = compact_function("f", 0, unique)
+
+        fc = staged.function
+        assert fc.trace_table[0] == (1, 2, 2, 2, 10)
+        assert fc.pairs[:2] == [(0, 0), (0, 1)]  # one body, two dicts
+        for table in ("trace_table", "dict_table", "pairs", "twpp_table"):
+            assert getattr(streamed.function, table) == getattr(fc, table)
+        for sizes in ("body_sizes", "dict_sizes", "twpp_sizes"):
+            assert getattr(streamed, sizes) == getattr(staged, sizes)
+            assert len(getattr(staged, sizes)) > 0
+        a, b = CompactionStats(), CompactionStats()
+        streamed.account(a)
+        staged.account(b)
+        assert a == b and a.dictionary_bytes > 0
 
 
 class TestErrorPaths:
-    def test_fuel_exhausted_propagates_and_joins_consumers(
+    def test_fuel_exhausted_propagates_without_threads(
         self, perl_small, tmp_path
     ):
         import threading
 
         before = threading.active_count()
+        stream_compact(perl_small, tmp_path / "ok.twpp")
+        assert threading.active_count() == before  # none started
         with pytest.raises(FuelExhausted):
             stream_compact(perl_small, tmp_path / "s.twpp", max_events=100)
-        assert threading.active_count() == before  # consumers joined
+        assert threading.active_count() == before
 
     def test_output_file_not_created_on_failure(self, perl_small, tmp_path):
         out = tmp_path / "never.twpp"
@@ -116,12 +163,12 @@ class TestErrorPaths:
 
 class TestApiSurface:
     def test_module_verb(self, perl_small, tmp_path):
-        res = repro.stream_compact(perl_small, tmp_path / "v.twpp", jobs=2)
+        res = repro.stream_compact(perl_small, tmp_path / "v.twpp")
         assert isinstance(res, StreamResult)
 
     def test_session_trace_stream(self, perl_small, tmp_path):
         out = tmp_path / "s.twpp"
-        with repro.Session(jobs=2) as session:
+        with repro.Session() as session:
             res = session.trace(perl_small, stream=True, output=out)
             assert isinstance(res, StreamResult)
             assert session.metrics.counter("ingest.events") == res.events
@@ -146,8 +193,7 @@ class TestApiSurface:
         streamed = tmp_path / "s.twpp"
         staged_wpp = tmp_path / "p.wpp"
         staged = tmp_path / "t.twpp"
-        assert main(["trace", str(ir), "-o", str(streamed), "--stream",
-                     "-j", "2"]) == 0
+        assert main(["trace", str(ir), "-o", str(streamed), "--stream"]) == 0
         assert main(["trace", str(ir), "-o", str(staged_wpp)]) == 0
         assert main(["compact", str(staged_wpp), "-o", str(staged)]) == 0
         assert streamed.read_bytes() == staged.read_bytes()
@@ -172,7 +218,7 @@ class TestVerify:
         assert out.read_bytes() == ref
 
     def test_verify_via_session(self, perl_small, tmp_path):
-        with repro.Session(jobs=2) as session:
+        with repro.Session() as session:
             res = session.trace(
                 perl_small,
                 stream=True,
