@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -240,24 +241,52 @@ class Session:
 
         Created on first use with the session's ``cache_bytes`` and
         reused afterwards, so repeated queries against the same file
-        share one mmap and one warm cache.
+        share one mmap and one warm cache.  The engine is not leased:
+        callers that read sections while the file may be evicted use
+        :meth:`borrow`.
         """
         key = os.fspath(twpp)
-        # Lock-free fast path: dict reads are atomic, and the lock
-        # never protected the get-then-use window anyway (eviction can
-        # always race a caller holding a reference).
+        # Lock-free fast path: dict reads are atomic.
         engine = self._engines.get(key)
         if engine is None:
-            engine = QueryEngine(
-                twpp, cache_bytes=self.cache_bytes, metrics=self.metrics
-            )
-            with self._engines_lock:
-                # Another thread may have raced us here; keep the first.
-                winner = self._engines.setdefault(key, engine)
-            if winner is not engine:
-                engine.close()
-                engine = winner
+            engine = self._open_engine(key, lease=False)
         return engine
+
+    @contextmanager
+    def borrow(self, twpp: PathLike) -> Iterator[QueryEngine]:
+        """The session's engine for one ``.twpp`` path, leased for the
+        ``with`` block.
+
+        An :meth:`evict` meanwhile drops the engine from the session at
+        once, but its source stays open until the block exits, so a
+        decode in progress never reads a closed mapping.
+        """
+        key = os.fspath(twpp)
+        # The lease is taken under the lock that evict pops under, so
+        # an engine found here has not been closed yet.
+        with self._engines_lock:
+            engine = self._engines.get(key)
+            if engine is not None:
+                engine.acquire()
+        if engine is None:
+            engine = self._open_engine(key, lease=True)
+        try:
+            yield engine
+        finally:
+            engine.release()
+
+    def _open_engine(self, key: str, lease: bool) -> QueryEngine:
+        engine = QueryEngine(
+            key, cache_bytes=self.cache_bytes, metrics=self.metrics
+        )
+        with self._engines_lock:
+            # Another thread may have raced us here; keep the first.
+            winner = self._engines.setdefault(key, engine)
+            if lease:
+                winner.acquire()
+        if winner is not engine:
+            engine.close()
+        return winner
 
     def evict(self, twpp: PathLike) -> bool:
         """Release one path's warm engine (its cache and mmap) without
@@ -268,7 +297,9 @@ class Session:
         when one huge trace shouldn't hold its budget until
         :meth:`close`.  Returns True when an engine was actually open.
         The next :meth:`query` against the path transparently opens a
-        fresh (cold) engine.
+        fresh (cold) engine.  An engine still held through
+        :meth:`borrow` keeps its mapping open until the last borrower
+        lets go.
         """
         key = os.fspath(twpp)
         with self._engines_lock:
@@ -393,7 +424,8 @@ class Session:
                 )
 
                 return extract_function_traces_sequitur(twpp, func)
-            return self.engine(twpp).traces(func)
+            with self.borrow(twpp) as engine:
+                return engine.traces(func)
 
     def _query_many(
         self, twpp: TwppSource, names: List[str]
@@ -403,7 +435,8 @@ class Session:
         with self.metrics.timer("query"):
             magic = _sniff_magic(twpp)
             if magic == b"TWPP":
-                return self.engine(twpp).traces_many(names)
+                with self.borrow(twpp) as engine:
+                    return engine.traces_many(names)
         return {name: self._query_one(twpp, name) for name in names}
 
     def stats(self, wpp: WppSource) -> CompactionStats:
@@ -449,10 +482,10 @@ class Session:
                     names = [fc.name for fc in twpp.functions]
                 traces = {name: self._query_one(twpp, name) for name in names}
             else:
-                engine = self.engine(twpp)
-                if names is None:
-                    names = engine.function_names()
-                traces = engine.traces_many(names)
+                with self.borrow(twpp) as engine:
+                    if names is None:
+                        names = engine.function_names()
+                    traces = engine.traces_many(names)
 
             tasks = []
             owners: List[str] = []

@@ -14,13 +14,18 @@ module is its mirror for the *read* path the paper actually motivates:
   the classic seek + bounded read.  Both parse the header exactly once
   and close the handle on a parse failure instead of leaking it.
 * **:class:`LruByteCache`** — a byte-budgeted, thread-safe LRU keyed by
-  ``(kind, function)`` holding decoded :class:`FunctionCompact` records
-  and expanded path-trace lists.  Hit/miss/eviction counters feed the
+  ``(kind, function)`` holding decoded :class:`FunctionCompact` records,
+  expanded path-trace lists (in-process queries) and canonical-JSON
+  trace fragments (wire queries).  Hit/miss/eviction counters feed the
   session's :class:`~repro.obs.MetricsRegistry` under ``qserve.cache.*``.
 * **:class:`QueryEngine`** — the façade: cached single-function
-  ``extract``/``traces``, batch ``extract_many``/``traces_many``, and a
-  lazily decoded DCG for whole-run analyses
-  (:func:`repro.analysis.hotpaths.path_profile_compacted`).
+  ``extract``/``traces``/``traces_json``, batch
+  ``extract_many``/``traces_many``, and a lazily decoded DCG for
+  whole-run analyses
+  (:func:`repro.analysis.hotpaths.path_profile_compacted`).  Holders
+  that must outlive an eviction take a lease (:meth:`QueryEngine.acquire`
+  / :meth:`QueryEngine.release`): :meth:`QueryEngine.close` then defers
+  closing the source until the last lease is released.
 
 The cold-path helpers (:func:`repro.compact.query.extract_function_traces`)
 remain thin uncached wrappers so the Table 4/5 benches keep measuring
@@ -29,6 +34,7 @@ true cold cost; this module is what a long-lived profile server runs.
 
 from __future__ import annotations
 
+import json
 import mmap
 import os
 import threading
@@ -54,6 +60,7 @@ __all__ = [
     "MmapSource",
     "PooledFileSource",
     "QueryEngine",
+    "limit_traces_json",
     "open_source",
 ]
 
@@ -316,6 +323,30 @@ def _traces_cost(traces: List[PathTrace]) -> int:
     return 128 + sum(64 + 32 * len(t) for t in traces)
 
 
+def _fragment_cost(fragment: bytes) -> int:
+    """Bytes of one cached JSON fragment plus its object and entry overhead."""
+    return 128 + len(fragment)
+
+
+def limit_traces_json(fragment: bytes, limit: int) -> bytes:
+    """The first ``limit`` traces of a :meth:`QueryEngine.traces_json`
+    fragment, still canonical JSON.
+
+    Every trace is a flat list of ints, so the N-th ``]`` closes the
+    N-th trace; reaching the outer ``]`` means there are no more than
+    ``limit`` traces and the whole fragment is the answer.
+    """
+    if limit == 0:
+        return b"[]"
+    last = len(fragment) - 1
+    end = -1
+    for _ in range(limit):
+        end = fragment.find(b"]", end + 1)
+        if end >= last:
+            return fragment
+    return fragment[: end + 1] + b"]"
+
+
 # ---------------------------------------------------------------------------
 # engine
 
@@ -333,6 +364,11 @@ class QueryEngine:
     immutable tuples).
 
     ``cache_bytes=0`` disables caching (every query decodes).
+
+    :meth:`close` drops the cache at once but closes the section
+    source only when no lease (:meth:`acquire`) is outstanding; the
+    last :meth:`release` closes it otherwise, so a decode in progress
+    never reads from a closed mapping.
     """
 
     def __init__(
@@ -356,12 +392,34 @@ class QueryEngine:
         self._lock = threading.Lock()
         self._cache = LruByteCache(cache_bytes, metrics=self._metrics)
         self._dcg: Optional[DynamicCallGraph] = None
+        self._leases = 0
+        self._closing = False
 
     # ---- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
+        """Drop the cache; close the source now, or at the last release."""
         self._cache.clear()
-        self._source.close()
+        with self._lock:
+            self._closing = True
+            idle = self._leases == 0
+        if idle:
+            self._source.close()
+
+    def acquire(self) -> None:
+        """Take a lease: the source stays open until :meth:`release`."""
+        with self._lock:
+            self._leases += 1
+
+    def release(self) -> None:
+        """Return a lease; the last one after :meth:`close` closes
+        the source."""
+        with self._lock:
+            self._leases -= 1
+            last = self._closing and self._leases == 0
+        if last:
+            self._cache.clear()
+            self._source.close()
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -425,12 +483,36 @@ class QueryEngine:
         key = ("traces", name)
         traces = self._cache.get(key)
         if traces is None:
-            fc = self.extract(name)
-            t0 = time.perf_counter()
-            traces = [fc.expand_pair(p) for p in range(len(fc.pairs))]
-            self._time("qserve.expand", t0)
+            traces = self._expand(name)
             self._cache.put(key, traces, _traces_cost(traces))
         return list(traces)
+
+    def cached_traces_json(self, name: str) -> Optional[bytes]:
+        """:meth:`traces_json` if already cached, else ``None``.
+
+        Never decodes; counts like :meth:`cached_traces`.
+        """
+        return self._cache.peek(("json", name))
+
+    def traces_json(self, name: str) -> bytes:
+        """One function's traces as canonical JSON bytes, ``[[b,…],…]``.
+
+        The wire form of :meth:`traces`: equal to the traces' part of
+        ``canonical_json`` output.  It is cached *instead of* the
+        expanded tuples, at its length plus a fixed overhead, so a warm
+        wire request does no JSON encoding at all.
+        """
+        key = ("json", name)
+        fragment = self._cache.get(key)
+        if fragment is None:
+            traces = self._expand(name)
+            t0 = time.perf_counter()
+            fragment = json.dumps(
+                traces, separators=(",", ":")
+            ).encode("ascii")
+            self._time("qserve.encode", t0)
+            self._cache.put(key, fragment, _fragment_cost(fragment))
+        return fragment
 
     # ---- batch queries ------------------------------------------------
 
@@ -486,6 +568,13 @@ class QueryEngine:
             return self._by_name[name]
         except KeyError:
             raise KeyError(f"function {name!r} not in .twpp file") from None
+
+    def _expand(self, name: str) -> List[PathTrace]:
+        fc = self.extract(name)
+        t0 = time.perf_counter()
+        traces = [fc.expand_pair(p) for p in range(len(fc.pairs))]
+        self._time("qserve.expand", t0)
+        return traces
 
     def _decode(self, entry: FunctionIndexEntry) -> FunctionCompact:
         t0 = time.perf_counter()

@@ -6,7 +6,11 @@ dataclasses of :mod:`repro.store.requests`, calls the corresponding
 :class:`~repro.store.store.TraceStore` verb, and writes the returned
 dict as canonical JSON -- so an HTTP response body is byte-identical
 to ``canonical_json(store.verb(request))`` computed in-process, and the
-server adds no semantics of its own.  Endpoints:
+server adds no semantics of its own.  ``/query`` is the one route that
+gets its body already encoded: :meth:`TraceStore.query_json` splices
+the engines' cached canonical-JSON trace fragments, still
+byte-identical to ``canonical_json(store.query(request))``, so a warm
+query does no JSON encoding.  Endpoints:
 
 =====================  ====================================================
 ``GET /traces``        catalog listing (``?refresh=1`` rescans first)
@@ -56,7 +60,7 @@ import sys
 import threading
 import time
 from queue import Empty, Queue
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from .requests import (
@@ -76,6 +80,10 @@ MAX_BODY_BYTES = 1 << 20
 MAX_HEADER_BYTES = 64 << 10
 #: Default request-worker thread count.
 DEFAULT_WORKERS = 8
+
+#: A route handler: ``(params, request)`` to a JSON-ready dict or to
+#: canonical JSON bytes.
+Route = Callable[[Dict[str, List[str]], "_Request"], Union[Dict, bytes]]
 
 _REASONS = {
     200: "OK",
@@ -182,6 +190,8 @@ class TraceServer:
         self._worker_threads: List[threading.Thread] = []
         self._lock = threading.Lock()
         self._serving = False
+        self._routes = self._build_routes()
+        self._allowed = {path: method for method, path in self._routes}
 
     # ---- addressing ----------------------------------------------------
 
@@ -382,7 +392,10 @@ class TraceServer:
                 self._log(conn, f"400 {exc}")
                 try:
                     self._write_response(
-                        conn, 400, {"error": str(exc)}, keep_alive=False
+                        conn,
+                        400,
+                        canonical_json({"error": str(exc)}),
+                        keep_alive=False,
                     )
                 except OSError:
                     pass
@@ -397,12 +410,12 @@ class TraceServer:
             conn.requests += 1
             if conn.requests > 1:
                 self.store.metrics.inc("serve.keepalive_requests")
-            status, doc, extra = self._handle(request)
+            status, body, extra = self._handle(request)
             self._log(conn, f"{request.method} {request.target} {status}")
             keep = request.keep_alive and not self._stop.is_set()
             try:
                 self._write_response(
-                    conn, status, doc, keep_alive=keep, extra=extra
+                    conn, status, body, keep_alive=keep, extra=extra
                 )
             except OSError:  # client went away mid-reply
                 self._close_conn(conn)
@@ -514,115 +527,121 @@ class TraceServer:
         self,
         conn: _Conn,
         status: int,
-        doc: Dict,
+        body: bytes,
         keep_alive: bool,
         extra: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = canonical_json(doc) + b"\n"
+        """Send one response; ``body`` is canonical JSON, sans newline."""
         head = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             "Server: repro-wpp-serve/2",
             "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
+            f"Content-Length: {len(body) + 1}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         if extra:
             head.extend(f"{name}: {value}" for name, value in extra.items())
         conn.sock.sendall(
-            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body + b"\n"
         )
 
     # ---- routing ---------------------------------------------------------
 
+    def _build_routes(self) -> Dict[Tuple[str, str], Route]:
+        """The ``(method, path) -> handler(params, request)`` table.
+
+        A handler returns a JSON-ready dict, or the body already
+        encoded as canonical JSON bytes.
+        """
+        store = self.store
+        return {
+            ("GET", "/traces"): self._get_traces,
+            ("GET", "/query"): lambda params, _request: store.query_json(
+                QueryRequest.from_query(params)),
+            ("GET", "/stats"): lambda params, _request: store.stats(
+                StatsRequest.from_query(params)),
+            ("GET", "/metrics"): self._get_metrics,
+            ("GET", "/healthz"): self._get_healthz,
+            ("GET", "/corpus/stats"): lambda params, _request: (
+                store.corpus_stats(CorpusStatsRequest.from_query(params))),
+            ("GET", "/corpus/hot"): lambda params, _request: (
+                store.corpus_hot(CorpusHotRequest.from_query(params))),
+            ("GET", "/corpus/diff"): lambda params, _request: (
+                store.corpus_diff(CorpusDiffRequest.from_query(params))),
+            ("POST", "/analyze"): self._post_analyze,
+        }
+
     def _handle(
         self, request: _Request
-    ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
+    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
         self.store.metrics.inc("http.requests")
         url = urlsplit(request.target)
+        route = self._routes.get((request.method, url.path))
+        if route is None:
+            if request.method not in ("GET", "POST"):
+                return self._method_not_allowed("GET, POST")
+            allowed = self._allowed.get(url.path)
+            if allowed is None:
+                return self._error(404, f"no such endpoint: {url.path}")
+            return self._method_not_allowed(allowed)
         params = parse_qs(url.query, keep_blank_values=True)
-        get_routes = {
-            "/traces": lambda: self._get_traces(params),
-            "/query": lambda: (200, self.store.query(
-                QueryRequest.from_query(params))),
-            "/stats": lambda: (200, self.store.stats(
-                StatsRequest.from_query(params))),
-            "/metrics": lambda: self._get_metrics(params),
-            "/healthz": lambda: self._get_healthz(params),
-            "/corpus/stats": lambda: (200, self.store.corpus_stats(
-                CorpusStatsRequest.from_query(params))),
-            "/corpus/hot": lambda: (200, self.store.corpus_hot(
-                CorpusHotRequest.from_query(params))),
-            "/corpus/diff": lambda: (200, self.store.corpus_diff(
-                CorpusDiffRequest.from_query(params))),
-        }
-        post_routes = {
-            "/analyze": lambda: self._post_analyze(request),
-        }
-        if request.method == "GET":
-            route = get_routes.get(url.path)
-            if route is None:
-                if url.path in post_routes:
-                    return self._method_not_allowed("POST")
-                return self._error(404, f"no such endpoint: {url.path}")
-        elif request.method == "POST":
-            route = post_routes.get(url.path)
-            if route is None:
-                if url.path in get_routes:
-                    return self._method_not_allowed("GET")
-                return self._error(404, f"no such endpoint: {url.path}")
-        else:
-            return self._method_not_allowed("GET, POST")
         try:
-            status, doc = route()
+            doc = route(params, request)
         except RequestError as exc:
             return self._error(400, str(exc))
         except TraceNotFound as exc:
             return self._error(404, str(exc))
         except Exception as exc:  # noqa: BLE001 - the daemon must survive
             return self._error(500, f"{type(exc).__name__}: {exc}")
-        return status, doc, None
+        if not isinstance(doc, bytes):
+            doc = canonical_json(doc)
+        return 200, doc, None
 
     def _error(
         self, status: int, message: str
-    ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
+    ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
         self.store.metrics.inc("http.errors")
-        return status, {"error": message}, None
+        return status, canonical_json({"error": message}), None
 
     def _method_not_allowed(
         self, allowed: str
-    ) -> Tuple[int, Dict, Dict[str, str]]:
+    ) -> Tuple[int, bytes, Dict[str, str]]:
         self.store.metrics.inc("http.errors")
-        return 405, {"error": f"use {allowed}"}, {"Allow": allowed}
+        return (
+            405,
+            canonical_json({"error": f"use {allowed}"}),
+            {"Allow": allowed},
+        )
 
     # ---- endpoints -------------------------------------------------------
 
-    def _get_traces(self, params) -> Tuple[int, Dict]:
+    def _get_traces(self, params, _request) -> Dict:
         params = dict(params)
         refresh = params.pop("refresh", ["0"])[-1] not in ("0", "", "false")
         if params:
             raise RequestError(
                 "unknown traces parameter(s): " + ", ".join(sorted(params))
             )
-        return 200, self.store.traces(refresh=refresh)
+        return self.store.traces(refresh=refresh)
 
-    def _get_metrics(self, params) -> Tuple[int, Dict]:
+    def _get_metrics(self, params, _request) -> Dict:
         if params:
             raise RequestError("metrics takes no parameters")
-        return 200, self.store.metrics_snapshot()
+        return self.store.metrics_snapshot()
 
-    def _get_healthz(self, params) -> Tuple[int, Dict]:
+    def _get_healthz(self, params, _request) -> Dict:
         if params:
             raise RequestError("healthz takes no parameters")
-        return 200, self.store.healthz()
+        return self.store.healthz()
 
-    def _post_analyze(self, request: _Request) -> Tuple[int, Dict]:
+    def _post_analyze(self, _params, request: _Request) -> Dict:
         if not request.body:
             raise RequestError("analyze needs a JSON request body")
         try:
             data = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise RequestError(f"request body is not JSON: {exc}") from None
-        return 200, self.store.analyze(AnalyzeRequest.from_dict(data))
+        return self.store.analyze(AnalyzeRequest.from_dict(data))
 
     # ---- logging ---------------------------------------------------------
 

@@ -15,19 +15,26 @@ The three verbs -- :meth:`query`, :meth:`analyze`, :meth:`stats` --
 consume the typed request dataclasses of :mod:`repro.store.requests`
 and return JSON-ready dicts, so the in-process API, the CLI, and the
 HTTP daemon (:mod:`repro.store.server`) share one request model and
-produce identical responses.
+produce identical responses.  :meth:`query_json` is :meth:`query`'s
+wire twin for the daemon: it splices each function's cached
+canonical-JSON trace fragment into bytes equal to
+``canonical_json(query(request))``, so a warm ``GET /query`` encodes
+nothing.  A cold decode runs on an engine borrowed from the session
+(:meth:`~repro.api.Session.borrow`), so evicting that file meanwhile
+cannot close its mapping under the decode.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..compact.qserve import QueryEngine
+from ..compact.qserve import QueryEngine, limit_traces_json
 from .catalog import CatalogTrace, ScanResult, TraceCatalog
 from .requests import (
     AnalyzeRequest,
@@ -104,7 +111,8 @@ class TraceStore:
         self._entries: Dict[str, CatalogTrace] = {}
         self._functions: Dict[str, List[str]] = {}
         self._function_sets: Dict[str, frozenset] = {}
-        self._inflight: Dict[Tuple[str, str], _Inflight] = {}
+        self._json_strings: Dict[str, bytes] = {}
+        self._inflight: Dict[Tuple[str, str, bool], _Inflight] = {}
         # Optional attached corpus (the /corpus/* endpoints); opened
         # lazily so a store without corpus traffic never touches it.
         self._corpus_root = None if corpus is None else Path(corpus)
@@ -163,6 +171,7 @@ class TraceStore:
                 self._entries.clear()
                 self._functions.clear()
                 self._function_sets.clear()
+                self._json_strings.clear()
                 stale = [
                     (trace, path)
                     for trace, path in list(self._lru_paths.items())
@@ -192,32 +201,75 @@ class TraceStore:
     # ---- verbs --------------------------------------------------------
 
     def query(self, request: QueryRequest) -> Dict:
-        """Path traces for one trace (``GET /query``), JSON-ready."""
+        """Path traces for one trace, JSON-ready."""
         if not isinstance(request, QueryRequest):
             raise RequestError("query() takes a QueryRequest")
+        entry, results = self._query(request, wire=False)
+        return {"trace": entry.trace, "functions": results}
+
+    def query_json(self, request: QueryRequest) -> bytes:
+        """:meth:`query` as its wire bytes (``GET /query``).
+
+        Equal to ``canonical_json(self.query(request))`` byte for byte,
+        but spliced from each function's cached canonical-JSON
+        fragment (:meth:`~repro.compact.qserve.QueryEngine.traces_json`)
+        in sorted-name order, so a warm request encodes nothing.
+        """
+        if not isinstance(request, QueryRequest):
+            raise RequestError("query_json() takes a QueryRequest")
+        entry, results = self._query(request, wire=True)
+        functions = b",".join(
+            self._json_string(name) + b":" + results[name]
+            for name in sorted(results)
+        )
+        return (
+            b'{"functions":{' + functions + b'},"trace":'
+            + self._json_string(entry.trace) + b"}"
+        )
+
+    def _json_string(self, text: str) -> bytes:
+        """``text`` as a canonical JSON string, memoized.
+
+        Only names already validated against the catalog reach here,
+        so the memo is bounded by the catalog's names.
+        """
+        encoded = self._json_strings.get(text)
+        if encoded is None:
+            encoded = json.dumps(text).encode("ascii")
+            self._json_strings[text] = encoded
+        return encoded
+
+    def _query(
+        self, request: QueryRequest, wire: bool
+    ) -> Tuple[CatalogTrace, Dict]:
+        """Both query forms: ``{name: traces}``, as tuple lists or as
+        JSON fragments (``wire``), with ``limit`` applied."""
         t0 = time.perf_counter()
         try:
             entry = self._entry(request.trace)
             names = self._resolve_functions(entry, request.functions)
-            results: Dict[str, List] = {}
+            limit = request.limit
+            results: Dict = {}
             decoded = False
             for name in names:
-                # _traces hands back a fresh list of immutable tuples
-                # (tuples JSON-encode identically to lists), so the
-                # engine's cached traces are never re-materialised.
-                traces, cold = self._traces(entry, name)
+                # Tuple lists come back fresh (tuples JSON-encode like
+                # lists) and fragments are immutable bytes, so nothing
+                # cached is ever re-materialised.
+                traces, cold = self._fetch(entry, name, wire)
                 decoded = decoded or cold
-                results[name] = (
-                    traces[: request.limit]
-                    if request.limit is not None
-                    else traces
-                )
+                if limit is not None:
+                    traces = (
+                        limit_traces_json(traces, limit)
+                        if wire
+                        else traces[:limit]
+                    )
+                results[name] = traces
             self._touch(entry, enforce=decoded)
         finally:
             metrics = self._session.metrics
             metrics.inc("store.requests.query")
             metrics.add_ms("store.query", (time.perf_counter() - t0) * 1000.0)
-        return {"trace": entry.trace, "functions": results}
+        return entry, results
 
     def analyze(self, request: AnalyzeRequest) -> Dict:
         """Fact frequencies for one trace (``POST /analyze``), JSON-ready."""
@@ -436,24 +488,29 @@ class TraceStore:
 
     # ---- coalescing ---------------------------------------------------
 
-    def _traces(
-        self, entry: CatalogTrace, name: str
-    ) -> Tuple[List[Tuple[int, ...]], bool]:
-        """One function's traces plus a was-it-cold flag.
+    def _fetch(
+        self, entry: CatalogTrace, name: str, wire: bool
+    ) -> Tuple[Union[List[Tuple[int, ...]], bytes], bool]:
+        """One function's traces (a tuple list, or the JSON fragment
+        when ``wire``) plus a was-it-cold flag.
 
         Warm keys are answered straight from the engine's cache (no
         file access at all); cold keys stat-check the file first
         (:meth:`_check_fresh`) and then go through the coalescing
         protocol so concurrent identical requests cost a single
-        decode."""
+        decode.  The decode runs on a borrowed engine, so a concurrent
+        eviction cannot close the mapping under it."""
         engine = self._session._engines.get(entry.path)
         if engine is not None:
-            cached = engine.cached_traces(name)
+            cached = (
+                engine.cached_traces_json(name)
+                if wire
+                else engine.cached_traces(name)
+            )
             if cached is not None:
                 return cached, False
         entry = self._check_fresh(entry)
-        engine = self._session.engine(entry.path)
-        key = (entry.path, name)
+        key = (entry.path, name, wire)
         with self._lock:
             pending = self._inflight.get(key)
             owner = pending is None
@@ -464,7 +521,10 @@ class TraceStore:
         if not owner:
             return pending.wait(), True
         try:
-            pending.result = engine.traces(name)
+            with self._session.borrow(entry.path) as engine:
+                pending.result = (
+                    engine.traces_json(name) if wire else engine.traces(name)
+                )
         except BaseException as exc:
             pending.error = exc
             raise

@@ -1,12 +1,16 @@
 """Tests for repro.store: catalog, TraceStore, requests, eviction,
 coalescing."""
 
+import json
+import shutil
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.api import Session
+from repro.compact.qserve import limit_traces_json
 from repro.ir.printer import format_program
 from repro.store import (
     AnalyzeRequest,
@@ -17,8 +21,12 @@ from repro.store import (
     TraceNotFound,
     TraceStore,
 )
+from repro.store.server import canonical_json
 from repro.trace import collect_wpp, partition_wpp
 from repro.workloads.specs import workload
+
+#: A trace stem that JSON must escape: a quote and non-ASCII letters.
+ESCAPED_STEM = 'li "quoted" \u00e9\u00fc'
 
 
 def write_trace(root, name, scale=0.05, with_ir=True):
@@ -40,6 +48,41 @@ def store_root(tmp_path_factory):
     write_trace(root, "li-like")
     write_trace(root, "ijpeg-like")
     return root
+
+
+@pytest.fixture(scope="module")
+def wire_root(tmp_path_factory):
+    """Three traces, one of them under a stem JSON has to escape."""
+    root = tmp_path_factory.mktemp("wire")
+    write_trace(root, "li-like")
+    write_trace(root, "perl-like", with_ir=False)
+    shutil.copy(root / "li-like.twpp", root / f"{ESCAPED_STEM}.twpp")
+    return root
+
+
+def query_matrix(store):
+    """Every (trace, function) of ``store`` at limits {None, 0, 1,
+    len-1, len, len+5}, plus per trace a repeated function, several
+    functions out of order, and all functions."""
+    for row in store.catalog.traces():
+        names = [f.name for f in store.catalog.functions(row.trace)]
+        for name in names:
+            count = len(
+                store.query(QueryRequest(trace=row.trace, functions=(name,)))[
+                    "functions"
+                ][name]
+            )
+            for limit in sorted({0, 1, max(count - 1, 0), count, count + 5}):
+                yield QueryRequest(
+                    trace=row.trace, functions=(name,), limit=limit
+                )
+            yield QueryRequest(trace=row.trace, functions=(name,))
+        yield QueryRequest(trace=row.trace, functions=(names[0], names[0]))
+        yield QueryRequest(
+            trace=row.trace, functions=tuple(reversed(names[:4])), limit=2
+        )
+        yield QueryRequest(trace=row.trace)
+        yield QueryRequest(trace=row.trace, limit=1)
 
 
 @pytest.fixture
@@ -226,6 +269,85 @@ class TestTraceStore:
             assert not store._is_warm(str(tmp_path / "ijpeg-like.twpp"))
 
 
+class TestQueryJson:
+    """``query_json`` is ``canonical_json(query(...))``, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "session_bytes, store_bytes",
+        [(None, None), (0, 0), (8192, 8192)],
+        ids=["warm", "no-cache", "8KiB"],
+    )
+    def test_identity_matrix(self, wire_root, session_bytes, store_bytes):
+        kwargs = {}
+        if session_bytes is not None:
+            kwargs["cache_bytes"] = session_bytes
+        with Session(**kwargs) as session:
+            store = session.store(wire_root, cache_bytes=store_bytes)
+            assert ESCAPED_STEM in store
+            requests = list(query_matrix(store))
+            for _pass in range(2):  # cold fill, then whatever stayed warm
+                for request in requests:
+                    assert store.query_json(request) == canonical_json(
+                        store.query(request)
+                    ), request
+            store.close()
+
+    def test_limit_slices_the_fragment(self):
+        fragment = json.dumps([[1, 2], [3], [4, 5, 6]]).replace(" ", "")
+        fragment = fragment.encode("ascii")
+        for limit in range(6):
+            assert limit_traces_json(fragment, limit) == json.dumps(
+                [[1, 2], [3], [4, 5, 6]][:limit], separators=(",", ":")
+            ).encode("ascii")
+        assert limit_traces_json(b"[]", 1) == b"[]"
+        assert limit_traces_json(b"[[]]", 1) == b"[[]]"
+
+    def test_fragment_bytes_count_against_the_cache(self, store_root):
+        with Session() as session:
+            store = session.store(store_root)
+            name = store.catalog.functions("li-like")[0].name
+            engine = store.engine("li-like")
+            engine.extract(name)
+            before = store.cache_stats()["bytes"]
+            store.query_json(QueryRequest(trace="li-like", functions=(name,)))
+            fragment = engine.cached_traces_json(name)
+            assert fragment is not None
+            assert store.cache_stats()["bytes"] - before >= len(fragment)
+            # cached in place of the expanded tuples, not beside them
+            assert engine.cached_traces(name) is None
+            store.close()
+
+    def test_fragments_fill_the_global_budget(self, store_root):
+        with Session() as session:
+            store = session.store(store_root, cache_bytes=1)
+            store.query_json(QueryRequest(trace="li-like"))
+            store.query_json(QueryRequest(trace="ijpeg-like"))
+            assert session.metrics.counter("store.evictions") > 0
+            assert store._is_warm(str(store_root / "ijpeg-like.twpp"))
+            assert not store._is_warm(str(store_root / "li-like.twpp"))
+            store.close()
+
+    def test_warm_request_does_not_encode(self, store_root, monkeypatch):
+        with Session() as session:
+            store = session.store(store_root)
+            name = store.catalog.functions("li-like")[0].name
+            request = QueryRequest(trace="li-like", functions=(name,), limit=1)
+            calls = []
+            real = json.dumps
+
+            def counting_dumps(*args, **kwargs):
+                calls.append(args[0])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(json, "dumps", counting_dumps)
+            first = store.query_json(request)
+            assert calls  # the cold request did encode
+            calls.clear()
+            assert store.query_json(request) == first
+            assert calls == []
+            store.close()
+
+
 class TestStaleFiles:
     """Files deleted or truncated *between* scans must surface as
     :class:`TraceNotFound`, never as a decode error (or worse, a fault
@@ -302,6 +424,33 @@ class TestEviction:
             assert not store._is_warm(str(store_root / "li-like.twpp"))
             store.close()
 
+    @pytest.mark.parametrize("verb", ["query", "query_json"])
+    def test_evict_between_lookup_and_decode(self, store_root, verb):
+        """An eviction racing a cold decode must not close the mapping
+        under it: the decode finishes, then the last borrower closes."""
+        with Session() as session:
+            store = session.store(store_root)
+            path = str(store_root / "li-like.twpp")
+            name = store.catalog.functions("li-like")[0].name
+            engine = session.engine(path)
+            real_decode = engine._decode
+
+            def evicting_decode(entry):
+                assert session.evict(path)
+                assert not engine._source._mm.closed
+                return real_decode(entry)
+
+            engine._decode = evicting_decode
+            request = QueryRequest(trace="li-like", functions=(name,))
+            result = getattr(store, verb)(request)
+            assert path not in session._engines
+            assert engine._source._mm.closed
+            expected = store.query(request)  # on a fresh engine
+            if verb == "query_json":
+                expected = canonical_json(expected)
+            assert result == expected
+            store.close()
+
     def test_generous_budget_keeps_both_warm(self, store):
         store.query(QueryRequest(trace="li-like"))
         store.query(QueryRequest(trace="ijpeg-like"))
@@ -310,7 +459,10 @@ class TestEviction:
 
 
 class TestCoalescing:
-    def test_concurrent_cold_key_decodes_once(self, store_root):
+    @staticmethod
+    def _herd(store_root, verb):
+        """8 barrier-released threads on one cold key; the results and
+        the session's decode count."""
         with Session() as session:
             store = session.store(store_root)
             name = store.catalog.functions("li-like")[0].name
@@ -321,7 +473,7 @@ class TestCoalescing:
 
             def worker():
                 barrier.wait()
-                results.append(store.query(request))
+                results.append(getattr(store, verb)(request))
 
             threads = [
                 threading.Thread(target=worker) for _ in range(n_threads)
@@ -330,10 +482,20 @@ class TestCoalescing:
                 t.start()
             for t in threads:
                 t.join()
-            assert len(results) == n_threads
-            assert all(r == results[0] for r in results)
-            assert session.metrics.counter("qserve.decodes") == 1
             store.close()
+            return results, session.metrics.counter("qserve.decodes")
+
+    def test_concurrent_cold_key_decodes_once(self, store_root):
+        results, decodes = self._herd(store_root, "query")
+        assert len(results) == 8
+        assert all(r == results[0] for r in results)
+        assert decodes == 1
+
+    def test_concurrent_cold_wire_key_decodes_once(self, store_root):
+        results, decodes = self._herd(store_root, "query_json")
+        assert len(results) == 8
+        assert all(r == results[0] for r in results)
+        assert decodes == 1
 
     def test_waiters_share_the_owners_decode(self, store_root):
         """Force overlap: a slowed decode must be performed exactly once
@@ -368,6 +530,49 @@ class TestCoalescing:
                 t.join()
             assert calls == [name]
             assert session.metrics.counter("store.coalesced") == n_threads - 1
+            store.close()
+
+
+class TestEvictionStress:
+    def test_decodes_survive_constant_eviction(self, store_root):
+        """More threads than cores, a 1-byte budget (nearly every
+        request evicts the other file's engine) and a short switch
+        interval: every answer must still be right."""
+        with Session() as session:
+            store = session.store(store_root, cache_bytes=1)
+            requests = [
+                QueryRequest(trace=trace, functions=(f.name,))
+                for trace in ("li-like", "ijpeg-like")
+                for f in store.catalog.functions(trace)[:4]
+            ]
+            expected = [canonical_json(store.query(r)) for r in requests]
+            errors = []
+
+            def worker(offset):
+                try:
+                    for i in range(60):
+                        k = (offset + i) % len(requests)
+                        if store.query_json(requests[k]) != expected[k]:
+                            errors.append(f"wrong body for {requests[k]}")
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(repr(exc))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=worker, args=(n,))
+                    for n in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert session.metrics.counter("store.evictions") > 0
             store.close()
 
 

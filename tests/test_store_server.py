@@ -6,6 +6,7 @@ import json
 import socket
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -23,7 +24,7 @@ from repro.store import (
 )
 from repro.store.server import MAX_BODY_BYTES
 
-from .test_store import write_trace
+from .test_store import query_matrix, wire_root, write_trace  # noqa: F401
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,45 @@ class TestEndpointsMatchInProcess:
         assert doc["schema"] == "repro.metrics/1"
         assert doc["counters"]["qserve.cache.hits"] > 0
         assert doc["counters"]["http.requests"] > 0
+
+
+def query_target(request):
+    params = [("trace", request.trace)]
+    params.extend(("fn", name) for name in request.functions)
+    if request.limit is not None:
+        params.append(("limit", str(request.limit)))
+    return "/query?" + urllib.parse.urlencode(params)
+
+
+class TestQueryBodiesMatchInProcess:
+    """Every ``/query`` body equals ``canonical_json(store.query(req))``
+    plus a newline, warm, uncached and under an 8 KiB budget."""
+
+    @pytest.mark.parametrize(
+        "cache_bytes", [None, 0, 8192], ids=["warm", "no-cache", "8KiB"]
+    )
+    def test_identity_matrix(self, wire_root, cache_bytes):
+        kwargs = {} if cache_bytes is None else {"cache_bytes": cache_bytes}
+        with Session(**kwargs) as session:
+            store = session.store(wire_root)
+            requests = list(query_matrix(store))
+            with TraceServer(store) as server:
+                sock = raw_conn(server)
+                try:
+                    leftover = b""
+                    for _pass in range(2):
+                        for request in requests:
+                            send_get(sock, query_target(request))
+                            status, _h, body, leftover = read_response(
+                                sock, leftover
+                            )
+                            assert status == 200, body
+                            assert body == canonical_json(
+                                store.query(request)
+                            ) + b"\n", request
+                finally:
+                    sock.close()
+            store.close()
 
 
 class TestErrorSurface:
