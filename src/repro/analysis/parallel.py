@@ -25,7 +25,8 @@ interpreter teardown), the shards run in-process and the
 ``analysis.parallel_fallback`` counter records it.
 
 This is the package's only process fan-out: nothing else imports
-``concurrent.futures`` or ``multiprocessing``.
+``multiprocessing`` or a process pool (the HTTP daemon imports only
+``concurrent.futures.ThreadPoolExecutor``).
 """
 
 from __future__ import annotations

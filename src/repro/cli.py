@@ -291,7 +291,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         verbose=args.verbose,
-        workers=args.workers,
     )
 
     def _request_stop(signum, frame):
@@ -601,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     out.
     """
     from .compact.qserve import DEFAULT_CACHE_BYTES
-    from .store.server import DEFAULT_WORKERS
 
     metrics_parent = argparse.ArgumentParser(add_help=False)
     metrics_parent.add_argument(
@@ -723,9 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
                    help="global decoded-bytes budget across every served "
                         "file (LRU-evicts whole files; default 64 MiB)")
-    p.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
-                   help="HTTP worker threads handling keep-alive "
-                        f"connections (default {DEFAULT_WORKERS})")
     p.add_argument("--corpus", metavar="ROOT", default=None,
                    help="also serve /corpus/* endpoints from this "
                         "multi-run corpus directory")

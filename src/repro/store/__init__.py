@@ -30,7 +30,7 @@ from .requests import (
     RequestError,
     StatsRequest,
 )
-from .server import TraceServer, canonical_json, serve
+from .server import TraceServer, canonical_json
 from .store import TraceNotFound, TraceStore
 
 __all__ = [
@@ -49,5 +49,4 @@ __all__ = [
     "TraceServer",
     "TraceStore",
     "canonical_json",
-    "serve",
 ]

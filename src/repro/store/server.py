@@ -24,26 +24,29 @@ query does no JSON encoding.  Endpoints:
 ``GET /corpus/diff``   ``?a=RUN&b=RUN&limit=N`` run-pair comparison
 =====================  ====================================================
 
-The transport replaced PR 6's stdlib ``ThreadingHTTPServer`` (one
-thread + one TCP handshake per request: ~359 qps) with a persistent-
-connection front end:
+Transport: one thread per connection, from accept to close.
 
-* one **reactor** thread owns the listening socket, a wakeup
-  socketpair, and every *idle* keep-alive connection in a
-  ``selectors`` loop; readable connections are handed to
-* a bounded pool of **request workers** that parse complete HTTP/1.1
-  requests straight from a per-connection buffer, run the store verb,
-  and write the response.  A worker briefly polls its connection for
-  the next pipelined/closed-loop request (``spin_wait``) before
-  parking it back with the reactor, so a busy connection never pays
-  the reactor round-trip.
+* The **accept loop** runs on the serving thread.  It takes one of
+  :data:`MAX_CONNECTIONS` slots before each blocking ``accept()``, so
+  with every slot busy the next client waits in the listen backlog.
+* Each accepted connection goes to a pooled thread
+  (``ThreadPoolExecutor``: an idle thread is reused, so accepting does
+  not wait for a thread to start).  The thread parses complete
+  HTTP/1.1 requests from the connection's buffer, runs the store verb
+  and writes the response, in order, until the client closes.
+* **Idle reaping** is the socket timeout: :data:`KEEPALIVE_TIMEOUT`
+  while waiting for a request's first byte (counted as
+  ``serve.idle_closed``), :data:`REQUEST_TIMEOUT` once it has begun.
 
 ``Connection``/``Content-Length`` semantics follow HTTP/1.1:
 responses always carry ``Content-Length`` and an explicit
-``Connection: keep-alive``/``close``; requests with malformed or
-oversized bodies get a 400 and the connection is closed.  Graceful
-shutdown (:meth:`TraceServer.request_stop`) stops accepting, drains
-in-flight requests, then closes every connection.
+``Connection: keep-alive``/``close``; malformed framing (a
+non-ASCII-digit or conflicting ``Content-Length``, ``Content-Length``
+together with ``Transfer-Encoding``, an oversized body) gets a 400 and
+the connection is closed.  Graceful shutdown
+(:meth:`TraceServer.request_stop`) stops accepting and shuts the read
+side of every connection: idle ones end at once, and a reply already
+in flight is still written, with ``Connection: close``.
 
 Errors are JSON too: 400 for malformed requests
 (:class:`~repro.store.requests.RequestError`), 404 for unknown
@@ -53,14 +56,12 @@ traces/runs/routes, 405 for wrong methods, 500 for the rest.
 from __future__ import annotations
 
 import json
-import select
-import selectors
 import socket
 import sys
 import threading
-import time
-from queue import Empty, Queue
-from typing import Callable, Dict, List, Optional, Tuple, Union
+import traceback
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from .requests import (
@@ -78,8 +79,14 @@ from .store import TraceNotFound, TraceStore
 MAX_BODY_BYTES = 1 << 20
 #: Largest accepted request head (request line + headers).
 MAX_HEADER_BYTES = 64 << 10
-#: Default request-worker thread count.
-DEFAULT_WORKERS = 8
+#: Most connections served at once; the next waits in the backlog.
+MAX_CONNECTIONS = 64
+#: Listen backlog: connections the kernel holds before ``accept``.
+BACKLOG = 128
+#: Seconds an idle keep-alive connection waits for a request's first byte.
+KEEPALIVE_TIMEOUT = 60.0
+#: Seconds the rest of a started request may take to arrive.
+REQUEST_TIMEOUT = 30.0
 
 #: A route handler: ``(params, request)`` to a JSON-ready dict or to
 #: canonical JSON bytes.
@@ -94,12 +101,13 @@ _REASONS = {
 }
 
 __all__ = [
-    "DEFAULT_WORKERS",
+    "KEEPALIVE_TIMEOUT",
     "MAX_BODY_BYTES",
+    "MAX_CONNECTIONS",
     "MAX_HEADER_BYTES",
+    "REQUEST_TIMEOUT",
     "TraceServer",
     "canonical_json",
-    "serve",
 ]
 
 
@@ -132,14 +140,15 @@ class _Request:
 class _Conn:
     """One client connection: socket + unparsed buffered bytes."""
 
-    __slots__ = ("sock", "peer", "buf", "last_active", "requests")
+    __slots__ = ("sock", "peer", "buf", "requests", "timeout")
 
     def __init__(self, sock, peer):
         self.sock = sock
         self.peer = peer
         self.buf = bytearray()
-        self.last_active = time.monotonic()
         self.requests = 0
+        # The socket's timeout, so _recv calls settimeout only on a change.
+        self.timeout: Optional[float] = None
 
 
 class TraceServer:
@@ -148,11 +157,10 @@ class TraceServer:
     ``port=0`` binds an ephemeral port; read the chosen one back from
     :attr:`port` / :attr:`url`.  :meth:`serve_forever` blocks (the CLI
     path); :meth:`start` / :meth:`stop` run it on a daemon thread (the
-    test and embedding path).  ``workers`` bounds concurrent request
-    execution; ``keepalive_timeout`` reaps idle connections;
-    ``request_timeout`` bounds one request's read; ``spin_wait`` is
-    how long a worker polls a responded connection for its next
-    request before parking it with the reactor.
+    test and embedding path).  Each accepted connection is served on
+    one pooled thread until the client closes it, a timeout reaps it,
+    or the server stops; at most :data:`MAX_CONNECTIONS` are served at
+    once, and the next waits in the listen backlog.
     """
 
     def __init__(
@@ -161,33 +169,24 @@ class TraceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         verbose: bool = False,
-        workers: int = DEFAULT_WORKERS,
-        backlog: int = 128,
-        keepalive_timeout: float = 60.0,
-        request_timeout: float = 30.0,
-        spin_wait: float = 0.002,
     ) -> None:
         self.store = store
         self.verbose = verbose
-        self.workers = max(1, int(workers))
-        self.keepalive_timeout = keepalive_timeout
-        self.request_timeout = request_timeout
-        self.spin_wait = spin_wait
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
-        self._listener.listen(backlog)
-        self._listener.setblocking(False)
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._work_q: "Queue[Optional[_Conn]]" = Queue(
-            maxsize=self.workers * 8
+        self._listener.listen(BACKLOG)
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        self._pool = ThreadPoolExecutor(
+            max_workers=MAX_CONNECTIONS, thread_name_prefix="serve-conn"
         )
-        self._return_q: "Queue[_Conn]" = Queue()
+        self._conns: Set[_Conn] = set()
+        # Reentrant: request_stop runs in a signal handler on the thread
+        # that may hold it in serve_forever.
+        self._conns_lock = threading.RLock()
         self._stop = threading.Event()
         self._drained = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._worker_threads: List[threading.Thread] = []
         self._lock = threading.Lock()
         self._serving = False
         self._routes = self._build_routes()
@@ -210,32 +209,57 @@ class TraceServer:
     # ---- lifecycle ------------------------------------------------------
 
     def serve_forever(self) -> None:
-        """Serve until :meth:`request_stop` (the ``repro-wpp serve``
+        """Accept until :meth:`request_stop` (the ``repro-wpp serve``
         main loop); drains in-flight requests before returning."""
         with self._lock:
             if self._serving:
                 raise RuntimeError("server is already running")
             self._serving = True
-        for i in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker, name=f"serve-worker-{i}", daemon=True
-            )
-            thread.start()
-            self._worker_threads.append(thread)
         try:
-            self._reactor()
+            while True:
+                self._slots.acquire()
+                if self._stop.is_set():
+                    break
+                try:
+                    sock, peer = self._listener.accept()
+                except OSError:
+                    self._slots.release()
+                    if self._stop.is_set():
+                        break
+                    continue
+                try:
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                except OSError:
+                    pass
+                conn = _Conn(sock, peer)
+                with self._conns_lock:
+                    if self._stop.is_set():
+                        sock.close()
+                        break
+                    self._conns.add(conn)
+                self.store.metrics.inc("serve.connections")
+                self._pool.submit(self._connection, conn)
         finally:
+            # Drain: wake idle readers (a reply in flight is still
+            # written, with Connection: close), then wait for them.
+            self._shut_reads()
+            self._pool.shutdown(wait=True)
+            self._listener.close()
             self._drained.set()
 
     def request_stop(self) -> None:
         """Begin a graceful shutdown: stop accepting, drain, close."""
         self._stop.set()
-        self._wake()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        except OSError:
+            pass
+        self._shut_reads()  # frees a slot if the accept loop waits on one
 
     def start(self) -> "TraceServer":
         """Serve on a background daemon thread; returns self."""
         self._thread = threading.Thread(
-            target=self.serve_forever, daemon=True, name="serve-reactor"
+            target=self.serve_forever, daemon=True, name="serve-accept"
         )
         self._thread.start()
         return self
@@ -255,134 +279,34 @@ class TraceServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # ---- reactor --------------------------------------------------------
-
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"x")
-        except (OSError, ValueError):
-            pass
-
-    def _reactor(self) -> None:
-        sel = selectors.DefaultSelector()
-        sel.register(self._listener, selectors.EVENT_READ, "accept")
-        sel.register(self._wake_r, selectors.EVENT_READ, "wake")
-        idle: Dict[int, _Conn] = {}
-        try:
-            while not self._stop.is_set():
-                for key, _ in sel.select(timeout=0.5):
-                    if key.data == "accept":
-                        self._accept(sel, idle)
-                    elif key.data == "wake":
-                        self._drain_wake(sel, idle)
-                    else:
-                        conn = key.data
-                        sel.unregister(conn.sock)
-                        idle.pop(conn.sock.fileno(), None)
-                        self._work_q.put(conn)
-                self._reap_idle(sel, idle)
-        finally:
-            try:
-                sel.unregister(self._listener)
-            except (KeyError, ValueError):
-                pass
-            self._listener.close()
-            # Drain: workers finish everything already queued, then
-            # each consumes one sentinel and exits.
-            for _ in self._worker_threads:
-                self._work_q.put(None)
-            for thread in self._worker_threads:
-                thread.join(timeout=10.0)
-            self._worker_threads = []
-            for conn in idle.values():
-                self._close_conn(conn)
-            # Workers may have parked connections while draining.
-            while True:
+    def _shut_reads(self) -> None:
+        with self._conns_lock:
+            for conn in self._conns:
                 try:
-                    self._close_conn(self._return_q.get_nowait())
-                except Empty:
-                    break
-            sel.close()
-            self._wake_r.close()
-            self._wake_w.close()
-
-    def _accept(self, sel, idle) -> None:
-        while True:
-            try:
-                sock, peer = self._listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-            sock.setblocking(True)
-            sock.settimeout(self.request_timeout)
-            conn = _Conn(sock, peer)
-            self.store.metrics.inc("serve.connections")
-            self._register(sel, idle, conn)
-
-    def _drain_wake(self, sel, idle) -> None:
-        while True:
-            try:
-                if not self._wake_r.recv(4096):
-                    break
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                break
-        while True:
-            try:
-                conn = self._return_q.get_nowait()
-            except Empty:
-                break
-            self._register(sel, idle, conn)
-
-    def _register(self, sel, idle, conn: _Conn) -> None:
-        if self._stop.is_set():
-            self._close_conn(conn)
-            return
-        conn.last_active = time.monotonic()
-        try:
-            sel.register(conn.sock, selectors.EVENT_READ, conn)
-        except (KeyError, ValueError, OSError):
-            self._close_conn(conn)
-            return
-        idle[conn.sock.fileno()] = conn
-
-    def _reap_idle(self, sel, idle) -> None:
-        if not idle:
-            return
-        deadline = time.monotonic() - self.keepalive_timeout
-        for fileno, conn in list(idle.items()):
-            if conn.last_active < deadline:
-                try:
-                    sel.unregister(conn.sock)
-                except (KeyError, ValueError):
+                    conn.sock.shutdown(socket.SHUT_RD)
+                except OSError:
                     pass
-                del idle[fileno]
-                self.store.metrics.inc("serve.idle_closed")
-                self._close_conn(conn)
 
-    def _close_conn(self, conn: _Conn) -> None:
+    # ---- connections -----------------------------------------------------
+
+    def _connection(self, conn: _Conn) -> None:
+        """One pooled thread's whole job: serve ``conn``, then close it."""
         try:
-            conn.sock.close()
-        except OSError:
-            pass
-
-    # ---- request workers -------------------------------------------------
-
-    def _worker(self) -> None:
-        while True:
-            conn = self._work_q.get()
-            if conn is None:
-                return
             self._serve_conn(conn)
+        except Exception:  # noqa: BLE001 - report a server bug, keep serving
+            traceback.print_exc()
+        finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
+            try:
+                conn.sock.close()
+            except OSError:
+                pass
+            self._slots.release()
 
     def _serve_conn(self, conn: _Conn) -> None:
-        """Serve buffered requests, then park or close the connection."""
+        """Answer requests until the client, a timeout or the server
+        ends the connection."""
         while True:
             try:
                 request = self._read_request(conn)
@@ -399,13 +323,14 @@ class TraceServer:
                     )
                 except OSError:
                     pass
-                self._close_conn(conn)
                 return
-            except (socket.timeout, OSError, ValueError):
-                self._close_conn(conn)
+            except socket.timeout:
+                if not conn.buf:
+                    self.store.metrics.inc("serve.idle_closed")
+                return
+            except OSError:
                 return
             if request is None:  # clean EOF between requests
-                self._close_conn(conn)
                 return
             conn.requests += 1
             if conn.requests > 1:
@@ -418,40 +343,18 @@ class TraceServer:
                     conn, status, body, keep_alive=keep, extra=extra
                 )
             except OSError:  # client went away mid-reply
-                self._close_conn(conn)
                 return
             if not keep:
-                self._close_conn(conn)
                 return
             if conn.buf:
                 self.store.metrics.inc("serve.pipelined")
-                continue
-            if self._next_request_ready(conn):
-                continue
-            conn.last_active = time.monotonic()
-            self._return_q.put(conn)
-            self._wake()
-            return
-
-    def _next_request_ready(self, conn: _Conn) -> bool:
-        """Poll briefly for the next request of a closed-loop client.
-
-        A client that immediately reuses the connection sends its next
-        request within microseconds of reading the response; catching
-        it here keeps hot connections worker-resident instead of
-        paying a reactor round-trip per request.
-        """
-        if self.spin_wait <= 0:
-            return False
-        try:
-            readable, _, _ = select.select([conn.sock], [], [], self.spin_wait)
-        except (OSError, ValueError):
-            return False
-        return bool(readable)
 
     # ---- HTTP parsing ----------------------------------------------------
 
-    def _recv(self, conn: _Conn) -> bytes:
+    def _recv(self, conn: _Conn, timeout: float) -> bytes:
+        if conn.timeout != timeout:
+            conn.sock.settimeout(timeout)
+            conn.timeout = timeout
         return conn.sock.recv(65536)
 
     def _read_request(self, conn: _Conn) -> Optional[_Request]:
@@ -464,7 +367,9 @@ class TraceServer:
         while end < 0:
             if len(conn.buf) > MAX_HEADER_BYTES:
                 raise _BadRequest("request head too large")
-            data = self._recv(conn)
+            data = self._recv(
+                conn, REQUEST_TIMEOUT if conn.buf else KEEPALIVE_TIMEOUT
+            )
             if not data:
                 if conn.buf:
                     raise _BadRequest("truncated request head")
@@ -492,21 +397,27 @@ class TraceServer:
             name, sep, value = line.partition(b":")
             if not sep:
                 raise _BadRequest("malformed header line")
-            headers[name.strip().lower().decode("latin-1")] = (
-                value.strip().decode("latin-1")
-            )
+            key = name.strip().lower().decode("latin-1")
+            value = value.strip().decode("latin-1")
+            if key == "content-length" and headers.get(key, value) != value:
+                raise _BadRequest("conflicting Content-Length headers")
+            headers[key] = value
         body = b""
         raw_length = headers.get("content-length")
         if raw_length is not None:
-            if not raw_length.isdigit():
+            if not (raw_length.isascii() and raw_length.isdigit()):
                 raise _BadRequest("bad Content-Length")
+            if "transfer-encoding" in headers:
+                raise _BadRequest(
+                    "both Content-Length and Transfer-Encoding"
+                )
             length = int(raw_length)
             if length > MAX_BODY_BYTES:
                 raise _BadRequest(
                     f"request body over {MAX_BODY_BYTES} bytes"
                 )
             while len(conn.buf) < length:
-                data = self._recv(conn)
+                data = self._recv(conn, REQUEST_TIMEOUT)
                 if not data:
                     raise _BadRequest("truncated request body")
                 conn.buf += data
@@ -649,19 +560,3 @@ class TraceServer:
         if self.verbose:
             sys.stderr.write(f"{conn.peer[0]} - {message}\n")
 
-
-def serve(
-    root,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    store: Optional[TraceStore] = None,
-    verbose: bool = False,
-    workers: int = DEFAULT_WORKERS,
-    corpus=None,
-) -> TraceServer:
-    """Build a TraceStore for ``root`` (unless given) and a server on it."""
-    if store is None:
-        store = TraceStore(root, corpus=corpus)
-    return TraceServer(
-        store, host=host, port=port, verbose=verbose, workers=workers
-    )

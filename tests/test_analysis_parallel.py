@@ -229,19 +229,33 @@ class TestCrashFallback:
 
 class TestSingleFanOut:
     def test_only_analysis_parallel_starts_processes(self):
-        """No module but analysis/parallel.py imports concurrent.futures
-        or multiprocessing."""
+        """No module but analysis/parallel.py imports multiprocessing or
+        anything of concurrent.futures beyond ThreadPoolExecutor, and
+        only the HTTP daemon imports that thread pool."""
         banned = ("concurrent", "multiprocessing")
-        offenders = []
+        thread_pool = ("concurrent.futures", "ThreadPoolExecutor")
+        offenders, thread_pool_users = [], []
         for path in sorted(SRC.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
-                    modules = [alias.name for alias in node.names]
+                    imported = [(alias.name, None) for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    modules = [node.module or ""]
+                    imported = [
+                        (node.module or "", alias.name) for alias in node.names
+                    ]
                 else:
                     continue
-                if any(m.split(".")[0] in banned for m in modules):
-                    offenders.append(str(path.relative_to(SRC)))
+                for module, name in imported:
+                    if module.split(".")[0] not in banned:
+                        continue
+                    users = (
+                        thread_pool_users
+                        if (module, name) == thread_pool
+                        else offenders
+                    )
+                    users.append(str(path.relative_to(SRC)))
         assert sorted(set(offenders)) == [os.path.join("analysis", "parallel.py")]
+        assert sorted(set(thread_pool_users)) == [
+            os.path.join("store", "server.py")
+        ]

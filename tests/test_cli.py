@@ -335,6 +335,7 @@ class TestSharedParentFlags:
         assert args.host == "127.0.0.1"
         assert args.port == 8080
         assert not hasattr(args, "jobs")
+        assert not hasattr(args, "workers")
 
     def test_trace_metrics_out_written(self, tmp_path, capsys):
         import json

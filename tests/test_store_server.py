@@ -1,15 +1,25 @@
 """Tests for the HTTP serving layer: endpoint round-trips must be
 byte-identical to in-process TraceStore calls, plus the 4xx surface,
-keep-alive connection reuse, request framing, and graceful shutdown."""
+keep-alive connection reuse, request framing (fixed cases and a fuzz),
+and the connection lifecycle: idle reaping, the connection cap and
+graceful shutdown."""
 
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Session
 from repro.store import (
@@ -22,6 +32,7 @@ from repro.store import (
     TraceServer,
     canonical_json,
 )
+from repro.store import server as server_mod
 from repro.store.server import MAX_BODY_BYTES
 
 from .test_store import query_matrix, wire_root, write_trace  # noqa: F401
@@ -467,6 +478,159 @@ class TestFraming:
             sock.close()
 
 
+    def reject(self, server, store, raw):
+        """Send ``raw``; the reply must be a counted JSON 400 + close."""
+        requests = store.metrics.counter("http.requests")
+        errors = store.metrics.counter("http.errors")
+        sock = raw_conn(server)
+        try:
+            sock.sendall(raw)
+            status, headers, body, _ = read_response(sock)
+            assert status == 400
+            assert headers.get("connection") == "close"
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+        assert store.metrics.counter("http.requests") == requests + 1
+        assert store.metrics.counter("http.errors") == errors + 1
+        return json.loads(body)["error"]
+
+    def test_non_ascii_digit_content_length_is_400(self, served):
+        # "\xb2" is latin-1 superscript two: str.isdigit() accepts it,
+        # int() does not.
+        server, store, _root = served
+        error = self.reject(
+            server, store,
+            b"POST /analyze HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: \xb2\r\n\r\n{}",
+        )
+        assert "Content-Length" in error
+
+    def test_conflicting_content_lengths_are_400(self, served):
+        server, store, _root = served
+        error = self.reject(
+            server, store,
+            b"POST /analyze HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 2\r\nContent-Length: 20\r\n\r\n"
+            b"{}GET /healthz HTTP/1.1\r\n",
+        )
+        assert "Content-Length" in error
+
+    def test_content_length_with_transfer_encoding_is_400(self, served):
+        server, store, _root = served
+        error = self.reject(
+            server, store,
+            b"POST /analyze HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n{}",
+        )
+        assert "Transfer-Encoding" in error
+
+
+def parse_responses(data):
+    """Statuses of the complete JSON responses in ``data``; fails on
+    anything else, including a response cut short."""
+    statuses = []
+    while data:
+        head, sep, rest = data.partition(b"\r\n\r\n")
+        assert sep, data
+        lines = head.split(b"\r\n")
+        assert lines[0].startswith(b"HTTP/1.1 "), lines[0]
+        headers = dict(
+            (key.strip().lower(), value.strip())
+            for key, _, value in (line.partition(b":") for line in lines[1:])
+        )
+        assert headers[b"content-type"] == b"application/json"
+        length = int(headers[b"content-length"])
+        assert len(rest) >= length, data
+        json.loads(rest[:length])
+        statuses.append(int(lines[0].split()[1]))
+        data = rest[length:]
+    return statuses
+
+
+def exchange(server, payload, half_close):
+    """Send ``payload`` and read until the server closes."""
+    sock = raw_conn(server)
+    data = b""
+    try:
+        sock.sendall(payload)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    except ConnectionResetError:
+        pass
+    finally:
+        sock.close()
+    return data
+
+
+@pytest.fixture(scope="class")
+def fuzz_served(tmp_path_factory):
+    """A server whose timeouts are short enough to fuzz against."""
+    root = tmp_path_factory.mktemp("fuzz-served")
+    write_trace(root, "li-like")
+    session = Session()
+    store = session.store(root)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(server_mod, "KEEPALIVE_TIMEOUT", 0.2)
+        mp.setattr(server_mod, "REQUEST_TIMEOUT", 0.2)
+        server = TraceServer(store).start()
+        fn = store.catalog.functions("li-like")[0].name
+        body = json.dumps({"trace": "li-like", "fact": "def:acc"})
+        valid = [
+            f"GET /query?trace=li-like&fn={fn}&limit=2 HTTP/1.1\r\n"
+            "Host: test\r\n\r\n".encode("ascii"),
+            "POST /analyze HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n{body}".encode("ascii"),
+        ]
+        yield server, valid
+        server.stop()
+    store.close()
+    session.close()
+
+
+class TestFramingFuzz:
+    """Truncated and bit-flipped requests get a JSON reply or a close."""
+
+    ANSWERS = {200, 400, 404, 405}
+
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.integers(0, 1), cut=st.floats(0, 1), half=st.booleans())
+    def test_truncated_requests(self, fuzz_served, which, cut, half):
+        server, valid = fuzz_served
+        raw = valid[which]
+        payload = raw[: int(len(raw) * cut)]
+        statuses = parse_responses(exchange(server, payload, half))
+        assert set(statuses) <= self.ANSWERS
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        which=st.integers(0, 1),
+        flips=st.lists(
+            st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 7)),
+            min_size=1, max_size=3,
+        ),
+        half=st.booleans(),
+    )
+    def test_bit_flipped_requests(self, fuzz_served, which, flips, half):
+        server, valid = fuzz_served
+        payload = bytearray(valid[which])
+        for where, bit in flips:
+            payload[int(len(payload) * where)] ^= 1 << bit
+        statuses = parse_responses(exchange(server, bytes(payload), half))
+        assert set(statuses) <= self.ANSWERS
+
+    def test_still_healthy_afterwards(self, fuzz_served):
+        server, _valid = fuzz_served
+        status, _body = get(server, "/healthz")
+        assert status == 200
+
+
 class TestHealthz:
     def test_matches_store_and_is_corpus_free(self, served):
         server, store, _root = served
@@ -571,3 +735,131 @@ class TestGracefulShutdown:
             server.stop()
             store.close()
             session.close()
+
+
+@pytest.fixture
+def li_store(tmp_path):
+    write_trace(tmp_path, "li-like")
+    session = Session()
+    store = session.store(tmp_path)
+    yield store
+    store.close()
+    session.close()
+
+
+class TestLifecycle:
+    def test_idle_keepalive_connection_is_reaped(self, li_store, monkeypatch):
+        monkeypatch.setattr(server_mod, "KEEPALIVE_TIMEOUT", 0.3)
+        with TraceServer(li_store) as server:
+            sock = raw_conn(server)
+            try:
+                send_get(sock, "/healthz")
+                status, headers, _body, _ = read_response(sock)
+                assert status == 200
+                assert headers.get("connection") == "keep-alive"
+                started = time.monotonic()
+                assert sock.recv(1) == b""  # the server hung up
+                assert time.monotonic() - started < 5
+            finally:
+                sock.close()
+        assert li_store.metrics.counter("serve.idle_closed") == 1
+
+    def test_in_flight_request_completes_after_stop(
+        self, li_store, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        healthz = li_store.healthz
+
+        def held_healthz():
+            entered.set()
+            release.wait(10)
+            return healthz()
+
+        monkeypatch.setattr(li_store, "healthz", held_healthz)
+        server = TraceServer(li_store).start()
+        sock = raw_conn(server)
+        try:
+            send_get(sock, "/healthz")
+            assert entered.wait(10)
+            server.request_stop()
+            release.set()
+            status, headers, body, _ = read_response(sock)
+            assert status == 200
+            assert headers.get("connection") == "close"
+            assert body == canonical_json(healthz()) + b"\n"
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+            server.stop()
+
+    def test_connection_cap_queues_the_next_client(
+        self, li_store, monkeypatch
+    ):
+        monkeypatch.setattr(server_mod, "MAX_CONNECTIONS", 2)
+        with TraceServer(li_store) as server:
+            first, second = raw_conn(server), raw_conn(server)
+            third = raw_conn(server)  # completes in the listen backlog
+            try:
+                for sock in (first, second):
+                    send_get(sock, "/healthz")
+                    assert read_response(sock)[0] == 200
+                send_get(third, "/healthz")
+                third.settimeout(0.5)
+                with pytest.raises(socket.timeout):
+                    third.recv(1)
+                first.close()
+                third.settimeout(10)
+                assert read_response(third)[0] == 200
+            finally:
+                for sock in (first, second, third):
+                    sock.close()
+
+    def test_parser_bug_is_reported_not_swallowed(
+        self, li_store, monkeypatch, capsys
+    ):
+        def broken(conn):
+            raise ValueError("parser bug")
+
+        with TraceServer(li_store) as server:
+            monkeypatch.setattr(server, "_read_request", broken)
+            sock = raw_conn(server)
+            try:
+                assert sock.recv(1) == b""
+            finally:
+                sock.close()
+        assert "ValueError: parser bug" in capsys.readouterr().err
+
+    def test_sigterm_drains_idle_connection_and_writes_metrics(
+        self, li_store, tmp_path
+    ):
+        metrics_out = tmp_path / "metrics.json"
+        env = dict(os.environ)
+        src = str(Path(server_mod.__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(tmp_path),
+             "--port", "0", "--metrics-out", str(metrics_out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            line = proc.stdout.readline().decode()
+            port = int(line.rsplit(":", 1)[1])
+            sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+            try:
+                send_get(sock, "/healthz")
+                assert read_response(sock)[0] == 200
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10) == 0
+            finally:
+                sock.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        doc = json.loads(metrics_out.read_text())
+        assert doc["schema"] == "repro.metrics/1"
+        assert doc["counters"]["serve.connections"] == 1
