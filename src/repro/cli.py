@@ -440,55 +440,69 @@ def _cmd_corpus_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_corpus_diff(args: argparse.Namespace) -> int:
+def _corpus_request(cls, **params):
+    """Parse a corpus verb's flags, under their ``GET /corpus/*``
+    parameter names, with the daemon's parser: the same inputs fail with
+    the same message (a ``RequestError``, exit 2 in :func:`main`)."""
+    return cls.from_query({name: v for name, v in params.items() if v})
+
+
+def _print_json(doc) -> None:
     import json
 
-    from .api import Session
-    from .corpus import diff_doc
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
+
+def _cmd_corpus_diff(args: argparse.Namespace) -> int:
+    from .api import Session
+    from .store.requests import CorpusDiffRequest
+    from .store.store import corpus_doc
+
+    request = _corpus_request(
+        CorpusDiffRequest, a=[args.run_a], b=[args.run_b], limit=args.limit
+    )
     with Session() as session:
         with session.corpus(args.root) as corpus:
-            delta = corpus.diff(args.run_a, args.run_b)
-    if args.json:
-        print(json.dumps(diff_doc(delta, limit=args.limit),
-                         indent=2, sort_keys=True))
-    else:
-        print(delta.render(limit=args.limit))
+            if args.json:
+                doc = corpus_doc(corpus, request)
+                _print_json(doc)
+                return 0 if doc["identical"] else 1
+            delta = corpus.diff(request.run_a, request.run_b)
+    print(delta.render(limit=request.limit))
     return 0 if delta.identical else 1
 
 
 def _cmd_corpus_hot(args: argparse.Namespace) -> int:
-    import json
-
     from .api import Session
-    from .corpus import hot_doc
+    from .store.requests import CorpusHotRequest
+    from .store.store import corpus_doc
 
+    request = _corpus_request(
+        CorpusHotRequest, run=args.run, fn=args.function, top=args.top,
+        coverage=args.coverage,
+    )
     with Session() as session:
         with session.corpus(args.root) as corpus:
+            if args.json:
+                _print_json(corpus_doc(corpus, request))
+                return 0
             profile = corpus.hot_paths(
-                runs=args.run or None, functions=args.function or None
+                runs=list(request.runs) or None,
+                functions=list(request.functions) or None,
             )
-    if args.json:
-        print(json.dumps(
-            hot_doc(profile, top=args.top, coverage=args.coverage),
-            indent=2, sort_keys=True,
-        ))
-        return 0
-    scope = ", ".join(args.run) if args.run else "all runs"
+    scope = ", ".join(request.runs) if request.runs else "all runs"
     print(
         f"{profile.distinct_paths()} distinct acyclic paths over {scope}, "
         f"{profile.total_executions} executions; "
-        f"{profile.coverage(args.coverage)} path(s) cover "
-        f"{args.coverage:.0%}"
+        f"{profile.coverage(request.coverage)} path(s) cover "
+        f"{request.coverage:.0%}"
     )
-    for hot in profile.hot_paths(args.top):
+    for hot in profile.hot_paths(request.top):
         print(" ", hot)
     return 0
 
 
 def _cmd_corpus_check(args: argparse.Namespace) -> int:
-    import json
-
     from .api import Session
 
     with Session() as session:
@@ -497,9 +511,8 @@ def _cmd_corpus_check(args: argparse.Namespace) -> int:
             runs = len(corpus.runs())
             recovered = corpus.recovered_bytes
     if args.json:
-        print(json.dumps({"ok": not problems, "problems": problems,
-                          "recovered_bytes": recovered},
-                         indent=2, sort_keys=True))
+        _print_json({"ok": not problems, "problems": problems,
+                     "recovered_bytes": recovered})
     else:
         if recovered:
             print(f"recovered: opening dropped {recovered} pack byte(s)"
@@ -511,15 +524,16 @@ def _cmd_corpus_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus_stats(args: argparse.Namespace) -> int:
-    import json
-
     from .api import Session
+    from .store.requests import CorpusStatsRequest
+    from .store.store import corpus_doc
 
+    request = _corpus_request(CorpusStatsRequest)
     with Session() as session:
         with session.corpus(args.root) as corpus:
-            report = corpus.stats()
+            report = corpus_doc(corpus, request)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
         return 0
     for run in report["runs"]:
         print(
@@ -590,6 +604,17 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse ``type=`` for ``--top``/``--limit``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree (exposed for tests and docs).
 
@@ -600,6 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.
     """
     from .compact.qserve import DEFAULT_CACHE_BYTES
+    from .store.requests import CorpusDiffRequest, CorpusHotRequest
 
     metrics_parent = argparse.ArgumentParser(add_help=False)
     metrics_parent.add_argument(
@@ -669,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help=".wpp, .twpp or .sqwp file")
     p.add_argument("functions", nargs="+", metavar="function",
                    help="function name(s); several fan out as one batch")
-    p.add_argument("--limit", type=int, default=10,
+    p.add_argument("--limit", type=_count, default=10,
                    help="max traces to print per function (0 = all)")
     p.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
                    help="decoded-record LRU cache budget in bytes for "
@@ -691,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "default: every function)")
     p.add_argument("--threshold", type=float, default=0.9,
                    help="hot-fact frequency threshold (default 0.9)")
-    p.add_argument("--limit", type=int, default=10,
+    p.add_argument("--limit", type=_count, default=10,
                    help="max hot blocks to print per trace")
     p.set_defaults(func=_cmd_analyze)
 
@@ -740,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("twpp_a", help=".twpp path (or run name with --corpus)")
     p.add_argument("twpp_b", help=".twpp path (or run name with --corpus)")
-    p.add_argument("--limit", type=int, default=20)
+    p.add_argument("--limit", type=_count, default=20)
     p.add_argument("--corpus", metavar="ROOT", default=None,
                    help="treat the two arguments as run names in this "
                         "corpus directory and diff them from shared blobs")
@@ -772,7 +798,9 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("root", help="corpus directory")
     cp.add_argument("run_a")
     cp.add_argument("run_b")
-    cp.add_argument("--limit", type=int, default=20)
+    cp.add_argument("--limit", action="append",
+                    help="max changed functions listed "
+                         f"(default {CorpusDiffRequest.limit})")
     cp.add_argument("--json", action="store_true",
                     help="emit the diff as JSON (the same document "
                          "GET /corpus/diff serves)")
@@ -786,8 +814,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to this run (repeatable; default: all)")
     cp.add_argument("--function", action="append", default=[],
                     help="restrict to this function (repeatable)")
-    cp.add_argument("--top", type=int, default=10)
-    cp.add_argument("--coverage", type=float, default=0.9)
+    cp.add_argument("--top", action="append",
+                    help=f"max ranked paths (default {CorpusHotRequest.top})")
+    cp.add_argument("--coverage", action="append",
+                    help="fraction in (0, 1] for the coverage count "
+                         f"(default {CorpusHotRequest.coverage})")
     cp.add_argument("--json", action="store_true",
                     help="emit the profile as JSON (the same document "
                          "GET /corpus/hot serves)")
@@ -818,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hotpaths", help="rank hot acyclic paths from a .wpp")
     p.add_argument("wpp")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_count, default=10)
     p.add_argument("--coverage", type=float, default=0.9)
     p.set_defaults(func=_cmd_hotpaths)
 

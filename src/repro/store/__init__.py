@@ -4,11 +4,15 @@ The store-centric layer of the public API.  A :class:`TraceStore` is a
 directory of compacted traces with a SQLite catalog
 (:mod:`repro.store.catalog`), warm per-file query engines under a
 global cache byte budget with cross-file LRU eviction, and per-key
-request coalescing.  Its verbs consume the typed request dataclasses of
-:mod:`repro.store.requests` and return JSON-ready dicts; the stdlib
+request coalescing.  Its verbs consume the six request dataclasses of
+:mod:`repro.store.requests` (:class:`QueryRequest`,
+:class:`AnalyzeRequest`, :class:`StatsRequest`,
+:class:`CorpusStatsRequest`, :class:`CorpusHotRequest`,
+:class:`CorpusDiffRequest`) and return JSON-ready dicts.  The stdlib
 HTTP daemon (:mod:`repro.store.server`, ``repro-wpp serve``) is a thin
-adapter over exactly those verbs, so in-process, CLI, and HTTP callers
-share one request model and produce identical responses.
+adapter over exactly those verbs, so in-process and HTTP callers get
+identical responses; of the CLI, only ``corpus stats|hot|diff`` parse
+through the same classes (``query`` and ``analyze`` read files).
 
 >>> import repro
 >>> with repro.Session().store("traces/") as store:

@@ -1,19 +1,25 @@
-"""The typed request model every TraceStore transport shares.
+"""The typed request model of the TraceStore verbs.
 
-One request dataclass per store verb -- :class:`QueryRequest`,
-:class:`AnalyzeRequest`, :class:`StatsRequest` -- consumed identically
-by in-process :class:`~repro.store.store.TraceStore` calls, the CLI,
-and the HTTP daemon (which is therefore a thin adapter, not a fourth
-bespoke surface).  Each class round-trips through plain dicts
-(:meth:`to_dict` / :meth:`from_dict`) and parses itself from URL query
-parameters (:meth:`from_query`), validating as it goes: every malformed
-input raises :class:`RequestError`, which the HTTP layer maps to a 400
-and the CLI to exit code 2.
+One frozen dataclass per store verb: :class:`QueryRequest`,
+:class:`AnalyzeRequest`, :class:`StatsRequest`,
+:class:`CorpusStatsRequest`, :class:`CorpusHotRequest` and
+:class:`CorpusDiffRequest`.  Each field is declared once, with its
+check (non-empty text, a list of names, a non-negative count, a
+fraction in (0, 1]), its default (none = required) and, where it
+differs from the field name, its URL parameter name.  The shared base
+derives validation on construction, :meth:`~_Request.from_dict`,
+:meth:`~_Request.from_query` and :meth:`~_Request.to_dict` from that
+declaration, so every transport parses a verb the same way:
+in-process :class:`~repro.store.store.TraceStore` calls, the HTTP
+daemon (``GET`` parameters and the ``POST /analyze`` body) and the
+CLI's ``corpus stats|hot|diff``.  Every malformed input raises
+:class:`RequestError`, which the HTTP layer maps to a 400 and the CLI
+to exit code 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
@@ -31,48 +37,135 @@ class RequestError(ValueError):
     """A malformed store request (HTTP 400 / CLI exit 2)."""
 
 
-def _reject_unknown(cls, data: Mapping) -> None:
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise RequestError(
-            f"unknown {cls.__name__} field(s): {', '.join(unknown)}"
-        )
+# ---- field checks: (value, field name) -> the normalized value --------
 
 
-def _want_str(value, what: str) -> str:
+def _text(value, name: str) -> str:
     if not isinstance(value, str) or not value:
-        raise RequestError(f"{what} must be a non-empty string")
+        raise RequestError(f"{name} must be a non-empty string")
     return value
 
 
-def _want_names(value, what: str) -> Tuple[str, ...]:
-    if value is None:
-        return ()
+def _names(value, name: str) -> Tuple[str, ...]:
     if isinstance(value, str):
         value = [value]
     if not isinstance(value, (list, tuple)) or not all(
         isinstance(v, str) and v for v in value
     ):
-        raise RequestError(f"{what} must be a list of non-empty strings")
+        raise RequestError(f"{name} must be a list of non-empty strings")
     return tuple(value)
 
 
-def _want_limit(value) -> Optional[int]:
-    if value is None:
-        return None
+def _count(value, name: str) -> int:
     try:
-        limit = int(value)
+        count = int(value)
     except (TypeError, ValueError):
-        raise RequestError("limit must be an integer") from None
-    if limit < 0:
-        raise RequestError("limit must be >= 0")
-    return limit
+        raise RequestError(f"{name} must be an integer") from None
+    if count < 0:
+        raise RequestError(f"{name} must be >= 0")
+    return count
 
 
-@dataclass(frozen=True)
-class QueryRequest:
-    """Path traces for one trace's functions.
+def _fraction(value, name: str) -> float:
+    try:
+        fraction = float(value)
+    except (TypeError, ValueError):
+        raise RequestError(f"{name} must be a number") from None
+    if not 0.0 < fraction <= 1.0:
+        raise RequestError(f"{name} must be in (0, 1]")
+    return fraction
+
+
+def _field(check, default=MISSING, param: Optional[str] = None):
+    """Declare one request field; no ``default`` makes it required."""
+    return field(default=default, metadata={"check": check, "param": param})
+
+
+class _Request:
+    """Validation and the dict/query codecs, derived from the fields.
+
+    Each subclass becomes a frozen dataclass whose :func:`_field`
+    declarations drive everything below.  ``None`` for a field with a
+    default means "the default".  In a URL a name-list field may
+    repeat; any other parameter appears at most once.
+    """
+
+    # (name, check, default or MISSING, URL parameter, is a name list)
+    _specs: Tuple[Tuple, ...] = ()
+    _field_names: frozenset = frozenset()
+    _params: frozenset = frozenset()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(frozen=True)(cls)
+        cls._specs = tuple(
+            (f.name, f.metadata["check"], f.default,
+             f.metadata["param"] or f.name, f.metadata["check"] is _names)
+            for f in fields(cls)
+        )
+        cls._field_names = frozenset(spec[0] for spec in cls._specs)
+        cls._params = frozenset(spec[3] for spec in cls._specs)
+
+    def __post_init__(self):
+        for name, check, default, _param, _many in self._specs:
+            value = getattr(self, name)
+            if value is None and default is not MISSING:
+                value = default
+            if value is not None or default is MISSING:
+                object.__setattr__(self, name, check(value, name))
+
+    @classmethod
+    def _reject_unknown(cls, given, known, what: str) -> None:
+        if not known.issuperset(given):
+            raise RequestError(
+                f"unknown {cls.__name__} {what}(s): "
+                + ", ".join(sorted(map(str, set(given) - known)))
+            )
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        """Build from a JSON object (unknown fields are rejected)."""
+        if not isinstance(data, Mapping):
+            raise RequestError(f"{cls.__name__} body must be a JSON object")
+        cls._reject_unknown(data, cls._field_names, "field")
+        for name, _check, default, _param, _many in cls._specs:
+            if default is MISSING and name not in data:
+                raise RequestError(f"{cls.__name__} needs a {name}")
+        return cls(**data)
+
+    @classmethod
+    def from_query(cls, params: Mapping[str, List[str]]):
+        """Build from parsed URL query parameters (``parse_qs`` shape)."""
+        cls._reject_unknown(params, cls._params, "parameter")
+        values = {}
+        for name, _check, default, param, many in cls._specs:
+            given = params.get(param)
+            if not given:
+                if default is MISSING:
+                    raise RequestError(
+                        f"{cls.__name__} needs a {param} parameter"
+                    )
+            elif many:
+                values[name] = given
+            elif len(given) > 1:
+                raise RequestError(f"at most one {param} parameter")
+            else:
+                values[name] = given[0]
+        return cls(**values)
+
+    def to_dict(self) -> Dict:
+        """The JSON-ready form :meth:`from_dict` reads back; fields
+        left at ``None`` or ``()`` are omitted."""
+        doc: Dict = {}
+        for name, *_rest in self._specs:
+            value = getattr(self, name)
+            if value is not None and value != ():
+                doc[name] = list(value) if isinstance(value, tuple) else value
+        return doc
+
+
+class QueryRequest(_Request):
+    """Path traces for one trace's functions (``GET /query``).
 
     ``trace`` names a catalog entry (the ``.twpp`` file's stem);
     ``functions`` restricts the batch (empty = every function, in
@@ -80,59 +173,14 @@ class QueryRequest:
     (None = all).
     """
 
-    trace: str
-    functions: Tuple[str, ...] = ()
-    limit: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "trace", _want_str(self.trace, "trace"))
-        object.__setattr__(
-            self, "functions", _want_names(self.functions, "functions")
-        )
-        object.__setattr__(self, "limit", _want_limit(self.limit))
-
-    def to_dict(self) -> Dict:
-        doc: Dict = {"trace": self.trace}
-        if self.functions:
-            doc["functions"] = list(self.functions)
-        if self.limit is not None:
-            doc["limit"] = self.limit
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "QueryRequest":
-        if not isinstance(data, Mapping):
-            raise RequestError("query request body must be a JSON object")
-        _reject_unknown(cls, data)
-        if "trace" not in data:
-            raise RequestError("query request needs a trace")
-        return cls(
-            trace=data["trace"],
-            functions=_want_names(data.get("functions"), "functions"),
-            limit=data.get("limit"),
-        )
-
-    @classmethod
-    def from_query(cls, params: Mapping[str, List[str]]) -> "QueryRequest":
-        """Build from parsed URL query parameters (``parse_qs`` shape)."""
-        _check_params(cls, params, {"trace": "trace", "fn": "functions",
-                                    "limit": "limit"})
-        traces = params.get("trace", [])
-        if len(traces) != 1:
-            raise RequestError("query needs exactly one trace parameter")
-        limits = params.get("limit", [])
-        if len(limits) > 1:
-            raise RequestError("at most one limit parameter")
-        return cls(
-            trace=traces[0],
-            functions=tuple(params.get("fn", [])),
-            limit=limits[0] if limits else None,
-        )
+    trace: str = _field(_text)
+    functions: Tuple[str, ...] = _field(_names, (), param="fn")
+    limit: Optional[int] = _field(_count, None)
 
 
-@dataclass(frozen=True)
-class AnalyzeRequest:
-    """Data-flow fact frequencies over one trace's path traces.
+class AnalyzeRequest(_Request):
+    """Data-flow fact frequencies over one trace's path traces
+    (``POST /analyze``).
 
     ``fact`` is a spec string (``load:ADDR``, ``expr:a,b``, ``def:x``);
     ``program`` is the textual-IR file, resolved *relative to the store
@@ -140,123 +188,24 @@ class AnalyzeRequest:
     restricts the sweep (empty = every traced function).
     """
 
-    trace: str
-    fact: str
-    functions: Tuple[str, ...] = ()
-    program: Optional[str] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "trace", _want_str(self.trace, "trace"))
-        object.__setattr__(self, "fact", _want_str(self.fact, "fact"))
-        object.__setattr__(
-            self, "functions", _want_names(self.functions, "functions")
-        )
-        if self.program is not None:
-            object.__setattr__(
-                self, "program", _want_str(self.program, "program")
-            )
-
-    def to_dict(self) -> Dict:
-        doc: Dict = {"trace": self.trace, "fact": self.fact}
-        if self.functions:
-            doc["functions"] = list(self.functions)
-        if self.program is not None:
-            doc["program"] = self.program
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AnalyzeRequest":
-        if not isinstance(data, Mapping):
-            raise RequestError("analyze request body must be a JSON object")
-        _reject_unknown(cls, data)
-        for required in ("trace", "fact"):
-            if required not in data:
-                raise RequestError(f"analyze request needs a {required}")
-        return cls(
-            trace=data["trace"],
-            fact=data["fact"],
-            functions=_want_names(data.get("functions"), "functions"),
-            program=data.get("program"),
-        )
+    trace: str = _field(_text)
+    fact: str = _field(_text)
+    functions: Tuple[str, ...] = _field(_names, ())
+    program: Optional[str] = _field(_text, None)
 
 
-@dataclass(frozen=True)
-class StatsRequest:
-    """Store- or trace-level serving stats (no trace = whole store)."""
+class StatsRequest(_Request):
+    """Store- or trace-level serving stats (``GET /stats``; no trace =
+    whole store)."""
 
-    trace: Optional[str] = None
-
-    def __post_init__(self):
-        if self.trace is not None:
-            object.__setattr__(self, "trace", _want_str(self.trace, "trace"))
-
-    def to_dict(self) -> Dict:
-        return {} if self.trace is None else {"trace": self.trace}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "StatsRequest":
-        if not isinstance(data, Mapping):
-            raise RequestError("stats request body must be a JSON object")
-        _reject_unknown(cls, data)
-        return cls(trace=data.get("trace"))
-
-    @classmethod
-    def from_query(cls, params: Mapping[str, List[str]]) -> "StatsRequest":
-        _check_params(cls, params, {"trace": "trace"})
-        traces = params.get("trace", [])
-        if len(traces) > 1:
-            raise RequestError("at most one trace parameter")
-        return cls(trace=traces[0] if traces else None)
+    trace: Optional[str] = _field(_text, None)
 
 
-@dataclass(frozen=True)
-class CorpusStatsRequest:
+class CorpusStatsRequest(_Request):
     """Corpus-level compaction accounting (``GET /corpus/stats``)."""
 
-    def to_dict(self) -> Dict:
-        return {}
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CorpusStatsRequest":
-        if not isinstance(data, Mapping):
-            raise RequestError("corpus stats request body must be a JSON object")
-        _reject_unknown(cls, data)
-        return cls()
-
-    @classmethod
-    def from_query(
-        cls, params: Mapping[str, List[str]]
-    ) -> "CorpusStatsRequest":
-        _check_params(cls, params, {})
-        return cls()
-
-
-def _want_top(value) -> int:
-    if value is None:
-        return 10
-    try:
-        top = int(value)
-    except (TypeError, ValueError):
-        raise RequestError("top must be an integer") from None
-    if top < 0:
-        raise RequestError("top must be >= 0")
-    return top
-
-
-def _want_coverage(value) -> float:
-    if value is None:
-        return 0.9
-    try:
-        coverage = float(value)
-    except (TypeError, ValueError):
-        raise RequestError("coverage must be a number") from None
-    if not 0.0 < coverage <= 1.0:
-        raise RequestError("coverage must be in (0, 1]")
-    return coverage
-
-
-@dataclass(frozen=True)
-class CorpusHotRequest:
+class CorpusHotRequest(_Request):
     """Hot acyclic paths across ingested runs (``GET /corpus/hot``).
 
     ``runs``/``functions`` restrict the aggregation (empty = all);
@@ -264,104 +213,16 @@ class CorpusHotRequest:
     the "N paths cover X%" statistic.
     """
 
-    runs: Tuple[str, ...] = ()
-    functions: Tuple[str, ...] = ()
-    top: int = 10
-    coverage: float = 0.9
-
-    def __post_init__(self):
-        object.__setattr__(self, "runs", _want_names(self.runs, "runs"))
-        object.__setattr__(
-            self, "functions", _want_names(self.functions, "functions")
-        )
-        object.__setattr__(self, "top", _want_top(self.top))
-        object.__setattr__(self, "coverage", _want_coverage(self.coverage))
-
-    def to_dict(self) -> Dict:
-        doc: Dict = {"top": self.top, "coverage": self.coverage}
-        if self.runs:
-            doc["runs"] = list(self.runs)
-        if self.functions:
-            doc["functions"] = list(self.functions)
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CorpusHotRequest":
-        if not isinstance(data, Mapping):
-            raise RequestError("corpus hot request body must be a JSON object")
-        _reject_unknown(cls, data)
-        return cls(
-            runs=_want_names(data.get("runs"), "runs"),
-            functions=_want_names(data.get("functions"), "functions"),
-            top=data.get("top"),
-            coverage=data.get("coverage"),
-        )
-
-    @classmethod
-    def from_query(cls, params: Mapping[str, List[str]]) -> "CorpusHotRequest":
-        _check_params(cls, params, {"run": "runs", "fn": "functions",
-                                    "top": "top", "coverage": "coverage"})
-        for single in ("top", "coverage"):
-            if len(params.get(single, [])) > 1:
-                raise RequestError(f"at most one {single} parameter")
-        return cls(
-            runs=tuple(params.get("run", [])),
-            functions=tuple(params.get("fn", [])),
-            top=(params.get("top") or [None])[0],
-            coverage=(params.get("coverage") or [None])[0],
-        )
+    runs: Tuple[str, ...] = _field(_names, (), param="run")
+    functions: Tuple[str, ...] = _field(_names, (), param="fn")
+    top: int = _field(_count, 10)
+    coverage: float = _field(_fraction, 0.9)
 
 
-@dataclass(frozen=True)
-class CorpusDiffRequest:
-    """Compare two ingested runs (``GET /corpus/diff``)."""
+class CorpusDiffRequest(_Request):
+    """Compare two ingested runs (``GET /corpus/diff``); ``limit`` caps
+    the changed functions listed."""
 
-    run_a: str
-    run_b: str
-    limit: int = 20
-
-    def __post_init__(self):
-        object.__setattr__(self, "run_a", _want_str(self.run_a, "run_a"))
-        object.__setattr__(self, "run_b", _want_str(self.run_b, "run_b"))
-        limit = _want_limit(self.limit)
-        object.__setattr__(self, "limit", 20 if limit is None else limit)
-
-    def to_dict(self) -> Dict:
-        return {"run_a": self.run_a, "run_b": self.run_b, "limit": self.limit}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CorpusDiffRequest":
-        if not isinstance(data, Mapping):
-            raise RequestError("corpus diff request body must be a JSON object")
-        _reject_unknown(cls, data)
-        for required in ("run_a", "run_b"):
-            if required not in data:
-                raise RequestError(f"corpus diff request needs a {required}")
-        return cls(
-            run_a=data["run_a"],
-            run_b=data["run_b"],
-            limit=data.get("limit"),
-        )
-
-    @classmethod
-    def from_query(cls, params: Mapping[str, List[str]]) -> "CorpusDiffRequest":
-        _check_params(cls, params, {"a": "run_a", "b": "run_b",
-                                    "limit": "limit"})
-        for single in ("a", "b", "limit"):
-            if len(params.get(single, [])) > 1:
-                raise RequestError(f"at most one {single} parameter")
-        if not params.get("a") or not params.get("b"):
-            raise RequestError("corpus diff needs a and b run parameters")
-        return cls(
-            run_a=params["a"][0],
-            run_b=params["b"][0],
-            limit=(params.get("limit") or [None])[0],
-        )
-
-
-def _check_params(cls, params: Mapping, allowed: Mapping[str, str]) -> None:
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise RequestError(
-            f"unknown {cls.__name__} parameter(s): {', '.join(unknown)}"
-        )
+    run_a: str = _field(_text, param="a")
+    run_b: str = _field(_text, param="b")
+    limit: int = _field(_count, 20)

@@ -1,28 +1,18 @@
 """The trace-serving HTTP daemon: a keep-alive front end over a TraceStore.
 
 ``repro-wpp serve DIR`` runs this server.  Endpoints stay a thin
-adapter: every route parses its input into one of the typed request
-dataclasses of :mod:`repro.store.requests`, calls the corresponding
-:class:`~repro.store.store.TraceStore` verb, and writes the returned
-dict as canonical JSON -- so an HTTP response body is byte-identical
-to ``canonical_json(store.verb(request))`` computed in-process, and the
+adapter: :data:`ROUTES` maps each ``(method, path)`` to a request class
+of :mod:`repro.store.requests` and the
+:class:`~repro.store.store.TraceStore` verb it feeds (the endpoint table
+with its parameters is in ``docs/FORMATS.md``).  A route parses its
+input with that class, calls the verb and writes the returned dict as
+canonical JSON -- so an HTTP response body is byte-identical to
+``canonical_json(store.verb(request))`` computed in-process, and the
 server adds no semantics of its own.  ``/query`` is the one route that
 gets its body already encoded: :meth:`TraceStore.query_json` splices
 the engines' cached canonical-JSON trace fragments, still
 byte-identical to ``canonical_json(store.query(request))``, so a warm
-query does no JSON encoding.  Endpoints:
-
-=====================  ====================================================
-``GET /traces``        catalog listing (``?refresh=1`` rescans first)
-``GET /query``         ``?trace=NAME&fn=F&fn=G&limit=N`` path traces
-``POST /analyze``      JSON :class:`AnalyzeRequest` body, fact frequencies
-``GET /stats``         store stats, or ``?trace=NAME`` for one trace
-``GET /metrics``       the session's ``repro.metrics/1`` document
-``GET /healthz``       liveness + catalog counts (readiness polling)
-``GET /corpus/stats``  attached-corpus compaction accounting
-``GET /corpus/hot``    ``?run=A&fn=F&top=N&coverage=F`` cross-run hot paths
-``GET /corpus/diff``   ``?a=RUN&b=RUN&limit=N`` run-pair comparison
-=====================  ====================================================
+query does no JSON encoding.
 
 Transport: one thread per connection, from accept to close.
 
@@ -61,7 +51,7 @@ import sys
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .requests import (
@@ -88,9 +78,24 @@ KEEPALIVE_TIMEOUT = 60.0
 #: Seconds the rest of a started request may take to arrive.
 REQUEST_TIMEOUT = 30.0
 
-#: A route handler: ``(params, request)`` to a JSON-ready dict or to
-#: canonical JSON bytes.
-Route = Callable[[Dict[str, List[str]], "_Request"], Union[Dict, bytes]]
+#: ``(method, path) -> (request class, TraceStore method)``.  A ``GET``
+#: route parses its URL parameters with the class's ``from_query``, a
+#: ``POST`` route its JSON body with ``from_dict``; a route without a
+#: class takes no parameters (``/traces`` only its ``refresh`` flag).
+#: The method returns a JSON-ready dict, or the body already encoded
+#: as canonical JSON bytes (``query_json``).
+ROUTES: Dict[Tuple[str, str], Tuple[Optional[type], str]] = {
+    ("GET", "/traces"): (None, "traces"),
+    ("GET", "/query"): (QueryRequest, "query_json"),
+    ("GET", "/stats"): (StatsRequest, "stats"),
+    ("GET", "/metrics"): (None, "metrics_snapshot"),
+    ("GET", "/healthz"): (None, "healthz"),
+    ("GET", "/corpus/stats"): (CorpusStatsRequest, "corpus_stats"),
+    ("GET", "/corpus/hot"): (CorpusHotRequest, "corpus_hot"),
+    ("GET", "/corpus/diff"): (CorpusDiffRequest, "corpus_diff"),
+    ("POST", "/analyze"): (AnalyzeRequest, "analyze"),
+}
+_ALLOWED = {path: method for method, path in ROUTES}
 
 _REASONS = {
     200: "OK",
@@ -120,6 +125,25 @@ def canonical_json(doc: Dict) -> bytes:
     return json.dumps(
         doc, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
+
+
+def _json_body(body: bytes):
+    if not body:
+        raise RequestError("POST needs a JSON request body")
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RequestError(f"request body is not JSON: {exc}") from None
+
+
+def _bare_args(path: str, params: Dict[str, List[str]]) -> Tuple:
+    """The arguments of a route without a request class."""
+    refresh = params.pop("refresh", None) if path == "/traces" else None
+    if params:
+        raise RequestError(
+            f"unknown {path} parameter(s): " + ", ".join(sorted(params))
+        )
+    return () if refresh is None else (refresh[-1] not in ("0", "", "false"),)
 
 
 class _BadRequest(Exception):
@@ -189,8 +213,6 @@ class TraceServer:
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         self._serving = False
-        self._routes = self._build_routes()
-        self._allowed = {path: method for method, path in self._routes}
 
     # ---- addressing ----------------------------------------------------
 
@@ -458,46 +480,29 @@ class TraceServer:
 
     # ---- routing ---------------------------------------------------------
 
-    def _build_routes(self) -> Dict[Tuple[str, str], Route]:
-        """The ``(method, path) -> handler(params, request)`` table.
-
-        A handler returns a JSON-ready dict, or the body already
-        encoded as canonical JSON bytes.
-        """
-        store = self.store
-        return {
-            ("GET", "/traces"): self._get_traces,
-            ("GET", "/query"): lambda params, _request: store.query_json(
-                QueryRequest.from_query(params)),
-            ("GET", "/stats"): lambda params, _request: store.stats(
-                StatsRequest.from_query(params)),
-            ("GET", "/metrics"): self._get_metrics,
-            ("GET", "/healthz"): self._get_healthz,
-            ("GET", "/corpus/stats"): lambda params, _request: (
-                store.corpus_stats(CorpusStatsRequest.from_query(params))),
-            ("GET", "/corpus/hot"): lambda params, _request: (
-                store.corpus_hot(CorpusHotRequest.from_query(params))),
-            ("GET", "/corpus/diff"): lambda params, _request: (
-                store.corpus_diff(CorpusDiffRequest.from_query(params))),
-            ("POST", "/analyze"): self._post_analyze,
-        }
-
     def _handle(
         self, request: _Request
     ) -> Tuple[int, bytes, Optional[Dict[str, str]]]:
         self.store.metrics.inc("http.requests")
         url = urlsplit(request.target)
-        route = self._routes.get((request.method, url.path))
+        route = ROUTES.get((request.method, url.path))
         if route is None:
             if request.method not in ("GET", "POST"):
                 return self._method_not_allowed("GET, POST")
-            allowed = self._allowed.get(url.path)
+            allowed = _ALLOWED.get(url.path)
             if allowed is None:
                 return self._error(404, f"no such endpoint: {url.path}")
             return self._method_not_allowed(allowed)
+        cls, verb = route
         params = parse_qs(url.query, keep_blank_values=True)
         try:
-            doc = route(params, request)
+            if request.method == "POST":
+                args = (cls.from_dict(_json_body(request.body)),)
+            elif cls is not None:
+                args = (cls.from_query(params),)
+            else:
+                args = _bare_args(url.path, params)
+            doc = getattr(self.store, verb)(*args)
         except RequestError as exc:
             return self._error(400, str(exc))
         except TraceNotFound as exc:
@@ -523,36 +528,6 @@ class TraceServer:
             canonical_json({"error": f"use {allowed}"}),
             {"Allow": allowed},
         )
-
-    # ---- endpoints -------------------------------------------------------
-
-    def _get_traces(self, params, _request) -> Dict:
-        params = dict(params)
-        refresh = params.pop("refresh", ["0"])[-1] not in ("0", "", "false")
-        if params:
-            raise RequestError(
-                "unknown traces parameter(s): " + ", ".join(sorted(params))
-            )
-        return self.store.traces(refresh=refresh)
-
-    def _get_metrics(self, params, _request) -> Dict:
-        if params:
-            raise RequestError("metrics takes no parameters")
-        return self.store.metrics_snapshot()
-
-    def _get_healthz(self, params, _request) -> Dict:
-        if params:
-            raise RequestError("healthz takes no parameters")
-        return self.store.healthz()
-
-    def _post_analyze(self, _params, request: _Request) -> Dict:
-        if not request.body:
-            raise RequestError("analyze needs a JSON request body")
-        try:
-            data = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise RequestError(f"request body is not JSON: {exc}") from None
-        return self.store.analyze(AnalyzeRequest.from_dict(data))
 
     # ---- logging ---------------------------------------------------------
 

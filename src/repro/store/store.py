@@ -11,11 +11,14 @@ which).  Concurrent requests for the same (file, function) are
 coalesced into a single decode via per-key in-flight records, so a
 thundering herd on a cold hot key costs one section parse, not N.
 
-The three verbs -- :meth:`query`, :meth:`analyze`, :meth:`stats` --
-consume the typed request dataclasses of :mod:`repro.store.requests`
-and return JSON-ready dicts, so the in-process API, the CLI, and the
-HTTP daemon (:mod:`repro.store.server`) share one request model and
-produce identical responses.  :meth:`query_json` is :meth:`query`'s
+The six verbs (:meth:`query`, :meth:`analyze`, :meth:`stats`,
+:meth:`corpus_stats`, :meth:`corpus_hot`, :meth:`corpus_diff`) each
+take their request dataclass of :mod:`repro.store.requests` and return
+a JSON-ready dict.  The HTTP daemon (:mod:`repro.store.server`) and
+the CLI's ``corpus stats|hot|diff`` parse into the same classes, and
+``--json`` prints :func:`corpus_doc`'s document, as the daemon serves
+it; the CLI's ``query`` and ``analyze`` read files, not a store, and
+do not use them.  :meth:`query_json` is :meth:`query`'s
 wire twin for the daemon: it splices each function's cached
 canonical-JSON trace fragment into bytes equal to
 ``canonical_json(query(request))``, so a warm ``GET /query`` encodes
@@ -51,7 +54,7 @@ PathLike = Union[str, "os.PathLike[str]"]
 #: Default catalog filename inside the store directory.
 CATALOG_NAME = "catalog.sqlite"
 
-__all__ = ["CATALOG_NAME", "TraceNotFound", "TraceStore"]
+__all__ = ["CATALOG_NAME", "TraceNotFound", "TraceStore", "corpus_doc"]
 
 
 class TraceNotFound(KeyError):
@@ -362,52 +365,23 @@ class TraceStore:
     def corpus_stats(self, request: Optional[CorpusStatsRequest] = None) -> Dict:
         """Corpus accounting (``GET /corpus/stats``), JSON-ready."""
         request = CorpusStatsRequest() if request is None else request
-        if not isinstance(request, CorpusStatsRequest):
-            raise RequestError("corpus_stats() takes a CorpusStatsRequest")
-        self.metrics.inc("store.requests.corpus_stats")
-        with self.metrics.timer("store.corpus_stats"):
-            return self.corpus().stats()
+        return self._corpus_verb("corpus_stats", CorpusStatsRequest, request)
 
     def corpus_hot(self, request: Optional[CorpusHotRequest] = None) -> Dict:
         """Cross-run hot paths (``GET /corpus/hot``), JSON-ready."""
         request = CorpusHotRequest() if request is None else request
-        if not isinstance(request, CorpusHotRequest):
-            raise RequestError("corpus_hot() takes a CorpusHotRequest")
-        from ..corpus import hot_doc
-
-        self.metrics.inc("store.requests.corpus_hot")
-        with self.metrics.timer("store.corpus_hot"):
-            corpus = self.corpus()
-            for run in request.runs:
-                self._corpus_run(corpus, run)
-            profile = corpus.hot_paths(
-                runs=list(request.runs) or None,
-                functions=list(request.functions) or None,
-            )
-            return hot_doc(profile, top=request.top, coverage=request.coverage)
+        return self._corpus_verb("corpus_hot", CorpusHotRequest, request)
 
     def corpus_diff(self, request: CorpusDiffRequest) -> Dict:
         """Run-pair comparison (``GET /corpus/diff``), JSON-ready."""
-        if not isinstance(request, CorpusDiffRequest):
-            raise RequestError("corpus_diff() takes a CorpusDiffRequest")
-        from ..corpus import diff_doc
+        return self._corpus_verb("corpus_diff", CorpusDiffRequest, request)
 
-        self.metrics.inc("store.requests.corpus_diff")
-        with self.metrics.timer("store.corpus_diff"):
-            corpus = self.corpus()
-            for run in (request.run_a, request.run_b):
-                self._corpus_run(corpus, run)
-            delta = corpus.diff(request.run_a, request.run_b)
-            return diff_doc(delta, limit=request.limit)
-
-    @staticmethod
-    def _corpus_run(corpus, name: str):
-        try:
-            return corpus.run(name)
-        except KeyError as exc:
-            raise TraceNotFound(
-                exc.args[0] if exc.args else f"no run {name!r} in corpus"
-            ) from None
+    def _corpus_verb(self, verb: str, cls: type, request) -> Dict:
+        if not isinstance(request, cls):
+            raise RequestError(f"{verb}() takes a {cls.__name__}")
+        self.metrics.inc(f"store.requests.{verb}")
+        with self.metrics.timer(f"store.{verb}"):
+            return corpus_doc(self.corpus(), request)
 
     # ---- cache accounting ---------------------------------------------
 
@@ -651,6 +625,38 @@ class _Inflight:
         if self.error is not None:
             raise self.error
         return self.result
+
+
+def corpus_doc(corpus, request) -> Dict:
+    """One corpus verb's JSON document, computed from an open corpus.
+
+    The one implementation behind ``GET /corpus/stats|hot|diff`` (through
+    :meth:`TraceStore.corpus_stats` and its siblings) and ``repro-wpp
+    corpus stats|hot|diff --json``.  An unknown run raises
+    :class:`TraceNotFound`.
+    """
+    from ..corpus import diff_doc, hot_doc
+
+    if isinstance(request, CorpusStatsRequest):
+        return corpus.stats()
+    if isinstance(request, CorpusHotRequest):
+        _check_runs(corpus, request.runs)
+        profile = corpus.hot_paths(
+            runs=list(request.runs) or None,
+            functions=list(request.functions) or None,
+        )
+        return hot_doc(profile, top=request.top, coverage=request.coverage)
+    _check_runs(corpus, (request.run_a, request.run_b))
+    delta = corpus.diff(request.run_a, request.run_b)
+    return diff_doc(delta, limit=request.limit)
+
+
+def _check_runs(corpus, names) -> None:
+    for name in names:
+        try:
+            corpus.run(name)
+        except KeyError as exc:
+            raise TraceNotFound(*exc.args) from None
 
 
 def _report_to_dict(report) -> Dict:

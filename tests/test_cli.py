@@ -349,3 +349,40 @@ class TestSharedParentFlags:
         assert rc == 0
         doc = json.loads(metrics.read_text())
         assert doc["counters"]["trace.events"] > 0
+
+
+class TestCountFlags:
+    """``--top``/``--limit`` on the file verbs share one argparse type:
+    a negative count is an error (exit 2), not a slice from the end."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hotpaths", "p.wpp", "--top"],
+            ["analyze", "p.twpp", "--program", "p.ir", "--fact", "def:i",
+             "--limit"],
+            ["diff", "a.twpp", "b.twpp", "--limit"],
+            ["query", "p.twpp", "main", "--limit"],
+        ],
+        ids=lambda argv: f"{argv[0]}-{argv[-1]}",
+    )
+    def test_negative_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["-1"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[-1]}: must be >= 0, got -1" in err
+        with pytest.raises(SystemExit):
+            main(argv + ["x"])
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_zero_still_means_all_for_query(self, pipeline_files, capsys):
+        _ir, _wpp, twpp, _sqwp = pipeline_files
+        assert main(["query", str(twpp), "main", "--limit", "0"]) == 0
+        assert "more)" not in capsys.readouterr().out
+
+    def test_hotpaths_top_caps_the_listing(self, pipeline_files, capsys):
+        _ir, wpp, _twpp, _sqwp = pipeline_files
+        assert main(["hotpaths", str(wpp), "--top", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3  # the summary line, then two paths

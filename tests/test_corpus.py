@@ -330,32 +330,125 @@ class TestCli:
         assert main(["corpus", "diff", str(cli_root), "li-a", "nosuch"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_hot_json_is_the_daemon_document(self, cli_root, capsys):
-        """``corpus hot --json`` and ``GET /corpus/hot`` share one shape."""
-        import json
+    @pytest.fixture(scope="class")
+    def daemon(self, cli_root, tmp_path_factory):
+        """``cli_root`` attached to a served (otherwise empty) store."""
+        from repro.store import TraceServer
 
-        from repro.cli import main
-        from repro.corpus import TraceCorpus, hot_doc
-
-        assert main(
-            ["corpus", "hot", str(cli_root), "--top", "3", "--json"]
-        ) == 0
-        out = capsys.readouterr().out
-        with TraceCorpus(cli_root) as corpus:
-            expected = hot_doc(corpus.hot_paths(), top=3)
-        assert json.loads(out) == expected
-
-    def test_diff_json_is_the_daemon_document(self, cli_root, capsys):
-        import json
-
-        from repro.cli import main
-        from repro.corpus import TraceCorpus, diff_doc
-
-        rc = main(
-            ["corpus", "diff", str(cli_root), "li-a", "li-c", "--json"]
+        session = Session()
+        store = session.store(
+            tmp_path_factory.mktemp("cli-store"), corpus=cli_root
         )
-        out = capsys.readouterr().out
+        server = TraceServer(store).start()
+        yield server, store
+        server.stop()
+        store.close()
+        session.close()
+
+    @staticmethod
+    def http(server, target):
+        """``(status, parsed body)`` of one ``GET``."""
+        import json
+        import urllib.error
+        import urllib.request
+
+        try:
+            with urllib.request.urlopen(server.url + target) as resp:
+                return resp.status, json.loads(resp.read())
+        except urllib.error.HTTPError as err:
+            return err.code, json.loads(err.read())
+
+    @staticmethod
+    def cli_json(capsys, root, argv):
+        """``(exit code, parsed stdout)`` of ``corpus VERB ... --json``."""
+        import json
+
+        from repro.cli import main
+
+        rc = main(["corpus", argv[0], str(root)] + argv[1:] + ["--json"])
+        return rc, json.loads(capsys.readouterr().out)
+
+    def test_hot_json_is_the_daemon_document(self, cli_root, daemon, capsys):
+        """``corpus hot --json`` == ``GET /corpus/hot`` == the store verb."""
+        from repro.corpus import TraceCorpus, hot_doc
+        from repro.store import CorpusHotRequest
+
+        server, store = daemon
+        rc, doc = self.cli_json(capsys, cli_root, ["hot", "--top", "3"])
+        assert rc == 0
+        with TraceCorpus(cli_root) as corpus:
+            assert doc == hot_doc(corpus.hot_paths(), top=3)
+        assert self.http(server, "/corpus/hot?top=3") == (200, doc)
+        assert doc == store.corpus_hot(CorpusHotRequest(top=3))
+        argv = ["hot", "--run", "li-c", "--top", "0", "--coverage", "0.5"]
+        rc, doc = self.cli_json(capsys, cli_root, argv)
+        assert rc == 0
+        target = "/corpus/hot?run=li-c&top=0&coverage=0.5"
+        assert self.http(server, target) == (200, doc)
+        assert doc == store.corpus_hot(
+            CorpusHotRequest(runs=("li-c",), top=0, coverage=0.5)
+        )
+
+    def test_diff_json_is_the_daemon_document(self, cli_root, daemon, capsys):
+        from repro.corpus import TraceCorpus, diff_doc
+        from repro.store import CorpusDiffRequest
+
+        server, store = daemon
+        rc, doc = self.cli_json(capsys, cli_root, ["diff", "li-a", "li-c"])
         with TraceCorpus(cli_root) as corpus:
             delta = corpus.diff("li-a", "li-c")
         assert rc == 1  # still signals "runs differ" in json mode
-        assert json.loads(out) == diff_doc(delta)
+        assert doc == diff_doc(delta)
+        assert self.http(server, "/corpus/diff?a=li-a&b=li-c") == (200, doc)
+        assert doc == store.corpus_diff(
+            CorpusDiffRequest(run_a="li-a", run_b="li-c")
+        )
+        argv = ["diff", "li-c", "li-a", "--limit", "0"]
+        rc, doc = self.cli_json(capsys, cli_root, argv)
+        assert rc == 1 and doc["changed"] == []
+        target = "/corpus/diff?a=li-c&b=li-a&limit=0"
+        assert self.http(server, target) == (200, doc)
+
+    def test_stats_json_is_the_daemon_document(self, cli_root, daemon, capsys):
+        server, store = daemon
+        rc, doc = self.cli_json(capsys, cli_root, ["stats"])
+        assert rc == 0
+        assert self.http(server, "/corpus/stats") == (200, doc)
+        assert doc == store.corpus_stats()
+
+    @pytest.mark.parametrize(
+        "argv,target",
+        [
+            (["hot", "--top", "-1"], "/corpus/hot?top=-1"),
+            (["hot", "--coverage", "0"], "/corpus/hot?coverage=0"),
+            (["hot", "--coverage", "1.5"], "/corpus/hot?coverage=1.5"),
+            (["hot", "--top", "x"], "/corpus/hot?top=x"),
+            (["hot", "--top", ""], "/corpus/hot?top="),
+            (["hot", "--top", "1", "--top", "2"], "/corpus/hot?top=1&top=2"),
+            (["hot", "--run", ""], "/corpus/hot?run="),
+            (["hot", "--function", ""], "/corpus/hot?fn="),
+            (["hot", "--run", "nosuch"], "/corpus/hot?run=nosuch"),
+            (["diff", "li-a", "li-c", "--limit", "-1"],
+             "/corpus/diff?a=li-a&b=li-c&limit=-1"),
+            (["diff", "li-a", "li-c", "--limit", "x"],
+             "/corpus/diff?a=li-a&b=li-c&limit=x"),
+            (["diff", "", "li-c"], "/corpus/diff?a=&b=li-c"),
+            (["diff", "li-a", "nosuch"], "/corpus/diff?a=li-a&b=nosuch"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_rejects_what_the_daemon_rejects(
+        self, cli_root, daemon, capsys, argv, target
+    ):
+        """Each input the daemon refuses, the CLI refuses with exit 2
+        and the daemon's message (text and ``--json`` alike)."""
+        from repro.cli import main
+
+        server, _store = daemon
+        status, body = self.http(server, target)
+        assert status in (400, 404)
+        for extra in ([], ["--json"]):
+            rc = main(["corpus", argv[0], str(cli_root)] + argv[1:] + extra)
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            assert captured.err == f"error: {body['error']}\n"

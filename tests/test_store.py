@@ -92,10 +92,6 @@ def store(store_root):
 
 
 class TestRequests:
-    def test_query_request_round_trips(self):
-        req = QueryRequest(trace="run", functions=("a", "b"), limit=3)
-        assert QueryRequest.from_dict(req.to_dict()) == req
-
     def test_query_request_from_query_string_params(self):
         req = QueryRequest.from_query(
             {"trace": ["run"], "fn": ["a", "b"], "limit": ["3"]}
