@@ -7,12 +7,13 @@ paper's Section 4 demand-driven GEN-KILL queries:
   (``memoize=False``): every round re-propagates every backward
   traversal from scratch, cost proportional to raw trace length;
 * **memoized** — the same rounds on a memoizing engine: after the
-  first round every query peels its verdict off the per-node residue
-  memo with a handful of series intersections;
+  first round every query looks its positions up in the verdict memo
+  and propagates nothing;
 * **fan-out** — :func:`~repro.analysis.frequency.fact_frequencies_many`
-  over every (function, path trace) task under a jobs sweep, checked
-  byte-identical to the serial reference (as is the ``query_many``
-  batch against fresh single queries).
+  over every (function, path trace) task, serially and under a jobs
+  sweep, each timed as the median of ``BATCH_REPEATS`` interleaved
+  runs and checked byte-identical to the serial reference (as is the
+  ``query_many`` batch against fresh single queries).
 
 Results land in ``BENCH_analysis.json`` (schema
 ``repro.bench_analysis/1``) so successive runs accumulate perf data
@@ -43,6 +44,9 @@ from repro.analysis.frequency import fact_frequencies_many
 from repro.obs import MetricsRegistry
 
 JOBS_SWEEP = (1, 2, 4)
+#: Runs of the serial batch and of each jobs-sweep row; the report
+#: keeps the median, since one run swings by about 15% on a small VM.
+BATCH_REPEATS = 5
 BENCH_SCHEMA = "repro.bench_analysis/1"
 
 #: The bench fact: a variable no workload defines, so every block is
@@ -163,26 +167,37 @@ def run_bench(scale=1.0, smoke=False, out_dir=None):
         serial_results
     )
 
-    # Jobs sweep over every (function, trace) frequency task.
+    # Jobs sweep over every (function, trace) frequency task: each
+    # repeat runs the serial batch and then every jobs row once.
     tasks = _all_tasks(art, BENCH_FACT)
-    t0 = time.perf_counter()
-    reference = fact_frequencies_many(tasks)
-    serial_batch_ms = (time.perf_counter() - t0) * 1000.0
-    reference_bytes = _canon_reports(reference)
-    sweep = []
-    for jobs in JOBS_SWEEP:
-        pool_metrics = MetricsRegistry()
+    reference_bytes = None
+    serial_ms = []
+    rows = {
+        jobs: {"ms": [], "fallback": 0, "identical": True}
+        for jobs in JOBS_SWEEP
+    }
+    for _ in range(BATCH_REPEATS):
         t0 = time.perf_counter()
-        out = fact_frequencies_many(tasks, jobs=jobs, metrics=pool_metrics)
-        batch_ms = (time.perf_counter() - t0) * 1000.0
-        sweep.append(
-            {
-                "jobs": jobs,
-                "batch_ms": round(batch_ms, 3),
-                "fallback": pool_metrics.counter("analysis.parallel_fallback"),
-                "identical_to_serial": _canon_reports(out) == reference_bytes,
-            }
-        )
+        reference = fact_frequencies_many(tasks)
+        serial_ms.append((time.perf_counter() - t0) * 1000.0)
+        if reference_bytes is None:
+            reference_bytes = _canon_reports(reference)
+        for jobs, row in rows.items():
+            pool_metrics = MetricsRegistry()
+            t0 = time.perf_counter()
+            out = fact_frequencies_many(tasks, jobs=jobs, metrics=pool_metrics)
+            row["ms"].append((time.perf_counter() - t0) * 1000.0)
+            row["fallback"] += pool_metrics.counter("analysis.parallel_fallback")
+            row["identical"] &= _canon_reports(out) == reference_bytes
+    sweep = [
+        {
+            "jobs": jobs,
+            "batch_ms": round(_percentile(row["ms"], 0.5), 3),
+            "fallback": row["fallback"],
+            "identical_to_serial": row["identical"],
+        }
+        for jobs, row in rows.items()
+    ]
 
     cold_p50 = _percentile(cold_ms, 0.5)
     memo_p50 = _percentile(memo_ms, 0.5)
@@ -213,7 +228,8 @@ def run_bench(scale=1.0, smoke=False, out_dir=None):
         },
         "batch_identical_to_serial": batch_identical,
         "tasks": len(tasks),
-        "serial_batch_ms": round(serial_batch_ms, 3),
+        "batch_repeats": BATCH_REPEATS,
+        "serial_batch_ms": round(_percentile(serial_ms, 0.5), 3),
         "jobs_sweep": sweep,
     }
 

@@ -8,6 +8,9 @@ serial (``jobs=1``) against
 The fanned-out time includes starting the executor's workers: a
 per-call :class:`concurrent.futures.ProcessPoolExecutor` (see
 :mod:`repro.analysis.parallel`) is the cost every ``analyze -j 2`` pays.
+Serial and fanned-out sweeps alternate ``REPEATS`` times and the
+speedup is the ratio of their medians: a single pair of a sweep this
+short swings too far to gate on.
 
 Reports are checked exactly identical to serial (entries, per-block
 ``queries_issued`` and the memo-dependent ``total_queries``), and the
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -47,6 +51,8 @@ MIN_SPEEDUP = 1.3
 #: jobs=4 and must reach this speedup.
 JOBS4 = 4
 MIN_SPEEDUP_JOBS4 = 2.0
+#: Alternating serial/fanned-out sweep pairs per leg.
+REPEATS = 5
 
 #: Facts for the analysis sweep: several independent passes over the
 #: same hot traces, so even a workload dominated by one function still
@@ -82,23 +88,40 @@ def _analysis_tasks(art):
     return tasks
 
 
-def _bench_analysis(tasks, serial, jobs1_ms, jobs):
-    """One fanned-out sweep, executor start-up included."""
-    metrics = MetricsRegistry()
-    t0 = time.perf_counter()
-    fanned = fact_frequencies_many(tasks, jobs=jobs, metrics=metrics)
-    fanned_ms = (time.perf_counter() - t0) * 1000.0
+def _bench_analysis(tasks, jobs):
+    """``REPEATS`` alternating serial and fanned-out sweeps (executor
+    start-up included), reported by their medians."""
+    serial_ms, fanned_ms = [], []
+    shards = fallback = 0
+    identical = True
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        serial = fact_frequencies_many(tasks)
+        serial_ms.append((time.perf_counter() - t0) * 1000.0)
+        metrics = MetricsRegistry()
+        t0 = time.perf_counter()
+        fanned = fact_frequencies_many(tasks, jobs=jobs, metrics=metrics)
+        fanned_ms.append((time.perf_counter() - t0) * 1000.0)
+        shards += metrics.counter("analysis.shards")
+        fallback += metrics.counter("analysis.parallel_fallback")
+        identical &= [_canon_report(r) for r in serial] == [
+            _canon_report(r) for r in fanned
+        ]
+    jobs1_ms = statistics.median(serial_ms)
+    executor_ms = statistics.median(fanned_ms)
     return {
         "tasks": len(tasks),
         "facts": len(ANALYSIS_FACTS),
         "jobs": jobs,
+        "repeats": REPEATS,
         "jobs1_ms": round(jobs1_ms, 1),
-        "executor_ms": round(fanned_ms, 1),
-        "speedup": round(jobs1_ms / fanned_ms, 2) if fanned_ms else None,
-        "shards": metrics.counter("analysis.shards"),
-        "fallback": metrics.counter("analysis.parallel_fallback"),
-        "identical_to_serial": [_canon_report(r) for r in serial]
-        == [_canon_report(r) for r in fanned],
+        "executor_ms": round(executor_ms, 1),
+        "speedup": round(jobs1_ms / executor_ms, 2) if executor_ms else None,
+        "jobs1_ms_runs": [round(ms, 1) for ms in serial_ms],
+        "executor_ms_runs": [round(ms, 1) for ms in fanned_ms],
+        "shards": shards,
+        "fallback": fallback,
+        "identical_to_serial": identical,
     }
 
 
@@ -113,15 +136,11 @@ def run_bench(scale=1.0, smoke=False, out_dir=None):
     )
     tasks = _analysis_tasks(art)
     guard = cpu_guard(2)
-
-    t0 = time.perf_counter()
-    serial = fact_frequencies_many(tasks)
-    jobs1_ms = (time.perf_counter() - t0) * 1000.0
-    analysis = _bench_analysis(tasks, serial, jobs1_ms, 2)
+    analysis = _bench_analysis(tasks, 2)
 
     guard4 = cpu_guard(JOBS4)
     if guard4 is None and not smoke:
-        jobs4 = {"analysis": _bench_analysis(tasks, serial, jobs1_ms, JOBS4)}
+        jobs4 = {"analysis": _bench_analysis(tasks, JOBS4)}
     else:
         jobs4 = {"skipped": guard4 or "smoke"}
 

@@ -26,6 +26,11 @@ class TimestampedCfg:
     node_ts: Dict[int, TimestampSet]
     preds: Dict[int, Tuple[int, ...]]
     succs: Dict[int, Tuple[int, ...]]
+    #: The path trace itself, read as the position-to-node table:
+    #: position ``t`` holds node ``trace[t - 1]``.  ``from_trace``
+    #: shares a tuple it is given (traces read from a ``.twpp`` are
+    #: tuples) and copies any other sequence once, 8 bytes a position.
+    trace: Tuple[int, ...]
 
     @classmethod
     def from_trace(cls, trace: Sequence[int]) -> "TimestampedCfg":
@@ -34,6 +39,7 @@ class TimestampedCfg:
         Timestamps are 1-based trace positions, as in the paper's
         Figures 9 and 10.
         """
+        trace = tuple(trace)
         positions: Dict[int, List[int]] = {}
         preds: Dict[int, Set[int]] = {}
         succs: Dict[int, Set[int]] = {}
@@ -51,6 +57,7 @@ class TimestampedCfg:
             },
             preds={b: tuple(sorted(s)) for b, s in preds.items()},
             succs={b: tuple(sorted(s)) for b, s in succs.items()},
+            trace=trace,
         )
 
     @classmethod

@@ -8,30 +8,42 @@ decremented values; a predecessor whose dynamic GEN (KILL) set covers a
 slot resolves it true (false); the rest keeps propagating.  Because
 each trace position is occupied by exactly one node, every timestamp
 follows a single backward path -- slots split across predecessors but
-never duplicate, so the analysis cost is bounded by the trace length.
+never duplicate.
 
-Timestamp vectors are manipulated *collectively* as compacted series
-(:mod:`repro.analysis.tsvector`), which is the efficiency point the
-paper makes with the ``(2:20:2) -> (1:19:2)`` example.
+Wide timestamp vectors are manipulated *collectively* as compacted
+series (:mod:`repro.analysis.tsvector`), which is the efficiency point
+the paper makes with the ``(2:20:2) -> (1:19:2)`` example.  Most
+propagated vectors hold one position, though, and the predecessor of
+``(t, n)`` is simply ``(t - 1, node at t - 1)``: a one-position vector
+steps straight there through the trace (the position-to-node table)
+instead of being shifted and intersected with every predecessor's
+timestamp set.
 
-The engine also **memoizes resolved propagation residues**: the verdict
-of a query at position ``t`` ("does the fact hold immediately before
+The engine also **memoizes verdicts by trace position**: the verdict of
+a query at position ``t`` ("does the fact hold immediately before
 ``t``?") depends only on the trace and the fact, never on which origin
-asked, so once any traversal resolves a bundle of positions their
-holds/fails/unresolved classification is cached per node and every
-later query -- same origin or an overlapping one -- peels the known
-positions off its vector before propagating the rest.  Repeated and
-overlapping queries therefore cost series intersections instead of
-fresh backward walks; :meth:`DemandDrivenEngine.query_many` leans on
-this to share traversals across a whole batch.
+asked.  When a query ends, every position it walked is written into
+one verdict table indexed by position, and every later query -- same
+origin or an overlapping one -- looks its positions up and propagates
+only the rest.  Wide vectors meet the table in the compressed domain
+too: a lookup slices one series entry at a time, only over blocks of
+the table that hold verdicts, and a wide residue is copied from its
+origins' verdicts with one strided slice per series entry, so a long
+regular loop costs per propagated vector, not per position.
+:meth:`DemandDrivenEngine.query_many` leans on this to share
+traversals across a whole batch.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (
     Callable,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -52,8 +64,18 @@ EffectFn = Callable[[int, TimestampSet], Tuple[TimestampSet, TimestampSet, Times
 #: One batch request: a node id, or ``(node, timestamp set)``.
 QueryRequest = Union[int, Tuple[int, Optional[TimestampSet]]]
 
-#: Per-node memo record: (holds, fails, unresolved) position subsets.
-_MemoEntry = Tuple[TimestampSet, TimestampSet, TimestampSet]
+#: Verdict codes of the memo table (``0``: not resolved yet).
+_HOLDS, _FAILS, _UNRESOLVED = 1, 2, 3
+_RUN_BYTE = (b"\x00", b"\x01", b"\x02", b"\x03")
+#: Maximal runs of one verdict code in a memo slice.
+_VERDICT_RUNS = re.compile(rb"\x00+|\x01+|\x02+|\x03+")
+#: Each memo block summarizes ``1 << _BLOCK_BITS`` trace positions.
+_BLOCK_BITS = 6
+#: A series entry of at most this many positions is looked up without
+#: consulting the blocks, and a one-entry residue of at most this many
+#: is written without subtracting what its node's earlier residues
+#: wrote.
+_SMALL_RESIDUE = 64
 
 
 @dataclass
@@ -111,12 +133,12 @@ class QueryResult:
 class DemandDrivenEngine:
     """Backward GEN-KILL query evaluator over one timestamped dynamic CFG.
 
-    ``memoize=True`` (the default) keeps a per-node cache of resolved
-    propagation residues that is shared by every query issued through
-    this engine -- the fact is fixed per engine, so the cache key is
-    effectively ``(node, fact)``.  Pass ``memoize=False`` for the
-    stateless behaviour (every query walks the trace from scratch).
-    ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) receives the
+    ``memoize=True`` (the default) keeps one verdict per trace position,
+    shared by every query issued through this engine -- the fact is
+    fixed per engine, so a position's verdict never changes.  Pass
+    ``memoize=False`` for the stateless behaviour (every query walks
+    the trace from scratch).  ``metrics`` (a
+    :class:`~repro.obs.MetricsRegistry`) receives the
     ``analysis.engine.*`` counters described in ``docs/FORMATS.md``.
     """
 
@@ -131,7 +153,12 @@ class DemandDrivenEngine:
         self.effect = effect
         self.memoize = memoize
         self.metrics = metrics
-        self._memo: Dict[int, _MemoEntry] = {}
+        #: Verdict code per trace position (index 0 unused), allocated
+        #: by the first query.
+        self._memo: Optional[bytearray] = None
+        #: One byte per block of positions, 1 when some position of the
+        #: block may have a verdict: wide lookups read only those blocks.
+        self._blocks = bytearray()
 
     @classmethod
     def for_function_trace(
@@ -168,88 +195,136 @@ class DemandDrivenEngine:
     # ---- memo ----------------------------------------------------------
 
     def memo_stats(self) -> Dict[str, int]:
-        """Cache accounting: nodes cached and positions resolved."""
+        """Cache accounting: nodes with a resolved position, and
+        positions resolved."""
+        if self._memo is None:
+            return {"nodes": 0, "positions": 0}
+        known = self._memo[1:]
         return {
-            "nodes": len(self._memo),
-            "positions": sum(
-                len(h) + len(f) + len(u) for h, f, u in self._memo.values()
-            ),
+            "nodes": len(set(compress(self.cfg.trace, known))),
+            "positions": len(known) - known.count(0),
         }
 
     def clear_memo(self) -> None:
-        """Drop every cached residue (used by invalidation tests)."""
-        self._memo.clear()
+        """Drop every cached verdict (used by invalidation tests)."""
+        self._memo = None
+        self._blocks = bytearray()
 
-    def _consult_memo(
-        self, node: int, current: TimestampSet, offset: int, result: QueryResult
-    ) -> TimestampSet:
-        """Peel memo-known positions off ``current`` into ``result``.
-
-        Returns the residue that still needs propagation.
-        """
-        entry = self._memo.get(node)
-        if entry is None:
-            return current
-        known_holds, known_fails, known_unres = entry
-        hits = 0
-        h = current.intersect(known_holds)
-        if h:
-            result.holds = result.holds.union(h.shift(offset))
-            current = current.subtract(h)
-            hits += len(h)
-        f = current.intersect(known_fails)
-        if f:
-            result.fails = result.fails.union(f.shift(offset))
-            current = current.subtract(f)
-            hits += len(f)
-        u = current.intersect(known_unres)
-        if u:
-            result.unresolved = result.unresolved.union(u.shift(offset))
-            current = current.subtract(u)
-            hits += len(u)
-        result.memo_hits += hits
-        return current
-
-    def _fold_trail(
+    def _peel(
         self,
+        current: TimestampSet,
+        offset: int,
+        hits: Dict[int, List[Tuple[int, int, int]]],
+    ) -> Tuple[TimestampSet, int]:
+        """Resolve the memo-known positions of ``current``.
+
+        Each maximal run of one verdict along a series entry becomes one
+        series entry of ``hits[verdict]`` (origin coords).  Returns (the
+        residue that still needs propagation, how many positions were
+        known).
+        """
+        memo = self._memo
+        known: List[Tuple[int, int, int]] = []
+        count = 0
+        for lo, hi, step in current.entries:
+            if hi - lo < _SMALL_RESIDUE * step:
+                spans: Iterable[Tuple[int, int]] = ((lo, hi),)
+            else:
+                spans = self._marked_spans(lo, hi, step)
+            for first, last in spans:
+                verdicts = memo[first:last + 1:step]
+                for begin, end, verdict in _verdict_runs(verdicts):
+                    a = first + begin * step
+                    b = first + (end - 1) * step
+                    entry_step = step if a < b else 1
+                    known.append((a, b, entry_step))
+                    hits[verdict].append((a + offset, b + offset, entry_step))
+                    count += end - begin
+        if not known:
+            return current, 0
+        if count == len(current):
+            return TimestampSet(), count
+        return current.subtract(TimestampSet(tuple(sorted(known)))), count
+
+    def _marked_spans(
+        self, lo: int, hi: int, step: int
+    ) -> Iterator[Tuple[int, int]]:
+        """``(first, last)`` of the series entry ``(lo, hi, step)``'s
+        stretches that fall in marked blocks: a wide lookup reads
+        nothing where the memo is empty."""
+        blocks = self._blocks
+        block, last_block = lo >> _BLOCK_BITS, (hi >> _BLOCK_BITS) + 1
+        while True:
+            block = blocks.find(1, block, last_block)
+            if block < 0:
+                return
+            end_block = blocks.find(0, block, last_block)
+            if end_block < 0:
+                end_block = last_block
+            first = max(lo, block << _BLOCK_BITS)
+            first += (lo - first) % step
+            last = min(hi, (end_block << _BLOCK_BITS) - 1)
+            last -= (last - lo) % step
+            if first <= last:
+                yield first, last
+            block = end_block
+
+    def _fold(
+        self,
+        runs: List[Tuple[int, int, int]],
         trail: List[Tuple[int, TimestampSet, int]],
         result: QueryResult,
     ) -> None:
-        """Record every propagated residue's final verdict in the memo.
+        """Write the verdict of every position a finished query walked.
 
-        A trail item ``(n, S, k)`` means: the verdict of querying node
-        ``n`` at positions ``S`` equals the verdict of the origin
-        instances ``S + k`` -- so the finished result classifies them.
+        A run ``(bottom, top, verdict)`` is a one-position walk: every
+        position in it shares its origin's verdict, written with one
+        slice assignment.  When wide residues walked, the origins are
+        written next, one strided slice assignment per series entry of
+        ``holds``, ``fails`` and ``unresolved``.  A trail item
+        ``(n, S, k)`` means: the verdict of each position ``t`` of ``S``
+        is that of origin ``t + k``, so each series entry of ``S`` is
+        copied from the origins ``k`` positions later with one strided
+        slice.  A position written twice gets the same verdict both
+        times.  Every write marks its blocks in ``_blocks``.
         """
-        holds, fails, unresolved = result.holds, result.fails, result.unresolved
-        empty = TimestampSet()
-        for node, instances, offset in trail:
-            lo, hi, _step = instances.entries[0]
-            if len(instances.entries) == 1 and lo == hi:
-                # One position: look its origin verdict up.
-                origin = lo + offset
-                if origin in holds:
-                    h, f, u = instances, empty, empty
-                elif origin in fails:
-                    h, f, u = empty, instances, empty
+        memo = self._memo
+        blocks = self._blocks
+        for bottom, top, verdict in runs:
+            memo[bottom:top + 1] = _RUN_BYTE[verdict] * (top - bottom + 1)
+            _mark(blocks, bottom, top)
+        if not trail:
+            return  # every origin was known or walked as one position
+        for code, origins in (
+            (_HOLDS, result.holds),
+            (_FAILS, result.fails),
+            (_UNRESOLVED, result.unresolved),
+        ):
+            for lo, hi, step in origins.entries:
+                memo[lo:hi + 1:step] = _RUN_BYTE[code] * ((hi - lo) // step + 1)
+                _mark(blocks, lo, hi)
+        covered: Dict[int, TimestampSet] = {}
+        for node, positions, offset in trail:
+            if not offset:
+                continue  # origins, written above
+            entries = positions.entries
+            lo, hi, step = entries[0]
+            if len(entries) > 1 or hi - lo >= _SMALL_RESIDUE * step:
+                # Skip what an earlier residue of the node wrote: on a
+                # long loop the residues nest, and copying each in full
+                # would cost the square of the loop's length.
+                seen = covered.get(node)
+                if seen is None:
+                    covered[node] = positions
                 else:
-                    h, f, u = empty, empty, instances
-            else:
-                # Shift the residue, not the (wider) result sets.
-                moved = instances.shift(offset)
-                h = moved.intersect(holds).shift(-offset)
-                f = moved.intersect(fails).shift(-offset)
-                u = moved.intersect(unresolved).shift(-offset)
-            entry = self._memo.get(node)
-            if entry is None:
-                self._memo[node] = (h, f, u)
-            else:
-                known_holds, known_fails, known_unres = entry
-                self._memo[node] = (
-                    known_holds.union(h),
-                    known_fails.union(f),
-                    known_unres.union(u),
-                )
+                    positions = positions.subtract(seen)
+                    if not positions:
+                        continue
+                    covered[node] = seen.union(positions)
+                    entries = positions.entries
+            for lo, hi, step in entries:
+                memo[lo:hi + 1:step] = memo[lo + offset:hi + offset + 1:step]
+                _mark(blocks, lo, hi)
 
     # ---- queries -------------------------------------------------------
 
@@ -261,17 +336,46 @@ class DemandDrivenEngine:
     ) -> QueryResult:
         """Evaluate ``<T, n>_d``; ``ts`` defaults to all of ``n``'s instances.
 
-        When ``log`` is a list, every propagated query ``<T', m>`` is
-        appended to it as ``(m, T')`` -- the exact vectors the paper's
-        Figure 9 displays.  Memoized positions resolve before
-        propagation, so a repeated query logs nothing new.
+        A ``ts`` holding a position where ``n`` did not run raises
+        :class:`ValueError` before any propagation.  When ``log`` is a
+        list, every propagated query ``<T', m>`` is appended to it as
+        ``(m, T')`` -- the exact vectors the paper's Figure 9 displays.
+        Memoized positions resolve before propagation, so a repeated
+        query logs nothing new.
         """
-        requested = self.cfg.ts(node) if ts is None else ts
+        cfg = self.cfg
+        if ts is None:
+            requested = cfg.ts(node)
+        else:
+            requested = ts
+            stray = ts.subtract(cfg.ts(node))
+            if stray:
+                raise ValueError(
+                    f"node {node} did not run at position {stray.min()}"
+                )
         result = QueryResult(origin_node=node, requested=requested)
         if not requested:
             return result
-        memoize = self.memoize
+        memo = None
+        if self.memoize:
+            if self._memo is None:
+                self._memo = bytearray(cfg.trace_len + 1)
+                self._blocks = bytearray((cfg.trace_len >> _BLOCK_BITS) + 1)
+            memo = self._memo
+        trace = cfg.trace
+        preds = cfg.preds
+        node_ts = cfg.node_ts
+        effect = self.effect
+        # The resolved origins as series entries, by verdict code; each
+        # origin resolves exactly once, so the entries are disjoint.
+        origins: Dict[int, List[Tuple[int, int, int]]] = {
+            _HOLDS: [], _FAILS: [], _UNRESOLVED: []
+        }
+        # What the query walked, for the memo: one-position walks as
+        # position ranges, wide residues with their node and offset.
+        runs: List[Tuple[int, int, int]] = []
         trail: List[Tuple[int, TimestampSet, int]] = []
+        issued = hits = 0
 
         # Work items: (node, timestamps in current coords, offset back to
         # origin coords).  Each propagated item is one "query" in the
@@ -279,8 +383,43 @@ class DemandDrivenEngine:
         work: List[Tuple[int, TimestampSet, int]] = [(node, requested, 0)]
         while work:
             n, current, offset = work.pop()
-            if memoize:
-                current = self._consult_memo(n, current, offset, result)
+            lo, hi, _step = current.entries[0]
+            if lo == hi and len(current.entries) == 1:
+                # One position: walk it to its verdict right away, as
+                # the stack would, straight to the node at ``t - 1``.
+                t = top = lo
+                while True:
+                    if memo is not None and memo[t]:
+                        verdict = memo[t]
+                        hits += 1
+                        t += 1  # position t itself was not walked
+                        break
+                    if t == 1:
+                        verdict = _UNRESOLVED
+                        break
+                    m = trace[t - 2]
+                    if m not in preds[n]:
+                        verdict = 0  # lost: check_conservation reports it
+                        break
+                    issued += 1
+                    sub = TimestampSet(((t - 1, t - 1, 1),))
+                    if log is not None:
+                        log.append((m, sub))
+                    gen_ts, kill_ts, trans_ts = effect(m, sub)
+                    if not trans_ts:
+                        verdict = _HOLDS if gen_ts else _FAILS if kill_ts else 0
+                        break
+                    n = m
+                    t -= 1
+                if verdict:
+                    origins[verdict].append((top + offset, top + offset, 1))
+                if memo is not None and t <= top:
+                    runs.append((t, top, verdict))
+                continue
+
+            if memo is not None:
+                current, known = self._peel(current, offset, origins)
+                hits += known
                 if not current:
                     continue
                 trail.append((n, current, offset))
@@ -289,30 +428,33 @@ class DemandDrivenEngine:
             # Entries are sorted by ``lo``, so position 1 can only be
             # the first entry's.
             if current.entries[0][0] == 1:
-                result.unresolved = result.unresolved.union(
-                    TimestampSet.single(1 + offset)
-                )
+                origins[_UNRESOLVED].append((1 + offset, 1 + offset, 1))
             shifted = current.shift(-1)
             if not shifted:
                 continue
-            for m in self.cfg.preds.get(n, ()):
-                sub = shifted.intersect(self.cfg.ts(m))
+            for m in preds[n]:
+                sub = shifted.intersect(node_ts[m])
                 if not sub:
                     continue
-                result.queries_issued += 1
+                issued += 1
                 if log is not None:
                     log.append((m, sub))
-                gen_ts, kill_ts, trans_ts = self.effect(m, sub)
+                gen_ts, kill_ts, trans_ts = effect(m, sub)
                 if gen_ts:
-                    result.holds = result.holds.union(gen_ts.shift(offset + 1))
+                    origins[_HOLDS].extend(gen_ts.shift(offset + 1).entries)
                 if kill_ts:
-                    result.fails = result.fails.union(kill_ts.shift(offset + 1))
+                    origins[_FAILS].extend(kill_ts.shift(offset + 1).entries)
                 if trans_ts:
                     work.append((m, trans_ts, offset + 1))
 
-        if memoize and trail:
-            self._fold_trail(trail, result)
+        result.holds = _from_disjoint(origins[_HOLDS])
+        result.fails = _from_disjoint(origins[_FAILS])
+        result.unresolved = _from_disjoint(origins[_UNRESOLVED])
+        result.queries_issued = issued
+        result.memo_hits = hits
         result.check_conservation()
+        if memo is not None:
+            self._fold(runs, trail, result)
         if self.metrics is not None:
             self.metrics.inc("analysis.engine.queries")
             self.metrics.inc(
@@ -329,13 +471,14 @@ class DemandDrivenEngine:
         Each request is a node id or a ``(node, timestamp set)`` pair
         (``None`` timestamps mean all of the node's instances).  Results
         come back in request order and are set-identical to issuing the
-        queries one at a time on a fresh engine; the shared residue memo
-        means a position resolved by one query -- e.g. in the all-blocks
-        sweep of a frequency analysis, where every traversal crosses
-        other blocks' positions -- is looked up, not walked again, by
-        every later query.  The memo shares walks across queries only:
-        within one query, overlapping origin bundles each walk a shared
-        position once.
+        queries one at a time on a fresh engine; the shared verdict
+        memo means a position resolved by one query -- e.g. in the
+        all-blocks sweep of a frequency analysis, where every traversal
+        crosses other blocks' positions -- is looked up, not walked
+        again, by every later query.  The memo is written only when a
+        query ends, so it shares walks across queries only: within one
+        query, two origin bundles that reach the same position both
+        walk it.
         """
         results: List[QueryResult] = []
         for request in requests:
@@ -345,6 +488,40 @@ class DemandDrivenEngine:
                 node, ts = request, None
             results.append(self.query(node, ts))
         return results
+
+
+def _mark(blocks: bytearray, lo: int, hi: int) -> None:
+    """Mark the memo blocks spanning positions ``lo..hi``."""
+    first, last = lo >> _BLOCK_BITS, (hi >> _BLOCK_BITS) + 1
+    blocks[first:last] = b"\x01" * (last - first)
+
+
+def _verdict_runs(verdicts: bytearray) -> List[Tuple[int, int, int]]:
+    """``(begin, end, verdict)`` of each maximal run of one nonzero
+    verdict code in ``verdicts``."""
+    size = len(verdicts)
+    head = verdicts[0]
+    if verdicts.count(head) == size:
+        return [(0, size, head)] if head else []
+    return [
+        (run.start(), run.end(), verdicts[run.start()])
+        for run in _VERDICT_RUNS.finditer(verdicts)
+        if verdicts[run.start()]
+    ]
+
+
+def _from_disjoint(entries: List[Tuple[int, int, int]]) -> TimestampSet:
+    """The set of pairwise disjoint series ``entries``; one-position
+    entries are recompressed into series."""
+    if not entries:
+        return TimestampSet()
+    points = [lo for lo, hi, _step in entries if lo == hi]
+    if len(points) == len(entries):
+        return TimestampSet.from_values(points)
+    series = TimestampSet(tuple(sorted(e for e in entries if e[0] != e[1])))
+    if not points:
+        return series
+    return series.union(TimestampSet.from_values(points))
 
 
 def uniform_effects(classes: Dict[int, str]) -> EffectFn:

@@ -129,7 +129,7 @@ class ActivationAnalysis:
     def engine(self) -> DemandDrivenEngine:
         """The activation's demand-driven engine with call-aware effects.
 
-        One engine is kept per activation so its resolved-residue memo
+        One engine is kept per activation so its verdict memo
         accumulates across queries (interprocedural propagation re-enters
         the same activations repeatedly).
         """

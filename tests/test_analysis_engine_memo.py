@@ -1,4 +1,4 @@
-"""The memoized engine: residue cache, batch API, parallel fan-out.
+"""The memoized engine: verdict cache, batch API, parallel fan-out.
 
 The memo's soundness rests on one fact: the verdict of "does the fact
 hold immediately before trace position t" depends only on the trace
@@ -7,6 +7,8 @@ observable consequence -- memoized, batch and parallel results are
 set-identical to a stateless engine's -- plus the accounting the bench
 and CI gates rely on (memo_hits, memo_stats, analysis.* counters).
 """
+
+import time
 
 import pytest
 
@@ -98,6 +100,81 @@ class TestMemoizedEquivalence:
         assert metrics.counter("analysis.engine.queries") == 2
         assert metrics.counter("analysis.engine.propagated") > 0
         assert metrics.counter("analysis.engine.memo_hits") > 0
+
+
+class TestOffNodeRequests:
+    """A request naming positions where the node did not run is an
+    error, raised before the query walks or writes anything: the memo
+    is keyed by position, so a verdict recorded for the wrong node
+    would corrupt later answers for the node that really ran there."""
+
+    @pytest.mark.parametrize(
+        "node, positions", [(3, [6]), (4, [3]), (3, [3, 6]), (9, [1])]
+    )
+    def test_rejected(self, node, positions):
+        for engine in engines_for(LOOP_TRACE, LOOP_CLASSES):
+            with pytest.raises(ValueError, match="did not run"):
+                engine.query(node, TimestampSet.from_values(positions))
+            assert engine.memo_stats() == {"nodes": 0, "positions": 0}
+
+    def test_later_answers_unaffected(self):
+        memo, cold = engines_for(LOOP_TRACE, LOOP_CLASSES)
+        with pytest.raises(ValueError):
+            memo.query(3, TimestampSet.single(6))
+        for node in memo.cfg.nodes():
+            assert verdicts(memo.query(node)) == verdicts(cold.query(node))
+
+    def test_subset_of_instances_accepted(self):
+        memo, cold = engines_for(LOOP_TRACE, LOOP_CLASSES)
+        sub = TimestampSet.from_values([5, 8])
+        assert verdicts(memo.query(3, sub)) == verdicts(cold.query(3, sub))
+
+
+class TestLongLoop:
+    """Wide vectors stay in the compressed domain on a long loop.
+
+    On ``0 (1 2)^K 3`` a query of block 1 propagates about 2K wide
+    vectors of up to K positions each.  Reading or writing the memo
+    position by position for every vector, or growing a verdict set one
+    origin at a time, is quadratic in K: minutes at K = 20,000 instead
+    of about a second.
+    """
+
+    K = 20_000
+    BOUND_S = 5.0
+
+    @pytest.mark.parametrize(
+        "classes, verdict", [({0: GEN}, "holds"), ({}, "unresolved")]
+    )
+    def test_sweep(self, classes, verdict):
+        k = self.K
+        trace = (0,) + (1, 2) * k + (3,)
+        engine = DemandDrivenEngine(
+            TimestampedCfg.from_trace(trace), uniform_effects(classes)
+        )
+        t0 = time.perf_counter()
+        results = {node: engine.query(node) for node in (1, 2, 3, 0)}
+        elapsed = time.perf_counter() - t0
+        assert elapsed < self.BOUND_S, f"sweep took {elapsed:.1f} s"
+        first = getattr(results[1], verdict)
+        assert len(first) == k and first.slot_count() == 1
+        assert results[1].queries_issued == 3 * k - 2
+        assert results[2].memo_hits == k and results[2].queries_issued == 1
+        assert engine.memo_stats() == {"nodes": 4, "positions": len(trace)}
+
+    def test_wide_walk_between_known_regions(self):
+        k = self.K
+        trace = (0,) + (1, 2) * k + (3,) + (4, 5) * k + (6,)
+        engine = DemandDrivenEngine(
+            TimestampedCfg.from_trace(trace), uniform_effects({0: GEN, 3: GEN})
+        )
+        engine.query(6)  # knows the second loop
+        engine.query(0)  # knows position 1
+        t0 = time.perf_counter()
+        result = engine.query(1)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < self.BOUND_S, f"query took {elapsed:.1f} s"
+        assert len(result.holds) == k and result.memo_hits == 0
 
 
 class TestQueryMany:
