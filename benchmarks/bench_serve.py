@@ -125,9 +125,11 @@ def zipf_keys(store):
     Rank by dynamic call count so the popular keys are the functions a
     profile consumer would actually hammer."""
     keys = []
-    for row in store.catalog.traces():
-        for fn in store.catalog.functions(row.trace):
-            keys.append((fn.call_count, row.trace, fn.name))
+    for row in store.traces()["traces"]:
+        trace = row["trace"]
+        index = store.stats(StatsRequest(trace=trace))["function_index"]
+        for fn in index:
+            keys.append((fn["calls"], trace, fn["name"]))
     keys.sort(key=lambda k: (-k[0], k[1], k[2]))
     keys = [(trace, name) for _, trace, name in keys]
     weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(len(keys))]
@@ -141,11 +143,11 @@ def make_schedule(keys, weights, n_requests, seed=SEED):
 
 def measure_cold(schedule, store, rounds):
     """Per-request engine construction cost over the zipf schedule."""
-    paths = {row.trace: row.path for row in store.catalog.traces()}
     latencies = []
     for trace, fn in schedule[:rounds]:
+        path = store.root / f"{trace}.twpp"
         t0 = time.perf_counter()
-        with QueryEngine(paths[trace], cache_bytes=0) as engine:
+        with QueryEngine(path, cache_bytes=0) as engine:
             engine.traces(fn)
         latencies.append((time.perf_counter() - t0) * 1000.0)
     return latencies
@@ -451,7 +453,7 @@ def run_bench(scale=1.0, smoke=False, out_dir=None, clients=8, requests=400):
     server.stop()
 
     bytes_needed = max(cache["bytes"], 1)
-    rows = [t.to_dict() for t in store.catalog.traces()]
+    rows = store.traces()["traces"]
     store.close()
     session.close()
 

@@ -35,10 +35,10 @@ Subpackages
     one-pass streaming compactor, and the cached mmap-backed
     query-serving engine (``repro.compact.qserve``).
 ``repro.store``
-    The serving layer: a directory of traces behind a SQLite catalog,
-    warm engines under a global byte budget with cross-file LRU
-    eviction and request coalescing, typed request dataclasses, and
-    the ``repro-wpp serve`` HTTP daemon.
+    The serving layer: a directory of traces behind an in-memory index
+    of their headers, warm engines under a global byte budget with
+    cross-file LRU eviction and request coalescing, typed request
+    dataclasses, and the ``repro-wpp serve`` HTTP daemon.
 ``repro.obs``
     Observability: the metrics registry (stage timers, counters, byte
     histograms) threaded through the pipeline.

@@ -323,9 +323,9 @@ class Session:
         ``cache_bytes`` is the *global* decoded-bytes budget across all
         of the store's files (default: the session's per-engine budget);
         the store evicts least-recently-queried files through
-        :meth:`evict` to stay inside it.  ``catalog_path`` overrides
-        where the SQLite catalog lives (default ``catalog.sqlite`` in
-        the store directory).
+        :meth:`evict` to stay inside it.  ``catalog_path`` is accepted
+        and ignored, for callers that still pass it: the store keeps its
+        index in memory and writes no file.
         ``corpus`` attaches a multi-run corpus directory so the store's
         ``corpus_stats``/``corpus_hot``/``corpus_diff`` verbs (and the
         HTTP daemon's ``/corpus/*`` endpoints) can serve it.
@@ -336,7 +336,6 @@ class Session:
             root,
             session=self,
             cache_bytes=cache_bytes,
-            catalog_path=catalog_path,
             corpus=corpus,
         )
 

@@ -14,7 +14,7 @@ Usage (also via ``python -m repro``)::
     repro-wpp analyze run.twpp --program prog.ir --fact load:100 -j 4
     repro-wpp diff good.twpp bad.twpp                # behavioural run diff
     repro-wpp hotpaths run.wpp                       # hot acyclic paths
-    repro-wpp scan traces/                           # refresh store catalog
+    repro-wpp scan traces/                           # list a store's traces
     repro-wpp serve traces/ --port 8080              # trace-serving daemon
     repro-wpp corpus ingest corpus/ run*.twpp        # shared multi-run corpus
     repro-wpp corpus diff corpus/ run1 run8          # cross-run diff
@@ -236,37 +236,22 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     from .obs import MetricsRegistry
-    from .store.catalog import TraceCatalog
-    from .store.store import CATALOG_NAME
+    from .store.store import scan_index
 
     root = Path(args.store)
     if not root.is_dir():
         print(f"{args.store}: not a directory", file=sys.stderr)
         return 2
     metrics = MetricsRegistry()
-    catalog = TraceCatalog(root / CATALOG_NAME)
-    try:
-        with metrics.timer("store.scan"):
-            result = catalog.scan(root)
-        rows = catalog.traces()
-    finally:
-        catalog.close()
-    for name, amount in (
-        ("added", result.added),
-        ("updated", result.updated),
-        ("removed", result.removed),
-        ("unchanged", result.unchanged),
-    ):
-        if amount:
-            metrics.inc(f"store.scan.{name}", amount)
+    index, result = scan_index(root, {}, metrics)
     print(
-        f"{args.store}: {len(rows)} trace(s) catalogued "
+        f"{args.store}: {len(index)} trace(s) catalogued "
         f"(+{result.added} added, ~{result.updated} updated, "
         f"-{result.removed} removed, {result.unchanged} unchanged)"
     )
-    for row in rows:
+    for row in index.values():
         print(
-            f"  {row.trace}: {row.functions} function(s), "
+            f"  {row.trace}: {len(row.entries)} function(s), "
             f"{row.calls} call(s), {row.size} bytes"
             + ("" if row.has_program else "  [no .ir]")
         )
@@ -728,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "scan",
-        help="build/refresh a trace store's SQLite catalog",
+        help="list a trace store's .twpp files from their headers",
         parents=[metrics_parent],
     )
     p.add_argument("store", help="directory of .twpp files")

@@ -53,12 +53,9 @@ from .qserve import (
     DEFAULT_CACHE_BYTES,
     LruByteCache,
     MmapSource,
-    PooledFileSource,
     QueryEngine,
-    open_source,
 )
 from .query import (
-    TwppReader,
     extract_function_record,
     extract_function_traces,
 )
@@ -89,13 +86,11 @@ __all__ = [
     "IntegrityError",
     "LruByteCache",
     "MmapSource",
-    "PooledFileSource",
     "QueryEngine",
     "StreamResult",
     "TwppDelta",
     "TwppHeader",
     "TwppPathTrace",
-    "TwppReader",
     "compact_function",
     "compact_trace",
     "compact_wpp",
@@ -115,7 +110,6 @@ __all__ = [
     "iter_entries",
     "lzw_compress",
     "lzw_decompress",
-    "open_source",
     "read_header",
     "read_twpp",
     "serialize_twpp",

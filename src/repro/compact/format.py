@@ -139,6 +139,13 @@ def _parse_section(data, name: str, call_count: int) -> FunctionCompact:
     n_pairs, offset = read_uvarint(data, offset)
     check_count(n_pairs, data, offset, min_bytes=2)
     flat, offset = decode_uvarints(data, offset, 2 * n_pairs)
+    if n_pairs and (
+        max(flat[0::2]) >= len(fc.trace_table)
+        or max(flat[1::2]) >= len(fc.dict_table)
+    ):
+        raise ValueError(
+            f"section for {name!r} pairs an unknown body or dictionary"
+        )
     fc.pairs.extend(zip(flat[0::2], flat[1::2]))
     if offset != len(data):
         raise ValueError(f"section for {name!r} has trailing bytes")
@@ -254,6 +261,8 @@ def read_header(fh: BinaryIO) -> TwppHeader:
         entries.append(
             FunctionIndexEntry(name, call_count, original_index, offset, length)
         )
+    if sorted(e.original_index for e in entries) != list(range(n_funcs)):
+        raise ValueError("original function indices are not 0..n-1")
     dcg_raw_len = _read_uvarint_stream(fh)
     dcg_comp_len = _read_uvarint_stream(fh)
     dcg_start = fh.tell()

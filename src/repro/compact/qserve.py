@@ -1,18 +1,15 @@
-"""The production query-serving stack over ``.twpp`` files.
+"""The query-serving stack over ``.twpp`` files.
 
-PR 1 engineered the *write* path (parallel sharded compaction); this
-module is its mirror for the *read* path the paper actually motivates:
-"a series of requests for profile data for individual functions"
-(Tables 4 and 5).  Three layers:
+This module is the *read* path the paper motivates: "a series of
+requests for profile data for individual functions" (Tables 4 and 5).
+Three layers:
 
-* **Section sources** — :class:`MmapSource` maps the file once and
-  serves every section as a zero-copy :class:`memoryview` slice;
-  positional slicing has no seek state, so one mapping safely serves
-  any number of threads.  :class:`PooledFileSource` is the fallback
-  when mapping is unavailable (special filesystems, ``use_mmap=False``):
-  a checkout/checkin pool of positioned file handles, each query doing
-  the classic seek + bounded read.  Both parse the header exactly once
-  and close the handle on a parse failure instead of leaking it.
+* **The section source** — :class:`MmapSource` maps the file once,
+  parses the header once, and serves every section as a zero-copy
+  :class:`memoryview` slice; positional slicing has no seek state, so
+  one mapping safely serves any number of threads.  An empty or
+  unmappable file, or a corrupt header, raises :class:`ValueError`
+  with the file handle already closed.
 * **:class:`LruByteCache`** — a byte-budgeted, thread-safe LRU keyed by
   ``(kind, function)`` holding decoded :class:`FunctionCompact` records,
   expanded path-trace lists (in-process queries) and canonical-JSON
@@ -28,8 +25,9 @@ module is its mirror for the *read* path the paper actually motivates:
   closing the source until the last lease is released.
 
 The cold-path helpers (:func:`repro.compact.query.extract_function_traces`)
-remain thin uncached wrappers so the Table 4/5 benches keep measuring
-true cold cost; this module is what a long-lived profile server runs.
+open an engine with ``cache_bytes=0`` per call, so the Table 4/5
+benches keep measuring true cold cost; a long-lived profile server
+keeps its engines.
 """
 
 from __future__ import annotations
@@ -58,15 +56,13 @@ __all__ = [
     "DEFAULT_CACHE_BYTES",
     "LruByteCache",
     "MmapSource",
-    "PooledFileSource",
     "QueryEngine",
     "limit_traces_json",
-    "open_source",
 ]
 
 
 # ---------------------------------------------------------------------------
-# section sources
+# section source
 
 
 class MmapSource:
@@ -78,25 +74,20 @@ class MmapSource:
     Callers must release the views they take before :meth:`close`.
     """
 
-    def __init__(self, mm: mmap.mmap):
+    def __init__(self, path: PathLike):
+        with open(path, "rb") as fh:
+            try:
+                mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError) as exc:  # e.g. an empty file
+                raise ValueError(
+                    f"cannot map {os.fspath(path)!r}: {exc}"
+                ) from None
         try:
             self.header: TwppHeader = read_header(mm)
         except Exception:
             mm.close()
             raise
         self._mm = mm
-
-    @classmethod
-    def try_open(cls, path: PathLike) -> Optional["MmapSource"]:
-        """Map ``path``; None when the OS refuses (e.g. empty file)."""
-        fh = open(path, "rb")
-        try:
-            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError):
-            return None
-        finally:
-            fh.close()
-        return cls(mm)
 
     def read_section(self, entry: FunctionIndexEntry) -> memoryview:
         start = self.header.sections_base + entry.offset
@@ -114,86 +105,6 @@ class MmapSource:
 
     def close(self) -> None:
         self._mm.close()
-
-
-class PooledFileSource:
-    """Seek-and-read fallback behind a thread-safe handle pool.
-
-    A handle is checked out per read (opening a new one when the free
-    list is empty) and checked back in afterwards; at most ``max_idle``
-    idle handles are retained, so the pool's size tracks the peak
-    concurrency actually seen rather than a configured ceiling.
-    """
-
-    def __init__(self, path: PathLike, max_idle: int = 8):
-        self._path = os.fspath(path)
-        fh = open(self._path, "rb")
-        try:
-            self.header: TwppHeader = read_header(fh)
-        except Exception:
-            fh.close()
-            raise
-        self._lock = threading.Lock()
-        self._idle: List = [fh]
-        self._max_idle = max_idle
-        self._closed = False
-
-    def _checkout(self):
-        with self._lock:
-            if self._closed:
-                raise ValueError("source is closed")
-            if self._idle:
-                return self._idle.pop()
-        return open(self._path, "rb")
-
-    def _checkin(self, fh) -> None:
-        with self._lock:
-            if not self._closed and len(self._idle) < self._max_idle:
-                self._idle.append(fh)
-                return
-        fh.close()
-
-    def _read_at(self, offset: int, length: int, what: str) -> bytes:
-        fh = self._checkout()
-        try:
-            fh.seek(offset)
-            data = fh.read(length)
-        finally:
-            self._checkin(fh)
-        if len(data) != length:
-            raise ValueError(f"truncated {what}")
-        return data
-
-    def read_section(self, entry: FunctionIndexEntry) -> bytes:
-        return self._read_at(
-            self.header.sections_base + entry.offset,
-            entry.length,
-            f"section for {entry.name!r}",
-        )
-
-    def read_dcg(self) -> bytes:
-        return self._read_at(
-            self.header.dcg_start, self.header.dcg_comp_len, "DCG section"
-        )
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for fh in idle:
-            fh.close()
-
-
-SectionSource = Union[MmapSource, PooledFileSource]
-
-
-def open_source(path: PathLike, use_mmap: bool = True) -> SectionSource:
-    """Open the best available section source for ``path``."""
-    if use_mmap:
-        source = MmapSource.try_open(path)
-        if source is not None:
-            return source
-    return PooledFileSource(path)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +265,7 @@ def limit_traces_json(fragment: bytes, limit: int) -> bytes:
 class QueryEngine:
     """Cached, thread-safe profile queries over one ``.twpp`` file.
 
-    One engine owns one section source (mmap by default) and one
+    One engine owns one :class:`MmapSource` and one
     :class:`LruByteCache` shared by every thread that queries it.
     Single-function reads (:meth:`extract`, :meth:`traces`) consult the
     cache first; batch reads (:meth:`extract_many`, :meth:`traces_many`)
@@ -377,9 +288,8 @@ class QueryEngine:
         *,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         metrics: Optional[MetricsRegistry] = None,
-        use_mmap: bool = True,
     ):
-        self._source = open_source(path, use_mmap=use_mmap)
+        self._source = MmapSource(path)
         self.path = os.fspath(path)
         self._header = self._source.header
         self._by_name: Dict[str, FunctionIndexEntry] = {
@@ -583,8 +493,7 @@ class QueryEngine:
         try:
             fc = _parse_section(data, entry.name, entry.call_count)
         finally:
-            if isinstance(data, memoryview):
-                data.release()
+            data.release()
         self._time("qserve.decode", t0)
         return fc
 

@@ -1,84 +1,26 @@
-"""High-level query interface over ``.twpp`` files.
+"""Cold per-function queries over ``.twpp`` files.
 
 The paper's motivating usage pattern is "a series of requests for
-profile data for individual functions"; this module is that request
-path.  :class:`TwppReader` parses the header once and answers each
-function query from the file directly -- no caching, so the module-level
-:func:`extract_function_traces` measures the full cold-query cost (open
-+ header + one section) that Table 4's column C times.  Long-lived
-servers should hold a :class:`~repro.compact.qserve.QueryEngine`
-instead (the cached, concurrent read stack); the cold helpers accept
-one via ``engine=`` so call sites can opt in without changing shape.
+profile data for individual functions"; these helpers are that request
+path at its coldest.  Each call opens a
+:class:`~repro.compact.qserve.QueryEngine` with ``cache_bytes=0`` --
+map the file, parse the header, decode one section -- so
+:func:`extract_function_traces` measures the full cold-query cost that
+Table 4's column C times.  Long-lived servers should hold an engine
+instead; the helpers accept one via ``engine=`` so call sites can opt
+in without changing shape.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from .format import FunctionIndexEntry, TwppHeader, _parse_section
 from .pipeline import FunctionCompact
-from .qserve import QueryEngine, SectionSource, open_source
+from .qserve import QueryEngine
 
 PathLike = Union[str, "os.PathLike[str]"]
 PathTrace = Tuple[int, ...]
-
-
-class TwppReader:
-    """Random-access reader over one ``.twpp`` file.
-
-    Backed by a :mod:`~repro.compact.qserve` section source: a single
-    read-only mmap by default (zero-copy section slices, safe to share
-    across threads), or a pooled seek-and-read source with
-    ``use_mmap=False``.  The header is parsed once at construction; a
-    corrupt header closes the underlying handle instead of leaking it.
-    Usable as a context manager.
-    """
-
-    def __init__(self, path: PathLike, use_mmap: bool = True):
-        self._source: SectionSource = open_source(path, use_mmap=use_mmap)
-        self._header: TwppHeader = self._source.header
-        self._by_name: Dict[str, FunctionIndexEntry] = {
-            e.name: e for e in self._header.entries
-        }
-
-    def close(self) -> None:
-        self._source.close()
-
-    def __enter__(self) -> "TwppReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def function_names(self) -> List[str]:
-        """Function names in storage (hottest-first) order."""
-        return [e.name for e in self._header.entries]
-
-    def call_count(self, name: str) -> int:
-        """Number of activations of a function in the traced run."""
-        return self._entry(name).call_count
-
-    def extract(self, name: str) -> FunctionCompact:
-        """Read and parse one function's section."""
-        entry = self._entry(name)
-        data = self._source.read_section(entry)
-        try:
-            return _parse_section(data, entry.name, entry.call_count)
-        finally:
-            if isinstance(data, memoryview):
-                data.release()
-
-    def unique_path_traces(self, name: str) -> List[PathTrace]:
-        """The function's unique *original* path traces (DBBs expanded)."""
-        fc = self.extract(name)
-        return [fc.expand_pair(p) for p in range(len(fc.pairs))]
-
-    def _entry(self, name: str) -> FunctionIndexEntry:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"function {name!r} not in .twpp file") from None
 
 
 def extract_function_traces(
@@ -94,8 +36,8 @@ def extract_function_traces(
     """
     if engine is not None:
         return engine.traces(name)
-    with TwppReader(path) as reader:
-        return reader.unique_path_traces(name)
+    with QueryEngine(path, cache_bytes=0) as cold:
+        return cold.traces(name)
 
 
 def extract_function_record(
@@ -108,5 +50,5 @@ def extract_function_record(
     """
     if engine is not None:
         return engine.extract(name)
-    with TwppReader(path) as reader:
-        return reader.extract(name)
+    with QueryEngine(path, cache_bytes=0) as cold:
+        return cold.extract(name)

@@ -1,6 +1,6 @@
 """The corpus's SQLite catalog.
 
-Where the trace store's catalog indexes *files*, the corpus catalog
+Where the trace store's index covers *files*, the corpus catalog
 indexes *content*: one row per unique blob (sha, kind, pack offset,
 reference count), one row per ingested run with its sharing
 accounting, and the per-function membership tables that make cross-run
@@ -10,8 +10,7 @@ is set algebra over blob-id pairs and corpus-wide hot paths are one
 ``GROUP BY`` away, with only the surviving rows ever decoded.
 
 Schema (version 1) is documented in ``docs/FORMATS.md``.  All access
-is serialized behind one lock, same discipline as
-:class:`repro.store.catalog.TraceCatalog`.  :meth:`CorpusCatalog.add_run`
+is serialized behind one lock.  :meth:`CorpusCatalog.add_run`
 is the only write: a run's new blob rows, the reference bumps on the
 blobs it shares, and its run, function, pair and DCG-chunk rows commit
 in one transaction, so a crashed ingest leaves no partial run, no

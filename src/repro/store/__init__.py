@@ -1,10 +1,11 @@
 """Trace store and serving: many ``.twpp`` files behind one budget.
 
 The store-centric layer of the public API.  A :class:`TraceStore` is a
-directory of compacted traces with a SQLite catalog
-(:mod:`repro.store.catalog`), warm per-file query engines under a
-global cache byte budget with cross-file LRU eviction, and per-key
-request coalescing.  Its verbs consume the six request dataclasses of
+directory of compacted traces with an in-memory index of their headers
+(rebuilt by :meth:`TraceStore.scan`, which re-reads only new or changed
+files; nothing is written into the directory), warm per-file query
+engines under a global cache byte budget with cross-file LRU eviction,
+and per-key request coalescing.  Its verbs consume the six request dataclasses of
 :mod:`repro.store.requests` (:class:`QueryRequest`,
 :class:`AnalyzeRequest`, :class:`StatsRequest`,
 :class:`CorpusStatsRequest`, :class:`CorpusHotRequest`,
@@ -19,12 +20,6 @@ through the same classes (``query`` and ``analyze`` read files).
 ...     store.query(repro.QueryRequest(trace="run", functions=("main",)))
 """
 
-from .catalog import (
-    CatalogFunction,
-    CatalogTrace,
-    ScanResult,
-    TraceCatalog,
-)
 from .requests import (
     AnalyzeRequest,
     CorpusDiffRequest,
@@ -35,12 +30,10 @@ from .requests import (
     StatsRequest,
 )
 from .server import TraceServer, canonical_json
-from .store import TraceNotFound, TraceStore
+from .store import ScanResult, TraceNotFound, TraceStore
 
 __all__ = [
     "AnalyzeRequest",
-    "CatalogFunction",
-    "CatalogTrace",
     "CorpusDiffRequest",
     "CorpusHotRequest",
     "CorpusStatsRequest",
@@ -48,7 +41,6 @@ __all__ = [
     "RequestError",
     "ScanResult",
     "StatsRequest",
-    "TraceCatalog",
     "TraceNotFound",
     "TraceServer",
     "TraceStore",

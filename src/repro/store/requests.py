@@ -167,7 +167,7 @@ class _Request:
 class QueryRequest(_Request):
     """Path traces for one trace's functions (``GET /query``).
 
-    ``trace`` names a catalog entry (the ``.twpp`` file's stem);
+    ``trace`` names an indexed trace (the ``.twpp`` file's stem);
     ``functions`` restricts the batch (empty = every function, in
     storage order); ``limit`` caps the traces returned per function
     (None = all).

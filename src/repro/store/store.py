@@ -1,15 +1,23 @@
 """A directory of ``.twpp`` traces served warm under one byte budget.
 
 :class:`TraceStore` is the store-centric core the public API now
-fronts: a directory of compacted traces, the SQLite
-:class:`~repro.store.catalog.TraceCatalog` describing them, and one
-warm :class:`~repro.compact.qserve.QueryEngine` per *recently used*
-file -- held through the owning :class:`~repro.api.Session` under a
-**global** cache byte budget with LRU eviction across files
-(:meth:`Session.evict` releases one file's engine; the store decides
-which).  Concurrent requests for the same (file, function) are
-coalesced into a single decode via per-key in-flight records, so a
-thundering herd on a cold hot key costs one section parse, not N.
+fronts: a directory of compacted traces, an in-memory index of their
+headers, and one warm :class:`~repro.compact.qserve.QueryEngine` per
+*recently used* file -- held through the owning
+:class:`~repro.api.Session` under a **global** cache byte budget with
+LRU eviction across files (:meth:`Session.evict` releases one file's
+engine; the store decides which).  Concurrent requests for the same
+(file, function) are coalesced into a single decode via per-key
+in-flight records, so a thundering herd on a cold hot key costs one
+section parse, not N.
+
+The index is one dict, trace stem -> :class:`IndexedTrace`: the file's
+path, its ``(mtime_ns, size)`` signature and its header's function
+index, exactly as :func:`~repro.compact.format.read_header` returns it.
+:func:`scan_index` reconciles it against the directory (re-reading
+only new or changed headers); :meth:`TraceStore.scan` publishes each
+reconciled dict with one assignment, so a warm lookup is one lock-free
+``dict.get``.  Nothing is written into the served directory.
 
 The six verbs (:meth:`query`, :meth:`analyze`, :meth:`stats`,
 :meth:`corpus_stats`, :meth:`corpus_hot`, :meth:`corpus_diff`) each
@@ -30,15 +38,17 @@ cannot close its mapping under the decode.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
+from ..compact.format import FunctionIndexEntry, read_header
 from ..compact.qserve import QueryEngine, limit_traces_json
-from .catalog import CatalogTrace, ScanResult, TraceCatalog
+from ..obs import MetricsRegistry
 from .requests import (
     AnalyzeRequest,
     CorpusDiffRequest,
@@ -51,10 +61,151 @@ from .requests import (
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-#: Default catalog filename inside the store directory.
-CATALOG_NAME = "catalog.sqlite"
+__all__ = [
+    "IndexedTrace",
+    "ScanResult",
+    "TraceNotFound",
+    "TraceStore",
+    "corpus_doc",
+    "scan_index",
+]
 
-__all__ = ["CATALOG_NAME", "TraceNotFound", "TraceStore", "corpus_doc"]
+
+@dataclass(frozen=True)
+class IndexedTrace:
+    """One indexed ``.twpp`` file: its stat signature and header index.
+
+    ``entries`` are the header's rows in storage (hottest-first) order.
+    ``names``, ``name_set`` and ``json`` (each function name, and the
+    trace stem, as a canonical JSON string) are derived from them once,
+    when the header is read.
+    """
+
+    trace: str
+    path: str
+    mtime_ns: int
+    size: int
+    has_program: bool
+    entries: Tuple[FunctionIndexEntry, ...]
+    names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    name_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
+    json: Dict[str, bytes] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names = tuple(e.name for e in self.entries)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "name_set", frozenset(names))
+        object.__setattr__(self, "json", {  # what json.dumps(text) gives
+            text: encode_basestring_ascii(text).encode("ascii")
+            for text in (self.trace, *names)
+        })
+
+    @property
+    def calls(self) -> int:
+        return sum(e.call_count for e in self.entries)
+
+    def to_dict(self) -> Dict:
+        """The ``/traces`` row (and the head of ``/stats?trace=``)."""
+        return {
+            "trace": self.trace,
+            "size": self.size,
+            "functions": len(self.entries),
+            "calls": self.calls,
+            "has_program": self.has_program,
+        }
+
+    def function_index(self) -> List[Dict]:
+        """``/stats?trace=``'s ``function_index``: the header rows."""
+        return [
+            {
+                "name": e.name,
+                "calls": e.call_count,
+                "section_offset": e.offset,
+                "section_bytes": e.length,
+            }
+            for e in self.entries
+        ]
+
+
+@dataclass(frozen=True)
+class ScanResult:
+    """What one :func:`scan_index` reconciliation did."""
+
+    added: int
+    updated: int
+    removed: int
+    unchanged: int
+    errors: Tuple[str, ...] = ()
+
+    @property
+    def changed(self) -> bool:
+        return bool(self.added or self.updated or self.removed)
+
+
+def _read_index(trace: str, path: str, st: os.stat_result) -> IndexedTrace:
+    with open(path, "rb") as fh:
+        header = read_header(fh)
+    return IndexedTrace(
+        trace=trace,
+        path=path,
+        mtime_ns=st.st_mtime_ns,
+        size=st.st_size,
+        has_program=os.path.exists(os.path.splitext(path)[0] + ".ir"),
+        entries=tuple(header.entries),
+    )
+
+
+def scan_index(
+    root: PathLike,
+    previous: Dict[str, IndexedTrace],
+    metrics: MetricsRegistry,
+) -> Tuple[Dict[str, IndexedTrace], ScanResult]:
+    """Reconcile ``previous`` against ``root``'s ``*.twpp`` files.
+
+    Returns a new index, ordered by trace stem, and what changed.  Every
+    file is stat-ed; a header is re-read only when the file is new or
+    its ``(mtime_ns, size)`` changed.  A file that vanished, or is empty
+    (an interrupted writer), counts as a removal; one whose header fails
+    to parse is left out and reported in ``errors``, never fatal.
+    ``previous`` is not modified.
+    """
+    index: Dict[str, IndexedTrace] = {}
+    present = set()  # stems with a non-empty file, parsable or not
+    added = updated = unchanged = 0
+    errors: List[str] = []
+    with metrics.timer("store.scan"):
+        for file in sorted(Path(root).glob("*.twpp"), key=lambda p: p.stem):
+            trace, path = file.stem, str(file)
+            try:
+                st = os.stat(path)
+            except OSError:
+                continue
+            if st.st_size == 0:
+                continue
+            present.add(trace)
+            known = previous.get(trace)
+            if known is not None and (known.mtime_ns, known.size) == (
+                st.st_mtime_ns, st.st_size
+            ):
+                index[trace] = known
+                unchanged += 1
+                continue
+            try:
+                index[trace] = _read_index(trace, path, st)
+            except Exception as exc:  # surfaced per file in errors
+                errors.append(f"{path}: {str(exc) or type(exc).__name__}")
+                continue
+            if known is None:
+                added += 1
+            else:
+                updated += 1
+    removed = sum(1 for trace in previous if trace not in present)
+    result = ScanResult(added, updated, removed, unchanged, tuple(errors))
+    for name in ("added", "updated", "removed", "unchanged"):
+        amount = getattr(result, name)
+        if amount:
+            metrics.inc(f"store.scan.{name}", amount)
+    return index, result
 
 
 class TraceNotFound(KeyError):
@@ -72,8 +223,9 @@ class TraceStore:
     to the session's per-engine budget); when the sum of the warm
     engines' cached bytes exceeds it, least-recently-*queried* files
     lose their engine entirely (`store.evictions` counts them).  The
-    catalog is scanned once at construction; call :meth:`scan` (or pass
-    ``refresh=True`` to :meth:`traces`) after adding or removing files.
+    directory is scanned once at construction; call :meth:`scan` (or
+    pass ``refresh=True`` to :meth:`traces`) after adding or removing
+    files.  A request for an unknown trace scans once before failing.
     """
 
     def __init__(
@@ -81,7 +233,6 @@ class TraceStore:
         root: PathLike,
         session=None,
         cache_bytes: Optional[int] = None,
-        catalog_path: Optional[PathLike] = None,
         corpus: Optional[PathLike] = None,
     ) -> None:
         from ..api import Session
@@ -94,9 +245,6 @@ class TraceStore:
         self.cache_bytes = (
             self._session.cache_bytes if cache_bytes is None else int(cache_bytes)
         )
-        self.catalog = TraceCatalog(
-            self.root / CATALOG_NAME if catalog_path is None else catalog_path
-        )
         # Recency tracking for the global budget.  Warm hits must stay
         # lock-free, so instead of an OrderedDict (whose move_to_end
         # needs the lock) each touch writes a monotonically increasing
@@ -107,14 +255,10 @@ class TraceStore:
         self._lru_paths: Dict[str, str] = {}  # trace -> path
         self._stamps: Dict[str, int] = {}  # trace -> touch stamp
         self._clock = itertools.count()
-        # Hot-path memo of catalog rows: the SQLite catalog is the
-        # durable index for discovery and rescan; per-request lookups
-        # are served from memory and dropped whenever a scan changes
-        # anything.
-        self._entries: Dict[str, CatalogTrace] = {}
-        self._functions: Dict[str, List[str]] = {}
-        self._function_sets: Dict[str, frozenset] = {}
-        self._json_strings: Dict[str, bytes] = {}
+        # The trace index: replaced whole by each scan (under
+        # _scan_lock), never mutated, so readers need no lock.
+        self._index: Dict[str, IndexedTrace] = {}
+        self._scan_lock = threading.Lock()
         self._inflight: Dict[Tuple[str, str, bool], _Inflight] = {}
         # Optional attached corpus (the /corpus/* endpoints); opened
         # lazily so a store without corpus traffic never touches it.
@@ -134,7 +278,7 @@ class TraceStore:
         return self._session.metrics
 
     def close(self) -> None:
-        """Evict every engine this store warmed and close the catalog."""
+        """Evict every engine this store warmed."""
         with self._lock:
             paths = list(self._lru_paths.values())
             self._lru_paths = {}
@@ -144,7 +288,6 @@ class TraceStore:
             self._session.evict(path)
         if corpus is not None:
             corpus.close()
-        self.catalog.close()
         if self._owns_session:
             self._session.close()
 
@@ -154,27 +297,16 @@ class TraceStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ---- catalog ------------------------------------------------------
+    # ---- index --------------------------------------------------------
 
     def scan(self) -> ScanResult:
-        """Reconcile the catalog with the directory; evict stale engines."""
-        with self.metrics.timer("store.scan"):
-            result = self.catalog.scan(self.root)
-        for name, amount in (
-            ("added", result.added),
-            ("updated", result.updated),
-            ("removed", result.removed),
-            ("unchanged", result.unchanged),
-        ):
-            if amount:
-                self.metrics.inc(f"store.scan.{name}", amount)
+        """Reconcile the index with the directory; evict stale engines."""
+        with self._scan_lock:
+            index, result = scan_index(self.root, self._index, self.metrics)
+            self._index = index
         if result.changed:
-            live = {t.path for t in self.catalog.traces()}
+            live = {t.path for t in index.values()}
             with self._lock:
-                self._entries.clear()
-                self._functions.clear()
-                self._function_sets.clear()
-                self._json_strings.clear()
                 stale = [
                     (trace, path)
                     for trace, path in list(self._lru_paths.items())
@@ -188,18 +320,16 @@ class TraceStore:
         return result
 
     def traces(self, refresh: bool = False) -> Dict:
-        """The catalog listing (``GET /traces``)."""
+        """The index listing (``GET /traces``), ordered by trace."""
         if refresh:
             self.scan()
-        return {
-            "traces": [t.to_dict() for t in self.catalog.traces()],
-        }
+        return {"traces": [t.to_dict() for t in self._index.values()]}
 
     def __len__(self) -> int:
-        return len(self.catalog)
+        return len(self._index)
 
     def __contains__(self, trace: str) -> bool:
-        return trace in self.catalog
+        return trace in self._index
 
     # ---- verbs --------------------------------------------------------
 
@@ -222,29 +352,16 @@ class TraceStore:
             raise RequestError("query_json() takes a QueryRequest")
         entry, results = self._query(request, wire=True)
         functions = b",".join(
-            self._json_string(name) + b":" + results[name]
-            for name in sorted(results)
+            entry.json[name] + b":" + results[name] for name in sorted(results)
         )
         return (
             b'{"functions":{' + functions + b'},"trace":'
-            + self._json_string(entry.trace) + b"}"
+            + entry.json[entry.trace] + b"}"
         )
-
-    def _json_string(self, text: str) -> bytes:
-        """``text`` as a canonical JSON string, memoized.
-
-        Only names already validated against the catalog reach here,
-        so the memo is bounded by the catalog's names.
-        """
-        encoded = self._json_strings.get(text)
-        if encoded is None:
-            encoded = json.dumps(text).encode("ascii")
-            self._json_strings[text] = encoded
-        return encoded
 
     def _query(
         self, request: QueryRequest, wire: bool
-    ) -> Tuple[CatalogTrace, Dict]:
+    ) -> Tuple[IndexedTrace, Dict]:
         """Both query forms: ``{name: traces}``, as tuple lists or as
         JSON fragments (``wire``), with ``limit`` applied."""
         t0 = time.perf_counter()
@@ -303,40 +420,38 @@ class TraceStore:
         }
 
     def stats(self, request: Optional[StatsRequest] = None) -> Dict:
-        """Serving stats (``GET /stats``): catalog + cache occupancy."""
+        """Serving stats (``GET /stats``): index + cache occupancy."""
         request = StatsRequest() if request is None else request
         if not isinstance(request, StatsRequest):
             raise RequestError("stats() takes a StatsRequest")
         self.metrics.inc("store.requests.stats")
         if request.trace is None:
-            rows = self.catalog.traces()
+            rows = self._index.values()
             return {
                 "traces": len(rows),
-                "functions": sum(t.functions for t in rows),
+                "functions": sum(len(t.entries) for t in rows),
                 "calls": sum(t.calls for t in rows),
                 "bytes": sum(t.size for t in rows),
                 "cache": self.cache_stats(),
             }
         entry = self._entry(request.trace)
         doc = entry.to_dict()
-        doc["function_index"] = [
-            f.to_dict() for f in self.catalog.functions(entry.trace)
-        ]
+        doc["function_index"] = entry.function_index()
         doc["warm"] = self._is_warm(entry.path)
         return doc
 
     def healthz(self) -> Dict:
-        """Liveness document (``GET /healthz``): catalog counts only.
+        """Liveness document (``GET /healthz``): index counts only.
 
         Deliberately cheap -- load balancers and the bench harness poll
         it while waiting for readiness, so it must not touch any trace
         file or decode anything.
         """
-        rows = self.catalog.traces()
+        rows = self._index.values()
         doc = {
             "status": "ok",
             "traces": len(rows),
-            "functions": sum(t.functions for t in rows),
+            "functions": sum(len(t.entries) for t in rows),
         }
         if self._corpus_root is not None:
             doc["corpus_runs"] = len(self.corpus().runs())
@@ -414,7 +529,7 @@ class TraceStore:
     def _is_warm(self, path: str) -> bool:
         return path in self._session._engines
 
-    def _touch(self, entry: CatalogTrace, enforce: bool = True) -> None:
+    def _touch(self, entry: IndexedTrace, enforce: bool = True) -> None:
         """Mark ``entry`` most recently used; enforce the global budget.
 
         ``enforce=False`` skips the budget pass -- pure cache hits
@@ -463,7 +578,7 @@ class TraceStore:
     # ---- coalescing ---------------------------------------------------
 
     def _fetch(
-        self, entry: CatalogTrace, name: str, wire: bool
+        self, entry: IndexedTrace, name: str, wire: bool
     ) -> Tuple[Union[List[Tuple[int, ...]], bytes], bool]:
         """One function's traces (a tuple list, or the JSON fragment
         when ``wire``) plus a was-it-cold flag.
@@ -510,17 +625,16 @@ class TraceStore:
 
     # ---- helpers ------------------------------------------------------
 
-    def _check_fresh(self, entry: CatalogTrace) -> CatalogTrace:
-        """Stat-verify a catalog row before any cold file access.
+    def _check_fresh(self, entry: IndexedTrace) -> IndexedTrace:
+        """Stat-verify an index record before any cold file access.
 
         A ``.twpp`` deleted or truncated between scans must be noticed
         *before* an engine maps it: reading an mmap of a truncated file
         faults the process (there is no exception to catch), and a
         stale mtime means the engine would decode a different file than
-        the catalog describes.  Stale rows evict the warm engine, drop
-        the memoized lookups, rescan the catalog, and either return the
-        refreshed row or raise :class:`TraceNotFound` when the trace is
-        gone for good.
+        the index describes.  A stale record evicts the warm engine,
+        rescans the directory, and either returns the refreshed record
+        or raises :class:`TraceNotFound` when the trace is gone for good.
         """
         try:
             st = os.stat(entry.path)
@@ -536,55 +650,38 @@ class TraceStore:
         self.metrics.inc("store.stale_detected")
         self.scan()
         with self._lock:
-            self._entries.pop(entry.trace, None)
-            self._functions.pop(entry.trace, None)
-            self._function_sets.pop(entry.trace, None)
             self._lru_paths.pop(entry.trace, None)
             self._stamps.pop(entry.trace, None)
-        refreshed = self.catalog.trace(entry.trace)
+        refreshed = self._index.get(entry.trace)
         if refreshed is None:
             raise TraceNotFound(f"trace {entry.trace!r} no longer in store")
-        self._entries[entry.trace] = refreshed
         return refreshed
 
-    def _entry(self, trace: str) -> CatalogTrace:
-        entry = self._entries.get(trace)
-        if entry is not None:
-            return entry
-        entry = self.catalog.trace(trace)
-        if entry is None:
+    def _entry(self, trace: str) -> IndexedTrace:
+        entry = self._index.get(trace)
+        if entry is None and self.scan().changed:
             # The file may have appeared since the last scan: one
             # stat-cheap reconciliation before giving up.
-            if self.scan().changed:
-                entry = self.catalog.trace(trace)
+            entry = self._index.get(trace)
         if entry is None:
             raise TraceNotFound(f"trace {trace!r} not in store")
-        self._entries[trace] = entry
         return entry
 
+    @staticmethod
     def _resolve_functions(
-        self, entry: CatalogTrace, names: Tuple[str, ...]
-    ) -> Union[List[str], Tuple[str, ...]]:
-        known = self._functions.get(entry.trace)
-        if known is None:
-            known = [f.name for f in self.catalog.functions(entry.trace)]
-            self._functions[entry.trace] = known
-            self._function_sets[entry.trace] = frozenset(known)
+        entry: IndexedTrace, names: Tuple[str, ...]
+    ) -> Tuple[str, ...]:
         if not names:
-            return known
-        known_set = self._function_sets.get(entry.trace)
-        if known_set is None:
-            known_set = frozenset(known)
-            self._function_sets[entry.trace] = known_set
+            return entry.names
         for name in names:
-            if name not in known_set:
+            if name not in entry.name_set:
                 raise TraceNotFound(
                     f"function {name!r} not in trace {entry.trace!r}"
                 )
         return names
 
     def _program_path(
-        self, entry: CatalogTrace, program: Optional[str]
+        self, entry: IndexedTrace, program: Optional[str]
     ) -> str:
         if program is None:
             path = Path(entry.path).with_suffix(".ir")
@@ -602,7 +699,7 @@ class TraceStore:
         return str(resolved)
 
     def engine(self, trace: str) -> QueryEngine:
-        """The warm engine for one catalogued trace (mostly for tests)."""
+        """The warm engine for one indexed trace (mostly for tests)."""
         entry = self._entry(trace)
         engine = self._session.engine(entry.path)
         self._touch(entry)

@@ -253,12 +253,13 @@ class TestScan:
         return root
 
     def test_scan_then_rescan(self, store_dir, capsys):
+        before = sorted(p.name for p in store_dir.iterdir())
         assert main(["scan", str(store_dir)]) == 0
         out = capsys.readouterr().out
         assert "+1 added" in out and "run" in out
-        assert (store_dir / "catalog.sqlite").exists()
         assert main(["scan", str(store_dir)]) == 0
-        assert "1 unchanged" in capsys.readouterr().out
+        assert capsys.readouterr().out == out
+        assert sorted(p.name for p in store_dir.iterdir()) == before
 
     def test_scan_flags_metrics(self, store_dir, tmp_path, capsys):
         metrics = tmp_path / "scan-metrics.json"

@@ -6,12 +6,8 @@ import pytest
 
 from repro.compact import (
     LruByteCache,
-    MmapSource,
-    PooledFileSource,
     QueryEngine,
-    TwppReader,
     compact_wpp,
-    open_source,
     read_twpp,
     write_twpp,
 )
@@ -95,64 +91,21 @@ class TestLruByteCache:
         assert metrics.counter("qserve.cache.evictions") == 1
 
 
-class TestSectionSources:
-    def test_mmap_and_pooled_agree(self, files):
-        _part, _compacted, twpp_path = files
-        mm = open_source(twpp_path, use_mmap=True)
-        pooled = open_source(twpp_path, use_mmap=False)
-        assert isinstance(mm, MmapSource)
-        assert isinstance(pooled, PooledFileSource)
-        try:
-            for entry in mm.header.entries:
-                view = mm.read_section(entry)
-                assert bytes(view) == pooled.read_section(entry)
-                view.release()
-            assert mm.read_dcg() == pooled.read_dcg()
-        finally:
-            mm.close()
-            pooled.close()
-
-    def test_pooled_source_concurrent_reads(self, files):
-        _part, _compacted, twpp_path = files
-        source = PooledFileSource(twpp_path, max_idle=2)
-        expected = {
-            e.name: source.read_section(e) for e in source.header.entries
-        }
-        errors = []
-
-        def hammer():
-            try:
-                for e in source.header.entries:
-                    assert source.read_section(e) == expected[e.name]
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        source.close()
-
-    def test_pooled_source_closed_rejects(self, files):
-        _part, _compacted, twpp_path = files
-        source = PooledFileSource(twpp_path)
-        source.close()
-        with pytest.raises(ValueError, match="closed"):
-            source.read_section(source.header.entries[0])
-
-
 class TestQueryEngine:
     def test_extract_matches_reader(self, files):
         _part, compacted, twpp_path = files
-        with QueryEngine(twpp_path) as engine, TwppReader(twpp_path) as rdr:
+        with QueryEngine(twpp_path) as engine, QueryEngine(
+            twpp_path, cache_bytes=0
+        ) as cold:
             for name in engine.function_names():
                 fc = engine.extract(name)
-                ref = rdr.extract(name)
+                ref = cold.extract(name)
                 assert fc.trace_table == ref.trace_table
                 assert fc.dict_table == ref.dict_table
                 assert fc.pairs == ref.pairs
+                ref_fc = compacted.function(name)
+                assert fc.trace_table == ref_fc.trace_table
+                assert fc.pairs == ref_fc.pairs
 
     def test_traces_match_partitioned(self, files):
         part, _compacted, twpp_path = files
@@ -222,13 +175,6 @@ class TestQueryEngine:
             assert dcg.node_trace == full.dcg.node_trace
             assert dcg.node_parent == full.dcg.node_parent
             assert engine.dcg() is dcg  # decoded once, kept
-
-    def test_pooled_backend_equivalent(self, files):
-        part, _compacted, twpp_path = files
-        with QueryEngine(twpp_path, use_mmap=False) as engine:
-            for name in part.func_names:
-                idx = part.func_index(name)
-                assert engine.traces(name) == part.traces[idx]
 
     def test_cache_disabled_still_correct(self, files):
         part, _compacted, twpp_path = files

@@ -5,8 +5,8 @@ import os
 import pytest
 
 from repro.compact import (
+    MmapSource,
     QueryEngine,
-    TwppReader,
     compact_wpp,
     extract_function,
     extract_function_record,
@@ -28,10 +28,15 @@ def files(tmp_path, small_workload):
     return part, compacted, twpp_path, wpp_path
 
 
+def cold_engine(path):
+    """An uncached engine: every query decodes its section afresh."""
+    return QueryEngine(path, cache_bytes=0)
+
+
 class TestReader:
     def test_function_names_hottest_first(self, files):
         part, _c, twpp_path, _w = files
-        with TwppReader(twpp_path) as reader:
+        with cold_engine(twpp_path) as reader:
             names = reader.function_names()
         counts = part.call_counts()
         assert [counts[n] for n in names] == sorted(
@@ -40,14 +45,14 @@ class TestReader:
 
     def test_call_count(self, files):
         part, _c, twpp_path, _w = files
-        with TwppReader(twpp_path) as reader:
+        with cold_engine(twpp_path) as reader:
             for name, count in part.call_counts().items():
                 assert reader.call_count(name) == count
 
     def test_extract_matches_in_memory(self, files):
         part, compacted, twpp_path, _w = files
         target = compacted.functions[0].name
-        with TwppReader(twpp_path) as reader:
+        with cold_engine(twpp_path) as reader:
             fc = reader.extract(target)
         orig = compacted.function(target)
         assert fc.trace_table == orig.trace_table
@@ -55,15 +60,15 @@ class TestReader:
 
     def test_unknown_function(self, files):
         _p, _c, twpp_path, _w = files
-        with TwppReader(twpp_path) as reader:
+        with cold_engine(twpp_path) as reader:
             with pytest.raises(KeyError, match="ghost"):
                 reader.extract("ghost")
 
     def test_unique_path_traces_expand_dbbs(self, files):
         part, _c, twpp_path, _w = files
         name = part.func_names[1]
-        with TwppReader(twpp_path) as reader:
-            traces = reader.unique_path_traces(name)
+        with cold_engine(twpp_path) as reader:
+            traces = reader.traces(name)
         idx = part.func_index(name)
         assert traces == part.traces[idx]
 
@@ -102,27 +107,28 @@ class TestCorruptHeader:
         "bad-magic": b"XWPP" + b"\x00" * 16,
         "overlong-varint": b"TWPP" + b"\xff" * 32,
         "truncated-index": b"TWPP\x05\x03ab",
+        "empty": b"",
     }
 
-    @pytest.mark.parametrize("use_mmap", [True, False])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_reader_closes_handle_on_header_error(
-        self, tmp_path, case, use_mmap
-    ):
+    def test_reader_closes_handle_on_header_error(self, tmp_path, case):
         bad = tmp_path / f"{case}.twpp"
         bad.write_bytes(self.CASES[case])
         before = _open_fds()
         with pytest.raises(ValueError):
-            TwppReader(bad, use_mmap=use_mmap)
+            MmapSource(bad)
         assert _open_fds() == before
 
-    @pytest.mark.parametrize("use_mmap", [True, False])
-    def test_engine_closes_handle_on_header_error(self, tmp_path, use_mmap):
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_engine_closes_handle_on_header_error(self, tmp_path, cached):
         bad = tmp_path / "bad.twpp"
         bad.write_bytes(self.CASES["overlong-varint"])
         before = _open_fds()
         with pytest.raises(ValueError):
-            QueryEngine(bad, use_mmap=use_mmap)
+            if cached:
+                QueryEngine(bad)
+            else:
+                QueryEngine(bad, cache_bytes=0)
         assert _open_fds() == before
 
 

@@ -2,21 +2,21 @@
 
 Truncated or bit-flipped inputs may not always be *detectable* (a flip
 inside trace data can decode to different-but-valid data), but they
-must never escape as anything other than a clean ValueError-family
-error -- no hangs, no index crashes deep inside decoding loops.
+must never escape as anything other than a clean ValueError -- no
+hangs, no KeyError or IndexError from deep inside decoding loops.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compact import compact_wpp, read_twpp, write_twpp
+from repro.compact import QueryEngine, compact_wpp, read_twpp, write_twpp
 from repro.compact.query import extract_function_traces
 from repro.sequitur import decompress_wpp, write_compressed_wpp
 from repro.trace import collect_wpp, partition_wpp, read_wpp, write_wpp
 from repro.workloads import figure1_program
 
-ACCEPTABLE = (ValueError, KeyError, IndexError, OverflowError)
+ACCEPTABLE = (ValueError,)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,38 @@ class TestBitFlips:
             _try_decode(kind, bytes(raw), workdir)
         except ACCEPTABLE:
             pass  # clean rejection is the expected common case
+
+    def test_every_twpp_flip_and_cut_is_a_value_error(
+        self, originals, tmp_path
+    ):
+        """Every single-bit flip and every truncation of a ``.twpp``,
+        loaded whole by ``read_twpp`` and opened through
+        :class:`QueryEngine` with every function and the DCG decoded,
+        either decodes or raises ValueError."""
+
+        def decode_all(path):
+            with QueryEngine(path, cache_bytes=0) as engine:
+                for name in engine.function_names():
+                    engine.traces(name)
+                engine.dcg()
+
+        data = originals["twpp"]
+        mutants = [data[:cut] for cut in range(len(data))]
+        for pos in range(len(data)):
+            for bit in range(8):
+                raw = bytearray(data)
+                raw[pos] ^= 1 << bit
+                mutants.append(bytes(raw))
+        path = tmp_path / "x.twpp"
+        rejected = 0
+        for mutant in mutants:
+            path.write_bytes(mutant)
+            for decode in (read_twpp, decode_all):
+                try:
+                    decode(path)
+                except ValueError:
+                    rejected += 1
+        assert rejected > len(mutants), (rejected, len(mutants))
 
     def test_magic_corruption_always_detected(self, originals, tmp_path):
         for kind in ("wpp", "twpp", "sqwp"):

@@ -13,7 +13,7 @@ from repro.api import PROGRAM_CACHE_SIZE, Session
 from repro.ir import ProgramBuilder, binop, parse_program
 from repro.ir.expr import Const, Var
 from repro.ir.printer import format_program
-from repro.store import AnalyzeRequest, TraceStore
+from repro.store import AnalyzeRequest, StatsRequest, TraceStore
 from repro.store.server import canonical_json
 from repro.trace import collect_wpp, partition_wpp
 from repro.workloads.specs import workload
@@ -140,7 +140,8 @@ class TestProgramCache:
 
     def test_concurrent_analyze_matches_serial(self, store_dir):
         with TraceStore(store_dir) as store:
-            names = [f.name for f in store.catalog.functions("li-like")]
+            index = store.stats(StatsRequest(trace="li-like"))
+            names = [row["name"] for row in index["function_index"]]
             requests = [
                 AnalyzeRequest(trace="li-like", fact="def:acc", functions=(name,))
                 for name in names

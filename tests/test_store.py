@@ -1,14 +1,19 @@
-"""Tests for repro.store: catalog, TraceStore, requests, eviction,
-coalescing."""
+"""Tests for repro.store: the trace index, TraceStore, requests,
+eviction, coalescing."""
 
 import json
+import os
 import shutil
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
+from urllib.request import urlopen
 
 import pytest
 
+import repro
 from repro.api import Session
 from repro.compact.qserve import limit_traces_json
 from repro.ir.printer import format_program
@@ -17,8 +22,8 @@ from repro.store import (
     QueryRequest,
     RequestError,
     StatsRequest,
-    TraceCatalog,
     TraceNotFound,
+    TraceServer,
     TraceStore,
 )
 from repro.store.server import canonical_json
@@ -60,29 +65,34 @@ def wire_root(tmp_path_factory):
     return root
 
 
+def function_names(store, trace):
+    """``trace``'s function names in storage (hottest-first) order."""
+    index = store.stats(StatsRequest(trace=trace))["function_index"]
+    return [row["name"] for row in index]
+
+
 def query_matrix(store):
     """Every (trace, function) of ``store`` at limits {None, 0, 1,
     len-1, len, len+5}, plus per trace a repeated function, several
     functions out of order, and all functions."""
-    for row in store.catalog.traces():
-        names = [f.name for f in store.catalog.functions(row.trace)]
+    for row in store.traces()["traces"]:
+        trace = row["trace"]
+        names = function_names(store, trace)
         for name in names:
             count = len(
-                store.query(QueryRequest(trace=row.trace, functions=(name,)))[
+                store.query(QueryRequest(trace=trace, functions=(name,)))[
                     "functions"
                 ][name]
             )
             for limit in sorted({0, 1, max(count - 1, 0), count, count + 5}):
-                yield QueryRequest(
-                    trace=row.trace, functions=(name,), limit=limit
-                )
-            yield QueryRequest(trace=row.trace, functions=(name,))
-        yield QueryRequest(trace=row.trace, functions=(names[0], names[0]))
+                yield QueryRequest(trace=trace, functions=(name,), limit=limit)
+            yield QueryRequest(trace=trace, functions=(name,))
+        yield QueryRequest(trace=trace, functions=(names[0], names[0]))
         yield QueryRequest(
-            trace=row.trace, functions=tuple(reversed(names[:4])), limit=2
+            trace=trace, functions=tuple(reversed(names[:4])), limit=2
         )
-        yield QueryRequest(trace=row.trace)
-        yield QueryRequest(trace=row.trace, limit=1)
+        yield QueryRequest(trace=trace)
+        yield QueryRequest(trace=trace, limit=1)
 
 
 @pytest.fixture
@@ -117,64 +127,175 @@ class TestRequests:
             AnalyzeRequest.from_dict({"trace": "run"})
 
 
+def listing(store):
+    return [row["trace"] for row in store.traces()["traces"]]
+
+
 class TestCatalog:
+    """:meth:`TraceStore.scan`'s reconcile rules for the trace index."""
+
     def test_scan_reports_added_then_unchanged(self, tmp_path):
         write_trace(tmp_path, "li-like")
-        catalog = TraceCatalog()
-        first = catalog.scan(tmp_path)
-        assert (first.added, first.unchanged) == (1, 0)
-        second = catalog.scan(tmp_path)
-        assert (second.added, second.unchanged) == (0, 1)
-        assert not second.changed
+        with TraceStore(tmp_path) as store:
+            shutil.copy(tmp_path / "li-like.twpp", tmp_path / "copy.twpp")
+            first = store.scan()
+            assert (first.added, first.unchanged) == (1, 1)
+            second = store.scan()
+            assert (second.added, second.unchanged) == (0, 2)
+            assert not second.changed
+            assert listing(store) == ["copy", "li-like"]
+            assert store.metrics.counter("store.scan.added") == 2
 
     def test_scan_sees_update_and_removal(self, tmp_path):
         write_trace(tmp_path, "li-like")
-        catalog = TraceCatalog()
-        catalog.scan(tmp_path)
-        twpp = tmp_path / "li-like.twpp"
-        data = twpp.read_bytes()
-        time.sleep(0.01)  # ensure a fresh mtime_ns
-        twpp.write_bytes(data)
-        assert catalog.scan(tmp_path).updated == 1
-        twpp.unlink()
-        result = catalog.scan(tmp_path)
-        assert result.removed == 1
-        assert len(catalog) == 0
+        with TraceStore(tmp_path) as store:
+            twpp = tmp_path / "li-like.twpp"
+            data = twpp.read_bytes()
+            time.sleep(0.01)  # ensure a fresh mtime_ns
+            twpp.write_bytes(data)
+            assert store.scan().updated == 1
+            twpp.unlink()
+            result = store.scan()
+            assert result.removed == 1
+            assert len(store) == 0 and listing(store) == []
 
     def test_catalog_matches_header(self, store_root):
-        catalog = TraceCatalog()
-        catalog.scan(store_root)
-        entry = catalog.trace("li-like")
-        assert entry is not None and entry.has_program
-        names = [f.name for f in catalog.functions("li-like")]
-        with Session() as session:
-            engine = session.engine(store_root / "li-like.twpp")
-            assert names == engine.function_names()
-
-    def test_catalog_persists_across_instances(self, tmp_path):
-        write_trace(tmp_path, "li-like")
-        db = tmp_path / "catalog.sqlite"
-        TraceCatalog(db).scan(tmp_path)
-        reopened = TraceCatalog(db)
-        assert reopened.scan(tmp_path).unchanged == 1
-        assert "li-like" in reopened
+        with TraceStore(store_root) as store:
+            row = store.stats(StatsRequest(trace="li-like"))
+            assert row["has_program"]
+            engine = store.engine("li-like")
+            entries = engine.header.entries
+            assert function_names(store, "li-like") == engine.function_names()
+            assert row["function_index"] == [
+                {
+                    "name": e.name,
+                    "calls": e.call_count,
+                    "section_offset": e.offset,
+                    "section_bytes": e.length,
+                }
+                for e in entries
+            ]
+            assert row["functions"] == len(entries)
+            assert row["calls"] == sum(e.call_count for e in entries)
+            assert row["size"] == (store_root / "li-like.twpp").stat().st_size
 
     def test_unparsable_file_reported_not_fatal(self, tmp_path):
         write_trace(tmp_path, "li-like")
         (tmp_path / "junk.twpp").write_bytes(b"not a twpp file")
-        catalog = TraceCatalog()
-        result = catalog.scan(tmp_path)
-        assert result.added == 1 and len(result.errors) == 1
-        assert "junk" not in catalog
+        with TraceStore(tmp_path) as store:
+            assert "junk" not in store
+            result = store.scan()
+            assert result.unchanged == 1 and len(result.errors) == 1
+            assert "junk" in result.errors[0] and not result.changed
+            assert listing(store) == ["li-like"]
 
     def test_truncated_file_is_a_removal_not_an_error(self, tmp_path):
         write_trace(tmp_path, "li-like")
-        catalog = TraceCatalog()
-        catalog.scan(tmp_path)
-        (tmp_path / "li-like.twpp").write_bytes(b"")
-        result = catalog.scan(tmp_path)
-        assert result.removed == 1 and not result.errors
-        assert "li-like" not in catalog
+        with TraceStore(tmp_path) as store:
+            (tmp_path / "li-like.twpp").write_bytes(b"")
+            result = store.scan()
+            assert result.removed == 1 and not result.errors
+            assert "li-like" not in store
+
+    def test_concurrent_scans_queries_and_rewrites(self, tmp_path):
+        """Scans from 4 threads, queries and listings from 2 and one
+        thread replacing a ``.twpp``, switching threads as often as the
+        interpreter allows: no exception, and the final listing is a
+        fresh store's."""
+        write_trace(tmp_path, "li-like")
+        write_trace(tmp_path, "ijpeg-like", with_ir=False)
+        twpp = tmp_path / "li-like.twpp"
+        data = twpp.read_bytes()
+        with TraceStore(tmp_path) as store:
+            requests = [
+                QueryRequest(trace=trace, functions=(name,))
+                for trace in ("li-like", "ijpeg-like")
+                for name in function_names(store, trace)[:3]
+            ]
+            expected = [canonical_json(store.query(r)) for r in requests]
+            stop = threading.Event()
+            errors = []
+
+            def run(body):
+                try:
+                    while not stop.is_set():
+                        body()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(repr(exc))
+                    stop.set()
+
+            def scan():
+                store.scan()
+                store.traces(refresh=True)
+
+            def query():
+                for request, body in zip(requests, expected):
+                    if store.query_json(request) != body:
+                        raise AssertionError(f"wrong body for {request}")
+                    if len(store.traces()["traces"]) != 2:
+                        raise AssertionError("a trace left the listing")
+                    store.stats()
+
+            def rewrite():
+                # Replace, never truncate in place: a live mapping of a
+                # file truncated under it faults the process.
+                tmp = tmp_path / "li-like.twpp.tmp"
+                tmp.write_bytes(data)
+                os.replace(tmp, twpp)
+
+            threads = [
+                threading.Thread(target=run, args=(body,))
+                for body in [scan] * 4 + [query] * 2 + [rewrite]
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                time.sleep(1.0)
+                stop.set()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            store.scan()
+            with TraceStore(tmp_path) as fresh:
+                assert store.traces() == fresh.traces()
+                assert store.healthz() == fresh.healthz()
+
+
+class TestNoSideEffects:
+    def test_serving_does_not_import_sqlite(self):
+        code = (
+            "import sys, repro.store.server; "
+            "assert 'sqlite3' not in sys.modules, 'sqlite3 imported'"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_store_and_server_write_nothing_into_the_store(self, tmp_path):
+        write_trace(tmp_path, "li-like")
+        before = sorted(os.listdir(tmp_path))
+        with Session() as session:
+            store = session.store(tmp_path)
+            server = TraceServer(store).start()
+            try:
+                for path in (
+                    "/healthz", "/traces", "/stats", "/query?trace=li-like"
+                ):
+                    with urlopen(server.url + path, timeout=30) as resp:
+                        assert resp.status == 200
+            finally:
+                server.stop()
+            store.analyze(AnalyzeRequest(trace="li-like", fact="def:acc"))
+            store.close()
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestTraceStore:
@@ -301,7 +422,7 @@ class TestQueryJson:
     def test_fragment_bytes_count_against_the_cache(self, store_root):
         with Session() as session:
             store = session.store(store_root)
-            name = store.catalog.functions("li-like")[0].name
+            name = function_names(store, "li-like")[0]
             engine = store.engine("li-like")
             engine.extract(name)
             before = store.cache_stats()["bytes"]
@@ -326,7 +447,7 @@ class TestQueryJson:
     def test_warm_request_does_not_encode(self, store_root, monkeypatch):
         with Session() as session:
             store = session.store(store_root)
-            name = store.catalog.functions("li-like")[0].name
+            name = function_names(store, "li-like")[0]
             request = QueryRequest(trace="li-like", functions=(name,), limit=1)
             calls = []
             real = json.dumps
@@ -352,7 +473,7 @@ class TestStaleFiles:
     def test_deleted_file_raises_not_found_on_cold_request(self, tmp_path):
         write_trace(tmp_path, "li-like", with_ir=False)
         with TraceStore(tmp_path) as store:
-            names = [f.name for f in store.catalog.functions("li-like")]
+            names = function_names(store, "li-like")
             assert len(names) >= 2
             store.query(QueryRequest(trace="li-like", functions=(names[0],)))
             (tmp_path / "li-like.twpp").unlink()
@@ -366,7 +487,7 @@ class TestStaleFiles:
     def test_truncated_file_raises_not_found_on_cold_request(self, tmp_path):
         write_trace(tmp_path, "li-like", with_ir=False)
         with TraceStore(tmp_path) as store:
-            names = [f.name for f in store.catalog.functions("li-like")]
+            names = function_names(store, "li-like")
             store.query(QueryRequest(trace="li-like", functions=(names[0],)))
             (tmp_path / "li-like.twpp").write_bytes(b"")
             with pytest.raises(TraceNotFound):
@@ -378,7 +499,7 @@ class TestStaleFiles:
     def test_warm_cache_hits_survive_deletion(self, tmp_path):
         write_trace(tmp_path, "li-like", with_ir=False)
         with TraceStore(tmp_path) as store:
-            name = store.catalog.functions("li-like")[0].name
+            name = function_names(store, "li-like")[0]
             request = QueryRequest(trace="li-like", functions=(name,))
             before = store.query(request)
             (tmp_path / "li-like.twpp").unlink()
@@ -427,7 +548,7 @@ class TestEviction:
         with Session() as session:
             store = session.store(store_root)
             path = str(store_root / "li-like.twpp")
-            name = store.catalog.functions("li-like")[0].name
+            name = function_names(store, "li-like")[0]
             engine = session.engine(path)
             real_decode = engine._decode
 
@@ -461,7 +582,7 @@ class TestCoalescing:
         the session's decode count."""
         with Session() as session:
             store = session.store(store_root)
-            name = store.catalog.functions("li-like")[0].name
+            name = function_names(store, "li-like")[0]
             n_threads = 8
             barrier = threading.Barrier(n_threads)
             request = QueryRequest(trace="li-like", functions=(name,))
@@ -499,7 +620,7 @@ class TestCoalescing:
         with Session() as session:
             store = session.store(store_root)
             engine = store.engine("li-like")
-            name = store.catalog.functions("li-like")[0].name
+            name = function_names(store, "li-like")[0]
             calls = []
             real = engine.traces
 
@@ -537,9 +658,9 @@ class TestEvictionStress:
         with Session() as session:
             store = session.store(store_root, cache_bytes=1)
             requests = [
-                QueryRequest(trace=trace, functions=(f.name,))
+                QueryRequest(trace=trace, functions=(name,))
                 for trace in ("li-like", "ijpeg-like")
-                for f in store.catalog.functions(trace)[:4]
+                for name in function_names(store, trace)[:4]
             ]
             expected = [canonical_json(store.query(r)) for r in requests]
             errors = []

@@ -35,7 +35,12 @@ from repro.store import (
 from repro.store import server as server_mod
 from repro.store.server import MAX_BODY_BYTES
 
-from .test_store import query_matrix, wire_root, write_trace  # noqa: F401
+from .test_store import (  # noqa: F401
+    function_names,
+    query_matrix,
+    wire_root,
+    write_trace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +138,7 @@ class TestEndpointsMatchInProcess:
 
     def test_query_with_fn_and_limit(self, served):
         server, store, _root = served
-        name = store.catalog.functions("li-like")[0].name
+        name = function_names(store, "li-like")[0]
         status, body = get(server, f"/query?trace=li-like&fn={name}&limit=2")
         assert status == 200
         expected = store.query(
@@ -286,7 +291,7 @@ class TestConcurrencyAndRescan:
         store = session.store(tmp_path)
         server = TraceServer(store).start()
         try:
-            name = store.catalog.functions("li-like")[0].name
+            name = function_names(store, "li-like")[0]
             n_clients = 8
             barrier = threading.Barrier(n_clients)
             bodies = []
@@ -579,7 +584,7 @@ def fuzz_served(tmp_path_factory):
         mp.setattr(server_mod, "KEEPALIVE_TIMEOUT", 0.2)
         mp.setattr(server_mod, "REQUEST_TIMEOUT", 0.2)
         server = TraceServer(store).start()
-        fn = store.catalog.functions("li-like")[0].name
+        fn = function_names(store, "li-like")[0]
         body = json.dumps({"trace": "li-like", "fact": "def:acc"})
         valid = [
             f"GET /query?trace=li-like&fn={fn}&limit=2 HTTP/1.1\r\n"
