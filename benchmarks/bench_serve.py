@@ -11,7 +11,8 @@ hot functions dominating a long tail.  Measurements:
   process that dies between requests pays, and the baseline the warm
   store must beat 50x.
 * **store** — the same zipf request stream served in-process by a warm
-  ``TraceStore`` (global cache budget, coalescing), p50/p99/qps.
+  ``TraceStore`` (the session's one cache budget, coalescing),
+  p50/p99/qps.
 * **http open/close** — the stream through the daemon with one TCP
   connection per request (``urllib`` sends ``Connection: close``):
   what PR 6's thread-per-connection server was stuck with (358.5 qps).
@@ -19,8 +20,8 @@ hot functions dominating a long tail.  Measurements:
   reusing one connection each for a 10x-longer stream.  This is the
   ``http_qps`` the schema ``/2`` gate holds at >= 10x the open/close
   baseline.
-* **eviction sweep** — the store replayed under shrinking global cache
-  budgets, recording hit rate and cross-file evictions per budget.
+* **eviction sweep** — the store replayed under shrinking session cache
+  budgets, recording hit rate and cache entry evictions per budget.
 
 Plus a coalescing check (T barrier-released threads requesting one
 cold key must cost exactly one decode) and a per-endpoint identity
@@ -347,7 +348,7 @@ def check_coalescing(root, hot_key, n_threads=8):
     doc = {
         "threads": n_threads,
         "decodes": session.metrics.counter("qserve.decodes"),
-        "coalesced": session.metrics.counter("store.coalesced"),
+        "coalesced": session.metrics.counter("qserve.cache.coalesced"),
     }
     store.close()
     session.close()
@@ -355,11 +356,11 @@ def check_coalescing(root, hot_key, n_threads=8):
 
 
 def eviction_sweep(root, schedule, budgets):
-    """Replay the schedule under shrinking global cache budgets."""
+    """Replay the schedule under shrinking session cache budgets."""
     sweep = []
     for budget in budgets:
         session = Session(cache_bytes=budget)
-        store = session.store(root, cache_bytes=budget)
+        store = session.store(root)
         latencies = []
         for trace, fn in schedule:
             t0 = time.perf_counter()
@@ -370,7 +371,7 @@ def eviction_sweep(root, schedule, budgets):
             {
                 "budget_bytes": budget,
                 "hit_rate": round(cache["hit_rate"], 4),
-                "file_evictions": cache["file_evictions"],
+                "evictions": cache["evictions"],
                 "p50_ms": round(_percentile(latencies, 0.5), 4),
             }
         )

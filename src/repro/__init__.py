@@ -36,9 +36,9 @@ Subpackages
     query-serving engine (``repro.compact.qserve``).
 ``repro.store``
     The serving layer: a directory of traces behind an in-memory index
-    of their headers, warm engines under a global byte budget with
-    cross-file LRU eviction and request coalescing, typed request
-    dataclasses, and the ``repro-wpp serve`` HTTP daemon.
+    of their headers, warm engines sharing their session's one
+    byte-budgeted, load-coalescing cache, typed request dataclasses,
+    and the ``repro-wpp serve`` HTTP daemon.
 ``repro.obs``
     Observability: the metrics registry (stage timers, counters, byte
     histograms) threaded through the pipeline.

@@ -30,8 +30,9 @@ Inputs are polymorphic the way a CLI is: ``trace`` accepts a
 :class:`~repro.ir.module.Program` or a path to textual IR; ``compact``
 and ``stats`` accept a :class:`~repro.trace.wpp.WppTrace`, an
 already-partitioned WPP, or a ``.wpp`` path; ``query`` accepts a
-``.twpp`` path (served by a per-file cached
-:class:`~repro.compact.qserve.QueryEngine` the session keeps warm), a
+``.twpp`` path (served by a per-file
+:class:`~repro.compact.qserve.QueryEngine` the session keeps warm, all
+of them caching into the session's one byte-budgeted LRU), a
 ``.wpp`` path (linear scan baseline) or an in-memory
 :class:`CompactedWpp`.
 """
@@ -47,7 +48,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .compact.format import read_twpp, write_twpp
 from .compact.pipeline import CompactedWpp, CompactionStats, compact_wpp
-from .compact.qserve import DEFAULT_CACHE_BYTES, QueryEngine
+from .compact.qserve import DEFAULT_CACHE_BYTES, LruByteCache, QueryEngine
 from .compact.stream import StreamResult, stream_compact as _stream_compact
 from .ir.module import Program
 from .obs import MetricsRegistry
@@ -107,8 +108,10 @@ class Session:
     ``jobs`` is the default analysis process count (1 = serial,
     0/None = one per CPU); ``metrics`` is the :class:`~repro.obs.MetricsRegistry`
     every stage reports into (a fresh one is created when not
-    supplied).  ``cache_bytes`` budgets each query engine's
-    decoded-record LRU (0 disables caching).  ``interp``
+    supplied).  ``cache_bytes`` budgets :attr:`cache`, the one
+    :class:`~repro.compact.qserve.LruByteCache` that every query engine
+    and every corpus of the session decodes into (0 disables caching);
+    the session never holds more decoded bytes than that.  ``interp``
     picks the execution engine for trace verbs (``"compiled"``/
     ``"tree"``; None defers to ``REPRO_INTERP`` then the compiled
     default -- see :func:`repro.interp.run_program`).  Engines are
@@ -127,6 +130,7 @@ class Session:
         self.jobs = jobs
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache_bytes = cache_bytes
+        self.cache = LruByteCache(cache_bytes, metrics=self.metrics)
         self.interp = interp
         self._engines: Dict[str, QueryEngine] = {}
         self._engines_lock = threading.Lock()
@@ -138,9 +142,11 @@ class Session:
     # ---- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
-        """Close every query engine the session opened."""
+        """Close every query engine the session opened and empty the
+        cache."""
         with self._programs_lock:
             self._programs.clear()
+        self.cache.clear()
         with self._engines_lock:
             engines, self._engines = list(self._engines.values()), {}
         for engine in engines:
@@ -239,9 +245,9 @@ class Session:
     def engine(self, twpp: PathLike) -> QueryEngine:
         """The session's cached query engine for one ``.twpp`` path.
 
-        Created on first use with the session's ``cache_bytes`` and
-        reused afterwards, so repeated queries against the same file
-        share one mmap and one warm cache.  The engine is not leased:
+        Created on first use, caching into the session's :attr:`cache`,
+        and reused afterwards, so repeated queries against the same
+        file share one mmap and stay warm.  The engine is not leased:
         callers that read sections while the file may be evicted use
         :meth:`borrow`.
         """
@@ -276,9 +282,7 @@ class Session:
             engine.release()
 
     def _open_engine(self, key: str, lease: bool) -> QueryEngine:
-        engine = QueryEngine(
-            key, cache_bytes=self.cache_bytes, metrics=self.metrics
-        )
+        engine = QueryEngine(key, cache=self.cache, metrics=self.metrics)
         with self._engines_lock:
             # Another thread may have raced us here; keep the first.
             winner = self._engines.setdefault(key, engine)
@@ -289,13 +293,14 @@ class Session:
         return winner
 
     def evict(self, twpp: PathLike) -> bool:
-        """Release one path's warm engine (its cache and mmap) without
-        closing the whole session.
+        """Release one path's warm engine (its cached entries and its
+        mmap) without closing the whole session.
 
-        The store-level LRU (:class:`~repro.store.store.TraceStore`)
-        evicts whole files through this; it is also the manual valve
-        when one huge trace shouldn't hold its budget until
-        :meth:`close`.  Returns True when an engine was actually open.
+        :class:`~repro.store.store.TraceStore` evicts through this when
+        a file goes stale, leaves its index or fails to decode; it is
+        also the manual valve when one file's entries should leave the
+        cache before :meth:`close`.  Returns True when an engine was
+        actually open.
         The next :meth:`query` against the path transparently opens a
         fresh (cold) engine.  An engine still held through
         :meth:`borrow` keeps its mapping open until the last borrower
@@ -313,48 +318,37 @@ class Session:
     def store(
         self,
         root: PathLike,
-        cache_bytes: Optional[int] = None,
         catalog_path: Optional[PathLike] = None,
         corpus: Optional[PathLike] = None,
     ):
         """Open a :class:`~repro.store.store.TraceStore` over a directory
-        of ``.twpp`` files, backed by this session's warm engines.
+        of ``.twpp`` files, backed by this session's warm engines and
+        held to its :attr:`cache` budget.
 
-        ``cache_bytes`` is the *global* decoded-bytes budget across all
-        of the store's files (default: the session's per-engine budget);
-        the store evicts least-recently-queried files through
-        :meth:`evict` to stay inside it.  ``catalog_path`` is accepted
-        and ignored, for callers that still pass it: the store keeps its
-        index in memory and writes no file.
-        ``corpus`` attaches a multi-run corpus directory so the store's
-        ``corpus_stats``/``corpus_hot``/``corpus_diff`` verbs (and the
-        HTTP daemon's ``/corpus/*`` endpoints) can serve it.
+        ``catalog_path`` is accepted and ignored, for callers that
+        still pass it: the store keeps its index in memory and writes
+        no file.  ``corpus`` attaches a multi-run corpus directory so
+        the store's ``corpus_stats``/``corpus_hot``/``corpus_diff``
+        verbs (and the HTTP daemon's ``/corpus/*`` endpoints) can serve
+        it.
         """
         from .store.store import TraceStore
 
-        return TraceStore(
-            root,
-            session=self,
-            cache_bytes=cache_bytes,
-            corpus=corpus,
-        )
+        return TraceStore(root, session=self, corpus=corpus)
 
-    def corpus(
-        self, root: PathLike, cache_bytes: Optional[int] = None
-    ):
+    def corpus(self, root: PathLike):
         """Open (or create) a content-addressed multi-run corpus at
         ``root``, backed by this session's warm engines.
 
         Runs ingested through the corpus are scanned with the
         session's cached :class:`QueryEngine` per file; cross-run
-        queries are served from the corpus's shared blobs.
-        ``cache_bytes`` budgets the corpus's expanded-pair cache
-        (default: the session's engine budget).  See
+        queries are served from the corpus's shared blobs, their
+        expanded pairs cached in the session's :attr:`cache`.  See
         :class:`repro.corpus.TraceCorpus`.
         """
         from .corpus import TraceCorpus
 
-        return TraceCorpus(root, session=self, cache_bytes=cache_bytes)
+        return TraceCorpus(root, session=self)
 
     def ingest_run(
         self,

@@ -730,8 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 = ephemeral; the chosen port is "
                         "printed at startup)")
     p.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
-                   help="global decoded-bytes budget across every served "
-                        "file (LRU-evicts whole files; default 64 MiB)")
+                   help="decoded-bytes budget for everything the daemon "
+                        "caches, every file and the corpus together "
+                        "(LRU; default 64 MiB)")
     p.add_argument("--corpus", metavar="ROOT", default=None,
                    help="also serve /corpus/* endpoints from this "
                         "multi-run corpus directory")

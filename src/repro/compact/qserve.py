@@ -11,18 +11,23 @@ Three layers:
   unmappable file, or a corrupt header, raises :class:`ValueError`
   with the file handle already closed.
 * **:class:`LruByteCache`** — a byte-budgeted, thread-safe LRU keyed by
-  ``(kind, function)`` holding decoded :class:`FunctionCompact` records,
-  expanded path-trace lists (in-process queries) and canonical-JSON
-  trace fragments (wire queries).  Hit/miss/eviction counters feed the
-  session's :class:`~repro.obs.MetricsRegistry` under ``qserve.cache.*``.
+  ``(owner, kind, function)`` holding decoded :class:`FunctionCompact`
+  records, expanded path-trace lists (in-process queries) and
+  canonical-JSON trace fragments (wire queries).  One cache can serve
+  many owners under one budget (a :class:`~repro.api.Session` shares
+  one across its engines and corpora), and concurrent misses on one key
+  load it once (:meth:`LruByteCache.get_or_load`).  Hit, miss,
+  eviction and coalesced-wait counters feed the session's
+  :class:`~repro.obs.MetricsRegistry` under ``qserve.cache.*``.
 * **:class:`QueryEngine`** — the façade: cached single-function
-  ``extract``/``traces``/``traces_json``, batch
-  ``extract_many``/``traces_many``, and a lazily decoded DCG for
-  whole-run analyses
-  (:func:`repro.analysis.hotpaths.path_profile_compacted`).  Holders
-  that must outlive an eviction take a lease (:meth:`QueryEngine.acquire`
-  / :meth:`QueryEngine.release`): :meth:`QueryEngine.close` then defers
-  closing the source until the last lease is released.
+  ``extract``/``traces``/``traces_json``, batch ``traces_many``, and a
+  lazily decoded DCG for whole-run analyses
+  (:func:`repro.analysis.hotpaths.path_profile_compacted`).  A section
+  that fails to decode raises :class:`CorruptSection`, naming the
+  function.  Holders that must outlive an eviction take a lease
+  (:meth:`QueryEngine.acquire` / :meth:`QueryEngine.release`):
+  :meth:`QueryEngine.close` then defers closing the source until the
+  last lease is released.
 
 The cold-path helpers (:func:`repro.compact.query.extract_function_traces`)
 open an engine with ``cache_bytes=0`` per call, so the Table 4/5
@@ -38,7 +43,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..obs import MetricsRegistry
 from ..trace.dcg import DynamicCallGraph
@@ -53,6 +58,7 @@ PathTrace = Tuple[int, ...]
 DEFAULT_CACHE_BYTES = 64 << 20
 
 __all__ = [
+    "CorruptSection",
     "DEFAULT_CACHE_BYTES",
     "LruByteCache",
     "MmapSource",
@@ -112,61 +118,48 @@ class MmapSource:
 
 
 class LruByteCache:
-    """A byte-budgeted LRU with thread-safe counters.
+    """A byte-budgeted LRU with thread-safe counters and one load per key.
 
     Values carry an explicit byte cost; inserting past the budget
     evicts least-recently-used entries until the total fits.  A value
-    costing more than the whole budget is simply not cached.  When a
-    registry is supplied, ``<prefix>.hits`` / ``.misses`` /
-    ``.evictions`` / ``.oversize`` counters are maintained alongside
-    the cache's own tallies.
+    costing more than the whole budget is simply not cached.
+    :meth:`get_or_load` coalesces misses: while one caller loads a key,
+    every other caller missing on it waits for that load instead of
+    starting its own.  Keys are tuples whose first item names the
+    entry's owner (an engine or a corpus), so :meth:`drop` can release
+    one owner's entries and leave the rest.  When a registry is
+    supplied, ``qserve.cache.hits`` / ``.misses`` / ``.evictions`` /
+    ``.oversize`` / ``.coalesced`` counters are maintained alongside the
+    cache's own tallies.
     """
 
     def __init__(
         self,
         capacity_bytes: int,
         metrics: Optional[MetricsRegistry] = None,
-        prefix: str = "qserve.cache",
     ):
         self.capacity_bytes = max(0, int(capacity_bytes))
         self._entries: "OrderedDict[object, Tuple[object, int]]" = OrderedDict()
+        self._loading: Dict[object, _Load] = {}
         self._lock = threading.Lock()
         self._metrics = metrics
-        self._prefix = prefix
-        self._metric_names: Dict[str, str] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.coalesced = 0
         self.bytes_cached = 0
 
     def _inc(self, name: str) -> None:  # caller holds the lock
         if self._metrics is not None:
-            full = self._metric_names.get(name)
-            if full is None:
-                full = f"{self._prefix}.{name}"
-                self._metric_names[name] = full
-            self._metrics.inc(full)
-
-    def get(self, key, default=None):
-        with self._lock:
-            try:
-                value, _cost = self._entries[key]
-            except KeyError:
-                self.misses += 1
-                self._inc("misses")
-                return default
-            self._entries.move_to_end(key)
-            self.hits += 1
-            self._inc("hits")
-            return value
+            self._metrics.inc(_CACHE_METRICS[name])
 
     def peek(self, key, default=None):
-        """Like :meth:`get`, but an absent key is not counted as a miss.
+        """The cached value of ``key``, or ``default`` -- never loads.
 
         The fast path for layered callers: they fall through to a
-        counting lookup (:meth:`get`) on absence, so counting the miss
-        here would double it.  A present key still counts as a hit and
-        is refreshed in the LRU order.
+        counting lookup (:meth:`get_or_load`) on absence, so an absent
+        key is not counted as a miss here.  A present key counts as a
+        hit and is refreshed in the LRU order.
         """
         with self._lock:
             try:
@@ -178,22 +171,65 @@ class LruByteCache:
             self._inc("hits")
             return value
 
-    def put(self, key, value, cost: int) -> None:
-        cost = int(cost)
+    def get_or_load(self, key, load: Callable[[], Tuple[object, int]]):
+        """The cached value of ``key``, loading it on a miss.
+
+        ``load()`` returns ``(value, cost)`` and runs without the lock.
+        Concurrent misses on one key run it once: the first caller
+        loads, the rest wait (counted as ``coalesced``) and share its
+        value or its exception.
+        """
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self.bytes_cached -= old[1]
-            if cost > self.capacity_bytes:
-                self._inc("oversize")
-                return
-            self._entries[key] = (value, cost)
-            self.bytes_cached += cost
-            while self.bytes_cached > self.capacity_bytes and self._entries:
-                _, (_evicted, evicted_cost) = self._entries.popitem(last=False)
-                self.bytes_cached -= evicted_cost
-                self.evictions += 1
-                self._inc("evictions")
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                self._inc("hits")
+                return entry[0]
+            pending = self._loading.get(key)
+            waiter = pending is not None
+            if waiter:
+                self.coalesced += 1
+                self._inc("coalesced")
+            else:
+                pending = self._loading[key] = _Load()
+                self.misses += 1
+                self._inc("misses")
+        if waiter:
+            return pending.wait()
+        try:
+            value, cost = load()
+        except BaseException as exc:
+            pending.error = exc
+            with self._lock:
+                del self._loading[key]
+            pending.done.set()
+            raise
+        pending.value = value
+        with self._lock:
+            del self._loading[key]
+            self._put(key, value, cost)
+        pending.done.set()
+        return value
+
+    def _put(self, key, value, cost: int) -> None:  # caller holds the lock
+        # The key is absent: only its one loader reaches here.
+        if cost > self.capacity_bytes:
+            self._inc("oversize")
+            return
+        self._entries[key] = (value, cost)
+        self.bytes_cached += cost
+        while self.bytes_cached > self.capacity_bytes and self._entries:
+            _, (_evicted, evicted_cost) = self._entries.popitem(last=False)
+            self.bytes_cached -= evicted_cost
+            self.evictions += 1
+            self._inc("evictions")
+
+    def drop(self, owner) -> None:
+        """Remove every entry whose key names ``owner`` first."""
+        with self._lock:
+            for key in [k for k in self._entries if k[0] is owner]:
+                self.bytes_cached -= self._entries.pop(key)[1]
 
     def clear(self) -> None:
         with self._lock:
@@ -215,8 +251,33 @@ class LruByteCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "coalesced": self.coalesced,
                 "hit_rate": self.hits / lookups if lookups else 0.0,
             }
+
+
+_CACHE_METRICS = {
+    name: f"qserve.cache.{name}"
+    for name in ("hits", "misses", "evictions", "oversize", "coalesced")
+}
+
+
+class _Load:
+    """One :meth:`LruByteCache.get_or_load` in progress: waiters block
+    until the loader publishes its value or its exception."""
+
+    __slots__ = ("done", "value", "error")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.value = None
+        self.error: Optional[BaseException] = None
+
+    def wait(self):
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.value
 
 
 def _record_cost(entry: FunctionIndexEntry) -> int:
@@ -262,24 +323,40 @@ def limit_traces_json(fragment: bytes, limit: int) -> bytes:
 # engine
 
 
+class CorruptSection(ValueError):
+    """A function's section in a ``.twpp`` file failed to decode.
+
+    Raised by :class:`QueryEngine` in place of the decoder's
+    :class:`ValueError` (same message); ``function`` names the function
+    whose section is damaged.
+    """
+
+    def __init__(self, function: str, message: str):
+        super().__init__(message)
+        self.function = function
+
+
 class QueryEngine:
     """Cached, thread-safe profile queries over one ``.twpp`` file.
 
-    One engine owns one :class:`MmapSource` and one
-    :class:`LruByteCache` shared by every thread that queries it.
-    Single-function reads (:meth:`extract`, :meth:`traces`) consult the
-    cache first; batch reads (:meth:`extract_many`, :meth:`traces_many`)
-    call them once per name, in request order.  Decoded records are
-    shared with callers -- treat them as read-only; :meth:`traces`
+    One engine owns one :class:`MmapSource` shared by every thread that
+    queries it, and keeps what it decodes in an :class:`LruByteCache`:
+    its own (``cache_bytes``; 0 disables caching, so every query
+    decodes), or ``cache``, one shared with other engines under a
+    single budget (a :class:`~repro.api.Session` passes its own).
+    Entries are keyed ``(engine, kind, function)``, so engines sharing
+    a cache never answer for each other, and concurrent misses on one
+    key decode once.  Single-function reads (:meth:`extract`,
+    :meth:`traces`) consult the cache first; :meth:`traces_many` calls
+    :meth:`traces` once per name, in request order.  Decoded records
+    are shared with callers -- treat them as read-only; :meth:`traces`
     hands back a fresh list each call (the traces themselves are
     immutable tuples).
 
-    ``cache_bytes=0`` disables caching (every query decodes).
-
-    :meth:`close` drops the cache at once but closes the section
-    source only when no lease (:meth:`acquire`) is outstanding; the
-    last :meth:`release` closes it otherwise, so a decode in progress
-    never reads from a closed mapping.
+    :meth:`close` drops the engine's cache entries at once but closes
+    the section source only when no lease (:meth:`acquire`) is
+    outstanding; the last :meth:`release` closes it otherwise, so a
+    decode in progress never reads from a closed mapping.
     """
 
     def __init__(
@@ -287,6 +364,7 @@ class QueryEngine:
         path: PathLike,
         *,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
+        cache: Optional[LruByteCache] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self._source = MmapSource(path)
@@ -300,7 +378,11 @@ class QueryEngine:
         }
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
-        self._cache = LruByteCache(cache_bytes, metrics=self._metrics)
+        self._cache = (
+            cache
+            if cache is not None
+            else LruByteCache(cache_bytes, metrics=self._metrics)
+        )
         self._dcg: Optional[DynamicCallGraph] = None
         self._leases = 0
         self._closing = False
@@ -308,8 +390,9 @@ class QueryEngine:
     # ---- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
-        """Drop the cache; close the source now, or at the last release."""
-        self._cache.clear()
+        """Drop the cache entries; close the source now, or at the last
+        release."""
+        self._cache.drop(self)
         with self._lock:
             self._closing = True
             idle = self._leases == 0
@@ -322,13 +405,13 @@ class QueryEngine:
             self._leases += 1
 
     def release(self) -> None:
-        """Return a lease; the last one after :meth:`close` closes
-        the source."""
+        """Return a lease; the last one after :meth:`close` closes the
+        source and drops what decodes finished meanwhile."""
         with self._lock:
             self._leases -= 1
             last = self._closing and self._leases == 0
         if last:
-            self._cache.clear()
+            self._cache.drop(self)
             self._source.close()
 
     def __enter__(self) -> "QueryEngine":
@@ -361,7 +444,9 @@ class QueryEngine:
         return len(self._header.entries)
 
     def cache_stats(self) -> Dict:
-        """Cache occupancy/traffic snapshot (also in the metrics export)."""
+        """Occupancy/traffic snapshot of the engine's cache -- the
+        shared one, all owners included, when the engine was given one
+        (also in the metrics export)."""
         return self._cache.stats()
 
     # ---- single-function queries --------------------------------------
@@ -370,12 +455,11 @@ class QueryEngine:
         """One function's decoded record, from cache when warm."""
         entry = self._entry(name)
         self._metrics.inc("qserve.queries")
-        key = ("record", name)
-        fc = self._cache.get(key)
-        if fc is None:
-            fc = self._decode(entry)
-            self._cache.put(key, fc, _record_cost(entry))
-        return fc
+
+        def load():
+            return self._decode(entry), _record_cost(entry)
+
+        return self._cache.get_or_load((self, "record", name), load)
 
     def cached_traces(self, name: str) -> Optional[List[PathTrace]]:
         """One function's traces if already cached, else ``None``.
@@ -383,26 +467,26 @@ class QueryEngine:
         Never decodes.  A hit counts toward the cache metrics; an
         absence does not count as a miss -- callers fall through to
         :meth:`traces`, which will.  The serving layer uses this to
-        skip its decode-coalescing protocol on warm keys.
+        answer warm keys without a freshness check.
         """
-        traces = self._cache.peek(("traces", name))
+        traces = self._cache.peek((self, "traces", name))
         return None if traces is None else list(traces)
 
     def traces(self, name: str) -> List[PathTrace]:
         """One function's unique original path traces (DBBs expanded)."""
-        key = ("traces", name)
-        traces = self._cache.get(key)
-        if traces is None:
+
+        def load():
             traces = self._expand(name)
-            self._cache.put(key, traces, _traces_cost(traces))
-        return list(traces)
+            return traces, _traces_cost(traces)
+
+        return list(self._cache.get_or_load((self, "traces", name), load))
 
     def cached_traces_json(self, name: str) -> Optional[bytes]:
         """:meth:`traces_json` if already cached, else ``None``.
 
         Never decodes; counts like :meth:`cached_traces`.
         """
-        return self._cache.peek(("json", name))
+        return self._cache.peek((self, "json", name))
 
     def traces_json(self, name: str) -> bytes:
         """One function's traces as canonical JSON bytes, ``[[b,…],…]``.
@@ -412,37 +496,25 @@ class QueryEngine:
         expanded tuples, at its length plus a fixed overhead, so a warm
         wire request does no JSON encoding at all.
         """
-        key = ("json", name)
-        fragment = self._cache.get(key)
-        if fragment is None:
+
+        def load():
             traces = self._expand(name)
             t0 = time.perf_counter()
-            fragment = json.dumps(
-                traces, separators=(",", ":")
-            ).encode("ascii")
+            fragment = json.dumps(traces, separators=(",", ":")).encode("ascii")
             self._time("qserve.encode", t0)
-            self._cache.put(key, fragment, _fragment_cost(fragment))
-        return fragment
+            return fragment, _fragment_cost(fragment)
 
-    # ---- batch queries ------------------------------------------------
-
-    def extract_many(
-        self, names: Optional[Iterable[str]] = None
-    ) -> Dict[str, FunctionCompact]:
-        """Decoded records for many functions (default: all), in order."""
-        return self._many(self.extract, names)
+        return self._cache.get_or_load((self, "json", name), load)
 
     def traces_many(
         self, names: Optional[Iterable[str]] = None
     ) -> Dict[str, List[PathTrace]]:
-        """Expanded path traces for many functions (default: all)."""
-        return self._many(self.traces, names)
-
-    def _many(self, fn, names):
+        """Expanded path traces for many functions (default: all), in
+        request order."""
         names = self.function_names() if names is None else list(names)
         self._metrics.inc("qserve.batches")
         t0 = time.perf_counter()
-        out = {name: fn(name) for name in names}
+        out = {name: self.traces(name) for name in names}
         self._time("qserve.batch", t0)
         return out
 
@@ -489,11 +561,14 @@ class QueryEngine:
     def _decode(self, entry: FunctionIndexEntry) -> FunctionCompact:
         t0 = time.perf_counter()
         self._metrics.inc("qserve.decodes")
-        data = self._source.read_section(entry)
         try:
-            fc = _parse_section(data, entry.name, entry.call_count)
-        finally:
-            data.release()
+            data = self._source.read_section(entry)
+            try:
+                fc = _parse_section(data, entry.name, entry.call_count)
+            finally:
+                data.release()
+        except ValueError as exc:
+            raise CorruptSection(entry.name, str(exc)) from exc
         self._time("qserve.decode", t0)
         return fc
 

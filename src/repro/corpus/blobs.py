@@ -209,7 +209,7 @@ class BlobPack:
         if exists:
             self._fh.seek(0)
             header = self._fh.read(PACK_HEADER_BYTES)
-            if header[:4] != PACK_MAGIC:
+            if len(header) < PACK_HEADER_BYTES or header[:4] != PACK_MAGIC:
                 raise ValueError(f"{self.path}: not a corpus pack file")
             if header[4] != PACK_VERSION:
                 raise ValueError(
@@ -291,15 +291,19 @@ class BlobPack:
             return size - end
 
     def read(self, offset: int, length: int) -> bytes:
-        """One payload back by (offset, length)."""
+        """One payload back by (offset, length).
+
+        A span past the end of the file raises :class:`ValueError`
+        before anything is read, so a corrupt length cannot allocate.
+        """
         with self._lock:
+            end = self._fh.seek(0, os.SEEK_END)
+            if offset + length > end:
+                raise ValueError(
+                    f"{self.path}: truncated blob at offset {offset}"
+                )
             self._fh.seek(offset)
-            payload = self._fh.read(length)
-        if len(payload) != length:
-            raise ValueError(
-                f"{self.path}: truncated blob at offset {offset}"
-            )
-        return payload
+            return self._fh.read(length)
 
     def size(self) -> int:
         with self._lock:
@@ -311,6 +315,8 @@ class BlobPack:
 
         The rebuild path for a lost catalog, and the integrity walk for
         tests: shas are recomputed from the payloads as they stream by.
+        A damaged record (unknown kind, bad or overlong length) raises
+        :class:`ValueError`.
         """
         with self._lock:
             self._fh.seek(0, os.SEEK_END)
@@ -323,6 +329,10 @@ class BlobPack:
             if not head:
                 return
             kind = head[0]
+            if kind not in KIND_NAMES:
+                raise ValueError(
+                    f"{self.path}: unknown blob kind {kind} at offset {cursor}"
+                )
             length, varint_end = read_uvarint(head, 1)
             offset = cursor + 1 + (varint_end - 1)
             payload = self.read(offset, length)

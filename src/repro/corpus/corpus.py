@@ -2,9 +2,9 @@
 
 :class:`TraceCorpus` owns one corpus directory (catalog + pack +
 manifests) and a :class:`~repro.api.Session` for scanning ``.twpp``
-files on their way in -- pass the session to share warm engines and
-metrics with the rest of a pipeline, or let the corpus own a private
-one.  Everything downstream of ingest works in the compressed domain:
+files on their way in -- pass the session to share warm engines,
+metrics and the session's one cache budget with the rest of a
+pipeline, or let the corpus own a private one.  Everything downstream of ingest works in the compressed domain:
 ``diff`` is set algebra over (body, dict) blob-id pairs and decodes
 only the traces that actually differ, ``hot_paths`` decodes each
 unique pair once no matter how many runs share it, and
@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..analysis.hotpaths import PathProfile, acyclic_paths
 from ..compact.delta import FunctionDelta, TwppDelta
 from ..compact.dbb import expand_trace
-from ..compact.qserve import DEFAULT_CACHE_BYTES, LruByteCache
 from ..compact.series import series_len
 from ..compact.twpp import twpp_to_trace
 from ..trace.dcg import DynamicCallGraph
@@ -106,12 +105,7 @@ class IngestResult:
 class TraceCorpus:
     """One corpus directory: catalog, pack, manifests, and analyses."""
 
-    def __init__(
-        self,
-        root: PathLike,
-        session=None,
-        cache_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, root: PathLike, session=None) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         try:
@@ -136,22 +130,14 @@ class TraceCorpus:
         with self._pack.locked(wait=False) as idle:
             if idle:  # no ingest in flight, so any tail is a torn one
                 self.recovered_bytes = self._drop_uncommitted_tail()
-        budget = (
-            cache_bytes
-            if cache_bytes is not None
-            else getattr(session, "cache_bytes", DEFAULT_CACHE_BYTES)
-        )
-        self._cache = LruByteCache(
-            budget,
-            metrics=self.metrics,
-            prefix="corpus.cache",
-        )
+        #: Expanded pairs live in the session's cache, keyed by corpus.
+        self._cache = session.cache
         self._ingest_lock = threading.Lock()
 
     # ---- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
-        self._cache.clear()
+        self._cache.drop(self)
         self._catalog.close()
         self._pack.close()
         if self._own_session:
@@ -431,16 +417,15 @@ class TraceCorpus:
         return payload
 
     def _expand(self, body_id: int, dict_id: int) -> PathTrace:
-        key = ("pair", body_id, dict_id)
-        trace = self._cache.get(key)
-        if trace is None:
+        def load():
             twpp = decode_body(self._read_blob(body_id, KIND_BODY))
             dictionary = decode_dictionary(
                 self._read_blob(dict_id, KIND_DICT)
             )
             trace = expand_trace(twpp_to_trace(twpp), dictionary)
-            self._cache.put(key, trace, 64 + 32 * len(trace))
-        return trace
+            return trace, 64 + 32 * len(trace)
+
+        return self._cache.get_or_load((self, "pair", (body_id, dict_id)), load)
 
     # ---- cross-run analyses -------------------------------------------
 

@@ -3,9 +3,9 @@
 The store-centric layer of the public API.  A :class:`TraceStore` is a
 directory of compacted traces with an in-memory index of their headers
 (rebuilt by :meth:`TraceStore.scan`, which re-reads only new or changed
-files; nothing is written into the directory), warm per-file query
-engines under a global cache byte budget with cross-file LRU eviction,
-and per-key request coalescing.  Its verbs consume the six request dataclasses of
+files; nothing is written into the directory) and warm per-file query
+engines that decode into their session's one byte-budgeted cache,
+which coalesces concurrent misses on one key into one decode.  Its verbs consume the six request dataclasses of
 :mod:`repro.store.requests` (:class:`QueryRequest`,
 :class:`AnalyzeRequest`, :class:`StatsRequest`,
 :class:`CorpusStatsRequest`, :class:`CorpusHotRequest`,
@@ -30,10 +30,11 @@ from .requests import (
     StatsRequest,
 )
 from .server import TraceServer, canonical_json
-from .store import ScanResult, TraceNotFound, TraceStore
+from .store import CorruptTrace, ScanResult, TraceNotFound, TraceStore
 
 __all__ = [
     "AnalyzeRequest",
+    "CorruptTrace",
     "CorpusDiffRequest",
     "CorpusHotRequest",
     "CorpusStatsRequest",

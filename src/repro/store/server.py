@@ -10,7 +10,7 @@ canonical JSON -- so an HTTP response body is byte-identical to
 ``canonical_json(store.verb(request))`` computed in-process, and the
 server adds no semantics of its own.  ``/query`` is the one route that
 gets its body already encoded: :meth:`TraceStore.query_json` splices
-the engines' cached canonical-JSON trace fragments, still
+the cached canonical-JSON trace fragments, still
 byte-identical to ``canonical_json(store.query(request))``, so a warm
 query does no JSON encoding.
 
@@ -40,7 +40,10 @@ in flight is still written, with ``Connection: close``.
 
 Errors are JSON too: 400 for malformed requests
 (:class:`~repro.store.requests.RequestError`), 404 for unknown
-traces/runs/routes, 405 for wrong methods, 500 for the rest.
+traces/runs/routes, 405 for wrong methods, 500 for the rest -- a trace
+whose section fails to decode
+(:class:`~repro.store.store.CorruptTrace`) names the trace and the
+function.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .requests import (
     RequestError,
     StatsRequest,
 )
-from .store import TraceNotFound, TraceStore
+from .store import CorruptTrace, TraceNotFound, TraceStore
 
 #: Largest accepted request body (1 MiB): analyze requests are tiny.
 MAX_BODY_BYTES = 1 << 20
@@ -507,6 +510,8 @@ class TraceServer:
             return self._error(400, str(exc))
         except TraceNotFound as exc:
             return self._error(404, str(exc))
+        except CorruptTrace as exc:
+            return self._error(500, str(exc))
         except Exception as exc:  # noqa: BLE001 - the daemon must survive
             return self._error(500, f"{type(exc).__name__}: {exc}")
         if not isinstance(doc, bytes):

@@ -3,13 +3,14 @@
 :class:`TraceStore` is the store-centric core the public API now
 fronts: a directory of compacted traces, an in-memory index of their
 headers, and one warm :class:`~repro.compact.qserve.QueryEngine` per
-*recently used* file -- held through the owning
-:class:`~repro.api.Session` under a **global** cache byte budget with
-LRU eviction across files (:meth:`Session.evict` releases one file's
-engine; the store decides which).  Concurrent requests for the same
-(file, function) are coalesced into a single decode via per-key
-in-flight records, so a thundering herd on a cold hot key costs one
-section parse, not N.
+queried file, held through the owning :class:`~repro.api.Session`.
+Every engine decodes into the session's one
+:class:`~repro.compact.qserve.LruByteCache`, which holds the budget
+entry by entry and coalesces concurrent misses on one (engine, kind,
+function) key into a single decode, so a thundering herd on a cold hot
+key costs one section parse, not N.  An engine closes only when its
+file goes stale, leaves the index or fails to decode
+(:meth:`Session.evict`), or with the store.
 
 The index is one dict, trace stem -> :class:`IndexedTrace`: the file's
 path, its ``(mtime_ns, size)`` signature and its header's function
@@ -32,22 +33,25 @@ canonical-JSON trace fragment into bytes equal to
 ``canonical_json(query(request))``, so a warm ``GET /query`` encodes
 nothing.  A cold decode runs on an engine borrowed from the session
 (:meth:`~repro.api.Session.borrow`), so evicting that file meanwhile
-cannot close its mapping under the decode.
+cannot close its mapping under the decode.  A section that fails to
+decode raises :class:`CorruptTrace` (HTTP 500), naming the trace and
+the function, and evicts the file's engine; other traces keep serving.
 """
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from ..compact.format import FunctionIndexEntry, read_header
-from ..compact.qserve import QueryEngine, limit_traces_json
+from ..compact.qserve import CorruptSection, QueryEngine, limit_traces_json
 from ..obs import MetricsRegistry
 from .requests import (
     AnalyzeRequest,
@@ -62,6 +66,7 @@ from .requests import (
 PathLike = Union[str, "os.PathLike[str]"]
 
 __all__ = [
+    "CorruptTrace",
     "IndexedTrace",
     "ScanResult",
     "TraceNotFound",
@@ -142,7 +147,9 @@ class ScanResult:
         return bool(self.added or self.updated or self.removed)
 
 
-def _read_index(trace: str, path: str, st: os.stat_result) -> IndexedTrace:
+def _read_index(
+    trace: str, path: str, st: os.stat_result, has_program: bool
+) -> IndexedTrace:
     with open(path, "rb") as fh:
         header = read_header(fh)
     return IndexedTrace(
@@ -150,7 +157,7 @@ def _read_index(trace: str, path: str, st: os.stat_result) -> IndexedTrace:
         path=path,
         mtime_ns=st.st_mtime_ns,
         size=st.st_size,
-        has_program=os.path.exists(os.path.splitext(path)[0] + ".ir"),
+        has_program=has_program,
         entries=tuple(header.entries),
     )
 
@@ -163,8 +170,9 @@ def scan_index(
     """Reconcile ``previous`` against ``root``'s ``*.twpp`` files.
 
     Returns a new index, ordered by trace stem, and what changed.  Every
-    file is stat-ed; a header is re-read only when the file is new or
-    its ``(mtime_ns, size)`` changed.  A file that vanished, or is empty
+    file is stat-ed, and so is its ``<stem>.ir`` (``has_program``); a
+    header is re-read only when the file is new or its
+    ``(mtime_ns, size)`` changed.  A file that vanished, or is empty
     (an interrupted writer), counts as a removal; one whose header fails
     to parse is left out and reported in ``errors``, never fatal.
     ``previous`` is not modified.
@@ -183,15 +191,18 @@ def scan_index(
             if st.st_size == 0:
                 continue
             present.add(trace)
+            has_program = file.with_suffix(".ir").exists()
             known = previous.get(trace)
             if known is not None and (known.mtime_ns, known.size) == (
                 st.st_mtime_ns, st.st_size
             ):
+                if known.has_program != has_program:
+                    known = dataclasses.replace(known, has_program=has_program)
                 index[trace] = known
                 unchanged += 1
                 continue
             try:
-                index[trace] = _read_index(trace, path, st)
+                index[trace] = _read_index(trace, path, st, has_program)
             except Exception as exc:  # surfaced per file in errors
                 errors.append(f"{path}: {str(exc) or type(exc).__name__}")
                 continue
@@ -215,24 +226,27 @@ class TraceNotFound(KeyError):
         return self.args[0] if self.args else ""
 
 
+class CorruptTrace(ValueError):
+    """An indexed trace whose function section fails to decode (HTTP 500)."""
+
+
 class TraceStore:
     """Warm, budgeted, coalescing access to a directory of traces.
 
-    Build one through :meth:`repro.api.Session.store`.  ``cache_bytes``
-    is the *global* decoded-bytes budget across every file (defaulting
-    to the session's per-engine budget); when the sum of the warm
-    engines' cached bytes exceeds it, least-recently-*queried* files
-    lose their engine entirely (`store.evictions` counts them).  The
-    directory is scanned once at construction; call :meth:`scan` (or
-    pass ``refresh=True`` to :meth:`traces`) after adding or removing
-    files.  A request for an unknown trace scans once before failing.
+    Build one through :meth:`repro.api.Session.store`.  Decoded data
+    lives in the session's one cache (``Session(cache_bytes=...)`` is
+    the budget for everything the session holds); the store keeps one
+    engine per queried file and closes it only when the file goes
+    stale, leaves the index or fails to decode.  The directory is
+    scanned once at construction; call :meth:`scan` (or pass
+    ``refresh=True`` to :meth:`traces`) after adding or removing files.
+    A request for an unknown trace scans once before failing.
     """
 
     def __init__(
         self,
         root: PathLike,
         session=None,
-        cache_bytes: Optional[int] = None,
         corpus: Optional[PathLike] = None,
     ) -> None:
         from ..api import Session
@@ -242,24 +256,10 @@ class TraceStore:
             raise FileNotFoundError(f"store root {str(root)!r} is not a directory")
         self._session = session if session is not None else Session()
         self._owns_session = session is None
-        self.cache_bytes = (
-            self._session.cache_bytes if cache_bytes is None else int(cache_bytes)
-        )
-        # Recency tracking for the global budget.  Warm hits must stay
-        # lock-free, so instead of an OrderedDict (whose move_to_end
-        # needs the lock) each touch writes a monotonically increasing
-        # stamp: two GIL-atomic dict stores.  The eviction pass (cold
-        # path, under the lock) sorts by stamp; it always iterates
-        # list()-snapshots so concurrent stamp writes cannot invalidate
-        # its iterators.
-        self._lru_paths: Dict[str, str] = {}  # trace -> path
-        self._stamps: Dict[str, int] = {}  # trace -> touch stamp
-        self._clock = itertools.count()
         # The trace index: replaced whole by each scan (under
         # _scan_lock), never mutated, so readers need no lock.
         self._index: Dict[str, IndexedTrace] = {}
         self._scan_lock = threading.Lock()
-        self._inflight: Dict[Tuple[str, str, bool], _Inflight] = {}
         # Optional attached corpus (the /corpus/* endpoints); opened
         # lazily so a store without corpus traffic never touches it.
         self._corpus_root = None if corpus is None else Path(corpus)
@@ -278,14 +278,11 @@ class TraceStore:
         return self._session.metrics
 
     def close(self) -> None:
-        """Evict every engine this store warmed."""
+        """Evict the engine of every indexed file; close the corpus."""
         with self._lock:
-            paths = list(self._lru_paths.values())
-            self._lru_paths = {}
-            self._stamps = {}
             corpus, self._corpus = self._corpus, None
-        for path in paths:
-            self._session.evict(path)
+        for entry in self._index.values():
+            self._session.evict(entry.path)
         if corpus is not None:
             corpus.close()
         if self._owns_session:
@@ -300,23 +297,19 @@ class TraceStore:
     # ---- index --------------------------------------------------------
 
     def scan(self) -> ScanResult:
-        """Reconcile the index with the directory; evict stale engines."""
+        """Reconcile the index with the directory; evict the engines of
+        files that changed or went away."""
         with self._scan_lock:
-            index, result = scan_index(self.root, self._index, self.metrics)
+            previous = self._index
+            index, result = scan_index(self.root, previous, self.metrics)
             self._index = index
         if result.changed:
-            live = {t.path for t in index.values()}
-            with self._lock:
-                stale = [
-                    (trace, path)
-                    for trace, path in list(self._lru_paths.items())
-                    if path not in live
-                ]
-                for trace, _path in stale:
-                    del self._lru_paths[trace]
-                    self._stamps.pop(trace, None)
-            for _trace, path in stale:
-                self._session.evict(path)
+            for trace, old in previous.items():
+                new = index.get(trace)
+                if new is None or (new.mtime_ns, new.size) != (
+                    old.mtime_ns, old.size
+                ):
+                    self._session.evict(old.path)
         return result
 
     def traces(self, refresh: bool = False) -> Dict:
@@ -370,13 +363,11 @@ class TraceStore:
             names = self._resolve_functions(entry, request.functions)
             limit = request.limit
             results: Dict = {}
-            decoded = False
             for name in names:
                 # Tuple lists come back fresh (tuples JSON-encode like
                 # lists) and fragments are immutable bytes, so nothing
                 # cached is ever re-materialised.
-                traces, cold = self._fetch(entry, name, wire)
-                decoded = decoded or cold
+                traces = self._fetch(entry, name, wire)
                 if limit is not None:
                     traces = (
                         limit_traces_json(traces, limit)
@@ -384,7 +375,6 @@ class TraceStore:
                         else traces[:limit]
                     )
                 results[name] = traces
-            self._touch(entry, enforce=decoded)
         finally:
             metrics = self._session.metrics
             metrics.inc("store.requests.query")
@@ -406,10 +396,10 @@ class TraceStore:
                 raise RequestError(str(exc)) from None
             program = self._program_path(entry, request.program)
             names = self._resolve_functions(entry, request.functions)
-            reports = self._session.analyze(
-                entry.path, program, request.fact, functions=names
-            )
-            self._touch(entry)
+            with self._corrupt_evicts(entry):
+                reports = self._session.analyze(
+                    entry.path, program, request.fact, functions=names
+                )
         return {
             "trace": entry.trace,
             "fact": request.fact,
@@ -437,7 +427,7 @@ class TraceStore:
         entry = self._entry(request.trace)
         doc = entry.to_dict()
         doc["function_index"] = entry.function_index()
-        doc["warm"] = self._is_warm(entry.path)
+        doc["warm"] = entry.path in self._session._engines
         return doc
 
     def healthz(self) -> Dict:
@@ -505,90 +495,30 @@ class TraceStore:
         return self.metrics.to_dict()
 
     def cache_stats(self) -> Dict:
-        """Global budget occupancy plus the engines' aggregate traffic."""
-        with self._lock:
-            paths = list(self._lru_paths.values())
-        per_engine = []
-        for path in paths:
-            engine = self._session._engines.get(path)
-            if engine is not None:
-                per_engine.append(engine.cache_stats())
-        hits = sum(s["hits"] for s in per_engine)
-        misses = sum(s["misses"] for s in per_engine)
-        lookups = hits + misses
+        """The session cache's budget, occupancy and traffic, and the
+        number of engines the session holds open."""
+        stats = self._session.cache.stats()
         return {
-            "budget_bytes": self.cache_bytes,
-            "bytes": sum(s["bytes"] for s in per_engine),
-            "engines": len(per_engine),
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / lookups if lookups else 0.0,
-            "file_evictions": self.metrics.counter("store.evictions"),
+            "budget_bytes": stats["capacity_bytes"],
+            "bytes": stats["bytes"],
+            "engines": len(self._session._engines),
+            "hits": stats["hits"],
+            "misses": stats["misses"],
+            "hit_rate": stats["hit_rate"],
+            "evictions": stats["evictions"],
         }
-
-    def _is_warm(self, path: str) -> bool:
-        return path in self._session._engines
-
-    def _touch(self, entry: IndexedTrace, enforce: bool = True) -> None:
-        """Mark ``entry`` most recently used; enforce the global budget.
-
-        ``enforce=False`` skips the budget pass -- pure cache hits
-        cannot have grown any engine's footprint, so recency is all
-        that needs recording: two atomic dict stores, no lock.  The
-        warm fast path stays lock-free in the parent.
-        """
-        if not enforce:
-            self._lru_paths[entry.trace] = entry.path
-            self._stamps[entry.trace] = next(self._clock)
-            return
-        evict: List[str] = []
-        with self._lock:
-            self._lru_paths[entry.trace] = entry.path
-            self._stamps[entry.trace] = next(self._clock)
-            total = 0
-            for path in list(self._lru_paths.values()):
-                engine = self._session._engines.get(path)
-                if engine is not None:
-                    total += engine.cache_stats()["bytes"]
-            # Evict least-recently-queried files until within budget,
-            # always sparing the file just touched.
-            victims = iter(sorted(
-                (
-                    (self._stamps.get(trace, -1), trace, path)
-                    for trace, path in list(self._lru_paths.items())
-                    if trace != entry.trace
-                )
-            ))
-            while total > self.cache_bytes:
-                try:
-                    _stamp, trace, path = next(victims)
-                except StopIteration:
-                    break
-                engine = self._session._engines.get(path)
-                self._lru_paths.pop(trace, None)
-                self._stamps.pop(trace, None)
-                if engine is None:
-                    continue
-                total -= engine.cache_stats()["bytes"]
-                evict.append(path)
-        for path in evict:
-            self._session.evict(path)
-            self.metrics.inc("store.evictions")
-
-    # ---- coalescing ---------------------------------------------------
 
     def _fetch(
         self, entry: IndexedTrace, name: str, wire: bool
-    ) -> Tuple[Union[List[Tuple[int, ...]], bytes], bool]:
-        """One function's traces (a tuple list, or the JSON fragment
-        when ``wire``) plus a was-it-cold flag.
+    ) -> Union[List[Tuple[int, ...]], bytes]:
+        """One function's traces: a tuple list, or the JSON fragment
+        when ``wire``.
 
-        Warm keys are answered straight from the engine's cache (no
-        file access at all); cold keys stat-check the file first
-        (:meth:`_check_fresh`) and then go through the coalescing
-        protocol so concurrent identical requests cost a single
-        decode.  The decode runs on a borrowed engine, so a concurrent
-        eviction cannot close the mapping under it."""
+        Warm keys are answered straight from the cache (no file access
+        at all); cold keys stat-check the file first
+        (:meth:`_check_fresh`) and decode on a borrowed engine, so a
+        concurrent eviction cannot close the mapping under the decode.
+        The cache coalesces concurrent cold requests for one key."""
         engine = self._session._engines.get(entry.path)
         if engine is not None:
             cached = (
@@ -597,31 +527,26 @@ class TraceStore:
                 else engine.cached_traces(name)
             )
             if cached is not None:
-                return cached, False
+                return cached
         entry = self._check_fresh(entry)
-        key = (entry.path, name, wire)
-        with self._lock:
-            pending = self._inflight.get(key)
-            owner = pending is None
-            if owner:
-                pending = self._inflight[key] = _Inflight()
-            else:
-                self.metrics.inc("store.coalesced")
-        if not owner:
-            return pending.wait(), True
+        with self._corrupt_evicts(entry), self._session.borrow(
+            entry.path
+        ) as engine:
+            return engine.traces_json(name) if wire else engine.traces(name)
+
+    @contextmanager
+    def _corrupt_evicts(self, entry: IndexedTrace) -> Iterator[None]:
+        """Turn a section decode failure into :class:`CorruptTrace`,
+        evicting the file's engine (``store.corrupt`` counts them)."""
         try:
-            with self._session.borrow(entry.path) as engine:
-                pending.result = (
-                    engine.traces_json(name) if wire else engine.traces(name)
-                )
-        except BaseException as exc:
-            pending.error = exc
-            raise
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-            pending.done.set()
-        return pending.result, True
+            yield
+        except CorruptSection as exc:
+            self._session.evict(entry.path)
+            self.metrics.inc("store.corrupt")
+            raise CorruptTrace(
+                f"trace {entry.trace!r} is corrupt: function "
+                f"{exc.function!r} failed to decode: {exc}"
+            ) from exc
 
     # ---- helpers ------------------------------------------------------
 
@@ -649,9 +574,6 @@ class TraceStore:
         self._session.evict(entry.path)
         self.metrics.inc("store.stale_detected")
         self.scan()
-        with self._lock:
-            self._lru_paths.pop(entry.trace, None)
-            self._stamps.pop(entry.trace, None)
         refreshed = self._index.get(entry.trace)
         if refreshed is None:
             raise TraceNotFound(f"trace {entry.trace!r} no longer in store")
@@ -700,28 +622,7 @@ class TraceStore:
 
     def engine(self, trace: str) -> QueryEngine:
         """The warm engine for one indexed trace (mostly for tests)."""
-        entry = self._entry(trace)
-        engine = self._session.engine(entry.path)
-        self._touch(entry)
-        return engine
-
-
-class _Inflight:
-    """One cold decode in progress: waiters block until the owner
-    publishes its result or its exception."""
-
-    __slots__ = ("done", "result", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result = None
-        self.error: Optional[BaseException] = None
-
-    def wait(self):
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return self.result
+        return self._session.engine(self._entry(trace).path)
 
 
 def corpus_doc(corpus, request) -> Dict:

@@ -1,6 +1,7 @@
 """The cached, mmap-backed concurrent query engine (repro.compact.qserve)."""
 
 import threading
+import time
 
 import pytest
 
@@ -26,69 +27,116 @@ def files(tmp_path, small_workload):
     return part, compacted, twpp_path
 
 
+def load(value, cost):
+    """A :meth:`LruByteCache.get_or_load` loader that records its calls."""
+
+    def loader():
+        loader.calls += 1
+        return value, cost
+
+    loader.calls = 0
+    return loader
+
+
 class TestLruByteCache:
     def test_hit_miss_counters(self):
         cache = LruByteCache(1000)
-        assert cache.get("a") is None
-        cache.put("a", "va", 10)
-        assert cache.get("a") == "va"
+        assert cache.peek("a") is None
+        assert cache.get_or_load("a", load("va", 10)) == "va"
+        second = load("other", 10)
+        assert cache.get_or_load("a", second) == "va"
+        assert second.calls == 0
         assert cache.hits == 1 and cache.misses == 1
 
     def test_lru_eviction_order(self):
         cache = LruByteCache(25)
-        cache.put("a", 1, 10)
-        cache.put("b", 2, 10)
-        assert cache.get("a") == 1  # refresh a; b is now LRU
-        cache.put("c", 3, 10)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
+        cache.get_or_load("a", load(1, 10))
+        cache.get_or_load("b", load(2, 10))
+        assert cache.peek("a") == 1  # refresh a; b is now LRU
+        cache.get_or_load("c", load(3, 10))
+        assert cache.peek("b") is None
+        assert cache.peek("a") == 1 and cache.peek("c") == 3
         assert cache.evictions == 1
 
     def test_byte_budget_enforced(self):
         cache = LruByteCache(100)
         for i in range(20):
-            cache.put(i, i, 10)
+            cache.get_or_load(i, load(i, 10))
         assert cache.bytes_cached <= 100
         assert len(cache) == 10
 
     def test_oversize_value_not_cached(self):
         cache = LruByteCache(50)
-        cache.put("big", "x", 60)
-        assert cache.get("big") is None
+        assert cache.get_or_load("big", load("x", 60)) == "x"
+        assert cache.peek("big") is None
         assert len(cache) == 0
 
     def test_zero_capacity_disables(self):
         cache = LruByteCache(0)
-        cache.put("a", 1, 1)
-        assert cache.get("a") is None
+        again = load(1, 1)
+        cache.get_or_load("a", again)
+        cache.get_or_load("a", again)
+        assert again.calls == 2 and cache.peek("a") is None
 
     def test_replacing_key_releases_old_cost(self):
         cache = LruByteCache(100)
-        cache.put("a", 1, 80)
-        cache.put("a", 2, 30)
-        assert cache.bytes_cached == 30
-        assert cache.get("a") == 2
+        cache.get_or_load(("owner", "a"), load(1, 80))
+        cache.get_or_load(("other", "b"), load(3, 10))
+        cache.drop("owner")
+        assert cache.bytes_cached == 10
+        assert cache.get_or_load(("owner", "a"), load(2, 30)) == 2
+        assert cache.bytes_cached == 40
 
     def test_stats_snapshot(self):
         cache = LruByteCache(100)
-        cache.put("a", 1, 10)
-        cache.get("a")
-        cache.get("nope")
+        cache.get_or_load("a", load(1, 10))
+        cache.get_or_load("a", load(1, 10))
         stats = cache.stats()
         assert stats["entries"] == 1 and stats["bytes"] == 10
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
+        assert stats["coalesced"] == 0
 
     def test_metrics_registry_wiring(self):
         metrics = MetricsRegistry()
-        cache = LruByteCache(20, metrics=metrics, prefix="qserve.cache")
-        cache.get("a")
-        cache.put("a", 1, 10)
-        cache.get("a")
-        cache.put("b", 2, 15)  # evicts a
-        assert metrics.counter("qserve.cache.misses") == 1
+        cache = LruByteCache(20, metrics=metrics)
+        cache.get_or_load("a", load(1, 10))
+        cache.get_or_load("a", load(1, 10))
+        cache.get_or_load("b", load(2, 15))  # evicts a
+        cache.get_or_load("c", load(3, 25))  # oversize
+        assert metrics.counter("qserve.cache.misses") == 3
         assert metrics.counter("qserve.cache.hits") == 1
         assert metrics.counter("qserve.cache.evictions") == 1
+        assert metrics.counter("qserve.cache.oversize") == 1
+
+    def test_concurrent_misses_load_once(self):
+        metrics = MetricsRegistry()
+        cache = LruByteCache(100, metrics=metrics)
+        release = threading.Event()
+        calls = []
+
+        def slow():
+            calls.append(1)
+            release.wait(timeout=10)
+            return "v", 10
+
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(cache.get_or_load("k", slow))
+            )
+            for _ in range(5)
+        ]
+        for t in threads:
+            t.start()
+        while cache.coalesced < 4:
+            time.sleep(0.001)
+        release.set()
+        for t in threads:
+            t.join()
+        assert results == ["v"] * 5 and calls == [1]
+        assert metrics.counter("qserve.cache.coalesced") == 4
+        assert cache._loading == {}
 
 
 class TestQueryEngine:
@@ -133,13 +181,11 @@ class TestQueryEngine:
             first.append(("corrupted",))
             assert engine.traces(name) != first
 
-    def test_extract_many_default_is_all_functions(self, files):
+    def test_extract_every_function(self, files):
         _part, _compacted, twpp_path = files
         with QueryEngine(twpp_path) as engine:
-            out = engine.extract_many()
-            assert list(out) == engine.function_names()
-            for name, fc in out.items():
-                assert fc.name == name
+            for name in engine.function_names():
+                assert engine.extract(name).name == name
 
     def test_traces_many_subset_and_order(self, files):
         part, _compacted, twpp_path = files
@@ -202,7 +248,7 @@ class TestQueryEngine:
             name = engine.function_names()[0]
             engine.traces(name)
             engine.traces(name)
-            engine.extract_many()
+            engine.traces_many()
         doc = metrics.to_dict()
         assert doc["counters"]["qserve.queries"] >= 2
         assert doc["counters"]["qserve.cache.hits"] >= 1

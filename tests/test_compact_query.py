@@ -133,14 +133,14 @@ class TestCorruptHeader:
 
 
 class TestEngineParameter:
-    """Cold helpers can be redirected through a warm engine."""
+    """A warm engine answers what the cold helpers answer."""
 
     def test_traces_via_engine(self, files):
         part, _c, twpp_path, _w = files
         name = part.func_names[0]
         with QueryEngine(twpp_path) as engine:
             cold = extract_function_traces(twpp_path, name)
-            warm = extract_function_traces(twpp_path, name, engine=engine)
+            warm = engine.traces(name)
             assert warm == cold
             assert engine.cache_stats()["entries"] >= 1
 
@@ -148,8 +148,10 @@ class TestEngineParameter:
         _p, compacted, twpp_path, _w = files
         name = compacted.functions[0].name
         with QueryEngine(twpp_path) as engine:
-            fc = extract_function_record(twpp_path, name, engine=engine)
+            fc = engine.extract(name)
             assert fc.trace_table == compacted.function(name).trace_table
+            cold = extract_function_record(twpp_path, name)
+            assert cold.trace_table == fc.trace_table
 
 
 class TestAgreementWithScan:

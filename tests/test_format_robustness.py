@@ -3,7 +3,11 @@
 Truncated or bit-flipped inputs may not always be *detectable* (a flip
 inside trace data can decode to different-but-valid data), but they
 must never escape as anything other than a clean ValueError -- no
-hangs, no KeyError or IndexError from deep inside decoding loops.
+hangs, no KeyError or IndexError from deep inside decoding loops.  The
+corpus formats -- CWPK pack records replayed by
+:meth:`~repro.corpus.blobs.BlobPack.iter_records` and CWPM run
+manifests (:func:`~repro.corpus.manifest.decode_manifest`) -- are held
+to the same rule.
 """
 
 import pytest
@@ -12,6 +16,18 @@ from hypothesis import strategies as st
 
 from repro.compact import QueryEngine, compact_wpp, read_twpp, write_twpp
 from repro.compact.query import extract_function_traces
+from repro.compact.twpp import twpp_to_trace
+from repro.corpus import TraceCorpus
+from repro.corpus.blobs import (
+    KIND_BODY,
+    KIND_DICT,
+    PACK_HEADER_BYTES,
+    BlobPack,
+    decode_body,
+    decode_dcg_chunk,
+    decode_dictionary,
+)
+from repro.corpus.manifest import decode_manifest
 from repro.sequitur import decompress_wpp, write_compressed_wpp
 from repro.trace import collect_wpp, partition_wpp, read_wpp, write_wpp
 from repro.workloads import figure1_program
@@ -41,6 +57,43 @@ def originals(tmp_path_factory):
         "twpp": twpp_path.read_bytes(),
         "sqwp": sqwp_path.read_bytes(),
     }
+
+
+@pytest.fixture(scope="module")
+def corpus_originals(tmp_path_factory):
+    """One run of Figure 1 ingested: the pack's and the manifest's bytes."""
+    tmp = tmp_path_factory.mktemp("robust-corpus")
+    compacted, _stats = compact_wpp(
+        partition_wpp(collect_wpp(figure1_program()))
+    )
+    write_twpp(compacted, tmp / "a.twpp")
+    with TraceCorpus(tmp / "corpus") as corpus:
+        corpus.ingest(tmp / "a.twpp")
+    return {
+        "cwpk": (tmp / "corpus" / "blobs.pack").read_bytes(),
+        "cwpm": (tmp / "corpus" / "runs" / "a.manifest").read_bytes(),
+    }
+
+
+def _replay_pack(path) -> list:
+    """Every record of a pack, each payload decoded by its kind."""
+    decoders = {
+        KIND_BODY: lambda data: twpp_to_trace(decode_body(data)),
+        KIND_DICT: decode_dictionary,
+    }
+    with BlobPack(path) as pack:
+        records = list(pack.iter_records())
+        for _sha, kind, offset, length in records:
+            decoders.get(kind, decode_dcg_chunk)(pack.read(offset, length))
+    return records
+
+
+def _try_decode_corpus(kind: str, data: bytes, tmp_path):
+    if kind == "cwpm":
+        return decode_manifest(data)
+    path = tmp_path / "x.pack"
+    path.write_bytes(data)
+    return _replay_pack(path)
 
 
 def _try_decode(kind: str, data: bytes, tmp_path) -> None:
@@ -74,6 +127,28 @@ class TestTruncation:
         # Nearly all truncations must be detected (a cut landing on a
         # record boundary of a trailing section can look complete).
         assert detected >= len(points) - 2, (kind, detected, len(points))
+
+
+    def test_every_pack_and_manifest_truncation_fails_cleanly(
+        self, corpus_originals, tmp_path
+    ):
+        """A manifest cut anywhere, or a pack cut anywhere but between
+        two records, raises ValueError; a pack cut between records
+        replays as the records before the cut."""
+        pack = corpus_originals["cwpk"]
+        records = _try_decode_corpus("cwpk", pack, tmp_path)
+        # An empty file opens as a new, empty pack.
+        boundaries = {0, PACK_HEADER_BYTES} | {
+            offset + length for _sha, _kind, offset, length in records
+        }
+        for kind, data in corpus_originals.items():
+            for cut in range(len(data)):
+                if kind == "cwpk" and cut in boundaries:
+                    kept = _try_decode_corpus(kind, data[:cut], tmp_path)
+                    assert kept == records[: len(kept)]
+                    continue
+                with pytest.raises(ValueError):
+                    _try_decode_corpus(kind, data[:cut], tmp_path)
 
 
 class TestBitFlips:
@@ -121,6 +196,25 @@ class TestBitFlips:
                 except ValueError:
                     rejected += 1
         assert rejected > len(mutants), (rejected, len(mutants))
+
+    def test_every_pack_and_manifest_flip_is_a_value_error(
+        self, corpus_originals, tmp_path
+    ):
+        """Every single-bit flip of a CWPK pack (every record replayed
+        and decoded) or a CWPM manifest either decodes or raises
+        ValueError -- a UnicodeDecodeError from a flipped name counts,
+        as a subclass."""
+        rejected = 0
+        for kind, data in corpus_originals.items():
+            for pos in range(len(data)):
+                for bit in range(8):
+                    raw = bytearray(data)
+                    raw[pos] ^= 1 << bit
+                    try:
+                        _try_decode_corpus(kind, bytes(raw), tmp_path)
+                    except ValueError:
+                        rejected += 1
+        assert rejected > 0
 
     def test_magic_corruption_always_detected(self, originals, tmp_path):
         for kind in ("wpp", "twpp", "sqwp"):
@@ -189,6 +283,43 @@ class TestAllocationBombs:
         path.write_bytes(bytes(buf))
         with pytest.raises(ValueError, match="sanity bound"):
             decompress_wpp(path)
+
+    def test_huge_pack_record_length_rejected(self, corpus_originals, tmp_path):
+        """A pack record claiming an exabyte payload is refused before
+        any read allocates it."""
+        from repro.trace.encoding import write_uvarint
+
+        frame = bytearray([KIND_BODY])
+        write_uvarint(frame, 1 << 60)
+        path = tmp_path / "bomb.pack"
+        path.write_bytes(corpus_originals["cwpk"][:PACK_HEADER_BYTES] + frame)
+        with pytest.raises(ValueError, match="truncated blob"):
+            _replay_pack(path)
+        with BlobPack(path) as pack:
+            with pytest.raises(ValueError, match="truncated blob"):
+                pack.read(PACK_HEADER_BYTES, 1 << 60)
+
+    def test_huge_manifest_counts_rejected(self):
+        """Manifest counts far beyond the bytes that follow them fail
+        the count check instead of sizing a list."""
+        from repro.corpus.manifest import MANIFEST_MAGIC, MANIFEST_VERSION
+        from repro.trace.encoding import write_string, write_uvarint
+
+        def manifest(chunks, functions):
+            buf = bytearray(MANIFEST_MAGIC)
+            write_uvarint(buf, MANIFEST_VERSION)
+            write_string(buf, "run")
+            write_string(buf, "run.twpp")
+            write_uvarint(buf, 1)  # dcg nodes
+            write_uvarint(buf, chunks)
+            buf += bytes(min(chunks, 1))
+            write_uvarint(buf, functions)
+            return bytes(buf)
+
+        with pytest.raises(ValueError, match="corrupt count"):
+            decode_manifest(manifest(1 << 40, 0))
+        with pytest.raises(ValueError):
+            decode_manifest(manifest(1, 1 << 40))
 
     def test_check_count_unit(self):
         from repro.trace.encoding import check_count

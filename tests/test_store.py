@@ -1,5 +1,5 @@
-"""Tests for repro.store: the trace index, TraceStore, requests,
-eviction, coalescing."""
+"""Tests for repro.store: the trace index, TraceStore, requests, the
+session cache's budget, eviction, coalescing."""
 
 import json
 import os
@@ -19,6 +19,7 @@ from repro.compact.qserve import limit_traces_json
 from repro.ir.printer import format_program
 from repro.store import (
     AnalyzeRequest,
+    CorpusHotRequest,
     QueryRequest,
     RequestError,
     StatsRequest,
@@ -69,6 +70,16 @@ def function_names(store, trace):
     """``trace``'s function names in storage (hottest-first) order."""
     index = store.stats(StatsRequest(trace=trace))["function_index"]
     return [row["name"] for row in index]
+
+
+def cache_bytes_of(session, owner):
+    """Bytes the session cache holds under keys that ``owner`` owns."""
+    with session.cache._lock:
+        return sum(
+            cost
+            for key, (_value, cost) in session.cache._entries.items()
+            if key[0] is owner
+        )
 
 
 def query_matrix(store):
@@ -178,6 +189,21 @@ class TestCatalog:
             assert row["functions"] == len(entries)
             assert row["calls"] == sum(e.call_count for e in entries)
             assert row["size"] == (store_root / "li-like.twpp").stat().st_size
+
+    def test_program_added_beside_unchanged_trace(self, tmp_path):
+        write_trace(tmp_path, "li-like", with_ir=False)
+        with TraceStore(tmp_path) as store:
+            assert store.traces()["traces"][0]["has_program"] is False
+            program, _spec = workload("li-like", scale=0.05)
+            (tmp_path / "li-like.ir").write_text(
+                format_program(program) + "\n"
+            )
+            listing = store.traces(refresh=True)["traces"]
+            assert listing[0]["has_program"] is True
+            assert store.stats(StatsRequest(trace="li-like"))["has_program"]
+            (tmp_path / "li-like.ir").unlink()
+            listing = store.traces(refresh=True)["traces"]
+            assert listing[0]["has_program"] is False
 
     def test_unparsable_file_reported_not_fatal(self, tmp_path):
         write_trace(tmp_path, "li-like")
@@ -354,7 +380,9 @@ class TestTraceStore:
         doc = store.stats()
         assert doc["traces"] == 2
         assert doc["functions"] > 0 and doc["calls"] > 0 and doc["bytes"] > 0
-        assert doc["cache"]["budget_bytes"] == store.cache_bytes
+        assert doc["cache"]["budget_bytes"] == store.session.cache_bytes
+        assert doc["cache"]["bytes"] <= doc["cache"]["budget_bytes"]
+        assert "evictions" in doc["cache"]
 
     def test_stats_per_trace(self, store):
         store.query(QueryRequest(trace="li-like"))
@@ -383,23 +411,20 @@ class TestTraceStore:
             listing = store.traces(refresh=True)
             assert [t["trace"] for t in listing["traces"]] == ["li-like"]
             # the stale engine was evicted along with the file
-            assert not store._is_warm(str(tmp_path / "ijpeg-like.twpp"))
+            path = str(tmp_path / "ijpeg-like.twpp")
+            assert path not in store.session._engines
 
 
 class TestQueryJson:
     """``query_json`` is ``canonical_json(query(...))``, byte for byte."""
 
     @pytest.mark.parametrize(
-        "session_bytes, store_bytes",
-        [(None, None), (0, 0), (8192, 8192)],
-        ids=["warm", "no-cache", "8KiB"],
+        "cache_bytes", [None, 0, 8192], ids=["warm", "no-cache", "8KiB"]
     )
-    def test_identity_matrix(self, wire_root, session_bytes, store_bytes):
-        kwargs = {}
-        if session_bytes is not None:
-            kwargs["cache_bytes"] = session_bytes
+    def test_identity_matrix(self, wire_root, cache_bytes):
+        kwargs = {} if cache_bytes is None else {"cache_bytes": cache_bytes}
         with Session(**kwargs) as session:
-            store = session.store(wire_root, cache_bytes=store_bytes)
+            store = session.store(wire_root)
             assert ESCAPED_STEM in store
             requests = list(query_matrix(store))
             for _pass in range(2):  # cold fill, then whatever stayed warm
@@ -432,16 +457,6 @@ class TestQueryJson:
             assert store.cache_stats()["bytes"] - before >= len(fragment)
             # cached in place of the expanded tuples, not beside them
             assert engine.cached_traces(name) is None
-            store.close()
-
-    def test_fragments_fill_the_global_budget(self, store_root):
-        with Session() as session:
-            store = session.store(store_root, cache_bytes=1)
-            store.query_json(QueryRequest(trace="li-like"))
-            store.query_json(QueryRequest(trace="ijpeg-like"))
-            assert session.metrics.counter("store.evictions") > 0
-            assert store._is_warm(str(store_root / "ijpeg-like.twpp"))
-            assert not store._is_warm(str(store_root / "li-like.twpp"))
             store.close()
 
     def test_warm_request_does_not_encode(self, store_root, monkeypatch):
@@ -529,16 +544,68 @@ class TestEviction:
             # next use transparently reopens
             assert session.engine(path).function_names()
 
-    def test_tiny_budget_evicts_whole_files(self, store_root):
+    def test_evict_leaves_none_of_the_engines_bytes(self, store_root):
         with Session() as session:
-            store = session.store(store_root, cache_bytes=1)
-            store.query(QueryRequest(trace="li-like"))
+            store = session.store(store_root)
+            store.query_json(QueryRequest(trace="li-like"))
             store.query(QueryRequest(trace="ijpeg-like"))
-            assert session.metrics.counter("store.evictions") > 0
-            assert store.cache_stats()["file_evictions"] > 0
-            # the most recently touched file is always spared
-            assert store._is_warm(str(store_root / "ijpeg-like.twpp"))
-            assert not store._is_warm(str(store_root / "li-like.twpp"))
+            path = str(store_root / "li-like.twpp")
+            engine = session.engine(path)
+            owned = cache_bytes_of(session, engine)
+            others = session.cache.stats()["bytes"] - owned
+            assert owned > 0 and others > 0
+            assert session.evict(path)
+            assert cache_bytes_of(session, engine) == 0
+            assert session.cache.stats()["bytes"] == others
+            store.close()
+            assert session.cache.stats()["bytes"] == 0
+
+    @pytest.mark.parametrize("verb", ["query", "query_json"])
+    def test_stale_decode_never_answers_for_the_new_file(
+        self, tmp_path, verb
+    ):
+        """A decode that rewrites its file and evicts its engine midway
+        still answers the request that started it; the next request
+        gets the new file's traces, not the old engine's result."""
+        old_root, new_root = tmp_path / "old", tmp_path / "new"
+        old_root.mkdir()
+        new_root.mkdir()
+        write_trace(old_root, "li-like", with_ir=False)
+        write_trace(new_root, "li-like", scale=0.1, with_ir=False)
+        path = old_root / "li-like.twpp"
+        with Session() as session:
+            name = next(
+                n
+                for n in session.engine(path).function_names()
+                if session.query(path, n)
+                != session.query(new_root / "li-like.twpp", n)
+            )
+            session.close()
+            store = session.store(old_root)
+            request = QueryRequest(trace="li-like", functions=(name,))
+            with TraceStore(old_root) as fresh:
+                old_doc = fresh.query(request)
+            with TraceStore(new_root) as fresh:
+                new_doc = fresh.query(request)
+            engine = session.engine(path)
+            real_decode = engine._decode
+
+            def rewriting_decode(entry):
+                time.sleep(0.01)  # a fresh mtime_ns
+                tmp = old_root / "li-like.twpp.tmp"
+                shutil.copy(new_root / "li-like.twpp", tmp)
+                os.replace(tmp, path)
+                assert session.evict(path)
+                return real_decode(entry)
+
+            engine._decode = rewriting_decode
+            first = getattr(store, verb)(request)
+            second = getattr(store, verb)(request)
+            if verb == "query_json":
+                old_doc, new_doc = map(canonical_json, (old_doc, new_doc))
+            assert first == old_doc
+            assert second == new_doc != old_doc
+            assert cache_bytes_of(session, engine) == 0
             store.close()
 
     @pytest.mark.parametrize("verb", ["query", "query_json"])
@@ -572,7 +639,7 @@ class TestEviction:
         store.query(QueryRequest(trace="li-like"))
         store.query(QueryRequest(trace="ijpeg-like"))
         stats = store.cache_stats()
-        assert stats["engines"] == 2 and stats["file_evictions"] == 0
+        assert stats["engines"] == 2 and stats["evictions"] == 0
 
 
 class TestCoalescing:
@@ -583,14 +650,20 @@ class TestCoalescing:
         with Session() as session:
             store = session.store(store_root)
             name = function_names(store, "li-like")[0]
+            request = QueryRequest(trace="li-like", functions=(name,))
+            path = store_root / "li-like.twpp"
+            call = {
+                "query": lambda: store.query(request),
+                "query_json": lambda: store.query_json(request),
+                "session": lambda: session.query(path, name),
+            }[verb]
             n_threads = 8
             barrier = threading.Barrier(n_threads)
-            request = QueryRequest(trace="li-like", functions=(name,))
             results = []
 
             def worker():
                 barrier.wait()
-                results.append(getattr(store, verb)(request))
+                results.append(call())
 
             threads = [
                 threading.Thread(target=worker) for _ in range(n_threads)
@@ -614,22 +687,28 @@ class TestCoalescing:
         assert all(r == results[0] for r in results)
         assert decodes == 1
 
+    def test_concurrent_session_queries_decode_once(self, store_root):
+        results, decodes = self._herd(store_root, "session")
+        assert len(results) == 8
+        assert all(r == results[0] for r in results)
+        assert decodes == 1
+
     def test_waiters_share_the_owners_decode(self, store_root):
         """Force overlap: a slowed decode must be performed exactly once
-        while every waiter blocks on the in-flight future."""
+        while every waiter blocks on the one load in progress."""
         with Session() as session:
             store = session.store(store_root)
             engine = store.engine("li-like")
             name = function_names(store, "li-like")[0]
             calls = []
-            real = engine.traces
+            real = engine._decode
 
-            def slow_traces(fn_name):
-                calls.append(fn_name)
+            def slow_decode(entry):
+                calls.append(entry.name)
                 time.sleep(0.05)
-                return real(fn_name)
+                return real(entry)
 
-            engine.traces = slow_traces
+            engine._decode = slow_decode
             request = QueryRequest(trace="li-like", functions=(name,))
             n_threads = 6
             barrier = threading.Barrier(n_threads)
@@ -646,51 +725,159 @@ class TestCoalescing:
             for t in threads:
                 t.join()
             assert calls == [name]
-            assert session.metrics.counter("store.coalesced") == n_threads - 1
+            coalesced = session.metrics.counter("qserve.cache.coalesced")
+            assert coalesced == n_threads - 1
+            assert session.cache.stats()["coalesced"] == coalesced
+            store.close()
+
+    def test_a_failed_load_reaches_every_waiter(self, store_root):
+        with Session() as session:
+            store = session.store(store_root)
+            engine = store.engine("li-like")
+            name = function_names(store, "li-like")[0]
+
+            def failing_decode(entry):
+                time.sleep(0.05)
+                raise OSError("disk went away")
+
+            engine._decode = failing_decode
+            request = QueryRequest(trace="li-like", functions=(name,))
+            barrier = threading.Barrier(4)
+            errors = []
+
+            def worker():
+                barrier.wait()
+                try:
+                    store.query(request)
+                except OSError as exc:
+                    errors.append(str(exc))
+
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert errors == ["disk went away"] * 4
+            assert session.cache._loading == {}
+            store.close()
+
+
+class TestSessionBudget:
+    """One byte budget per session: every engine and the attached
+    corpus cache into ``Session.cache``, which never holds more than
+    ``cache_bytes``."""
+
+    @pytest.mark.parametrize(
+        "cache_bytes", [1, 8192, None], ids=["1B", "8KiB", "default"]
+    )
+    def test_bytes_never_exceed_the_budget(
+        self, wire_root, tmp_path, cache_bytes
+    ):
+        kwargs = {} if cache_bytes is None else {"cache_bytes": cache_bytes}
+        with Session(**kwargs) as session:
+            budget = session.cache_bytes
+            with session.corpus(tmp_path / "corpus") as corpus:
+                corpus.ingest_runs(
+                    [wire_root / "li-like.twpp", wire_root / "perl-like.twpp"]
+                )
+            store = session.store(wire_root, corpus=tmp_path / "corpus")
+
+            def check(what):
+                held = session.cache.stats()["bytes"]
+                assert held <= budget, (what, held, budget)
+                assert store.stats()["cache"]["bytes"] == held
+
+            requests = list(query_matrix(store))
+            assert len(requests) == 446
+            for request in requests:
+                store.query_json(request)
+                check(request)
+            corpus = store.corpus()
+            for run in ("li-like", "perl-like"):
+                for name in corpus.functions(run):
+                    corpus.traces(run, name)
+                    check((run, name))
+            store.corpus_hot(CorpusHotRequest(top=5))
+            check("hot")
+            stats = session.cache.stats()
+            if cache_bytes == 1:
+                assert stats["entries"] == 0
+                assert session.metrics.counter("qserve.cache.oversize") > 0
+            elif cache_bytes == 8192:
+                assert session.metrics.counter("qserve.cache.evictions") > 0
+            else:
+                assert stats["evictions"] == 0
+            assert "corpus.cache.hits" not in session.metrics.to_dict()[
+                "counters"
+            ]
             store.close()
 
 
 class TestEvictionStress:
     def test_decodes_survive_constant_eviction(self, store_root):
-        """More threads than cores, a 1-byte budget (nearly every
-        request evicts the other file's engine) and a short switch
-        interval: every answer must still be right."""
-        with Session() as session:
-            store = session.store(store_root, cache_bytes=1)
-            requests = [
-                QueryRequest(trace=trace, functions=(name,))
-                for trace in ("li-like", "ijpeg-like")
-                for name in function_names(store, trace)[:4]
-            ]
-            expected = [canonical_json(store.query(r)) for r in requests]
-            errors = []
-
-            def worker(offset):
-                try:
-                    for i in range(60):
-                        k = (offset + i) % len(requests)
-                        if store.query_json(requests[k]) != expected[k]:
-                            errors.append(f"wrong body for {requests[k]}")
-                except Exception as exc:  # noqa: BLE001 - reported below
-                    errors.append(repr(exc))
-
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                threads = [
-                    threading.Thread(target=worker, args=(n,))
-                    for n in range(8)
+        """More threads than cores, engines evicted in a loop while they
+        decode, and a short switch interval: every answer must still be
+        right.  Under a 1-byte budget nothing stays cached, so every
+        request decodes; under 8 KiB the cache evicts entries all the
+        time."""
+        for budget in (1, 8192):
+            with Session(cache_bytes=budget) as session:
+                store = session.store(store_root)
+                requests = [
+                    QueryRequest(trace=trace, functions=(name,))
+                    for trace in ("li-like", "ijpeg-like")
+                    for name in function_names(store, trace)[:4]
                 ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(t.is_alive() for t in threads)
-            assert errors == []
-            assert session.metrics.counter("store.evictions") > 0
-            store.close()
+                expected = [canonical_json(store.query(r)) for r in requests]
+                paths = [
+                    str(store_root / f"{trace}.twpp")
+                    for trace in ("li-like", "ijpeg-like")
+                ]
+                errors = []
+                stop = threading.Event()
+
+                def worker(offset):
+                    try:
+                        for i in range(60):
+                            k = (offset + i) % len(requests)
+                            if store.query_json(requests[k]) != expected[k]:
+                                errors.append(f"wrong body for {requests[k]}")
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        errors.append(repr(exc))
+
+                def evictor():
+                    while not stop.is_set():
+                        for path in paths:
+                            session.evict(path)
+                        time.sleep(0.001)
+
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    threads = [
+                        threading.Thread(target=worker, args=(n,))
+                        for n in range(8)
+                    ]
+                    evicting = threading.Thread(target=evictor)
+                    evicting.start()
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                    stop.set()
+                    evicting.join(timeout=60)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert session.metrics.counter("session.evictions") > 0
+                if budget == 1:
+                    assert session.cache.stats()["entries"] == 0
+                else:
+                    counter = session.metrics.counter("qserve.cache.evictions")
+                    assert counter > 0
+                assert session.cache.stats()["bytes"] <= budget
+                store.close()
 
 
 class TestSessionIntegration:

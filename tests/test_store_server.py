@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
+from repro.compact.qserve import QueryEngine
 from repro.store import (
     AnalyzeRequest,
     CorpusDiffRequest,
@@ -634,6 +635,61 @@ class TestFramingFuzz:
         server, _valid = fuzz_served
         status, _body = get(server, "/healthz")
         assert status == 200
+
+
+class TestCorruptTrace:
+    def test_corrupt_section_is_a_named_500_and_others_keep_serving(
+        self, tmp_path
+    ):
+        write_trace(tmp_path, "li-like")
+        write_trace(tmp_path, "perl-like", with_ir=False)
+        session = Session()
+        store = session.store(tmp_path)
+        server = TraceServer(store).start()
+        try:
+            path = tmp_path / "li-like.twpp"
+            with QueryEngine(path, cache_bytes=0) as engine:
+                entry = engine.header.entries[0]
+                start = engine.header.sections_base + entry.offset
+            get(server, "/query?trace=li-like&fn=" + function_names(
+                store, "li-like"
+            )[1])  # li-like's engine is open when its file goes bad
+            data = bytearray(path.read_bytes())
+            data[start : start + entry.length] = b"\xff" * entry.length
+            tmp = tmp_path / "li-like.twpp.tmp"
+            tmp.write_bytes(bytes(data))
+            os.replace(tmp, path)
+            with QueryEngine(path, cache_bytes=0) as engine:
+                with pytest.raises(ValueError):
+                    engine.traces(entry.name)
+
+            code, doc = get_error(
+                server, f"/query?trace=li-like&fn={entry.name}"
+            )
+            assert code == 500
+            assert "'li-like'" in doc["error"]
+            assert f"{entry.name!r}" in doc["error"]
+            assert "corrupt" in doc["error"]
+            assert str(path) not in session._engines
+            code, doc = get_error_post(
+                server, "/analyze", {"trace": "li-like", "fact": "def:acc"}
+            )
+            assert code == 500 and f"{entry.name!r}" in doc["error"]
+            assert session.metrics.counter("store.corrupt") == 2
+
+            other = function_names(store, "perl-like")[0]
+            status, body = get(server, f"/query?trace=perl-like&fn={other}")
+            assert status == 200
+            assert body == canonical_json(
+                store.query(QueryRequest(trace="perl-like", functions=(other,)))
+            ) + b"\n"
+            status, body = get(server, "/healthz")
+            assert status == 200
+            assert json.loads(body)["traces"] == 2
+        finally:
+            server.stop()
+            store.close()
+            session.close()
 
 
 class TestHealthz:
