@@ -12,7 +12,8 @@ alternative on the real workload data:
 from conftest import emit
 
 from repro.bench.tables import Table, fmt_factor, fmt_kb
-from repro.compact import lzw_compress, trace_to_twpp, twpp_bytes
+from repro.compact import lzw_compress, trace_to_twpp
+from repro.compact.format import encode_body
 from repro.compact.pipeline import _trace_bytes  # serialized trace size
 from repro.trace.encoding import svarint_size, uvarint_size
 
@@ -95,7 +96,7 @@ def test_ablation_dbb_before_twpp(benchmark, artifacts, results_dir):
             without = 0
             for table_traces in art.partitioned.traces:
                 for raw in table_traces:
-                    without += twpp_bytes(trace_to_twpp(raw))
+                    without += len(encode_body(trace_to_twpp(raw)))
             rows.append((art.name, with_dicts, without))
         return rows
 

@@ -24,7 +24,8 @@ hot functions dominating a long tail.  Measurements:
   budgets, recording hit rate and cache entry evictions per budget.
 
 Plus a coalescing check (T barrier-released threads requesting one
-cold key must cost exactly one decode) and a per-endpoint identity
+cold key, its decode slowed so they overlap, must cost exactly one
+decode and T-1 coalesced waits) and a per-endpoint identity
 check: every route -- ``/traces``, ``/query``, ``/stats``,
 ``/healthz``, ``/analyze``, ``/corpus/stats|hot|diff`` -- must answer
 byte-identically to ``canonical_json(store.verb(request)) + b"\\n"``
@@ -330,9 +331,22 @@ def check_identity(server, store, schedule, runs):
 
 
 def check_coalescing(root, hot_key, n_threads=8):
-    """T threads, one barrier, one cold key -> exactly one decode."""
+    """T threads, one barrier, one cold key -> exactly one decode.
+
+    The decode is slowed by 50 ms so every thread arrives while the
+    first one is still loading: the other T-1 must wait on that load
+    (``coalesced``) rather than find a warm cache.
+    """
     session = Session()
     store = session.store(root)
+    engine = store.engine(hot_key[0])
+    real_decode = engine._decode
+
+    def slow_decode(entry):
+        time.sleep(0.05)
+        return real_decode(entry)
+
+    engine._decode = slow_decode
     barrier = threading.Barrier(n_threads)
     request = QueryRequest(trace=hot_key[0], functions=(hot_key[1],))
 
@@ -528,10 +542,14 @@ def check_doc(doc, smoke):
             "HTTP responses diverged from in-process store calls: "
             + ", ".join(broken)
         )
-    if doc["coalesce"]["decodes"] != 1:
+    coalesce = doc["coalesce"]
+    if coalesce["decodes"] != 1 or coalesce["coalesced"] != (
+        coalesce["threads"] - 1
+    ):
         failures.append(
-            f"coalescing broken: {doc['coalesce']['decodes']} decodes for "
-            "one hot key"
+            f"coalescing broken: {coalesce['decodes']} decodes and "
+            f"{coalesce['coalesced']} coalesced waits for one hot key "
+            f"across {coalesce['threads']} threads"
         )
     if smoke:
         if doc["store_ms_p50"] >= doc["cold_ms_p50"]:

@@ -62,7 +62,7 @@ class InterproceduralEngine:
 
     Requires a :class:`~repro.compact.pipeline.CompactedWpp` with valid
     parent links (in-memory pipelines keep them; after
-    :func:`~repro.compact.format.read_twpp` run
+    :func:`~repro.compact.query.read_twpp` run
     :func:`~repro.trace.reconstruct.rebuild_parents` first).
     """
 

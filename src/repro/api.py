@@ -46,15 +46,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .compact.format import read_twpp, write_twpp
+from .compact.format import write_twpp
 from .compact.pipeline import CompactedWpp, CompactionStats, compact_wpp
 from .compact.qserve import DEFAULT_CACHE_BYTES, LruByteCache, QueryEngine
+from .compact.query import read_twpp
 from .compact.stream import StreamResult, stream_compact as _stream_compact
 from .ir.module import Program
 from .obs import MetricsRegistry
 from .trace.format import read_wpp, scan_function_traces, write_wpp
 from .trace.partition import PartitionedWpp, PathTrace, partition_wpp
 from .trace.wpp import WppTrace, collect_wpp
+from .util import read_magic
 
 PathLike = Union[str, "os.PathLike[str]"]
 WppSource = Union[WppTrace, PartitionedWpp, PathLike]
@@ -408,7 +410,7 @@ class Session:
             fc = twpp.function(func)
             return [fc.expand_pair(p) for p in range(len(fc.pairs))]
         with self.metrics.timer("query"):
-            magic = _sniff_magic(twpp)
+            magic = read_magic(twpp)
             if magic == b"WPP1":
                 return scan_function_traces(twpp, func)
             if magic == b"SQWP":
@@ -426,7 +428,7 @@ class Session:
         if isinstance(twpp, CompactedWpp):
             return {name: self._query_one(twpp, name) for name in names}
         with self.metrics.timer("query"):
-            magic = _sniff_magic(twpp)
+            magic = read_magic(twpp)
             if magic == b"TWPP":
                 with self.borrow(twpp) as engine:
                     return engine.traces_many(names)
@@ -569,11 +571,6 @@ class Session:
 def _stat_key(path: str) -> Tuple[str, int, int]:
     st = os.stat(path)
     return (path, st.st_mtime_ns, st.st_size)
-
-
-def _sniff_magic(path: PathLike) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read(4)
 
 
 def trace(

@@ -38,6 +38,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .util import read_magic
+
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .ir.printer import format_program
@@ -162,7 +164,7 @@ def _cmd_sequitur(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    magic = path.open("rb").read(4)
+    magic = read_magic(path)
     if magic == b"WPP1":
         from .trace.format import read_wpp
 
@@ -208,8 +210,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from .api import Session
 
     path = Path(args.file)
-    with path.open("rb") as fh:
-        magic = fh.read(4)
+    magic = read_magic(path)
     if magic == b"TWPP":
         label = "unique path traces"
     elif magic in (b"WPP1", b"SQWP"):
@@ -540,7 +541,7 @@ def _cmd_corpus_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .compact.format import read_twpp
+    from .compact.query import read_twpp
     from .compact.verify import IntegrityError, verify_compacted
     from .ir.parser import parse_program
 

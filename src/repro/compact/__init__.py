@@ -32,9 +32,7 @@ from .dbb import (
 from .format import (
     FunctionIndexEntry,
     TwppHeader,
-    extract_function,
     read_header,
-    read_twpp,
     serialize_twpp,
     write_twpp,
 )
@@ -46,8 +44,6 @@ from .pipeline import (
     FunctionCompactor,
     compact_function,
     compact_wpp,
-    dictionary_bytes,
-    twpp_bytes,
 )
 from .qserve import (
     DEFAULT_CACHE_BYTES,
@@ -58,6 +54,7 @@ from .qserve import (
 from .query import (
     extract_function_record,
     extract_function_traces,
+    read_twpp,
 )
 from .stream import (
     StreamResult,
@@ -96,14 +93,12 @@ __all__ = [
     "compact_wpp",
     "compress_series",
     "decompress_series",
-    "dictionary_bytes",
     "diff_compacted",
     "diff_twpp_files",
     "dynamic_cfg",
     "dynamic_cfg_edges",
     "entry_count",
     "expand_trace",
-    "extract_function",
     "extract_function_record",
     "extract_function_traces",
     "find_dbb_chains",
@@ -117,7 +112,6 @@ __all__ = [
     "series_len",
     "stream_compact",
     "trace_to_twpp",
-    "twpp_bytes",
     "twpp_to_trace",
     "verify_compacted",
     "verify_dictionary",

@@ -136,6 +136,6 @@ def diff_compacted(a: CompactedWpp, b: CompactedWpp) -> TwppDelta:
 
 def diff_twpp_files(path_a, path_b) -> TwppDelta:
     """Compare two ``.twpp`` files on disk."""
-    from .format import read_twpp
+    from .query import read_twpp
 
     return diff_compacted(read_twpp(path_a), read_twpp(path_b))

@@ -12,35 +12,38 @@ Layout::
         uvarint section offset   (relative to the sections base)
         uvarint section length
     uvarint raw DCG length, uvarint compressed DCG length, LZW bytes
-    per-function sections
+    per-function sections, each:
+        uvarint n_bodies, n_bodies body records   (encode_body)
+        uvarint n_dicts, n_dicts dictionary records (encode_dictionary)
+        uvarint n_pairs, 2 * n_pairs uvarints (body id, dictionary id)
 
 Each function's section is self-contained: its unique compacted trace
 bodies in TWPP form, its DBB dictionaries, and the (body, dictionary)
 pairs its activations reference.  Extracting one function therefore
 reads the header plus exactly one section -- the access-time win of
 Tables 4 and 5 -- while the header's byte-offset index is the "header
-in the compacted TWPP file" the paper describes.
+in the compacted TWPP file" the paper describes.  This module writes
+files and decodes headers and sections; sections and the DCG are read
+from a file only through :class:`~repro.compact.qserve.MmapSource`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, List, Optional, Tuple, Union
 
 from ..obs import MetricsRegistry
-from ..trace.dcg import DynamicCallGraph
 from ..trace.encoding import (
     check_count,
     decode_uvarints,
     encode_uvarints,
-    read_string,
     read_uvarint,
     write_string,
     write_uvarint,
 )
 from .dbb import DbbDictionary
-from .lzw import lzw_compress, lzw_decompress
+from .lzw import lzw_compress
 from .pipeline import CompactedWpp, FunctionCompact
 from .series import decode_entry_stream, encode_entry_stream
 from .twpp import TwppPathTrace, twpp_to_trace
@@ -71,11 +74,75 @@ class TwppHeader:
     dcg_start: int  # absolute file offset of the compressed DCG bytes
     sections_base: int  # absolute file offset of the first section
 
-    def entry(self, name: str) -> FunctionIndexEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(f"function {name!r} not in .twpp index")
+
+# ---------------------------------------------------------------------------
+# records
+#
+# The one codec for the two records a section holds.  The corpus stores
+# the same records as blobs (:mod:`repro.corpus.blobs`), and
+# :class:`~repro.compact.pipeline.FunctionCompactor` counts their
+# encoded lengths for Tables 2-3, so all three agree by construction.
+
+
+def encode_body(twpp: TwppPathTrace) -> bytes:
+    """One unique TWPP body: uvarint block count, then per block its
+    uvarint id, uvarint entry count and zigzag entry stream."""
+    buf = bytearray()
+    write_uvarint(buf, len(twpp.entries))
+    for block, stream in twpp.entries:
+        write_uvarint(buf, block)
+        write_uvarint(buf, len(stream))
+        buf += encode_entry_stream(stream)
+    return bytes(buf)
+
+
+def decode_body(data, offset: int) -> Tuple[TwppPathTrace, int]:
+    """Inverse of :func:`encode_body` at ``offset``; returns
+    ``(body, next_offset)``."""
+    n_blocks, offset = read_uvarint(data, offset)
+    check_count(n_blocks, data, offset)
+    entries = []
+    for _ in range(n_blocks):
+        block, offset = read_uvarint(data, offset)
+        stream_len, offset = read_uvarint(data, offset)
+        stream, offset = decode_entry_stream(data, offset, stream_len)
+        entries.append((block, tuple(stream)))
+    return TwppPathTrace(entries=tuple(entries)), offset
+
+
+def encode_dictionary(dictionary: DbbDictionary) -> bytes:
+    """One DBB dictionary: uvarint chain count, then per chain its
+    uvarint length and uvarint block ids."""
+    buf = bytearray()
+    write_uvarint(buf, len(dictionary.chains))
+    for chain in dictionary.chains:
+        write_uvarint(buf, len(chain))
+        buf += encode_uvarints(chain)
+    return bytes(buf)
+
+
+def decode_dictionary(data, offset: int) -> Tuple[DbbDictionary, int]:
+    """Inverse of :func:`encode_dictionary` at ``offset``; returns
+    ``(dictionary, next_offset)``."""
+    n_chains, offset = read_uvarint(data, offset)
+    check_count(n_chains, data, offset)
+    chains = []
+    for _ in range(n_chains):
+        chain_len, offset = read_uvarint(data, offset)
+        chain, offset = decode_uvarints(data, offset, chain_len)
+        chains.append(tuple(chain))
+    return DbbDictionary(chains=tuple(chains)), offset
+
+
+def _decode_table(data, offset: int, decode) -> Tuple[list, int]:
+    """A uvarint count, then that many records read by ``decode``."""
+    count, offset = read_uvarint(data, offset)
+    check_count(count, data, offset)
+    table = []
+    for _ in range(count):
+        record, offset = decode(data, offset)
+        table.append(record)
+    return table, offset
 
 
 # ---------------------------------------------------------------------------
@@ -84,19 +151,13 @@ class TwppHeader:
 
 def _serialize_section(fc: FunctionCompact) -> bytes:
     buf = bytearray()
-    write_uvarint(buf, len(fc.twpp_table))
-    for twpp in fc.twpp_table:
-        write_uvarint(buf, len(twpp.entries))
-        for block, stream in twpp.entries:
-            write_uvarint(buf, block)
-            write_uvarint(buf, len(stream))
-            buf += encode_entry_stream(stream)
-    write_uvarint(buf, len(fc.dict_table))
-    for dictionary in fc.dict_table:
-        write_uvarint(buf, len(dictionary.chains))
-        for chain in dictionary.chains:
-            write_uvarint(buf, len(chain))
-            buf += encode_uvarints(chain)
+    for table, encode in (
+        (fc.twpp_table, encode_body),
+        (fc.dict_table, encode_dictionary),
+    ):
+        write_uvarint(buf, len(table))
+        for record in table:
+            buf += encode(record)
     write_uvarint(buf, len(fc.pairs))
     flat_pairs: List[int] = []
     for body_id, dict_id in fc.pairs:
@@ -110,32 +171,9 @@ def _parse_section(data, name: str, call_count: int) -> FunctionCompact:
     if not isinstance(data, (bytes, bytearray)):
         data = bytes(data)  # one copy up front so bulk decode scans raw bytes
     fc = FunctionCompact(name=name, call_count=call_count)
-    offset = 0
-    n_bodies, offset = read_uvarint(data, offset)
-    check_count(n_bodies, data, offset)
-    for _ in range(n_bodies):
-        n_blocks, offset = read_uvarint(data, offset)
-        check_count(n_blocks, data, offset)
-        entries = []
-        for _ in range(n_blocks):
-            block, offset = read_uvarint(data, offset)
-            stream_len, offset = read_uvarint(data, offset)
-            stream, offset = decode_entry_stream(data, offset, stream_len)
-            entries.append((block, tuple(stream)))
-        twpp = TwppPathTrace(entries=tuple(entries))
-        fc.twpp_table.append(twpp)
-        fc.trace_table.append(twpp_to_trace(twpp))
-    n_dicts, offset = read_uvarint(data, offset)
-    check_count(n_dicts, data, offset)
-    for _ in range(n_dicts):
-        n_chains, offset = read_uvarint(data, offset)
-        check_count(n_chains, data, offset)
-        chains = []
-        for _ in range(n_chains):
-            chain_len, offset = read_uvarint(data, offset)
-            chain, offset = decode_uvarints(data, offset, chain_len)
-            chains.append(tuple(chain))
-        fc.dict_table.append(DbbDictionary(chains=tuple(chains)))
+    fc.twpp_table, offset = _decode_table(data, 0, decode_body)
+    fc.trace_table = [twpp_to_trace(twpp) for twpp in fc.twpp_table]
+    fc.dict_table, offset = _decode_table(data, offset, decode_dictionary)
     n_pairs, offset = read_uvarint(data, offset)
     check_count(n_pairs, data, offset, min_bytes=2)
     flat, offset = decode_uvarints(data, offset, 2 * n_pairs)
@@ -273,49 +311,4 @@ def read_header(fh: BinaryIO) -> TwppHeader:
         dcg_comp_len=dcg_comp_len,
         dcg_start=dcg_start,
         sections_base=sections_base,
-    )
-
-
-def extract_function(path: PathLike, name: str) -> FunctionCompact:
-    """Read one function's compacted record via the index.
-
-    This is the operation Table 4 (column C) and Table 5 time: parse
-    the header, seek, read one section.  The rest of the file is never
-    touched.
-    """
-    with open(path, "rb") as fh:
-        header = read_header(fh)
-        entry = header.entry(name)
-        fh.seek(header.sections_base + entry.offset)
-        data = fh.read(entry.length)
-    if len(data) != entry.length:
-        raise ValueError(f"truncated section for {name!r}")
-    return _parse_section(data, entry.name, entry.call_count)
-
-
-def read_twpp(path: PathLike) -> CompactedWpp:
-    """Load an entire ``.twpp`` file back into memory."""
-    with open(path, "rb") as fh:
-        header = read_header(fh)
-        fh.seek(header.dcg_start)
-        dcg_comp = fh.read(header.dcg_comp_len)
-        functions_by_original: Dict[int, FunctionCompact] = {}
-        for entry in header.entries:
-            fh.seek(header.sections_base + entry.offset)
-            data = fh.read(entry.length)
-            functions_by_original[entry.original_index] = _parse_section(
-                data, entry.name, entry.call_count
-            )
-
-    dcg_raw = lzw_decompress(dcg_comp)
-    if len(dcg_raw) != header.dcg_raw_len:
-        raise ValueError("DCG length mismatch after LZW decompression")
-    dcg = DynamicCallGraph.deserialize(dcg_raw)
-
-    n = len(header.entries)
-    functions = [functions_by_original[i] for i in range(n)]
-    return CompactedWpp(
-        func_names=[fc.name for fc in functions],
-        functions=functions,
-        dcg=dcg,
     )

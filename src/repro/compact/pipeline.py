@@ -170,7 +170,9 @@ class FunctionCompactor:
     Owns the function's body and dictionary intern tables, the tables of
     its :class:`FunctionCompact`, and the serialized size of each unique
     body (dictionary-compacted form), each DBB dictionary and each
-    TWPP-converted body.  Each :meth:`add` appends exactly one pair, so
+    TWPP-converted body -- the last two are the lengths of their
+    ``.twpp`` records (:func:`repro.compact.format.encode_body`,
+    :func:`~repro.compact.format.encode_dictionary`).  Each :meth:`add` appends exactly one pair, so
     the ``k``-th raw trace added becomes pair ``k`` and DCG trace
     references need no rewrite.  :func:`compact_function` feeds it a
     partition's trace list; the streaming tracer feeds it each trace as
@@ -192,6 +194,9 @@ class FunctionCompactor:
 
     def add(self, raw_trace: PathTrace) -> None:
         """Compact one unique raw trace into the next pair."""
+        # Deferred: the format module imports this one.
+        from .format import encode_body, encode_dictionary
+
         fc = self.function
         body, dictionary = compact_trace(raw_trace)
         body_id = self._bodies.get(body)
@@ -201,12 +206,12 @@ class FunctionCompactor:
             fc.trace_table.append(body)
             fc.twpp_table.append(twpp)
             self.body_sizes.append(_trace_bytes(body))
-            self.twpp_sizes.append(twpp_bytes(twpp))
+            self.twpp_sizes.append(len(encode_body(twpp)))
         dict_id = self._dicts.get(dictionary)
         if dict_id is None:
             dict_id = self._dicts[dictionary] = len(fc.dict_table)
             fc.dict_table.append(dictionary)
-            self.dict_sizes.append(dictionary_bytes(dictionary))
+            self.dict_sizes.append(len(encode_dictionary(dictionary)))
         fc.pairs.append((body_id, dict_id))
 
     def account(self, stats: CompactionStats) -> None:
@@ -303,21 +308,3 @@ def compact_wpp(
 def _trace_bytes(trace: PathTrace) -> int:
     return uvarint_size(len(trace)) + sum(uvarint_size(b) for b in trace)
 
-
-def dictionary_bytes(dictionary: DbbDictionary) -> int:
-    """Serialized size of one DBB dictionary."""
-    size = uvarint_size(len(dictionary.chains))
-    for chain in dictionary.chains:
-        size += uvarint_size(len(chain)) + sum(uvarint_size(b) for b in chain)
-    return size
-
-
-def twpp_bytes(twpp: TwppPathTrace) -> int:
-    """Serialized size of one compacted TWPP path trace."""
-    from ..trace.encoding import svarint_size
-
-    size = uvarint_size(len(twpp.entries))
-    for block, stream in twpp.entries:
-        size += uvarint_size(block) + uvarint_size(len(stream))
-        size += sum(svarint_size(v) for v in stream)
-    return size

@@ -3,11 +3,12 @@
 Three blob kinds cover everything a run's TWPP holds:
 
 * **body** (:data:`KIND_BODY`) -- one unique compacted path trace in
-  TWPP form, encoded exactly like its segment of a ``.twpp`` section
-  (:func:`repro.compact.format._serialize_section`'s per-body layout),
-  so identical bodies across runs serialize to identical bytes.
-* **dict** (:data:`KIND_DICT`) -- one DBB dictionary, again the
-  section's per-dictionary layout.
+  TWPP form: exactly one ``.twpp`` body record
+  (:func:`repro.compact.format.encode_body`), so identical bodies
+  across runs and sections serialize to identical bytes.
+* **dict** (:data:`KIND_DICT`) -- one DBB dictionary, likewise one
+  ``.twpp`` dictionary record
+  (:func:`repro.compact.format.encode_dictionary`).
 * **dcg chunk** (:data:`KIND_DCG`) -- a fixed-size slice of the DCG's
   raw ``(func, trace)`` varint stream, LZW-compressed.  The stream of
   a shorter run of the same program is a byte prefix of a longer
@@ -32,17 +33,9 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, List, Sequence, Tuple, Union
 
-from ..compact.dbb import DbbDictionary
+from ..compact.format import decode_body, decode_dictionary
 from ..compact.lzw import lzw_compress, lzw_decompress
-from ..compact.series import decode_entry_stream, encode_entry_stream
-from ..compact.twpp import TwppPathTrace
-from ..trace.encoding import (
-    check_count,
-    decode_uvarints,
-    encode_uvarints,
-    read_uvarint,
-    write_uvarint,
-)
+from ..trace.encoding import read_uvarint, write_uvarint
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -77,12 +70,9 @@ __all__ = [
     "PACK_MAGIC",
     "SHA_BYTES",
     "blob_sha",
-    "decode_body",
     "decode_dcg_chunk",
-    "decode_dictionary",
-    "encode_body",
+    "decode_record",
     "encode_dcg_chunk",
-    "encode_dictionary",
     "fsync_dir",
 ]
 
@@ -102,57 +92,20 @@ def blob_sha(kind: int, payload: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# codecs
+# blob payloads
 
 
-def encode_body(twpp: TwppPathTrace) -> bytes:
-    """One TWPP path trace, byte-identical to its ``.twpp`` section segment."""
-    buf = bytearray()
-    write_uvarint(buf, len(twpp.entries))
-    for block, stream in twpp.entries:
-        write_uvarint(buf, block)
-        write_uvarint(buf, len(stream))
-        buf += encode_entry_stream(stream)
-    return bytes(buf)
+def decode_record(kind: int, payload: bytes):
+    """A body or dictionary blob, decoded by the ``.twpp`` record codec.
 
-
-def decode_body(data: bytes) -> TwppPathTrace:
-    """Inverse of :func:`encode_body`; rejects trailing bytes."""
-    n_blocks, offset = read_uvarint(data, 0)
-    check_count(n_blocks, data, offset)
-    entries = []
-    for _ in range(n_blocks):
-        block, offset = read_uvarint(data, offset)
-        stream_len, offset = read_uvarint(data, offset)
-        stream, offset = decode_entry_stream(data, offset, stream_len)
-        entries.append((block, tuple(stream)))
-    if offset != len(data):
-        raise ValueError("body blob has trailing bytes")
-    return TwppPathTrace(entries=tuple(entries))
-
-
-def encode_dictionary(dictionary: DbbDictionary) -> bytes:
-    """One DBB dictionary, byte-identical to its ``.twpp`` section segment."""
-    buf = bytearray()
-    write_uvarint(buf, len(dictionary.chains))
-    for chain in dictionary.chains:
-        write_uvarint(buf, len(chain))
-        buf += encode_uvarints(chain)
-    return bytes(buf)
-
-
-def decode_dictionary(data: bytes) -> DbbDictionary:
-    """Inverse of :func:`encode_dictionary`; rejects trailing bytes."""
-    n_chains, offset = read_uvarint(data, 0)
-    check_count(n_chains, data, offset)
-    chains = []
-    for _ in range(n_chains):
-        chain_len, offset = read_uvarint(data, offset)
-        chain, offset = decode_uvarints(data, offset, chain_len)
-        chains.append(tuple(chain))
-    if offset != len(data):
-        raise ValueError("dictionary blob has trailing bytes")
-    return DbbDictionary(chains=tuple(chains))
+    A blob holds exactly one record, so bytes past its end are
+    corruption and raise :class:`ValueError`.
+    """
+    decode = decode_body if kind == KIND_BODY else decode_dictionary
+    record, end = decode(payload, 0)
+    if end != len(payload):
+        raise ValueError(f"{KIND_NAMES[kind]} blob has trailing bytes")
+    return record
 
 
 def encode_dcg_chunk(raw: bytes) -> bytes:

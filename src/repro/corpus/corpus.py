@@ -36,9 +36,8 @@ from .blobs import (
     KIND_NAMES,
     PACK_HEADER_BYTES,
     blob_sha,
-    decode_body,
     decode_dcg_chunk,
-    decode_dictionary,
+    decode_record,
     fsync_dir,
 )
 from .catalog import CorpusCatalog, CorpusRun
@@ -416,12 +415,14 @@ class TraceCorpus:
         self.metrics.inc("corpus.blob_reads")
         return payload
 
+    def _read_record(self, blob_id: int, kind: int):
+        """One body or dictionary blob, decoded."""
+        return decode_record(kind, self._read_blob(blob_id, kind))
+
     def _expand(self, body_id: int, dict_id: int) -> PathTrace:
         def load():
-            twpp = decode_body(self._read_blob(body_id, KIND_BODY))
-            dictionary = decode_dictionary(
-                self._read_blob(dict_id, KIND_DICT)
-            )
+            twpp = self._read_record(body_id, KIND_BODY)
+            dictionary = self._read_record(dict_id, KIND_DICT)
             trace = expand_trace(twpp_to_trace(twpp), dictionary)
             return trace, 64 + 32 * len(trace)
 
@@ -512,9 +513,9 @@ class TraceCorpus:
                 pair = (body, dictionary)
                 counts = per_pair.get(pair)
                 if counts is None:
-                    twpp = decode_body(self._read_blob(body, KIND_BODY))
-                    chain_map = decode_dictionary(
-                        self._read_blob(dictionary, KIND_DICT)
+                    twpp = self._read_record(body, KIND_BODY)
+                    chain_map = self._read_record(
+                        dictionary, KIND_DICT
                     ).as_map()
                     counts = {}
                     for block, stream in twpp.entries:

@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..compact.format import encode_body, encode_dictionary
 from ..trace.dcg import DynamicCallGraph
 from ..trace.encoding import (
     check_count,
@@ -38,9 +39,7 @@ from .blobs import (
     KIND_DCG,
     KIND_DICT,
     blob_sha,
-    encode_body,
     encode_dcg_chunk,
-    encode_dictionary,
     split_dcg_stream,
 )
 

@@ -31,7 +31,7 @@ widest value an in-range encoder emits (10 bytes, final byte ``<= 1``).
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 #: translate() table mapping continuation bytes (high bit set) to 1.
 _CONT_MARK = b"\x00" * 128 + b"\x01" * 128
@@ -277,44 +277,6 @@ def decode_svarints(data, offset: int, count: int) -> Tuple[List[int], int]:
     return [
         -((u + 1) >> 1) if u & 1 else u >> 1 for u in raw
     ], offset
-
-
-# ---------------------------------------------------------------------------
-# length-prefixed helpers
-
-
-def write_uvarint_list(buf: bytearray, values: Iterable[int]) -> None:
-    """Append a length-prefixed list of unsigned varints."""
-    try:
-        count = len(values)  # type: ignore[arg-type]
-    except TypeError:
-        values = list(values)
-        count = len(values)
-    write_uvarint(buf, count)
-    buf += encode_uvarints(values)  # type: ignore[arg-type]
-
-
-def read_uvarint_list(data, offset: int) -> Tuple[List[int], int]:
-    """Read a length-prefixed list of unsigned varints."""
-    count, offset = read_uvarint(data, offset)
-    return decode_uvarints(data, offset, count)
-
-
-def write_svarint_list(buf: bytearray, values: Iterable[int]) -> None:
-    """Append a length-prefixed list of signed varints."""
-    try:
-        count = len(values)  # type: ignore[arg-type]
-    except TypeError:
-        values = list(values)
-        count = len(values)
-    write_uvarint(buf, count)
-    buf += encode_svarints(values)  # type: ignore[arg-type]
-
-
-def read_svarint_list(data, offset: int) -> Tuple[List[int], int]:
-    """Read a length-prefixed list of signed varints."""
-    count, offset = read_uvarint(data, offset)
-    return decode_svarints(data, offset, count)
 
 
 def check_count(count: int, data, offset: int, min_bytes: int = 1) -> None:

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import warnings
+
 import pytest
 
 from repro.cli import main
@@ -78,6 +80,14 @@ class TestInfo:
         assert "compacted TWPP" in capsys.readouterr().out
         assert main(["info", str(sqwp)]) == 0
         assert "Sequitur-compressed" in capsys.readouterr().out
+
+    def test_closes_the_file_it_sniffs(self, pipeline_files, capsys):
+        for path in pipeline_files[1:]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["info", str(path)]) == 0
+            leaks = [w for w in caught if w.category is ResourceWarning]
+            assert not leaks, (path.name, [str(w.message) for w in leaks])
 
     def test_unknown_format(self, tmp_path, capsys):
         junk = tmp_path / "x.bin"

@@ -4,13 +4,16 @@ import pytest
 
 from repro.compact import (
     compact_wpp,
+    extract_function_record,
     read_header,
     read_twpp,
     serialize_twpp,
     write_twpp,
 )
+from repro.compact.format import decode_body, decode_dictionary
 from repro.trace import collect_wpp, partition_wpp, rebuild_parents, reconstruct_wpp
-from repro.workloads import figure1_program
+from repro.trace.encoding import read_uvarint
+from repro.workloads import WORKLOAD_NAMES, figure1_program, workload
 
 
 @pytest.fixture
@@ -42,12 +45,10 @@ class TestHeader:
 
     def test_entry_lookup(self, written):
         _p, _w, compacted, path, _size = written
-        with open(path, "rb") as fh:
-            header = read_header(fh)
         name = compacted.functions[0].name
-        assert header.entry(name).name == name
+        assert extract_function_record(path, name).name == name
         with pytest.raises(KeyError):
-            header.entry("ghost")
+            extract_function_record(path, "ghost")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.twpp"
@@ -95,3 +96,40 @@ class TestFullRoundTrip:
         fc = loaded.function("f")
         assert fc.trace_table == [(1, 2, 2, 2, 10)]
         assert len(fc.dict_table) == 2
+
+
+def _table_bytes(data, offset, decode):
+    """Bytes of one counted record table's records (not its count), and
+    the offset past it."""
+    count, offset = read_uvarint(data, offset)
+    start = offset
+    for _ in range(count):
+        _record, offset = decode(data, offset)
+    return offset - start, offset
+
+
+class TestTableAccounting:
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_stats_count_the_records_written(self, name, tmp_path):
+        """Table 2-3's CTWPP-trace and dictionary columns are the body
+        and dictionary bytes the ``.twpp`` actually holds."""
+        program, _spec = workload(name, scale=1.0)
+        compacted, stats = compact_wpp(partition_wpp(collect_wpp(program)))
+        path = tmp_path / "w.twpp"
+        write_twpp(compacted, path)
+        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            header = read_header(fh)
+        body_bytes = dict_bytes = 0
+        for entry in header.entries:
+            start = header.sections_base + entry.offset
+            section = data[start : start + entry.length]
+            size, offset = _table_bytes(section, 0, decode_body)
+            body_bytes += size
+            size, offset = _table_bytes(section, offset, decode_dictionary)
+            dict_bytes += size
+        assert body_bytes > 0 and dict_bytes > 0
+        assert (stats.ctwpp_trace_bytes, stats.dictionary_bytes) == (
+            body_bytes,
+            dict_bytes,
+        )

@@ -8,7 +8,6 @@ from repro.compact import (
     MmapSource,
     QueryEngine,
     compact_wpp,
-    extract_function,
     extract_function_record,
     extract_function_traces,
     write_twpp,
@@ -89,7 +88,7 @@ class TestColdQueries:
     def test_extract_function_module_level(self, files):
         _p, compacted, twpp_path, _w = files
         name = compacted.functions[0].name
-        fc = extract_function(twpp_path, name)
+        fc = extract_function_record(twpp_path, name)
         assert fc.trace_table == compacted.function(name).trace_table
 
 

@@ -3,12 +3,13 @@
 import pytest
 
 import repro
-from repro.compact.format import read_twpp, serialize_twpp
+from repro.compact.format import serialize_twpp
 from repro.compact.pipeline import (
     CompactionStats,
     compact_function,
     compact_wpp,
 )
+from repro.compact.query import read_twpp
 from repro.compact.stream import StreamResult, _StreamingTracer, stream_compact
 from repro.interp import FuelExhausted
 from repro.obs import MetricsRegistry

@@ -19,16 +19,14 @@ from repro.compact.dbb import DbbDictionary
 from repro.compact.series import compress_series, series_len
 from repro.compact.twpp import TwppPathTrace
 from repro.corpus import TraceCorpus, blob_sha
+from repro.compact.format import encode_body, encode_dictionary
 from repro.corpus.blobs import (
     KIND_BODY,
     KIND_DCG,
     KIND_DICT,
-    decode_body,
     decode_dcg_chunk,
-    decode_dictionary,
-    encode_body,
+    decode_record,
     encode_dcg_chunk,
-    encode_dictionary,
     split_dcg_stream,
 )
 from repro.corpus.manifest import (
@@ -82,12 +80,15 @@ class TestBlobCodecs:
     @SETTINGS
     @given(bodies)
     def test_body_round_trip(self, body):
-        assert decode_body(encode_body(body)) == body
+        assert decode_record(KIND_BODY, encode_body(body)) == body
 
     @SETTINGS
     @given(dictionaries)
     def test_dictionary_round_trip(self, dictionary):
-        assert decode_dictionary(encode_dictionary(dictionary)) == dictionary
+        assert (
+            decode_record(KIND_DICT, encode_dictionary(dictionary))
+            == dictionary
+        )
 
     @SETTINGS
     @given(st.binary(max_size=4096))
@@ -116,7 +117,7 @@ class TestBlobCodecs:
     @given(bodies)
     def test_body_rejects_trailing_bytes(self, body):
         with pytest.raises(ValueError):
-            decode_body(encode_body(body) + b"\x00")
+            decode_record(KIND_BODY, encode_body(body) + b"\x00")
 
 
 class TestContainerCodecs:

@@ -23,9 +23,8 @@ from repro.corpus.blobs import (
     KIND_DICT,
     PACK_HEADER_BYTES,
     BlobPack,
-    decode_body,
     decode_dcg_chunk,
-    decode_dictionary,
+    decode_record,
 )
 from repro.corpus.manifest import decode_manifest
 from repro.sequitur import decompress_wpp, write_compressed_wpp
@@ -78,8 +77,8 @@ def corpus_originals(tmp_path_factory):
 def _replay_pack(path) -> list:
     """Every record of a pack, each payload decoded by its kind."""
     decoders = {
-        KIND_BODY: lambda data: twpp_to_trace(decode_body(data)),
-        KIND_DICT: decode_dictionary,
+        KIND_BODY: lambda data: twpp_to_trace(decode_record(KIND_BODY, data)),
+        KIND_DICT: lambda data: decode_record(KIND_DICT, data),
     }
     with BlobPack(path) as pack:
         records = list(pack.iter_records())

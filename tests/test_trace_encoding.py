@@ -11,16 +11,12 @@ from repro.trace.encoding import (
     encode_uvarints,
     read_string,
     read_svarint,
-    read_svarint_list,
     read_uvarint,
-    read_uvarint_list,
     svarint_size,
     uvarint_size,
     write_string,
     write_svarint,
-    write_svarint_list,
     write_uvarint,
-    write_uvarint_list,
     zigzag_decode,
     zigzag_encode,
 )
@@ -88,20 +84,6 @@ class TestZigzag:
 
 
 class TestLists:
-    @given(st.lists(st.integers(0, 10**9)))
-    def test_uvarint_list_roundtrip(self, values):
-        buf = bytearray()
-        write_uvarint_list(buf, values)
-        decoded, offset = read_uvarint_list(buf, 0)
-        assert decoded == values and offset == len(buf)
-
-    @given(st.lists(st.integers(-(10**9), 10**9)))
-    def test_svarint_list_roundtrip(self, values):
-        buf = bytearray()
-        write_svarint_list(buf, values)
-        decoded, offset = read_svarint_list(buf, 0)
-        assert decoded == values and offset == len(buf)
-
     def test_sequential_decoding(self):
         buf = bytearray()
         write_uvarint(buf, 1)
