@@ -34,6 +34,7 @@ only it takes ``-j``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -850,19 +851,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit status when stdout's reader went away: what a shell reports for
+#: a process killed by SIGPIPE.
+EXIT_BROKEN_PIPE = 141
+
+
+class _StdoutClosed(Exception):
+    """stdout's reader went away (``repro-wpp info x | head``)."""
+
+
+class _GuardedStdout:
+    """``sys.stdout`` for the length of one command, telling a closed
+    stdout apart from a broken pipe anywhere else (say, a FIFO named by
+    ``--metrics-out``), which is reported as an error."""
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError as exc:
+            raise _StdoutClosed from exc
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError as exc:
+            raise _StdoutClosed from exc
+
+    def __getattr__(self, name: str):
+        return getattr(self._stream, name)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    stdout = sys.stdout
+    sys.stdout = _GuardedStdout(stdout)
     try:
-        return args.func(args)
-    except FileNotFoundError as exc:
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except _StdoutClosed:
+        # Point stdout at os.devnull so the flush at interpreter exit
+        # cannot raise again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except (BrokenPipeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":  # pragma: no cover

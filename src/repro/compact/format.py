@@ -35,17 +35,15 @@ from typing import BinaryIO, List, Optional, Tuple, Union
 
 from ..obs import MetricsRegistry
 from ..trace.encoding import (
-    check_count,
     decode_uvarints,
     encode_uvarints,
-    read_uvarint,
     write_string,
     write_uvarint,
 )
 from .dbb import DbbDictionary
 from .lzw import lzw_compress
 from .pipeline import CompactedWpp, FunctionCompact
-from .series import decode_entry_stream, encode_entry_stream
+from .series import encode_entry_stream
 from .twpp import TwppPathTrace, twpp_to_trace
 
 MAGIC = b"TWPP"
@@ -82,6 +80,8 @@ class TwppHeader:
 # the same records as blobs (:mod:`repro.corpus.blobs`), and
 # :class:`~repro.compact.pipeline.FunctionCompactor` counts their
 # encoded lengths for Tables 2-3, so all three agree by construction.
+# A section or blob is nothing but uvarints: :func:`record_ints` decodes
+# all of them at once, and the record decoders walk that int list.
 
 
 def encode_body(twpp: TwppPathTrace) -> bytes:
@@ -96,18 +96,27 @@ def encode_body(twpp: TwppPathTrace) -> bytes:
     return bytes(buf)
 
 
-def decode_body(data, offset: int) -> Tuple[TwppPathTrace, int]:
-    """Inverse of :func:`encode_body` at ``offset``; returns
-    ``(body, next_offset)``."""
-    n_blocks, offset = read_uvarint(data, offset)
-    check_count(n_blocks, data, offset)
+def decode_body(ints: List[int], index: int) -> Tuple[TwppPathTrace, int]:
+    """Inverse of :func:`encode_body` over a record's ints (see
+    :func:`record_ints`) at ``index``; returns ``(body, next_index)``."""
+    n_blocks, index = _read_count(ints, index, 2)
     entries = []
-    for _ in range(n_blocks):
-        block, offset = read_uvarint(data, offset)
-        stream_len, offset = read_uvarint(data, offset)
-        stream, offset = decode_entry_stream(data, offset, stream_len)
-        entries.append((block, tuple(stream)))
-    return TwppPathTrace(entries=tuple(entries)), offset
+    try:
+        for _ in range(n_blocks):
+            block = ints[index]
+            length = ints[index + 1]
+            start = index + 2
+            index = start + length
+            stream = tuple([
+                -((u + 1) >> 1) if u & 1 else u >> 1
+                for u in ints[start:index]
+            ])
+            entries.append((block, stream))
+    except IndexError:
+        raise ValueError("body record truncated") from None
+    if index > len(ints):
+        raise ValueError("body record runs past its last int")
+    return TwppPathTrace(entries=tuple(entries)), index
 
 
 def encode_dictionary(dictionary: DbbDictionary) -> bytes:
@@ -121,28 +130,61 @@ def encode_dictionary(dictionary: DbbDictionary) -> bytes:
     return bytes(buf)
 
 
-def decode_dictionary(data, offset: int) -> Tuple[DbbDictionary, int]:
-    """Inverse of :func:`encode_dictionary` at ``offset``; returns
-    ``(dictionary, next_offset)``."""
-    n_chains, offset = read_uvarint(data, offset)
-    check_count(n_chains, data, offset)
+def decode_dictionary(
+    ints: List[int], index: int
+) -> Tuple[DbbDictionary, int]:
+    """Inverse of :func:`encode_dictionary` over a record's ints at
+    ``index``; returns ``(dictionary, next_index)``."""
+    n_chains, index = _read_count(ints, index)
     chains = []
-    for _ in range(n_chains):
-        chain_len, offset = read_uvarint(data, offset)
-        chain, offset = decode_uvarints(data, offset, chain_len)
-        chains.append(tuple(chain))
-    return DbbDictionary(chains=tuple(chains)), offset
+    try:
+        for _ in range(n_chains):
+            start = index + 1
+            index = start + ints[index]
+            chains.append(tuple(ints[start:index]))
+    except IndexError:
+        raise ValueError("dictionary record truncated") from None
+    if index > len(ints):
+        raise ValueError("dictionary record runs past its last int")
+    return DbbDictionary(chains=tuple(chains)), index
 
 
-def _decode_table(data, offset: int, decode) -> Tuple[list, int]:
-    """A uvarint count, then that many records read by ``decode``."""
-    count, offset = read_uvarint(data, offset)
-    check_count(count, data, offset)
-    table = []
-    for _ in range(count):
-        record, offset = decode(data, offset)
-        table.append(record)
-    return table, offset
+#: Every byte that continues a varint; any other byte ends one.
+_CONTINUATION_BYTES = bytes(range(0x80, 0x100))
+
+
+def record_ints(data) -> List[int]:
+    """Every uvarint of a section or record blob, in one bulk decode.
+
+    A section (and a corpus record blob) is nothing but uvarints, so
+    their count is the number of bytes below ``0x80``.  A varint cut
+    off at the end, an overlong one, or one over 64 bits raises
+    :class:`ValueError`.
+    """
+    if not isinstance(data, (bytes, bytearray)):
+        data = bytes(data)  # one copy up front so bulk decode scans raw bytes
+    count = len(data.translate(None, _CONTINUATION_BYTES))
+    ints, end = decode_uvarints(data, 0, count)
+    if end != len(data):
+        raise ValueError("truncated varint")
+    return ints
+
+
+def _read_count(
+    ints: List[int], index: int, min_ints: int = 1
+) -> Tuple[int, int]:
+    """The count at ``ints[index]``, checked against the ints left after
+    it (each counted element takes at least ``min_ints``); returns
+    ``(count, index + 1)``."""
+    if index >= len(ints):
+        raise ValueError("record truncated before a count")
+    count = ints[index]
+    remaining = len(ints) - index - 1
+    if count * min_ints > remaining:
+        raise ValueError(
+            f"corrupt count {count}: only {remaining} int(s) remain"
+        )
+    return count, index + 1
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +210,20 @@ def _serialize_section(fc: FunctionCompact) -> bytes:
 
 
 def _parse_section(data, name: str, call_count: int) -> FunctionCompact:
-    if not isinstance(data, (bytes, bytearray)):
-        data = bytes(data)  # one copy up front so bulk decode scans raw bytes
+    ints = record_ints(data)
     fc = FunctionCompact(name=name, call_count=call_count)
-    fc.twpp_table, offset = _decode_table(data, 0, decode_body)
+    n_bodies, index = _read_count(ints, 0)
+    for _ in range(n_bodies):
+        body, index = decode_body(ints, index)
+        fc.twpp_table.append(body)
     fc.trace_table = [twpp_to_trace(twpp) for twpp in fc.twpp_table]
-    fc.dict_table, offset = _decode_table(data, offset, decode_dictionary)
-    n_pairs, offset = read_uvarint(data, offset)
-    check_count(n_pairs, data, offset, min_bytes=2)
-    flat, offset = decode_uvarints(data, offset, 2 * n_pairs)
+    n_dicts, index = _read_count(ints, index)
+    for _ in range(n_dicts):
+        dictionary, index = decode_dictionary(ints, index)
+        fc.dict_table.append(dictionary)
+    n_pairs, index = _read_count(ints, index, 2)
+    flat = ints[index : index + 2 * n_pairs]
+    index += 2 * n_pairs
     if n_pairs and (
         max(flat[0::2]) >= len(fc.trace_table)
         or max(flat[1::2]) >= len(fc.dict_table)
@@ -185,7 +232,7 @@ def _parse_section(data, name: str, call_count: int) -> FunctionCompact:
             f"section for {name!r} pairs an unknown body or dictionary"
         )
     fc.pairs.extend(zip(flat[0::2], flat[1::2]))
-    if offset != len(data):
+    if index != len(ints):
         raise ValueError(f"section for {name!r} has trailing bytes")
     return fc
 

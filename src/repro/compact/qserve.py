@@ -285,7 +285,10 @@ def _record_cost(entry: FunctionIndexEntry) -> int:
 
     Varint-packed sections expand into Python ints and tuples; ~48x the
     serialized size plus a fixed object overhead tracks measured sizes
-    closely enough for budget accounting.
+    closely enough for budget accounting.  The decode's transient int
+    list (:func:`~repro.compact.format.record_ints`) is not counted: it
+    holds at most one int per section byte and is dropped when the
+    decode returns.
     """
     return 48 * entry.length + 256
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence, Tuple
 
-from ..trace.encoding import check_count, decode_svarints, encode_svarints
+from ..trace.encoding import encode_svarints
 
 #: An entry in decoded form: (lo, hi, step).  Singletons have lo == hi.
 Entry = Tuple[int, int, int]
@@ -36,19 +36,6 @@ def encode_entry_stream(stream: Sequence[int]) -> bytes:
     :func:`repro.trace.encoding.write_svarint`.
     """
     return encode_svarints(stream)
-
-
-def decode_entry_stream(
-    data, offset: int, count: int
-) -> Tuple[List[int], int]:
-    """Read ``count`` signed entry-stream values from ``data``.
-
-    Bulk counterpart of repeated
-    :func:`repro.trace.encoding.read_svarint` calls; returns
-    ``(values, next_offset)``.
-    """
-    check_count(count, data, offset)
-    return decode_svarints(data, offset, count)
 
 
 def compress_series(timestamps: Sequence[int]) -> List[int]:
@@ -91,29 +78,35 @@ def compress_series(timestamps: Sequence[int]) -> List[int]:
 
 def iter_entries(stream: Sequence[int]) -> Iterator[Entry]:
     """Yield (lo, hi, step) entries from a signed entry stream."""
-    pending: List[int] = []
-    for value in stream:
-        pending.append(value)
-        if value >= 0:
-            if len(pending) > 2:
-                raise ValueError("entry longer than 3 integers")
+    size = len(stream)
+    i = 0
+    while i < size:
+        lo = stream[i]
+        if lo < 0:
+            yield (-lo, -lo, 1)
+            i += 1
             continue
-        if len(pending) == 1:
-            yield (-value, -value, 1)
-        elif len(pending) == 2:
-            lo, hi = pending[0], -value
+        if i + 1 == size:
+            break
+        hi = stream[i + 1]
+        if hi < 0:
+            hi = -hi
             if hi <= lo:
                 raise ValueError(f"series {lo}:{hi} is not increasing")
             yield (lo, hi, 1)
-        else:
-            lo, hi, step = pending[0], pending[1], -value
-            if step <= 0:
-                raise ValueError(f"series step {step} must be positive")
-            if hi <= lo or (hi - lo) % step:
-                raise ValueError(f"malformed series {lo}:{hi}:{step}")
-            yield (lo, hi, step)
-        pending = []
-    if pending:
+            i += 2
+            continue
+        if i + 2 == size:
+            break
+        step = stream[i + 2]
+        if step >= 0:
+            raise ValueError("entry longer than 3 integers")
+        step = -step
+        if hi <= lo or (hi - lo) % step:
+            raise ValueError(f"malformed series {lo}:{hi}:{step}")
+        yield (lo, hi, step)
+        i += 3
+    if i < size:
         raise ValueError("entry stream ends mid-entry (no negative close)")
 
 

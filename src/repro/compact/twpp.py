@@ -24,6 +24,7 @@ from .series import (
     compress_series,
     decompress_series,
     entry_count,
+    iter_entries,
     series_len,
 )
 
@@ -98,18 +99,32 @@ MAX_TRACE_LENGTH = 1 << 27
 
 
 def twpp_to_trace(twpp: TwppPathTrace) -> PathTrace:
-    """Invert TWPP form back to the positional path trace."""
-    total = twpp.length()
+    """Invert TWPP form back to the positional path trace.
+
+    Each stream's entries are read and checked once, then each entry
+    fills its positions with one slice assignment.  The entries claim
+    exactly ``total`` positions between them, so a trace with every
+    position filled assigned none twice: a position left unfilled is
+    a gap, which a position assigned twice always leaves behind.
+    """
+    spans = []
+    total = 0
+    for block, stream in twpp.entries:
+        for lo, hi, step in iter_entries(stream):
+            count = (hi - lo) // step + 1
+            spans.append((block, lo, hi, step, count))
+            total += count
     if total > MAX_TRACE_LENGTH:
         raise ValueError(f"TWPP trace length {total} exceeds sanity bound")
     out: List[int] = [0] * total
-    for block, stream in twpp.entries:
-        for t in decompress_series(stream):
-            if not 1 <= t <= total:
-                raise ValueError(f"timestamp {t} out of range 1..{total}")
-            if out[t - 1]:
-                raise ValueError(f"timestamp {t} assigned twice")
-            out[t - 1] = block
-    if any(v == 0 for v in out):
-        raise ValueError("TWPP trace has timestamp gaps")
+    for block, lo, hi, step, count in spans:
+        if lo < 1 or hi > total:
+            bad = lo if lo < 1 else hi
+            raise ValueError(f"timestamp {bad} out of range 1..{total}")
+        out[lo - 1 : hi : step] = [block] * count
+    if 0 in out:
+        raise ValueError(
+            f"timestamp {out.index(0) + 1} never assigned: the trace has"
+            " a gap, or assigns another timestamp twice"
+        )
     return tuple(out)

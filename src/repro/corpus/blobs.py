@@ -33,7 +33,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, List, Sequence, Tuple, Union
 
-from ..compact.format import decode_body, decode_dictionary
+from ..compact.format import decode_body, decode_dictionary, record_ints
 from ..compact.lzw import lzw_compress, lzw_decompress
 from ..trace.encoding import read_uvarint, write_uvarint
 
@@ -102,8 +102,9 @@ def decode_record(kind: int, payload: bytes):
     corruption and raise :class:`ValueError`.
     """
     decode = decode_body if kind == KIND_BODY else decode_dictionary
-    record, end = decode(payload, 0)
-    if end != len(payload):
+    ints = record_ints(payload)
+    record, end = decode(ints, 0)
+    if end != len(ints):
         raise ValueError(f"{KIND_NAMES[kind]} blob has trailing bytes")
     return record
 

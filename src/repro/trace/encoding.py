@@ -12,7 +12,7 @@ Two codec tiers live here:
   variants) encode one value at a time and remain the reference
   implementation;
 * the bulk functions (``encode_uvarints``/``decode_uvarints`` and
-  signed variants) process whole sequences.  Trace ingestion and the
+  ``encode_svarints``) process whole sequences.  Trace ingestion and the
   ``.twpp`` decode hot path are dominated by *runs of small values*
   (block ids, interleaved DCG pairs, zigzagged series deltas), so the
   bulk codecs special-case the single-byte (ASCII-range) case: encoding
@@ -268,15 +268,6 @@ def encode_svarints(values: Sequence[int]) -> bytes:
     return encode_uvarints(
         [(v << 1) if v >= 0 else ((-v) << 1) - 1 for v in values]
     )
-
-
-def decode_svarints(data, offset: int, count: int) -> Tuple[List[int], int]:
-    """Decode ``count`` signed (zigzag) varints; bulk counterpart of
-    :func:`read_svarint`."""
-    raw, offset = decode_uvarints(data, offset, count)
-    return [
-        -((u + 1) >> 1) if u & 1 else u >> 1 for u in raw
-    ], offset
 
 
 def check_count(count: int, data, offset: int, min_bytes: int = 1) -> None:

@@ -1,10 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_BROKEN_PIPE, main
 
 
 @pytest.fixture
@@ -88,6 +92,45 @@ class TestInfo:
                 assert main(["info", str(path)]) == 0
             leaks = [w for w in caught if w.category is ResourceWarning]
             assert not leaks, (path.name, [str(w.message) for w in leaks])
+
+    @pytest.mark.parametrize("cmd", ["info", "query"])
+    def test_reader_closing_the_pipe_is_quiet(self, pipeline_files, cmd):
+        """``repro-wpp info x.twpp | head -c 1``: once the reader has
+        gone, the CLI exits with its broken-pipe status, no traceback."""
+        twpp = str(pipeline_files[2])
+        argv = [sys.executable, "-m", "repro", cmd, twpp]
+        if cmd == "query":
+            argv.append("main")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        proc.stdout.close()  # the reader is gone before the CLI writes
+        _out, err = proc.communicate(timeout=60)
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+        assert proc.returncode == EXIT_BROKEN_PIPE
+
+    def test_broken_pipe_off_stdout_is_an_error(
+        self, pipeline_files, tmp_path, monkeypatch, capsys
+    ):
+        """A broken pipe other than stdout (a ``--metrics-out`` FIFO whose
+        reader left) is reported, not taken for a closed stdout."""
+        from repro.obs import MetricsRegistry
+
+        def broken(self, path):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(MetricsRegistry, "write_json", broken)
+        _ir, wpp, _twpp, _sqwp = pipeline_files
+        rc = main([
+            "stats", str(wpp), "--metrics-out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_format(self, tmp_path, capsys):
         junk = tmp_path / "x.bin"

@@ -1,6 +1,10 @@
 """Unit tests for the indexed .twpp on-disk format."""
 
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compact import (
     compact_wpp,
@@ -10,9 +14,22 @@ from repro.compact import (
     serialize_twpp,
     write_twpp,
 )
-from repro.compact.format import decode_body, decode_dictionary
+from repro.compact import format as format_module
+from repro.compact.format import (
+    _parse_section,
+    _serialize_section,
+    decode_body,
+    decode_dictionary,
+    encode_body,
+    encode_dictionary,
+    record_ints,
+)
+from repro.compact.pipeline import FunctionCompactor
+from repro.compact.qserve import QueryEngine
+from repro.compact.twpp import TwppPathTrace
+from repro.corpus.blobs import KIND_BODY, KIND_DICT, decode_record
 from repro.trace import collect_wpp, partition_wpp, rebuild_parents, reconstruct_wpp
-from repro.trace.encoding import read_uvarint
+from repro.trace.encoding import decode_uvarints
 from repro.workloads import WORKLOAD_NAMES, figure1_program, workload
 
 
@@ -98,38 +115,121 @@ class TestFullRoundTrip:
         assert len(fc.dict_table) == 2
 
 
-def _table_bytes(data, offset, decode):
+def _table_bytes(section, index, decode):
     """Bytes of one counted record table's records (not its count), and
-    the offset past it."""
-    count, offset = read_uvarint(data, offset)
-    start = offset
+    the int index past it.  Every section byte below 0x80 ends one
+    uvarint, so int ``k`` ends just after the ``k``-th such byte."""
+    ends = [pos + 1 for pos, byte in enumerate(section) if byte < 0x80]
+    ints = record_ints(section)
+    count, index = ints[index], index + 1
+    start = index
     for _ in range(count):
-        _record, offset = decode(data, offset)
-    return offset - start, offset
+        _record, index = decode(ints, index)
+    return ends[index - 1] - ends[start - 1], index
+
+
+@pytest.fixture(scope="module", params=WORKLOAD_NAMES)
+def scale1_twpp(request):
+    """One scale-1 workload compacted in memory, and its ``.twpp``
+    bytes split into ``(header entry, section bytes)``."""
+    program, _spec = workload(request.param, scale=1.0)
+    compacted, stats = compact_wpp(partition_wpp(collect_wpp(program)))
+    data = serialize_twpp(compacted)
+    header = read_header(io.BytesIO(data))
+    sections = []
+    for entry in header.entries:
+        start = header.sections_base + entry.offset
+        sections.append((entry, data[start : start + entry.length]))
+    return compacted, stats, sections
+
+
+def _tables(fc):
+    return fc.trace_table, fc.twpp_table, fc.dict_table, fc.pairs
 
 
 class TestTableAccounting:
-    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-    def test_stats_count_the_records_written(self, name, tmp_path):
+    def test_stats_count_the_records_written(self, scale1_twpp):
         """Table 2-3's CTWPP-trace and dictionary columns are the body
         and dictionary bytes the ``.twpp`` actually holds."""
-        program, _spec = workload(name, scale=1.0)
-        compacted, stats = compact_wpp(partition_wpp(collect_wpp(program)))
-        path = tmp_path / "w.twpp"
-        write_twpp(compacted, path)
-        data = path.read_bytes()
-        with open(path, "rb") as fh:
-            header = read_header(fh)
+        _compacted, stats, sections = scale1_twpp
         body_bytes = dict_bytes = 0
-        for entry in header.entries:
-            start = header.sections_base + entry.offset
-            section = data[start : start + entry.length]
-            size, offset = _table_bytes(section, 0, decode_body)
+        for _entry, section in sections:
+            size, index = _table_bytes(section, 0, decode_body)
             body_bytes += size
-            size, offset = _table_bytes(section, offset, decode_dictionary)
+            size, index = _table_bytes(section, index, decode_dictionary)
             dict_bytes += size
         assert body_bytes > 0 and dict_bytes > 0
         assert (stats.ctwpp_trace_bytes, stats.dictionary_bytes) == (
             body_bytes,
             dict_bytes,
         )
+
+
+class TestSectionDecode:
+    def test_every_section_decodes_to_the_compacted_records(
+        self, scale1_twpp
+    ):
+        compacted, _stats, sections = scale1_twpp
+        assert len(sections) == len(compacted.functions)
+        for entry, section in sections:
+            back = _parse_section(section, entry.name, entry.call_count)
+            assert _tables(back) == _tables(compacted.function(entry.name))
+
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 12), max_size=60).map(tuple),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_section_roundtrip_property(self, traces):
+        compactor = FunctionCompactor("f", call_count=len(traces))
+        for trace in dict.fromkeys(traces):
+            compactor.add(trace)
+        fc = compactor.function
+        back = _parse_section(_serialize_section(fc), "f", fc.call_count)
+        assert _tables(back) == _tables(fc)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**64 - 1),
+                st.lists(
+                    st.integers(-(2**63), 2**63 - 1), max_size=8
+                ).map(tuple),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_body_record_roundtrip_64_bit_values(self, entries):
+        """Block ids and signed stream values across the whole 64-bit
+        range survive the bulk decode and the zigzag walk."""
+        body = TwppPathTrace(entries=tuple(entries))
+        ints = record_ints(encode_body(body))
+        assert decode_body(ints, 0) == (body, len(ints))
+
+    def test_one_bulk_varint_decode_per_section(self, written, monkeypatch):
+        """The whole section becomes ints in one call; the records are
+        then walked by index, never re-read from bytes."""
+        _p, _w, compacted, path, _size = written
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return decode_uvarints(*args)
+
+        monkeypatch.setattr(format_module, "decode_uvarints", counting)
+        with QueryEngine(path, cache_bytes=0) as engine:
+            for fc in compacted.functions:
+                calls.clear()
+                engine.extract(fc.name)
+                assert len(calls) == 1, (fc.name, calls)
+        for kind, payload in (
+            (KIND_BODY, encode_body(compacted.functions[0].twpp_table[0])),
+            (KIND_DICT, encode_dictionary(compacted.functions[0].dict_table[0])),
+        ):
+            calls.clear()
+            decode_record(kind, payload)
+            assert len(calls) == 1, (kind, calls)

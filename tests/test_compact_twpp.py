@@ -66,6 +66,21 @@ class TestInversion:
         with pytest.raises(ValueError, match="out of range"):
             twpp_to_trace(bad)
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((1, (0, -2)),), "out of range"),  # a series from timestamp 0
+            (((1, (1, -2)), (2, (-5,))), "out of range"),
+            # 1 and 3 by block 1, 3 again by block 2: position 2 is left
+            (((1, (1, 3, -2)), (2, (-3,))), "twice"),
+            (((0, (-1,)),), "gap"),  # block 0 marks an unfilled position
+            (((1, (1, 1 << 40, -1)),), "sanity bound"),  # before allocating
+        ],
+    )
+    def test_malformed_traces_raise_value_error(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            twpp_to_trace(TwppPathTrace(entries=entries))
+
 
 class TestProperties:
     @given(

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.trace.encoding import (
-    decode_svarints,
     decode_uvarints,
     encode_svarints,
     encode_uvarints,
@@ -179,12 +178,6 @@ class TestBulkCodecs:
     @given(st.lists(_svals, max_size=300))
     def test_encode_svarints_matches_scalar(self, values):
         assert encode_svarints(values) == _scalar_svarint_bytes(values)
-
-    @given(st.lists(_svals, max_size=300))
-    def test_decode_svarints_roundtrip(self, values):
-        data = _scalar_svarint_bytes(values)
-        decoded, offset = decode_svarints(data, 0, len(values))
-        assert list(decoded) == values and offset == len(data)
 
     def test_decode_accepts_memoryview(self):
         values = [5, 300, 2**40, 0, 127, 128]
