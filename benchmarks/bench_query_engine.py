@@ -7,7 +7,7 @@ Three measurements over the largest generated workload:
   dies between requests pays;
 * **warm** — the same query served by a long-lived
   :class:`~repro.compact.qserve.QueryEngine` whose byte-budgeted LRU
-  already holds the decoded record;
+  already holds the function's expanded traces;
 * **batch** — :meth:`~repro.compact.qserve.QueryEngine.traces_many`
   over every function, cold on a fresh engine and then warm on the same
   one, checked identical to one-at-a-time queries.

@@ -22,7 +22,10 @@ hot functions dominating a long tail.  Measurements:
   ``http_qps`` the schema ``/2`` gate holds at >= 10x the open/close
   baseline.
 * **eviction sweep** — the store replayed under shrinking session cache
-  budgets, recording hit rate and cache entry evictions per budget.
+  budgets, recording hit rate and cache entry evictions per budget,
+  through ``store.query_json`` (the JSON fragments ``GET /query``
+  serves) and through ``store.query`` (trace tuples, the in-process
+  path), each verb's budgets scaled from its own working set.
 
 Plus a coalescing check (T barrier-released threads requesting one
 cold key, its decode slowed so they overlap, must cost exactly one
@@ -61,7 +64,7 @@ from pathlib import Path
 
 from repro.api import Session
 from repro.bench.workbench import bench_scale
-from repro.compact.qserve import QueryEngine
+from repro.compact.qserve import DEFAULT_CACHE_BYTES, QueryEngine
 from repro.ir.printer import format_program
 from repro.store import (
     AnalyzeRequest,
@@ -375,28 +378,45 @@ def check_coalescing(root, hot_key, n_threads=8):
     return doc
 
 
-def eviction_sweep(root, schedule, budgets):
-    """Replay the schedule under shrinking session cache budgets."""
+def _replay(root, schedule, verb, budget):
+    """Replay the schedule through one store verb under one session
+    cache budget; returns the cache stats and per-request latencies."""
+    session = Session(cache_bytes=budget)
+    store = session.store(root)
+    serve = getattr(store, verb)
+    latencies = []
+    for trace, fn in schedule:
+        t0 = time.perf_counter()
+        serve(QueryRequest(trace=trace, functions=(fn,)))
+        latencies.append((time.perf_counter() - t0) * 1000.0)
+    cache = store.cache_stats()
+    store.close()
+    session.close()
+    return cache, latencies
+
+
+def eviction_sweep(root, schedule):
+    """Replay the schedule under shrinking session cache budgets, once
+    through each store verb that caches a different form: ``query_json``
+    (the wire path) and ``query`` (tuples).  Each verb's budgets are 2x,
+    0.5x and a fixed 4 KiB of the bytes its own forms take when the
+    whole schedule fits (``working_set_bytes``)."""
     sweep = []
-    for budget in budgets:
-        session = Session(cache_bytes=budget)
-        store = session.store(root)
-        latencies = []
-        for trace, fn in schedule:
-            t0 = time.perf_counter()
-            store.query(QueryRequest(trace=trace, functions=(fn,)))
-            latencies.append((time.perf_counter() - t0) * 1000.0)
-        cache = store.cache_stats()
-        sweep.append(
-            {
-                "budget_bytes": budget,
-                "hit_rate": round(cache["hit_rate"], 4),
-                "evictions": cache["evictions"],
-                "p50_ms": round(_percentile(latencies, 0.5), 4),
-            }
-        )
-        store.close()
-        session.close()
+    for verb in ("query_json", "query"):
+        cache, _ = _replay(root, schedule, verb, DEFAULT_CACHE_BYTES)
+        needed = max(cache["bytes"], 1)
+        for budget in (needed * 2, max(needed // 2, 1024), 4096):
+            cache, latencies = _replay(root, schedule, verb, budget)
+            sweep.append(
+                {
+                    "verb": verb,
+                    "working_set_bytes": needed,
+                    "budget_bytes": budget,
+                    "hit_rate": round(cache["hit_rate"], 4),
+                    "evictions": cache["evictions"],
+                    "p50_ms": round(_percentile(latencies, 0.5), 4),
+                }
+            )
     return sweep
 
 
@@ -478,17 +498,12 @@ def run_bench(scale=1.0, smoke=False, out_dir=None, clients=8, requests=400):
     }
     server.stop()
 
-    bytes_needed = max(cache["bytes"], 1)
     rows = store.traces()["traces"]
     store.close()
     session.close()
 
     coalesce = check_coalescing(root, schedule[0])
-    sweep = eviction_sweep(
-        root,
-        schedule,
-        budgets=[bytes_needed * 2, max(bytes_needed // 2, 1024), 4096],
-    )
+    sweep = eviction_sweep(root, schedule)
 
     cold_p50 = statistics.median(cold for cold, _ in repeat_p50s)
     store_p50 = statistics.median(warm for _, warm in repeat_p50s)

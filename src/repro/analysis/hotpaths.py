@@ -150,8 +150,10 @@ def path_profile_compacted(
     """Recover the path profile straight from a ``.twpp`` file.
 
     ``source`` is a ``.twpp`` path or an already-open
-    :class:`~repro.compact.qserve.QueryEngine` (reused warm, not
-    closed).  The DCG supplies per-pair activation weights; each
+    :class:`~repro.compact.qserve.QueryEngine` (used and left open; its
+    DCG is decoded once per engine, but every call decodes each
+    section again, since :meth:`~repro.compact.qserve.QueryEngine.extract`
+    caches nothing).  The DCG supplies per-pair activation weights; each
     function's sections are then pulled through the engine, decomposed
     into acyclic subpaths, and merged in function index order.
     Produces exactly the same profile as :func:`path_profile` over the

@@ -685,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_count, default=10,
                    help="max traces to print per function (0 = all)")
     p.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
-                   help="decoded-record LRU cache budget in bytes for "
+                   help="query LRU cache budget in bytes for "
                         ".twpp serving (0 disables caching; default 64 MiB)")
     p.set_defaults(func=_cmd_query)
 

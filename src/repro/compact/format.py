@@ -35,8 +35,11 @@ from typing import BinaryIO, List, Optional, Tuple, Union
 
 from ..obs import MetricsRegistry
 from ..trace.encoding import (
+    TruncatedInput,
     decode_uvarints,
     encode_uvarints,
+    read_string,
+    read_uvarint,
     write_string,
     write_uvarint,
 )
@@ -307,55 +310,57 @@ def write_twpp(
 # deserialization
 
 
-def _read_uvarint_stream(fh: BinaryIO) -> int:
-    result = 0
-    shift = 0
-    while True:
-        raw = fh.read(1)
-        if not raw:
-            raise ValueError("truncated varint in .twpp header")
-        byte = raw[0]
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result
-        shift += 7
-        if shift > 63:
-            raise ValueError("varint too long")
-
-
-def _read_string_stream(fh: BinaryIO) -> str:
-    length = _read_uvarint_stream(fh)
-    raw = fh.read(length)
-    if len(raw) != length:
-        raise ValueError("truncated string in .twpp header")
-    return raw.decode("utf-8")
+#: How much of a file :func:`read_header` reads first; a header that
+#: does not fit is read on in doubling steps.
+_HEADER_READ = 1 << 16
 
 
 def read_header(fh: BinaryIO) -> TwppHeader:
-    """Parse the header of an open ``.twpp`` file (positioned at 0)."""
-    if fh.read(4) != MAGIC:
+    """Parse the header of an open binary ``.twpp`` file (positioned at
+    0): one chunk is read, and more only while the header runs past the
+    bytes read so far.  Every fault raises :class:`ValueError`; one that
+    more bytes cannot mend (a wrong magic, an overlong varint, a name
+    that is not UTF-8, indices that are not a permutation) raises at
+    once, without reading on."""
+    data = fh.read(_HEADER_READ)
+    while True:
+        try:
+            return _parse_header(data)
+        except TruncatedInput:
+            more = fh.read(len(data))
+            if not more:
+                raise
+            data += more
+
+
+def _parse_header(data) -> TwppHeader:
+    """Parse a ``.twpp`` header from the file's leading bytes (``bytes``
+    or the file's mapping) in one walk.  Raises
+    :class:`~repro.trace.encoding.TruncatedInput` when the bytes end
+    inside the header.  Entries are built one at a time, so a corrupt
+    function count runs out of bytes before it can allocate more than
+    the input holds."""
+    if bytes(data[:4]) != MAGIC:
         raise ValueError("not a .twpp file")
-    n_funcs = _read_uvarint_stream(fh)
+    n_funcs, pos = read_uvarint(data, 4)
     entries: List[FunctionIndexEntry] = []
     for _ in range(n_funcs):
-        name = _read_string_stream(fh)
-        call_count = _read_uvarint_stream(fh)
-        original_index = _read_uvarint_stream(fh)
-        offset = _read_uvarint_stream(fh)
-        length = _read_uvarint_stream(fh)
+        name, pos = read_string(data, pos)
+        call_count, pos = read_uvarint(data, pos)
+        original_index, pos = read_uvarint(data, pos)
+        offset, pos = read_uvarint(data, pos)
+        length, pos = read_uvarint(data, pos)
         entries.append(
             FunctionIndexEntry(name, call_count, original_index, offset, length)
         )
     if sorted(e.original_index for e in entries) != list(range(n_funcs)):
         raise ValueError("original function indices are not 0..n-1")
-    dcg_raw_len = _read_uvarint_stream(fh)
-    dcg_comp_len = _read_uvarint_stream(fh)
-    dcg_start = fh.tell()
-    sections_base = dcg_start + dcg_comp_len
+    dcg_raw_len, pos = read_uvarint(data, pos)
+    dcg_comp_len, dcg_start = read_uvarint(data, pos)
     return TwppHeader(
         entries=entries,
         dcg_raw_len=dcg_raw_len,
         dcg_comp_len=dcg_comp_len,
         dcg_start=dcg_start,
-        sections_base=sections_base,
+        sections_base=dcg_start + dcg_comp_len,
     )

@@ -11,16 +11,17 @@ Three layers:
   unmappable file, or a corrupt header, raises :class:`ValueError`
   with the file handle already closed.
 * **:class:`LruByteCache`** — a byte-budgeted, thread-safe LRU keyed by
-  ``(owner, kind, function)`` holding decoded :class:`FunctionCompact`
-  records, expanded path-trace lists (in-process queries) and
-  canonical-JSON trace fragments (wire queries).  One cache can serve
+  ``(owner, kind, function)`` holding what queries return: expanded
+  path-trace lists (in-process queries) and canonical-JSON trace
+  fragments (wire queries).  One cache can serve
   many owners under one budget (a :class:`~repro.api.Session` shares
   one across its engines and corpora), and concurrent misses on one key
   load it once (:meth:`LruByteCache.get_or_load`).  Hit, miss,
   eviction and coalesced-wait counters feed the session's
   :class:`~repro.obs.MetricsRegistry` under ``qserve.cache.*``.
 * **:class:`QueryEngine`** — the façade: cached single-function
-  ``extract``/``traces``/``traces_json``, batch ``traces_many``, and a
+  ``traces``/``traces_json``, an uncached ``extract`` of the decoded
+  record, batch ``traces_many``, and a
   lazily decoded DCG for whole-run analyses
   (:func:`repro.analysis.hotpaths.path_profile_compacted`).  A section
   that fails to decode raises :class:`CorruptSection`, naming the
@@ -47,14 +48,19 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..obs import MetricsRegistry
 from ..trace.dcg import DynamicCallGraph
-from .format import FunctionIndexEntry, TwppHeader, _parse_section, read_header
+from .format import (
+    FunctionIndexEntry,
+    TwppHeader,
+    _parse_header,
+    _parse_section,
+)
 from .lzw import lzw_decompress
 from .pipeline import FunctionCompact
 
 PathLike = Union[str, "os.PathLike[str]"]
 PathTrace = Tuple[int, ...]
 
-#: Default decoded-record cache budget: ~64 MiB.
+#: Default query cache budget: ~64 MiB.
 DEFAULT_CACHE_BYTES = 64 << 20
 
 __all__ = [
@@ -89,7 +95,7 @@ class MmapSource:
                     f"cannot map {os.fspath(path)!r}: {exc}"
                 ) from None
         try:
-            self.header: TwppHeader = read_header(mm)
+            self.header: TwppHeader = _parse_header(mm)
         except Exception:
             mm.close()
             raise
@@ -191,6 +197,8 @@ class LruByteCache:
             if waiter:
                 self.coalesced += 1
                 self._inc("coalesced")
+                if pending.done is None:  # the first waiter brings the event
+                    pending.done = threading.Event()
             else:
                 pending = self._loading[key] = _Load()
                 self.misses += 1
@@ -201,16 +209,22 @@ class LruByteCache:
             value, cost = load()
         except BaseException as exc:
             pending.error = exc
-            with self._lock:
-                del self._loading[key]
-            pending.done.set()
+            self._finish(key, pending, 0)
             raise
         pending.value = value
+        self._finish(key, pending, cost)
+        return value
+
+    def _finish(self, key, pending: "_Load", cost: int) -> None:
+        """End ``key``'s load: cache its value unless it failed, then
+        wake the waiters, if any came."""
         with self._lock:
             del self._loading[key]
-            self._put(key, value, cost)
-        pending.done.set()
-        return value
+            if pending.error is None:
+                self._put(key, pending.value, cost)
+            done = pending.done
+        if done is not None:
+            done.set()
 
     def _put(self, key, value, cost: int) -> None:  # caller holds the lock
         # The key is absent: only its one loader reaches here.
@@ -264,12 +278,18 @@ _CACHE_METRICS = {
 
 class _Load:
     """One :meth:`LruByteCache.get_or_load` in progress: waiters block
-    until the loader publishes its value or its exception."""
+    until the loader publishes its value or its exception.
+
+    ``done`` stays ``None`` until a second caller finds the load in
+    progress; that caller creates the event under the cache lock, and
+    the loader reads it under the same lock once the key is out of the
+    loading table, so an uncontended miss never builds one.
+    """
 
     __slots__ = ("done", "value", "error")
 
     def __init__(self) -> None:
-        self.done = threading.Event()
+        self.done: Optional[threading.Event] = None
         self.value = None
         self.error: Optional[BaseException] = None
 
@@ -278,19 +298,6 @@ class _Load:
         if self.error is not None:
             raise self.error
         return self.value
-
-
-def _record_cost(entry: FunctionIndexEntry) -> int:
-    """Estimated in-memory bytes of one decoded FunctionCompact.
-
-    Varint-packed sections expand into Python ints and tuples; ~48x the
-    serialized size plus a fixed object overhead tracks measured sizes
-    closely enough for budget accounting.  The decode's transient int
-    list (:func:`~repro.compact.format.record_ints`) is not counted: it
-    holds at most one int per section byte and is dropped when the
-    decode returns.
-    """
-    return 48 * entry.length + 256
 
 
 def _traces_cost(traces: List[PathTrace]) -> int:
@@ -343,18 +350,21 @@ class QueryEngine:
     """Cached, thread-safe profile queries over one ``.twpp`` file.
 
     One engine owns one :class:`MmapSource` shared by every thread that
-    queries it, and keeps what it decodes in an :class:`LruByteCache`:
-    its own (``cache_bytes``; 0 disables caching, so every query
-    decodes), or ``cache``, one shared with other engines under a
-    single budget (a :class:`~repro.api.Session` passes its own).
-    Entries are keyed ``(engine, kind, function)``, so engines sharing
-    a cache never answer for each other, and concurrent misses on one
-    key decode once.  Single-function reads (:meth:`extract`,
-    :meth:`traces`) consult the cache first; :meth:`traces_many` calls
-    :meth:`traces` once per name, in request order.  Decoded records
-    are shared with callers -- treat them as read-only; :meth:`traces`
-    hands back a fresh list each call (the traces themselves are
-    immutable tuples).
+    queries it, and keeps the answers it serves in an
+    :class:`LruByteCache`: its own (``cache_bytes``; 0 disables
+    caching, so every query decodes), or ``cache``, one shared with
+    other engines under a single budget (a :class:`~repro.api.Session`
+    passes its own).  Each served form is the only entry for its key:
+    :meth:`traces` caches the expanded tuples under
+    ``(engine, "traces", function)`` and :meth:`traces_json` the JSON
+    fragment under ``(engine, "json", function)``, each decoding the
+    section straight into that one entry.  Engines sharing a cache
+    never answer for each other, and concurrent misses on one key
+    decode once.  :meth:`traces_many` calls :meth:`traces` once per
+    name, in request order.  :meth:`extract` caches nothing and decodes
+    on every call: its callers (whole-file loads, corpus ingest, path
+    profiles) read each function once.  :meth:`traces` hands back a
+    fresh list each call (the traces themselves are immutable tuples).
 
     :meth:`close` drops the engine's cache entries at once but closes
     the section source only when no lease (:meth:`acquire`) is
@@ -455,14 +465,9 @@ class QueryEngine:
     # ---- single-function queries --------------------------------------
 
     def extract(self, name: str) -> FunctionCompact:
-        """One function's decoded record, from cache when warm."""
-        entry = self._entry(name)
-        self._metrics.inc("qserve.queries")
-
-        def load():
-            return self._decode(entry), _record_cost(entry)
-
-        return self._cache.get_or_load((self, "record", name), load)
+        """One function's decoded record, decoded afresh on every call
+        (records are never cached)."""
+        return self._decode(self._entry(name))
 
     def cached_traces(self, name: str) -> Optional[List[PathTrace]]:
         """One function's traces if already cached, else ``None``.
@@ -495,8 +500,9 @@ class QueryEngine:
         """One function's traces as canonical JSON bytes, ``[[b,…],…]``.
 
         The wire form of :meth:`traces`: equal to the traces' part of
-        ``canonical_json`` output.  It is cached *instead of* the
-        expanded tuples, at its length plus a fixed overhead, so a warm
+        ``canonical_json`` output.  A miss decodes the section, expands
+        and encodes it, and caches only the fragment -- not the tuples,
+        not the record -- at its length plus a fixed overhead, so a warm
         wire request does no JSON encoding at all.
         """
 

@@ -49,6 +49,12 @@ _PAIR_PAT = b"\x01\x00" * 32
 _ENC_SMALL: Tuple[bytes, ...] = ()
 
 
+class TruncatedInput(ValueError):
+    """The input ended inside a value: a longer prefix of the same
+    stream could complete it (raised by :func:`read_uvarint` and
+    :func:`read_string`; every other fault is a plain ``ValueError``)."""
+
+
 def _build_enc_table() -> Tuple[bytes, ...]:
     global _ENC_SMALL
     table: List[bytes] = []
@@ -87,7 +93,7 @@ def read_uvarint(data, offset: int) -> Tuple[int, int]:
         try:
             byte = data[offset]
         except IndexError:
-            raise ValueError("truncated varint") from None
+            raise TruncatedInput("truncated varint") from None
         offset += 1
         if byte & 0x80:
             result |= (byte & 0x7F) << shift
@@ -297,7 +303,7 @@ def read_string(data, offset: int) -> Tuple[str, int]:
     length, offset = read_uvarint(data, offset)
     raw = bytes(data[offset : offset + length])
     if len(raw) != length:
-        raise ValueError("truncated string")
+        raise TruncatedInput("truncated string")
     return raw.decode("utf-8"), offset + length
 
 

@@ -74,6 +74,39 @@ class TestHeader:
             with pytest.raises(ValueError, match="not a .twpp"):
                 read_header(fh)
 
+    def test_bad_magic_in_a_large_file_reads_once(self):
+        fh = _CountingReader(b"NOPE" + bytes(1 << 20))
+        with pytest.raises(ValueError, match="not a .twpp"):
+            read_header(fh)
+        assert fh.reads == 1
+
+    def test_header_longer_than_the_first_read(self, written, monkeypatch):
+        _p, _w, _c, path, _size = written
+        data = path.read_bytes()
+        whole = read_header(io.BytesIO(data))
+        monkeypatch.setattr(format_module, "_HEADER_READ", 8)
+        fh = _CountingReader(data)
+        assert read_header(fh) == whole
+        assert fh.reads > 1
+
+    def test_header_cut_short_is_a_value_error(self, written, monkeypatch):
+        _p, _w, _c, path, _size = written
+        data = path.read_bytes()
+        cut = read_header(io.BytesIO(data)).dcg_start - 1
+        monkeypatch.setattr(format_module, "_HEADER_READ", 8)
+        with pytest.raises(ValueError, match="truncated"):
+            read_header(io.BytesIO(data[:cut]))
+
+
+class _CountingReader(io.BytesIO):
+    """An in-memory file that counts its ``read`` calls."""
+
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
 
 class TestFullRoundTrip:
     def test_read_twpp_equals_original(self, written):

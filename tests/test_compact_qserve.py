@@ -138,6 +138,24 @@ class TestLruByteCache:
         assert metrics.counter("qserve.cache.coalesced") == 4
         assert cache._loading == {}
 
+    def test_an_uncontended_load_builds_no_event(self, monkeypatch):
+        made = []
+        real = threading.Event
+
+        def counting_event():
+            made.append(1)
+            return real()
+
+        def failing():
+            raise OSError("gone")
+
+        cache = LruByteCache(100)
+        monkeypatch.setattr(threading, "Event", counting_event)
+        assert cache.get_or_load("a", load(1, 10)) == 1
+        with pytest.raises(OSError):
+            cache.get_or_load("b", failing)
+        assert made == [] and cache._loading == {}
+
 
 class TestQueryEngine:
     def test_extract_matches_reader(self, files):
@@ -250,7 +268,7 @@ class TestQueryEngine:
             engine.traces(name)
             engine.traces_many()
         doc = metrics.to_dict()
-        assert doc["counters"]["qserve.queries"] >= 2
+        assert doc["counters"]["qserve.decodes"] >= 2
         assert doc["counters"]["qserve.cache.hits"] >= 1
         assert doc["counters"]["qserve.cache.misses"] >= 1
         assert doc["counters"]["qserve.batches"] == 1

@@ -145,7 +145,7 @@ class TestSharedRegistryHammer:
             watched = (
                 "store.requests.query",
                 "query.calls",
-                "qserve.queries",
+                "qserve.decodes",
                 "qserve.cache.hits",
             )
             before = {name: metrics.counter(name) for name in watched}
@@ -201,9 +201,10 @@ class TestSharedRegistryHammer:
         assert delta == {
             "store.requests.query": n,
             "query.calls": n,
-            "qserve.queries": n,
-            # store warm peek + session traces lookup + engine extract
-            "qserve.cache.hits": 3 * n,
+            "qserve.decodes": n,
+            # store warm peek + session traces lookup (extract decodes
+            # afresh and never looks in the cache)
+            "qserve.cache.hits": 2 * n,
         }
         assert metrics.counter("hammer.shared") == n * self.DIRECT
         for index in range(self.THREADS):

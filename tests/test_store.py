@@ -762,6 +762,81 @@ class TestCoalescing:
             store.close()
 
 
+class TestCacheHoldsServedForms:
+    """The session cache holds what queries serve -- one entry per cold
+    key -- and never a decoded record beside it."""
+
+    def test_cold_query_json_caches_only_its_fragment(self, store_root):
+        with Session() as session:
+            store = session.store(store_root)
+            name = function_names(store, "li-like")[0]
+            body = store.query_json(
+                QueryRequest(trace="li-like", functions=(name,))
+            )
+            engine = store.engine("li-like")
+            assert list(session.cache._entries) == [(engine, "json", name)]
+            assert engine.cached_traces_json(name) in body
+            store.close()
+
+    def test_cold_traces_cache_one_entry(self, store_root):
+        with Session() as session:
+            store = session.store(store_root)
+            engine = store.engine("li-like")
+            name = engine.function_names()[0]
+            engine.traces(name)
+            assert list(session.cache._entries) == [(engine, "traces", name)]
+            store.close()
+
+    def test_extract_leaves_the_cache_empty(self, store_root):
+        with Session() as session:
+            store = session.store(store_root)
+            engine = store.engine("li-like")
+            names = engine.function_names()
+            for name in names:
+                engine.extract(name)
+            again = engine.extract(names[0])
+            assert again.trace_table == engine.extract(names[0]).trace_table
+            assert len(session.cache) == 0
+            stats = session.cache.stats()
+            assert stats["bytes"] == stats["hits"] == stats["misses"] == 0
+            assert session.metrics.counter("qserve.decodes") == len(names) + 2
+            store.close()
+
+    def test_a_budget_for_the_fragments_keeps_every_key_warm(
+        self, store_root
+    ):
+        """Size the budget to exactly the fragments of every function of
+        one trace: a second pass over those keys is all hits, because
+        no decoded record competes for the space."""
+        with Session() as sizing:
+            store = sizing.store(store_root)
+            requests = [
+                QueryRequest(trace="li-like", functions=(name,))
+                for name in function_names(store, "li-like")
+            ]
+            for request in requests:
+                store.query_json(request)
+            with sizing.cache._lock:
+                budget = sum(
+                    cost
+                    for key, (_value, cost) in sizing.cache._entries.items()
+                    if key[1] == "json"
+                )
+            store.close()
+        with Session(cache_bytes=budget) as session:
+            store = session.store(store_root)
+            bodies = [store.query_json(request) for request in requests]
+            before = session.cache.stats()
+            assert before["misses"] == len(requests)
+            assert [store.query_json(request) for request in requests] == bodies
+            after = session.cache.stats()
+            assert after["hits"] - before["hits"] == len(requests)
+            assert after["misses"] == before["misses"]
+            assert after["entries"] == len(requests)
+            assert after["evictions"] == 0
+            store.close()
+
+
 class TestSessionBudget:
     """One byte budget per session: every engine and the attached
     corpus cache into ``Session.cache``, which never holds more than
