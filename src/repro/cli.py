@@ -39,6 +39,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .ir import IRError, ParseError
 from .util import read_magic
 
 
@@ -904,7 +905,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (BrokenPipeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, IRError, ParseError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -52,6 +52,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from ..compact.format import FunctionIndexEntry, read_header
 from ..compact.qserve import CorruptSection, QueryEngine, limit_traces_json
+from ..ir import IRError, ParseError
 from ..obs import MetricsRegistry
 from .requests import (
     AnalyzeRequest,
@@ -396,10 +397,16 @@ class TraceStore:
                 raise RequestError(str(exc)) from None
             program = self._program_path(entry, request.program)
             names = self._resolve_functions(entry, request.functions)
-            with self._corrupt_evicts(entry):
-                reports = self._session.analyze(
-                    entry.path, program, request.fact, functions=names
-                )
+            try:
+                with self._corrupt_evicts(entry):
+                    reports = self._session.analyze(
+                        entry.path, program, request.fact, functions=names
+                    )
+            except (IRError, ParseError) as exc:
+                # Unparsable IR, or IR that lacks a traced function: the
+                # request named the wrong program.
+                shown = request.program or Path(program).name
+                raise RequestError(f"program {shown!r}: {exc}") from None
         return {
             "trace": entry.trace,
             "fact": request.fact,

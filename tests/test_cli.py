@@ -74,6 +74,13 @@ class TestPipeline:
         )
         assert "program output: 42" in capsys.readouterr().out
 
+    def test_trace_malformed_program_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ir"
+        bad.write_text("func main(\n  garbage\n")
+        assert main(["trace", str(bad), "-o", str(tmp_path / "x.wpp")]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1")
+        assert not (tmp_path / "x.wpp").exists()
+
 
 class TestInfo:
     def test_all_three_formats(self, pipeline_files, capsys):
@@ -293,6 +300,26 @@ class TestAnalyze:
         ])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, fault", [
+        ("func main(\n  garbage\n", "line 1"),
+        ("func main() entry=B1 {\n  B1:\n    return 0\n}\n",
+         "no function named"),
+    ], ids=["malformed", "main-only"])
+    def test_wrong_program_is_an_error(
+        self, pipeline_files, tmp_path, capsys, text, fault
+    ):
+        """Unparsable IR, or IR lacking a traced function, exits 2 with
+        one ``error:`` line instead of a traceback."""
+        _ir, _wpp, twpp, _sqwp = pipeline_files
+        wrong = tmp_path / "wrong.ir"
+        wrong.write_text(text)
+        rc = main([
+            "analyze", str(twpp), "--program", str(wrong), "--fact", "def:i",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and fault in err
 
 
 class TestScan:

@@ -35,6 +35,11 @@ from repro.workloads.specs import workload
 ESCAPED_STEM = 'li "quoted" \u00e9\u00fc'
 
 
+#: A well-formed program whose only function is ``main``: it lacks every
+#: other function a workload trace holds.
+MAIN_ONLY_IR = "func main() entry=B1 {\n  B1:\n    return 0\n}\n"
+
+
 def write_trace(root, name, scale=0.05, with_ir=True):
     """One workload compacted into ``root/name.twpp`` (+ ``name.ir``)."""
     program, _spec = workload(name, scale=scale)
@@ -375,6 +380,30 @@ class TestTraceStore:
                     trace="li-like", fact="def:acc", program="../outside.ir"
                 )
             )
+
+    @pytest.mark.parametrize("text, fault", [
+        ("func main(\n  garbage\n", "line 1"),
+        (MAIN_ONLY_IR, "no function named"),
+    ], ids=["malformed", "main-only"])
+    def test_analyze_rejects_a_program_that_does_not_fit(
+        self, tmp_path, text, fault
+    ):
+        """Unparsable IR, or IR lacking a traced function, is the
+        request's fault (400), not a server error."""
+        write_trace(tmp_path, "li-like")
+        (tmp_path / "wrong.ir").write_text(text)
+        with TraceStore(tmp_path) as store:
+            with pytest.raises(RequestError) as exc_info:
+                store.analyze(
+                    AnalyzeRequest(
+                        trace="li-like", fact="def:acc", program="wrong.ir"
+                    )
+                )
+            message = str(exc_info.value)
+            assert "'wrong.ir'" in message and fault in message
+            (tmp_path / "li-like.ir").write_text(text)
+            with pytest.raises(RequestError, match="'li-like.ir'"):
+                store.analyze(AnalyzeRequest(trace="li-like", fact="def:acc"))
 
     def test_stats_store_level(self, store):
         doc = store.stats()

@@ -37,6 +37,7 @@ from repro.store import server as server_mod
 from repro.store.server import MAX_BODY_BYTES
 
 from .test_store import (  # noqa: F401
+    MAIN_ONLY_IR,
     function_names,
     query_matrix,
     wire_root,
@@ -276,6 +277,20 @@ class TestErrorSurface:
             server, "/analyze", {"trace": "perl-like", "fact": "def:acc"}
         )
         assert code == 400 and "program" in doc["error"]
+
+    @pytest.mark.parametrize("stem, text", [
+        ("malformed", "func main(\n  garbage\n"),
+        ("main-only", MAIN_ONLY_IR),
+    ])
+    def test_analyze_with_wrong_program_is_400(self, served, stem, text):
+        server, _store, root = served
+        (root / f"{stem}.ir").write_text(text)
+        code, doc = get_error_post(
+            server,
+            "/analyze",
+            {"trace": "li-like", "fact": "def:acc", "program": f"{stem}.ir"},
+        )
+        assert code == 400 and f"{stem}.ir" in doc["error"]
 
 
 def get_error_post(server, path, doc):
