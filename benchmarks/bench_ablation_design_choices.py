@@ -13,7 +13,7 @@ from conftest import emit
 
 from repro.bench.tables import Table, fmt_factor, fmt_kb
 from repro.compact import lzw_compress, trace_to_twpp
-from repro.compact.format import encode_body
+from repro.compact.format import encode_body, encode_series
 from repro.compact.pipeline import _trace_bytes  # serialized trace size
 from repro.trace.encoding import svarint_size, uvarint_size
 
@@ -21,17 +21,16 @@ from repro.trace.encoding import svarint_size, uvarint_size
 def _sign_encoded_bytes(twpp) -> int:
     """Bytes of the timestamp streams under the paper's sign encoding."""
     return sum(
-        sum(svarint_size(v) for v in stream) for _b, stream in twpp.entries
+        sum(svarint_size(v) for v in encode_series(ts))
+        for _b, ts in twpp.entries
     )
 
 
 def _length_prefixed_bytes(twpp) -> int:
     """Bytes under the alternative: per-entry shape tag, unsigned values."""
-    from repro.compact.series import iter_entries
-
     total = 0
-    for _block, stream in twpp.entries:
-        for lo, hi, step in iter_entries(stream):
+    for _block, ts in twpp.entries:
+        for lo, hi, step in ts.entries:
             if lo == hi:
                 total += uvarint_size(0) + uvarint_size(lo)
             elif step == 1:

@@ -17,7 +17,13 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.compact import compact_wpp, extract_function_traces, write_twpp
+from repro.compact import (
+    compact_wpp,
+    extract_function_traces,
+    twpp_to_trace,
+    write_twpp,
+)
+from repro.compact.format import encode_series
 from repro.trace import collect_wpp, partition_wpp, reconstruct_wpp, write_wpp
 from repro.workloads import figure1_program
 
@@ -59,9 +65,15 @@ def main() -> None:
     print("\n=== Compacted TWPP ===")
     for fc in compacted.functions:
         print(f"{fc.name}:")
-        for body, twpp in zip(fc.trace_table, fc.twpp_table):
+        for twpp in fc.twpp_table:
+            body = twpp_to_trace(twpp)
             print("    trace body:", ".".join(map(str, body)))
-            print("    TWPP      :", twpp.as_map())
+            # On disk each block's timestamp set is a signed entry
+            # stream: a negative integer closes an entry (Figure 7).
+            print(
+                "    TWPP      :",
+                {block: encode_series(ts) for block, ts in twpp.entries},
+            )
         for d in fc.dict_table:
             print("    dictionary:", dict(d.as_map()))
 

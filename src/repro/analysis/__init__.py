@@ -11,6 +11,7 @@ dynamic CFG per path trace, queried demand-driven.  Applications:
   when debugging optimized code (Figure 12).
 """
 
+from ..compact.series import TimestampSet
 from .coverage import CoverageReport, FunctionCoverage, coverage_report
 from .currency import (
     CodeMotion,
@@ -63,7 +64,6 @@ from .redundancy import (
 )
 from .slicing import DynamicSlicer, SliceResult
 from .slicing_interproc import InterSliceResult, InterproceduralSlicer
-from .tsvector import TimestampSet
 
 __all__ = [
     "ActivationAnalysis",

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ..compact.series import TimestampSet
 from .dyncfg import TimestampedCfg
-from .tsvector import TimestampSet
 
 
 @dataclass(frozen=True)

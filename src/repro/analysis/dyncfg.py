@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..compact.twpp import TwppPathTrace, twpp_to_trace
-from .tsvector import TimestampSet
+from ..compact.series import TimestampSet
 
 
 @dataclass
@@ -59,21 +58,6 @@ class TimestampedCfg:
             succs={b: tuple(sorted(s)) for b, s in succs.items()},
             trace=trace,
         )
-
-    @classmethod
-    def from_twpp(cls, twpp: TwppPathTrace) -> "TimestampedCfg":
-        """Annotate from a compacted TWPP path trace.
-
-        The timestamp sets come straight from the stored entry streams;
-        only the edge structure needs the positional view.
-        """
-        trace = twpp_to_trace(twpp)
-        cfg = cls.from_trace(trace)
-        # Replace recompressed sets with the stored streams verbatim so
-        # analysis sees exactly the persisted representation.
-        for block, stream in twpp.entries:
-            cfg.node_ts[block] = TimestampSet.from_stream(stream)
-        return cfg
 
     def nodes(self) -> List[int]:
         """Dynamic basic block ids, ascending."""

@@ -11,7 +11,7 @@ follows a single backward path -- slots split across predecessors but
 never duplicate.
 
 Wide timestamp vectors are manipulated *collectively* as compacted
-series (:mod:`repro.analysis.tsvector`), which is the efficiency point
+series (:mod:`repro.compact.series`), which is the efficiency point
 the paper makes with the ``(2:20:2) -> (1:19:2)`` example.  Most
 propagated vectors hold one position, though, and the predecessor of
 ``(t, n)`` is simply ``(t - 1, node at t - 1)``: a one-position vector
@@ -51,11 +51,11 @@ from typing import (
     Union,
 )
 
+from ..compact.series import TimestampSet
 from ..ir.module import Function
 from ..obs import MetricsRegistry
 from .dyncfg import TimestampedCfg
 from .facts import GEN, KILL, TRANSPARENT, Fact, classify_statements
-from .tsvector import TimestampSet
 
 #: Effect callback: given a node and the timestamps being examined at
 #: it, split them into (generated, killed, transparent) subsets.

@@ -150,21 +150,22 @@ def path_profile_compacted(
     """Recover the path profile straight from a ``.twpp`` file.
 
     ``source`` is a ``.twpp`` path or an already-open
-    :class:`~repro.compact.qserve.QueryEngine` (used and left open; its
-    DCG is decoded once per engine, but every call decodes each
-    section again, since :meth:`~repro.compact.qserve.QueryEngine.extract`
-    caches nothing).  The DCG supplies per-pair activation weights; each
-    function's sections are then pulled through the engine, decomposed
-    into acyclic subpaths, and merged in function index order.
-    Produces exactly the same profile as :func:`path_profile` over the
-    partitioned form.
+    :class:`~repro.compact.qserve.QueryEngine`.  An engine is used and
+    left open: each function is read through its cached
+    :meth:`~repro.compact.qserve.QueryEngine.traces`, so a second call
+    on a warm engine decodes nothing.  A path gets a one-shot engine
+    with ``cache_bytes=0``, which caches nothing.  The DCG supplies
+    per-pair activation weights; each function's traces (list index =
+    pair id) are decomposed into acyclic subpaths and merged in
+    function index order.  Produces exactly the same profile as
+    :func:`path_profile` over the partitioned form.
     """
     from ..compact.qserve import QueryEngine
 
     if isinstance(source, QueryEngine):
         engine, own = source, False
     else:
-        engine, own = QueryEngine(source), True
+        engine, own = QueryEngine(source, cache_bytes=0), True
     try:
         dcg = engine.dcg()
         # Activation count per (function index, pair id).
@@ -176,9 +177,9 @@ def path_profile_compacted(
         profile = PathProfile()
         for func_idx, weights in sorted(per_func.items()):
             name = engine.name_of_original_index(func_idx)
-            fc = engine.extract(name)
+            traces = engine.traces(name)
             for pair_id, weight in weights.items():
-                for path in acyclic_paths(fc.expand_pair(pair_id)):
+                for path in acyclic_paths(traces[pair_id]):
                     key = (name, path)
                     profile.counts[key] = profile.counts.get(key, 0) + weight
         return profile

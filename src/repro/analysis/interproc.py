@@ -14,12 +14,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..compact.pipeline import CompactedWpp
+from ..compact.series import TimestampSet
 from ..ir.module import Program
 from ..ir.stmt import Call
 from .dyncfg import TimestampedCfg
 from .engine import DemandDrivenEngine, EffectFn
 from .facts import GEN, KILL, TRANSPARENT, Fact
-from .tsvector import TimestampSet
 
 
 def activation_effects(
@@ -37,12 +37,12 @@ def activation_effects(
     dcg = compacted.dcg
     children = dcg.children_lists()
     effects: List[str] = [TRANSPARENT] * len(dcg)
+    traces = [fc.traces() for fc in compacted.functions]
 
     for node in range(len(dcg) - 1, -1, -1):
         func_idx = dcg.node_func[node]
-        fc = compacted.functions[func_idx]
-        func = program.function(fc.name)
-        trace = fc.expand_pair(dcg.node_trace[node])
+        func = program.function(compacted.functions[func_idx].name)
+        trace = traces[func_idx][dcg.node_trace[node]]
         kids = children[node]
 
         # Walk the trace backward; calls map to children from the end.

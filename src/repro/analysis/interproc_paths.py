@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..compact.pipeline import CompactedWpp
+from ..compact.series import TimestampSet
 from ..ir.module import Program
 from ..ir.stmt import Call
 from .facts import GEN, KILL, TRANSPARENT, Fact
 from .interproc import ActivationAnalysis, activation_effects
-from .tsvector import TimestampSet
 
 
 @dataclass

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from ..compact.series import TimestampSet
 from ..ir.expr import Const
 from ..ir.module import Function
 from ..ir.stmt import Load
 from .engine import DemandDrivenEngine, QueryResult
 from .facts import LoadAvailable
-from .tsvector import TimestampSet
 
 
 @dataclass(frozen=True)

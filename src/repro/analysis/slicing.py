@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from ..compact.series import TimestampSet
 from ..ir.control_dependence import control_dependence
 from ..ir.dataflow import reaching_definitions
 from ..ir.module import Function
 from .dyncfg import TimestampedCfg
-from .tsvector import TimestampSet
 
 
 @dataclass

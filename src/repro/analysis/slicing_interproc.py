@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..compact.pipeline import CompactedWpp
+from ..compact.series import TimestampSet
 from ..ir.control_dependence import control_dependence
 from ..ir.module import Function, Program
 from ..ir.stmt import Call, Stmt
 from .dyncfg import TimestampedCfg
-from .tsvector import TimestampSet
 
 
 @dataclass(frozen=True)

@@ -408,7 +408,7 @@ class Session:
     def _query_one(self, twpp: TwppSource, func: str) -> List[PathTrace]:
         if isinstance(twpp, CompactedWpp):
             fc = twpp.function(func)
-            return [fc.expand_pair(p) for p in range(len(fc.pairs))]
+            return fc.traces()
         with self.metrics.timer("query"):
             magic = read_magic(twpp)
             if magic == b"WPP1":

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.dyncfg import flowgraph_stats
 from ..analysis.slicing import DynamicSlicer
-from ..analysis.tsvector import TimestampSet
 from ..compact.query import extract_function_traces
+from ..compact.series import TimestampSet
 from ..sequitur.wpp_codec import process_step, read_step
 from ..trace.format import scan_function_traces
 from .tables import Table, fmt_factor, fmt_kb, fmt_ms

@@ -60,14 +60,7 @@ from .stream import (
     StreamResult,
     stream_compact,
 )
-from .series import (
-    compress_series,
-    decompress_series,
-    entry_count,
-    iter_entries,
-    series_contains,
-    series_len,
-)
+from .series import TimestampSet
 from .twpp import TwppPathTrace, trace_to_twpp, twpp_to_trace
 from .verify import IntegrityError, verify_compacted
 
@@ -85,31 +78,26 @@ __all__ = [
     "MmapSource",
     "QueryEngine",
     "StreamResult",
+    "TimestampSet",
     "TwppDelta",
     "TwppHeader",
     "TwppPathTrace",
     "compact_function",
     "compact_trace",
     "compact_wpp",
-    "compress_series",
-    "decompress_series",
     "diff_compacted",
     "diff_twpp_files",
     "dynamic_cfg",
     "dynamic_cfg_edges",
-    "entry_count",
     "expand_trace",
     "extract_function_record",
     "extract_function_traces",
     "find_dbb_chains",
-    "iter_entries",
     "lzw_compress",
     "lzw_decompress",
     "read_header",
     "read_twpp",
     "serialize_twpp",
-    "series_contains",
-    "series_len",
     "stream_compact",
     "trace_to_twpp",
     "twpp_to_trace",

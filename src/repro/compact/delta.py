@@ -106,7 +106,7 @@ class TwppDelta:
 
 def _expanded_traces(compacted: CompactedWpp, name: str) -> Set[PathTrace]:
     fc = compacted.function(name)
-    return {fc.expand_pair(p) for p in range(len(fc.pairs))}
+    return set(fc.traces())
 
 
 def diff_compacted(a: CompactedWpp, b: CompactedWpp) -> TwppDelta:

@@ -37,6 +37,7 @@ from ..obs import MetricsRegistry
 from ..trace.encoding import (
     TruncatedInput,
     decode_uvarints,
+    encode_svarints,
     encode_uvarints,
     read_string,
     read_uvarint,
@@ -46,8 +47,8 @@ from ..trace.encoding import (
 from .dbb import DbbDictionary
 from .lzw import lzw_compress
 from .pipeline import CompactedWpp, FunctionCompact
-from .series import encode_entry_stream
-from .twpp import TwppPathTrace, twpp_to_trace
+from .series import TimestampSet
+from .twpp import TwppPathTrace
 
 MAGIC = b"TWPP"
 
@@ -87,15 +88,94 @@ class TwppHeader:
 # all of them at once, and the record decoders walk that int list.
 
 
+def encode_series(ts: TimestampSet) -> List[int]:
+    """The signed integer stream one timestamp set is stored as.
+
+    Entries cost 1, 2 or 3 integers and spend none on boundaries: the
+    last integer of every entry is negated, so the decoder knows an
+    entry ended when it reads a negative value (Figure 7: ``{1}`` is
+    ``-1``, ``{2:6}`` is ``2, -6``, ``{3:9:3}`` is ``3, 9, -3``).
+    """
+    out: List[int] = []
+    for lo, hi, step in ts.entries:
+        if lo == hi:
+            out.append(-lo)
+        elif step == 1:
+            out += (lo, -hi)
+        else:
+            out += (lo, hi, -step)
+    return out
+
+
+def decode_series(ints: List[int], start: int, end: int) -> TimestampSet:
+    """Inverse of :func:`encode_series` over the zigzag uvarints
+    ``ints[start:end]`` (as :func:`record_ints` leaves them), parsed
+    straight into entries in one pass.
+
+    A zigzag uvarint is negative iff it is odd.  Every malformed stream
+    raises :class:`ValueError`, including the one valid-looking shape
+    the encoder never writes (a step-1 series in three integers) and
+    entries that do not ascend, so re-encoding a decoded set gives back
+    its bytes.
+    """
+    entries: List[Tuple[int, int, int]] = []
+    prev = 0
+    i = start
+    while i < end:
+        u = ints[i]
+        if u & 1:
+            lo = hi = (u + 1) >> 1
+            step = 1
+            i += 1
+        else:
+            lo = u >> 1
+            if i + 1 == end:
+                break
+            u = ints[i + 1]
+            if u & 1:
+                hi = (u + 1) >> 1
+                if hi <= lo:
+                    raise ValueError(f"series {lo}:{hi} is not increasing")
+                step = 1
+                i += 2
+            else:
+                hi = u >> 1
+                if i + 2 == end:
+                    break
+                u = ints[i + 2]
+                if not u & 1:
+                    raise ValueError("entry longer than 3 integers")
+                step = (u + 1) >> 1
+                if hi <= lo or (hi - lo) % step:
+                    raise ValueError(f"malformed series {lo}:{hi}:{step}")
+                if step == 1:
+                    raise ValueError(
+                        f"series {lo}:{hi}:1 stored in 3 integers"
+                    )
+                i += 3
+        if lo <= prev:
+            raise ValueError(
+                f"entry at {lo} is not above {prev}: timestamps must be"
+                " positive and increasing"
+            )
+        entries.append((lo, hi, step))
+        prev = hi
+    if i < end:
+        raise ValueError("entry stream ends mid-entry (no negative close)")
+    return TimestampSet(entries=tuple(entries))
+
+
 def encode_body(twpp: TwppPathTrace) -> bytes:
     """One unique TWPP body: uvarint block count, then per block its
-    uvarint id, uvarint entry count and zigzag entry stream."""
+    uvarint id, uvarint stream length and zigzag entry stream
+    (:func:`encode_series`)."""
     buf = bytearray()
     write_uvarint(buf, len(twpp.entries))
-    for block, stream in twpp.entries:
+    for block, ts in twpp.entries:
+        stream = encode_series(ts)
         write_uvarint(buf, block)
         write_uvarint(buf, len(stream))
-        buf += encode_entry_stream(stream)
+        buf += encode_svarints(stream)
     return bytes(buf)
 
 
@@ -104,21 +184,16 @@ def decode_body(ints: List[int], index: int) -> Tuple[TwppPathTrace, int]:
     :func:`record_ints`) at ``index``; returns ``(body, next_index)``."""
     n_blocks, index = _read_count(ints, index, 2)
     entries = []
-    try:
-        for _ in range(n_blocks):
+    for _ in range(n_blocks):
+        try:
             block = ints[index]
-            length = ints[index + 1]
             start = index + 2
-            index = start + length
-            stream = tuple([
-                -((u + 1) >> 1) if u & 1 else u >> 1
-                for u in ints[start:index]
-            ])
-            entries.append((block, stream))
-    except IndexError:
-        raise ValueError("body record truncated") from None
-    if index > len(ints):
-        raise ValueError("body record runs past its last int")
+            index = start + ints[index + 1]
+        except IndexError:
+            raise ValueError("body record truncated") from None
+        if index > len(ints):
+            raise ValueError("body record runs past its last int")
+        entries.append((block, decode_series(ints, start, index)))
     return TwppPathTrace(entries=tuple(entries)), index
 
 
@@ -219,7 +294,6 @@ def _parse_section(data, name: str, call_count: int) -> FunctionCompact:
     for _ in range(n_bodies):
         body, index = decode_body(ints, index)
         fc.twpp_table.append(body)
-    fc.trace_table = [twpp_to_trace(twpp) for twpp in fc.twpp_table]
     n_dicts, index = _read_count(ints, index)
     for _ in range(n_dicts):
         dictionary, index = decode_dictionary(ints, index)
@@ -228,7 +302,7 @@ def _parse_section(data, name: str, call_count: int) -> FunctionCompact:
     flat = ints[index : index + 2 * n_pairs]
     index += 2 * n_pairs
     if n_pairs and (
-        max(flat[0::2]) >= len(fc.trace_table)
+        max(flat[0::2]) >= len(fc.twpp_table)
         or max(flat[1::2]) >= len(fc.dict_table)
     ):
         raise ValueError(

@@ -38,7 +38,7 @@ from ..trace.encoding import uvarint_size
 from ..trace.partition import PartitionedWpp, PathTrace
 from .dbb import DbbDictionary, compact_trace, expand_trace
 from .lzw import lzw_compress
-from .twpp import TwppPathTrace, trace_to_twpp
+from .twpp import TwppPathTrace, trace_to_twpp, twpp_to_trace
 
 
 @dataclass
@@ -47,22 +47,36 @@ class FunctionCompact:
 
     ``pairs[k]`` is the (trace body id, dictionary id) tuple the paper
     attaches to DCG nodes; DCG ``node_trace`` values index ``pairs``.
-    ``twpp_table`` parallels ``trace_table``: same body, inverted form.
+    Each unique body is stored once, in TWPP form (``twpp_table``);
+    the positional view is recovered by inverting it.
     """
 
     name: str
     call_count: int = 0
-    trace_table: List[PathTrace] = field(default_factory=list)
     dict_table: List[DbbDictionary] = field(default_factory=list)
     pairs: List[Tuple[int, int]] = field(default_factory=list)
     twpp_table: List[TwppPathTrace] = field(default_factory=list)
 
     def expand_pair(self, pair_id: int) -> PathTrace:
-        """Recover the original (uncompacted) path trace of one pair."""
-        trace_id, dict_id = self.pairs[pair_id]
+        """Recover the original (uncompacted) path trace of one pair.
+
+        Inverts the pair's body on every call; :meth:`traces` inverts
+        each body once for all pairs.
+        """
+        body_id, dict_id = self.pairs[pair_id]
         return expand_trace(
-            self.trace_table[trace_id], self.dict_table[dict_id]
+            twpp_to_trace(self.twpp_table[body_id]), self.dict_table[dict_id]
         )
+
+    def traces(self) -> List[PathTrace]:
+        """Every pair's original path trace, in pair order.
+
+        Each body is inverted once however many pairs share it.  Raises
+        :class:`ValueError` if a body does not invert.
+        """
+        bodies = [twpp_to_trace(twpp) for twpp in self.twpp_table]
+        dicts = self.dict_table
+        return [expand_trace(bodies[b], dicts[d]) for b, d in self.pairs]
 
     def unique_trace_count(self) -> int:
         """Unique original path traces == number of pairs."""
@@ -98,10 +112,7 @@ class CompactedWpp:
         Pair ids map one-to-one onto original unique traces, so the
         DCG's trace references remain valid unchanged.
         """
-        traces = [
-            [fc.expand_pair(p) for p in range(len(fc.pairs))]
-            for fc in self.functions
-        ]
+        traces = [fc.traces() for fc in self.functions]
         return PartitionedWpp(
             func_names=list(self.func_names), dcg=self.dcg, traces=traces
         )
@@ -201,9 +212,8 @@ class FunctionCompactor:
         body, dictionary = compact_trace(raw_trace)
         body_id = self._bodies.get(body)
         if body_id is None:
-            body_id = self._bodies[body] = len(fc.trace_table)
+            body_id = self._bodies[body] = len(fc.twpp_table)
             twpp = trace_to_twpp(body)
-            fc.trace_table.append(body)
             fc.twpp_table.append(twpp)
             self.body_sizes.append(_trace_bytes(body))
             self.twpp_sizes.append(len(encode_body(twpp)))
@@ -282,7 +292,7 @@ def compact_wpp(
     metrics.inc("compact.functions", len(functions))
     metrics.inc("compact.pairs", sum(len(fc.pairs) for fc in functions))
     metrics.inc(
-        "compact.unique_bodies", sum(len(fc.trace_table) for fc in functions)
+        "compact.unique_bodies", sum(len(fc.twpp_table) for fc in functions)
     )
     metrics.inc(
         "compact.unique_dicts", sum(len(fc.dict_table) for fc in functions)

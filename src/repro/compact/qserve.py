@@ -24,8 +24,8 @@ Three layers:
   record, batch ``traces_many``, and a
   lazily decoded DCG for whole-run analyses
   (:func:`repro.analysis.hotpaths.path_profile_compacted`).  A section
-  that fails to decode raises :class:`CorruptSection`, naming the
-  function.  Holders that must outlive an eviction take a lease
+  that fails to decode, or a body that fails to invert, raises
+  :class:`CorruptSection`, naming the function.  Holders that must outlive an eviction take a lease
   (:meth:`QueryEngine.acquire` / :meth:`QueryEngine.release`):
   :meth:`QueryEngine.close` then defers closing the source until the
   last lease is released.
@@ -334,10 +334,11 @@ def limit_traces_json(fragment: bytes, limit: int) -> bytes:
 
 
 class CorruptSection(ValueError):
-    """A function's section in a ``.twpp`` file failed to decode.
+    """A function's section in a ``.twpp`` file failed to decode, or one
+    of its bodies to invert.
 
-    Raised by :class:`QueryEngine` in place of the decoder's
-    :class:`ValueError` (same message); ``function`` names the function
+    Raised by :class:`QueryEngine` in place of the decoder's or the
+    inversion's :class:`ValueError` (same message); ``function`` names the function
     whose section is damaged.
     """
 
@@ -563,7 +564,10 @@ class QueryEngine:
     def _expand(self, name: str) -> List[PathTrace]:
         fc = self.extract(name)
         t0 = time.perf_counter()
-        traces = [fc.expand_pair(p) for p in range(len(fc.pairs))]
+        try:
+            traces = fc.traces()
+        except ValueError as exc:
+            raise CorruptSection(name, str(exc)) from exc
         self._time("qserve.expand", t0)
         return traces
 

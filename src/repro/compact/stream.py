@@ -227,7 +227,7 @@ def _verify_readback(
     from .qserve import QueryEngine
 
     expected = {
-        fc.name: [fc.expand_pair(p) for p in range(len(fc.pairs))]
+        fc.name: fc.traces()
         for fc in functions
     }
     names = list(expected)

@@ -9,7 +9,8 @@ analyses:
 * every pair references a valid trace body and dictionary;
 * every dictionary is sound for its paired body (chains disjoint,
   heads unique, expansion well-defined);
-* every TWPP entry stream decodes, and inverts to exactly its body;
+* every TWPP body inverts to a positional trace (no gap, no
+  timestamp out of range);
 * per-function call counts equal the DCG's activation counts;
 * with a program available: block ids exist, the tree shape implied by
   call counts is consistent, and the root is the main function.
@@ -23,7 +24,7 @@ from ..ir.module import Program
 from ..trace.reconstruct import block_call_counts, trace_call_count
 from .dbb import expand_trace
 from .pipeline import CompactedWpp
-from .twpp import twpp_to_trace
+from .twpp import PathTrace, twpp_to_trace
 
 
 class IntegrityError(Exception):
@@ -65,21 +66,27 @@ def verify_compacted(
         activation_counts[func_idx] += 1
     notes.append(f"DCG: {len(dcg)} activations reference valid pairs")
 
-    # Per-function tables.
+    # Per-function tables; ``traces[f][p]`` is pair p's expanded trace.
     total_pairs = 0
+    traces: List[List[PathTrace]] = []
     for func_idx, fc in enumerate(compacted.functions):
         if fc.call_count != activation_counts[func_idx]:
             raise IntegrityError(
                 f"{fc.name}: call_count {fc.call_count} != "
                 f"{activation_counts[func_idx]} DCG activations"
             )
-        if len(fc.twpp_table) != len(fc.trace_table):
-            raise IntegrityError(
-                f"{fc.name}: twpp table size != trace table size"
-            )
+        bodies = []
+        for body_id, twpp in enumerate(fc.twpp_table):
+            try:
+                bodies.append(twpp_to_trace(twpp))
+            except ValueError as exc:
+                raise IntegrityError(
+                    f"{fc.name} body {body_id}: TWPP malformed: {exc}"
+                ) from exc
         seen_pairs = set()
+        traces.append([])
         for pair_id, (body_id, dict_id) in enumerate(fc.pairs):
-            if body_id >= len(fc.trace_table):
+            if body_id >= len(bodies):
                 raise IntegrityError(
                     f"{fc.name} pair {pair_id}: bad body id {body_id}"
                 )
@@ -94,25 +101,13 @@ def verify_compacted(
             seen_pairs.add((body_id, dict_id))
             # The pair must expand (chains sound for this body).
             try:
-                expand_trace(fc.trace_table[body_id], fc.dict_table[dict_id])
+                traces[-1].append(
+                    expand_trace(bodies[body_id], fc.dict_table[dict_id])
+                )
             except Exception as exc:  # noqa: BLE001 - reported as integrity
                 raise IntegrityError(
                     f"{fc.name} pair {pair_id}: expansion failed: {exc}"
                 ) from exc
-        for body_id, (body, twpp) in enumerate(
-            zip(fc.trace_table, fc.twpp_table)
-        ):
-            try:
-                inverted = twpp_to_trace(twpp)
-            except ValueError as exc:
-                raise IntegrityError(
-                    f"{fc.name} body {body_id}: TWPP malformed: {exc}"
-                ) from exc
-            if inverted != body:
-                raise IntegrityError(
-                    f"{fc.name} body {body_id}: TWPP does not invert "
-                    "to the stored trace body"
-                )
         total_pairs += len(fc.pairs)
     notes.append(
         f"tables: {total_pairs} pairs, all bodies/dictionaries/TWPPs "
@@ -120,41 +115,37 @@ def verify_compacted(
     )
 
     if program is not None:
-        _verify_against_program(compacted, program, notes)
+        _verify_against_program(compacted, program, traces, notes)
     return notes
 
 
 def _verify_against_program(
-    compacted: CompactedWpp, program: Program, notes: List[str]
+    compacted: CompactedWpp,
+    program: Program,
+    traces: List[List[PathTrace]],
+    notes: List[str],
 ) -> None:
     call_counts = block_call_counts(program)
-    for fc in compacted.functions:
+    for fc, fc_traces in zip(compacted.functions, traces):
         if fc.name not in program.functions:
             raise IntegrityError(f"{fc.name}: not defined in the program")
-        func = program.function(fc.name)
-        for body_id in range(len(fc.trace_table)):
-            # Validate block ids of the expanded traces (via any pair
-            # that uses this body).
-            for pair_id, (b, d) in enumerate(fc.pairs):
-                if b != body_id:
-                    continue
-                for block_id in fc.expand_pair(pair_id):
-                    if block_id not in func.blocks:
-                        raise IntegrityError(
-                            f"{fc.name}: trace references missing "
-                            f"block B{block_id}"
-                        )
-                break
+        missing = set().union(*fc_traces).difference(
+            program.function(fc.name).blocks
+        )
+        if missing:
+            raise IntegrityError(
+                f"{fc.name}: trace references missing block B{min(missing)}"
+            )
 
     # Tree shape: total children demanded by traces == nodes - roots.
     dcg = compacted.dcg
     expected_children = 0
     roots = 0
     for node in range(len(dcg)):
-        fc = compacted.functions[dcg.node_func[node]]
-        trace = fc.expand_pair(dcg.node_trace[node])
+        func_idx = dcg.node_func[node]
+        trace = traces[func_idx][dcg.node_trace[node]]
         expected_children += trace_call_count(
-            trace, call_counts[fc.name]
+            trace, call_counts[compacted.functions[func_idx].name]
         )
         if node == 0:
             roots += 1

@@ -8,8 +8,8 @@ pipeline, or let the corpus own a private one.  Everything downstream of ingest 
 ``diff`` is set algebra over (body, dict) blob-id pairs and decodes
 only the traces that actually differ, ``hot_paths`` decodes each
 unique pair once no matter how many runs share it, and
-``block_frequencies`` never expands a timestamp stream at all
-(:func:`~repro.compact.series.series_len`).  No cross-run query ever
+``block_frequencies`` never expands a timestamp set at all (its
+``len`` sums the series entries).  No cross-run query ever
 rematerializes a run as a ``.twpp``.
 """
 
@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..analysis.hotpaths import PathProfile, acyclic_paths
 from ..compact.delta import FunctionDelta, TwppDelta
 from ..compact.dbb import expand_trace
-from ..compact.series import series_len
 from ..compact.twpp import twpp_to_trace
 from ..trace.dcg import DynamicCallGraph
 from .blobs import (
@@ -496,8 +495,8 @@ class TraceCorpus:
     ) -> Dict[Tuple[str, int], int]:
         """Block execution counts across runs, without expanding traces.
 
-        Each timestamp stream's occurrence count comes straight from
-        its series entries (:func:`~repro.compact.series.series_len`);
+        Each block's occurrence count comes straight from its
+        timestamp set's series entries (``len``, no expansion);
         DBB chains attribute a head's occurrences to every member
         block.  Returns ``{(function, block): executions}`` weighted by
         DCG activations, summed over the selected runs.
@@ -518,8 +517,8 @@ class TraceCorpus:
                         dictionary, KIND_DICT
                     ).as_map()
                     counts = {}
-                    for block, stream in twpp.entries:
-                        occurrences = series_len(stream)
+                    for block, ts in twpp.entries:
+                        occurrences = len(ts)
                         for member in chain_map.get(block, (block,)):
                             counts[member] = (
                                 counts.get(member, 0) + occurrences

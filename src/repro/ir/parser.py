@@ -276,6 +276,9 @@ def _parse_line(
 _FUNC_RE = re.compile(
     r"func\s+([A-Za-z_][A-Za-z_0-9]*)\s*\(([^)]*)\)\s*entry=B(\d+)\s*\{"
 )
+#: What every function header starts with; a line that does but fails
+#: :data:`_FUNC_RE` is a malformed header, not a stray statement.
+_FUNC_HEAD_RE = re.compile(r"func\s+[A-Za-z_][A-Za-z_0-9]*\s*\(")
 _BLOCK_RE = re.compile(r"B(\d+):\s*$")
 
 
@@ -316,6 +319,10 @@ def parse_program(
             if first_name is None:
                 first_name = name
             continue
+        if _FUNC_HEAD_RE.match(line):
+            raise ParseError(
+                f"line {line_no}: malformed function header: {line!r}"
+            )
         if line == "}":
             if current_func is None:
                 raise ParseError(f"line {line_no}: stray '}}'")

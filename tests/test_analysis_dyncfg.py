@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import TimestampedCfg, flowgraph_stats
-from repro.compact import trace_to_twpp
+from repro.compact import trace_to_twpp, twpp_to_trace
 from repro.workloads import FIGURE10_TRACE, figure10_program
 
 
@@ -33,12 +33,15 @@ class TestConstruction:
         assert not cfg.ts(99)
 
     def test_from_twpp_matches_from_trace(self):
+        """A stored TWPP body's sets are the analysis CFG's node sets,
+        entry for entry, and its inversion builds the same CFG."""
         trace = (1, 2, 3, 2, 3, 4)
         a = TimestampedCfg.from_trace(trace)
-        b = TimestampedCfg.from_twpp(trace_to_twpp(trace))
+        twpp = trace_to_twpp(trace)
+        assert a.node_ts == dict(twpp.entries)
+        b = TimestampedCfg.from_trace(twpp_to_trace(twpp))
         assert a.nodes() == b.nodes()
-        for node in a.nodes():
-            assert a.ts(node).values() == b.ts(node).values()
+        assert a.node_ts == b.node_ts
         assert a.preds == b.preds
 
     def test_block_order(self):

@@ -144,3 +144,36 @@ class TestCompactedProfile:
             # Engine stays open and warm for further queries.
             assert engine.traces(part.func_names[0]) is not None
             assert engine.cache_stats()["entries"] > 0
+
+    def test_warm_engine_decodes_nothing_more(self, twpp_and_partitioned):
+        """Functions are read through the engine's cached traces: the
+        first profile decodes each executed function once, a second one
+        on the same engine decodes nothing."""
+        path, part = twpp_and_partitioned
+        executed = {part.func_names[f] for f in part.dcg.node_func}
+        with QueryEngine(path) as engine:
+            first = path_profile_compacted(engine)
+            decodes = engine.metrics.counter("qserve.decodes")
+            assert decodes == len(executed)
+            second = path_profile_compacted(engine)
+            assert engine.metrics.counter("qserve.decodes") == decodes
+        assert first.counts == second.counts == path_profile(part).counts
+
+    def test_path_gets_an_engine_that_caches_nothing(
+        self, twpp_and_partitioned, monkeypatch
+    ):
+        from repro.compact import qserve
+
+        path, part = twpp_and_partitioned
+        budgets = []
+        real_init = qserve.QueryEngine.__init__
+
+        def spy(self, *args, **kwargs):
+            budgets.append(
+                kwargs.get("cache_bytes", qserve.DEFAULT_CACHE_BYTES)
+            )
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(qserve.QueryEngine, "__init__", spy)
+        assert path_profile_compacted(path).counts == path_profile(part).counts
+        assert budgets == [0]

@@ -1,4 +1,5 @@
-"""Unit + property tests for collective timestamp-set manipulation."""
+"""Unit + property tests for collective timestamp-set manipulation
+(:class:`repro.compact.series.TimestampSet`)."""
 
 from unittest import mock
 
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import TimestampSet, tsvector
+from repro.analysis import TimestampSet
+from repro.compact import series
+from repro.compact.format import decode_series, record_ints
+from repro.trace.encoding import encode_svarints
 
 
 def ts(*values):
@@ -19,8 +23,11 @@ class TestConstruction:
         assert s.values() == [1, 3, 5]
 
     def test_from_stream(self):
-        s = TimestampSet.from_stream([2, -6])
+        """A stored signed stream decodes straight into the set type."""
+        ints = record_ints(encode_svarints([2, -6]))
+        s = decode_series(ints, 0, len(ints))
         assert s.values() == [2, 3, 4, 5, 6]
+        assert s == TimestampSet.from_values(range(2, 7))
 
     def test_single(self):
         assert TimestampSet.single(9).values() == [9]
@@ -156,7 +163,7 @@ class TestSetSemantics:
             lambda: one.union(other), lambda: other.union(one),
         ]
         fast = [op().entries for op in ops]
-        with mock.patch.object(tsvector, "_lone", return_value=None):
+        with mock.patch.object(series, "_lone", return_value=None):
             general = [op().entries for op in ops]
         assert fast == general
 

@@ -17,7 +17,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.tsvector import TimestampSet
+from repro.compact.series import TimestampSet
 
 
 @st.composite

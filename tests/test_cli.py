@@ -78,7 +78,9 @@ class TestPipeline:
         bad = tmp_path / "bad.ir"
         bad.write_text("func main(\n  garbage\n")
         assert main(["trace", str(bad), "-o", str(tmp_path / "x.wpp")]) == 2
-        assert capsys.readouterr().err.startswith("error: line 1")
+        assert capsys.readouterr().err.startswith(
+            "error: line 1: malformed function header"
+        )
         assert not (tmp_path / "x.wpp").exists()
 
 
@@ -302,7 +304,7 @@ class TestAnalyze:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, fault", [
-        ("func main(\n  garbage\n", "line 1"),
+        ("func main(\n  garbage\n", "line 1: malformed function header"),
         ("func main() entry=B1 {\n  B1:\n    return 0\n}\n",
          "no function named"),
     ], ids=["malformed", "main-only"])

@@ -26,7 +26,8 @@ from repro.compact.format import (
 )
 from repro.compact.pipeline import FunctionCompactor
 from repro.compact.qserve import QueryEngine
-from repro.compact.twpp import TwppPathTrace
+from repro.compact.series import TimestampSet
+from repro.compact.twpp import TwppPathTrace, twpp_to_trace
 from repro.corpus.blobs import KIND_BODY, KIND_DICT, decode_record
 from repro.trace import collect_wpp, partition_wpp, rebuild_parents, reconstruct_wpp
 from repro.trace.encoding import decode_uvarints
@@ -118,7 +119,6 @@ class TestFullRoundTrip:
         for orig, back in zip(compacted.functions, loaded.functions):
             assert orig.name == back.name
             assert orig.call_count == back.call_count
-            assert orig.trace_table == back.trace_table
             assert orig.dict_table == back.dict_table
             assert orig.pairs == back.pairs
             assert orig.twpp_table == back.twpp_table
@@ -144,7 +144,7 @@ class TestFullRoundTrip:
         write_twpp(compacted, path)
         loaded = read_twpp(path)
         fc = loaded.function("f")
-        assert fc.trace_table == [(1, 2, 2, 2, 10)]
+        assert [twpp_to_trace(t) for t in fc.twpp_table] == [(1, 2, 2, 2, 10)]
         assert len(fc.dict_table) == 2
 
 
@@ -177,7 +177,7 @@ def scale1_twpp(request):
 
 
 def _tables(fc):
-    return fc.trace_table, fc.twpp_table, fc.dict_table, fc.pairs
+    return fc.twpp_table, fc.dict_table, fc.pairs
 
 
 class TestTableAccounting:
@@ -228,17 +228,18 @@ class TestSectionDecode:
         st.lists(
             st.tuples(
                 st.integers(0, 2**64 - 1),
-                st.lists(
-                    st.integers(-(2**63), 2**63 - 1), max_size=8
-                ).map(tuple),
+                st.sets(st.integers(1, 2**63 - 1), max_size=8).map(
+                    TimestampSet.from_values
+                ),
             ),
             max_size=6,
         )
     )
     @settings(max_examples=200, deadline=None)
     def test_body_record_roundtrip_64_bit_values(self, entries):
-        """Block ids and signed stream values across the whole 64-bit
-        range survive the bulk decode and the zigzag walk."""
+        """Block ids across the whole 64-bit range, and timestamps and
+        steps whose signed stream values span it, survive the bulk
+        decode and the zigzag walk."""
         body = TwppPathTrace(entries=tuple(entries))
         ints = record_ints(encode_body(body))
         assert decode_body(ints, 0) == (body, len(ints))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.compact import compact_wpp
+from repro.compact import compact_wpp, twpp_to_trace
+from repro.compact.format import encode_series
 from repro.trace import collect_wpp, partition_wpp, reconstruct_wpp
 from repro.workloads import (
     FIGURE1_F_TRACE_A,
@@ -25,7 +26,7 @@ class TestFigure1Pipeline:
         """Figure 5: f keeps one trace body and two dictionaries."""
         _p, _w, _part, compacted, _stats = figure1_compacted
         fc = compacted.function("f")
-        assert fc.trace_table == [(1, 2, 2, 2, 10)]
+        assert [twpp_to_trace(t) for t in fc.twpp_table] == [(1, 2, 2, 2, 10)]
         assert len(fc.dict_table) == 2
         assert fc.pairs == [(0, 0), (0, 1)]
         assert fc.call_count == 5
@@ -33,11 +34,11 @@ class TestFigure1Pipeline:
     def test_twpp_table_parallel_to_bodies(self, figure1_compacted):
         _p, _w, _part, compacted, _stats = figure1_compacted
         fc = compacted.function("f")
-        assert len(fc.twpp_table) == len(fc.trace_table)
-        assert fc.twpp_table[0].as_map() == {
-            1: (-1,),
-            2: (2, -4),
-            10: (-5,),
+        assert len(fc.twpp_table) == 1
+        assert {b: encode_series(s) for b, s in fc.twpp_table[0].entries} == {
+            1: [-1],
+            2: [2, -4],
+            10: [-5],
         }
 
     def test_expand_pair_recovers_raw_traces(self, figure1_compacted):
@@ -45,6 +46,27 @@ class TestFigure1Pipeline:
         fc = compacted.function("f")
         expanded = {fc.expand_pair(p) for p in range(len(fc.pairs))}
         assert expanded == {FIGURE1_F_TRACE_A, FIGURE1_F_TRACE_B}
+
+    def test_traces_inverts_each_body_once(
+        self, figure1_compacted, monkeypatch
+    ):
+        """``traces()`` lists every pair's trace in pair order, inverting
+        f's one shared body once for both of its pairs."""
+        from repro.compact import pipeline
+
+        _p, _w, _part, compacted, _stats = figure1_compacted
+        fc = compacted.function("f")
+        expected = [fc.expand_pair(p) for p in range(len(fc.pairs))]
+        inverted = []
+        real = pipeline.twpp_to_trace
+
+        def counting(twpp):
+            inverted.append(twpp)
+            return real(twpp)
+
+        monkeypatch.setattr(pipeline, "twpp_to_trace", counting)
+        assert fc.traces() == expected
+        assert inverted == fc.twpp_table  # one body, two pairs
 
     def test_unknown_function_raises(self, figure1_compacted):
         _p, _w, _part, compacted, _stats = figure1_compacted

@@ -13,6 +13,9 @@ from repro.compact import (
     write_twpp,
 )
 from repro.compact.format import _serialize_section
+from repro.compact.qserve import CorruptSection
+from repro.compact.series import TimestampSet
+from repro.compact.twpp import TwppPathTrace
 from repro.obs import MetricsRegistry
 from repro.trace import partition_wpp
 
@@ -166,11 +169,11 @@ class TestQueryEngine:
             for name in engine.function_names():
                 fc = engine.extract(name)
                 ref = cold.extract(name)
-                assert fc.trace_table == ref.trace_table
+                assert fc.twpp_table == ref.twpp_table
                 assert fc.dict_table == ref.dict_table
                 assert fc.pairs == ref.pairs
                 ref_fc = compacted.function(name)
-                assert fc.trace_table == ref_fc.trace_table
+                assert fc.twpp_table == ref_fc.twpp_table
                 assert fc.pairs == ref_fc.pairs
 
     def test_traces_match_partitioned(self, files):
@@ -219,6 +222,28 @@ class TestQueryEngine:
         with QueryEngine(twpp_path) as engine:
             with pytest.raises(KeyError, match="ghost"):
                 engine.extract("ghost")
+
+    def test_body_with_a_gap_is_a_named_corrupt_section(
+        self, files, tmp_path
+    ):
+        """A body can decode cleanly and still not invert (a timestamp
+        left unassigned); serving its traces raises
+        :class:`CorruptSection` naming the function, like a section that
+        fails to decode."""
+        _part, compacted, _twpp_path = files
+        fc = compacted.functions[0]
+        # Two blocks at timestamp 1 and none at 2.
+        one = TimestampSet.single(1)
+        fc.twpp_table[0] = TwppPathTrace(entries=((1, one), (2, one)))
+        path = tmp_path / "gap.twpp"
+        write_twpp(compacted, path)
+        with QueryEngine(path) as engine:
+            assert engine.extract(fc.name).twpp_table[0] == fc.twpp_table[0]
+            for serve in (engine.traces, engine.traces_json):
+                with pytest.raises(CorruptSection) as caught:
+                    serve(fc.name)
+                assert caught.value.function == fc.name
+                assert "never assigned" in str(caught.value)
 
     def test_call_counts_and_len(self, files):
         part, _compacted, twpp_path = files

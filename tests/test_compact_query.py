@@ -54,7 +54,7 @@ class TestReader:
         with cold_engine(twpp_path) as reader:
             fc = reader.extract(target)
         orig = compacted.function(target)
-        assert fc.trace_table == orig.trace_table
+        assert fc.twpp_table == orig.twpp_table
         assert fc.pairs == orig.pairs
 
     def test_unknown_function(self, files):
@@ -89,7 +89,7 @@ class TestColdQueries:
         _p, compacted, twpp_path, _w = files
         name = compacted.functions[0].name
         fc = extract_function_record(twpp_path, name)
-        assert fc.trace_table == compacted.function(name).trace_table
+        assert fc.twpp_table == compacted.function(name).twpp_table
 
 
 def _open_fds():
@@ -148,9 +148,9 @@ class TestEngineParameter:
         name = compacted.functions[0].name
         with QueryEngine(twpp_path) as engine:
             fc = engine.extract(name)
-            assert fc.trace_table == compacted.function(name).trace_table
+            assert fc.twpp_table == compacted.function(name).twpp_table
             cold = extract_function_record(twpp_path, name)
-            assert cold.trace_table == fc.trace_table
+            assert cold.twpp_table == fc.twpp_table
 
 
 class TestAgreementWithScan:

@@ -11,6 +11,7 @@ from repro.compact.pipeline import (
 )
 from repro.compact.query import read_twpp
 from repro.compact.stream import StreamResult, _StreamingTracer, stream_compact
+from repro.compact.twpp import twpp_to_trace
 from repro.interp import FuelExhausted
 from repro.obs import MetricsRegistry
 from repro.trace import collect_wpp, partition_wpp
@@ -129,9 +130,9 @@ class TestOneCompactor:
         staged = compact_function("f", 0, unique)
 
         fc = staged.function
-        assert fc.trace_table[0] == (1, 2, 2, 2, 10)
+        assert twpp_to_trace(fc.twpp_table[0]) == (1, 2, 2, 2, 10)
         assert fc.pairs[:2] == [(0, 0), (0, 1)]  # one body, two dicts
-        for table in ("trace_table", "dict_table", "pairs", "twpp_table"):
+        for table in ("dict_table", "pairs", "twpp_table"):
             assert getattr(streamed.function, table) == getattr(fc, table)
         for sizes in ("body_sizes", "dict_sizes", "twpp_sizes"):
             assert getattr(streamed, sizes) == getattr(staged, sizes)

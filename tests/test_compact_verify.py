@@ -4,7 +4,8 @@ import pytest
 
 from repro.compact import IntegrityError, compact_wpp, verify_compacted
 from repro.compact.dbb import DbbDictionary
-from repro.compact.twpp import TwppPathTrace
+from repro.compact.series import TimestampSet
+from repro.compact.twpp import TwppPathTrace, trace_to_twpp
 from repro.trace import collect_wpp, partition_wpp
 from repro.workloads import figure1_program
 
@@ -67,36 +68,26 @@ class TestRejects:
         with pytest.raises(IntegrityError, match="duplicate pair"):
             verify_compacted(compacted)
 
-    def test_twpp_body_mismatch(self, good):
-        _program, compacted = good
-        fc = compacted.function("main")
-        # Swap two blocks' streams: still decodes, inverts differently.
-        entries = dict(fc.twpp_table[0].entries)
-        s1, s6 = entries[1], entries[6]
-        entries[1], entries[6] = s6, s1
-        fc.twpp_table[0] = TwppPathTrace(
-            entries=tuple(sorted(entries.items()))
-        )
-        with pytest.raises(IntegrityError, match="does not invert"):
-            verify_compacted(compacted)
-
     def test_malformed_twpp_stream(self, good):
         _program, compacted = good
         fc = compacted.function("main")
-        fc.twpp_table[0] = TwppPathTrace(entries=((1, (5,)),))
-        with pytest.raises(IntegrityError, match="malformed"):
+        # main's body 1.2.2.2.2.2.6, with block 6 moved onto timestamp
+        # 6 (block 2's): timestamp 7 is left a gap.
+        entries = dict(fc.twpp_table[0].entries)
+        entries[6] = TimestampSet.single(6)
+        fc.twpp_table[0] = TwppPathTrace(
+            entries=tuple(sorted(entries.items()))
+        )
+        with pytest.raises(IntegrityError, match="TWPP malformed.*gap"):
             verify_compacted(compacted)
 
     def test_missing_block_against_program(self, good):
         program, compacted = good
         fc = compacted.function("f")
-        fc.trace_table[0] = (1, 2, 2, 2, 77)
-        fc.twpp_table[0] = None  # force the block check to fire first?
-        # Rebuild a consistent TWPP so only the program check fails.
-        from repro.compact.twpp import trace_to_twpp
-
-        fc.twpp_table[0] = trace_to_twpp(fc.trace_table[0])
-        with pytest.raises(IntegrityError):
+        # A well-formed body, so only the program check fails.
+        fc.twpp_table[0] = trace_to_twpp((1, 2, 2, 2, 77))
+        verify_compacted(compacted)
+        with pytest.raises(IntegrityError, match="missing block B77"):
             verify_compacted(compacted, program)
 
     def test_function_name_table_mismatch(self, good):

@@ -256,10 +256,13 @@ class TestAllocationBombs:
             read_wpp(path)
 
     def test_huge_series_rejected(self):
-        """A 3-integer stream claiming 2^40 timestamps must not expand."""
+        """A 2-integer series claiming 2^40 timestamps must not expand."""
+        from repro.compact.series import TimestampSet
         from repro.compact.twpp import TwppPathTrace, twpp_to_trace
 
-        bomb = TwppPathTrace(entries=((1, (1, 1 << 40, -1)),))
+        bomb = TwppPathTrace(
+            entries=((1, TimestampSet(entries=((1, 1 << 40, 1),))),)
+        )
         with pytest.raises(ValueError, match="sanity bound"):
             twpp_to_trace(bomb)
 

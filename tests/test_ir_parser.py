@@ -9,7 +9,7 @@ from repro.ir import (
     parse_program,
 )
 from repro.ir.expr import BinOp, Const, Intrinsic, UnaryOp, Var
-from repro.ir.stmt import Read, Return, Store, Switch
+from repro.ir.stmt import Assign, Read, Return, Store, Switch
 from repro.workloads import (
     figure1_program,
     figure9_program,
@@ -97,6 +97,14 @@ class TestParsing:
         )
         assert program.main == "solo"
 
+    def test_variable_named_func(self):
+        """Only ``func NAME(`` reads as a header; ``func`` alone is a
+        plain variable name."""
+        func = parse_function(
+            "func f() entry=B1 {\n  B1:\n    func = 1\n    return func\n}"
+        )
+        assert func.block(1).statements[0] == Assign("func", Const(1))
+
     def test_negative_literal_vs_subtraction(self):
         func = parse_function(
             "func f(a) entry=B1 {\n  B1:\n"
@@ -128,6 +136,14 @@ class TestErrors:
             (
                 "func f() entry=B1 {\n  B1:\n    x = (1 +\n}",
                 "line",
+            ),
+            (
+                "func main(\n  garbage\n",
+                "^line 1: malformed function header: 'func main\\('$",
+            ),
+            (
+                "func main(a b):",
+                "^line 1: malformed function header: 'func main\\(a b\\):'$",
             ),
         ],
     )

@@ -824,7 +824,7 @@ class TestCacheHoldsServedForms:
             for name in names:
                 engine.extract(name)
             again = engine.extract(names[0])
-            assert again.trace_table == engine.extract(names[0]).trace_table
+            assert again.twpp_table == engine.extract(names[0]).twpp_table
             assert len(session.cache) == 0
             stats = session.cache.stats()
             assert stats["bytes"] == stats["hits"] == stats["misses"] == 0

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.compact import compact_trace, compact_wpp, trace_to_twpp
+from repro.compact import (
+    compact_trace,
+    compact_wpp,
+    trace_to_twpp,
+    twpp_to_trace,
+)
+from repro.compact.format import encode_series
 from repro.trace import collect_wpp, partition_wpp, reconstruct_wpp
 from repro.workloads import (
     FIGURE1_F_TRACE_A,
@@ -36,7 +42,7 @@ class TestFigure1:
         """One shared trace body, two dictionaries for f (Figure 5)."""
         compacted, _stats = compact_wpp(partitioned)
         fc = compacted.function("f")
-        assert fc.trace_table == [(1, 2, 2, 2, 10)]
+        assert [twpp_to_trace(t) for t in fc.twpp_table] == [(1, 2, 2, 2, 10)]
         assert {d.chains for d in fc.dict_table} == {
             ((2, 3, 4, 5, 6),),
             ((2, 7, 8, 9, 6),),
@@ -45,10 +51,11 @@ class TestFigure1:
     def test_figure7_compacted_twpp(self, partitioned):
         """main's compacted TWPP is {1->{-1}, 2->{2:-6}, 6->{-7}}."""
         body, _d = compact_trace(FIGURE1_MAIN_TRACE)
-        assert trace_to_twpp(body).as_map() == {
-            1: (-1,),
-            2: (2, -6),
-            6: (-7,),
+        twpp = trace_to_twpp(body)
+        assert {b: encode_series(s) for b, s in twpp.entries} == {
+            1: [-1],
+            2: [2, -6],
+            6: [-7],
         }
 
     def test_wpp_reconstruction(self, partitioned):
