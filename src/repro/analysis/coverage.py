@@ -77,13 +77,7 @@ def coverage_report(
     partitioned: PartitionedWpp, program: Program
 ) -> CoverageReport:
     """Compute block/edge coverage for every function in the program."""
-    # Weight per (func idx, trace id) from the DCG.
-    weights: Dict[Tuple[int, int], int] = {}
-    for func_idx, trace_id in zip(
-        partitioned.dcg.node_func, partitioned.dcg.node_trace
-    ):
-        key = (func_idx, trace_id)
-        weights[key] = weights.get(key, 0) + 1
+    weights = partitioned.dcg.activation_counts()
 
     traced = {name: i for i, name in enumerate(partitioned.func_names)}
     report = CoverageReport()

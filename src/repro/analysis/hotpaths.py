@@ -126,16 +126,10 @@ def path_profile(partitioned: PartitionedWpp) -> PathProfile:
     (read off the DCG), so cost is proportional to the *compacted*
     size, not the original WPP.
     """
-    # Activation count per (function index, trace id).
-    weights: Dict[Tuple[int, int], int] = {}
-    for func_idx, trace_id in zip(
-        partitioned.dcg.node_func, partitioned.dcg.node_trace
-    ):
-        key = (func_idx, trace_id)
-        weights[key] = weights.get(key, 0) + 1
-
     profile = PathProfile()
-    for (func_idx, trace_id), weight in weights.items():
+    for (func_idx, trace_id), weight in (
+        partitioned.dcg.activation_counts().items()
+    ):
         name = partitioned.func_names[func_idx]
         trace = partitioned.traces[func_idx][trace_id]
         for path in acyclic_paths(trace):
@@ -167,12 +161,12 @@ def path_profile_compacted(
     else:
         engine, own = QueryEngine(source, cache_bytes=0), True
     try:
-        dcg = engine.dcg()
         # Activation count per (function index, pair id).
         per_func: Dict[int, Dict[int, int]] = {}
-        for func_idx, pair_id in zip(dcg.node_func, dcg.node_trace):
-            weights = per_func.setdefault(func_idx, {})
-            weights[pair_id] = weights.get(pair_id, 0) + 1
+        for (func_idx, pair_id), weight in (
+            engine.dcg().activation_counts().items()
+        ):
+            per_func.setdefault(func_idx, {})[pair_id] = weight
 
         profile = PathProfile()
         for func_idx, weights in sorted(per_func.items()):

@@ -13,7 +13,7 @@ Usage (also via ``python -m repro``)::
     repro-wpp check run.twpp --program prog.ir       # integrity fsck
     repro-wpp analyze run.twpp --program prog.ir --fact load:100 -j 4
     repro-wpp diff good.twpp bad.twpp                # behavioural run diff
-    repro-wpp hotpaths run.wpp                       # hot acyclic paths
+    repro-wpp hotpaths run.twpp                      # hot acyclic paths
     repro-wpp scan traces/                           # list a store's traces
     repro-wpp serve traces/ --port 8080              # trace-serving daemon
     repro-wpp corpus ingest corpus/ run*.twpp        # shared multi-run corpus
@@ -562,12 +562,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_hotpaths(args: argparse.Namespace) -> int:
-    from .analysis.hotpaths import path_profile
+    from .analysis.hotpaths import path_profile, path_profile_compacted
     from .trace.format import read_wpp
     from .trace.partition import partition_wpp
 
-    wpp = read_wpp(args.wpp)
-    profile = path_profile(partition_wpp(wpp))
+    if read_magic(args.trace) == b"TWPP":
+        profile = path_profile_compacted(args.trace)
+    else:
+        profile = path_profile(partition_wpp(read_wpp(args.trace)))
     print(
         f"{profile.distinct_paths()} distinct acyclic paths, "
         f"{profile.total_executions} executions; "
@@ -836,8 +838,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", help="textual IR to cross-check against")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("hotpaths", help="rank hot acyclic paths from a .wpp")
-    p.add_argument("wpp")
+    p = sub.add_parser(
+        "hotpaths", help="rank hot acyclic paths from a .wpp or .twpp"
+    )
+    p.add_argument("trace", help=".wpp or .twpp path")
     p.add_argument("--top", type=_count, default=10)
     p.add_argument("--coverage", type=float, default=0.9)
     p.set_defaults(func=_cmd_hotpaths)

@@ -5,14 +5,15 @@ extends the same idea *across* runs.  Unique compacted trace bodies,
 DBB dictionaries, and fixed-size chunks of the DCG activation stream
 are content-addressed (sha1 over kind + payload) into one append-only
 pack file; each ingested run's TWPP becomes a compact manifest of blob
-references, and a SQLite catalog tracks runs, blobs, and per-function
-membership so cross-run analyses (diff, corpus-wide hot paths, block
-frequencies) run straight off the shared compressed form -- no run is
-ever rematerialized as a ``.twpp``.
+references -- the only record of the run's membership -- and a SQLite
+catalog indexes the blobs and accounts for each run.  Cross-run
+analyses (diff, corpus-wide hot paths, block frequencies) run straight
+off the manifests, the shared compressed form and the DCG activation
+counts -- no run is ever rematerialized as a ``.twpp``.
 
 Layout of a corpus directory::
 
-    corpus.sqlite     the catalog (runs, blobs, functions, pairs)
+    corpus.sqlite     the catalog (blob index, run accounting)
     blobs.pack        self-describing append-only blob records
     runs/<run>.manifest   one compact manifest per ingested run
 
@@ -27,7 +28,7 @@ from .blobs import (
     blob_sha,
 )
 from .catalog import CorpusCatalog, CorpusRun
-from .corpus import IngestResult, TraceCorpus, diff_doc, hot_doc
+from .corpus import CorruptRun, IngestResult, TraceCorpus, diff_doc, hot_doc
 from .manifest import (
     RunDigest,
     RunManifest,
@@ -40,6 +41,7 @@ __all__ = [
     "BlobPack",
     "CorpusCatalog",
     "CorpusRun",
+    "CorruptRun",
     "IngestResult",
     "KIND_BODY",
     "KIND_DCG",

@@ -4,8 +4,10 @@
 manifests) and a :class:`~repro.api.Session` for scanning ``.twpp``
 files on their way in -- pass the session to share warm engines,
 metrics and the session's one cache budget with the rest of a
-pipeline, or let the corpus own a private one.  Everything downstream of ingest works in the compressed domain:
-``diff`` is set algebra over (body, dict) blob-id pairs and decodes
+pipeline, or let the corpus own a private one.  Every read takes a
+run's membership from its manifest and its activation weights from its
+DCG, and works in the compressed domain: ``diff`` is set algebra over
+the manifests' (body, dict) blob-id pairs and decodes
 only the traces that actually differ, ``hot_paths`` decodes each
 unique pair once no matter how many runs share it, and
 ``block_frequencies`` never expands a timestamp set at all (its
@@ -59,7 +61,12 @@ RUNS_DIR = "runs"
 
 _RUN_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
-__all__ = ["IngestResult", "TraceCorpus"]
+__all__ = ["CorruptRun", "IngestResult", "TraceCorpus"]
+
+
+class CorruptRun(ValueError):
+    """A committed run whose manifest is missing, does not decode, or
+    names another run."""
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,7 @@ class TraceCorpus:
             pass
         else:
             fsync_dir(self.root)
+        self._catalog = CorpusCatalog(self.root / CORPUS_DB)
         if session is None:
             from ..api import Session
 
@@ -121,14 +129,14 @@ class TraceCorpus:
             self._own_session = False
         self._session = session
         self.metrics = session.metrics
-        self._catalog = CorpusCatalog(self.root / CORPUS_DB)
         self._pack = BlobPack(self.root / PACK_NAME)
         #: Pack bytes of a killed ingest that opening dropped (0: none).
         self.recovered_bytes = 0
         with self._pack.locked(wait=False) as idle:
             if idle:  # no ingest in flight, so any tail is a torn one
                 self.recovered_bytes = self._drop_uncommitted_tail()
-        #: Expanded pairs live in the session's cache, keyed by corpus.
+        #: Expanded pairs, decoded manifests and activation counts live
+        #: in the session's cache, keyed by corpus.
         self._cache = session.cache
         self._ingest_lock = threading.Lock()
 
@@ -270,68 +278,41 @@ class TraceCorpus:
         blobs_shared = len(shared_ids)
         bytes_added = sum(length for *_, length in new_blobs)
 
-        functions = []
-        function_rows = []
-        pair_rows = []
-        for index, fn in enumerate(digest.functions):
-            bodies = tuple(ids[sha] for sha in fn.body_shas)
-            dicts = tuple(ids[sha] for sha in fn.dict_shas)
-            functions.append(
-                ManifestFunction(
-                    name=fn.name,
-                    call_count=fn.call_count,
-                    bodies=bodies,
-                    dicts=dicts,
-                    pairs=fn.pairs,
-                )
+        functions = tuple(
+            ManifestFunction(
+                name=fn.name,
+                call_count=fn.call_count,
+                bodies=tuple(ids[sha] for sha in fn.body_shas),
+                dicts=tuple(ids[sha] for sha in fn.dict_shas),
+                pairs=fn.pairs,
             )
-            function_rows.append(
-                (index, fn.name, fn.call_count, len(fn.pairs))
-            )
-            for pos, (body_idx, dict_idx) in enumerate(fn.pairs):
-                pair_rows.append(
-                    (
-                        fn.name,
-                        pos,
-                        bodies[body_idx],
-                        dicts[dict_idx],
-                        fn.weights[pos],
-                    )
-                )
-
+            for fn in digest.functions
+        )
         manifest = RunManifest(
             run=run,
             source=source,
             dcg_nodes=digest.dcg_nodes,
             dcg_chunks=tuple(ids[sha] for sha in digest.dcg_shas),
-            functions=tuple(functions),
+            functions=functions,
         )
         data = encode_manifest(manifest)
-        manifest_path = self._write_manifest(run, data)
+        self._write_manifest(run, data)
 
         record = CorpusRun(
             run=run,
             source=source,
-            manifest_path=str(manifest_path),
             twpp_bytes=digest.twpp_bytes,
             manifest_bytes=len(data),
             blobs_added=blobs_added,
             blobs_shared=blobs_shared,
             bytes_added=bytes_added,
             bytes_shared=bytes_shared,
-            functions=len(digest.functions),
-            pairs=len(pair_rows),
-            calls=sum(fn.call_count for fn in digest.functions),
+            functions=len(functions),
+            pairs=sum(len(fn.pairs) for fn in functions),
+            calls=sum(fn.call_count for fn in functions),
             dcg_nodes=digest.dcg_nodes,
         )
-        self._catalog.add_run(
-            record,
-            new_blobs,
-            shared_ids,
-            function_rows,
-            pair_rows,
-            manifest.dcg_chunks,
-        )
+        self._catalog.add_run(record, new_blobs, shared_ids)
         return record
 
     def _drop_uncommitted_tail(self) -> int:
@@ -345,7 +326,7 @@ class TraceCorpus:
         end = self._catalog.pack_end()
         return self._pack.truncate(PACK_HEADER_BYTES if end is None else end)
 
-    def _write_manifest(self, run: str, data: bytes) -> Path:
+    def _write_manifest(self, run: str, data: bytes) -> None:
         """Write ``runs/<run>.manifest`` whole and durably.
 
         The temp file is fsynced before the rename and ``runs/`` after
@@ -359,7 +340,14 @@ class TraceCorpus:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         fsync_dir(path.parent)
-        return path
+
+    def _read_manifest(self, run: str) -> RunManifest:
+        """Read and decode ``runs/<run>.manifest`` from disk, uncached."""
+        path = self.root / RUNS_DIR / f"{run}.manifest"
+        try:
+            return decode_manifest(path.read_bytes())
+        except (OSError, ValueError) as exc:
+            raise CorruptRun(f"run {run}: unreadable manifest: {exc}") from exc
 
     # ---- reads --------------------------------------------------------
 
@@ -373,9 +361,29 @@ class TraceCorpus:
             raise KeyError(f"no run {name!r} in corpus")
         return record
 
+    def _manifest(self, run: str) -> RunManifest:
+        """One committed run's manifest: its only membership record.
+
+        Decoded once into the session's cache (a committed manifest
+        never changes).  Raises ``KeyError`` for a run the catalog does
+        not hold and :class:`CorruptRun` for a manifest that is
+        missing, does not decode or names another run.
+        """
+
+        def load():
+            record = self.run(run)
+            manifest = self._read_manifest(run)
+            if manifest.run != run:
+                raise CorruptRun(
+                    f"run {run}: manifest names run {manifest.run!r}"
+                )
+            return manifest, 64 + 32 * record.manifest_bytes
+
+        return self._cache.get_or_load((self, "manifest", run), load)
+
     def functions(self, run: str) -> List[str]:
         """One run's function names in original-index order."""
-        return [name for name, _, _ in self._catalog.functions(run)]
+        return [fn.name for fn in self._manifest(run).functions]
 
     def traces(self, run: str, function: str) -> List[PathTrace]:
         """One function's unique path traces, served from the corpus.
@@ -384,19 +392,56 @@ class TraceCorpus:
         original ``.twpp``: pairs come back in section position order
         and expand through the shared blobs.
         """
-        return [
-            self._expand(body, dictionary)
-            for body, dictionary, _ in self._catalog.pair_rows(run, function)
-        ]
+        for fn in self._manifest(run).functions:
+            if fn.name == function:
+                return [self._expand(*pair) for pair in fn.blob_pairs()]
+        raise KeyError(f"no function {function!r} in run {run!r}")
 
     def dcg(self, run: str) -> DynamicCallGraph:
         """One run's dynamic call graph, reassembled from shared chunks."""
-        record = self.run(run)
+        manifest = self._manifest(run)
         chunks = [
             decode_dcg_chunk(self._read_blob(blob_id, KIND_DCG))
-            for blob_id in self._catalog.dcg_chunk_ids(run)
+            for blob_id in manifest.dcg_chunks
         ]
-        return assemble_dcg(record.dcg_nodes, chunks)
+        return assemble_dcg(manifest.dcg_nodes, chunks)
+
+    def _activations(self, run: str) -> Dict[Tuple[int, int], int]:
+        """Activations per (function index, pair position) of one run.
+
+        Counted from the run's DCG once and kept in the session's cache.
+        """
+
+        def load():
+            counts = self.dcg(run).activation_counts()
+            return counts, 64 + 96 * len(counts)
+
+        return self._cache.get_or_load((self, "activations", run), load)
+
+    def _pair_weights(
+        self,
+        runs: Optional[Sequence[str]],
+        functions: Optional[Sequence[str]] = None,
+    ) -> List[Tuple[Tuple[str, int, int], int]]:
+        """((func, body_blob, dict_blob), summed weight) over a run subset.
+
+        Weights sum across every selected run first, so each unique
+        pair decodes once downstream no matter how many runs share it.
+        Pairs no activation followed are left out; the rest come in
+        (func, body_blob, dict_blob) order.
+        """
+        names = [r.run for r in self.runs()] if runs is None else runs
+        wanted = None if functions is None else set(functions)
+        totals: Dict[Tuple[str, int, int], int] = {}
+        for run in names:
+            manifest = self._manifest(run)
+            for (index, position), weight in self._activations(run).items():
+                fn = manifest.functions[index]
+                if wanted is None or fn.name in wanted:
+                    body, dictionary = fn.pairs[position]
+                    key = (fn.name, fn.bodies[body], fn.dicts[dictionary])
+                    totals[key] = totals.get(key, 0) + weight
+        return sorted(totals.items())
 
     def _read_blob(self, blob_id: int, expect_kind: int) -> bytes:
         sha, kind, offset, length, _refs = self._catalog.blob(blob_id)
@@ -441,19 +486,19 @@ class TraceCorpus:
         files.
         """
         with self.metrics.timer("corpus.diff"):
-            summary_a = self._catalog.function_summary(run_a)
-            summary_b = self._catalog.function_summary(run_b)
+            funcs_a = {fn.name: fn for fn in self._manifest(run_a).functions}
+            funcs_b = {fn.name: fn for fn in self._manifest(run_b).functions}
             delta = TwppDelta(
-                only_in_a=sorted(set(summary_a) - set(summary_b)),
-                only_in_b=sorted(set(summary_b) - set(summary_a)),
+                only_in_a=sorted(set(funcs_a) - set(funcs_b)),
+                only_in_b=sorted(set(funcs_b) - set(funcs_a)),
             )
-            for name in sorted(set(summary_a) & set(summary_b)):
-                pairs_a = self._catalog.pair_set(run_a, name)
-                pairs_b = self._catalog.pair_set(run_b, name)
+            for name in sorted(set(funcs_a) & set(funcs_b)):
+                pairs_a = set(funcs_a[name].blob_pairs())
+                pairs_b = set(funcs_b[name].blob_pairs())
                 delta.functions[name] = FunctionDelta(
                     name=name,
-                    calls_a=summary_a[name][0],
-                    calls_b=summary_b[name][0],
+                    calls_a=funcs_a[name].call_count,
+                    calls_b=funcs_b[name].call_count,
                     traces_a=len(pairs_a),
                     traces_b=len(pairs_b),
                     only_in_a=frozenset(
@@ -472,19 +517,18 @@ class TraceCorpus:
     ) -> PathProfile:
         """Acyclic path profile aggregated across runs (default: all).
 
-        Activation weights sum in SQL first, so each unique (body,
-        dict) pair is expanded and decomposed exactly once however many
-        runs share it.  Restricted to one run, the profile equals
+        Activation weights (counted from each run's DCG) sum first, so
+        each unique (body, dict) pair is expanded and decomposed exactly
+        once however many runs share it.  Restricted to one run, the
+        profile equals
         :func:`repro.analysis.hotpaths.path_profile_compacted` over
         that run's original ``.twpp``.
         """
         with self.metrics.timer("corpus.hot"):
             profile = PathProfile()
-            for func, body, dictionary, weight in self._catalog.pair_weights(
+            for (func, body, dictionary), weight in self._pair_weights(
                 runs, functions
             ):
-                if not weight:
-                    continue  # recorded pair that no activation followed
                 for path in acyclic_paths(self._expand(body, dictionary)):
                     key = (func, path)
                     profile.counts[key] = profile.counts.get(key, 0) + weight
@@ -504,11 +548,7 @@ class TraceCorpus:
         with self.metrics.timer("corpus.freq"):
             per_pair: Dict[Tuple[int, int], Dict[int, int]] = {}
             totals: Dict[Tuple[str, int], int] = {}
-            for func, body, dictionary, weight in self._catalog.pair_weights(
-                runs
-            ):
-                if not weight:
-                    continue
+            for (func, body, dictionary), weight in self._pair_weights(runs):
                 pair = (body, dictionary)
                 counts = per_pair.get(pair)
                 if counts is None:
@@ -550,13 +590,10 @@ class TraceCorpus:
         problems: List[str] = []
         referrers: Dict[int, int] = {}
         for record in self._catalog.runs():
-            path = self.root / RUNS_DIR / f"{record.run}.manifest"
             try:
-                manifest = decode_manifest(path.read_bytes())
-            except (OSError, ValueError) as exc:
-                problems.append(
-                    f"run {record.run}: unreadable manifest: {exc}"
-                )
+                manifest = self._read_manifest(record.run)
+            except CorruptRun as exc:
+                problems.append(str(exc))
                 continue
             if manifest.run != record.run:
                 problems.append(
@@ -605,8 +642,8 @@ class TraceCorpus:
 
         ``compaction_factor`` compares what the runs would occupy as
         independent ``.twpp`` files against what the corpus actually
-        holds (pack + manifests; the rebuildable SQLite catalog is
-        reported separately).
+        holds (pack + manifests; the SQLite catalog is reported
+        separately).
         """
         run_reports = []
         twpp_total = manifest_total = 0

@@ -4,10 +4,13 @@ A **manifest** is what a run's TWPP becomes once its content lives in
 the corpus: per function (in original DCG index order) the call count
 and the blob ids of its unique bodies and dictionaries, the local
 (body, dictionary) pairs exactly as the ``.twpp`` section stored them,
-and the ordered DCG chunk blob ids plus node count.  Blob ids are the
-corpus catalog's -- varint-small where a 20-byte sha per reference
-would rival the sections it replaces -- and resolve through the
-catalog or by replaying the self-describing pack.
+and the ordered DCG chunk blob ids plus node count.  It is the only
+record of which blobs a run uses: every corpus read takes membership
+from the decoded manifest, and per-pair activation weights from the
+run's DCG.  Blob ids are the corpus catalog's -- varint-small where a
+20-byte sha per reference would rival the sections it replaces -- and
+resolve through the catalog's blob index or by replaying the
+self-describing pack.
 
 A **digest** (:class:`RunDigest`) is the intermediate :func:`scan_run`
 produces from a warm query engine: the same structure but carrying
@@ -72,6 +75,10 @@ class ManifestFunction:
     bodies: Tuple[int, ...]  # blob ids, in body-table order
     dicts: Tuple[int, ...]  # blob ids, in dict-table order
     pairs: Tuple[Tuple[int, int], ...]  # (body idx, dict idx), local
+
+    def blob_pairs(self) -> List[Tuple[int, int]]:
+        """(body blob id, dict blob id) per pair, in section position order."""
+        return [(self.bodies[b], self.dicts[d]) for b, d in self.pairs]
 
 
 @dataclass(frozen=True)
@@ -160,14 +167,13 @@ def decode_manifest(data: bytes) -> RunManifest:
 
 @dataclass(frozen=True)
 class DigestFunction:
-    """One scanned function: sha references plus per-pair DCG weights."""
+    """One scanned function: sha references plus its local pairs."""
 
     name: str
     call_count: int
     body_shas: Tuple[bytes, ...]
     dict_shas: Tuple[bytes, ...]
     pairs: Tuple[Tuple[int, int], ...]
-    weights: Tuple[int, ...]  # activations per pair, from the DCG
 
 
 @dataclass(frozen=True)
@@ -190,11 +196,6 @@ def scan_run(engine) -> RunDigest:
     digest for the same file.
     """
     dcg = engine.dcg()
-    per_func: Dict[int, Dict[int, int]] = {}
-    for func_idx, pair_id in zip(dcg.node_func, dcg.node_trace):
-        weights = per_func.setdefault(func_idx, {})
-        weights[pair_id] = weights.get(pair_id, 0) + 1
-
     blobs: Dict[bytes, Tuple[int, bytes]] = {}
 
     def intern(kind: int, payload: bytes) -> bytes:
@@ -212,7 +213,6 @@ def scan_run(engine) -> RunDigest:
         dict_shas = tuple(
             intern(KIND_DICT, encode_dictionary(d)) for d in fc.dict_table
         )
-        weights = per_func.get(entry.original_index, {})
         functions.append(
             DigestFunction(
                 name=entry.name,
@@ -220,9 +220,6 @@ def scan_run(engine) -> RunDigest:
                 body_shas=body_shas,
                 dict_shas=dict_shas,
                 pairs=tuple(fc.pairs),
-                weights=tuple(
-                    weights.get(i, 0) for i in range(len(fc.pairs))
-                ),
             )
         )
 

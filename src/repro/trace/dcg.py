@@ -13,9 +13,10 @@ explicit child lists on disk.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .encoding import (
     check_count,
@@ -68,6 +69,14 @@ class DynamicCallGraph:
         for func_idx in self.node_func:
             counts[func_idx] += 1
         return counts
+
+    def activation_counts(self) -> Dict[Tuple[int, int], int]:
+        """Activations per ``(function index, trace id)``.
+
+        Keys come in order of first activation, so callers that iterate
+        the result see pairs in the order the run first took them.
+        """
+        return Counter(zip(self.node_func, self.node_trace))
 
     def serialize(self) -> bytes:
         """Encode as varints: node count then (func, trace) per node.

@@ -261,6 +261,18 @@ class TestHotPaths:
         assert "distinct acyclic paths" in out
         assert "cover 90%" in out
 
+    def test_twpp_prints_what_the_wpp_prints(self, pipeline_files, capsys):
+        _ir, wpp, twpp, _sqwp = pipeline_files
+        assert main(["hotpaths", str(wpp), "--top", "50"]) == 0
+        from_wpp = capsys.readouterr().out
+        assert main(["hotpaths", str(twpp), "--top", "50"]) == 0
+        assert capsys.readouterr().out == from_wpp
+
+    def test_other_input_is_an_error(self, pipeline_files, capsys):
+        ir, _wpp, _twpp, _sqwp = pipeline_files
+        assert main(["hotpaths", str(ir)]) == 2
+        assert "not a .wpp file" in capsys.readouterr().err
+
 
 class TestCoverage:
     def test_report(self, pipeline_files, capsys):

@@ -7,6 +7,9 @@ smaller runs' bodies, dictionaries, and DCG prefix chunks all reappear
 in larger runs.
 """
 
+import shutil
+import sqlite3
+
 import pytest
 
 from repro.api import Session
@@ -19,6 +22,7 @@ from repro.corpus import (
     TraceCorpus,
     decode_manifest,
 )
+from repro.corpus.catalog import SCHEMA_VERSION
 from repro.trace import collect_wpp, partition_wpp
 from repro.workloads import workload
 
@@ -264,6 +268,107 @@ class TestStorage:
             # order puts them after every body and dictionary).
             with pytest.raises(ValueError, match="content check"):
                 corpus.dcg("r")
+
+
+class TestCatalog:
+    @staticmethod
+    def schema(db):
+        con = sqlite3.connect(db)
+        try:
+            return con.execute(
+                "SELECT type, name FROM sqlite_master ORDER BY name"
+            ).fetchall()
+        finally:
+            con.close()
+
+    def test_catalog_holds_only_blobs_and_runs(self, corpus_env, tmp_path):
+        """Membership lives in the manifests: no table repeats it."""
+        _, corpus, _, _ = corpus_env
+        TraceCorpus(tmp_path / "fresh").close()
+        for root in (tmp_path / "fresh", corpus.root):
+            rows = self.schema(root / "corpus.sqlite")
+            tables = {name for kind, name in rows if kind == "table"}
+            assert tables == {"meta", "blobs", "runs"}
+            for kind, name in rows:
+                if kind != "table":
+                    assert kind == "index"
+                    assert name.startswith("sqlite_autoindex_"), name
+
+    def test_schema_version_recorded(self, corpus_env):
+        _, corpus, _, _ = corpus_env
+        con = sqlite3.connect(corpus.root / "corpus.sqlite")
+        try:
+            (version,) = con.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+        finally:
+            con.close()
+        assert version == str(SCHEMA_VERSION) == "2"
+
+    @pytest.mark.parametrize("damage", ["truncated", "header", "version"])
+    def test_bad_catalog_is_an_error_naming_the_file(
+        self, corpus_env, tmp_path, capsys, damage
+    ):
+        from repro.cli import main
+
+        _, corpus, _, _ = corpus_env
+        root = tmp_path / "c"
+        shutil.copytree(corpus.root, root)
+        db = root / "corpus.sqlite"
+        if damage == "truncated":
+            db.write_bytes(db.read_bytes()[:5000])
+            message = "malformed"
+        elif damage == "header":
+            data = bytearray(db.read_bytes())
+            data[0] ^= 0xFF
+            db.write_bytes(bytes(data))
+            message = "not a database"
+        else:
+            con = sqlite3.connect(db)
+            with con:
+                con.execute(
+                    "UPDATE meta SET value = '1'"
+                    " WHERE key = 'schema_version'"
+                )
+            con.close()
+            message = "schema version 1, expected 2"
+        with pytest.raises(ValueError, match=message) as info:
+            TraceCorpus(root)
+        assert str(db) in str(info.value)
+        for verb in ("check", "stats"):
+            assert main(["corpus", verb, str(root)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {db}: ") and message in err
+
+    def test_reads_decode_each_manifest_once(
+        self, corpus_env, tmp_path, monkeypatch
+    ):
+        """A diff decodes at most its two manifests and no DCG; a second
+        corpus-wide profile reads no blob at all."""
+        _, _, paths, _ = corpus_env
+        reads = []
+        read_manifest = TraceCorpus._read_manifest
+
+        def counted(corpus, run):
+            reads.append(run)
+            return read_manifest(corpus, run)
+
+        with Session() as session:
+            with TraceCorpus(tmp_path / "c", session=session) as corpus:
+                corpus.ingest(paths["li-a"], run="a")
+                corpus.ingest(paths["li-a"], run="b")
+                monkeypatch.setattr(TraceCorpus, "_read_manifest", counted)
+                counter = session.metrics.counter
+                blob_reads = counter("corpus.blob_reads")
+                for _ in range(2):
+                    assert corpus.diff("a", "b").identical
+                assert sorted(reads) == ["a", "b"]
+                assert counter("corpus.blob_reads") == blob_reads
+                first = corpus.hot_paths()
+                blob_reads = counter("corpus.blob_reads")
+                assert corpus.hot_paths().counts == first.counts
+                assert counter("corpus.blob_reads") == blob_reads
+                assert sorted(reads) == ["a", "b"]
 
 
 class TestSessionFacade:

@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro.api import Session
-from repro.corpus import BlobPack, TraceCorpus
+from repro.corpus import BlobPack, CorruptRun, TraceCorpus
 from repro.trace import collect_wpp, partition_wpp
 from repro.workloads import workload
 
@@ -320,6 +320,45 @@ class TestCheck:
         assert any("run b: unreadable manifest" in p for p in problems)
         # Without b's manifest, every blob b shares now looks over-counted.
         assert any("refs 2, but 1" in p for p in problems)
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "swapped"])
+    def test_unreadable_manifest_is_a_typed_read_error(
+        self, corpus_root, damage
+    ):
+        """Reads take membership from the manifest alone, so a damaged
+        one fails every read of its run, naming the run; ``check``
+        reports it as before."""
+        manifest = corpus_root / "runs" / "b.manifest"
+        if damage == "missing":
+            manifest.unlink()
+            message = "run b: unreadable manifest"
+        elif damage == "truncated":
+            manifest.write_bytes(manifest.read_bytes()[:-3])
+            message = "run b: unreadable manifest"
+        else:
+            manifest.write_bytes(
+                (corpus_root / "runs" / "a.manifest").read_bytes()
+            )
+            message = "run b: manifest names run 'a'"
+        with TraceCorpus(corpus_root) as corpus:
+            name = corpus.functions("a")[0]
+            assert corpus.traces("a", name)
+            reads = (
+                lambda: corpus.functions("b"),
+                lambda: corpus.traces("b", name),
+                lambda: corpus.dcg("b"),
+                lambda: corpus.diff("a", "b"),
+                lambda: corpus.hot_paths(),
+                lambda: corpus.block_frequencies(runs=["b"]),
+            )
+            for read in reads:
+                with pytest.raises(CorruptRun, match=message):
+                    read()
+            problems = corpus.check()
+        if damage == "swapped":
+            assert problems[0] == "run b: manifest names run 'a'"
+        else:
+            assert problems[0].startswith("run b: unreadable manifest")
 
     def test_corrupt_payload_reported(self, corpus_root):
         pack = corpus_root / "blobs.pack"

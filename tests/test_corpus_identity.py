@@ -2,10 +2,14 @@
 
 Ingest is free to change *how* it writes (batching, transactions,
 fsync order) but not *what*: the pack's bytes, every run's manifest,
-the catalog's blob rows (ids, offsets, reference counts) and its
-``pairs`` table are pinned here as sha1s of the bytes the reference
-ingest produced.  The input ``.twpp`` sha1s are pinned too, so a
-failure says whether the inputs or the ingest moved.
+the catalog's blob rows (ids, offsets, reference counts) and every
+run's pair membership with its activation weights are pinned here as
+sha1s of the bytes the reference ingest produced.  The ``pairs`` digest
+hashes one row per section position, ``run_id func position body_blob
+dict_blob weight`` (``run_id`` the 1-based ingest order, rows ordered
+by run, function, position), computed from each run's manifest and
+the DCG the pack stores.  The input ``.twpp`` sha1s are pinned too, so
+a failure says whether the inputs or the ingest moved.
 
 Regenerate ``tests/data/corpus_golden.json`` (only when the corpus
 format is *meant* to change) with::
@@ -19,10 +23,11 @@ import os
 import sqlite3
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from repro.api import Session
-from repro.corpus import TraceCorpus
+from repro.corpus import TraceCorpus, decode_manifest
 from repro.ir.printer import format_program
 from repro.workloads import generate_program, spec_for
 
@@ -42,17 +47,44 @@ def _sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
+def _digest_rows(rows) -> str:
+    lines = "\n".join(
+        " ".join(v.hex() if isinstance(v, bytes) else str(v) for v in row)
+        for row in rows
+    )
+    return _sha1(lines.encode())
+
+
 def _dump(db: Path, query: str) -> str:
     con = sqlite3.connect(db)
     try:
         rows = con.execute(query).fetchall()
     finally:
         con.close()
-    lines = "\n".join(
-        " ".join(v.hex() if isinstance(v, bytes) else str(v) for v in row)
-        for row in rows
+    return _digest_rows(rows)
+
+
+def _pair_rows(corpus, run_id: int, run: str) -> list:
+    """One run's ``pairs`` rows, from its manifest file and its DCG."""
+    manifest = decode_manifest(
+        (corpus.root / "runs" / f"{run}.manifest").read_bytes()
     )
-    return _sha1(lines.encode())
+    dcg = corpus.dcg(run)
+    weights = Counter(zip(dcg.node_func, dcg.node_trace))
+    rows = []
+    for index, fn in enumerate(manifest.functions):
+        for position, (body, dictionary) in enumerate(fn.pairs):
+            rows.append(
+                (
+                    run_id,
+                    fn.name,
+                    position,
+                    fn.bodies[body],
+                    fn.dicts[dictionary],
+                    weights[(index, position)],
+                )
+            )
+    return sorted(rows)
 
 
 def corpus_digests() -> dict:
@@ -70,6 +102,11 @@ def corpus_digests() -> dict:
             session.trace(ir, stream=True, output=paths[-1])
         with TraceCorpus("corpus", session=session) as corpus:
             corpus.ingest_runs(paths, runs=[name for name, _, _ in RUNS])
+            pairs = _digest_rows(
+                row
+                for run_id, (name, _, _) in enumerate(RUNS, start=1)
+                for row in _pair_rows(corpus, run_id, name)
+            )
     root = Path("corpus")
     return {
         "twpp": {p.stem: _sha1(p.read_bytes()) for p in paths},
@@ -82,11 +119,7 @@ def corpus_digests() -> dict:
             root / "corpus.sqlite",
             "SELECT sha, kind, offset, length, refs FROM blobs ORDER BY id",
         ),
-        "pairs": _dump(
-            root / "corpus.sqlite",
-            "SELECT run_id, func, position, body_blob, dict_blob, weight"
-            " FROM pairs ORDER BY run_id, func, position",
-        ),
+        "pairs": pairs,
     }
 
 

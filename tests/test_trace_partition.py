@@ -128,3 +128,20 @@ class TestDcgSerialization:
         counts = part.dcg.calls_per_function(len(part.func_names))
         assert counts[part.func_index("main")] == 1
         assert counts[part.func_index("leaf")] == 7
+
+    def test_activation_counts(self):
+        from array import array
+
+        dcg = DynamicCallGraph(
+            node_func=array("I", [0, 2, 1, 2, 2, 1]),
+            node_trace=array("I", [0, 1, 0, 0, 1, 0]),
+        )
+        counts = dcg.activation_counts()
+        # First-activation order, one key per (function, trace) taken.
+        assert list(counts.items()) == [
+            ((0, 0), 1),
+            ((2, 1), 2),
+            ((1, 0), 2),
+            ((2, 0), 1),
+        ]
+        assert sum(counts.values()) == len(dcg)
