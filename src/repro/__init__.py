@@ -32,7 +32,7 @@ Subpackages
     The paper's core contribution: redundant-trace elimination, dynamic
     basic block dictionaries, the timestamped WPP (TWPP), arithmetic
     series compaction, LZW, the indexed ``.twpp`` file format, the
-    one-pass streaming compactor, and the cached mmap-backed
+    streaming ingest (no raw WPP held), and the cached mmap-backed
     query-serving engine (``repro.compact.qserve``).
 ``repro.store``
     The serving layer: a directory of traces behind an in-memory index

@@ -174,11 +174,11 @@ class Session:
     ) -> Union[WppTrace, StreamResult]:
         """Run a program (object or textual-IR path), collect its WPP.
 
-        With ``stream=True`` the run is compacted *while executing*
-        (the one-pass pipeline of :mod:`repro.compact.stream`) and
-        written straight to ``output`` as a ``.twpp`` -- no raw WPP is
-        ever materialized.  Returns a :class:`StreamResult` instead of
-        a :class:`~repro.trace.wpp.WppTrace` in that mode.  ``verify``
+        With ``stream=True`` the run is partitioned *while executing*
+        (:mod:`repro.compact.stream`), then compacted and written to
+        ``output`` as a ``.twpp`` -- no raw WPP is ever materialized.
+        Returns a :class:`StreamResult` instead of a
+        :class:`~repro.trace.wpp.WppTrace` in that mode.  ``verify``
         (stream mode only) read-checks the written file before
         returning.
         """
@@ -214,11 +214,11 @@ class Session:
         max_events: Optional[int] = None,
         verify: bool = False,
     ) -> StreamResult:
-        """Trace + compact + write a ``.twpp`` in one pass.
+        """Trace + compact + write a ``.twpp`` without a raw WPP.
 
         Byte-identical to ``session.compact(session.trace(p)).save(path)``
-        but each unique trace is compacted as the run first produces
-        it, and no raw WPP is held.  ``verify=True``
+        but the run is partitioned as it executes, so no raw WPP is
+        held.  ``verify=True``
         reads the finished file back and checks every function's
         traces against the in-memory compaction.
         """

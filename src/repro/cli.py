@@ -65,92 +65,63 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .api import Session
     from .ir.parser import parse_program
     from .trace.format import write_wpp
-    from .trace.wpp import WppBuilder
-    from .interp.interpreter import run_program
 
     program = parse_program(Path(args.program).read_text())
-    if args.stream:
-        from .api import stream_compact
-        from .obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        res = stream_compact(
+    with Session(interp=args.interp) as session:
+        traced = session.trace(
             program,
-            args.output,
             args=tuple(args.arg),
             inputs=tuple(args.input),
             max_events=args.max_events,
-            metrics=metrics,
-            interp=args.interp,
+            stream=args.stream,
+            output=args.output,
             verify=args.verify,
         )
-        if args.verify:
-            print(f"verified {args.output} reads back identically")
-        print(
-            f"streamed {res.events} events ({res.run.calls_made} calls) "
-            f"at {res.events_per_sec:,.0f} events/s, wrote {args.output} "
-            f"({res.bytes_written} bytes, overall x{res.stats.overall_factor:.1f})"
-        )
-        if res.run.output:
-            print("program output:", " ".join(map(str, res.run.output)))
+        run = traced.run
+        if args.stream:
+            if args.verify:
+                print(f"verified {args.output} reads back identically")
+            print(
+                f"streamed {traced.events} events ({run.calls_made} calls) "
+                f"at {traced.events_per_sec:,.0f} events/s, wrote {args.output} "
+                f"({traced.bytes_written} bytes, "
+                f"overall x{traced.stats.overall_factor:.1f})"
+            )
+        else:
+            size = write_wpp(traced, args.output)
+            session.metrics.inc("trace.bytes_written", size)
+            print(
+                f"traced {len(traced)} events ({run.calls_made} calls), "
+                f"wrote {args.output} ({size} bytes)"
+            )
+        if run.output:
+            print("program output:", " ".join(map(str, run.output)))
         if args.metrics_out:
-            metrics.write_json(args.metrics_out)
+            session.metrics.write_json(args.metrics_out)
             print(f"wrote {args.metrics_out}")
-        return 0
-    from .obs import MetricsRegistry
-
-    metrics = MetricsRegistry()
-    builder = WppBuilder()
-    with metrics.timer("trace"):
-        result = run_program(
-            program,
-            args=args.arg,
-            inputs=args.input,
-            tracer=builder,
-            max_events=args.max_events,
-            interp=args.interp,
-            metrics=metrics,
-        )
-        wpp = builder.finish()
-    metrics.inc("trace.events", len(wpp))
-    size = write_wpp(wpp, args.output)
-    metrics.inc("trace.bytes_written", size)
-    print(
-        f"traced {len(wpp)} events ({result.calls_made} calls), "
-        f"wrote {args.output} ({size} bytes)"
-    )
-    if result.output:
-        print("program output:", " ".join(map(str, result.output)))
-    if args.metrics_out:
-        metrics.write_json(args.metrics_out)
-        print(f"wrote {args.metrics_out}")
     return 0
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
-    from .compact.format import write_twpp
-    from .compact.pipeline import compact_wpp
-    from .obs import MetricsRegistry
-    from .trace.format import read_wpp
-    from .trace.partition import partition_wpp
+    from .api import Session
 
-    metrics = MetricsRegistry()
-    wpp = read_wpp(args.wpp)
-    part = partition_wpp(wpp, metrics=metrics)
-    compacted, stats = compact_wpp(part, metrics=metrics)
-    size = write_twpp(compacted, args.output, metrics=metrics)
-    print(f"wrote {args.output} ({size} bytes)")
-    print(
-        f"stages: dedup x{stats.dedup_factor:.2f}, "
-        f"dictionaries x{stats.dictionary_factor:.2f}, "
-        f"twpp x{stats.twpp_factor:.2f}  =>  "
-        f"overall x{stats.overall_factor:.1f}"
-    )
-    if args.metrics_out:
-        metrics.write_json(args.metrics_out)
-        print(f"wrote {args.metrics_out}")
+    with Session() as session:
+        result = session.compact(args.wpp)
+        size = result.save(args.output)
+        stats = result.stats
+        print(f"wrote {args.output} ({size} bytes)")
+        print(
+            f"stages: dedup x{stats.dedup_factor:.2f}, "
+            f"dictionaries x{stats.dictionary_factor:.2f}, "
+            f"twpp x{stats.twpp_factor:.2f}  =>  "
+            f"overall x{stats.overall_factor:.1f}"
+        )
+        if args.metrics_out:
+            session.metrics.write_json(args.metrics_out)
+            print(f"wrote {args.metrics_out}")
     return 0
 
 
@@ -651,8 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="value for the read() input stream (repeatable)")
     p.add_argument("--max-events", type=int, default=50_000_000)
     p.add_argument("--stream", action="store_true",
-                   help="compact while executing and write a .twpp directly "
-                        "(one-pass trace->compact->write pipeline)")
+                   help="partition while executing and write a .twpp "
+                        "directly (no raw .wpp is built)")
     p.add_argument("--verify", action="store_true",
                    help="with --stream: read the written .twpp back and "
                         "check every function's traces")

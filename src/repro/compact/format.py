@@ -45,7 +45,6 @@ from ..trace.encoding import (
     write_uvarint,
 )
 from .dbb import DbbDictionary
-from .lzw import lzw_compress
 from .pipeline import CompactedWpp, FunctionCompact
 from .series import TimestampSet
 from .twpp import TwppPathTrace
@@ -314,54 +313,39 @@ def _parse_section(data, name: str, call_count: int) -> FunctionCompact:
     return fc
 
 
-def twpp_chunks(
-    functions: List[FunctionCompact], dcg_raw: bytes, dcg_comp: bytes
-) -> List[bytes]:
-    """Lay a ``.twpp`` out as ``[header, compressed DCG, *sections]``.
-
-    The one writer of the file layout: both the two-phase route
-    (:func:`serialize_twpp`) and the streaming route concatenate these
-    chunks.  ``functions`` are in original (DCG) index order;
-    ``dcg_comp`` is ``lzw_compress(dcg_raw)``, passed in so a caller
-    that already compressed the DCG for its size accounting does not
-    compress it again.
-    """
-    # Storage order: hottest functions first (paper: "the path traces
-    # ... of the most frequently called function are stored first").
-    order = sorted(
-        range(len(functions)), key=lambda i: (-functions[i].call_count, i)
-    )
-    sections = [_serialize_section(functions[idx]) for idx in order]
-    header = bytearray(MAGIC)
-    write_uvarint(header, len(order))
-    cursor = 0
-    for idx, data in zip(order, sections):
-        fc = functions[idx]
-        write_string(header, fc.name)
-        write_uvarint(header, fc.call_count)
-        write_uvarint(header, idx)
-        write_uvarint(header, cursor)
-        write_uvarint(header, len(data))
-        cursor += len(data)
-    write_uvarint(header, len(dcg_raw))
-    write_uvarint(header, len(dcg_comp))
-    return [bytes(header), dcg_comp, *sections]
-
-
 def serialize_twpp(
     compacted: CompactedWpp, metrics: Optional[MetricsRegistry] = None
 ) -> bytes:
-    """Serialize a compacted WPP to ``.twpp`` bytes."""
+    """Serialize a compacted WPP to ``.twpp`` bytes: the header, the
+    compressed DCG (:meth:`~repro.compact.pipeline.CompactedWpp.compressed_dcg`,
+    so a compaction's DCG is compressed once) and the sections."""
     if metrics is None:
         metrics = MetricsRegistry()
     with metrics.timer("twpp.serialize"):
-        dcg_raw = compacted.dcg.serialize()
-        chunks = twpp_chunks(
-            compacted.functions, dcg_raw, lzw_compress(dcg_raw)
+        functions = compacted.functions
+        # Storage order: hottest functions first (paper: "the path
+        # traces ... of the most frequently called function are stored
+        # first").  ``functions`` are in original (DCG) index order.
+        order = sorted(
+            range(len(functions)), key=lambda i: (-functions[i].call_count, i)
         )
-        for data in chunks[2:]:
+        sections = [_serialize_section(functions[idx]) for idx in order]
+        dcg_raw_len, dcg_comp = compacted.compressed_dcg()
+        header = bytearray(MAGIC)
+        write_uvarint(header, len(order))
+        cursor = 0
+        for idx, data in zip(order, sections):
+            fc = functions[idx]
+            write_string(header, fc.name)
+            write_uvarint(header, fc.call_count)
+            write_uvarint(header, idx)
+            write_uvarint(header, cursor)
+            write_uvarint(header, len(data))
+            cursor += len(data)
             metrics.observe("twpp.section_bytes", len(data))
-        return b"".join(chunks)
+        write_uvarint(header, dcg_raw_len)
+        write_uvarint(header, len(dcg_comp))
+        return b"".join([header, dcg_comp, *sections])
 
 
 def write_twpp(
@@ -369,13 +353,27 @@ def write_twpp(
     path: PathLike,
     metrics: Optional[MetricsRegistry] = None,
 ) -> int:
-    """Write a ``.twpp`` file; returns the byte size written."""
+    """Write a ``.twpp`` file; returns the byte size written.
+
+    The one writer of the format, for every route.  The bytes go to a
+    temporary file beside ``path`` (named ``<name>.<random>.tmp``, so a
+    store never lists it) that then replaces ``path`` in one rename: an
+    engine that has the old file mapped keeps reading the old bytes, and
+    a write that fails leaves the old file and no temporary behind.
+    """
     if metrics is None:
         metrics = MetricsRegistry()
     data = serialize_twpp(compacted, metrics=metrics)
     with metrics.timer("twpp.write"):
-        with open(path, "wb") as fh:
-            fh.write(data)
+        tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     metrics.inc("twpp.bytes_written", len(data))
     return len(data)
 

@@ -15,11 +15,11 @@ Stages (paper, Section 2):
 
 Stages 3 and 4 are per-function work with no cross-function coupling,
 so :class:`FunctionCompactor` packages them (plus the per-function size
-accounting) as one incremental unit.  :func:`compact_wpp` feeds each
-function's finished trace list to one, in function index order; the
-streaming pipeline (:mod:`repro.compact.stream`) feeds it each trace as
-the trace is first seen, on the interpreter thread.  The output is
-byte-identical either way.
+accounting) as one unit; :func:`compact_wpp` feeds each function's
+trace list to one, in function index order.  It is the one finalize of
+every route from a run to a ``.twpp``: streaming ingest
+(:mod:`repro.compact.stream`) calls it on the partition its tracer
+built, and the two-phase route on :func:`~repro.trace.partition_wpp`'s.
 
 The returned :class:`CompactionStats` carries the serialized byte size
 after every stage, which is precisely the data behind the paper's
@@ -91,9 +91,22 @@ class CompactedWpp:
     functions: List[FunctionCompact]
     dcg: DynamicCallGraph
 
+    _dcg_lzw: Optional[Tuple[int, bytes]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _name_index: Optional[Dict[str, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def compressed_dcg(self) -> Tuple[int, bytes]:
+        """``(raw length, LZW bytes)`` of the DCG as a ``.twpp`` stores
+        it.  Serialized and compressed on first use and kept, so the
+        bytes :func:`compact_wpp` counts are the bytes the writer writes
+        (the DCG must not change afterwards)."""
+        if self._dcg_lzw is None:
+            raw = self.dcg.serialize()
+            self._dcg_lzw = (len(raw), lzw_compress(raw))
+        return self._dcg_lzw
 
     def function(self, name: str) -> FunctionCompact:
         """Look up one function's compacted record by name."""
@@ -183,11 +196,9 @@ class FunctionCompactor:
     body (dictionary-compacted form), each DBB dictionary and each
     TWPP-converted body -- the last two are the lengths of their
     ``.twpp`` records (:func:`repro.compact.format.encode_body`,
-    :func:`~repro.compact.format.encode_dictionary`).  Each :meth:`add` appends exactly one pair, so
-    the ``k``-th raw trace added becomes pair ``k`` and DCG trace
-    references need no rewrite.  :func:`compact_function` feeds it a
-    partition's trace list; the streaming tracer feeds it each trace as
-    the trace is first interned.  Both therefore build identical tables.
+    :func:`~repro.compact.format.encode_dictionary`).  Each :meth:`add`
+    appends exactly one pair, so the ``k``-th raw trace added becomes
+    pair ``k`` and DCG trace references need no rewrite.
     """
 
     __slots__ = (
@@ -260,7 +271,6 @@ def compact_wpp(
         with metrics.timer("compact.accounting"):
             stats = CompactionStats(
                 owpp_trace_bytes=partitioned.trace_bytes_with_redundancy(),
-                dcg_raw_bytes=partitioned.dcg_bytes(),
                 dedup_trace_bytes=partitioned.trace_bytes_deduped(),
             )
 
@@ -285,9 +295,14 @@ def compact_wpp(
 
         # Pair ids coincide with raw trace ids (one pair per unique raw
         # trace), so the partition's DCG already references pairs.
-        dcg = partitioned.dcg
+        compacted = CompactedWpp(
+            func_names=list(partitioned.func_names),
+            functions=functions,
+            dcg=partitioned.dcg,
+        )
         with metrics.timer("compact.lzw_dcg"):
-            stats.dcg_lzw_bytes = len(lzw_compress(dcg.serialize()))
+            stats.dcg_raw_bytes, dcg_lzw = compacted.compressed_dcg()
+            stats.dcg_lzw_bytes = len(dcg_lzw)
 
     metrics.inc("compact.functions", len(functions))
     metrics.inc("compact.pairs", sum(len(fc.pairs) for fc in functions))
@@ -308,11 +323,7 @@ def compact_wpp(
     ):
         metrics.inc(name, value)
 
-    return CompactedWpp(
-        func_names=list(partitioned.func_names),
-        functions=functions,
-        dcg=dcg,
-    ), stats
+    return compacted, stats
 
 
 def _trace_bytes(trace: PathTrace) -> int:

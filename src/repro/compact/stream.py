@@ -1,35 +1,22 @@
-"""Streaming ingestion: trace -> compact -> write in one pass.
+"""Streaming ingestion: run a program straight to its ``.twpp``.
 
-The two-phase pipeline runs the program to completion, holds the full
-partitioned WPP, then compacts it and writes the ``.twpp``.  Most of
-that compaction work can happen while the program runs: a unique path
-trace can be dictionary-compacted and converted to TWPP form the moment
-the activation that produced it returns.  This module does exactly
-that, on the interpreter thread:
-
-* the program runs under a :class:`_StreamingTracer` (an
-  :class:`~repro.trace.online.OnlinePartitioner` whose new-trace hook
-  feeds each newly interned unique trace to its function's
-  :class:`~repro.compact.pipeline.FunctionCompactor` inline);
-* after the run finishes, the DCG is compressed once and
-  :func:`~repro.compact.format.twpp_chunks` lays the file out.
-
-Each compactor sees its function's unique traces in first-seen order,
-the order the two-phase route's trace tables hold them in, so the
-tables it builds are element-for-element identical to
-:func:`~repro.compact.pipeline.compact_function`'s and the file is
-**byte-identical** to the two-phase ``compact_wpp`` + ``write_twpp``
-output -- the tests ``cmp`` them.  Only unique traces reach the
-compactor, so after the warm-up phase of a run (when most traces are
-repeats) compaction is a small share of the run; the paper's
-redundancy observation is what makes compacting inline cheap.  No
-thread is started: Python threads cannot overlap this work with the
-pure-Python interpreter anyway.
+The program runs under the one partitioner
+(:class:`~repro.trace.partition.OnlinePartitioner`), which interns each
+activation's path trace as the activation returns, so no raw WPP is
+ever built: memory tracks the unique traces plus the open call stack.
+When the run ends, :func:`~repro.compact.pipeline.compact_wpp` compacts
+the partition and :func:`~repro.compact.format.write_twpp` writes the
+file -- the same finalize and the same writer as the two-phase
+``write_twpp(compact_wpp(partition_wpp(collect_wpp(p))))`` route, so
+the two files are byte-identical by construction.  Compaction sees only
+unique traces, so it is a small share of a run (the paper's redundancy
+observation); no thread is started.
 
 All pipeline activity reports ``ingest.*`` metrics on the shared
-registry: counters (events, unique traces, run flushes, bytes written)
-and per-stage timers, with the producer's ``ingest.execute`` split into
-``ingest.compact`` (inline compaction) and ``ingest.interp`` (the rest).
+registry: counters (events, activations, functions, unique traces,
+bytes written) and the stage timers ``ingest.execute`` (interpreter and
+partitioner), ``ingest.finalize`` (compaction), ``ingest.write`` and
+``ingest.verify`` inside ``ingest.total``.
 """
 
 from __future__ import annotations
@@ -37,19 +24,17 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from ..interp.interpreter import DEFAULT_MAX_EVENTS, RunResult, run_program
 from ..obs import MetricsRegistry
-from ..trace.online import OnlinePartitioner
-from ..trace.partition import PathTrace
-from .format import twpp_chunks
-from .lzw import lzw_compress
+from ..trace.partition import OnlinePartitioner
+from .format import write_twpp
 from .pipeline import (
     CompactedWpp,
     CompactionStats,
     FunctionCompact,
-    FunctionCompactor,
+    compact_wpp,
 )
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -72,37 +57,6 @@ class StreamResult:
         return iter((self.compacted, self.stats))
 
 
-class _StreamingTracer(OnlinePartitioner):
-    """Online partitioner that compacts each unique trace as it is interned.
-
-    ``compactors`` maps a function index to its compactor, created with
-    the function's first trace (trace id 0); pair ``k`` of a compactor
-    is therefore the function's trace ``k``.  ``compact_ms`` is the
-    wall time spent compacting.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.compactors: Dict[int, FunctionCompactor] = {}
-        self.compact_ms = 0.0
-        self.run_flushes = 0
-
-    def block_run(self, buf, n: Optional[int] = None) -> None:
-        self.run_flushes += 1
-        super().block_run(buf, n)
-
-    def _on_new_trace(
-        self, func_idx: int, trace_id: int, trace: PathTrace
-    ) -> None:
-        started = time.perf_counter()
-        if trace_id == 0:
-            self.compactors[func_idx] = FunctionCompactor(
-                self._func_names[func_idx]
-            )
-        self.compactors[func_idx].add(trace)
-        self.compact_ms += (time.perf_counter() - started) * 1000.0
-
-
 def stream_compact(
     program,
     path: PathLike,
@@ -113,15 +67,12 @@ def stream_compact(
     interp: Optional[str] = None,
     verify: bool = False,
 ) -> StreamResult:
-    """Run a program and write its compacted ``.twpp`` in one pass.
+    """Run a program and write its compacted ``.twpp``, holding no raw WPP.
 
-    Each unique trace is compacted as it is first seen; the output file
-    is byte-identical to the two-phase
-    ``write_twpp(compact_wpp(partition)...)`` route.  ``interp`` selects
-    the execution engine (``"tree"``/``"compiled"``, see
-    :func:`repro.interp.run_program`).  The producer's
-    ``ingest.execute`` time splits into ``ingest.compact`` (inline
-    compaction) and ``ingest.interp`` (interpreter and tracer work).
+    The output file is byte-identical to the two-phase
+    ``write_twpp(compact_wpp(partition_wpp(collect_wpp(program))))``
+    route.  ``interp`` selects the execution engine
+    (``"tree"``/``"compiled"``, see :func:`repro.interp.run_program`).
 
     ``verify=True`` reads the written file back through a fresh
     :class:`~repro.compact.qserve.QueryEngine` and checks every
@@ -130,7 +81,7 @@ def stream_compact(
     """
     if metrics is None:
         metrics = MetricsRegistry()
-    tracer = _StreamingTracer()
+    tracer = OnlinePartitioner()
 
     with metrics.timer("ingest.total"):
         execute_started = time.perf_counter()
@@ -146,63 +97,29 @@ def stream_compact(
                 interp=interp,
                 metrics=metrics,
             )
-        execute_ms = (time.perf_counter() - execute_started) * 1000.0
-        metrics.add_ms("ingest.compact", tracer.compact_ms)
-        metrics.add_ms("ingest.interp", max(0.0, execute_ms - tracer.compact_ms))
-
-        partitioned = tracer.finish()
-        events = tracer.events_seen
-        n_funcs = len(partitioned.func_names)
-        call_counts = partitioned.dcg.calls_per_function(n_funcs)
+        execute_s = time.perf_counter() - execute_started
 
         with metrics.timer("ingest.finalize"):
-            stats = CompactionStats(
-                owpp_trace_bytes=partitioned.trace_bytes_with_redundancy(),
-                dcg_raw_bytes=partitioned.dcg_bytes(),
-                dedup_trace_bytes=partitioned.trace_bytes_deduped(),
-            )
-            # Every entered function has returned (finish() checked), so
-            # every function has a compactor.
-            functions: List[FunctionCompact] = []
-            for idx in range(n_funcs):
-                compactor = tracer.compactors[idx]
-                compactor.function.call_count = call_counts[idx]
-                functions.append(compactor.function)
-                compactor.account(stats)
-            # Pair ids coincide with raw trace ids (one pair per unique
-            # raw trace), so the DCG already references pairs.
-            dcg = partitioned.dcg
-            dcg_raw = dcg.serialize()
-            dcg_comp = lzw_compress(dcg_raw)
-            stats.dcg_lzw_bytes = len(dcg_comp)
+            compacted, stats = compact_wpp(tracer.finish())
 
         with metrics.timer("ingest.write"):
-            with open(path, "wb") as fh:
-                bytes_written = sum(
-                    fh.write(chunk)
-                    for chunk in twpp_chunks(functions, dcg_raw, dcg_comp)
-                )
+            bytes_written = write_twpp(compacted, path)
 
         if verify:
             with metrics.timer("ingest.verify"):
-                _verify_readback(path, functions, metrics)
+                _verify_readback(path, compacted.functions, metrics)
 
+    events = tracer.events_seen
+    functions = compacted.functions
     metrics.inc("ingest.events", events)
-    metrics.inc("ingest.activations", len(dcg.node_func))
-    metrics.inc("ingest.functions", n_funcs)
+    metrics.inc("ingest.activations", len(compacted.dcg))
+    metrics.inc("ingest.functions", len(functions))
     metrics.inc("ingest.unique_traces", sum(len(fc.pairs) for fc in functions))
-    metrics.inc("ingest.run_flushes", tracer.run_flushes)
     metrics.inc("ingest.bytes_written", bytes_written)
     # Throughput over this call's own execute span (the accumulated
     # ingest.execute timer can span several runs on a shared registry).
-    execute_s = execute_ms / 1000.0
     events_per_sec = events / execute_s if execute_s > 0 else float("inf")
 
-    compacted = CompactedWpp(
-        func_names=list(partitioned.func_names),
-        functions=functions,
-        dcg=dcg,
-    )
     return StreamResult(
         path=os.fspath(path),
         bytes_written=bytes_written,

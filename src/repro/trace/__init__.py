@@ -8,8 +8,13 @@ path traces linked by a dynamic call graph.
 
 from .dcg import DynamicCallGraph
 from .format import read_wpp, scan_function_traces, wpp_file_size, write_wpp
-from .online import OnlinePartitioner, collect_partitioned
-from .partition import PartitionedWpp, PathTrace, partition_wpp
+from .partition import (
+    OnlinePartitioner,
+    PartitionedWpp,
+    PathTrace,
+    collect_partitioned,
+    partition_wpp,
+)
 from .reconstruct import (
     block_call_counts,
     rebuild_parents,

@@ -7,6 +7,11 @@ reconstructible.  Redundant-trace elimination (Figure 3) falls out of
 the same pass: identical traces of the same function share one entry in
 the function's unique-trace table, and both the pre- and post-dedup
 sizes are recoverable from the result.
+
+One partitioner, :class:`OnlinePartitioner`, does this work on both
+routes: as the interpreter's tracer while a program runs
+(:func:`collect_partitioned`, streaming ingest), and over a recorded
+WPP's events (:func:`partition_wpp`).
 """
 
 from __future__ import annotations
@@ -91,57 +96,178 @@ def _trace_size(trace: PathTrace) -> int:
     return uvarint_size(len(trace)) + sum(uvarint_size(b) for b in trace)
 
 
+class OnlinePartitioner:
+    """Tracer that builds a :class:`PartitionedWpp` as events arrive.
+
+    The one partitioner: the interpreter drives it directly (so a run
+    is partitioned while it executes and no raw WPP is ever held --
+    peak memory tracks the unique traces plus the open call stack), and
+    :func:`partition_wpp` replays a recorded WPP's events into it.
+    Function indices are assigned in first-entered order.
+    """
+
+    def __init__(self) -> None:
+        self._func_names: List[str] = []
+        self._func_index: Dict[str, int] = {}
+        self._dcg = DynamicCallGraph()
+        self._traces: List[List[PathTrace]] = []
+        self._intern: List[Dict[PathTrace, int]] = []
+        # Open activations: (node index, block list).
+        self._stack: List[Tuple[int, List[int]]] = []
+        self._events = 0
+
+    def _add_function(self, name: str) -> int:
+        idx = len(self._func_names)
+        self._func_index[name] = idx
+        self._func_names.append(name)
+        self._traces.append([])
+        self._intern.append({})
+        return idx
+
+    # ---- tracer interface ------------------------------------------------
+
+    def enter(self, func_name: str) -> None:
+        idx = self._func_index.get(func_name)
+        if idx is None:
+            idx = self._add_function(func_name)
+        parent = self._stack[-1][0] if self._stack else -1
+        node = self._dcg.add_node(idx, parent)
+        self._stack.append((node, []))
+        self._events += 1
+
+    def block(self, block_id: int) -> None:
+        if not self._stack:
+            raise ValueError("block event outside any activation")
+        self._stack[-1][1].append(block_id)
+        self._events += 1
+
+    def block_run(self, buf, n: Optional[int] = None) -> None:
+        """Ingest a straight-line run of BLOCK ids in one call.
+
+        Equivalent to ``n`` :meth:`block` calls but a single
+        ``list.extend`` onto the open activation's block list.  ``buf``
+        is any sequence of block ids; ``n`` bounds how many of its
+        leading entries are valid (default: all).
+        """
+        if not self._stack:
+            raise ValueError("block event outside any activation")
+        if n is None:
+            n = len(buf)
+        self._stack[-1][1].extend(buf if n == len(buf) else buf[:n])
+        self._events += n
+
+    def leave(self) -> None:
+        if not self._stack:
+            raise ValueError("unbalanced leave event")
+        node, blocks = self._stack.pop()
+        func_idx = self._dcg.node_func[node]
+        trace = tuple(blocks)
+        trace_id = self._intern[func_idx].get(trace)
+        if trace_id is None:
+            trace_id = len(self._traces[func_idx])
+            self._traces[func_idx].append(trace)
+            self._intern[func_idx][trace] = trace_id
+        self._dcg.set_trace(node, trace_id)
+        self._events += 1
+
+    # ---- results -----------------------------------------------------------
+
+    @property
+    def events_seen(self) -> int:
+        """Total trace events observed (what the raw WPP's length would be)."""
+        return self._events
+
+    @property
+    def open_activations(self) -> int:
+        """Current call-stack depth (activations not yet finalized)."""
+        return len(self._stack)
+
+    def finish(self) -> PartitionedWpp:
+        """Return the partitioned WPP; all activations must be closed."""
+        if self._stack:
+            raise ValueError(
+                f"{len(self._stack)} activation(s) still open (never closed);"
+                " run the program to completion first"
+            )
+        return PartitionedWpp(
+            func_names=list(self._func_names),
+            dcg=self._dcg,
+            traces=self._traces,
+        )
+
+
 def partition_wpp(
     wpp: WppTrace, metrics: Optional[MetricsRegistry] = None
 ) -> PartitionedWpp:
-    """Break a WPP into unique path traces linked by a DCG.
+    """Break a recorded WPP into unique path traces linked by a DCG.
 
-    One pass over the event stream with an activation stack; traces are
-    deduplicated on the fly (hash-consed per function).  ``metrics``
-    (optional) records the stage timer and event/activation counters.
+    Replays the event stream into an :class:`OnlinePartitioner`, each
+    run of consecutive BLOCK events as one ``block_run``.  The result
+    keeps ``wpp.func_names`` as given, never-entered names included.
+    ``metrics`` (optional) records the stage timer and
+    event/activation counters.
     """
     if metrics is None:
         metrics = MetricsRegistry()
-    dcg = DynamicCallGraph()
-    traces: List[List[PathTrace]] = [[] for _ in wpp.func_names]
-    intern: List[Dict[PathTrace, int]] = [{} for _ in wpp.func_names]
-
-    # Stack of (node index, list of block ids executed so far).
-    stack: List[Tuple[int, List[int]]] = []
+    names = wpp.func_names
+    part = OnlinePartitioner()
+    for name in names:
+        part._add_function(name)
+    if len(part._func_index) != len(names):
+        raise ValueError("WPP names one function twice")
+    enter, leave, block_run = part.enter, part.leave, part.block_run
 
     with metrics.timer("partition"):
-        for kind, arg in wpp.iter_events():
+        run: List[int] = []
+        for packed in wpp.events:
+            kind = packed & 3  # the low two bits (see pack_event)
+            if kind == BLOCK:
+                run.append(packed >> 2)
+                continue
+            if run:
+                block_run(run)
+                run = []
             if kind == ENTER:
-                parent = stack[-1][0] if stack else -1
-                node = dcg.add_node(arg, parent)
-                stack.append((node, []))
-            elif kind == BLOCK:
-                if not stack:
-                    raise ValueError("BLOCK event outside any activation")
-                stack[-1][1].append(arg)
+                func = packed >> 2
+                if func >= len(names):
+                    raise ValueError(
+                        f"ENTER of function {func}, past the WPP's"
+                        f" {len(names)} names"
+                    )
+                enter(names[func])
             elif kind == LEAVE:
-                if not stack:
-                    raise ValueError("unbalanced LEAVE event")
-                node, blocks = stack.pop()
-                func_idx = dcg.node_func[node]
-                trace = tuple(blocks)
-                trace_id = intern[func_idx].get(trace)
-                if trace_id is None:
-                    trace_id = len(traces[func_idx])
-                    traces[func_idx].append(trace)
-                    intern[func_idx][trace] = trace_id
-                dcg.set_trace(node, trace_id)
-            else:  # pragma: no cover - pack/unpack guarantees kind in {0,1,2}
+                leave()
+            else:
                 raise ValueError(f"unknown event kind {kind}")
-
-    if stack:
-        raise ValueError(f"{len(stack)} activations never closed")
+        if run:
+            block_run(run)
+        partitioned = part.finish()
 
     metrics.inc("partition.events", len(wpp))
-    metrics.inc("partition.activations", len(dcg.node_func))
-    metrics.inc("partition.functions", len(wpp.func_names))
-    metrics.inc("partition.unique_traces", sum(len(t) for t in traces))
-
-    return PartitionedWpp(
-        func_names=list(wpp.func_names), dcg=dcg, traces=traces
+    metrics.inc("partition.activations", len(partitioned.dcg.node_func))
+    metrics.inc("partition.functions", len(names))
+    metrics.inc(
+        "partition.unique_traces", sum(len(t) for t in partitioned.traces)
     )
+    return partitioned
+
+
+def collect_partitioned(
+    program, args=(), inputs=(), max_events=None
+) -> PartitionedWpp:
+    """Run a program and partition its WPP on the fly (no raw stream).
+
+    Equivalent to ``partition_wpp(collect_wpp(program, ...))`` with peak
+    memory proportional to the *compacted* representation.
+    """
+    from ..interp.interpreter import DEFAULT_MAX_EVENTS, run_program
+
+    tracer = OnlinePartitioner()
+    run_program(
+        program,
+        args=args,
+        inputs=inputs,
+        tracer=tracer,
+        max_events=DEFAULT_MAX_EVENTS if max_events is None else max_events,
+    )
+    return tracer.finish()

@@ -18,7 +18,18 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
+
+if TYPE_CHECKING:
+    from ..interp.interpreter import RunResult
 
 ENTER = 0
 BLOCK = 1
@@ -47,6 +58,11 @@ class WppTrace:
 
     func_names: List[str]
     events: array  # array('Q') of packed events
+    #: The execution that recorded this trace; set by :func:`collect_wpp`,
+    #: None for a trace read from a file or built otherwise.
+    run: Optional[RunResult] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _name_index: Optional[Dict[str, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -171,7 +187,8 @@ def trace_from_tuples(tuples: Iterable[Tuple]) -> WppTrace:
 def collect_wpp(
     program, args=(), inputs=(), max_events=None, interp=None, metrics=None
 ) -> WppTrace:
-    """Run a program and return its WPP in one call.
+    """Run a program and return its WPP in one call (its ``run`` is the
+    execution's :class:`~repro.interp.interpreter.RunResult`).
 
     ``interp`` selects the execution engine and ``metrics`` receives the
     ``interp.*`` counters; see :func:`repro.interp.run_program`.
@@ -179,7 +196,7 @@ def collect_wpp(
     from ..interp.interpreter import DEFAULT_MAX_EVENTS, run_program
 
     builder = WppBuilder()
-    run_program(
+    run = run_program(
         program,
         args=args,
         inputs=inputs,
@@ -188,4 +205,6 @@ def collect_wpp(
         interp=interp,
         metrics=metrics,
     )
-    return builder.finish()
+    wpp = builder.finish()
+    wpp.run = run
+    return wpp

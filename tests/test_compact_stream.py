@@ -1,21 +1,36 @@
-"""Tests for the one-pass streaming ingest pipeline (compact.stream)."""
+"""Tests for streaming ingest (compact.stream) and the one route from a
+run to a ``.twpp`` it shares with the two-phase pipeline."""
+
+import errno
+import importlib
+import sys
 
 import pytest
 
 import repro
-from repro.compact.format import serialize_twpp
-from repro.compact.pipeline import (
-    CompactionStats,
-    compact_function,
-    compact_wpp,
-)
+from repro.compact.format import serialize_twpp, write_twpp
+from repro.compact.lzw import lzw_compress
+from repro.compact.pipeline import compact_function, compact_wpp
+from repro.compact.qserve import QueryEngine
 from repro.compact.query import read_twpp
-from repro.compact.stream import StreamResult, _StreamingTracer, stream_compact
+from repro.compact.stream import StreamResult, stream_compact
 from repro.compact.twpp import twpp_to_trace
 from repro.interp import FuelExhausted
 from repro.obs import MetricsRegistry
-from repro.trace import collect_wpp, partition_wpp
-from repro.workloads import FIGURE1_F_TRACE_A, FIGURE1_F_TRACE_B, workload
+from repro.trace import (
+    OnlinePartitioner,
+    collect_wpp,
+    partition_wpp,
+    trace_from_tuples,
+)
+from repro.workloads import (
+    FIGURE1_F_TRACE_A,
+    FIGURE1_F_TRACE_B,
+    WORKLOAD_NAMES,
+    workload,
+)
+
+twpp_format = importlib.import_module("repro.compact.format")
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +56,16 @@ class TestByteIdentity:
         assert res.bytes_written == len(ref)
 
     def test_identical_across_workloads(self, tmp_path):
-        for name in ("gcc-like", "go-like"):
+        for name in WORKLOAD_NAMES:
             program, _spec = workload(name, scale=0.1)
-            compacted, _ = compact_wpp(partition_wpp(collect_wpp(program)))
-            ref = serialize_twpp(compacted)
-            out = tmp_path / f"{name}.twpp"
-            stream_compact(program, out)
-            assert out.read_bytes() == ref
+            for interp in ("tree", "compiled"):
+                compacted, _ = compact_wpp(
+                    partition_wpp(collect_wpp(program, interp=interp))
+                )
+                ref = serialize_twpp(compacted)
+                out = tmp_path / f"{name}-{interp}.twpp"
+                stream_compact(program, out, interp=interp)
+                assert out.read_bytes() == ref, (name, interp)
 
     def test_readable_by_standard_reader(self, perl_small, tmp_path):
         out = tmp_path / "stream.twpp"
@@ -90,26 +108,35 @@ class TestStatsAndResult:
         assert metrics.counter("ingest.unique_traces") == sum(
             len(fc.pairs) for fc in res.compacted.functions
         )
-        assert metrics.counter("ingest.run_flushes") > 0
         assert metrics.counter("ingest.bytes_written") == res.bytes_written
+        timers = metrics.timers_ms
         for timer in (
             "ingest.total",
             "ingest.execute",
-            "ingest.compact",
-            "ingest.interp",
+            "ingest.finalize",
             "ingest.write",
         ):
-            assert timer in metrics.timers_ms
-        # Compaction runs inline: execute = compact + interp.
-        timers = metrics.timers_ms
-        assert timers["ingest.compact"] > 0
-        assert timers["ingest.compact"] + timers["ingest.interp"] == (
-            pytest.approx(timers["ingest.execute"], rel=0.05, abs=1.0)
-        )
-        # The consumer-thread metrics are gone.
-        for timer in ("ingest.stall", "ingest.drain", "ingest.serialize"):
-            assert timer not in metrics.timers_ms
-        for counter in ("ingest.queue_stalls", "ingest.traces_compacted"):
+            assert timer in timers
+        # Compaction runs after the run, inside finalize: the stages
+        # add up to the total.
+        assert timers["ingest.finalize"] > 0
+        assert timers["ingest.execute"] + timers["ingest.finalize"] + (
+            timers["ingest.write"]
+        ) == pytest.approx(timers["ingest.total"], rel=0.05, abs=1.0)
+        # Neither inline compaction nor the consumer thread exists.
+        for timer in (
+            "ingest.compact",
+            "ingest.interp",
+            "ingest.stall",
+            "ingest.drain",
+            "ingest.serialize",
+        ):
+            assert timer not in timers
+        for counter in (
+            "ingest.run_flushes",
+            "ingest.queue_stalls",
+            "ingest.traces_compacted",
+        ):
             assert counter not in metrics.counters
         for histogram in ("ingest.queue_depth", "ingest.section_bytes"):
             assert histogram not in metrics.histograms
@@ -117,30 +144,118 @@ class TestStatsAndResult:
 
 class TestOneCompactor:
     def test_inline_path_matches_compact_function(self):
-        """Both routes share one compactor: the same traces give the same
-        tables and sizes, including Figure 5's shared body for ``f``
-        (traces A and B fold to one body under two dictionaries)."""
+        """Both routes reach compact_wpp through the one partitioner: the
+        same activations give the same tables and sizes, including
+        Figure 5's shared body for ``f`` (traces A and B fold to one
+        body under two dictionaries)."""
         unique = [FIGURE1_F_TRACE_A, FIGURE1_F_TRACE_B, (1, 10), (1, 2, 10)]
-        tracer = _StreamingTracer()
-        for trace in unique[:2] + unique + unique[1:]:  # repeats dedup
+        activations = unique[:2] + unique + unique[1:]  # repeats dedup
+        tracer = OnlinePartitioner()
+        events = []
+        for trace in activations:
             tracer.enter("f")
             tracer.block_run(list(trace))
             tracer.leave()
-        streamed = tracer.compactors[0]
-        staged = compact_function("f", 0, unique)
+            events += [("enter", "f"), *(("block", b) for b in trace)]
+            events.append(("leave",))
+        streamed, streamed_stats = compact_wpp(tracer.finish())
+        staged, staged_stats = compact_wpp(
+            partition_wpp(trace_from_tuples(events))
+        )
 
-        fc = staged.function
+        fc = staged.function("f")
+        assert fc.call_count == len(activations)
         assert twpp_to_trace(fc.twpp_table[0]) == (1, 2, 2, 2, 10)
         assert fc.pairs[:2] == [(0, 0), (0, 1)]  # one body, two dicts
-        for table in ("dict_table", "pairs", "twpp_table"):
-            assert getattr(streamed.function, table) == getattr(fc, table)
-        for sizes in ("body_sizes", "dict_sizes", "twpp_sizes"):
-            assert getattr(streamed, sizes) == getattr(staged, sizes)
-            assert len(getattr(staged, sizes)) > 0
-        a, b = CompactionStats(), CompactionStats()
-        streamed.account(a)
-        staged.account(b)
-        assert a == b and a.dictionary_bytes > 0
+        assert streamed.function("f") == fc
+        assert compact_function("f", len(activations), unique).function == fc
+        assert streamed_stats == staged_stats
+        assert staged_stats.dictionary_bytes > 0
+
+
+@pytest.fixture
+def lzw_calls(monkeypatch):
+    """Count ``lzw_compress`` calls made through any ``repro`` module."""
+    calls = []
+
+    def counting(data):
+        calls.append(len(data))
+        return lzw_compress(data)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and (
+            getattr(module, "lzw_compress", None) is lzw_compress
+        ):
+            monkeypatch.setattr(module, "lzw_compress", counting)
+    return calls
+
+
+class TestDcgCompressedOnce:
+    def test_stream_compact(self, perl_small, tmp_path, lzw_calls):
+        res = stream_compact(perl_small, tmp_path / "s.twpp")
+        assert len(lzw_calls) == 1
+        raw_len, dcg_lzw = res.compacted.compressed_dcg()
+        assert len(lzw_calls) == 1  # kept, not compressed again
+        assert res.stats.dcg_raw_bytes == raw_len
+        assert res.stats.dcg_lzw_bytes == len(dcg_lzw)
+
+    def test_compact_then_save(self, perl_small, tmp_path, lzw_calls):
+        wpp = collect_wpp(perl_small)
+        result = repro.compact(wpp)
+        result.save(tmp_path / "t.twpp")
+        assert len(lzw_calls) == 1
+        with QueryEngine(tmp_path / "t.twpp") as engine:
+            assert engine.header.dcg_comp_len == result.stats.dcg_lzw_bytes
+
+
+class TestAtomicWrite:
+    def test_mapped_engine_reads_after_rewrite(self, tmp_path):
+        """Rewriting a path replaces the file instead of truncating the
+        inode an open engine has mapped (truncation kills the process
+        with SIGBUS on the engine's next section read)."""
+        big, _spec = workload("gcc-like", scale=1.0)
+        small, _spec = workload("li-like", scale=0.1)
+        path = tmp_path / "run.twpp"
+        first = stream_compact(big, path)
+        with QueryEngine(path, cache_bytes=0) as engine:
+            assert engine.header.entries
+            stream_compact(small, path)
+            assert engine.traces("main") == (
+                first.compacted.function("main").traces()
+            )
+        assert read_twpp(path).func_names != first.compacted.func_names
+
+    def test_failed_write_keeps_old_file(
+        self, perl_small, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run.twpp"
+        stream_compact(perl_small, path)
+        old = path.read_bytes()
+        other, _spec = workload("li-like", scale=0.1)
+        compacted, _stats = compact_wpp(partition_wpp(collect_wpp(other)))
+        real_open = open
+
+        class DiskFull:
+            """A file that takes half of a write, then runs out of space."""
+
+            def __init__(self, *args):
+                self.fh = real_open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(twpp_format, "open", DiskFull, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_twpp(compacted, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["run.twpp"]
 
 
 class TestErrorPaths:

@@ -2,9 +2,17 @@
 
 import pytest
 
+from array import array
+
+from repro.obs import MetricsRegistry
 from repro.trace import (
+    BLOCK,
+    ENTER,
+    LEAVE,
     DynamicCallGraph,
+    WppTrace,
     collect_wpp,
+    pack_event,
     partition_wpp,
     trace_from_tuples,
 )
@@ -69,6 +77,40 @@ class TestPartition:
         wpp = trace_from_tuples([("enter", "a"), ("block", 1)])
         with pytest.raises(ValueError, match="never closed"):
             partition_wpp(wpp)
+
+    def test_func_names_kept_as_given(self):
+        """The WPP's index space survives, a never-entered name included."""
+        events = array("Q", [
+            pack_event(ENTER, 2),
+            pack_event(BLOCK, 1),
+            pack_event(ENTER, 0),
+            pack_event(BLOCK, 3),
+            pack_event(LEAVE),
+            pack_event(LEAVE),
+        ])
+        wpp = WppTrace(func_names=["leaf", "ghost", "main"], events=events)
+        metrics = MetricsRegistry()
+        part = partition_wpp(wpp, metrics=metrics)
+        assert part.func_names == ["leaf", "ghost", "main"]
+        assert list(part.dcg.node_func) == [2, 0]
+        assert part.unique_traces("ghost") == []
+        assert part.unique_traces("main") == [(1,)]
+        assert part.call_counts() == {"leaf": 1, "ghost": 0, "main": 1}
+        assert metrics.counter("partition.events") == 6
+        assert metrics.counter("partition.activations") == 2
+        assert metrics.counter("partition.functions") == 3
+        assert metrics.counter("partition.unique_traces") == 2
+        assert "partition" in metrics.timers_ms
+
+    def test_duplicate_function_name_rejected(self):
+        events = array("Q", [pack_event(ENTER, 1), pack_event(LEAVE)])
+        with pytest.raises(ValueError, match="twice"):
+            partition_wpp(WppTrace(func_names=["f", "f"], events=events))
+
+    def test_enter_past_the_name_table_rejected(self):
+        events = array("Q", [pack_event(ENTER, 5), pack_event(LEAVE)])
+        with pytest.raises(ValueError, match="past the WPP's 1 names"):
+            partition_wpp(WppTrace(func_names=["main"], events=events))
 
     def test_unknown_lookup_raises(self, caller_program):
         part = partition_wpp(collect_wpp(caller_program))
