@@ -179,8 +179,9 @@ class Session:
         ``output`` as a ``.twpp`` -- no raw WPP is ever materialized.
         Returns a :class:`StreamResult` instead of a
         :class:`~repro.trace.wpp.WppTrace` in that mode.  ``verify``
-        (stream mode only) read-checks the written file before
-        returning.
+        read-checks the written file before returning.  ``output`` and
+        ``verify`` belong to stream mode: passing either without
+        ``stream=True`` raises :class:`TypeError`.
         """
         if stream:
             if output is None:
@@ -193,6 +194,8 @@ class Session:
                 max_events=max_events,
                 verify=verify,
             )
+        if output is not None or verify:
+            raise TypeError("trace(output=, verify=) require stream=True")
         with self.metrics.timer("trace"):
             wpp = collect_wpp(
                 self._load_program(program),

@@ -69,6 +69,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .ir.parser import parse_program
     from .trace.format import write_wpp
 
+    if args.verify and not args.stream:
+        print("error: --verify requires --stream", file=sys.stderr)
+        return 2
     program = parse_program(Path(args.program).read_text())
     with Session(interp=args.interp) as session:
         traced = session.trace(
@@ -77,7 +80,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             inputs=tuple(args.input),
             max_events=args.max_events,
             stream=args.stream,
-            output=args.output,
+            # The .wpp route writes the file itself, below.
+            output=args.output if args.stream else None,
             verify=args.verify,
         )
         run = traced.run

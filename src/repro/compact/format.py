@@ -270,13 +270,10 @@ def _read_count(
 
 def _serialize_section(fc: FunctionCompact) -> bytes:
     buf = bytearray()
-    for table, encode in (
-        (fc.twpp_table, encode_body),
-        (fc.dict_table, encode_dictionary),
-    ):
-        write_uvarint(buf, len(table))
-        for record in table:
-            buf += encode(record)
+    for records in fc.encoded_tables():
+        write_uvarint(buf, len(records))
+        for record in records:
+            buf += record
     write_uvarint(buf, len(fc.pairs))
     flat_pairs: List[int] = []
     for body_id, dict_id in fc.pairs:

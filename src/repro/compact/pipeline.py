@@ -30,7 +30,7 @@ records per-stage wall-clock timers, counters and byte histograms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import MetricsRegistry
 from ..trace.dcg import DynamicCallGraph
@@ -57,6 +57,33 @@ class FunctionCompact:
     pairs: List[Tuple[int, int]] = field(default_factory=list)
     twpp_table: List[TwppPathTrace] = field(default_factory=list)
 
+    # The encoded ``.twpp`` record of each body and dictionary that
+    # :class:`FunctionCompactor` encoded to measure it, beside the
+    # record it encodes (empty for a decoded or hand-built function).
+    _kept_bodies: Sequence[Tuple[TwppPathTrace, bytes]] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    _kept_dicts: Sequence[Tuple[DbbDictionary, bytes]] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+
+    def encoded_tables(self) -> Tuple[List[bytes], List[bytes]]:
+        """The encoded ``.twpp`` record of every body and every
+        dictionary, in table order.
+
+        Reuses the bytes :class:`FunctionCompactor` kept for a record
+        while the table still holds that very record; any other record
+        (decoded, built by hand, or put in its place since) is encoded
+        here.
+        """
+        # Deferred: the format module imports this one.
+        from .format import encode_body, encode_dictionary
+
+        return (
+            _encoded(self.twpp_table, self._kept_bodies, encode_body),
+            _encoded(self.dict_table, self._kept_dicts, encode_dictionary),
+        )
+
     def expand_pair(self, pair_id: int) -> PathTrace:
         """Recover the original (uncompacted) path trace of one pair.
 
@@ -81,6 +108,13 @@ class FunctionCompact:
     def unique_trace_count(self) -> int:
         """Unique original path traces == number of pairs."""
         return len(self.pairs)
+
+
+def _encoded(table, kept, encode) -> List[bytes]:
+    return [
+        kept[i][1] if i < len(kept) and kept[i][0] is record else encode(record)
+        for i, record in enumerate(table)
+    ]
 
 
 @dataclass
@@ -196,7 +230,9 @@ class FunctionCompactor:
     body (dictionary-compacted form), each DBB dictionary and each
     TWPP-converted body -- the last two are the lengths of their
     ``.twpp`` records (:func:`repro.compact.format.encode_body`,
-    :func:`~repro.compact.format.encode_dictionary`).  Each :meth:`add`
+    :func:`~repro.compact.format.encode_dictionary`), whose bytes the
+    function keeps for the writer
+    (:meth:`FunctionCompact.encoded_tables`).  Each :meth:`add`
     appends exactly one pair, so the ``k``-th raw trace added becomes
     pair ``k`` and DCG trace references need no rewrite.
     """
@@ -208,6 +244,8 @@ class FunctionCompactor:
 
     def __init__(self, name: str, call_count: int = 0) -> None:
         self.function = FunctionCompact(name=name, call_count=call_count)
+        self.function._kept_bodies = []
+        self.function._kept_dicts = []
         self.body_sizes: List[int] = []
         self.dict_sizes: List[int] = []
         self.twpp_sizes: List[int] = []
@@ -226,13 +264,17 @@ class FunctionCompactor:
             body_id = self._bodies[body] = len(fc.twpp_table)
             twpp = trace_to_twpp(body)
             fc.twpp_table.append(twpp)
+            record = encode_body(twpp)
+            fc._kept_bodies.append((twpp, record))
             self.body_sizes.append(_trace_bytes(body))
-            self.twpp_sizes.append(len(encode_body(twpp)))
+            self.twpp_sizes.append(len(record))
         dict_id = self._dicts.get(dictionary)
         if dict_id is None:
             dict_id = self._dicts[dictionary] = len(fc.dict_table)
             fc.dict_table.append(dictionary)
-            self.dict_sizes.append(len(encode_dictionary(dictionary)))
+            record = encode_dictionary(dictionary)
+            fc._kept_dicts.append((dictionary, record))
+            self.dict_sizes.append(len(record))
         fc.pairs.append((body_id, dict_id))
 
     def account(self, stats: CompactionStats) -> None:

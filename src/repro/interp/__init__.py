@@ -7,8 +7,9 @@ compiler infrastructure on SPECint95).
 
 Two engines share one contract: the tree-walking reference interpreter
 (:mod:`repro.interp.interpreter`) and the compiled engine
-(:mod:`repro.interp.compile`), which translates each program once into
-dispatch-free generated Python.  :func:`run_program` selects between
+(:mod:`repro.interp.compile`), which translates each program into
+dispatch-free generated Python, compiling each distinct generated
+function text once per process (one content-keyed code cache).  :func:`run_program` selects between
 them (``interp="tree" | "compiled"``, compiled by default) and falls
 back to the tree automatically when a program cannot be compiled.
 """

@@ -276,8 +276,9 @@ def run_program(
 
     When a :class:`~repro.obs.metrics.MetricsRegistry` is passed, engine
     selection is recorded under ``interp.compiled_runs`` /
-    ``interp.tree_runs`` / ``interp.fallbacks``, and first-sight
-    compilation under the ``interp.compile`` timer.
+    ``interp.tree_runs`` / ``interp.fallbacks``, translation under the
+    ``interp.compile`` timer, and code-cache misses (function texts
+    compiled) under ``interp.compiles``.
     """
     from .compile import CompileUnsupported, compiled_for, resolve_interp
 

@@ -47,41 +47,44 @@ _TOKEN_RE = re.compile(
   | (?P<op><<|>>|<=|>=|==|!=|//|[-+*%&|^<>!=])
   | (?P<punct>[(),\[\]{}:])
   | (?P<ws>\s+)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+#: A token that ends an operand, so a "-" glued to the digits after it
+#: is the binary operator, not a sign.
+_OPERAND_RE = re.compile(r"-?\d+|[A-Za-z_][A-Za-z_0-9.]*")
+_INT_RE = re.compile(r"-?\d+")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_BLOCK_REF_RE = re.compile(r"B(\d+)")
 
 
 def _tokenize(text: str, line_no: int) -> List[str]:
     tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            pos = m.start()
             raise ParseError(
                 f"line {line_no}: cannot tokenize at {text[pos:pos + 10]!r}"
             )
-        pos = m.end()
-        if m.lastgroup == "ws":
+        value = m.group()
+        # "-" directly attached to digits is a negative literal only
+        # when it cannot be a binary operator: the tokenizer regex
+        # already grabbed it greedily; split back if the previous token
+        # is an operand (ident/num/")").
+        if (
+            kind == "num"
+            and value.startswith("-")
+            and tokens
+            and (tokens[-1] == ")" or _OPERAND_RE.fullmatch(tokens[-1]))
+        ):
+            tokens.append("-")
+            tokens.append(value[1:])
             continue
-        if m.lastgroup == "num":
-            # "-" directly attached to digits is a negative literal only
-            # when it cannot be a binary operator: the tokenizer regex
-            # already grabbed it greedily; split back if the previous
-            # token is an operand (ident/num/")").
-            value = m.group()
-            if (
-                value.startswith("-")
-                and tokens
-                and (
-                    tokens[-1] == ")"
-                    or re.fullmatch(r"-?\d+|[A-Za-z_][A-Za-z_0-9.]*", tokens[-1])
-                )
-            ):
-                tokens.append("-")
-                tokens.append(value[1:])
-                continue
-        tokens.append(m.group())
+        tokens.append(value)
     return tokens
 
 
@@ -130,9 +133,9 @@ class _ExprParser:
         token = self.next()
         if token == "(":
             return self._parse_parenthesised()
-        if re.fullmatch(r"-?\d+", token):
+        if _INT_RE.fullmatch(token):
             return self._leaf(Const, int(token))
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", token):
+        if _NAME_RE.fullmatch(token):
             if self.peek() == "(" and token in INTRINSICS:
                 return self._parse_intrinsic(token)
             return self._leaf(Var, token)
@@ -178,7 +181,7 @@ class _ExprParser:
 
 def _parse_block_ref(parser: _ExprParser) -> int:
     token = parser.next()
-    m = re.fullmatch(r"B(\d+)", token)
+    m = _BLOCK_REF_RE.fullmatch(token)
     if not m:
         raise parser.error(f"expected a block reference, got {token!r}")
     return int(m.group(1))
@@ -280,6 +283,8 @@ _FUNC_RE = re.compile(
 #: :data:`_FUNC_RE` is a malformed header, not a stray statement.
 _FUNC_HEAD_RE = re.compile(r"func\s+[A-Za-z_][A-Za-z_0-9]*\s*\(")
 _BLOCK_RE = re.compile(r"B(\d+):\s*$")
+#: A block header, possibly followed by a label comment.
+_BLOCK_HEAD_RE = re.compile(r"B\d+:")
 
 
 def parse_program(
@@ -303,7 +308,7 @@ def parse_program(
         # and trailing label comments on block-header lines.
         if line.startswith("//"):
             continue
-        if re.match(r"B\d+:", line):
+        if _BLOCK_HEAD_RE.match(line):
             line = line.split("//", 1)[0].strip()
         if not line:
             continue

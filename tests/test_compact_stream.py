@@ -14,7 +14,7 @@ from repro.compact.pipeline import compact_function, compact_wpp
 from repro.compact.qserve import QueryEngine
 from repro.compact.query import read_twpp
 from repro.compact.stream import StreamResult, stream_compact
-from repro.compact.twpp import twpp_to_trace
+from repro.compact.twpp import trace_to_twpp, twpp_to_trace
 from repro.interp import FuelExhausted
 from repro.obs import MetricsRegistry
 from repro.trace import (
@@ -208,6 +208,62 @@ class TestDcgCompressedOnce:
             assert engine.header.dcg_comp_len == result.stats.dcg_lzw_bytes
 
 
+class TestRecordsEncodedOnce:
+    """Each unique body and dictionary is encoded once per compaction:
+    the bytes measured for Tables 2-3 are the bytes the writer writes."""
+
+    @pytest.fixture
+    def encode_calls(self, monkeypatch):
+        from repro.compact import format as format_mod
+
+        calls = {"body": [], "dict": []}
+        for kind, name in (
+            ("body", "encode_body"), ("dict", "encode_dictionary")
+        ):
+            original = getattr(format_mod, name)
+
+            def counting(record, _calls=calls[kind], _original=original):
+                _calls.append(record)
+                return _original(record)
+
+            monkeypatch.setattr(format_mod, name, counting)
+        return calls
+
+    def _assert_once(self, calls, compacted):
+        bodies = [b for fc in compacted.functions for b in fc.twpp_table]
+        dicts = [d for fc in compacted.functions for d in fc.dict_table]
+        assert [id(b) for b in calls["body"]] == [id(b) for b in bodies]
+        assert [id(d) for d in calls["dict"]] == [id(d) for d in dicts]
+
+    def test_stream_compact(
+        self, perl_small, two_phase_bytes, tmp_path, encode_calls
+    ):
+        ref, _ = two_phase_bytes
+        out = tmp_path / "s.twpp"
+        res = stream_compact(perl_small, out)
+        self._assert_once(encode_calls, res.compacted)
+        assert out.read_bytes() == ref
+
+    def test_compact_then_save(
+        self, perl_small, two_phase_bytes, tmp_path, encode_calls
+    ):
+        ref, _ = two_phase_bytes
+        result = repro.compact(collect_wpp(perl_small))
+        result.save(tmp_path / "t.twpp")
+        self._assert_once(encode_calls, result.compacted)
+        assert (tmp_path / "t.twpp").read_bytes() == ref
+
+    def test_replaced_record_is_encoded_again(self, perl_small):
+        compacted, _stats = compact_wpp(partition_wpp(collect_wpp(perl_small)))
+        fc = compacted.functions[0]
+        fc.twpp_table[0] = replacement = trace_to_twpp((1, 2, 2))
+        back = twpp_format._parse_section(
+            twpp_format._serialize_section(fc), fc.name, fc.call_count
+        )
+        assert back == fc
+        assert back.twpp_table[0] == replacement
+
+
 class TestAtomicWrite:
     def test_mapped_engine_reads_after_rewrite(self, tmp_path):
         """Rewriting a path replaces the file instead of truncating the
@@ -299,6 +355,34 @@ class TestApiSurface:
     def test_session_trace_stream_requires_output(self, perl_small):
         with pytest.raises(TypeError, match="output"):
             repro.Session().trace(perl_small, stream=True)
+
+    @pytest.mark.parametrize(
+        "flags", [{"output": "x.twpp"}, {"verify": True}],
+        ids=["output", "verify"],
+    )
+    def test_session_trace_stream_flags_need_stream(
+        self, perl_small, tmp_path, monkeypatch, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError, match="stream=True"):
+            repro.Session().trace(perl_small, **flags)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_verify_needs_stream(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.ir.printer import format_program
+
+        program, _spec = workload("perl-like", scale=0.1)
+        ir = tmp_path / "p.ir"
+        ir.write_text(format_program(program) + "\n")
+        out = tmp_path / "v.wpp"
+        assert main(["trace", str(ir), "-o", str(out), "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --verify requires --stream\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert main(["trace", str(ir), "-o", str(out)]) == 0
+        assert out.exists()
 
     def test_cli_stream_matches_compact(self, tmp_path, capsys):
         from repro.cli import main

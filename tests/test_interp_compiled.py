@@ -8,6 +8,10 @@ engines explicitly and compares.
 """
 
 import gc
+import sys
+import threading
+import weakref
+from collections import OrderedDict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +35,7 @@ from repro.interp import (
 )
 from repro.ir import ProgramBuilder, binop, intrinsic
 from repro.ir.expr import Const
-from repro.ir.stmt import Assign
+from repro.ir.stmt import Assign, Return
 from repro.obs import MetricsRegistry
 from repro.trace import collect_wpp, partition_wpp
 from repro.workloads import WorkloadSpec, generate_program
@@ -57,6 +61,17 @@ def assert_identical(program, args=(), inputs=(), max_events=50_000_000):
     assert r_tree.blocks_executed == r_comp.blocks_executed
     assert r_tree.calls_made == r_comp.calls_made
     return r_comp
+
+
+@pytest.fixture
+def fresh_code_cache(monkeypatch):
+    """An empty code cache for one test, so its miss counts do not
+    depend on what earlier tests compiled."""
+    from repro.interp import compile as compile_mod
+
+    cache = OrderedDict()
+    monkeypatch.setattr(compile_mod, "_code_cache", cache)
+    return cache
 
 
 class _PerEventTracer:
@@ -432,7 +447,7 @@ class TestFallbackAndSelection:
         # Fallback must reproduce the tree-walker's permissive zip.
         assert run_program(program, interp="compiled").return_value == 1
 
-    def test_engine_counters(self):
+    def test_engine_counters(self, fresh_code_cache):
         pb = ProgramBuilder()
         pb.function("main").block().ret(0)
         program = pb.build()
@@ -443,7 +458,7 @@ class TestFallbackAndSelection:
         assert "interp.compile" in metrics.timers_ms
         run_program(program, interp="compiled", metrics=metrics)
         assert metrics.counters["interp.compiled_runs"] == 2
-        assert metrics.counters["interp.compiles"] == 1  # cache hit
+        assert metrics.counters["interp.compiles"] == 1  # code-cache hit
         run_program(program, interp="tree", metrics=metrics)
         assert metrics.counters["interp.tree_runs"] == 1
 
@@ -457,19 +472,16 @@ class TestFallbackAndSelection:
         with pytest.raises(ValueError, match="unknown interp"):
             resolve_interp("jit")
 
-    def test_compiled_cache_identity_and_eviction(self):
+    def test_mutated_program_runs_its_new_code(self):
+        """A program changed after a compiled run runs as changed: the
+        code cache is keyed by generated text, not program identity."""
         pb = ProgramBuilder()
-        pb.function("main").block().ret(0)
+        pb.function("main").block().ret(1)
         program = pb.build()
-        first = compiled_for(program)
-        assert compiled_for(program) is first
-        from repro.interp import compile as compile_mod
-
-        key = id(program)
-        assert key in compile_mod._cache
-        del program
-        gc.collect()
-        assert key not in compile_mod._cache
+        assert run_program(program, interp="compiled").return_value == 1
+        program.functions["main"].blocks[1].terminator = Return(Const(2))
+        assert run_program(program, interp="tree").return_value == 2
+        assert run_program(program, interp="compiled").return_value == 2
 
     def test_compiled_program_reusable(self):
         compiled = CompiledProgram(
@@ -481,6 +493,113 @@ class TestFallbackAndSelection:
         b = compiled.run()
         assert a.return_value == b.return_value
         assert a.blocks_executed == b.blocks_executed
+
+
+def _factory_codes(compiled):
+    return {
+        name: factory.__code__
+        for name, factory in zip(compiled.func_names, compiled._factories)
+    }
+
+
+class TestCodeCache:
+    """One content-keyed LRU of code objects, shared by every program."""
+
+    def test_scale_steps_share_every_function_but_main(self, fresh_code_cache):
+        small, _spec = workload("perl-like", scale=0.5)
+        large, _spec = workload("perl-like", scale=0.6)
+        metrics = MetricsRegistry()
+        first = compiled_for(small, metrics=metrics)
+        assert metrics.counters["interp.compiles"] == len(small.functions)
+        metrics = MetricsRegistry()
+        second = compiled_for(large, metrics=metrics)
+        codes_small = _factory_codes(first)
+        codes_large = _factory_codes(second)
+        assert codes_small.keys() == codes_large.keys()
+        differing = [
+            name for name in codes_small
+            if codes_small[name] is not codes_large[name]
+        ]
+        assert differing == ["main"]
+        assert metrics.counters["interp.compiles"] == len(differing)
+        assert second.compiles == 1
+
+    def test_collected_program_is_not_held(self, fresh_code_cache):
+        pb = ProgramBuilder()
+        pb.function("main").block().ret(0)
+        program = pb.build()
+        compiled = compiled_for(program)
+        ref = weakref.ref(program)
+        del program
+        gc.collect()
+        assert ref() is None
+        assert compiled.run().return_value == 0
+        assert all(type(key) is str for key in fresh_code_cache)
+
+    def test_bound_evicts_least_recently_used(
+        self, fresh_code_cache, monkeypatch
+    ):
+        from repro.interp import compile as compile_mod
+
+        monkeypatch.setattr(compile_mod, "CODE_CACHE_SIZE", 3)
+        programs = []
+        for value in range(4):
+            pb = ProgramBuilder()
+            pb.function("main").block().ret(value)
+            programs.append(pb.build())
+        texts = [compiled_for(p).source for p in programs[:3]]
+        assert list(fresh_code_cache) == texts
+        assert compiled_for(programs[0]).compiles == 0  # hit: now newest
+        texts.append(compiled_for(programs[3]).source)
+        assert len(fresh_code_cache) == 3
+        assert list(fresh_code_cache) == [texts[2], texts[0], texts[3]]
+        assert compiled_for(programs[1]).compiles == 1  # evicted oldest
+        assert list(fresh_code_cache) == [texts[0], texts[3], texts[1]]
+        for value, program in enumerate(programs):
+            assert compiled_for(program).run().return_value == value
+            assert len(fresh_code_cache) <= 3
+
+
+    def test_threads_share_the_bounded_cache(
+        self, fresh_code_cache, monkeypatch
+    ):
+        """Eight threads translating and running twelve programs through
+        a four-text cache at a 1 us switch interval: every run answers
+        its own program and the bound holds."""
+        from repro.interp import compile as compile_mod
+
+        monkeypatch.setattr(compile_mod, "CODE_CACHE_SIZE", 4)
+        programs = []
+        for value in range(12):
+            pb = ProgramBuilder()
+            pb.function("main").block().ret(value)
+            programs.append(pb.build())
+        wrong = []
+        sizes = []
+
+        def work(offset):
+            for i in range(60):
+                value = (offset + i) % len(programs)
+                got = compiled_for(programs[value]).run().return_value
+                if got != value:
+                    wrong.append((value, got))
+                sizes.append(len(fresh_code_cache))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(k,)) for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(sizes) == 8 * 60 and max(sizes) <= 4
 
 
 class TestFacadeIntegration:
