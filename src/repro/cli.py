@@ -39,6 +39,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .interp.errors import InterpError
 from .ir import IRError, ParseError
 from .util import read_magic
 
@@ -887,6 +888,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (KeyError, ValueError, IRError, ParseError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except InterpError as exc:
+        # A run that fails (wrong arguments, fuel exhausted, undefined
+        # variable) is the program's fault, not the tool's.
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         sys.stdout = stdout

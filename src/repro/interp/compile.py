@@ -14,15 +14,24 @@ code object and ``exec``'d into that function's factory:
   a loop body that spans four IR blocks runs as one run of bytecode.
   Multi-predecessor targets are dispatched by a single ``while``/``elif``
   ladder over an integer label -- the only residual dispatch.
-* Tracing is fused into each block's preamble: one fuel decrement, one
-  list append, one capacity test.  The buffered run is handed to the
-  tracer's ``block_run`` protocol exactly as the tree-walker would --
-  same flush boundaries, same truncation point.
+* Tracing is fused into each block's preamble: two statements, a list
+  append of the block id and one capacity test.  The run buffer's
+  ``_spill`` also owns the event budget: once fewer than a buffer's
+  worth of blocks remain, it pads the buffer so that the capacity test
+  fires on the block that exceeds the budget (see
+  :meth:`CompiledProgram.run`).  Runs go to the tracer's ``block_run``
+  exactly as the tree-walker hands them over -- same flush boundaries,
+  same truncation point; a tracer without ``block_run`` gets them
+  through :func:`~repro.interp.tracer.per_event_runs`.
 * Expressions compile to native operators where Python semantics match
   (:data:`~repro.ir.expr.PY_NATIVE_BINOPS`); comparisons are wrapped in
-  ``int(...)`` in value context so results stay ints; ``//`` and ``%``
-  call the same checked helpers as the tree-walker so error messages are
-  byte-identical.
+  ``int(...)`` in value context so results stay ints.  ``//`` and ``%``
+  by a nonzero constant are native too; any other divisor calls the
+  tree-walker's checked helper, so a zero divisor raises its message.
+  An intrinsic whose arguments are all variables or constants is
+  inlined from its template (:data:`~repro.ir.expr.INTRINSIC_TEMPLATES`,
+  the same definition the tree-walker's callables come from).  So a
+  block's statements call no Python-level function that cannot fault.
 
 Observable behavior is *exactly* the tree-walker's: event stream,
 ``FuelExhausted`` truncation point (a block that exceeds the budget is
@@ -80,10 +89,12 @@ import threading
 from array import array
 from collections import OrderedDict
 from functools import partial
+from itertools import repeat
 from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.expr import (
+    INTRINSIC_TEMPLATES,
     INTRINSICS,
     PY_COMPARISON_BINOPS,
     PY_NATIVE_BINOPS,
@@ -94,6 +105,7 @@ from ..ir.expr import (
     Var,
     _checked_div,
     _checked_mod,
+    expand_intrinsic,
 )
 from ..ir.module import Function, Program
 from ..ir.stmt import (
@@ -111,7 +123,7 @@ from ..ir.stmt import (
 )
 from .errors import CompileUnsupported, FuelExhausted, InterpError, UndefinedVariable
 from .interpreter import DEFAULT_MAX_EVENTS, RUN_BUFFER_CAP, RunResult
-from .tracer import NullTracer
+from .tracer import NullTracer, per_event_runs
 
 #: Engines selectable via ``run_program(..., interp=...)``.
 INTERP_CHOICES = ("tree", "compiled")
@@ -204,10 +216,19 @@ class _FunctionCodegen:
                 # Branch conditions only test truthiness; everywhere else
                 # the result must be an int like BINARY_OPS produces.
                 return cmp if bool_ctx else f"int{cmp}"
-            if op == "//":
-                self.uses_div = True
-                return f"_div({left}, {right})"
-            if op == "%":
+            if op in ("//", "%"):
+                divisor = e.right
+                if (
+                    type(divisor) is Const
+                    and type(divisor.value) is int
+                    and divisor.value != 0
+                ):
+                    # The checked helper returns exactly ``a // b`` or
+                    # ``a % b`` once ``b`` is nonzero.
+                    return f"({left} {op} {right})"
+                if op == "//":
+                    self.uses_div = True
+                    return f"_div({left}, {right})"
                 self.uses_mod = True
                 return f"_mod({left}, {right})"
             raise self.fail(f"binary operator {op!r} has no compiled form")
@@ -222,9 +243,16 @@ class _FunctionCodegen:
         if t is Intrinsic:
             if e.name not in INTRINSICS:
                 raise self.fail(f"unknown intrinsic {e.name!r}")
+            args = [self.expr(a) for a in e.args]
+            if len(args) == len(INTRINSIC_TEMPLATES[e.name][0]) and all(
+                type(a) is Var or type(a) is Const for a in e.args
+            ):
+                return expand_intrinsic(e.name, args)
+            # A compound argument would be evaluated once per use in the
+            # template; the call evaluates it once (and raises the same
+            # TypeError as the tree-walker on an arity mismatch).
             self.intrinsics.add(e.name)
-            argsrc = ", ".join(self.expr(a) for a in e.args)
-            return f"_i_{e.name}({argsrc})"
+            return f"_i_{e.name}({', '.join(args)})"
         raise self.fail(f"expression {e!r} has no compiled form")
 
     # -- statements ----------------------------------------------------
@@ -291,11 +319,10 @@ class _FunctionCodegen:
                 raise self.fail(f"superblock cycle through B{bid}")
             merged.add(bid)
             block = self.func.blocks[bid]
-            # Fused tracing preamble: fuel, append, capacity -- in exactly
-            # the tree-walker's _note_block order, so a block past the
-            # budget is never traced and flush segmentation is identical.
-            self.emit(depth, "_fuel[0] = _f = _fuel[0] - 1")
-            self.emit(depth, "if _f < 0: _fuel_fail()")
+            # Fused tracing preamble: append, then the one capacity test
+            # that also enforces the budget (see CompiledProgram.run), so
+            # a block past the budget never runs its statements and flush
+            # segmentation is the tree-walker's.
             self.emit(depth, f"_t({bid})")
             self.emit(depth, f"if len(_tb) == {RUN_BUFFER_CAP}: _spill()")
             for stmt in block.statements:
@@ -412,11 +439,11 @@ class _FunctionCodegen:
             self.emit(3, f"raise InterpError({unreachable!r})")
 
         params = ", ".join(self.mangle(p) for p in func.params)
-        sig = f"{params}, *, _t=_t, _tb=_tb, _fuel=_fuel, _F=_F" if params else "*, _t=_t, _tb=_tb, _fuel=_fuel, _F=_F"
+        sig = f"{params}, *, _t=_t, _tb=_tb, _F=_F" if params else "*, _t=_t, _tb=_tb, _F=_F"
         out = [
             "def _factory(_rt):",
             "    (_F, _heap, _next_in, _out_append, _t, _tb, _spill,"
-            " _enter, _leave, _calls, _fuel, _fuel_fail) = _rt",
+            " _enter, _leave, _calls) = _rt",
         ]
         if any(type(s) is Load for b in func.blocks.values() for s in b.statements):
             out.append("    _hget = _heap.get")
@@ -561,27 +588,50 @@ class CompiledProgram:
         heap: Dict[int, int] = {}
         output: List[int] = []
         calls = [0]
-        fuel = [max_events]
         block_run = getattr(tracer, "block_run", None)
-        if block_run is not None:
-            run_buf: List[int] = []
+        per_event = block_run is None
+        if per_event:
+            block_run = per_event_runs(tracer)
+        cap = RUN_BUFFER_CAP
+        budget = max(max_events, 0)
+        # The run buffer also enforces the budget.  ``left`` counts the
+        # blocks still allowed past those already spilled.  Once it drops
+        # below the capacity, the buffer starts with ``pad`` placeholders,
+        # so the capacity test fires on the append of exactly the block
+        # that exceeds the budget -- before its statements run.
+        buf: List[int] = []
+        left = budget
+        pad = 0
 
-            def spill(_buf=run_buf, _block_run=block_run):
-                _block_run(array("q", _buf), len(_buf))
-                del _buf[:]
+        def restart() -> None:
+            nonlocal pad
+            del buf[:]
+            pad = cap - 1 - left if left < cap else 0
+            buf.extend(repeat(0, pad))
 
-            trace_block = run_buf.append
-            trace_buf = run_buf
-        else:
-            trace_buf = ()  # len()==0 and falsy: capacity/flush tests no-op
-            spill = None
-            trace_block = tracer.block
+        def spill() -> None:
+            # Runs at every enter and leave with blocks pending, so the
+            # common case (no padding, budget far off) stays short.
+            nonlocal left
+            n = len(buf) - pad
+            if n > left:
+                # buf[pad + left] is the block past the budget.
+                run = array("q", buf[pad:pad + left])
+                left = 0
+                restart()
+                if run:
+                    block_run(run, len(run))
+                raise FuelExhausted(f"exceeded {max_events} basic-block events")
+            if n:
+                run = array("q", buf[pad:] if pad else buf)
+                left -= n
+                if left < cap:
+                    restart()
+                else:
+                    del buf[:]
+                block_run(run, n)
 
-        def fuel_fail():
-            if trace_buf:
-                spill()
-            raise FuelExhausted(f"exceeded {max_events} basic-block events")
-
+        restart()
         next_in = partial(next, iter(inputs), 0)
         functions: List[Optional[Callable]] = [None] * len(self._factories)
         runtime = (
@@ -589,14 +639,12 @@ class CompiledProgram:
             heap,
             next_in,
             output.append,
-            trace_block,
-            trace_buf,
+            buf.append,
+            buf,
             spill,
             tracer.enter,
             tracer.leave,
             calls,
-            fuel,
-            fuel_fail,
         )
         for i, factory in enumerate(self._factories):
             functions[i] = factory(runtime)
@@ -605,15 +653,20 @@ class CompiledProgram:
                 return_value = functions[self._main_index](*args)
             else:
                 return_value = _trampoline(functions, self._main_index, args)
-        except (NameError, UnboundLocalError) as exc:
-            name = _undefined_var(exc)
-            if name is None:
-                raise
-            raise UndefinedVariable(name) from None
+        except BaseException as exc:
+            if per_event:
+                # The tree-walker reported these blocks as they ran.  After
+                # FuelExhausted the buffer holds none, so this is a no-op.
+                spill()
+            if isinstance(exc, (NameError, UnboundLocalError)):
+                name = _undefined_var(exc)
+                if name is not None:
+                    raise UndefinedVariable(name) from None
+            raise
         return RunResult(
             return_value=return_value,
             output=output,
-            blocks_executed=max_events - fuel[0],
+            blocks_executed=budget - left - (len(buf) - pad),
             calls_made=calls[0],
         )
 
@@ -663,10 +716,14 @@ def _code_for(text: str) -> Tuple[CodeType, bool]:
             return code, False
     code = compile(text, "<repro.interp.compile>", "exec")
     with _code_lock:
-        _code_cache[text] = code
-        _code_cache.move_to_end(text)
-        while len(_code_cache) > CODE_CACHE_SIZE:
-            _code_cache.popitem(last=False)
+        if text in _code_cache:
+            _code_cache.move_to_end(text)
+        elif CODE_CACHE_SIZE > 0:
+            # Evict before inserting, so that even a reader that does not
+            # take the lock never sees more than the bound.
+            while len(_code_cache) >= CODE_CACHE_SIZE:
+                _code_cache.popitem(last=False)
+            _code_cache[text] = code
     return code, True
 
 

@@ -17,7 +17,17 @@ class FuelExhausted(InterpError):
 
 
 class UndefinedVariable(InterpError):
-    """Raised when an expression reads a variable that was never assigned."""
+    """Raised when an expression reads a variable that was never assigned.
+
+    ``args`` is ``(name,)``; the message names the variable.
+    """
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.name = name
+
+    def __str__(self) -> str:
+        return f"undefined variable {self.name!r}"
 
 
 class CompileUnsupported(InterpError):

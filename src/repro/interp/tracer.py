@@ -24,11 +24,32 @@ one Python method call per block, which is what makes high-volume
 ingestion cheap.  ``block`` remains the per-event compatibility path
 for tracers that don't implement runs; the event order either way is
 identical.
+
+The compiled engine (:mod:`repro.interp.compile`) always buffers runs.
+It feeds a tracer without ``block_run`` through :func:`per_event_runs`,
+an adapter that makes one ``block`` call per buffered id.  Runs are
+flushed before every ``enter``/``leave``, so the tracer sees the events
+in the tree-walker's order; before an error other than
+:class:`~repro.interp.errors.FuelExhausted` leaves the run, the pending
+ids are delivered too, so a per-event stream ends where the
+tree-walker's does.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, List, Sequence, Tuple
+
+
+def per_event_runs(tracer) -> Callable[[Sequence[int], int], None]:
+    """A ``block_run`` for ``tracer`` that calls ``tracer.block`` once per
+    id, in order."""
+    block = tracer.block
+
+    def block_run(buf: Sequence[int], n: int) -> None:
+        for i in range(n):
+            block(buf[i])
+
+    return block_run
 
 
 class NullTracer:

@@ -14,7 +14,7 @@ paper) have defs/uses to reason about.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, FrozenSet, Tuple
+from typing import Callable, Dict, FrozenSet, Sequence, Tuple
 
 
 def slotted(cls):
@@ -201,19 +201,43 @@ class UnaryOp(Expr):
         return f"({self.op}{self.operand})"
 
 
-#: Pure intrinsic functions usable in expressions.  The paper's examples
-#: use opaque functions f1/f2/f3 (Figure 10); we give them concrete,
-#: deterministic integer definitions so traces are reproducible.
-INTRINSICS: Dict[str, Callable[..., int]] = {
-    "f1": lambda x: 2 * x + 1,
-    "f2": lambda x: 3 * x - 1,
-    "f3": lambda x: x * x + x,
-    "abs": lambda x: abs(x),
-    "min": lambda a, b: min(a, b),
-    "max": lambda a, b: max(a, b),
+#: Pure intrinsic functions usable in expressions, each defined once as a
+#: Python expression template over its named parameters.  The paper's
+#: examples use opaque functions f1/f2/f3 (Figure 10); we give them
+#: concrete, deterministic integer definitions so traces are
+#: reproducible.  :data:`INTRINSICS` (the tree-walker's callables) and
+#: the compiled engine's inline form are both built from these templates
+#: by :func:`expand_intrinsic`.  A template may use a parameter more than
+#: once, so only side-effect-free atoms (names, literals) are substituted
+#: into one; no template applies ``**``, a subscript or an attribute to a
+#: parameter, so a negative literal substitutes without parentheses.
+INTRINSIC_TEMPLATES: Dict[str, Tuple[Tuple[str, ...], str]] = {
+    "f1": (("x",), "2 * {x} + 1"),
+    "f2": (("x",), "3 * {x} - 1"),
+    "f3": (("x",), "{x} * {x} + {x}"),
+    "abs": (("x",), "abs({x})"),
+    "min": (("a", "b"), "min({a}, {b})"),
+    "max": (("a", "b"), "max({a}, {b})"),
     # Linear congruential step used by synthetic workloads to evolve
     # their path-selector state entirely inside the IR.
-    "lcg": lambda x: (x * 1103515245 + 12345) % 2147483648,
+    "lcg": (("x",), "({x} * 1103515245 + 12345) % 2147483648"),
+}
+
+
+def expand_intrinsic(name: str, args: Sequence[str]) -> str:
+    """Intrinsic ``name`` as one parenthesized Python expression over the
+    atom expressions ``args``, one per parameter."""
+    params, template = INTRINSIC_TEMPLATES[name]
+    return "(" + template.format(**dict(zip(params, args))) + ")"
+
+
+def _intrinsic_function(name: str) -> Callable[..., int]:
+    params = INTRINSIC_TEMPLATES[name][0]
+    return eval(f"lambda {', '.join(params)}: {expand_intrinsic(name, params)}", {})
+
+
+INTRINSICS: Dict[str, Callable[..., int]] = {
+    name: _intrinsic_function(name) for name in INTRINSIC_TEMPLATES
 }
 
 

@@ -84,6 +84,43 @@ class TestPipeline:
         assert not (tmp_path / "x.wpp").exists()
 
 
+    @pytest.mark.parametrize(
+        "text,extra,message",
+        [
+            (
+                "func main(n) entry=B1 {\n  B1:\n    return n\n}\n",
+                [],
+                "error: main expects 1 args, got 0",
+            ),
+            (
+                "func main() entry=B1 {\n  B1:\n    x = (q + 1)\n"
+                "    return x\n}\n",
+                [],
+                "error: undefined variable 'q'",
+            ),
+            (
+                "func main() entry=B1 {\n  B1:\n    jump B1\n}\n",
+                ["--max-events", "1000"],
+                "error: exceeded 1000 basic-block events",
+            ),
+        ],
+        ids=["missing-arg", "undefined-variable", "fuel"],
+    )
+    @pytest.mark.parametrize("interp", ["tree", "compiled"])
+    @pytest.mark.parametrize("stream", [False, True], ids=["wpp", "stream"])
+    def test_trace_run_error_is_an_error(
+        self, tmp_path, capsys, text, extra, message, interp, stream
+    ):
+        prog = tmp_path / "p.ir"
+        prog.write_text(text)
+        out = tmp_path / ("x.twpp" if stream else "x.wpp")
+        argv = ["trace", str(prog), "-o", str(out), "--interp", interp]
+        argv += extra + (["--stream"] if stream else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+
 class TestInfo:
     def test_all_three_formats(self, pipeline_files, capsys):
         _ir, wpp, twpp, sqwp = pipeline_files

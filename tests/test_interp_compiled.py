@@ -33,6 +33,7 @@ from repro.interp import (
     run_compiled,
     run_program,
 )
+from repro.interp.interpreter import RUN_BUFFER_CAP
 from repro.ir import ProgramBuilder, binop, intrinsic
 from repro.ir.expr import Const
 from repro.ir.stmt import Assign, Return
@@ -640,3 +641,235 @@ class TestFacadeIntegration:
             outputs[interp] = out.read_bytes()
         capsys.readouterr()
         assert outputs["tree"] == outputs["compiled"]
+
+
+def _looping_program(iterations, tail=None):
+    """main counts to ``iterations`` in a two-block loop and calls a
+    two-block leaf every seventh iteration; ``tail`` (an expression)
+    is assigned after the loop."""
+    pb = ProgramBuilder()
+    leaf = pb.function("leaf", params=("a",))
+    l1 = leaf.block()
+    l2 = leaf.block()
+    l1.assign("b", binop("+", "a", 1)).jump(l2)
+    l2.ret("b")
+    fb = pb.function("main")
+    b1 = fb.block()
+    b2 = fb.block()
+    b3 = fb.block()
+    b4 = fb.block()
+    b5 = fb.block()
+    b1.assign("i", 0).jump(b2)
+    b2.assign("i", binop("+", "i", 1)).branch(
+        binop("==", binop("%", "i", 7), 0), b3, b4
+    )
+    b3.call("leaf", ["i"], dest="r").jump(b4)
+    b4.branch(binop("<", "i", iterations), b2, b5)
+    if tail is not None:
+        b5.assign("x", tail)
+    b5.ret("i")
+    return pb.build()
+
+
+def _observe(engine, program, tracer_cls, max_events):
+    """One run's outcome, trace and counters under one tracer kind.
+
+    The outcome is the error (type and message) or the result and its
+    counters; the trace is the per-event stream, or the ``block_run``
+    segments plus the stream they carried."""
+    tracer = tracer_cls()
+    try:
+        result = engine(program, tracer=tracer, max_events=max_events)
+        outcome = (
+            "done",
+            result.return_value,
+            result.blocks_executed,
+            result.calls_made,
+        )
+    except (InterpError, ZeroDivisionError) as exc:
+        outcome = (type(exc).__name__, str(exc))
+    if tracer_cls is _SegmentTracer:
+        return outcome, tracer.segments, tracer.blocks
+    return outcome, tracer.events
+
+
+def _assert_parity(program, tracer_cls, max_events):
+    tree = _observe(tree_run, program, tracer_cls, max_events)
+    compiled = _observe(run_compiled, program, tracer_cls, max_events)
+    assert tree == compiled
+    return tree
+
+
+TRACER_KINDS = [
+    pytest.param(_PerEventTracer, id="per-event"),
+    pytest.param(_SegmentTracer, id="block-run"),
+]
+
+
+class TestFuelInRunBuffer:
+    """The budget is enforced by the run buffer's capacity test: every
+    budget, near a capacity multiple or the run's own length, must cut
+    the run where the tree-walker does, with both tracer kinds."""
+
+    TOTAL = 12000 * 2 + 12000 // 7 * 3 + 2
+
+    def test_total_is_the_program_length(self):
+        outcome = _assert_parity(
+            _looping_program(12000), _SegmentTracer, 50_000_000
+        )[0]
+        assert outcome[2] == self.TOTAL
+
+    @pytest.mark.parametrize("tracer_cls", TRACER_KINDS)
+    @pytest.mark.parametrize(
+        "budget",
+        [0, 1, 8191, 8192, 8193, 16383, 16384, 16385,
+         TOTAL - 1, TOTAL, TOTAL + 1],
+    )
+    def test_budget(self, tracer_cls, budget):
+        outcome = _assert_parity(_looping_program(12000), tracer_cls, budget)[0]
+        if budget < self.TOTAL:
+            assert outcome == (
+                "FuelExhausted", f"exceeded {budget} basic-block events"
+            )
+        else:
+            assert outcome[0] == "done"
+
+    @pytest.mark.parametrize("tracer_cls", TRACER_KINDS)
+    @given(data=st.data())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    def test_hypothesis_budgets_on_workloads(self, tracer_cls, data):
+        program, _spec = workload(
+            data.draw(st.sampled_from(WORKLOAD_NAMES)), scale=0.05
+        )
+        total = tree_run(program).blocks_executed
+        _assert_parity(program, tracer_cls, data.draw(st.integers(0, total + 1)))
+
+    @pytest.mark.parametrize("tracer_cls", TRACER_KINDS)
+    @pytest.mark.parametrize("op", ["//", "%"])
+    def test_error_after_a_capacity_flush(self, tracer_cls, op):
+        """A fault past the first 8192-block flush: a per-event tracer
+        still sees every block up to the faulting one, also when that
+        block spends the last of the budget."""
+        program = _looping_program(9000 // 2, tail=binop(op, "i", 0))
+        reached = _PerEventTracer()
+        with pytest.raises(ZeroDivisionError):
+            tree_run(program, tracer=reached)
+        blocks = [e for e in reached.events if e[0] == "block"]
+        assert len(blocks) > 8192 and blocks[-1] == ("block", 5)
+        for budget in (50_000_000, len(blocks)):
+            observed = _assert_parity(program, tracer_cls, budget)
+            assert observed[0][0] == "ZeroDivisionError"
+
+    def test_pending_blocks_reach_a_per_event_tracer_on_error(self):
+        pb = ProgramBuilder()
+        fb = pb.function("main")
+        b1 = fb.block()
+        b2 = fb.block()
+        b1.assign("x", 1).jump(b2)
+        b2.ret("ghost")
+        program = pb.build()
+        tracer = _PerEventTracer()
+        with pytest.raises(UndefinedVariable, match="undefined variable 'ghost'"):
+            run_compiled(program, tracer=tracer)
+        assert tracer.events == [("enter", "main"), ("block", 1), ("block", 2)]
+
+
+INT_EDGES = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-1, 1, 2**63, 2**63 + 1, -(2**63) - 1, 2**64 - 1]),
+)
+
+
+def _value_program(exprs):
+    """``main(a, b)`` writes each expression's value."""
+    pb = ProgramBuilder()
+    fb = pb.function("main", params=("a", "b"))
+    block = fb.block()
+    for expr in exprs:
+        block.write(expr)
+    block.ret(0)
+    return pb.build()
+
+
+class TestNativeRewrite:
+    """``//``/``%`` by a nonzero constant and intrinsics over atoms run
+    as native Python operators, with the tree-walker's exact values."""
+
+    @given(
+        a=INT_EDGES,
+        divisor=INT_EDGES.filter(lambda d: d != 0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_constant_divisors(self, a, divisor):
+        program = _value_program(
+            [binop("//", "a", divisor), binop("%", "a", divisor),
+             binop("//", divisor, "b"), binop("%", divisor, "b")]
+        )
+        source = compiled_for(program).source
+        assert source.count("_div(") == 1 and source.count("_mod(") == 1
+        b = divisor if a == 0 else a  # a nonzero variable divisor
+        assert_identical(program, args=[a, b])
+
+    @given(a=INT_EDGES, b=INT_EDGES)
+    @settings(max_examples=150, deadline=None)
+    def test_intrinsics(self, a, b):
+        exprs = []
+        for name in ("f1", "f2", "f3", "lcg", "abs"):
+            exprs += [
+                intrinsic(name, "a"),
+                intrinsic(name, a),
+                binop("*", intrinsic(name, "b"), -3),  # inlined as one operand
+            ]
+        for name in ("min", "max"):
+            exprs += [intrinsic(name, "a", "b"), intrinsic(name, b, "a")]
+        program = _value_program(exprs)
+        assert "_i_" not in compiled_for(program).source
+        assert_identical(program, args=[a, b])
+
+    def test_compound_arguments_still_call(self):
+        program = _value_program(
+            [intrinsic("f3", binop("+", "a", 1)), intrinsic("lcg", binop("%", "a", "b"))]
+        )
+        source = compiled_for(program).source
+        assert "_i_f3(" in source and "_i_lcg(_mod(" in source
+        assert_identical(program, args=[-7, 3])
+
+    @pytest.mark.parametrize(
+        "op,helper,message",
+        [
+            ("//", "_div(", "IR integer division by zero"),
+            ("%", "_mod(", "IR integer modulo by zero"),
+        ],
+    )
+    def test_literal_zero_divisor_keeps_the_checked_helper(
+        self, op, helper, message
+    ):
+        program = _value_program([binop(op, "a", 0)])
+        assert helper in compiled_for(program).source
+        for engine in (tree_run, run_compiled):
+            with pytest.raises(ZeroDivisionError) as exc_info:
+                engine(program, args=[5, 0])
+            assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_workload_source_has_two_statement_preambles(self, name):
+        program, _spec = workload(name, scale=0.05)
+        source = compiled_for(program).source
+        assert "_fuel" not in source
+        assert "_div(" not in source and "_mod(" not in source
+        assert "_i_" not in source and "_INTR" not in source
+        lines = [line.strip() for line in source.splitlines()]
+        capacity = f"if len(_tb) == {RUN_BUFFER_CAP}: _spill()"
+        traced = [i for i, line in enumerate(lines) if line.startswith("_t(")]
+        assert traced
+        for i in traced:
+            assert lines[i + 1] == capacity
+        # Nothing else of the preamble is left anywhere.
+        assert lines.count(capacity) == len(traced)
