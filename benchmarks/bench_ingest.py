@@ -7,11 +7,11 @@ Measures how fast trace events move from the interpreter to an indexed
   stream (run boundaries come free from the interpreter) is replayed
   through both ingest shapes:
 
-  - *seed per-event*: one tracer call per event into a
-    :class:`~repro.trace.wpp.WppBuilder`, scalar-varint raw-WPP
-    encode, scalar decode, per-event partitioning, compact, write --
-    the seed's staged ``trace -> .wpp -> partition -> compact``
-    route with its one-value-at-a-time codecs;
+  - *seed per-event*: one tracer call per event into
+    :class:`_SeedWppBuilder` (the seed's per-event WPP builder),
+    scalar-varint raw-WPP encode, scalar decode, partitioning,
+    compact, write -- the seed's staged ``trace -> .wpp -> partition
+    -> compact`` route with its one-value-at-a-time codecs;
   - *batched + bulk*: ``block_run`` batches straight into the
     :class:`~repro.trace.partition.OnlinePartitioner` (no raw WPP is
     ever materialized), compact, write -- the shape
@@ -24,10 +24,10 @@ Measures how fast trace events move from the interpreter to an indexed
   and raw-event codec (scalar loop vs ``encode_uvarints`` /
   ``decode_uvarints``) timed in isolation.
 
-* **interpreter-mode sweep** — traced *execution* (not replay): the
-  tree-walking reference vs the compiled engine
-  (:mod:`repro.interp.compile`), each under the legacy per-event tracer
-  and the batched ``block_run`` protocol, plus an end-to-end
+* **interpreter sweep** — traced *execution* (not replay): the
+  tree-walking reference (``Interpreter(program).run``) vs the
+  compiled engine (``compiled_for(program).run``), each into a
+  :class:`~repro.trace.wpp.WppBuilder`, plus an end-to-end
   trace -> compact -> serialize run per engine with byte-identity
   checked.  This is the headline for the compiled-interpreter work: the
   full bench gates compiled >= 5x tree end-to-end, the smoke gate >= 2x.
@@ -39,7 +39,7 @@ Measures how fast trace events move from the interpreter to an indexed
   partitioner) and ``compact_ms`` (the ``ingest.finalize`` timer:
   compaction once the run ends).
 
-Results land in ``BENCH_ingest.json`` (schema ``repro.bench_ingest/3``).
+Results land in ``BENCH_ingest.json`` (schema ``repro.bench_ingest/4``).
 
 Runs two ways::
 
@@ -65,7 +65,7 @@ from repro.bench.workbench import bench_scale
 from repro.compact.format import serialize_twpp
 from repro.compact.pipeline import compact_wpp
 from repro.compact.stream import stream_compact
-from repro.interp.interpreter import run_program
+from repro.interp import Interpreter, compiled_for, run_program
 from repro.obs import MetricsRegistry
 from repro.trace.encoding import (
     decode_uvarints,
@@ -74,12 +74,11 @@ from repro.trace.encoding import (
     write_uvarint,
 )
 from repro.trace.partition import OnlinePartitioner, partition_wpp
-from repro.trace.wpp import WppBuilder, WppTrace
+from repro.trace.wpp import BLOCK, ENTER, LEAVE, WppBuilder, WppTrace, pack_event
 from repro.workloads.specs import workload
 
-BENCH_SCHEMA = "repro.bench_ingest/3"
+BENCH_SCHEMA = "repro.bench_ingest/4"
 WORKLOAD = "perl-like"
-INTERP_MODES = ("tree", "compiled")
 
 
 class _SegmentRecorder:
@@ -96,11 +95,32 @@ class _SegmentRecorder:
     def enter(self, func_name: str) -> None:
         self.segments.append(("e", func_name))
 
-    def block_run(self, buf, n: int) -> None:
-        self.segments.append(("r", list(buf[:n])))
+    def block_run(self, ids) -> None:
+        self.segments.append(("r", ids))
 
     def leave(self) -> None:
         self.segments.append(("l",))
+
+
+class _SeedWppBuilder:
+    """The seed's per-event WPP builder: one packed event per call."""
+
+    def __init__(self) -> None:
+        self._func_index = {}
+        self._events = array("Q")
+
+    def enter(self, func_name: str) -> None:
+        idx = self._func_index.setdefault(func_name, len(self._func_index))
+        self._events.append(pack_event(ENTER, idx))
+
+    def block(self, block_id: int) -> None:
+        self._events.append(pack_event(BLOCK, block_id))
+
+    def leave(self) -> None:
+        self._events.append(pack_event(LEAVE))
+
+    def finish(self) -> WppTrace:
+        return WppTrace(func_names=list(self._func_index), events=self._events)
 
 
 def _flatten(segments):
@@ -130,7 +150,7 @@ def _time_best(fn, rounds):
 
 def _seed_pipeline(flat, n_events):
     """Seed shape: per-event dispatch, scalar codecs, staged phases."""
-    builder = WppBuilder()
+    builder = _SeedWppBuilder()
     enter, block, leave = builder.enter, builder.block, builder.leave
     for seg in flat:
         kind = seg[0]
@@ -178,7 +198,7 @@ def _batched_pipeline(segments):
 
 def _component_times(segments, flat, rounds):
     def build_per_event():
-        builder = WppBuilder()
+        builder = _SeedWppBuilder()
         enter, block, leave = builder.enter, builder.block, builder.leave
         for seg in flat:
             kind = seg[0]
@@ -255,62 +275,49 @@ def _component_times(segments, flat, rounds):
 
 
 # ---------------------------------------------------------------------------
-# interpreter-mode sweep (tree vs compiled x legacy vs batched tracer)
-
-
-class _PerEventAdapter:
-    """Hide ``block_run`` so the engine takes the per-event tracer path."""
-
-    __slots__ = ("enter", "block", "leave")
-
-    def __init__(self, builder) -> None:
-        self.enter = builder.enter
-        self.block = builder.block
-        self.leave = builder.leave
+# interpreter sweep (tree vs compiled)
 
 
 def _interp_sweep(program, n_events, rounds):
-    from repro.interp.compile import compiled_for
-
     compile_metrics = MetricsRegistry()
     compiled_for(program, metrics=compile_metrics)  # warm the compile cache
+    # The compiled leg is run_program's route: translate (code-cache
+    # hits), then run.
+    engines = {
+        "tree": lambda tracer: Interpreter(program).run(tracer=tracer),
+        "compiled": lambda tracer: run_program(program, tracer=tracer),
+    }
 
     modes = {}
     reference_events = None
-    for engine in INTERP_MODES:
-        for tracer_mode in ("legacy", "batched"):
+    for engine, run in engines.items():
 
-            def traced(engine=engine, tracer_mode=tracer_mode):
-                builder = WppBuilder()
-                tracer = (
-                    _PerEventAdapter(builder)
-                    if tracer_mode == "legacy"
-                    else builder
-                )
-                run_program(program, tracer=tracer, interp=engine)
-                return builder.finish()
+        def traced(run=run):
+            builder = WppBuilder()
+            run(tracer=builder)
+            return builder.finish()
 
-            elapsed, wpp = _time_best(traced, rounds)
-            if reference_events is None:
-                reference_events = wpp.events
-            else:
-                assert wpp.events == reference_events, (
-                    f"{engine}/{tracer_mode} event stream diverged"
-                )
-            modes[f"{engine}_{tracer_mode}"] = {
-                "ms": round(elapsed * 1e3, 3),
-                "events_per_sec": round(n_events / elapsed) if elapsed else None,
-            }
+        elapsed, wpp = _time_best(traced, rounds)
+        if reference_events is None:
+            reference_events = wpp.events
+        else:
+            assert wpp.events == reference_events, (
+                f"{engine} event stream diverged"
+            )
+        modes[engine] = {
+            "ms": round(elapsed * 1e3, 3),
+            "events_per_sec": round(n_events / elapsed) if elapsed else None,
+        }
 
     # End-to-end traced execution: program -> partition -> compact ->
     # serialized .twpp, once per engine, byte-compared.
     e2e = {}
     blobs = {}
-    for engine in INTERP_MODES:
+    for engine, run in engines.items():
 
-        def full(engine=engine):
+        def full(run=run):
             part = OnlinePartitioner()
-            run_program(program, tracer=part, interp=engine)
+            run(tracer=part)
             compacted, _ = compact_wpp(part.finish())
             return serialize_twpp(compacted)
 
@@ -332,9 +339,9 @@ def _interp_sweep(program, n_events, rounds):
         "e2e_identical": blobs["tree"] == blobs["compiled"],
         "e2e_speedup": round(tree_ms / compiled_ms, 2) if compiled_ms else None,
         "interp_speedup": round(
-            modes["tree_batched"]["ms"] / modes["compiled_batched"]["ms"], 2
+            modes["tree"]["ms"] / modes["compiled"]["ms"], 2
         )
-        if modes["compiled_batched"]["ms"]
+        if modes["compiled"]["ms"]
         else None,
     }
 

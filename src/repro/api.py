@@ -113,10 +113,7 @@ class Session:
     supplied).  ``cache_bytes`` budgets :attr:`cache`, the one
     :class:`~repro.compact.qserve.LruByteCache` that every query engine
     and every corpus of the session decodes into (0 disables caching);
-    the session never holds more decoded bytes than that.  ``interp``
-    picks the execution engine for trace verbs (``"compiled"``/
-    ``"tree"``; None defers to ``REPRO_INTERP`` then the compiled
-    default -- see :func:`repro.interp.run_program`).  Engines are
+    the session never holds more decoded bytes than that.  Query engines are
     created lazily, one per queried ``.twpp`` path, and reused for the
     session's lifetime so repeat queries are served warm; ``close()``
     (or using the session as a context manager) releases them.
@@ -127,13 +124,11 @@ class Session:
         jobs: int = 1,
         metrics: Optional[MetricsRegistry] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        interp: Optional[str] = None,
     ) -> None:
         self.jobs = jobs
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache_bytes = cache_bytes
         self.cache = LruByteCache(cache_bytes, metrics=self.metrics)
-        self.interp = interp
         self._engines: Dict[str, QueryEngine] = {}
         self._engines_lock = threading.Lock()
         self._programs: "OrderedDict[Tuple[str, int, int], Program]" = (
@@ -202,7 +197,6 @@ class Session:
                 args=args,
                 inputs=inputs,
                 max_events=max_events,
-                interp=self.interp,
                 metrics=self.metrics,
             )
         self.metrics.inc("trace.events", len(wpp))
@@ -232,7 +226,6 @@ class Session:
             inputs=inputs,
             max_events=max_events,
             metrics=self.metrics,
-            interp=self.interp,
             verify=verify,
         )
 
@@ -581,10 +574,9 @@ def trace(
     args: Tuple[int, ...] = (),
     inputs: Tuple[int, ...] = (),
     max_events: Optional[int] = None,
-    interp: Optional[str] = None,
 ) -> WppTrace:
     """Run a program and collect its whole program path."""
-    return Session(interp=interp).trace(
+    return Session().trace(
         program, args=args, inputs=inputs, max_events=max_events
     )
 
@@ -604,7 +596,6 @@ def stream_compact(
     inputs: Tuple[int, ...] = (),
     max_events: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    interp: Optional[str] = None,
     verify: bool = False,
 ) -> StreamResult:
     """Run a program and stream its compacted ``.twpp`` straight to disk.
@@ -612,7 +603,7 @@ def stream_compact(
     ``verify=True`` read-checks the written file before returning (see
     :meth:`Session.stream_compact`).
     """
-    with Session(metrics=metrics, interp=interp) as session:
+    with Session(metrics=metrics) as session:
         return session.stream_compact(
             program,
             path,

@@ -74,7 +74,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("error: --verify requires --stream", file=sys.stderr)
         return 2
     program = parse_program(Path(args.program).read_text())
-    with Session(interp=args.interp) as session:
+    with Session() as session:
         traced = session.trace(
             program,
             args=tuple(args.arg),
@@ -632,11 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="with --stream: read the written .twpp back and "
                         "check every function's traces")
-    p.add_argument("--interp", choices=["tree", "compiled"], default=None,
-                   help="execution engine: 'compiled' translates the program "
-                        "once to dispatch-free Python (default; falls back to "
-                        "the tree-walker on unsupported IR), 'tree' forces the "
-                        "reference interpreter")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("compact", help="compact a .wpp into an indexed .twpp",
@@ -891,7 +886,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except InterpError as exc:
         # A run that fails (wrong arguments, fuel exhausted, undefined
-        # variable) is the program's fault, not the tool's.
+        # variable, division by zero) is the program's fault, not the tool's.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -64,15 +64,13 @@ def stream_compact(
     inputs: Sequence[int] = (),
     max_events: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    interp: Optional[str] = None,
     verify: bool = False,
 ) -> StreamResult:
     """Run a program and write its compacted ``.twpp``, holding no raw WPP.
 
     The output file is byte-identical to the two-phase
     ``write_twpp(compact_wpp(partition_wpp(collect_wpp(program))))``
-    route.  ``interp`` selects the execution engine
-    (``"tree"``/``"compiled"``, see :func:`repro.interp.run_program`).
+    route.
 
     ``verify=True`` reads the written file back through a fresh
     :class:`~repro.compact.qserve.QueryEngine` and checks every
@@ -94,7 +92,6 @@ def stream_compact(
                 max_events=(
                     DEFAULT_MAX_EVENTS if max_events is None else max_events
                 ),
-                interp=interp,
                 metrics=metrics,
             )
         execute_s = time.perf_counter() - execute_started

@@ -5,24 +5,25 @@ Running a program through :func:`run_program` with a
 collects whole program paths (the paper collected them with the Trimaran
 compiler infrastructure on SPECint95).
 
-Two engines share one contract: the tree-walking reference interpreter
-(:mod:`repro.interp.interpreter`) and the compiled engine
+:func:`run_program` runs the compiled engine
 (:mod:`repro.interp.compile`), which translates each program into
 dispatch-free generated Python, compiling each distinct generated
-function text once per process (one content-keyed code cache).  :func:`run_program` selects between
-them (``interp="tree" | "compiled"``, compiled by default) and falls
-back to the tree automatically when a program cannot be compiled.
+function text once per process (one content-keyed code cache).  The
+tree-walking reference interpreter (:mod:`repro.interp.interpreter`)
+runs the programs the compiler declines.  Both report to a tracer
+through one protocol, ``enter(name)`` / ``block_run(ids)`` / ``leave()``,
+where ``ids`` is a fresh list the tracer may keep (see
+:mod:`repro.interp.tracer`).
 """
 
-from .compile import (
-    DEFAULT_INTERP,
-    INTERP_CHOICES,
-    CompiledProgram,
-    compiled_for,
-    resolve_interp,
-    run_compiled,
+from .compile import CompiledProgram, compiled_for
+from .errors import (
+    CompileUnsupported,
+    DivisionByZero,
+    FuelExhausted,
+    InterpError,
+    UndefinedVariable,
 )
-from .errors import CompileUnsupported, FuelExhausted, InterpError, UndefinedVariable
 from .interpreter import DEFAULT_MAX_EVENTS, Interpreter, RunResult, run_program
 from .tracer import CountingTracer, ListTracer, NullTracer
 
@@ -30,10 +31,9 @@ __all__ = [
     "CompileUnsupported",
     "CompiledProgram",
     "CountingTracer",
-    "DEFAULT_INTERP",
     "DEFAULT_MAX_EVENTS",
+    "DivisionByZero",
     "FuelExhausted",
-    "INTERP_CHOICES",
     "InterpError",
     "Interpreter",
     "ListTracer",
@@ -41,7 +41,5 @@ __all__ = [
     "RunResult",
     "UndefinedVariable",
     "compiled_for",
-    "resolve_interp",
-    "run_compiled",
     "run_program",
 ]

@@ -21,8 +21,7 @@ code object and ``exec``'d into that function's factory:
   fires on the block that exceeds the budget (see
   :meth:`CompiledProgram.run`).  Runs go to the tracer's ``block_run``
   exactly as the tree-walker hands them over -- same flush boundaries,
-  same truncation point; a tracer without ``block_run`` gets them
-  through :func:`~repro.interp.tracer.per_event_runs`.
+  same truncation point, each run a fresh list.
 * Expressions compile to native operators where Python semantics match
   (:data:`~repro.ir.expr.PY_NATIVE_BINOPS`); comparisons are wrapped in
   ``int(...)`` in value context so results stay ints.  ``//`` and ``%``
@@ -35,7 +34,7 @@ code object and ``exec``'d into that function's factory:
 
 Observable behavior is *exactly* the tree-walker's: event stream,
 ``FuelExhausted`` truncation point (a block that exceeds the budget is
-never traced, and pending runs are flushed before the raise), undefined
+never traced, and pending runs are flushed before any raise), undefined
 variable / zero-division / missing-return errors, and
 :class:`~repro.interp.interpreter.RunResult` counters.  The differential
 suite in ``tests/test_interp_compiled.py`` enforces this over all
@@ -76,17 +75,15 @@ other.  Call-graph analysis picks one of two call mechanics per function:
 Programs containing constructs the translator cannot prove equivalent
 (non-identifier variable names, statement/terminator/expression
 *subclasses*, call-site arity mismatches, unknown callees, malformed
-CFGs) raise :class:`~repro.interp.errors.CompileUnsupported`; callers
-fall back to the tree-walker, which reproduces the reference semantics
-for those programs by construction.
+CFGs) raise :class:`~repro.interp.errors.CompileUnsupported`;
+:func:`~repro.interp.run_program` falls back to the tree-walker, which
+reproduces the reference semantics for those programs by construction.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import threading
-from array import array
 from collections import OrderedDict
 from functools import partial
 from itertools import repeat
@@ -123,17 +120,7 @@ from ..ir.stmt import (
 )
 from .errors import CompileUnsupported, FuelExhausted, InterpError, UndefinedVariable
 from .interpreter import DEFAULT_MAX_EVENTS, RUN_BUFFER_CAP, RunResult
-from .tracer import NullTracer, per_event_runs
-
-#: Engines selectable via ``run_program(..., interp=...)``.
-INTERP_CHOICES = ("tree", "compiled")
-
-#: Engine used when neither the caller nor :data:`INTERP_ENV` picks one.
-DEFAULT_INTERP = "compiled"
-
-#: Environment variable overriding the default engine (same values as
-#: :data:`INTERP_CHOICES`); an explicit ``interp=`` argument wins.
-INTERP_ENV = "REPRO_INTERP"
+from .tracer import NullTracer
 
 #: Maximum Python stack frames a directly-called (non-trampolined) call
 #: subtree may need.  Deliberately far below CPython's recursion limit:
@@ -145,16 +132,6 @@ DIRECT_DEPTH_CAP = 48
 #: One pass of the e2e ingest programs (15 runs, 795 functions) has 275
 #: distinct texts; the bound is about four times that.
 CODE_CACHE_SIZE = 1024
-
-
-def resolve_interp(interp: Optional[str]) -> str:
-    """Resolve an engine choice: explicit argument > env var > default."""
-    choice = interp if interp is not None else os.environ.get(INTERP_ENV, DEFAULT_INTERP)
-    if choice not in INTERP_CHOICES:
-        raise ValueError(
-            f"unknown interp engine {choice!r}; choose one of {INTERP_CHOICES}"
-        )
-    return choice
 
 
 # ----------------------------------------------------------------------
@@ -588,10 +565,7 @@ class CompiledProgram:
         heap: Dict[int, int] = {}
         output: List[int] = []
         calls = [0]
-        block_run = getattr(tracer, "block_run", None)
-        per_event = block_run is None
-        if per_event:
-            block_run = per_event_runs(tracer)
+        block_run = tracer.block_run
         cap = RUN_BUFFER_CAP
         budget = max(max_events, 0)
         # The run buffer also enforces the budget.  ``left`` counts the
@@ -615,21 +589,18 @@ class CompiledProgram:
             nonlocal left
             n = len(buf) - pad
             if n > left:
-                # buf[pad + left] is the block past the budget.
-                run = array("q", buf[pad:pad + left])
-                left = 0
-                restart()
-                if run:
-                    block_run(run, len(run))
+                # buf[pad + left] is the block past the budget: drop it,
+                # and run()'s handler hands over the blocks before it.
+                del buf[pad + left:]
                 raise FuelExhausted(f"exceeded {max_events} basic-block events")
             if n:
-                run = array("q", buf[pad:] if pad else buf)
+                run = buf[pad:]
                 left -= n
                 if left < cap:
                     restart()
                 else:
                     del buf[:]
-                block_run(run, n)
+                block_run(run)
 
         restart()
         next_in = partial(next, iter(inputs), 0)
@@ -654,10 +625,8 @@ class CompiledProgram:
             else:
                 return_value = _trampoline(functions, self._main_index, args)
         except BaseException as exc:
-            if per_event:
-                # The tree-walker reported these blocks as they ran.  After
-                # FuelExhausted the buffer holds none, so this is a no-op.
-                spill()
+            # Hand over the pending blocks, as the tree-walker does.
+            spill()
             if isinstance(exc, (NameError, UnboundLocalError)):
                 name = _undefined_var(exc)
                 if name is not None:
@@ -744,18 +713,3 @@ def compiled_for(program: Program, metrics=None) -> CompiledProgram:
     metrics.inc("interp.compiles", compiled.compiles)
     return compiled
 
-
-def run_compiled(
-    program: Program,
-    args: Sequence[int] = (),
-    inputs=(),
-    tracer=None,
-    max_events: int = DEFAULT_MAX_EVENTS,
-    metrics=None,
-) -> RunResult:
-    """Translate and run; no tree fallback -- raises
-    :class:`~repro.interp.errors.CompileUnsupported` on untranslatable
-    programs.  :func:`repro.interp.run_program` adds the fallback."""
-    return compiled_for(program, metrics=metrics).run(
-        args=args, inputs=inputs, tracer=tracer, max_events=max_events
-    )

@@ -30,12 +30,20 @@ class UndefinedVariable(InterpError):
         return f"undefined variable {self.name!r}"
 
 
+class DivisionByZero(InterpError, ZeroDivisionError):
+    """Raised when an IR ``//`` or ``%`` has a zero divisor.
+
+    Both an :class:`InterpError` (a fault of the traced program, which
+    the CLI reports as ``error:``) and a :class:`ZeroDivisionError`.
+    """
+
+
 class CompileUnsupported(InterpError):
     """Raised when a program contains constructs the compiled engine
     cannot translate (non-identifier variable names, unknown statement
     or terminator subclasses, call-site arity mismatches, ...).
 
-    Callers that select the compiled engine catch this and fall back to
+    :func:`~repro.interp.run_program` catches this and falls back to
     the tree-walking reference interpreter, so the condition is a
     performance downgrade, never a failure.
     """

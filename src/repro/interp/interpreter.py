@@ -8,18 +8,18 @@ and exits bracketing each activation.  That event stream *is* the WPP.
 The evaluation loop is iterative (explicit frame stack) so deeply nested
 call chains in generated workloads cannot hit Python's recursion limit.
 
-Tracers that implement the batched ``block_run(buf, n)`` protocol (see
-:mod:`repro.interp.tracer`) receive straight-line block ids as runs: the
-interpreter accumulates ids into a reusable ``array('q')`` buffer and
-flushes once per enter/leave boundary (or when the buffer fills), so
-per-event tracer dispatch disappears from the hot loop.  Event order is
-identical to the per-event path.
+Block ids reach the tracer as runs (see :mod:`repro.interp.tracer`):
+the interpreter appends them to a list and hands the list to
+``block_run`` at every enter/leave boundary, when it holds
+:data:`RUN_BUFFER_CAP` ids, and before an exception leaves :meth:`run`.
+This is the reference engine; :func:`run_program` runs the compiled
+engine (:mod:`repro.interp.compile`) and falls back to this one only for
+programs that engine declines.
 """
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..ir.expr import BINARY_OPS, INTRINSICS, UNARY_OPS, BinOp, Const, Expr, Intrinsic, UnaryOp, Var
@@ -37,14 +37,14 @@ from ..ir.stmt import (
     Switch,
     Write,
 )
-from .errors import FuelExhausted, InterpError, UndefinedVariable
+from .errors import CompileUnsupported, FuelExhausted, InterpError, UndefinedVariable
 from .tracer import NullTracer
 
 #: Default budget of basic-block events per run.  Generous enough for the
 #: largest generated workloads; small enough to catch runaway loops fast.
 DEFAULT_MAX_EVENTS = 50_000_000
 
-#: Capacity of the straight-line run buffer flushed via ``block_run``.
+#: Block ids one ``block_run`` hands over at most.
 RUN_BUFFER_CAP = 8192
 
 
@@ -84,7 +84,7 @@ class Interpreter:
     ) -> RunResult:
         """Run ``main(*args)`` with the given input stream.
 
-        ``tracer`` receives enter/block/leave events; defaults to a
+        ``tracer`` receives enter/block_run/leave events; defaults to a
         :class:`~repro.interp.tracer.NullTracer`.
         """
         if tracer is None:
@@ -95,20 +95,29 @@ class Interpreter:
         self._blocks_executed = 0
         self._calls_made = 0
         self._tracer = tracer
-        self._block_run = getattr(tracer, "block_run", None)
-        if self._block_run is not None:
-            self._run_buf = array("q", [0]) * RUN_BUFFER_CAP
-            self._run_len = 0
+        self._run_buf: List[int] = []
 
         main = self.program.function(self.program.main)
         if len(args) != len(main.params):
             raise InterpError(
                 f"main expects {len(main.params)} args, got {len(args)}"
             )
+        try:
+            return_value = self._execute(main, args)
+        except BaseException:
+            if self._run_buf:
+                self._flush_run()
+            raise
+        return RunResult(
+            return_value=return_value,
+            output=self._output,
+            blocks_executed=self._blocks_executed,
+            calls_made=self._calls_made,
+        )
 
+    def _execute(self, main: Function, args: Sequence[int]) -> Optional[int]:
         stack: List[_Frame] = []
         frame = self._enter_function(main, list(args))
-        return_value: Optional[int] = None
 
         while True:
             block = frame.func.block(frame.block_id)
@@ -151,12 +160,11 @@ class Interpreter:
                     if term.value is not None
                     else None
                 )
-                if self._block_run is not None and self._run_len:
+                if self._run_buf:
                     self._flush_run()
                 self._tracer.leave()
                 if not stack:
-                    return_value = value
-                    break
+                    return value
                 frame = stack.pop()
                 if frame.pending_dest is not None:
                     if value is None:
@@ -172,18 +180,11 @@ class Interpreter:
                     f"terminator {term!r}"
                 )
 
-        return RunResult(
-            return_value=return_value,
-            output=self._output,
-            blocks_executed=self._blocks_executed,
-            calls_made=self._calls_made,
-        )
-
     # ------------------------------------------------------------------
 
     def _enter_function(self, func: Function, arg_values: List[int]) -> _Frame:
         self._calls_made += 1
-        if self._block_run is not None and self._run_len:
+        if self._run_buf:
             self._flush_run()
         self._tracer.enter(func.name)
         env = dict(zip(func.params, arg_values))
@@ -199,24 +200,18 @@ class Interpreter:
     def _note_block(self, block_id: int) -> None:
         self._blocks_executed += 1
         if self._blocks_executed > self.max_events:
-            if self._block_run is not None and self._run_len:
-                self._flush_run()
             raise FuelExhausted(
                 f"exceeded {self.max_events} basic-block events"
             )
-        if self._block_run is None:
-            self._tracer.block(block_id)
-            return
-        n = self._run_len
-        self._run_buf[n] = block_id
-        self._run_len = n + 1
-        if self._run_len == RUN_BUFFER_CAP:
+        buf = self._run_buf
+        buf.append(block_id)
+        if len(buf) == RUN_BUFFER_CAP:
             self._flush_run()
 
     def _flush_run(self) -> None:
-        """Hand the buffered straight-line block run to the tracer."""
-        n, self._run_len = self._run_len, 0
-        self._block_run(self._run_buf, n)
+        """Hand the buffered run to the tracer, which may keep the list."""
+        ids, self._run_buf = self._run_buf, []
+        self._tracer.block_run(ids)
 
     def _exec_simple(self, stmt, env: Dict[str, int]) -> None:
         if isinstance(stmt, Assign):
@@ -261,41 +256,33 @@ def run_program(
     inputs: Iterable[int] = (),
     tracer=None,
     max_events: int = DEFAULT_MAX_EVENTS,
-    interp: Optional[str] = None,
     metrics=None,
 ) -> RunResult:
-    """Run ``program`` once on the selected engine.
+    """Run ``program`` once on the compiled engine
+    (:mod:`repro.interp.compile`).
 
-    ``interp`` picks the engine: ``"compiled"`` (generated dispatch-free
-    code, see :mod:`repro.interp.compile`) or ``"tree"`` (this module's
-    reference walker).  ``None`` defers to the ``REPRO_INTERP``
-    environment variable, then to the compiled default.  Programs the
-    compiler cannot translate fall back to the tree-walker
-    automatically; both engines produce identical event streams,
-    results, and errors.
+    A program the compiler declines
+    (:class:`~repro.interp.errors.CompileUnsupported`) runs on this
+    module's tree-walker instead; both engines produce identical event
+    streams, results and errors.
 
-    When a :class:`~repro.obs.metrics.MetricsRegistry` is passed, engine
-    selection is recorded under ``interp.compiled_runs`` /
-    ``interp.tree_runs`` / ``interp.fallbacks``, translation under the
-    ``interp.compile`` timer, and code-cache misses (function texts
-    compiled) under ``interp.compiles``.
+    When a :class:`~repro.obs.metrics.MetricsRegistry` is passed, runs
+    are counted under ``interp.compiled_runs`` / ``interp.fallbacks``,
+    translation under the ``interp.compile`` timer, and code-cache
+    misses (function texts compiled) under ``interp.compiles``.
     """
-    from .compile import CompileUnsupported, compiled_for, resolve_interp
+    from .compile import compiled_for
 
-    if resolve_interp(interp) == "compiled":
-        try:
-            compiled = compiled_for(program, metrics=metrics)
-        except CompileUnsupported:
-            if metrics is not None:
-                metrics.inc("interp.fallbacks")
-        else:
-            if metrics is not None:
-                metrics.inc("interp.compiled_runs")
-            return compiled.run(
-                args=args, inputs=inputs, tracer=tracer, max_events=max_events
-            )
+    try:
+        compiled = compiled_for(program, metrics=metrics)
+    except CompileUnsupported:
+        if metrics is not None:
+            metrics.inc("interp.fallbacks")
+        return Interpreter(program, max_events=max_events).run(
+            args=args, inputs=inputs, tracer=tracer
+        )
     if metrics is not None:
-        metrics.inc("interp.tree_runs")
-    return Interpreter(program, max_events=max_events).run(
-        args=args, inputs=inputs, tracer=tracer
+        metrics.inc("interp.compiled_runs")
+    return compiled.run(
+        args=args, inputs=inputs, tracer=tracer, max_events=max_events
     )

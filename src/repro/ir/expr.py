@@ -146,13 +146,18 @@ PY_COMPARISON_BINOPS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 
 def _checked_div(a: int, b: int) -> int:
     if b == 0:
-        raise ZeroDivisionError("IR integer division by zero")
+        # Imported here: repro.interp imports this module.
+        from ..interp.errors import DivisionByZero
+
+        raise DivisionByZero("IR integer division by zero")
     return a // b
 
 
 def _checked_mod(a: int, b: int) -> int:
     if b == 0:
-        raise ZeroDivisionError("IR integer modulo by zero")
+        from ..interp.errors import DivisionByZero
+
+        raise DivisionByZero("IR integer modulo by zero")
     return a % b
 
 

@@ -12,7 +12,6 @@ from .partition import (
     OnlinePartitioner,
     PartitionedWpp,
     PathTrace,
-    collect_partitioned,
     partition_wpp,
 )
 from .reconstruct import (
@@ -44,7 +43,6 @@ __all__ = [
     "WppBuilder",
     "WppTrace",
     "block_call_counts",
-    "collect_partitioned",
     "collect_wpp",
     "pack_event",
     "partition_wpp",

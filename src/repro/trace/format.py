@@ -65,8 +65,8 @@ def wpp_file_size(trace: WppTrace) -> int:
     return size
 
 
-def read_wpp(path: PathLike) -> WppTrace:
-    """Read a full ``.wpp`` file back into memory."""
+def _read_file(path: PathLike) -> Tuple[List[str], List[int]]:
+    """The function names and packed events of a ``.wpp`` file."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
@@ -81,6 +81,12 @@ def read_wpp(path: PathLike) -> WppTrace:
     n_events, offset = read_uvarint(data, offset)
     check_count(n_events, data, offset)
     values, offset = decode_uvarints(data, offset, n_events)
+    return names, values
+
+
+def read_wpp(path: PathLike) -> WppTrace:
+    """Read a full ``.wpp`` file back into memory."""
+    names, values = _read_file(path)
     return WppTrace(func_names=names, events=array("Q", values))
 
 
@@ -95,25 +101,11 @@ def scan_function_traces(
     activation, in activation order (duplicates included -- the raw file
     has no dedup).
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MAGIC:
-        raise ValueError(f"{path}: not a .wpp file")
-    offset = 4
-    n_funcs, offset = read_uvarint(data, offset)
-    check_count(n_funcs, data, offset)
-    names = []
-    for _ in range(n_funcs):
-        name, offset = read_string(data, offset)
-        names.append(name)
+    names, events = _read_file(path)
     try:
         target = names.index(func_name)
     except ValueError:
         return []
-
-    n_events, offset = read_uvarint(data, offset)
-    check_count(n_events, data, offset)
-    events, offset = decode_uvarints(data, offset, n_events)
     results: List[Tuple[int, ...]] = []
     # Stack holds, per open activation, either a block list (target
     # function) or None (any other function).

@@ -9,9 +9,9 @@ the function's unique-trace table, and both the pre- and post-dedup
 sizes are recoverable from the result.
 
 One partitioner, :class:`OnlinePartitioner`, does this work on both
-routes: as the interpreter's tracer while a program runs
-(:func:`collect_partitioned`, streaming ingest), and over a recorded
-WPP's events (:func:`partition_wpp`).
+routes: as the interpreter's tracer while a program runs (streaming
+ingest, :func:`repro.compact.stream.stream_compact`), and over a
+recorded WPP's events (:func:`partition_wpp`).
 """
 
 from __future__ import annotations
@@ -135,26 +135,12 @@ class OnlinePartitioner:
         self._stack.append((node, []))
         self._events += 1
 
-    def block(self, block_id: int) -> None:
+    def block_run(self, ids: List[int]) -> None:
+        """Append a run of block ids to the open activation's trace."""
         if not self._stack:
             raise ValueError("block event outside any activation")
-        self._stack[-1][1].append(block_id)
-        self._events += 1
-
-    def block_run(self, buf, n: Optional[int] = None) -> None:
-        """Ingest a straight-line run of BLOCK ids in one call.
-
-        Equivalent to ``n`` :meth:`block` calls but a single
-        ``list.extend`` onto the open activation's block list.  ``buf``
-        is any sequence of block ids; ``n`` bounds how many of its
-        leading entries are valid (default: all).
-        """
-        if not self._stack:
-            raise ValueError("block event outside any activation")
-        if n is None:
-            n = len(buf)
-        self._stack[-1][1].extend(buf if n == len(buf) else buf[:n])
-        self._events += n
+        self._stack[-1][1].extend(ids)
+        self._events += len(ids)
 
     def leave(self) -> None:
         if not self._stack:
@@ -251,23 +237,3 @@ def partition_wpp(
     )
     return partitioned
 
-
-def collect_partitioned(
-    program, args=(), inputs=(), max_events=None
-) -> PartitionedWpp:
-    """Run a program and partition its WPP on the fly (no raw stream).
-
-    Equivalent to ``partition_wpp(collect_wpp(program, ...))`` with peak
-    memory proportional to the *compacted* representation.
-    """
-    from ..interp.interpreter import DEFAULT_MAX_EVENTS, run_program
-
-    tracer = OnlinePartitioner()
-    run_program(
-        program,
-        args=args,
-        inputs=inputs,
-        tracer=tracer,
-        max_events=DEFAULT_MAX_EVENTS if max_events is None else max_events,
-    )
-    return tracer.finish()

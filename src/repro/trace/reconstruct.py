@@ -76,7 +76,7 @@ def reconstruct_wpp(partitioned: PartitionedWpp, program: Program) -> WppTrace:
         if pos < len(trace):
             block_id = trace[pos]
             frame[3] = pos + 1
-            builder.block(block_id)
+            builder.block_run([block_id])
             frame[4] = call_counts[name][block_id]
             continue
         builder.leave()

@@ -25,6 +25,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -143,20 +144,9 @@ class WppBuilder:
             self._func_names.append(func_name)
         self._events.append(pack_event(ENTER, idx))
 
-    def block(self, block_id: int) -> None:
-        self._events.append(pack_event(BLOCK, block_id))
-
-    def block_run(self, buf, n: Optional[int] = None) -> None:
-        """Ingest a straight-line run of BLOCK ids in one call.
-
-        ``buf`` may be any sequence of block ids; ``n`` bounds how many
-        of its leading entries are valid (default: all).  One packing
-        list comprehension plus one ``array.extend`` replaces ``n``
-        :meth:`block` calls.
-        """
-        if n is None:
-            n = len(buf)
-        self._events.extend([(buf[i] << 2) | BLOCK for i in range(n)])
+    def block_run(self, ids: Sequence[int]) -> None:
+        """Append a run of BLOCK events, one per id, in order."""
+        self._events.extend([(block_id << 2) | BLOCK for block_id in ids])
 
     def leave(self) -> None:
         self._events.append(pack_event(LEAVE))
@@ -176,7 +166,7 @@ def trace_from_tuples(tuples: Iterable[Tuple]) -> WppTrace:
         if item[0] == "enter":
             builder.enter(item[1])
         elif item[0] == "block":
-            builder.block(item[1])
+            builder.block_run([item[1]])
         elif item[0] == "leave":
             builder.leave()
         else:
@@ -185,13 +175,13 @@ def trace_from_tuples(tuples: Iterable[Tuple]) -> WppTrace:
 
 
 def collect_wpp(
-    program, args=(), inputs=(), max_events=None, interp=None, metrics=None
+    program, args=(), inputs=(), max_events=None, metrics=None
 ) -> WppTrace:
     """Run a program and return its WPP in one call (its ``run`` is the
     execution's :class:`~repro.interp.interpreter.RunResult`).
 
-    ``interp`` selects the execution engine and ``metrics`` receives the
-    ``interp.*`` counters; see :func:`repro.interp.run_program`.
+    ``metrics`` receives the ``interp.*`` counters; see
+    :func:`repro.interp.run_program`.
     """
     from ..interp.interpreter import DEFAULT_MAX_EVENTS, run_program
 
@@ -202,7 +192,6 @@ def collect_wpp(
         inputs=inputs,
         tracer=builder,
         max_events=DEFAULT_MAX_EVENTS if max_events is None else max_events,
-        interp=interp,
         metrics=metrics,
     )
     wpp = builder.finish()

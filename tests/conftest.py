@@ -8,6 +8,20 @@ from repro.ir import ProgramBuilder, binop
 from repro.trace import collect_wpp, partition_wpp
 
 
+def decline_compile(monkeypatch):
+    """Make the compiler decline every program for the rest of the test
+    (or ``monkeypatch.context()``), so ``run_program`` -- and every verb
+    built on it -- runs the tree-walking reference through its
+    ``CompileUnsupported`` fallback."""
+    from repro.interp import CompileUnsupported
+    from repro.interp import compile as compile_mod
+
+    def declined(program, metrics=None):
+        raise CompileUnsupported("declined by the test")
+
+    monkeypatch.setattr(compile_mod, "compiled_for", declined)
+
+
 @pytest.fixture
 def diamond_program():
     """A loop with an if-else diamond; returns (program, n_iterations).

@@ -10,6 +10,8 @@ import pytest
 
 from repro.cli import EXIT_BROKEN_PIPE, main
 
+from .conftest import decline_compile
+
 
 @pytest.fixture
 def pipeline_files(tmp_path):
@@ -103,18 +105,34 @@ class TestPipeline:
                 ["--max-events", "1000"],
                 "error: exceeded 1000 basic-block events",
             ),
+            (
+                "func main() entry=B1 {\n  B1:\n    x = (1 // 0)\n"
+                "    return x\n}\n",
+                [],
+                "error: IR integer division by zero",
+            ),
+            (
+                "func main() entry=B1 {\n  B1:\n    x = (1 % 0)\n"
+                "    return x\n}\n",
+                [],
+                "error: IR integer modulo by zero",
+            ),
         ],
-        ids=["missing-arg", "undefined-variable", "fuel"],
+        ids=["missing-arg", "undefined-variable", "fuel", "div", "mod"],
     )
+    # "tree" runs the reference engine: the compiler declines the program.
     @pytest.mark.parametrize("interp", ["tree", "compiled"])
     @pytest.mark.parametrize("stream", [False, True], ids=["wpp", "stream"])
     def test_trace_run_error_is_an_error(
-        self, tmp_path, capsys, text, extra, message, interp, stream
+        self, tmp_path, capsys, monkeypatch, text, extra, message, interp,
+        stream,
     ):
+        if interp == "tree":
+            decline_compile(monkeypatch)
         prog = tmp_path / "p.ir"
         prog.write_text(text)
         out = tmp_path / ("x.twpp" if stream else "x.wpp")
-        argv = ["trace", str(prog), "-o", str(out), "--interp", interp]
+        argv = ["trace", str(prog), "-o", str(out)]
         argv += extra + (["--stream"] if stream else [])
         assert main(argv) == 2
         assert capsys.readouterr().err == message + "\n"

@@ -30,6 +30,8 @@ from repro.workloads import (
     workload,
 )
 
+from .conftest import decline_compile
+
 twpp_format = importlib.import_module("repro.compact.format")
 
 
@@ -55,17 +57,25 @@ class TestByteIdentity:
         assert out.read_bytes() == ref
         assert res.bytes_written == len(ref)
 
-    def test_identical_across_workloads(self, tmp_path):
+    def test_identical_across_workloads(self, tmp_path, monkeypatch):
+        """Both routes write the same bytes on every workload, on the
+        compiled engine and on the tree-walker it falls back to."""
         for name in WORKLOAD_NAMES:
             program, _spec = workload(name, scale=0.1)
-            for interp in ("tree", "compiled"):
-                compacted, _ = compact_wpp(
-                    partition_wpp(collect_wpp(program, interp=interp))
-                )
-                ref = serialize_twpp(compacted)
-                out = tmp_path / f"{name}-{interp}.twpp"
-                stream_compact(program, out, interp=interp)
-                assert out.read_bytes() == ref, (name, interp)
+            for engine in ("compiled", "tree"):
+                with monkeypatch.context() as patch:
+                    if engine == "tree":
+                        decline_compile(patch)
+                    compacted, _ = compact_wpp(
+                        partition_wpp(collect_wpp(program))
+                    )
+                    ref = serialize_twpp(compacted)
+                    out = tmp_path / f"{name}-{engine}.twpp"
+                    metrics = MetricsRegistry()
+                    stream_compact(program, out, metrics=metrics)
+                fell_back = metrics.counters.get("interp.fallbacks", 0)
+                assert fell_back == (engine == "tree"), (name, engine)
+                assert out.read_bytes() == ref, (name, engine)
 
     def test_readable_by_standard_reader(self, perl_small, tmp_path):
         out = tmp_path / "stream.twpp"

@@ -2,9 +2,10 @@
 
 The compiled engine (:mod:`repro.interp.compile`) must be *observably
 indistinguishable* from the tree-walker: same event stream (including
-``block_run`` flush segmentation), same ``RunResult``, same ``.twpp``
-bytes, same errors at the same points.  Everything here runs both
-engines explicitly and compares.
+the ``block_run`` lists it is split into), same ``RunResult``, same
+``.twpp`` bytes, same errors at the same points.  Everything here runs
+both engines explicitly -- ``Interpreter(program).run`` and
+``compiled_for(program).run`` -- and compares.
 """
 
 import gc
@@ -23,14 +24,13 @@ from repro.interp import (
     CompiledProgram,
     CompileUnsupported,
     CountingTracer,
+    DivisionByZero,
     FuelExhausted,
     InterpError,
     Interpreter,
     ListTracer,
     UndefinedVariable,
     compiled_for,
-    resolve_interp,
-    run_compiled,
     run_program,
 )
 from repro.interp.interpreter import RUN_BUFFER_CAP
@@ -38,9 +38,11 @@ from repro.ir import ProgramBuilder, binop, intrinsic
 from repro.ir.expr import Const
 from repro.ir.stmt import Assign, Return
 from repro.obs import MetricsRegistry
-from repro.trace import collect_wpp, partition_wpp
+from repro.trace import WppBuilder, partition_wpp
 from repro.workloads import WorkloadSpec, generate_program
 from repro.workloads.specs import WORKLOAD_NAMES, workload
+
+from .conftest import decline_compile
 
 
 def tree_run(program, args=(), inputs=(), tracer=None, max_events=50_000_000):
@@ -49,11 +51,19 @@ def tree_run(program, args=(), inputs=(), tracer=None, max_events=50_000_000):
     )
 
 
+def compiled_run(
+    program, args=(), inputs=(), tracer=None, max_events=50_000_000
+):
+    return compiled_for(program).run(
+        args=args, inputs=inputs, tracer=tracer, max_events=max_events
+    )
+
+
 def assert_identical(program, args=(), inputs=(), max_events=50_000_000):
     """Run both engines and compare events + results; returns the result."""
     lt_tree, lt_comp = ListTracer(), ListTracer()
     r_tree = tree_run(program, args, inputs, lt_tree, max_events)
-    r_comp = run_compiled(
+    r_comp = compiled_run(
         program, args=args, inputs=inputs, tracer=lt_comp, max_events=max_events
     )
     assert lt_tree.events == lt_comp.events
@@ -75,8 +85,9 @@ def fresh_code_cache(monkeypatch):
     return cache
 
 
-class _PerEventTracer:
-    """A tracer *without* block_run: forces the per-event fast path."""
+class _SegmentTracer:
+    """Keeps every ``ids`` list it is handed, as is, between the
+    ``("enter", name)`` and ``("leave",)`` events around it."""
 
     def __init__(self):
         self.events = []
@@ -84,29 +95,45 @@ class _PerEventTracer:
     def enter(self, name):
         self.events.append(("enter", name))
 
-    def block(self, block_id):
-        self.events.append(("block", block_id))
+    def block_run(self, ids):
+        self.events.append(ids)
 
     def leave(self):
         self.events.append(("leave",))
 
+    @property
+    def runs(self):
+        return [e for e in self.events if type(e) is list]
 
-class _SegmentTracer:
-    """Records the length of every block_run flush (segmentation probe)."""
+    @property
+    def segments(self):
+        return [len(run) for run in self.runs]
 
-    def __init__(self):
-        self.segments = []
-        self.blocks = []
+    def stream(self):
+        """The kept lists read back as a ListTracer event stream."""
+        out = []
+        for e in self.events:
+            if type(e) is list:
+                out.extend(("block", block_id) for block_id in e)
+            else:
+                out.append(e)
+        return out
 
-    def enter(self, name):
-        self.blocks.append(("enter", name))
 
-    def block_run(self, buf, n):
-        self.segments.append(n)
-        self.blocks.extend(buf[:n])
-
-    def leave(self):
-        self.blocks.append(("leave",))
+def _capacity_program(iterations=9000):
+    """A two-block loop: one straight-line run of ``iterations`` + 2
+    blocks, past one 8192-block capacity flush."""
+    pb = ProgramBuilder()
+    fb = pb.function("main")
+    b1 = fb.block()
+    b2 = fb.block()
+    b3 = fb.block()
+    b1.assign("i", 0).jump(b2)
+    b2.assign("i", binop("+", "i", 1)).branch(
+        binop("<", "i", iterations), b2, b3
+    )
+    b3.ret("i")
+    return pb.build()
 
 
 @st.composite
@@ -136,20 +163,26 @@ class TestWorkloadDifferential:
     def test_twpp_bytes_identical(self, name):
         program, _spec = workload(name, scale=0.05)
         blobs = []
-        for interp in ("tree", "compiled"):
-            wpp = collect_wpp(program, interp=interp)
-            compacted, _stats = compact_wpp(partition_wpp(wpp))
+        for engine in (tree_run, compiled_run):
+            builder = WppBuilder()
+            engine(program, tracer=builder)
+            compacted, _stats = compact_wpp(partition_wpp(builder.finish()))
             blobs.append(serialize_twpp(compacted))
         assert blobs[0] == blobs[1]
 
-    def test_stream_compact_bytes_identical(self, tmp_path):
+    def test_stream_compact_bytes_identical(self, tmp_path, monkeypatch):
+        """stream_compact writes the same bytes on the compiled engine and
+        on the tree-walker it falls back to."""
         program, _spec = workload("perl-like", scale=0.1)
-        paths = {}
-        for interp in ("tree", "compiled"):
-            out = tmp_path / f"{interp}.twpp"
-            stream_compact(program, out, interp=interp)
-            paths[interp] = out.read_bytes()
-        assert paths["tree"] == paths["compiled"]
+        stream_compact(program, tmp_path / "compiled.twpp")
+        metrics = MetricsRegistry()
+        with monkeypatch.context() as patch:
+            decline_compile(patch)
+            stream_compact(program, tmp_path / "tree.twpp", metrics=metrics)
+        assert metrics.counters["interp.fallbacks"] == 1
+        assert (tmp_path / "tree.twpp").read_bytes() == (
+            tmp_path / "compiled.twpp"
+        ).read_bytes()
 
     @given(tiny_specs())
     @settings(
@@ -178,7 +211,7 @@ class TestWorkloadDifferential:
                 if engine == "tree":
                     tree_run(program, tracer=tracer, max_events=max_events)
                 else:
-                    run_compiled(program, tracer=tracer, max_events=max_events)
+                    compiled_run(program, tracer=tracer, max_events=max_events)
                 outcome = "done"
             except FuelExhausted as exc:
                 outcome = str(exc)
@@ -187,39 +220,49 @@ class TestWorkloadDifferential:
 
 
 class TestEventStreamDetail:
-    def test_per_event_tracer_identical(self, caller_program):
-        t_tree, t_comp = _PerEventTracer(), _PerEventTracer()
-        tree_run(caller_program, tracer=t_tree)
-        run_compiled(caller_program, tracer=t_comp)
-        assert t_tree.events == t_comp.events
+    @pytest.mark.parametrize("engine", [tree_run, compiled_run],
+                             ids=["tree", "compiled"])
+    @pytest.mark.parametrize("source", ["capacity", "gcc-like", "caller"])
+    def test_kept_run_lists_are_the_event_stream(
+        self, engine, source, caller_program
+    ):
+        """A tracer may keep every ``ids`` list it is handed: each is a
+        fresh list the engine never touches again, so once the run is
+        over the kept lists still read back as its event stream."""
+        if source == "capacity":
+            program = _capacity_program()
+        elif source == "caller":
+            program = caller_program
+        else:
+            program, _spec = workload(source, scale=0.05)
+        kept = _SegmentTracer()
+        engine(program, tracer=kept)
+        reference = ListTracer()
+        tree_run(program, tracer=reference)
+        assert kept.stream() == reference.events
+        runs = kept.runs
+        assert all(type(run) is list and run for run in runs)
+        assert len({id(run) for run in runs}) == len(runs)
+        if source == "capacity":
+            assert kept.segments == [8192, 810]
 
     def test_flush_segmentation_identical(self):
         """Run-buffer flush boundaries (capacity + enter/leave) match."""
         program, _spec = workload("gcc-like", scale=0.05)
         t_tree, t_comp = _SegmentTracer(), _SegmentTracer()
         tree_run(program, tracer=t_tree)
-        run_compiled(program, tracer=t_comp)
+        compiled_run(program, tracer=t_comp)
         assert t_tree.segments == t_comp.segments
-        assert t_tree.blocks == t_comp.blocks
+        assert t_tree.events == t_comp.events
 
     def test_capacity_flush_segmentation(self):
         """A >8192-block straight-line run must split at the same points."""
-        pb = ProgramBuilder()
-        fb = pb.function("main")
-        b1 = fb.block()
-        b2 = fb.block()
-        b3 = fb.block()
-        b1.assign("i", 0).jump(b2)
-        b2.assign("i", binop("+", "i", 1)).branch(
-            binop("<", "i", 9000), b2, b3
-        )
-        b3.ret("i")
         t_tree, t_comp = _SegmentTracer(), _SegmentTracer()
-        tree_run(pb.build(), tracer=t_tree)
-        run_compiled(pb.build(), tracer=t_comp)
+        tree_run(_capacity_program(), tracer=t_tree)
+        compiled_run(_capacity_program(), tracer=t_comp)
         assert max(t_tree.segments) == 8192
         assert t_tree.segments == t_comp.segments
-        assert t_tree.blocks == t_comp.blocks
+        assert t_tree.events == t_comp.events
 
     def test_fuel_exhaustion_mid_block_flushes_pending_run(self):
         """The block that exceeds the budget is never traced, and the
@@ -230,13 +273,14 @@ class TestEventStreamDetail:
         b1.jump(b1)
         program = pb.build()
         outcomes = []
-        for engine in (tree_run, run_compiled):
+        for engine in (tree_run, compiled_run):
             tracer = _SegmentTracer()
             with pytest.raises(FuelExhausted, match="exceeded 1000"):
                 engine(program, tracer=tracer, max_events=1000)
-            outcomes.append((tracer.segments, tracer.blocks))
+            outcomes.append(tracer.events)
         assert outcomes[0] == outcomes[1]
-        assert sum(outcomes[0][0]) == 1000  # budget-exceeding block absent
+        # The budget-exceeding block is absent.
+        assert sum(len(e) for e in outcomes[0] if type(e) is list) == 1000
 
 
 class TestErrorParity:
@@ -245,7 +289,7 @@ class TestErrorParity:
         fb = pb.function("main")
         fb.block().ret("ghost")
         program = pb.build()
-        for engine in (tree_run, run_compiled):
+        for engine in (tree_run, compiled_run):
             with pytest.raises(UndefinedVariable) as exc_info:
                 engine(program)
             assert exc_info.value.args == ("ghost",)
@@ -257,7 +301,7 @@ class TestErrorParity:
         fb = pb.function("main")
         fb.block().call("leaf", [], dest="r").ret("r")
         program = pb.build()
-        for engine in (tree_run, run_compiled):
+        for engine in (tree_run, compiled_run):
             with pytest.raises(UndefinedVariable) as exc_info:
                 engine(program)
             assert exc_info.value.args == ("missing",)
@@ -271,9 +315,12 @@ class TestErrorParity:
         fb.block().assign("x", binop(op, 1, 0)).ret("x")
         program = pb.build()
         texts = []
-        for engine in (tree_run, run_compiled):
-            with pytest.raises(ZeroDivisionError) as exc_info:
+        for engine in (tree_run, compiled_run):
+            with pytest.raises(DivisionByZero) as exc_info:
                 engine(program)
+            # The CLI reports an InterpError as the program's fault.
+            assert isinstance(exc_info.value, InterpError)
+            assert isinstance(exc_info.value, ZeroDivisionError)
             texts.append(str(exc_info.value))
         assert texts[0] == texts[1]
         assert message in texts[0]
@@ -286,7 +333,7 @@ class TestErrorParity:
         fb = pb.function("main")
         fb.block().store(binop("//", 1, 0), "ghost").ret(0)
         program = pb.build()
-        for engine in (tree_run, run_compiled):
+        for engine in (tree_run, compiled_run):
             with pytest.raises(UndefinedVariable) as exc_info:
                 engine(program)
             assert exc_info.value.args == ("ghost",)
@@ -298,7 +345,7 @@ class TestErrorParity:
         fb = pb.function("main")
         fb.block().call("void", [], dest="r").ret(0)
         program = pb.build()
-        for engine in (tree_run, run_compiled):
+        for engine in (tree_run, compiled_run):
             with pytest.raises(InterpError, match="return value") as exc_info:
                 engine(program)
             assert str(exc_info.value).startswith("main:")
@@ -308,7 +355,7 @@ class TestErrorParity:
         fb = pb.function("main", params=("a",))
         fb.block().ret("a")
         program = pb.build()
-        for engine in (tree_run, run_compiled):
+        for engine in (tree_run, compiled_run):
             with pytest.raises(InterpError, match="main expects 1 args, got 0"):
                 engine(program)
 
@@ -318,7 +365,7 @@ class TestErrorParity:
         b1 = fb.block()
         b1.jump(b1)
         program = pb.build()
-        for engine in (tree_run, run_compiled):
+        for engine in (tree_run, compiled_run):
             with pytest.raises(FuelExhausted, match="exceeded 77 basic-block"):
                 engine(program, max_events=77)
 
@@ -330,7 +377,7 @@ class TestSemanticsDetail:
         fb.block().assign(
             "s", binop("+", binop("<", 1, 2), binop("==", 3, 3))
         ).ret(binop("<", 0, "s"))
-        result = run_compiled(pb.build())
+        result = compiled_run(pb.build())
         assert result.return_value == 1
         assert type(result.return_value) is int
         assert type(result.return_value) is not bool
@@ -388,7 +435,7 @@ class TestSemanticsDetail:
         b3.ret(0)
         fb = pb.function("main")
         fb.block().call("down", [5000], dest="r").ret("r")
-        result = run_compiled(pb.build())
+        result = compiled_run(pb.build())
         assert result.return_value == 0
         assert result.calls_made == 5002
 
@@ -425,12 +472,9 @@ class TestFallbackAndSelection:
 
     def test_run_program_falls_back_to_tree(self):
         metrics = MetricsRegistry()
-        result = run_program(
-            self._unsupported_program(), interp="compiled", metrics=metrics
-        )
+        result = run_program(self._unsupported_program(), metrics=metrics)
         assert result.return_value == 0
         assert metrics.counters["interp.fallbacks"] == 1
-        assert metrics.counters["interp.tree_runs"] == 1
         assert "interp.compiled_runs" not in metrics.counters
 
     def test_arity_mismatch_falls_back(self):
@@ -446,32 +490,21 @@ class TestFallbackAndSelection:
         with pytest.raises(CompileUnsupported, match="arity|passes 1 args"):
             compiled_for(program)
         # Fallback must reproduce the tree-walker's permissive zip.
-        assert run_program(program, interp="compiled").return_value == 1
+        assert run_program(program).return_value == 1
 
     def test_engine_counters(self, fresh_code_cache):
         pb = ProgramBuilder()
         pb.function("main").block().ret(0)
         program = pb.build()
         metrics = MetricsRegistry()
-        run_program(program, interp="compiled", metrics=metrics)
+        run_program(program, metrics=metrics)
         assert metrics.counters["interp.compiled_runs"] == 1
         assert metrics.counters["interp.compiles"] == 1
         assert "interp.compile" in metrics.timers_ms
-        run_program(program, interp="compiled", metrics=metrics)
+        run_program(program, metrics=metrics)
         assert metrics.counters["interp.compiled_runs"] == 2
         assert metrics.counters["interp.compiles"] == 1  # code-cache hit
-        run_program(program, interp="tree", metrics=metrics)
-        assert metrics.counters["interp.tree_runs"] == 1
-
-    def test_resolve_interp(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INTERP", raising=False)
-        assert resolve_interp(None) == "compiled"
-        assert resolve_interp("tree") == "tree"
-        monkeypatch.setenv("REPRO_INTERP", "tree")
-        assert resolve_interp(None) == "tree"
-        assert resolve_interp("compiled") == "compiled"  # explicit wins
-        with pytest.raises(ValueError, match="unknown interp"):
-            resolve_interp("jit")
+        assert "interp.fallbacks" not in metrics.counters
 
     def test_mutated_program_runs_its_new_code(self):
         """A program changed after a compiled run runs as changed: the
@@ -479,10 +512,10 @@ class TestFallbackAndSelection:
         pb = ProgramBuilder()
         pb.function("main").block().ret(1)
         program = pb.build()
-        assert run_program(program, interp="compiled").return_value == 1
+        assert run_program(program).return_value == 1
         program.functions["main"].blocks[1].terminator = Return(Const(2))
-        assert run_program(program, interp="tree").return_value == 2
-        assert run_program(program, interp="compiled").return_value == 2
+        assert tree_run(program).return_value == 2
+        assert run_program(program).return_value == 2
 
     def test_compiled_program_reusable(self):
         compiled = CompiledProgram(
@@ -604,43 +637,17 @@ class TestCodeCache:
 
 
 class TestFacadeIntegration:
-    def test_session_interp_knob(self):
+    def test_session_trace_runs_the_compiled_engine(self):
         from repro.api import Session
 
         program, _spec = workload("go-like", scale=0.05)
-        events = {}
-        for interp in ("tree", "compiled"):
-            session = Session(interp=interp)
-            wpp = session.trace(program)
-            events[interp] = list(wpp.events)
-            counter = "interp.%s_runs" % ("tree" if interp == "tree" else "compiled")
-            assert session.metrics.counters[counter] == 1
-        assert events["tree"] == events["compiled"]
-
-    def test_cli_interp_flag(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-        from repro.ir.printer import format_program
-
-        program, _spec = workload("go-like", scale=0.05)
-        ir_path = tmp_path / "prog.ir"
-        ir_path.write_text(format_program(program))
-        outputs = {}
-        for interp in ("tree", "compiled"):
-            out = tmp_path / f"{interp}.wpp"
-            rc = cli_main(
-                [
-                    "trace",
-                    str(ir_path),
-                    "-o",
-                    str(out),
-                    "--interp",
-                    interp,
-                ]
-            )
-            assert rc == 0
-            outputs[interp] = out.read_bytes()
-        capsys.readouterr()
-        assert outputs["tree"] == outputs["compiled"]
+        session = Session()
+        wpp = session.trace(program)
+        reference = WppBuilder()
+        tree_run(program, tracer=reference)
+        assert wpp.events == reference.finish().events
+        assert session.metrics.counters["interp.compiled_runs"] == 1
+        assert "interp.fallbacks" not in session.metrics.counters
 
 
 def _looping_program(iterations, tail=None):
@@ -675,8 +682,9 @@ def _observe(engine, program, tracer_cls, max_events):
     """One run's outcome, trace and counters under one tracer kind.
 
     The outcome is the error (type and message) or the result and its
-    counters; the trace is the per-event stream, or the ``block_run``
-    segments plus the stream they carried."""
+    counters; the trace is the tracer's events: one per event for a
+    ListTracer, the ``block_run`` lists as handed over for a
+    _SegmentTracer."""
     tracer = tracer_cls()
     try:
         result = engine(program, tracer=tracer, max_events=max_events)
@@ -686,22 +694,22 @@ def _observe(engine, program, tracer_cls, max_events):
             result.blocks_executed,
             result.calls_made,
         )
-    except (InterpError, ZeroDivisionError) as exc:
+    except InterpError as exc:
         outcome = (type(exc).__name__, str(exc))
-    if tracer_cls is _SegmentTracer:
-        return outcome, tracer.segments, tracer.blocks
     return outcome, tracer.events
 
 
 def _assert_parity(program, tracer_cls, max_events):
     tree = _observe(tree_run, program, tracer_cls, max_events)
-    compiled = _observe(run_compiled, program, tracer_cls, max_events)
+    compiled = _observe(compiled_run, program, tracer_cls, max_events)
     assert tree == compiled
     return tree
 
 
+# "per-event" compares the flat event stream; "block-run" also the lists
+# it was handed over in.
 TRACER_KINDS = [
-    pytest.param(_PerEventTracer, id="per-event"),
+    pytest.param(ListTracer, id="per-event"),
     pytest.param(_SegmentTracer, id="block-run"),
 ]
 
@@ -754,20 +762,21 @@ class TestFuelInRunBuffer:
     @pytest.mark.parametrize("tracer_cls", TRACER_KINDS)
     @pytest.mark.parametrize("op", ["//", "%"])
     def test_error_after_a_capacity_flush(self, tracer_cls, op):
-        """A fault past the first 8192-block flush: a per-event tracer
-        still sees every block up to the faulting one, also when that
-        block spends the last of the budget."""
+        """A fault past the first 8192-block flush: the tracer is still
+        handed every block up to the faulting one, on both engines, also
+        when that block spends the last of the budget."""
         program = _looping_program(9000 // 2, tail=binop(op, "i", 0))
-        reached = _PerEventTracer()
-        with pytest.raises(ZeroDivisionError):
-            tree_run(program, tracer=reached)
-        blocks = [e for e in reached.events if e[0] == "block"]
-        assert len(blocks) > 8192 and blocks[-1] == ("block", 5)
+        for engine in (tree_run, compiled_run):
+            reached = _SegmentTracer()
+            with pytest.raises(DivisionByZero):
+                engine(program, tracer=reached)
+            blocks = [e for e in reached.stream() if e[0] == "block"]
+            assert len(blocks) > 8192 and blocks[-1] == ("block", 5)
         for budget in (50_000_000, len(blocks)):
             observed = _assert_parity(program, tracer_cls, budget)
-            assert observed[0][0] == "ZeroDivisionError"
+            assert observed[0][0] == "DivisionByZero"
 
-    def test_pending_blocks_reach_a_per_event_tracer_on_error(self):
+    def test_pending_blocks_reach_the_tracer_on_error(self):
         pb = ProgramBuilder()
         fb = pb.function("main")
         b1 = fb.block()
@@ -775,10 +784,13 @@ class TestFuelInRunBuffer:
         b1.assign("x", 1).jump(b2)
         b2.ret("ghost")
         program = pb.build()
-        tracer = _PerEventTracer()
-        with pytest.raises(UndefinedVariable, match="undefined variable 'ghost'"):
-            run_compiled(program, tracer=tracer)
-        assert tracer.events == [("enter", "main"), ("block", 1), ("block", 2)]
+        for engine in (tree_run, compiled_run):
+            tracer = _SegmentTracer()
+            with pytest.raises(
+                UndefinedVariable, match="undefined variable 'ghost'"
+            ):
+                engine(program, tracer=tracer)
+            assert tracer.events == [("enter", "main"), [1, 2]]
 
 
 INT_EDGES = st.one_of(
@@ -853,8 +865,8 @@ class TestNativeRewrite:
     ):
         program = _value_program([binop(op, "a", 0)])
         assert helper in compiled_for(program).source
-        for engine in (tree_run, run_compiled):
-            with pytest.raises(ZeroDivisionError) as exc_info:
+        for engine in (tree_run, compiled_run):
+            with pytest.raises(DivisionByZero) as exc_info:
                 engine(program, args=[5, 0])
             assert str(exc_info.value) == message
 

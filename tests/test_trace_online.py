@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.interp import FuelExhausted, run_program
+from repro.interp import FuelExhausted, Interpreter, compiled_for, run_program
 from repro.trace import (
     OnlinePartitioner,
-    collect_partitioned,
     collect_wpp,
     partition_wpp,
     reconstruct_wpp,
@@ -13,20 +12,12 @@ from repro.trace import (
 from repro.workloads import figure1_program, workload
 
 
-class _LegacyShim:
-    """Hide ``block_run`` so the interpreter uses per-event dispatch."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def enter(self, func_name):
-        self._inner.enter(func_name)
-
-    def block(self, block_id):
-        self._inner.block(block_id)
-
-    def leave(self):
-        self._inner.leave()
+def partition_while_running(program):
+    """Partition a run as it executes (the first step of streaming
+    ingest)."""
+    tracer = OnlinePartitioner()
+    run_program(program, tracer=tracer)
+    return tracer.finish()
 
 
 def assert_partitions_equal(a, b):
@@ -39,24 +30,24 @@ def assert_partitions_equal(a, b):
 
 class TestEquivalence:
     def test_matches_offline_partitioning(self, caller_program):
-        online = collect_partitioned(caller_program)
+        online = partition_while_running(caller_program)
         offline = partition_wpp(collect_wpp(caller_program))
         assert_partitions_equal(online, offline)
 
     def test_figure1(self):
         program = figure1_program()
-        online = collect_partitioned(program)
+        online = partition_while_running(program)
         offline = partition_wpp(collect_wpp(program))
         assert_partitions_equal(online, offline)
 
     def test_generated_workload(self):
         program, _spec = workload("gcc-like", scale=0.1)
-        online = collect_partitioned(program)
+        online = partition_while_running(program)
         offline = partition_wpp(collect_wpp(program))
         assert_partitions_equal(online, offline)
 
     def test_reconstruction_from_online(self, caller_program):
-        online = collect_partitioned(caller_program)
+        online = partition_while_running(caller_program)
         wpp = collect_wpp(caller_program)
         back = reconstruct_wpp(online, caller_program)
         assert back.to_tuples() == wpp.to_tuples()
@@ -72,7 +63,7 @@ class TestStreamingProperties:
     def test_finish_rejects_open_activations(self):
         tracer = OnlinePartitioner()
         tracer.enter("f")
-        tracer.block(1)
+        tracer.block_run([1])
         assert tracer.open_activations == 1
         with pytest.raises(ValueError, match="still open"):
             tracer.finish()
@@ -80,23 +71,14 @@ class TestStreamingProperties:
     def test_event_protocol_errors(self):
         tracer = OnlinePartitioner()
         with pytest.raises(ValueError, match="outside"):
-            tracer.block(1)
+            tracer.block_run([1])
         with pytest.raises(ValueError, match="unbalanced"):
             tracer.leave()
 
     def test_block_run_outside_activation_raises(self):
         tracer = OnlinePartitioner()
         with pytest.raises(ValueError, match="outside"):
-            tracer.block_run([1, 2, 3], 3)
-
-    def test_block_run_respects_n(self):
-        tracer = OnlinePartitioner()
-        tracer.enter("f")
-        tracer.block_run([1, 2, 3, 99, 99], 3)
-        tracer.leave()
-        part = tracer.finish()
-        assert part.unique_traces("f") == [(1, 2, 3)]
-        assert tracer.events_seen == 5  # enter + 3 blocks + leave
+            tracer.block_run([1, 2, 3])
 
     def test_block_run_defaults_to_full_buffer(self):
         tracer = OnlinePartitioner()
@@ -104,11 +86,12 @@ class TestStreamingProperties:
         tracer.block_run([4, 5])
         tracer.leave()
         assert tracer.finish().unique_traces("f") == [(4, 5)]
+        assert tracer.events_seen == 4  # enter + 2 blocks + leave
 
     def test_finish_rejects_open_activation_after_block_run(self):
         tracer = OnlinePartitioner()
         tracer.enter("f")
-        tracer.block_run([1, 2], 2)
+        tracer.block_run([1, 2])
         with pytest.raises(ValueError, match="still open"):
             tracer.finish()
 
@@ -116,11 +99,10 @@ class TestStreamingProperties:
         """1000 identical activations store one trace, 1000 DCG nodes."""
         tracer = OnlinePartitioner()
         tracer.enter("main")
-        tracer.block(1)
+        tracer.block_run([1])
         for _ in range(1000):
             tracer.enter("f")
-            tracer.block(1)
-            tracer.block(2)
+            tracer.block_run([1, 2])
             tracer.leave()
         tracer.leave()
         part = tracer.finish()
@@ -130,38 +112,37 @@ class TestStreamingProperties:
 
 
 class TestBatchedProtocol:
-    """The run-buffer flush path is event-for-event the legacy path."""
+    """The compiled engine's runs partition exactly as the runs of the
+    tree-walking reference (the legacy engine) do."""
 
     def test_flush_ordering_matches_legacy(self, caller_program):
         batched = OnlinePartitioner()
-        run_program(caller_program, tracer=batched)
+        compiled_for(caller_program).run(tracer=batched)
         legacy = OnlinePartitioner()
-        run_program(caller_program, tracer=_LegacyShim(legacy))
+        Interpreter(caller_program).run(tracer=legacy)
         assert_partitions_equal(batched.finish(), legacy.finish())
         assert batched.events_seen == legacy.events_seen
 
     def test_flush_ordering_matches_legacy_on_workload(self):
         program, _spec = workload("perl-like", scale=0.1)
         batched = OnlinePartitioner()
-        run_program(program, tracer=batched)
+        compiled_for(program).run(tracer=batched)
         legacy = OnlinePartitioner()
-        run_program(program, tracer=_LegacyShim(legacy))
+        Interpreter(program).run(tracer=legacy)
         assert_partitions_equal(batched.finish(), legacy.finish())
 
     def test_max_events_truncation_mid_activation(self):
         """FuelExhausted mid-activation: pending runs flush first, and
-        the tracer sees exactly max_events blocks either way."""
+        the tracer sees exactly max_events blocks on either engine."""
         program, _spec = workload("perl-like", scale=0.1)
         budget = 777  # cuts off inside some activation
 
         batched = OnlinePartitioner()
         with pytest.raises(FuelExhausted):
-            run_program(program, tracer=batched, max_events=budget)
+            compiled_for(program).run(tracer=batched, max_events=budget)
         legacy = OnlinePartitioner()
         with pytest.raises(FuelExhausted):
-            run_program(
-                program, tracer=_LegacyShim(legacy), max_events=budget
-            )
+            Interpreter(program, max_events=budget).run(tracer=legacy)
 
         assert batched.events_seen == legacy.events_seen
         assert batched.open_activations == legacy.open_activations > 0
