@@ -27,7 +27,6 @@ from .facts import (
     GEN,
     KILL,
     TRANSPARENT,
-    DefinitionFrom,
     ExpressionAvailable,
     Fact,
     LoadAvailable,
@@ -71,7 +70,6 @@ __all__ = [
     "CoverageReport",
     "CurrencyResult",
     "DefPlacement",
-    "DefinitionFrom",
     "DemandDrivenEngine",
     "DynamicSlicer",
     "ExpressionAvailable",

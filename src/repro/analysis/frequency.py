@@ -137,9 +137,9 @@ def fact_frequencies_many(
     tasks to worker *processes* via
     :func:`repro.analysis.parallel.analyze_tasks_parallel`.  A batch
     holding a fact with no spec spelling
-    (:func:`~repro.analysis.facts.fact_to_spec`), such as the
-    identity-based :class:`~repro.analysis.facts.DefinitionFrom`, runs
-    serially whatever ``jobs`` says.
+    (:func:`~repro.analysis.facts.fact_to_spec`), such as a caller's own
+    :class:`~repro.analysis.facts.Fact` subclass, runs serially whatever
+    ``jobs`` says.
     """
     items = [tuple(task) for task in tasks]
 

@@ -107,8 +107,8 @@ def analyze_tasks_parallel(
     Returns one :class:`~repro.analysis.frequency.FrequencyReport` per
     task, in task order -- exactly what the serial loop in
     :func:`~repro.analysis.frequency.fact_frequencies_many` produces.
-    Tasks must be picklable; facts that rely on statement identity
-    (:class:`~repro.analysis.facts.DefinitionFrom`) must stay serial.
+    Tasks must be picklable; a fact with no spec spelling
+    (:func:`~repro.analysis.facts.fact_to_spec`) stays serial.
     """
     if metrics is None:
         metrics = MetricsRegistry()

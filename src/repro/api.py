@@ -519,8 +519,10 @@ class Session:
         :data:`PROGRAM_CACHE_SIZE` programs are held, evicted least
         recently used first.  Parsing runs outside the lock, so two
         threads missing on one file may both parse it.  Only
-        ``analyze`` uses this cache: trace verbs run freshly written
-        IR once, and holding those programs would only grow memory.
+        ``analyze`` uses this cache: a hit here skips reading and
+        splitting the file, which the parser's per-function cache
+        (:data:`~repro.ir.parser.PARSE_CACHE_SIZE`) does not; trace verbs
+        parse every time and share only the parsed functions.
         """
         if isinstance(program, Program):
             return program
@@ -537,7 +539,7 @@ class Session:
         with open(path) as fh:
             text = fh.read()
         stable = _stat_key(path) == key
-        prog = parse_program(text)
+        prog = parse_program(text, metrics=self.metrics)
         with self._programs_lock:
             self.metrics.inc("analysis.program_parses")
             if stable:
@@ -548,14 +550,17 @@ class Session:
                     self._programs.popitem(last=False)
         return prog
 
-    @staticmethod
-    def _load_program(program: Union[Program, PathLike]) -> Program:
+    def _load_program(self, program: Union[Program, PathLike]) -> Program:
+        """The program a trace verb runs: parsed under the ``ir.parse``
+        timer, each function through the parser's cache."""
         if isinstance(program, Program):
             return program
         from .ir.parser import parse_program
 
         with open(program) as fh:
-            return parse_program(fh.read())
+            text = fh.read()
+        with self.metrics.timer("ir.parse"):
+            return parse_program(text, metrics=self.metrics)
 
     @staticmethod
     def _load_wpp(wpp: WppSource) -> WppTrace:

@@ -67,16 +67,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .api import Session
-    from .ir.parser import parse_program
     from .trace.format import write_wpp
 
     if args.verify and not args.stream:
         print("error: --verify requires --stream", file=sys.stderr)
         return 2
-    program = parse_program(Path(args.program).read_text())
     with Session() as session:
         traced = session.trace(
-            program,
+            args.program,
             args=tuple(args.arg),
             inputs=tuple(args.input),
             max_events=args.max_events,

@@ -22,6 +22,7 @@ from .errors import (
     DivisionByZero,
     FuelExhausted,
     InterpError,
+    ShiftTooLarge,
     UndefinedVariable,
 )
 from .interpreter import DEFAULT_MAX_EVENTS, Interpreter, RunResult, run_program
@@ -39,6 +40,7 @@ __all__ = [
     "ListTracer",
     "NullTracer",
     "RunResult",
+    "ShiftTooLarge",
     "UndefinedVariable",
     "compiled_for",
     "run_program",

@@ -25,8 +25,11 @@ code object and ``exec``'d into that function's factory:
 * Expressions compile to native operators where Python semantics match
   (:data:`~repro.ir.expr.PY_NATIVE_BINOPS`); comparisons are wrapped in
   ``int(...)`` in value context so results stay ints.  ``//`` and ``%``
-  by a nonzero constant are native too; any other divisor calls the
-  tree-walker's checked helper, so a zero divisor raises its message.
+  by a nonzero constant, and ``<<`` by a constant count within
+  :data:`~repro.ir.expr.MAX_SHIFT`, are native too; any other right
+  operand calls the tree-walker's checked helper
+  (:data:`~repro.ir.expr.CHECKED_BINOPS`), so a zero divisor or an
+  oversized shift count raises its message.
   An intrinsic whose arguments are all variables or constants is
   inlined from its template (:data:`~repro.ir.expr.INTRINSIC_TEMPLATES`,
   the same definition the tree-walker's callables come from).  So a
@@ -45,8 +48,10 @@ Code cache
 
 CPython ``compile()`` of the generated text is most of a translation's
 cost, and the text of most functions repeats: every run of one program
-re-parses its IR into a new :class:`~repro.ir.module.Program`, and the
-scale steps of one generated workload differ only in ``main``.  So the
+gets a new :class:`~repro.ir.module.Program` (the parser shares the
+frozen functions of texts it has seen, but the program and its call
+graph are new), and the scale steps of one generated workload differ
+only in ``main``.  So the
 code object of each generated function text is kept in one bounded,
 module-level LRU keyed by the text itself (:data:`CODE_CACHE_SIZE`
 texts).  A function's text carries everything its factory depends on
@@ -91,6 +96,7 @@ from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.expr import (
+    CHECKED_BINOPS,
     INTRINSIC_TEMPLATES,
     INTRINSICS,
     PY_COMPARISON_BINOPS,
@@ -100,9 +106,8 @@ from ..ir.expr import (
     Intrinsic,
     UnaryOp,
     Var,
-    _checked_div,
-    _checked_mod,
     expand_intrinsic,
+    native_when,
 )
 from ..ir.module import Function, Program
 from ..ir.stmt import (
@@ -118,6 +123,7 @@ from ..ir.stmt import (
     Switch,
     Write,
 )
+from ..util.lru import lru_lookup
 from .errors import CompileUnsupported, FuelExhausted, InterpError, UndefinedVariable
 from .interpreter import DEFAULT_MAX_EVENTS, RUN_BUFFER_CAP, RunResult
 from .tracer import NullTracer
@@ -154,8 +160,8 @@ class _FunctionCodegen:
         self.program = program
         self.lines: List[str] = []
         self.intrinsics: Set[str] = set()
-        self.uses_div = False
-        self.uses_mod = False
+        # Operators of CHECKED_BINOPS whose checked helper this body calls.
+        self.helpers: Set[str] = set()
         self.roots: Set[int] = set()
 
     # -- helpers -------------------------------------------------------
@@ -193,21 +199,16 @@ class _FunctionCodegen:
                 # Branch conditions only test truthiness; everywhere else
                 # the result must be an int like BINARY_OPS produces.
                 return cmp if bool_ctx else f"int{cmp}"
-            if op in ("//", "%"):
-                divisor = e.right
+            if op in CHECKED_BINOPS:
+                operand = e.right
                 if (
-                    type(divisor) is Const
-                    and type(divisor.value) is int
-                    and divisor.value != 0
+                    type(operand) is Const
+                    and type(operand.value) is int
+                    and native_when(op, operand.value)
                 ):
-                    # The checked helper returns exactly ``a // b`` or
-                    # ``a % b`` once ``b`` is nonzero.
                     return f"({left} {op} {right})"
-                if op == "//":
-                    self.uses_div = True
-                    return f"_div({left}, {right})"
-                self.uses_mod = True
-                return f"_mod({left}, {right})"
+                self.helpers.add(op)
+                return f"{_HELPER_NAMES[op]}({left}, {right})"
             raise self.fail(f"binary operator {op!r} has no compiled form")
         if t is UnaryOp:
             operand = self.expr(e.operand)
@@ -424,10 +425,8 @@ class _FunctionCodegen:
         ]
         if any(type(s) is Load for b in func.blocks.values() for s in b.statements):
             out.append("    _hget = _heap.get")
-        if self.uses_div:
-            out.append("    _div = _CHECKED_DIV")
-        if self.uses_mod:
-            out.append("    _mod = _CHECKED_MOD")
+        for op in sorted(self.helpers):
+            out.append(f"    {_HELPER_NAMES[op]} = _CHECKED[{op!r}]")
         for name in sorted(self.intrinsics):
             out.append(f"    _i_{name} = _INTR[{name!r}]")
         out.append(f"    def _fn({sig}):")
@@ -481,9 +480,11 @@ def _direct_depths(program: Program) -> Dict[str, float]:
 _BASE_NAMESPACE = {
     "InterpError": InterpError,
     "_INTR": INTRINSICS,
-    "_CHECKED_DIV": _checked_div,
-    "_CHECKED_MOD": _checked_mod,
+    "_CHECKED": CHECKED_BINOPS,
 }
+
+#: The local each checked helper is bound to in a generated factory.
+_HELPER_NAMES = {"//": "_div", "%": "_mod", "<<": "_lshift"}
 
 _NAME_IN_MESSAGE = re.compile(r"'([^']+)'")
 
@@ -678,22 +679,13 @@ def _code_for(text: str) -> Tuple[CodeType, bool]:
     recently used.  Two threads missing on one text may both compile
     it; either code object is correct.
     """
-    with _code_lock:
-        code = _code_cache.get(text)
-        if code is not None:
-            _code_cache.move_to_end(text)
-            return code, False
-    code = compile(text, "<repro.interp.compile>", "exec")
-    with _code_lock:
-        if text in _code_cache:
-            _code_cache.move_to_end(text)
-        elif CODE_CACHE_SIZE > 0:
-            # Evict before inserting, so that even a reader that does not
-            # take the lock never sees more than the bound.
-            while len(_code_cache) >= CODE_CACHE_SIZE:
-                _code_cache.popitem(last=False)
-            _code_cache[text] = code
-    return code, True
+    return lru_lookup(
+        _code_cache,
+        _code_lock,
+        CODE_CACHE_SIZE,
+        text,
+        partial(compile, text, "<repro.interp.compile>", "exec"),
+    )
 
 
 def compiled_for(program: Program, metrics=None) -> CompiledProgram:

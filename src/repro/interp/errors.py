@@ -38,6 +38,11 @@ class DivisionByZero(InterpError, ZeroDivisionError):
     """
 
 
+class ShiftTooLarge(InterpError):
+    """Raised when an IR ``<<`` has a count above
+    :data:`~repro.ir.expr.MAX_SHIFT`."""
+
+
 class CompileUnsupported(InterpError):
     """Raised when a program contains constructs the compiled engine
     cannot translate (non-identifier variable names, unknown statement

@@ -16,7 +16,7 @@ per-function numbering used throughout the paper's figures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from .expr import Expr, coerce
 from .module import BasicBlock, Function, IRError, Program, verify_program
@@ -29,8 +29,10 @@ from .stmt import (
     Load,
     Read,
     Return,
+    Stmt,
     Store,
     Switch,
+    Terminator,
     Write,
 )
 
@@ -38,21 +40,35 @@ ExprLike = Union[Expr, int, str]
 
 
 class BlockBuilder:
-    """Builds one basic block; statement methods chain, terminator methods end."""
+    """Builds one basic block; statement methods chain, terminator methods end.
 
-    def __init__(self, function_builder: "FunctionBuilder", block: BasicBlock):
-        self._fb = function_builder
-        self._block = block
+    The block's parts are collected here; :meth:`FunctionBuilder.build`
+    constructs the frozen :class:`~repro.ir.module.BasicBlock`.
+    """
+
+    __slots__ = ("_block_id", "_label", "_statements", "_terminator")
+
+    def __init__(self, block_id: int, label: str = ""):
+        self._block_id = block_id
+        self._label = label
+        self._statements: List[Stmt] = []
+        self._terminator: Optional[Terminator] = None
 
     @property
     def block_id(self) -> int:
         """The id this block will have in the built function."""
-        return self._block.block_id
+        return self._block_id
+
+    def build(self) -> BasicBlock:
+        """The frozen block as collected so far."""
+        return BasicBlock(
+            self._block_id, tuple(self._statements), self._terminator, self._label
+        )
 
     def _require_open(self) -> None:
-        if self._block.terminator is not None:
+        if self._terminator is not None:
             raise IRError(
-                f"B{self._block.block_id} already terminated; "
+                f"B{self._block_id} already terminated; "
                 "cannot append more statements"
             )
 
@@ -61,25 +77,25 @@ class BlockBuilder:
     def assign(self, dest: str, expr: ExprLike) -> "BlockBuilder":
         """Append ``dest = expr``."""
         self._require_open()
-        self._block.statements.append(Assign(dest, coerce(expr)))
+        self._statements.append(Assign(dest, coerce(expr)))
         return self
 
     def read(self, dest: str) -> "BlockBuilder":
         """Append ``dest = read()``."""
         self._require_open()
-        self._block.statements.append(Read(dest))
+        self._statements.append(Read(dest))
         return self
 
     def load(self, dest: str, addr: ExprLike) -> "BlockBuilder":
         """Append ``dest = load addr``."""
         self._require_open()
-        self._block.statements.append(Load(dest, coerce(addr)))
+        self._statements.append(Load(dest, coerce(addr)))
         return self
 
     def store(self, addr: ExprLike, value: ExprLike) -> "BlockBuilder":
         """Append ``store addr = value``."""
         self._require_open()
-        self._block.statements.append(Store(coerce(addr), coerce(value)))
+        self._statements.append(Store(coerce(addr), coerce(value)))
         return self
 
     def call(
@@ -90,7 +106,7 @@ class BlockBuilder:
     ) -> "BlockBuilder":
         """Append a call statement."""
         self._require_open()
-        self._block.statements.append(
+        self._statements.append(
             Call(callee, tuple(coerce(a) for a in args), dest)
         )
         return self
@@ -98,13 +114,13 @@ class BlockBuilder:
     def write(self, expr: ExprLike) -> "BlockBuilder":
         """Append ``write expr``."""
         self._require_open()
-        self._block.statements.append(Write(coerce(expr)))
+        self._statements.append(Write(coerce(expr)))
         return self
 
     def breakpoint(self, name: str = "bp") -> "BlockBuilder":
         """Append a named breakpoint marker."""
         self._require_open()
-        self._block.statements.append(Breakpoint(name))
+        self._statements.append(Breakpoint(name))
         return self
 
     # ---- terminators -----------------------------------------------------
@@ -112,7 +128,7 @@ class BlockBuilder:
     def jump(self, target: "BlockBuilder | int") -> None:
         """Terminate with an unconditional jump."""
         self._require_open()
-        self._block.terminator = Jump(_block_id(target))
+        self._terminator = Jump(_block_id(target))
 
     def branch(
         self,
@@ -122,7 +138,7 @@ class BlockBuilder:
     ) -> None:
         """Terminate with a conditional branch."""
         self._require_open()
-        self._block.terminator = CondJump(
+        self._terminator = CondJump(
             coerce(cond), _block_id(then_target), _block_id(else_target)
         )
 
@@ -134,7 +150,7 @@ class BlockBuilder:
     ) -> None:
         """Terminate with an N-way switch."""
         self._require_open()
-        self._block.terminator = Switch(
+        self._terminator = Switch(
             coerce(selector),
             tuple(_block_id(c) for c in cases),
             _block_id(default),
@@ -143,7 +159,7 @@ class BlockBuilder:
     def ret(self, value: Optional[ExprLike] = None) -> None:
         """Terminate with a return."""
         self._require_open()
-        self._block.terminator = Return(None if value is None else coerce(value))
+        self._terminator = Return(None if value is None else coerce(value))
 
 
 def _block_id(target: "BlockBuilder | int") -> int:
@@ -158,14 +174,14 @@ class FunctionBuilder:
     def __init__(self, name: str, params: Sequence[str] = ()):
         self.name = name
         self.params = tuple(params)
-        self._blocks: List[BasicBlock] = []
+        self._blocks: List[BlockBuilder] = []
         self._entry: Optional[int] = None
 
     def block(self, label: str = "") -> BlockBuilder:
         """Create the next basic block (ids are 1, 2, 3, ... in creation order)."""
-        block = BasicBlock(block_id=len(self._blocks) + 1, label=label)
+        block = BlockBuilder(len(self._blocks) + 1, label)
         self._blocks.append(block)
-        return BlockBuilder(self, block)
+        return block
 
     def set_entry(self, target: "BlockBuilder | int") -> None:
         """Override the entry block (defaults to the first created block)."""
@@ -175,7 +191,7 @@ class FunctionBuilder:
         """Assemble the function (no program-level checks)."""
         if not self._blocks:
             raise IRError(f"{self.name}: function has no blocks")
-        blocks: Dict[int, BasicBlock] = {b.block_id: b for b in self._blocks}
+        blocks = {b.block_id: b.build() for b in self._blocks}
         entry = self._entry if self._entry is not None else self._blocks[0].block_id
         return Function(self.name, self.params, blocks, entry)
 

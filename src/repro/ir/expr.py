@@ -123,7 +123,7 @@ BINARY_OPS: Dict[str, Callable[[int, int], int]] = {
     "|": lambda a, b: a | b,
     "^": lambda a, b: a ^ b,
     ">>": lambda a, b: a >> b,
-    "<<": lambda a, b: a << b,
+    "<<": lambda a, b: _checked_lshift(a, b),
 }
 
 UNARY_OPS: Dict[str, Callable[[int], int]] = {
@@ -136,7 +136,7 @@ UNARY_OPS: Dict[str, Callable[[int], int]] = {
 #: semantics of its :data:`BINARY_OPS` entry on arbitrary ints -- same
 #: result, same exception type and message -- so the compiled engine
 #: (:mod:`repro.interp.compile`) may emit them as plain bytecode.
-PY_NATIVE_BINOPS = frozenset({"+", "-", "*", "&", "|", "^", ">>", "<<"})
+PY_NATIVE_BINOPS = frozenset({"+", "-", "*", "&", "|", "^", ">>"})
 
 #: Comparison operators: natively emittable too, but their
 #: :data:`BINARY_OPS` entries coerce to int, so value-context emission
@@ -159,6 +159,40 @@ def _checked_mod(a: int, b: int) -> int:
 
         raise DivisionByZero("IR integer modulo by zero")
     return a % b
+
+
+#: Largest count an IR left shift accepts.  IR integers are unbounded,
+#: so ``x << n`` holds at least ``n`` bits; a larger count is the traced
+#: program's fault (:class:`~repro.interp.errors.ShiftTooLarge`), not a
+#: reason to exhaust the tracer's memory.
+MAX_SHIFT = 1 << 16
+
+
+def _checked_lshift(a: int, b: int) -> int:
+    if b > MAX_SHIFT:
+        from ..interp.errors import ShiftTooLarge
+
+        raise ShiftTooLarge(f"IR left shift count {b} exceeds {MAX_SHIFT}")
+    return a << b
+
+
+#: Binary operators whose :data:`BINARY_OPS` entry checks its right
+#: operand first, each with that checked helper.  The compiled engine
+#: emits the native operator when the right operand is a constant that
+#: :func:`native_when` accepts, and calls the helper otherwise.
+CHECKED_BINOPS: Dict[str, Callable[[int, int], int]] = {
+    "//": _checked_div,
+    "%": _checked_mod,
+    "<<": _checked_lshift,
+}
+
+
+def native_when(op: str, right: int) -> bool:
+    """Whether the native ``op`` with the constant right operand
+    ``right`` behaves exactly like its :data:`CHECKED_BINOPS` helper."""
+    if op == "<<":
+        return right <= MAX_SHIFT
+    return right != 0
 
 
 @slotted

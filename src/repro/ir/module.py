@@ -4,12 +4,21 @@ This is the static program representation whose executions produce whole
 program paths.  Block ids are small integers unique *within* a function
 (the paper numbers blocks per function, e.g. ``f``'s blocks 1..10 in
 Figure 1); functions are identified by name.
+
+:class:`BasicBlock` and :class:`Function` are frozen once built: a
+block's statements are a tuple and a function's block map is read-only.
+The parser and the builders collect the parts and construct each object
+once, so one parsed function can be shared by every :class:`Program`
+that contains it (:mod:`repro.ir.parser` keeps a cache of them).  A
+:class:`Program` is a per-parse container: its function map and ``main``
+may be changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .expr import Expr, slotted
 from .stmt import Call, Stmt, Terminator
@@ -20,14 +29,18 @@ class IRError(Exception):
 
 
 @slotted
-@dataclass
+@dataclass(frozen=True)
 class BasicBlock:
     """A straight-line sequence of statements ending in one terminator."""
 
     block_id: int
-    statements: List[Stmt] = field(default_factory=list)
+    statements: Tuple[Stmt, ...] = ()
     terminator: Optional[Terminator] = None
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if type(self.statements) is not tuple:
+            object.__setattr__(self, "statements", tuple(self.statements))
 
     def successors(self) -> Tuple[int, ...]:
         """Static successor block ids (empty for returning blocks)."""
@@ -82,14 +95,27 @@ class BasicBlock:
         return "\n".join(lines)
 
 
-@dataclass
+@slotted
+@dataclass(frozen=True)
 class Function:
-    """A named function: parameters plus a CFG of basic blocks."""
+    """A named function: parameters plus a CFG of basic blocks.
+
+    ``blocks`` is a read-only view of a private copy of the mapping
+    given to the constructor.
+    """
 
     name: str
     params: Tuple[str, ...] = ()
-    blocks: Dict[int, BasicBlock] = field(default_factory=dict)
+    blocks: Mapping[int, BasicBlock] = field(default_factory=dict)
     entry: int = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", tuple(self.params))
+        object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild from a plain dict.
+        return (type(self), (self.name, self.params, dict(self.blocks), self.entry))
 
     def block(self, block_id: int) -> BasicBlock:
         """Return the block with the given id, raising :class:`IRError` if absent."""

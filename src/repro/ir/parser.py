@@ -12,13 +12,21 @@ The grammar is what the printer produces:
   integers (possibly negative), identifiers;
 * one statement per line; block headers ``B<n>:``; ``//`` comments;
 * functions as ``func name(params) entry=B<k> { ... }``.
+
+Successive versions of one program mostly repeat their functions, so
+:func:`parse_program` parses each distinct function text once per
+process and shares the frozen result (see :data:`PARSE_CACHE_SIZE`).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+import sys
+import threading
+from collections import OrderedDict
+from typing import Dict, List, Optional, Union
 
+from ..util.lru import lru_lookup
 from .expr import BINARY_OPS, INTRINSICS, UNARY_OPS, BinOp, Const, Expr, Intrinsic, UnaryOp, Var
 from .module import BasicBlock, Function, IRError, Program, verify_program
 from .stmt import (
@@ -30,8 +38,10 @@ from .stmt import (
     Load,
     Read,
     Return,
+    Stmt,
     Store,
     Switch,
+    Terminator,
     Write,
 )
 
@@ -91,20 +101,15 @@ def _tokenize(text: str, line_no: int) -> List[str]:
 class _ExprParser:
     """Recursive-descent over the printer's fully parenthesised form.
 
-    ``leaves`` interns :class:`Var`/:class:`Const` nodes across one
-    :func:`parse_program` call, so a program names each distinct leaf
-    once however often it appears.  Statements are never shared:
-    :class:`~repro.analysis.facts.DefinitionFrom` matches them by
-    identity.
+    Every expression node comes from :func:`_shared`, so the parsed
+    functions hold each distinct expression once however often it
+    appears.
     """
 
-    def __init__(
-        self, tokens: List[str], line_no: int, leaves: Dict[tuple, Expr]
-    ):
+    def __init__(self, tokens: List[str], line_no: int):
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
-        self.leaves = leaves
 
     def error(self, message: str) -> ParseError:
         return ParseError(f"line {self.line_no}: {message}")
@@ -134,19 +139,13 @@ class _ExprParser:
         if token == "(":
             return self._parse_parenthesised()
         if _INT_RE.fullmatch(token):
-            return self._leaf(Const, int(token))
+            value = int(token)
+            return _shared((Const, value), Const, value)
         if _NAME_RE.fullmatch(token):
             if self.peek() == "(" and token in INTRINSICS:
                 return self._parse_intrinsic(token)
-            return self._leaf(Var, token)
+            return _shared((Var, token), Var, token)
         raise self.error(f"unexpected token {token!r} in expression")
-
-    def _leaf(self, kind: type, value) -> Expr:
-        key = (kind, value)
-        leaf = self.leaves.get(key)
-        if leaf is None:
-            leaf = self.leaves[key] = kind(value)
-        return leaf
 
     def _parse_parenthesised(self) -> Expr:
         head = self.peek()
@@ -158,14 +157,14 @@ class _ExprParser:
             op = self.next()
             operand = self.parse_expr()
             self.expect(")")
-            return UnaryOp(op, operand)
+            return _shared((UnaryOp, op, id(operand)), UnaryOp, op, operand)
         left = self.parse_expr()
         op = self.next()
         if op not in BINARY_OPS:
             raise self.error(f"unknown binary operator {op!r}")
         right = self.parse_expr()
         self.expect(")")
-        return BinOp(op, left, right)
+        return _shared((BinOp, op, id(left), id(right)), BinOp, op, left, right)
 
     def _parse_intrinsic(self, name: str) -> Intrinsic:
         self.expect("(")
@@ -176,7 +175,8 @@ class _ExprParser:
                 self.next()
                 args.append(self.parse_expr())
         self.expect(")")
-        return Intrinsic(name, tuple(args))
+        key = (Intrinsic, name, *map(id, args))
+        return _shared(key, Intrinsic, name, tuple(args))
 
 
 def _parse_block_ref(parser: _ExprParser) -> int:
@@ -188,7 +188,7 @@ def _parse_block_ref(parser: _ExprParser) -> int:
 
 
 def _parse_call(parser: _ExprParser, dest: Optional[str]) -> Call:
-    callee = parser.next()
+    callee = sys.intern(parser.next())
     parser.expect("(")
     args: List[Expr] = []
     if parser.peek() != ")":
@@ -200,33 +200,30 @@ def _parse_call(parser: _ExprParser, dest: Optional[str]) -> Call:
     return Call(callee, tuple(args), dest)
 
 
-def _parse_line(
-    block: BasicBlock, text: str, line_no: int, leaves: Dict[tuple, Expr]
-) -> None:
-    """Parse one statement or terminator line into ``block``."""
+def _parse_line(text: str, line_no: int) -> Union[Stmt, Terminator]:
+    """Parse one statement or terminator line."""
     # Breakpoint names are free-form (may contain '-' etc.): take the
     # rest of the line verbatim rather than tokenizing it.
     if text.startswith("breakpoint"):
         name = text[len("breakpoint") :].strip()
         if not name:
             raise ParseError(f"line {line_no}: breakpoint needs a name")
-        block.statements.append(Breakpoint(name))
-        return
+        return Breakpoint(name)
+    # ``text`` is stripped and not empty, so it has at least one token.
     tokens = _tokenize(text, line_no)
-    if not tokens:
-        return
-    parser = _ExprParser(tokens, line_no, leaves)
+    parser = _ExprParser(tokens, line_no)
     head = parser.next()
 
     if head == "jump":
-        block.terminator = Jump(_parse_block_ref(parser))
+        target = _parse_block_ref(parser)
+        parsed = _shared((Jump, target), Jump, target)
     elif head == "if":
         cond = parser.parse_expr()
         parser.expect("then")
         then_target = _parse_block_ref(parser)
         parser.expect("else")
         else_target = _parse_block_ref(parser)
-        block.terminator = CondJump(cond, then_target, else_target)
+        parsed = CondJump(cond, then_target, else_target)
     elif head == "switch":
         selector = parser.parse_expr()
         parser.expect("[")
@@ -240,40 +237,41 @@ def _parse_line(
         parser.expect("]")
         parser.expect("default")
         default = _parse_block_ref(parser)
-        block.terminator = Switch(selector, tuple(cases), default)
+        parsed = Switch(selector, tuple(cases), default)
     elif head == "return":
         value = None if parser.at_end() else parser.parse_expr()
-        block.terminator = Return(value)
+        parsed = Return(value)
     elif head == "store":
         addr = parser.parse_expr()
         parser.expect("=")
-        block.statements.append(Store(addr, parser.parse_expr()))
+        parsed = Store(addr, parser.parse_expr())
     elif head == "write":
-        block.statements.append(Write(parser.parse_expr()))
+        parsed = Write(parser.parse_expr())
     elif head == "breakpoint":
-        block.statements.append(Breakpoint(parser.next()))
+        parsed = Breakpoint(parser.next())
     elif head == "call":
-        block.statements.append(_parse_call(parser, dest=None))
+        parsed = _parse_call(parser, dest=None)
     else:
         # "<dest> = <rhs>" forms.
-        dest = head
+        dest = sys.intern(head)
         parser.expect("=")
         nxt = parser.peek()
         if nxt == "read":
             parser.next()
             parser.expect("(")
             parser.expect(")")
-            block.statements.append(Read(dest))
+            parsed = Read(dest)
         elif nxt == "load":
             parser.next()
-            block.statements.append(Load(dest, parser.parse_expr()))
+            parsed = Load(dest, parser.parse_expr())
         elif nxt == "call":
             parser.next()
-            block.statements.append(_parse_call(parser, dest=dest))
+            parsed = _parse_call(parser, dest=dest)
         else:
-            block.statements.append(Assign(dest, parser.parse_expr()))
+            parsed = Assign(dest, parser.parse_expr())
     if not parser.at_end():
         raise parser.error(f"trailing tokens: {tokens[parser.pos:]}")
+    return parsed
 
 
 _FUNC_RE = re.compile(
@@ -287,22 +285,127 @@ _BLOCK_RE = re.compile(r"B(\d+):\s*$")
 _BLOCK_HEAD_RE = re.compile(r"B\d+:")
 
 
+#: Parsed functions the parse cache keeps.  One pass of the e2e ingest
+#: programs (15 texts, 795 functions) has 275 distinct function texts;
+#: the bound is about four times that.
+PARSE_CACHE_SIZE = 1024
+#: Shared nodes :data:`_nodes` holds before it starts over.  The e2e
+#: ingest programs need about 400.
+NODE_TABLE_SIZE = 1 << 16
+
+_parse_lock = threading.Lock()
+# A function's source lines, header through closing "}" joined by "\n"
+# -> its parsed Function, least recently used first.
+_parse_cache: "OrderedDict[str, Function]" = OrderedDict()
+# The one node every parse shares, keyed by its kind and fields: Var
+# and Const leaves by value, operators by the identities of their
+# (already shared) operands, jumps by target.  An entry's node holds its
+# operands, so their ids cannot be reused while the entry exists.
+# Statements are never shared.  Only single dict operations touch the
+# table, so it needs no lock: two threads may each make an equal node,
+# and a clear only ends the sharing.
+_nodes: Dict[tuple, object] = {}
+
+
+def _shared(key: tuple, make: type, *fields):
+    """The shared node for ``key``; ``make(*fields)`` on a miss."""
+    node = _nodes.get(key)
+    if node is None:
+        if len(_nodes) >= NODE_TABLE_SIZE:
+            _nodes.clear()
+        node = _nodes[key] = make(*fields)
+    return node
+
+
 def parse_program(
-    text: str, main: Optional[str] = None, verify: bool = True
+    text: str,
+    main: Optional[str] = None,
+    verify: bool = True,
+    metrics=None,
 ) -> Program:
     """Parse a whole textual program.
 
     ``main`` defaults to a function named ``main`` when present,
     otherwise the first function.
+
+    Each function is looked up in a bounded, thread-safe LRU keyed by
+    its exact source lines, from its ``func`` header through its closing
+    ``}`` (:data:`PARSE_CACHE_SIZE` functions).  A hit skips the span
+    and shares the frozen :class:`~repro.ir.module.Function` with every
+    program that holds it; only functions that parsed are stored, and a
+    function's parse depends on its lines alone, so line numbers and
+    every :class:`ParseError` are those of a parse without the cache.
+    The program-level checks (``duplicate function``,
+    :func:`~repro.ir.module.verify_program`) run on every call.  With a
+    metrics registry, ``ir.parse.hits`` and ``ir.parse.misses`` count
+    the function texts found in and added to the cache.
     """
     program = Program(main="__pending__")
-    current_func: Optional[Function] = None
-    current_block: Optional[BasicBlock] = None
-    first_name: Optional[str] = None
-    leaves: Dict[tuple, Expr] = {}
+    lines = text.splitlines()
+    stripped = [raw.strip() for raw in lines]
+    hits = misses = 0
+    i = 0
+    while i < len(lines):
+        line = stripped[i]
+        if not line or line.startswith("//"):
+            i += 1
+            continue
+        if not _FUNC_RE.match(line):
+            if _FUNC_HEAD_RE.match(line):
+                raise ParseError(
+                    f"line {i + 1}: malformed function header: {line!r}"
+                )
+            if line == "}":
+                raise ParseError(f"line {i + 1}: stray '}}'")
+            raise ParseError(f"line {i + 1}: statement outside a function")
+        try:
+            close = stripped.index("}", i + 1)
+        except ValueError:
+            close = len(lines)  # no closing line: the parse raises
+        func, missed = lru_lookup(
+            _parse_cache,
+            _parse_lock,
+            PARSE_CACHE_SIZE,
+            "\n".join(lines[i : close + 1]),
+            lambda: _parse_function(stripped, i, close),
+        )
+        misses += missed
+        hits += not missed
+        program.add(func)
+        i = close + 1
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    if metrics is not None:
+        if hits:
+            metrics.inc("ir.parse.hits", hits)
+        if misses:
+            metrics.inc("ir.parse.misses", misses)
+    if not program.functions:
+        raise ParseError("no functions found")
+
+    if main is not None:
+        program.main = main
+    elif "main" in program.functions:
+        program.main = "main"
+    else:
+        program.main = next(iter(program.functions))
+
+    if verify:
+        verify_program(program)
+    return program
+
+
+def _parse_function(stripped: List[str], start: int, close: int) -> Function:
+    """Parse the function whose header is ``stripped[start]`` and whose
+    closing ``}`` is ``stripped[close]`` (``len(stripped)`` if none)."""
+    name, params_text, entry = _FUNC_RE.match(stripped[start]).groups()
+    params = tuple(p.strip() for p in params_text.split(",") if p.strip())
+    blocks: Dict[int, BasicBlock] = {}
+    block_id: Optional[int] = None
+    statements: List[Stmt] = []
+    terminator: Optional[Terminator] = None
+    for index in range(start + 1, close):
+        line = stripped[index]
+        line_no = index + 1
         # "//" is also the floor-division operator, so comments are only
         # recognised where the printer emits them: whole-line comments
         # and trailing label comments on block-header lines.
@@ -312,64 +415,38 @@ def parse_program(
             line = line.split("//", 1)[0].strip()
         if not line:
             continue
-        m = _FUNC_RE.match(line)
-        if m:
-            if current_func is not None:
-                raise ParseError(f"line {line_no}: nested function")
-            name, params_text, entry = m.groups()
-            params = tuple(
-                p.strip() for p in params_text.split(",") if p.strip()
-            )
-            current_func = Function(name, params, {}, int(entry))
-            if first_name is None:
-                first_name = name
-            continue
+        if _FUNC_RE.match(line):
+            raise ParseError(f"line {line_no}: nested function")
         if _FUNC_HEAD_RE.match(line):
             raise ParseError(
                 f"line {line_no}: malformed function header: {line!r}"
             )
-        if line == "}":
-            if current_func is None:
-                raise ParseError(f"line {line_no}: stray '}}'")
-            program.add(current_func)
-            current_func = None
-            current_block = None
-            continue
-        if current_func is None:
-            raise ParseError(f"line {line_no}: statement outside a function")
         m = _BLOCK_RE.match(line)
         if m:
+            if block_id is not None:
+                blocks[block_id] = BasicBlock(block_id, tuple(statements), terminator)
             block_id = int(m.group(1))
-            if block_id in current_func.blocks:
+            if block_id in blocks:
                 raise ParseError(f"line {line_no}: duplicate block B{block_id}")
-            current_block = BasicBlock(block_id=block_id)
-            current_func.blocks[block_id] = current_block
+            statements = []
+            terminator = None
             continue
-        if current_block is None:
+        if block_id is None:
             raise ParseError(f"line {line_no}: statement outside a block")
-        if current_block.terminator is not None:
+        if terminator is not None:
             raise ParseError(
-                f"line {line_no}: statement after terminator in "
-                f"B{current_block.block_id}"
+                f"line {line_no}: statement after terminator in B{block_id}"
             )
-        _parse_line(current_block, line, line_no, leaves)
-
-    if current_func is not None:
+        parsed = _parse_line(line, line_no)
+        if isinstance(parsed, Terminator):
+            terminator = parsed
+        else:
+            statements.append(parsed)
+    if close == len(stripped):
         raise ParseError("unterminated function (missing '}')")
-    if not program.functions:
-        raise ParseError("no functions found")
-
-    if main is not None:
-        program.main = main
-    elif "main" in program.functions:
-        program.main = "main"
-    else:
-        assert first_name is not None
-        program.main = first_name
-
-    if verify:
-        verify_program(program)
-    return program
+    if block_id is not None:
+        blocks[block_id] = BasicBlock(block_id, tuple(statements), terminator)
+    return Function(name, params, blocks, int(entry))
 
 
 def parse_function(text: str) -> Function:

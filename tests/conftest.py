@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.ir import ProgramBuilder, binop
 from repro.trace import collect_wpp, partition_wpp
+from repro.workloads import WorkloadSpec
 
 
 def decline_compile(monkeypatch):
@@ -20,6 +22,23 @@ def decline_compile(monkeypatch):
         raise CompileUnsupported("declined by the test")
 
     monkeypatch.setattr(compile_mod, "compiled_for", declined)
+
+
+@st.composite
+def tiny_specs(draw):
+    return WorkloadSpec(
+        name="fuzz",
+        seed=draw(st.integers(1, 10_000)),
+        n_functions=draw(st.integers(3, 10)),
+        layers=draw(st.integers(2, 3)),
+        main_iterations=draw(st.integers(2, 15)),
+        loop_iters=(1, draw(st.integers(2, 5))),
+        paths=(1, draw(st.integers(2, 5))),
+        path_length=(1, draw(st.integers(1, 3))),
+        phase=(1, draw(st.integers(1, 4))),
+        branching=draw(st.sampled_from([0.5, 1.0, 1.5])),
+        variety_choices=(1, 2, 3),
+    )
 
 
 @pytest.fixture

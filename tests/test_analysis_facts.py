@@ -4,7 +4,6 @@ from repro.analysis import (
     GEN,
     KILL,
     TRANSPARENT,
-    DefinitionFrom,
     LoadAvailable,
     VarHasDefinition,
     classify_statements,
@@ -47,18 +46,6 @@ class TestVarHasDefinition:
         assert fact.gens(Load("x", const(5)))
         assert not fact.gens(Assign("y", const(1)))
         assert not fact.kills(Assign("x", const(1)))
-
-
-class TestDefinitionFrom:
-    def test_tracked_def_gens_other_defs_kill(self):
-        tracked = Assign("x", const(2))
-        other = Assign("x", const(3))
-        fact = DefinitionFrom("x", (tracked,))
-        assert fact.gens(tracked)
-        assert not fact.gens(other)
-        assert fact.kills(other)
-        assert not fact.kills(tracked)
-        assert not fact.kills(Assign("y", const(1)))
 
 
 class TestClassification:

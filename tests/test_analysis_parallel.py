@@ -17,8 +17,8 @@ import pytest
 import repro
 from repro.analysis import parallel
 from repro.analysis.facts import (
-    DefinitionFrom,
     ExpressionAvailable,
+    Fact,
     LoadAvailable,
     VarHasDefinition,
     fact_to_spec,
@@ -75,16 +75,24 @@ def canon(report):
     )
 
 
-def identity_tasks(program, reference):
+class LocalFact(Fact):
+    """A caller's own fact: it has no spec spelling, so a batch holding
+    it stays in the process."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def gens(self, stmt):
+        return self.name in stmt.defs()
+
+    def kills(self, stmt):
+        return False
+
+
+def unspelled_tasks(reference, program):
     name = next(iter(reference))
     func = program.function(name)
-    var, stmt = next(
-        (next(iter(stmt.defs())), stmt)
-        for block in func.blocks.values()
-        for stmt in block.statements
-        if stmt.defs()
-    )
-    fact = DefinitionFrom(var, (stmt,))
+    fact = LocalFact("i")
     return name, fact, [(func, trace, fact) for trace in reference[name][:2]]
 
 
@@ -150,10 +158,8 @@ class TestFactSpecs:
         assert spec is not None
         assert parse_fact(spec) == fact
 
-    def test_identity_based_fact_has_no_spec(self, diamond_program):
-        program, _n = diamond_program
-        stmt = program.function("main").blocks[4].statements[0]
-        assert fact_to_spec(DefinitionFrom("acc", (stmt,))) is None
+    def test_custom_fact_has_no_spec(self):
+        assert fact_to_spec(LocalFact("i")) is None
 
 
 class TestExecutorMatchesSerial:
@@ -196,9 +202,9 @@ class TestExecutorMatchesSerial:
             ]
         assert runs == 1
 
-    def test_identity_fact_runs_serially(self, artifact):
+    def test_unspelled_fact_runs_serially(self, artifact):
         program, path, reference = artifact
-        name, fact, tasks = identity_tasks(program, reference)
+        name, fact, tasks = unspelled_tasks(reference, program)
         serial = fact_frequencies_many(tasks)
         metrics = MetricsRegistry()
         got = fact_frequencies_many(tasks, jobs=2, metrics=metrics)

@@ -117,8 +117,14 @@ class TestPipeline:
                 [],
                 "error: IR integer modulo by zero",
             ),
+            (
+                "func main() entry=B1 {\n  B1:\n    x = (1 << 100000000000)\n"
+                "    return x\n}\n",
+                [],
+                "error: IR left shift count 100000000000 exceeds 65536",
+            ),
         ],
-        ids=["missing-arg", "undefined-variable", "fuel", "div", "mod"],
+        ids=["missing-arg", "undefined-variable", "fuel", "div", "mod", "shift"],
     )
     # "tree" runs the reference engine: the compiler declines the program.
     @pytest.mark.parametrize("interp", ["tree", "compiled"])

@@ -11,7 +11,6 @@ extraction) must agree on every function's path traces.
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.compact import compact_wpp, read_twpp, serialize_twpp, write_twpp
 from repro.sequitur import compress_wpp
@@ -21,24 +20,9 @@ from repro.trace import (
     rebuild_parents,
     reconstruct_wpp,
 )
-from repro.workloads import WorkloadSpec, generate_program
+from repro.workloads import generate_program
 
-
-@st.composite
-def tiny_specs(draw):
-    return WorkloadSpec(
-        name="fuzz",
-        seed=draw(st.integers(1, 10_000)),
-        n_functions=draw(st.integers(3, 10)),
-        layers=draw(st.integers(2, 3)),
-        main_iterations=draw(st.integers(2, 15)),
-        loop_iters=(1, draw(st.integers(2, 5))),
-        paths=(1, draw(st.integers(2, 5))),
-        path_length=(1, draw(st.integers(1, 3))),
-        phase=(1, draw(st.integers(1, 4))),
-        branching=draw(st.sampled_from([0.5, 1.0, 1.5])),
-        variety_choices=(1, 2, 3),
-    )
+from .conftest import tiny_specs
 
 
 class TestPipelineRoundTrip:

@@ -29,20 +29,21 @@ from repro.interp import (
     InterpError,
     Interpreter,
     ListTracer,
+    ShiftTooLarge,
     UndefinedVariable,
     compiled_for,
     run_program,
 )
 from repro.interp.interpreter import RUN_BUFFER_CAP
-from repro.ir import ProgramBuilder, binop, intrinsic
-from repro.ir.expr import Const
+from repro.ir import BasicBlock, Function, ProgramBuilder, binop, intrinsic
+from repro.ir.expr import MAX_SHIFT, Const
 from repro.ir.stmt import Assign, Return
 from repro.obs import MetricsRegistry
 from repro.trace import WppBuilder, partition_wpp
 from repro.workloads import WorkloadSpec, generate_program
 from repro.workloads.specs import WORKLOAD_NAMES, workload
 
-from .conftest import decline_compile
+from .conftest import decline_compile, tiny_specs
 
 
 def tree_run(program, args=(), inputs=(), tracer=None, max_events=50_000_000):
@@ -134,23 +135,6 @@ def _capacity_program(iterations=9000):
     )
     b3.ret("i")
     return pb.build()
-
-
-@st.composite
-def tiny_specs(draw):
-    return WorkloadSpec(
-        name="fuzz",
-        seed=draw(st.integers(1, 10_000)),
-        n_functions=draw(st.integers(3, 10)),
-        layers=draw(st.integers(2, 3)),
-        main_iterations=draw(st.integers(2, 15)),
-        loop_iters=(1, draw(st.integers(2, 5))),
-        paths=(1, draw(st.integers(2, 5))),
-        path_length=(1, draw(st.integers(1, 3))),
-        phase=(1, draw(st.integers(1, 4))),
-        branching=draw(st.sampled_from([0.5, 1.0, 1.5])),
-        variety_choices=(1, 2, 3),
-    )
 
 
 class TestWorkloadDifferential:
@@ -453,6 +437,14 @@ class TestSemanticsDetail:
         assert compiled.run().return_value == 42
 
 
+def _with_block(func, block):
+    """``func`` rebuilt with ``block`` in place of its namesake: the IR
+    is frozen, so a changed function is a new one."""
+    return Function(
+        func.name, func.params, {**func.blocks, block.block_id: block}, func.entry
+    )
+
+
 class TestFallbackAndSelection:
     def _unsupported_program(self):
         pb = ProgramBuilder()
@@ -461,8 +453,9 @@ class TestFallbackAndSelection:
         block.ret(0)
         program = pb.build()
         # A variable name that cannot become a Python local.
-        program.functions["main"].blocks[1].statements.append(
-            Assign("not an identifier", Const(1))
+        program.functions["main"] = _with_block(
+            program.functions["main"],
+            BasicBlock(1, (Assign("not an identifier", Const(1)),), Return(Const(0))),
         )
         return program
 
@@ -486,7 +479,10 @@ class TestFallbackAndSelection:
         program = pb.build()
         # The builder verifies arities, so widen the params afterwards --
         # the tree-walker tolerates the mismatch via dict(zip(...)).
-        program.functions["leaf"].params = ("a", "b")
+        leaf_fn = program.functions["leaf"]
+        program.functions["leaf"] = Function(
+            "leaf", ("a", "b"), leaf_fn.blocks, leaf_fn.entry
+        )
         with pytest.raises(CompileUnsupported, match="arity|passes 1 args"):
             compiled_for(program)
         # Fallback must reproduce the tree-walker's permissive zip.
@@ -507,13 +503,16 @@ class TestFallbackAndSelection:
         assert "interp.fallbacks" not in metrics.counters
 
     def test_mutated_program_runs_its_new_code(self):
-        """A program changed after a compiled run runs as changed: the
-        code cache is keyed by generated text, not program identity."""
+        """A program given a rebuilt function after a compiled run runs
+        the new function: the code cache is keyed by generated text, not
+        program identity."""
         pb = ProgramBuilder()
         pb.function("main").block().ret(1)
         program = pb.build()
         assert run_program(program).return_value == 1
-        program.functions["main"].blocks[1].terminator = Return(Const(2))
+        program.functions["main"] = _with_block(
+            program.functions["main"], BasicBlock(1, (), Return(Const(2)))
+        )
         assert tree_run(program).return_value == 2
         assert run_program(program).return_value == 2
 
@@ -870,6 +869,7 @@ class TestNativeRewrite:
                 engine(program, args=[5, 0])
             assert str(exc_info.value) == message
 
+
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_workload_source_has_two_statement_preambles(self, name):
         program, _spec = workload(name, scale=0.05)
@@ -885,3 +885,48 @@ class TestNativeRewrite:
             assert lines[i + 1] == capacity
         # Nothing else of the preamble is left anywhere.
         assert lines.count(capacity) == len(traced)
+
+
+def _outcome(engine, program, args):
+    """An engine's result on ``program``: its output, or the type and
+    text of what it raised."""
+    try:
+        return engine(program, args=args).output
+    except (InterpError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestShiftBound:
+    """``<<`` counts above ``MAX_SHIFT`` fail as the program's fault on
+    both engines; a constant count within the bound stays native."""
+
+    @given(
+        a=INT_EDGES,
+        count=st.one_of(
+            st.integers(-3, 80),
+            st.sampled_from(
+                [MAX_SHIFT - 1, MAX_SHIFT, MAX_SHIFT + 1, 10**11, -(10**11)]
+            ),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_engines_agree(self, a, count):
+        variable = _value_program([binop("<<", "a", "b")])
+        constant = _value_program([binop("<<", "a", count)])
+        for program in (variable, constant):
+            tree = _outcome(tree_run, program, [a, count])
+            assert _outcome(compiled_run, program, [a, count]) == tree
+            if count > MAX_SHIFT:
+                assert tree == (
+                    ShiftTooLarge,
+                    f"IR left shift count {count} exceeds {MAX_SHIFT}",
+                )
+        assert "_lshift(" in compiled_for(variable).source
+        assert ("_lshift(" in compiled_for(constant).source) == (count > MAX_SHIFT)
+
+    def test_oversized_count_is_an_interp_error(self):
+        program = _value_program([binop("<<", 1, 10**11)])
+        for engine in (tree_run, compiled_run):
+            with pytest.raises(ShiftTooLarge) as exc_info:
+                engine(program, args=[0, 0])
+            assert isinstance(exc_info.value, InterpError)
