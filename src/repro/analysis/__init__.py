@@ -48,7 +48,13 @@ from .hotpaths import (
     path_profile,
     path_profile_compacted,
 )
-from .interproc import ActivationAnalysis, activation_effects, analyze_activation
+from .interproc import (
+    ActivationAnalysis,
+    ActivationTree,
+    CallEffects,
+    activation_effects,
+    analyze_activation,
+)
 from .parallel import analyze_tasks_parallel
 from .interproc_paths import (
     InterproceduralEngine,
@@ -66,6 +72,8 @@ from .slicing_interproc import InterSliceResult, InterproceduralSlicer
 
 __all__ = [
     "ActivationAnalysis",
+    "ActivationTree",
+    "CallEffects",
     "CodeMotion",
     "CoverageReport",
     "CurrencyResult",

@@ -174,10 +174,11 @@ class DemandDrivenEngine:
 
         Node effects are classified statically per block from the fact's
         GEN/KILL predicates; ``effect_overrides`` can pin individual
-        blocks (tests use this to model opaque statements).  Traces with
-        call statements should instead be analysed through
-        :mod:`repro.analysis.interproc`, which accounts for callee
-        effects per activation.
+        blocks (tests use this to model opaque statements).  A call
+        counts only through its ``dest``, so for a fact that crosses
+        calls (``fact.crosses_calls``) traces with call statements
+        should instead be analysed through :mod:`repro.analysis.interproc`,
+        which accounts for callee effects per activation.
         """
         cfg = TimestampedCfg.from_trace(trace)
         classes: Dict[int, str] = {}

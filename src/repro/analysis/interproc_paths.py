@@ -19,15 +19,14 @@ together, so the cross-activation stage carries plain instance counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..compact.pipeline import CompactedWpp
 from ..compact.series import TimestampSet
 from ..ir.module import Program
-from ..ir.stmt import Call
-from .facts import GEN, KILL, TRANSPARENT, Fact
-from .interproc import ActivationAnalysis, activation_effects
+from .facts import GEN, KILL, Fact
+from .interproc import ActivationAnalysis, ActivationTree, CallEffects
 
 
 @dataclass
@@ -37,7 +36,8 @@ class InterproceduralResult:
     requested: int
     holds: int = 0
     fails: int = 0
-    #: Instances whose query reached the very start of the program.
+    #: Instances whose query reached the very start of the program (for
+    #: a fact that does not cross calls, of their own activation).
     unresolved_at_start: int = 0
     queries_issued: int = 0
     #: Activations the propagation visited (origin included).
@@ -60,38 +60,28 @@ class InterproceduralResult:
 class InterproceduralEngine:
     """Demand-driven GEN-KILL queries over the whole dynamic call graph.
 
-    Requires a :class:`~repro.compact.pipeline.CompactedWpp` with valid
-    parent links (in-memory pipelines keep them; after
-    :func:`~repro.compact.query.read_twpp` run
-    :func:`~repro.trace.reconstruct.rebuild_parents` first).
+    Runs on the :class:`~repro.analysis.interproc.ActivationTree` of any
+    :class:`~repro.compact.pipeline.CompactedWpp`, one read from disk
+    included.  A fact that does not cross calls (``crosses_calls``
+    false) is frame-local: instances reaching their activation's entry
+    stop there and count as ``unresolved_at_start``.
     """
 
     def __init__(self, compacted: CompactedWpp, program: Program, fact: Fact):
         self.compacted = compacted
         self.program = program
         self.fact = fact
-        self._effects = activation_effects(compacted, program, fact)
-        self._children = compacted.dcg.children_lists()
+        self.effects = CallEffects(ActivationTree(compacted, program), fact)
         self._analyses: Dict[int, ActivationAnalysis] = {}
-        # Per node: (parent node, index among the parent's children).
-        self._parent_slot: Dict[int, Tuple[int, int]] = {}
-        for parent, kids in enumerate(self._children):
-            for slot, child in enumerate(kids):
-                self._parent_slot[child] = (parent, slot)
 
     # ------------------------------------------------------------------
 
     def _analysis(self, node: int) -> ActivationAnalysis:
         analysis = self._analyses.get(node)
         if analysis is None:
-            analysis = ActivationAnalysis(
-                self.compacted,
-                self.program,
-                self.fact,
-                node,
-                effects=self._effects,
+            analysis = self._analyses[node] = ActivationAnalysis(
+                self.compacted, self.program, self.fact, node, self.effects
             )
-            self._analyses[node] = analysis
         return analysis
 
     def query(
@@ -105,7 +95,7 @@ class InterproceduralEngine:
         ``ts`` defaults to all instances of the block in that activation.
         """
         origin = self._analysis(node)
-        requested = origin.cfg.ts(block_id) if ts is None else ts
+        requested = origin.activation.cfg.ts(block_id) if ts is None else ts
         result = InterproceduralResult(requested=len(requested))
         if not requested:
             return result
@@ -119,8 +109,7 @@ class InterproceduralEngine:
         while work:
             act, blk, current, weight = work.pop()
             visited_activations.add(act)
-            analysis = self._analysis(act)
-            intra = analysis.engine().query(blk, current)
+            intra = self._analysis(act).engine().query(blk, current)
             result.queries_issued += intra.queries_issued
             result.holds += weight * len(intra.holds)
             result.fails += weight * len(intra.fails)
@@ -143,91 +132,32 @@ class InterproceduralEngine:
         work: List[Tuple[int, int, TimestampSet, int]],
     ) -> None:
         """Continue ``escaped`` instances of ``node`` in its caller."""
-        slot = self._parent_slot.get(node)
-        if slot is None:
+        caller = self.effects.tree.caller[node]
+        if caller is None or not self.fact.crosses_calls:
             result.unresolved_at_start += escaped
             return
-        parent, child_index = slot
-        analysis = self._analysis(parent)
-        position, stmt_index = self._call_site(analysis, child_index)
+        parent, k = caller
+        act = self.effects.tree.activation(parent)
+        position, index, _call = act.call_site(k)
         result.queries_issued += 1
 
         # Statements of the call block *before* the call, newest first.
-        verdict = self._classify_block_prefix(
-            analysis, position, stmt_index
+        verdict = self.effects.scan(
+            act.statements(position)[:index], act.children, k
         )
         if verdict == GEN:
             result.holds += escaped
-            return
-        if verdict == KILL:
+        elif verdict == KILL:
             result.fails += escaped
-            return
-        # Prefix transparent: the question becomes "does the fact hold
-        # at *entry* of the call block's instance?", which is a plain
-        # intra query in the caller (and escapes further up if the call
-        # block is the caller's first trace position).
-        call_block = analysis.trace[position - 1]
-        work.append(
-            (parent, call_block, TimestampSet.single(position), escaped)
-        )
-
-    def _call_site(
-        self, analysis: ActivationAnalysis, child_index: int
-    ) -> Tuple[int, int]:
-        """Locate the ``child_index``-th call of an activation.
-
-        Returns ``(trace position, statement index of the call)``.
-        """
-        # calls_before[pos] is the number of calls at positions < pos;
-        # find the position whose block contains call #child_index.
-        trace = analysis.trace
-        calls_before = analysis._calls_before
-        lo, hi = 1, len(trace)
-        # calls_before is non-decreasing: binary search the position.
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if calls_before[mid] <= child_index:
-                lo = mid
-            else:
-                hi = mid - 1
-        position = lo
-        block = analysis.function.block(trace[position - 1])
-        rank = child_index - calls_before[position]
-        seen = -1
-        for idx, stmt in enumerate(block.statements):
-            if isinstance(stmt, Call):
-                seen += 1
-                if seen == rank:
-                    return position, idx
-        raise AssertionError(
-            f"activation {analysis.node}: call #{child_index} not found"
-        )
-
-    def _classify_block_prefix(
-        self, analysis: ActivationAnalysis, position: int, stop: int
-    ) -> str:
-        """Net effect of the call block's statements before index ``stop``.
-
-        Scanned backward; earlier calls in the same block resolve to
-        their child activations' effects.
-        """
-        block = analysis.function.block(analysis.trace[position - 1])
-        base = analysis._calls_before[position]
-        call_rank = sum(
-            1 for s in block.statements[:stop] if isinstance(s, Call)
-        )
-        for stmt in reversed(block.statements[:stop]):
-            if isinstance(stmt, Call):
-                call_rank -= 1
-                child = analysis.children[base + call_rank]
-                effect = self._effects[child]
-                if effect != TRANSPARENT:
-                    return effect
-            elif self.fact.gens(stmt):
-                return GEN
-            elif self.fact.kills(stmt):
-                return KILL
-        return TRANSPARENT
+        else:
+            # Prefix transparent: the question becomes "does the fact
+            # hold at *entry* of the call block's instance?", which is a
+            # plain intra query in the caller (and escapes further up if
+            # the call block is the caller's first trace position).
+            work.append(
+                (parent, act.trace[position - 1],
+                 TimestampSet.single(position), escaped)
+            )
 
 
 def interprocedural_query(

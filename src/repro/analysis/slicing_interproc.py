@@ -22,15 +22,15 @@ The result is a program-wide slice of ``(function, block)`` pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..compact.pipeline import CompactedWpp
 from ..compact.series import TimestampSet
 from ..ir.control_dependence import control_dependence
 from ..ir.module import Function, Program
-from ..ir.stmt import Call, Stmt
-from .dyncfg import TimestampedCfg
+from ..ir.stmt import Call
+from .interproc import ActivationTree
 
 
 @dataclass(frozen=True)
@@ -51,67 +51,18 @@ class InterSliceResult:
         return sorted({f for f, _b in self.slice_nodes})
 
 
-class _ActCtx:
-    """Cached per-activation view: trace, annotated CFG, call layout."""
-
-    def __init__(self, compacted: CompactedWpp, program: Program, node: int):
-        dcg = compacted.dcg
-        fc = compacted.functions[dcg.node_func[node]]
-        self.node = node
-        self.function: Function = program.function(fc.name)
-        self.trace = fc.expand_pair(dcg.node_trace[node])
-        self.cfg = TimestampedCfg.from_trace(self.trace)
-        self.cd_parents = control_dependence(self.function)
-        # calls_before[pos]: calls executed at positions < pos (1-based).
-        self.calls_before = [0] * (len(self.trace) + 1)
-        running = 0
-        for pos, block_id in enumerate(self.trace, start=1):
-            self.calls_before[pos] = running
-            running += len(self.function.block(block_id).calls())
-        self.total_calls = running
-
-    def block_at(self, position: int) -> int:
-        return self.trace[position - 1]
-
-    def last_def_stmt(self, block_id: int, var: str) -> Optional[Stmt]:
-        """The last statement of a block defining ``var`` (or None)."""
-        for stmt in reversed(self.function.block(block_id).statements):
-            if var in stmt.defs():
-                return stmt
-        return None
-
-    def child_for_call(
-        self, children: List[int], position: int, call_stmt: Call
-    ) -> int:
-        """DCG child executed by ``call_stmt`` at trace ``position``."""
-        block = self.function.block(self.block_at(position))
-        rank = 0
-        for stmt in block.statements:
-            if stmt is call_stmt:
-                break
-            if isinstance(stmt, Call):
-                rank += 1
-        return children[self.calls_before[position] + rank]
-
-
 class InterproceduralSlicer:
     """Instance-precise dynamic slicing across activations."""
 
     def __init__(self, compacted: CompactedWpp, program: Program):
-        self.compacted = compacted
-        self.program = program
-        self._children = compacted.dcg.children_lists()
-        self._parent_slot: Dict[int, Tuple[int, int]] = {}
-        for parent, kids in enumerate(self._children):
-            for slot, child in enumerate(kids):
-                self._parent_slot[child] = (parent, slot)
-        self._ctx: Dict[int, _ActCtx] = {}
+        self.tree = ActivationTree(compacted, program)
+        self._cd_parents: Dict[str, Dict[int, List[int]]] = {}
 
-    def _context(self, node: int) -> _ActCtx:
-        ctx = self._ctx.get(node)
-        if ctx is None:
-            ctx = self._ctx[node] = _ActCtx(self.compacted, self.program, node)
-        return ctx
+    def _control_parents(self, function: Function) -> Dict[int, List[int]]:
+        cd = self._cd_parents.get(function.name)
+        if cd is None:
+            cd = self._cd_parents[function.name] = control_dependence(function)
+        return cd
 
     # ------------------------------------------------------------------
 
@@ -127,11 +78,12 @@ class InterproceduralSlicer:
         ``ts`` defaults to the block's last execution in that
         activation (the typical "breakpoint" instance).
         """
-        ctx = self._context(node)
+        tree = self.tree
+        origin = tree.activation(node)
         if ts is None:
-            ts = TimestampSet.single(ctx.cfg.ts(block_id).max())
+            ts = TimestampSet.single(origin.cfg.ts(block_id).max())
 
-        slice_nodes: Set[Tuple[str, int]] = {(ctx.function.name, block_id)}
+        slice_nodes: Set[Tuple[str, int]] = {(origin.function.name, block_id)}
         visited_acts: Set[int] = set()
         queries = 0
         # (activation, block, instances, variable)
@@ -146,24 +98,23 @@ class InterproceduralSlicer:
 
         def add_node(act: int, blk: int, instances: TimestampSet) -> None:
             """Add a block to the slice with its control context."""
-            actx = self._context(act)
-            slice_nodes.add((actx.function.name, blk))
+            slice_nodes.add((tree.activation(act).function.name, blk))
             self._control_context(
                 act, blk, instances, slice_nodes, enqueue
             )
 
         def call_stack_context(act: int) -> None:
             """The call sites that caused ``act`` to run at all."""
-            slot = self._parent_slot.get(act)
-            while slot is not None:
-                parent, child_index = slot
-                pctx = self._context(parent)
-                position = self._call_position(pctx, child_index)
-                call_block = pctx.block_at(position)
-                if (pctx.function.name, call_block) in slice_nodes:
+            caller = tree.caller[act]
+            while caller is not None:
+                parent, k = caller
+                pact = tree.activation(parent)
+                position = pact.call_site(k)[0]
+                call_block = pact.trace[position - 1]
+                if (pact.function.name, call_block) in slice_nodes:
                     break  # context already established
                 add_node(parent, call_block, TimestampSet.single(position))
-                slot = self._parent_slot.get(parent)
+                caller = tree.caller[parent]
 
         for var in variables:
             enqueue(node, block_id, ts, var)
@@ -173,7 +124,7 @@ class InterproceduralSlicer:
         while worklist:
             act, blk, current, var = worklist.pop()
             visited_acts.add(act)
-            actx = self._context(act)
+            actx = tree.activation(act)
             # Block granularity: a definition inside the queried block
             # itself may satisfy uses later in that block (in-place
             # def-use).  Resolve it, and *also* keep walking backward,
@@ -207,7 +158,7 @@ class InterproceduralSlicer:
                         frontier.append((m, sub))
 
         return InterSliceResult(
-            criterion=(self._context(node).function.name, block_id),
+            criterion=(origin.function.name, block_id),
             slice_nodes=frozenset(slice_nodes),
             activations_visited=len(visited_acts),
             queries_issued=queries,
@@ -235,18 +186,21 @@ class InterproceduralSlicer:
         add_node, enqueue,
     ) -> None:
         """A block defining ``var`` reached at specific instances."""
-        actx = self._context(act)
+        actx = self.tree.activation(act)
         add_node(act, block, instances)
-        stmt = actx.last_def_stmt(block, var)
-        if isinstance(stmt, Call) and stmt.dest == var:
+        statements = actx.function.block(block).statements
+        # The block's last statement defining ``var``, and how many calls
+        # precede it in the block.
+        index = max(i for i, s in enumerate(statements) if var in s.defs())
+        stmt = statements[index]
+        if isinstance(stmt, Call):
             # The value came out of a callee: follow its return.
+            rank = sum(isinstance(s, Call) for s in statements[:index])
             for t in instances:
-                child = actx.child_for_call(
-                    self._children[act], t, stmt
-                )
-                cctx = self._context(child)
+                child = actx.children[actx.calls_before[t] + rank]
+                cctx = self.tree.activation(child)
                 exit_pos = len(cctx.trace)
-                exit_block = cctx.block_at(exit_pos)
+                exit_block = cctx.trace[exit_pos - 1]
                 add_node(child, exit_block, TimestampSet.single(exit_pos))
                 term = cctx.function.block(exit_block).terminator
                 for used in (term.uses() if term else frozenset()):
@@ -260,29 +214,26 @@ class InterproceduralSlicer:
             # own parameter uses, which escape back here if relevant.
             return
         # Ordinary definition: chase the defining statement's uses.
-        if stmt is not None:
-            for used in stmt.uses():
-                enqueue(act, block, instances, used)
+        for used in stmt.uses():
+            enqueue(act, block, instances, used)
 
     def _escape_to_caller(
         self, act: int, var: str, add_node, enqueue, call_stack_context
     ) -> None:
         """A query reached the activation's entry still unresolved."""
-        actx = self._context(act)
-        if var not in actx.function.params:
-            return  # uninitialized local: no dependence
-        slot = self._parent_slot.get(act)
-        if slot is None:
-            return  # root activation: parameters came from outside
-        parent, child_index = slot
-        pctx = self._context(parent)
-        position = self._call_position(pctx, child_index)
-        call_block = pctx.block_at(position)
-        call_stmt = self._call_stmt(pctx, child_index, position)
+        function = self.tree.activation(act).function
+        caller = self.tree.caller[act]
+        if var not in function.params or caller is None:
+            # An uninitialized local has no dependence; the root's
+            # parameters came from outside.
+            return
+        parent, k = caller
+        pact = self.tree.activation(parent)
+        position, _index, call_stmt = pact.call_site(k)
+        call_block = pact.trace[position - 1]
         add_node(parent, call_block, TimestampSet.single(position))
         call_stack_context(parent)
-        param_index = actx.function.params.index(var)
-        arg = call_stmt.args[param_index]
+        arg = call_stmt.args[function.params.index(var)]
         for used in arg.variables():
             enqueue(parent, call_block, TimestampSet.single(position), used)
 
@@ -291,8 +242,8 @@ class InterproceduralSlicer:
         slice_nodes: Set[Tuple[str, int]], enqueue,
     ) -> None:
         """Intra-activation control dependence, instance-precise."""
-        actx = self._context(act)
-        for parent in actx.cd_parents.get(block, ()):
+        actx = self.tree.activation(act)
+        for parent in self._control_parents(actx.function).get(block, ()):
             parent_ts = actx.cfg.ts(parent)
             if not parent_ts:
                 continue
@@ -314,27 +265,3 @@ class InterproceduralSlicer:
                 self._control_context(
                     act, parent, follow, slice_nodes, enqueue
                 )
-
-    def _call_position(self, pctx: _ActCtx, child_index: int) -> int:
-        """Trace position of the parent block containing call #child_index."""
-        lo, hi = 1, len(pctx.trace)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if pctx.calls_before[mid] <= child_index:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def _call_stmt(
-        self, pctx: _ActCtx, child_index: int, position: int
-    ) -> Call:
-        block = pctx.function.block(pctx.block_at(position))
-        rank = child_index - pctx.calls_before[position]
-        seen = -1
-        for stmt in block.statements:
-            if isinstance(stmt, Call):
-                seen += 1
-                if seen == rank:
-                    return stmt
-        raise AssertionError("call statement not found")

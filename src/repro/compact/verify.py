@@ -12,8 +12,9 @@ analyses:
 * every TWPP body inverts to a positional trace (no gap, no
   timestamp out of range);
 * per-function call counts equal the DCG's activation counts;
-* with a program available: block ids exist, the tree shape implied by
-  call counts is consistent, and the root is the main function.
+* with a program available: block ids exist, every call the traces
+  execute matches one DCG node in preorder (:func:`dcg_children`), and
+  the root is the main function.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..ir.module import Program
-from ..trace.reconstruct import block_call_counts, trace_call_count
+from ..trace.dcg import dcg_children
+from ..trace.reconstruct import pair_call_counts
 from .dbb import expand_trace
 from .pipeline import CompactedWpp
 from .twpp import PathTrace, twpp_to_trace
@@ -125,7 +127,6 @@ def _verify_against_program(
     traces: List[List[PathTrace]],
     notes: List[str],
 ) -> None:
-    call_counts = block_call_counts(program)
     for fc, fc_traces in zip(compacted.functions, traces):
         if fc.name not in program.functions:
             raise IntegrityError(f"{fc.name}: not defined in the program")
@@ -137,23 +138,14 @@ def _verify_against_program(
                 f"{fc.name}: trace references missing block B{min(missing)}"
             )
 
-    # Tree shape: total children demanded by traces == nodes - roots.
+    # Tree shape: the traces' calls must match the DCG's nodes.
     dcg = compacted.dcg
-    expected_children = 0
-    roots = 0
-    for node in range(len(dcg)):
-        func_idx = dcg.node_func[node]
-        trace = traces[func_idx][dcg.node_trace[node]]
-        expected_children += trace_call_count(
-            trace, call_counts[compacted.functions[func_idx].name]
+    try:
+        dcg_children(
+            dcg, pair_call_counts(compacted.func_names, traces, program)
         )
-        if node == 0:
-            roots += 1
-    if expected_children != len(dcg) - roots:
-        raise IntegrityError(
-            f"DCG shape: traces execute {expected_children} calls but "
-            f"the DCG has {len(dcg) - roots} non-root nodes"
-        )
+    except ValueError as exc:
+        raise IntegrityError(f"DCG shape: {exc}") from exc
     root_name = compacted.functions[dcg.node_func[0]].name if len(dcg) else None
     if root_name is not None and root_name != program.main:
         raise IntegrityError(

@@ -6,7 +6,7 @@ and the first structural transformation -- partitioning into per-call
 path traces linked by a dynamic call graph.
 """
 
-from .dcg import DynamicCallGraph
+from .dcg import DynamicCallGraph, dcg_children
 from .format import read_wpp, scan_function_traces, wpp_file_size, write_wpp
 from .partition import (
     OnlinePartitioner,
@@ -16,7 +16,7 @@ from .partition import (
 )
 from .reconstruct import (
     block_call_counts,
-    rebuild_parents,
+    pair_call_counts,
     reconstruct_wpp,
     trace_call_count,
 )
@@ -44,10 +44,11 @@ __all__ = [
     "WppTrace",
     "block_call_counts",
     "collect_wpp",
+    "dcg_children",
     "pack_event",
+    "pair_call_counts",
     "partition_wpp",
     "read_wpp",
-    "rebuild_parents",
     "reconstruct_wpp",
     "scan_function_traces",
     "trace_call_count",

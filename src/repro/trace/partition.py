@@ -130,8 +130,7 @@ class OnlinePartitioner:
         idx = self._func_index.get(func_name)
         if idx is None:
             idx = self._add_function(func_name)
-        parent = self._stack[-1][0] if self._stack else -1
-        node = self._dcg.add_node(idx, parent)
+        node = self._dcg.add_node(idx)
         self._stack.append((node, []))
         self._events += 1
 

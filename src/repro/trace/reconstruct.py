@@ -15,11 +15,10 @@ child in DCG preorder.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..ir.module import Program
-from .dcg import DynamicCallGraph
-from .partition import PartitionedWpp
+from .partition import PartitionedWpp, PathTrace
 from .wpp import WppBuilder, WppTrace
 
 
@@ -40,78 +39,59 @@ def trace_call_count(
     return sum(call_counts[b] for b in trace)
 
 
+def pair_call_counts(
+    func_names: Sequence[str],
+    traces: Sequence[Sequence[PathTrace]],
+    program: Program,
+) -> List[List[int]]:
+    """Calls executed per ``(function index, trace id)``: the input of
+    :func:`~repro.trace.dcg.dcg_children`."""
+    counts = block_call_counts(program)
+    return [
+        [trace_call_count(trace, counts[name]) for trace in table]
+        for name, table in zip(func_names, traces)
+    ]
+
+
 def reconstruct_wpp(partitioned: PartitionedWpp, program: Program) -> WppTrace:
     """Regenerate the full WPP event stream.
 
-    Iterative preorder walk of the DCG, interleaving each activation's
-    blocks with descents into its children at call sites.
+    Enters the DCG's nodes in preorder: each runs its trace until a
+    call, whose callee is the next node, or until it leaves.  Raises
+    ``ValueError`` when the traces' call counts and the DCG's nodes
+    disagree.
     """
     call_counts = block_call_counts(program)
-    children = partitioned.dcg.children_lists()
+    dcg = partitioned.dcg
     builder = WppBuilder()
-
-    # Frame: [node, trace, trace position, pending calls in current
-    # block, child cursor].
-    root = 0
-    if len(partitioned.dcg) == 0:
-        return builder.finish()
-
-    def open_frame(node: int) -> list:
-        func_idx = partitioned.dcg.node_func[node]
+    # Open activations: [block call counts, trace iterator, calls left
+    # in the current block].
+    stack: List[list] = []
+    for node, (func_idx, trace_id) in enumerate(
+        zip(dcg.node_func, dcg.node_trace)
+    ):
+        if node and not stack:
+            raise ValueError(
+                f"DCG node {node}: no activation has a call left for it"
+            )
         name = partitioned.func_names[func_idx]
-        trace = partitioned.traces[func_idx][partitioned.dcg.node_trace[node]]
         builder.enter(name)
-        return [node, name, trace, 0, 0, 0]
-
-    stack: List[list] = [open_frame(root)]
-    while stack:
-        frame = stack[-1]
-        node, name, trace, pos, pending, cursor = frame
-        if pending > 0:
-            frame[4] = pending - 1
-            child = children[node][cursor]
-            frame[5] = cursor + 1
-            stack.append(open_frame(child))
-            continue
-        if pos < len(trace):
-            block_id = trace[pos]
-            frame[3] = pos + 1
-            builder.block_run([block_id])
-            frame[4] = call_counts[name][block_id]
-            continue
-        builder.leave()
-        stack.pop()
-
+        trace = partitioned.traces[func_idx][trace_id]
+        stack.append([call_counts[name], iter(trace), 0])
+        while stack:
+            frame = stack[-1]
+            if frame[2]:
+                frame[2] -= 1
+                break  # the next node is this call's callee
+            block_id = next(frame[1], None)
+            if block_id is None:
+                builder.leave()
+                stack.pop()
+            else:
+                builder.block_run([block_id])
+                frame[2] = frame[0][block_id]
+    if stack:
+        raise ValueError(
+            f"trace calls past the DCG's last node {len(dcg) - 1}"
+        )
     return builder.finish()
-
-
-def rebuild_parents(
-    dcg: DynamicCallGraph, partitioned_traces, func_names, program: Program
-) -> None:
-    """Fill in ``node_parent`` for a DCG loaded from disk.
-
-    The serialized DCG stores only (func, trace) per preorder node; the
-    tree shape is implied by call counts.  This walks the preorder once,
-    assigning parents, and mutates ``dcg`` in place.
-    """
-    call_counts = block_call_counts(program)
-    if len(dcg) == 0:
-        return
-    # remaining[i] = children of node i not yet attached.
-    remaining: List[int] = [0] * len(dcg)
-    stack: List[int] = []
-    for node in range(len(dcg)):
-        func_idx = dcg.node_func[node]
-        name = func_names[func_idx]
-        trace = partitioned_traces[func_idx][dcg.node_trace[node]]
-        n_calls = trace_call_count(trace, call_counts[name])
-        while stack and remaining[stack[-1]] == 0:
-            stack.pop()
-        if stack:
-            dcg.node_parent[node] = stack[-1]
-            remaining[stack[-1]] -= 1
-        else:
-            dcg.node_parent[node] = -1
-        remaining[node] = n_calls
-        if n_calls > 0:
-            stack.append(node)

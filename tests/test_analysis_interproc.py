@@ -5,8 +5,11 @@ import pytest
 from repro.analysis import (
     GEN,
     KILL,
+    ExpressionAvailable,
+    InterproceduralEngine,
     LoadAvailable,
     TRANSPARENT,
+    VarHasDefinition,
     activation_effects,
     analyze_activation,
 )
@@ -124,8 +127,65 @@ class TestActivationAnalysis:
     def test_child_count_mismatch_detected(self):
         program = build_program(kill_in_callee=False)
         compacted = compacted_for(program)
-        # Corrupt the DCG: detach the last child from main, so main's
-        # trace executes more calls than the DCG records for it.
-        compacted.dcg.node_parent[-1] = -1
+        # Corrupt the DCG: the last child activation becomes another run
+        # of main, whose trace executes calls the DCG has no nodes for.
+        compacted.dcg.node_func[-1] = compacted.func_names.index("main")
+        compacted.dcg.node_trace[-1] = 0
         with pytest.raises(ValueError, match="children"):
             analyze_activation(compacted, program, LoadAvailable(7), node=0)
+
+
+def frame_program(case):
+    """``f`` and ``main`` with one variable ``x`` each (probes a-c).
+
+    a: only ``f`` assigns its own ``x``; main does ``r = call f()``.
+    b: main does ``x = call f()``.
+    c: only main assigns ``x``, before ``r = call f()``.
+    """
+    pb = ProgramBuilder()
+    f = pb.function("f")
+    f.block().assign("x" if case == "a" else "y", 1).ret(0)
+    main = pb.function("main")
+    m1 = main.block()
+    m2 = main.block()
+    if case == "c":
+        m1.assign("x", 1)
+    m1.call("f", [], dest="x" if case == "b" else "r").jump(m2)
+    m2.ret(0)
+    return pb.build()
+
+
+class TestFrameLocalFacts:
+    """``def:x`` names a frame's own variable: a callee's ``x`` is
+    another variable, and a call defines only its ``dest``."""
+
+    def counts(self, case, node, block):
+        program = frame_program(case)
+        compacted = compacted_for(program)
+        fact = VarHasDefinition("x")
+        intra = analyze_activation(compacted, program, fact, node).query(
+            block
+        )
+        inter = InterproceduralEngine(compacted, program, fact).query(
+            node, block
+        )
+        return (
+            (len(intra.holds), len(intra.fails), len(intra.unresolved)),
+            (inter.holds, inter.fails, inter.unresolved_at_start),
+        )
+
+    def test_callee_variable_stays_in_the_callee(self):
+        assert self.counts("a", 0, 2) == ((0, 0, 1), (0, 0, 1))
+
+    def test_call_dest_defines(self):
+        assert self.counts("b", 0, 2) == ((1, 0, 0), (1, 0, 0))
+
+    def test_caller_variable_does_not_reach_the_callee(self):
+        # Activation 1 is f; its entry block is B1.
+        assert self.counts("c", 1, 1) == ((0, 0, 1), (0, 0, 1))
+        assert self.counts("c", 0, 2) == ((1, 0, 0), (1, 0, 0))
+
+    def test_only_memory_facts_cross_calls(self):
+        assert LoadAvailable(7).crosses_calls
+        assert not VarHasDefinition("x").crosses_calls
+        assert not ExpressionAvailable(("x",)).crosses_calls

@@ -29,7 +29,7 @@ from repro.compact.qserve import QueryEngine
 from repro.compact.series import TimestampSet
 from repro.compact.twpp import TwppPathTrace, twpp_to_trace
 from repro.corpus.blobs import KIND_BODY, KIND_DICT, decode_record
-from repro.trace import collect_wpp, partition_wpp, rebuild_parents, reconstruct_wpp
+from repro.trace import collect_wpp, partition_wpp, reconstruct_wpp
 from repro.trace.encoding import decode_uvarints
 from repro.workloads import WORKLOAD_NAMES, figure1_program, workload
 
@@ -116,6 +116,7 @@ class TestFullRoundTrip:
         assert loaded.func_names == compacted.func_names
         assert list(loaded.dcg.node_func) == list(compacted.dcg.node_func)
         assert list(loaded.dcg.node_trace) == list(compacted.dcg.node_trace)
+        assert loaded.dcg == compacted.dcg
         for orig, back in zip(compacted.functions, loaded.functions):
             assert orig.name == back.name
             assert orig.call_count == back.call_count
@@ -128,7 +129,6 @@ class TestFullRoundTrip:
         program, wpp, _c, path, _size = written
         loaded = read_twpp(path)
         part = loaded.to_partitioned()
-        rebuild_parents(part.dcg, part.traces, part.func_names, program)
         back = reconstruct_wpp(part, program)
         assert list(back.events) == list(wpp.events)
 

@@ -262,7 +262,7 @@ class TestQueryEngine:
             dcg = engine.dcg()
             assert dcg.node_func == full.dcg.node_func
             assert dcg.node_trace == full.dcg.node_trace
-            assert dcg.node_parent == full.dcg.node_parent
+            assert dcg == full.dcg
             assert engine.dcg() is dcg  # decoded once, kept
 
     def test_cache_disabled_still_correct(self, files):

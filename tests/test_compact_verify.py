@@ -6,7 +6,13 @@ from repro.compact import IntegrityError, compact_wpp, verify_compacted
 from repro.compact.dbb import DbbDictionary
 from repro.compact.series import TimestampSet
 from repro.compact.twpp import TwppPathTrace, trace_to_twpp
-from repro.trace import collect_wpp, partition_wpp
+from repro.ir import ProgramBuilder
+from repro.trace import (
+    DynamicCallGraph,
+    PartitionedWpp,
+    collect_wpp,
+    partition_wpp,
+)
 from repro.workloads import figure1_program
 
 
@@ -95,3 +101,27 @@ class TestRejects:
         compacted.func_names[0] = "renamed"
         with pytest.raises(IntegrityError, match="name"):
             verify_compacted(compacted)
+
+
+class TestDcgShape:
+    def test_orphan_node_rejected(self):
+        """main executes no call, f two, g none.  The call totals match
+        the non-root nodes, but f arrives after main has finished."""
+        pb = ProgramBuilder()
+        pb.function("g").block().ret(0)
+        f = pb.function("f")
+        f.block().call("g", []).call("g", []).ret(0)
+        pb.function("main").block().ret(0)
+        program = pb.build()
+        dcg = DynamicCallGraph()
+        for func_idx in (0, 1, 2):  # main, f, g in preorder
+            dcg.add_node(func_idx)
+        compacted, _stats = compact_wpp(
+            PartitionedWpp(
+                func_names=["main", "f", "g"],
+                dcg=dcg,
+                traces=[[(1,)], [(1,)], [(1,)]],
+            )
+        )
+        with pytest.raises(IntegrityError, match="DCG shape: DCG node 1"):
+            verify_compacted(compacted, program)

@@ -17,7 +17,6 @@ from repro.sequitur import compress_wpp
 from repro.trace import (
     collect_wpp,
     partition_wpp,
-    rebuild_parents,
     reconstruct_wpp,
 )
 from repro.workloads import generate_program
@@ -68,8 +67,8 @@ class TestPipelineRoundTrip:
             loaded = read_twpp(path)
         finally:
             os.unlink(path)
+        assert loaded.dcg == compacted.dcg
         part = loaded.to_partitioned()
-        rebuild_parents(part.dcg, part.traces, part.func_names, program)
         back = reconstruct_wpp(part, program)
         assert list(back.events) == list(wpp.events)
 

@@ -25,7 +25,7 @@ def assert_partitions_equal(a, b):
     assert a.traces == b.traces
     assert list(a.dcg.node_func) == list(b.dcg.node_func)
     assert list(a.dcg.node_trace) == list(b.dcg.node_trace)
-    assert list(a.dcg.node_parent) == list(b.dcg.node_parent)
+    assert a.dcg == b.dcg
 
 
 class TestEquivalence:

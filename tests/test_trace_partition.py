@@ -12,10 +12,19 @@ from repro.trace import (
     DynamicCallGraph,
     WppTrace,
     collect_wpp,
+    dcg_children,
     pack_event,
+    pair_call_counts,
     partition_wpp,
     trace_from_tuples,
 )
+
+
+def children_of(part, program):
+    """The DCG's children, derived from preorder plus call counts."""
+    return dcg_children(
+        part.dcg, pair_call_counts(part.func_names, part.traces, program)
+    )
 
 
 class TestPartition:
@@ -26,7 +35,7 @@ class TestPartition:
         part = partition_wpp(wpp)
         assert part.unique_traces("main") == [(1, 2)]
         assert len(part.dcg) == 1
-        assert part.dcg.node_parent[0] == -1
+        assert dcg_children(part.dcg, [[0]]) == [[]]
 
     def test_dedup_on_the_fly(self, caller_program):
         part = partition_wpp(collect_wpp(caller_program))
@@ -44,12 +53,12 @@ class TestPartition:
 
     def test_parents_recorded(self, caller_program):
         part = partition_wpp(collect_wpp(caller_program))
+        children = children_of(part, caller_program)
         main_idx = part.func_index("main")
-        for node in range(len(part.dcg)):
-            if part.dcg.node_func[node] == main_idx:
-                assert part.dcg.node_parent[node] == -1
-            else:
-                assert part.dcg.node_parent[node] == 0
+        assert part.dcg.node_func[0] == main_idx
+        # Every leaf activation is a child of main's root activation.
+        assert children[0] == list(range(1, len(part.dcg)))
+        assert not any(children[1:])
 
     def test_nested_calls(self):
         wpp = trace_from_tuples(
@@ -71,7 +80,8 @@ class TestPartition:
         assert part.unique_traces("a") == [(1, 2)]
         assert part.unique_traces("b") == [(1, 2)]
         assert part.unique_traces("c") == [(9,)]
-        assert list(part.dcg.node_parent) == [-1, 0, 1]
+        # a's and b's traces each execute one call, c's none.
+        assert dcg_children(part.dcg, [[1], [1], [0]]) == [[1], [2], []]
 
     def test_unbalanced_raises(self):
         wpp = trace_from_tuples([("enter", "a"), ("block", 1)])
@@ -161,7 +171,7 @@ class TestDcgSerialization:
 
     def test_children_lists(self, caller_program):
         part = partition_wpp(collect_wpp(caller_program))
-        children = part.dcg.children_lists()
+        children = children_of(part, caller_program)
         assert len(children[0]) == 7  # main's children in call order
         assert children[0] == sorted(children[0])
 
