@@ -14,7 +14,6 @@ from conftest import emit
 from repro.bench.tables import Table, fmt_factor, fmt_kb
 from repro.compact import lzw_compress, trace_to_twpp
 from repro.compact.format import encode_body, encode_series
-from repro.compact.pipeline import _trace_bytes  # serialized trace size
 from repro.trace.encoding import svarint_size, uvarint_size
 
 

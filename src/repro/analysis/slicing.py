@@ -22,14 +22,41 @@ statements coincide, and the tests reproduce its three slices exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..compact.series import TimestampSet
 from ..ir.control_dependence import control_dependence
 from ..ir.dataflow import reaching_definitions
 from ..ir.module import Function
 from .dyncfg import TimestampedCfg
+
+
+def governing_instances(
+    parent_values: Sequence[int], instances: Iterable[int]
+) -> List[int]:
+    """Each instance's governing predicate instance, for precise slicing.
+
+    For every ``t`` in ``instances``, the latest of ``parent_values``
+    (ascending, as :meth:`TimestampSet.values` lists them) before ``t``;
+    an instance no parent execution precedes contributes nothing.
+    """
+    chosen: List[int] = []
+    for t in instances:
+        i = bisect_left(parent_values, t)
+        if i:
+            chosen.append(parent_values[i - 1])
+    return chosen
 
 
 @dataclass
@@ -293,13 +320,9 @@ class DynamicSlicer:
             if not parent_ts:
                 continue
             if precise_instances:
-                chosen: List[int] = []
-                parent_values = parent_ts.values()
-                for t in instances:
-                    earlier = [p for p in parent_values if p < t]
-                    if earlier:
-                        chosen.append(max(earlier))
-                follow = TimestampSet.from_values(chosen)
+                follow = TimestampSet.from_values(
+                    governing_instances(parent_ts.values(), instances)
+                )
                 if not follow:
                     continue
             else:

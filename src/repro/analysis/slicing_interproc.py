@@ -31,6 +31,7 @@ from ..ir.control_dependence import control_dependence
 from ..ir.module import Function, Program
 from ..ir.stmt import Call
 from .interproc import ActivationTree
+from .slicing import governing_instances
 
 
 @dataclass(frozen=True)
@@ -247,12 +248,7 @@ class InterproceduralSlicer:
             parent_ts = actx.cfg.ts(parent)
             if not parent_ts:
                 continue
-            chosen: List[int] = []
-            parent_values = parent_ts.values()
-            for t in instances:
-                earlier = [p for p in parent_values if p < t]
-                if earlier:
-                    chosen.append(max(earlier))
+            chosen = governing_instances(parent_ts.values(), instances)
             if not chosen:
                 continue
             follow = TimestampSet.from_values(chosen)

@@ -355,7 +355,7 @@ class Session:
         run: Optional[str] = None,
     ):
         """Ingest one ``.twpp`` into the corpus at ``root`` and return
-        its :class:`~repro.corpus.IngestResult`.
+        its committed :class:`~repro.corpus.CorpusRun`.
 
         Convenience for one-shot ingestion; hold :meth:`corpus` open
         yourself to ingest batches or query across runs afterwards.

@@ -34,8 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import MetricsRegistry
 from ..trace.dcg import DynamicCallGraph
-from ..trace.encoding import uvarint_size
-from ..trace.partition import PartitionedWpp, PathTrace
+from ..trace.partition import PartitionedWpp, PathTrace, trace_size
 from .dbb import DbbDictionary, compact_trace, expand_trace
 from .lzw import lzw_compress
 from .twpp import TwppPathTrace, trace_to_twpp, twpp_to_trace
@@ -104,10 +103,6 @@ class FunctionCompact:
         bodies = [twpp_to_trace(twpp) for twpp in self.twpp_table]
         dicts = self.dict_table
         return [expand_trace(bodies[b], dicts[d]) for b, d in self.pairs]
-
-    def unique_trace_count(self) -> int:
-        """Unique original path traces == number of pairs."""
-        return len(self.pairs)
 
 
 def _encoded(table, kept, encode) -> List[bytes]:
@@ -266,7 +261,7 @@ class FunctionCompactor:
             fc.twpp_table.append(twpp)
             record = encode_body(twpp)
             fc._kept_bodies.append((twpp, record))
-            self.body_sizes.append(_trace_bytes(body))
+            self.body_sizes.append(trace_size(body))
             self.twpp_sizes.append(len(record))
         dict_id = self._dicts.get(dictionary)
         if dict_id is None:
@@ -366,8 +361,3 @@ def compact_wpp(
         metrics.inc(name, value)
 
     return compacted, stats
-
-
-def _trace_bytes(trace: PathTrace) -> int:
-    return uvarint_size(len(trace)) + sum(uvarint_size(b) for b in trace)
-

@@ -2,17 +2,18 @@
 
 Where the trace store's index covers *files*, the corpus catalog
 indexes *content*: one row per unique blob (sha, kind, pack offset,
-reference count) and one row per ingested run with its sharing
-accounting.  Which blobs a run uses lives only in the run's manifest
-(``runs/<run>.manifest``), never here.
+reference count) and one row per ingested run -- the run's one durable
+record -- holding its sharing accounting and its encoded manifest, the
+only record of which blobs the run uses.
 
-Schema (version 2) is documented in ``docs/FORMATS.md``; a catalog of
+Schema (version 3) is documented in ``docs/FORMATS.md``; a catalog of
 any other version, or a file SQLite cannot read, is a ``ValueError``
 naming the file.  All access is serialized behind one lock.
 :meth:`CorpusCatalog.add_run` is the only write: a run's new blob
 rows, the reference bumps on the blobs it shares, and its run row
-commit in one transaction, so a crashed ingest leaves no partial run,
-no orphan blob row and no reference-count drift behind.
+with its manifest commit in one transaction, so a crashed ingest
+leaves no partial run, no orphan blob row and no reference-count drift
+behind.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import sqlite3
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import (
     Dict,
     Iterable,
@@ -35,7 +36,7 @@ from typing import (
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -55,7 +56,7 @@ CREATE TABLE IF NOT EXISTS runs (
     run            TEXT UNIQUE NOT NULL,
     source         TEXT NOT NULL,
     twpp_bytes     INTEGER NOT NULL,
-    manifest_bytes INTEGER NOT NULL,
+    manifest       BLOB NOT NULL,
     blobs_added    INTEGER NOT NULL,
     blobs_shared   INTEGER NOT NULL,
     bytes_added    INTEGER NOT NULL,
@@ -89,12 +90,26 @@ class CorpusRun:
     calls: int
     dcg_nodes: int
 
+    @property
+    def compaction_factor(self) -> float:
+        """Run's ``.twpp`` bytes over its *marginal* corpus bytes."""
+        marginal = self.manifest_bytes + self.bytes_added
+        return self.twpp_bytes / marginal if marginal else 0.0
+
     def to_dict(self) -> Dict:
         return asdict(self)
 
 
-#: The ``runs`` columns, in :class:`CorpusRun` field order.
-_RUN_COLUMNS = ", ".join(f.name for f in fields(CorpusRun))
+_RUN_FIELDS = [f.name for f in fields(CorpusRun)]
+#: :class:`CorpusRun`'s fields as ``runs`` expressions: the manifest's
+#: size is read off the stored manifest, not stored beside it.
+_RUN_SELECT = ", ".join(
+    "length(manifest)" if name == "manifest_bytes" else name
+    for name in _RUN_FIELDS
+)
+#: The ``runs`` columns an insert fills: every field but
+#: ``manifest_bytes``, then the manifest.
+_RUN_INSERT = [name for name in _RUN_FIELDS if name != "manifest_bytes"]
 
 
 class CorpusCatalog:
@@ -210,15 +225,18 @@ class CorpusCatalog:
     def add_run(
         self,
         record: CorpusRun,
+        manifest: bytes,
         new_blobs: Sequence[Tuple[int, bytes, int, int, int]],
         shared_ids: Sequence[int],
     ) -> None:
-        """Commit one run's row and its blobs at once.
+        """Commit one run's row, its manifest and its blobs at once.
 
-        ``new_blobs`` are (id, sha, kind, offset, length) for payloads
-        the run added to the pack (ids from :meth:`known_blobs`, refs
-        start at 1); ``shared_ids`` are the catalogued blobs it also
-        references, whose refs go up by one.
+        ``manifest`` is the run's encoded manifest (``record``'s
+        ``manifest_bytes`` is its length).  ``new_blobs`` are (id, sha,
+        kind, offset, length) for payloads the run added to the pack
+        (ids from :meth:`known_blobs`, refs start at 1); ``shared_ids``
+        are the catalogued blobs it also references, whose refs go up
+        by one.
         """
         with self._locked(), self._db:
             self._db.executemany(
@@ -230,9 +248,10 @@ class CorpusCatalog:
                 "UPDATE blobs SET refs = refs + 1 WHERE id = ?",
                 [(blob_id,) for blob_id in shared_ids],
             )
-            row = astuple(record)
+            row = [getattr(record, name) for name in _RUN_INSERT]
+            row.append(manifest)
             self._db.execute(
-                f"INSERT INTO runs ({_RUN_COLUMNS})"
+                f"INSERT INTO runs ({', '.join(_RUN_INSERT)}, manifest)"
                 f" VALUES ({', '.join('?' * len(row))})",
                 row,
             )
@@ -240,15 +259,23 @@ class CorpusCatalog:
     def run(self, run: str) -> Optional[CorpusRun]:
         with self._locked():
             row = self._db.execute(
-                f"SELECT {_RUN_COLUMNS} FROM runs WHERE run = ?", (run,)
+                f"SELECT {_RUN_SELECT} FROM runs WHERE run = ?", (run,)
             ).fetchone()
         return CorpusRun(*row) if row is not None else None
+
+    def manifest(self, run: str) -> Optional[bytes]:
+        """One run's encoded manifest (None: no such run)."""
+        with self._locked():
+            row = self._db.execute(
+                "SELECT manifest FROM runs WHERE run = ?", (run,)
+            ).fetchone()
+        return None if row is None else row[0]
 
     def runs(self) -> List[CorpusRun]:
         """Every ingested run, in ingestion order."""
         with self._locked():
             rows = self._db.execute(
-                f"SELECT {_RUN_COLUMNS} FROM runs ORDER BY id"
+                f"SELECT {_RUN_SELECT} FROM runs ORDER BY id"
             ).fetchall()
         return [CorpusRun(*row) for row in rows]
 

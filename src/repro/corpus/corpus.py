@@ -1,11 +1,11 @@
 """The corpus facade: ingest runs, analyze across them.
 
-:class:`TraceCorpus` owns one corpus directory (catalog + pack +
-manifests) and a :class:`~repro.api.Session` for scanning ``.twpp``
-files on their way in -- pass the session to share warm engines,
-metrics and the session's one cache budget with the rest of a
-pipeline, or let the corpus own a private one.  Every read takes a
-run's membership from its manifest and its activation weights from its
+:class:`TraceCorpus` owns one corpus directory (catalog + pack) and a
+:class:`~repro.api.Session` for scanning ``.twpp`` files on their way
+in -- pass the session to share warm engines, metrics and the
+session's one cache budget with the rest of a pipeline, or let the
+corpus own a private one.  Every read takes a run's membership from
+the manifest in its catalog row and its activation weights from its
 DCG, and works in the compressed domain: ``diff`` is set algebra over
 the manifests' (body, dict) blob-id pairs and decodes
 only the traces that actually differ, ``hot_paths`` decodes each
@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import re
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,7 +38,6 @@ from .blobs import (
     blob_sha,
     decode_dcg_chunk,
     decode_record,
-    fsync_dir,
 )
 from .catalog import CorpusCatalog, CorpusRun
 from .manifest import (
@@ -57,68 +55,23 @@ PathTrace = Tuple[int, ...]
 
 CORPUS_DB = "corpus.sqlite"
 PACK_NAME = "blobs.pack"
-RUNS_DIR = "runs"
 
 _RUN_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
-__all__ = ["CorruptRun", "IngestResult", "TraceCorpus"]
+__all__ = ["CorruptRun", "TraceCorpus"]
 
 
 class CorruptRun(ValueError):
-    """A committed run whose manifest is missing, does not decode, or
-    names another run."""
-
-
-@dataclass(frozen=True)
-class IngestResult:
-    """What ingesting one run added to (and shared with) the corpus."""
-
-    run: str
-    source: str
-    twpp_bytes: int
-    manifest_bytes: int
-    blobs_added: int
-    blobs_shared: int
-    bytes_added: int
-    bytes_shared: int
-    functions: int
-    pairs: int
-    calls: int
-
-    @property
-    def compaction_factor(self) -> float:
-        """Run's ``.twpp`` bytes over its *marginal* corpus bytes."""
-        marginal = self.manifest_bytes + self.bytes_added
-        return self.twpp_bytes / marginal if marginal else 0.0
-
-    def to_dict(self) -> Dict:
-        return {
-            "run": self.run,
-            "twpp_bytes": self.twpp_bytes,
-            "manifest_bytes": self.manifest_bytes,
-            "blobs_added": self.blobs_added,
-            "blobs_shared": self.blobs_shared,
-            "bytes_added": self.bytes_added,
-            "bytes_shared": self.bytes_shared,
-            "functions": self.functions,
-            "pairs": self.pairs,
-            "calls": self.calls,
-            "compaction_factor": self.compaction_factor,
-        }
+    """A committed run whose stored manifest does not decode or names
+    another run."""
 
 
 class TraceCorpus:
-    """One corpus directory: catalog, pack, manifests, and analyses."""
+    """One corpus directory: catalog, pack, and analyses."""
 
     def __init__(self, root: PathLike, session=None) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        try:
-            (self.root / RUNS_DIR).mkdir()
-        except FileExistsError:
-            pass
-        else:
-            fsync_dir(self.root)
         self._catalog = CorpusCatalog(self.root / CORPUS_DB)
         if session is None:
             from ..api import Session
@@ -157,7 +110,7 @@ class TraceCorpus:
 
     # ---- ingest -------------------------------------------------------
 
-    def ingest(self, twpp: PathLike, run: Optional[str] = None) -> IngestResult:
+    def ingest(self, twpp: PathLike, run: Optional[str] = None) -> CorpusRun:
         """Ingest one ``.twpp`` file as run ``run`` (default: file stem)."""
         path = os.fspath(twpp)
         name = run if run is not None else Path(path).stem
@@ -168,7 +121,7 @@ class TraceCorpus:
         self,
         paths: Sequence[PathLike],
         runs: Optional[Sequence[str]] = None,
-    ) -> List[IngestResult]:
+    ) -> List[CorpusRun]:
         """Ingest many ``.twpp`` files, one catalog transaction each.
 
         Every file is scanned before the first ingest, so a bad name or
@@ -194,8 +147,12 @@ class TraceCorpus:
         ]
 
     def _scan(self, path: str) -> RunDigest:
-        with self.metrics.timer("corpus.scan"):
-            return scan_run(self._session.engine(path))
+        # Leased: a store evicting the path mid-scan must not close the
+        # mapping the scan is reading.
+        with self.metrics.timer("corpus.scan"), self._session.borrow(
+            path
+        ) as engine:
+            return scan_run(engine)
 
     def _check_run_name(self, name: str) -> None:
         if not _RUN_NAME.match(name):
@@ -205,7 +162,7 @@ class TraceCorpus:
 
     def _ingest_digest(
         self, run: str, source: str, digest: RunDigest
-    ) -> IngestResult:
+    ) -> CorpusRun:
         writer = self._pack.locked()  # one ingest per corpus, any process
         with self._ingest_lock, self.metrics.timer("corpus.ingest"), writer:
             self._check_run_name(run)
@@ -225,19 +182,7 @@ class TraceCorpus:
         self.metrics.inc("corpus.bytes_added", record.bytes_added)
         self.metrics.inc("corpus.bytes_shared", record.bytes_shared)
         self.metrics.observe("corpus.manifest_bytes", record.manifest_bytes)
-        return IngestResult(
-            run=run,
-            source=source,
-            twpp_bytes=record.twpp_bytes,
-            manifest_bytes=record.manifest_bytes,
-            blobs_added=record.blobs_added,
-            blobs_shared=record.blobs_shared,
-            bytes_added=record.bytes_added,
-            bytes_shared=record.bytes_shared,
-            functions=record.functions,
-            pairs=record.pairs,
-            calls=record.calls,
-        )
+        return record
 
     def _commit_run(
         self, run: str, source: str, digest: RunDigest
@@ -245,13 +190,13 @@ class TraceCorpus:
         """Add one digested run as a single catalog transaction.
 
         Order is what makes a killed ingest harmless: the run's new
-        pack records are written and fsynced first, then its manifest
-        replaces any stale one, and the catalog commits last -- so a
-        committed row never points at bytes that are not on disk, and
-        anything a kill leaves behind (a pack tail, an uncommitted
-        run's manifest) is dropped or overwritten by the next open or
-        ingest.  The caller holds the pack's exclusive lock throughout,
-        so blob ids and pack offsets are this writer's alone.
+        pack records are written and fsynced first, and the catalog
+        transaction -- blob rows, refs bumps, and the run's row with
+        its manifest -- commits last, so a committed row never points
+        at bytes that are not on disk, and the only thing a kill leaves
+        behind is a pack tail the next open or ingest drops.  The
+        caller holds the pack's exclusive lock throughout, so blob ids
+        and pack offsets are this writer's alone.
         """
         ids, next_id = self._catalog.known_blobs(
             sha for sha, _, _ in digest.blobs
@@ -296,8 +241,6 @@ class TraceCorpus:
             functions=functions,
         )
         data = encode_manifest(manifest)
-        self._write_manifest(run, data)
-
         record = CorpusRun(
             run=run,
             source=source,
@@ -312,7 +255,7 @@ class TraceCorpus:
             calls=sum(fn.call_count for fn in functions),
             dcg_nodes=digest.dcg_nodes,
         )
-        self._catalog.add_run(record, new_blobs, shared_ids)
+        self._catalog.add_run(record, data, new_blobs, shared_ids)
         return record
 
     def _drop_uncommitted_tail(self) -> int:
@@ -326,28 +269,24 @@ class TraceCorpus:
         end = self._catalog.pack_end()
         return self._pack.truncate(PACK_HEADER_BYTES if end is None else end)
 
-    def _write_manifest(self, run: str, data: bytes) -> None:
-        """Write ``runs/<run>.manifest`` whole and durably.
-
-        The temp file is fsynced before the rename and ``runs/`` after
-        it, so once the run commits its manifest survives a power loss.
-        """
-        path = self.root / RUNS_DIR / f"{run}.manifest"
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(path.parent)
-
     def _read_manifest(self, run: str) -> RunManifest:
-        """Read and decode ``runs/<run>.manifest`` from disk, uncached."""
-        path = self.root / RUNS_DIR / f"{run}.manifest"
+        """Decode one committed run's manifest from its catalog row,
+        uncached.
+
+        Raises ``KeyError`` for a run the catalog does not hold and
+        :class:`CorruptRun` for a manifest that does not decode or
+        names another run.
+        """
+        data = self._catalog.manifest(run)
+        if data is None:
+            raise KeyError(f"no run {run!r} in corpus")
         try:
-            return decode_manifest(path.read_bytes())
-        except (OSError, ValueError) as exc:
+            manifest = decode_manifest(data)
+        except ValueError as exc:
             raise CorruptRun(f"run {run}: unreadable manifest: {exc}") from exc
+        if manifest.run != run:
+            raise CorruptRun(f"run {run}: manifest names run {manifest.run!r}")
+        return manifest
 
     # ---- reads --------------------------------------------------------
 
@@ -365,19 +304,12 @@ class TraceCorpus:
         """One committed run's manifest: its only membership record.
 
         Decoded once into the session's cache (a committed manifest
-        never changes).  Raises ``KeyError`` for a run the catalog does
-        not hold and :class:`CorruptRun` for a manifest that is
-        missing, does not decode or names another run.
+        never changes); raises as :meth:`_read_manifest` does.
         """
 
         def load():
-            record = self.run(run)
             manifest = self._read_manifest(run)
-            if manifest.run != run:
-                raise CorruptRun(
-                    f"run {run}: manifest names run {manifest.run!r}"
-                )
-            return manifest, 64 + 32 * record.manifest_bytes
+            return manifest, 64 + 32 * self.run(run).manifest_bytes
 
         return self._cache.get_or_load((self, "manifest", run), load)
 
@@ -595,10 +527,6 @@ class TraceCorpus:
             except CorruptRun as exc:
                 problems.append(str(exc))
                 continue
-            if manifest.run != record.run:
-                problems.append(
-                    f"run {record.run}: manifest names run {manifest.run!r}"
-                )
             used = set(manifest.dcg_chunks)
             for fn in manifest.functions:
                 used.update(fn.bodies)
@@ -642,17 +570,14 @@ class TraceCorpus:
 
         ``compaction_factor`` compares what the runs would occupy as
         independent ``.twpp`` files against what the corpus actually
-        holds (pack + manifests; the SQLite catalog is reported
-        separately).
+        holds (pack + manifests; the SQLite catalog, manifests
+        included, is reported separately as ``catalog_bytes``).
         """
         run_reports = []
         twpp_total = manifest_total = 0
         for record in self._catalog.runs():
             report = record.to_dict()
-            marginal = record.manifest_bytes + record.bytes_added
-            report["compaction_factor"] = (
-                record.twpp_bytes / marginal if marginal else 0.0
-            )
+            report["compaction_factor"] = record.compaction_factor
             run_reports.append(report)
             twpp_total += record.twpp_bytes
             manifest_total += record.manifest_bytes

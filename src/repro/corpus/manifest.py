@@ -5,12 +5,12 @@ the corpus: per function (in original DCG index order) the call count
 and the blob ids of its unique bodies and dictionaries, the local
 (body, dictionary) pairs exactly as the ``.twpp`` section stored them,
 and the ordered DCG chunk blob ids plus node count.  It is the only
-record of which blobs a run uses: every corpus read takes membership
-from the decoded manifest, and per-pair activation weights from the
-run's DCG.  Blob ids are the corpus catalog's -- varint-small where a
-20-byte sha per reference would rival the sections it replaces -- and
-resolve through the catalog's blob index or by replaying the
-self-describing pack.
+record of which blobs a run uses, stored encoded in the run's catalog
+row: every corpus read takes membership from the decoded manifest, and
+per-pair activation weights from the run's DCG.  Blob ids are the
+corpus catalog's -- varint-small where a 20-byte sha per reference
+would rival the sections it replaces -- and resolve through the
+catalog's blob index or by replaying the self-describing pack.
 
 A **digest** (:class:`RunDigest`) is the intermediate :func:`scan_run`
 produces from a warm query engine: the same structure but carrying
@@ -83,7 +83,7 @@ class ManifestFunction:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """One ingested run, as stored in ``runs/<run>.manifest``."""
+    """One ingested run, as stored in its catalog row's ``manifest``."""
 
     run: str
     source: str

@@ -70,7 +70,7 @@ class PartitionedWpp:
         pays for its own copy of its path trace.
         """
         per_trace_size = [
-            [_trace_size(t) for t in table] for table in self.traces
+            [trace_size(t) for t in table] for table in self.traces
         ]
         total = 0
         for func_idx, trace_id in zip(self.dcg.node_func, self.dcg.node_trace):
@@ -83,7 +83,7 @@ class PartitionedWpp:
         This is the "after redundancy removal" column of Table 2.
         """
         return sum(
-            _trace_size(t) for table in self.traces for t in table
+            trace_size(t) for table in self.traces for t in table
         )
 
     def dcg_bytes(self) -> int:
@@ -91,7 +91,7 @@ class PartitionedWpp:
         return len(self.dcg.serialize())
 
 
-def _trace_size(trace: PathTrace) -> int:
+def trace_size(trace: PathTrace) -> int:
     """Bytes to store one path trace as length-prefixed varints."""
     return uvarint_size(len(trace)) + sum(uvarint_size(b) for b in trace)
 

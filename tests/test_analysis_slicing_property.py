@@ -7,8 +7,11 @@ examples.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import DynamicSlicer, ExpressionAvailable, TimestampSet
+from repro.analysis.slicing import governing_instances
 from repro.trace import collect_wpp, partition_wpp
 from repro.workloads import WorkloadSpec, generate_program
 
@@ -80,3 +83,25 @@ class TestHierarchyOnGeneratedPrograms:
             reference = cold.slice_approach3(last_block, ["x"], ts)
             assert first.slice_nodes == reference.slice_nodes
             assert again.slice_nodes == reference.slice_nodes
+
+
+class TestGoverningInstances:
+    """The bisect choice equals the quadratic scan it replaced: for each
+    instance, the largest parent execution strictly before it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parents=st.sets(st.integers(1, 200), max_size=40),
+        instances=st.sets(st.integers(1, 200), max_size=40),
+    )
+    def test_matches_linear_scan(self, parents, instances):
+        parent_values = TimestampSet.from_values(parents).values()
+        assert parent_values == sorted(parents)
+        expected = []
+        for t in TimestampSet.from_values(instances):
+            earlier = [p for p in parent_values if p < t]
+            if earlier:
+                expected.append(max(earlier))
+        assert governing_instances(
+            parent_values, TimestampSet.from_values(instances)
+        ) == expected

@@ -98,17 +98,19 @@ class TestIngest:
     ):
         session, _, paths, _ = corpus_env
         ordered = sorted(paths.values())
-        with TraceCorpus(tmp_path / "single", session=session) as single:
+        with TraceCorpus(
+            tmp_path / "single", session=session
+        ) as single, TraceCorpus(tmp_path / "batch", session=session) as batch:
             for path in ordered:
                 single.ingest(path)
-        with TraceCorpus(tmp_path / "batch", session=session) as batch:
-            batch.ingest_runs(ordered)
-        assert (tmp_path / "single" / "blobs.pack").read_bytes() == (
-            tmp_path / "batch" / "blobs.pack"
-        ).read_bytes()
-        for manifest in sorted((tmp_path / "single" / "runs").iterdir()):
-            twin = tmp_path / "batch" / "runs" / manifest.name
-            assert manifest.read_bytes() == twin.read_bytes()
+            assert batch.ingest_runs(ordered) == single.runs()
+            assert (tmp_path / "single" / "blobs.pack").read_bytes() == (
+                tmp_path / "batch" / "blobs.pack"
+            ).read_bytes()
+            for record in single.runs():
+                assert single._catalog.manifest(
+                    record.run
+                ) == batch._catalog.manifest(record.run)
 
 
 class TestServing:
@@ -221,6 +223,12 @@ class TestStorage:
         assert len(report["runs"]) == len(paths)
         assert report["twpp_bytes"] > report["corpus_bytes"] > 0
         assert report["compaction_factor"] > 1.0
+        assert [r["compaction_factor"] for r in report["runs"]] == [
+            r.compaction_factor for r in corpus.runs()
+        ]
+        assert report["manifest_bytes"] == sum(
+            len(corpus._catalog.manifest(r.run)) for r in corpus.runs()
+        )
         assert set(report["blobs"]) == {"body", "dict", "dcg"}
         for kind in report["blobs"].values():
             assert kind["count"] > 0 and kind["bytes"] > 0
@@ -236,12 +244,12 @@ class TestStorage:
         for _sha, kind, _offset, _length in replayed:
             assert kind in (KIND_BODY, KIND_DICT, KIND_DCG)
 
-    def test_manifest_files_decode(self, corpus_env):
+    def test_stored_manifests_decode(self, corpus_env):
         _, corpus, paths, _ = corpus_env
         for record in corpus.runs():
-            manifest = decode_manifest(
-                (corpus.root / "runs" / f"{record.run}.manifest").read_bytes()
-            )
+            data = corpus._catalog.manifest(record.run)
+            assert record.manifest_bytes == len(data)
+            manifest = decode_manifest(data)
             assert manifest.run == record.run
             assert len(manifest.functions) == record.functions
             assert manifest.dcg_nodes == record.dcg_nodes
@@ -282,7 +290,7 @@ class TestCatalog:
             con.close()
 
     def test_catalog_holds_only_blobs_and_runs(self, corpus_env, tmp_path):
-        """Membership lives in the manifests: no table repeats it."""
+        """Membership lives in each run's manifest: no table repeats it."""
         _, corpus, _, _ = corpus_env
         TraceCorpus(tmp_path / "fresh").close()
         for root in (tmp_path / "fresh", corpus.root):
@@ -303,7 +311,19 @@ class TestCatalog:
             ).fetchone()
         finally:
             con.close()
-        assert version == str(SCHEMA_VERSION) == "2"
+        assert version == str(SCHEMA_VERSION) == "3"
+
+    def test_corpus_directory_holds_pack_and_catalog_only(
+        self, corpus_env, tmp_path
+    ):
+        """Each run's one record is its catalog row: no file per run."""
+        _, corpus, _, _ = corpus_env
+        TraceCorpus(tmp_path / "fresh").close()
+        for root in (tmp_path / "fresh", corpus.root):
+            assert sorted(p.name for p in root.iterdir()) == [
+                "blobs.pack",
+                "corpus.sqlite",
+            ]
 
     @pytest.mark.parametrize("damage", ["truncated", "header", "version"])
     def test_bad_catalog_is_an_error_naming_the_file(
@@ -327,11 +347,11 @@ class TestCatalog:
             con = sqlite3.connect(db)
             with con:
                 con.execute(
-                    "UPDATE meta SET value = '1'"
+                    "UPDATE meta SET value = '2'"
                     " WHERE key = 'schema_version'"
                 )
             con.close()
-            message = "schema version 1, expected 2"
+            message = "schema version 2, expected 3"
         with pytest.raises(ValueError, match=message) as info:
             TraceCorpus(root)
         assert str(db) in str(info.value)
@@ -386,6 +406,41 @@ class TestSessionFacade:
                 tmp_path / "c", paths["li-a"], run="r"
             )
             assert result.run == "r" and result.blobs_added > 0
+            with session.corpus(tmp_path / "c") as corpus:
+                assert corpus.runs() == [result]
+
+    def test_scan_survives_an_evict(self, corpus_env, tmp_path, monkeypatch):
+        """A store evicts a path whose file went stale; an ingest
+        scanning that path meanwhile holds a lease on its engine, so
+        the mapping stays open and the run lands as a clean ingest
+        would."""
+        from repro.compact.qserve import QueryEngine
+
+        _, _, paths, _ = corpus_env
+        path = paths["li-c"]
+        with TraceCorpus(tmp_path / "clean") as corpus:
+            clean = corpus.ingest(path, run="r")
+        evicted = []
+        extract = QueryEngine.extract
+        with Session() as session:
+
+            def then_evict(engine, name):
+                fc = extract(engine, name)
+                if not evicted:
+                    evicted.append(session.evict(path))
+                return fc
+
+            monkeypatch.setattr(QueryEngine, "extract", then_evict)
+            with session.corpus(tmp_path / "c") as corpus:
+                assert corpus.ingest(path, run="r") == clean
+                assert corpus.check() == []
+                data = corpus._catalog.manifest("r")
+        assert evicted == [True]
+        assert (tmp_path / "c" / "blobs.pack").read_bytes() == (
+            tmp_path / "clean" / "blobs.pack"
+        ).read_bytes()
+        with TraceCorpus(tmp_path / "clean") as corpus:
+            assert corpus._catalog.manifest("r") == data
 
 
 class TestCli:

@@ -1,15 +1,15 @@
 """Crash consistency of corpus ingest, and ``TraceCorpus.check``.
 
-An ingest writes the run's new pack records (fsynced), then its
-manifest, then commits one catalog transaction.  Each kill-point test
-runs an ingest in a subprocess whose script wraps one of those steps
-to ``os._exit`` right after it (or, for the commit, right before it),
-then reopens the corpus here: ``check()`` must come back clean, the
-killed run must be absent, and re-ingesting it must give exactly what
-a clean ingest gives -- the same ``IngestResult``, pack bytes and
-manifest.  Opening a corpus drops a torn pack tail only when no
-ingest holds the pack's writer lock, so a reader that opens it
-mid-ingest leaves that ingest's records alone.
+An ingest writes the run's new pack records (fsynced), then commits
+one catalog transaction holding the run's row and manifest.  Each
+kill-point test runs an ingest in a subprocess whose script wraps one
+of those steps to ``os._exit`` right after the pack write (or right
+before the commit), then reopens the corpus here: ``check()`` must
+come back clean, the killed run must be absent, and re-ingesting it
+must give exactly what a clean ingest gives -- the same
+``CorpusRun``, pack bytes and manifest.  Opening a corpus drops a torn
+pack tail only when no ingest holds the pack's writer lock, so a
+reader that opens it mid-ingest leaves that ingest's records alone.
 """
 
 import json
@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro.api import Session
-from repro.corpus import BlobPack, CorruptRun, TraceCorpus
+from repro.corpus import BlobPack, CorpusCatalog, CorruptRun, TraceCorpus
 from repro.trace import collect_wpp, partition_wpp
 from repro.workloads import workload
 
@@ -48,8 +48,6 @@ def then_exit(original):
 corpus = TraceCorpus(root)
 if step == "pack":
     BlobPack.append_many = then_exit(BlobPack.append_many)
-elif step == "manifest":
-    TraceCorpus._write_manifest = then_exit(TraceCorpus._write_manifest)
 elif step == "commit":
     corpus._catalog._db.set_trace_callback(
         lambda sql: sql == "COMMIT" and os._exit(%(code)d)
@@ -70,6 +68,18 @@ with TraceCorpus(sys.argv[1]) as corpus:
 
 def commits(statements):
     return sum(1 for sql in statements if sql == "COMMIT")
+
+
+def stored_manifest(root: Path, run: str) -> bytes:
+    """One run's manifest bytes, as its catalog row holds them."""
+    con = sqlite3.connect(root / "corpus.sqlite")
+    try:
+        (data,) = con.execute(
+            "SELECT manifest FROM runs WHERE run = ?", (run,)
+        ).fetchone()
+    finally:
+        con.close()
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -121,38 +131,36 @@ def _kill_ingest(root: Path, twpp: Path, step: str) -> None:
 
 
 class TestKillPoints:
-    @pytest.mark.parametrize("step", ["pack", "manifest", "commit"])
+    @pytest.mark.parametrize("step", ["pack", "commit"])
     def test_killed_ingest_recovers(self, runs, clean, tmp_path, step):
         clean_root, clean_result = clean
         root = tmp_path / "corpus"
         with TraceCorpus(root) as corpus:
             corpus.ingest(runs["a"], run="a")
         pack = root / "blobs.pack"
-        manifest = root / "runs" / "b.manifest"
         before = pack.stat().st_size
 
         _kill_ingest(root, runs["b"], step)
 
-        # The kill left a pack tail, and past the rename a manifest,
-        # that no committed row accounts for.
+        # The kill left a pack tail that no committed row accounts for.
         torn = pack.stat().st_size - before
         assert torn > 0
-        assert manifest.exists() == (step != "pack")
 
         with TraceCorpus(root) as corpus:
             assert pack.stat().st_size == before
             assert corpus.recovered_bytes == torn
             assert corpus.check() == []
             assert [r.run for r in corpus.runs()] == ["a"]
-            assert manifest.exists() == (step != "pack")  # left alone
 
             result = corpus.ingest(runs["b"], run="b")
             assert result == clean_result
             assert corpus.check() == []
         assert pack.read_bytes() == (clean_root / "blobs.pack").read_bytes()
-        assert manifest.read_bytes() == (
-            clean_root / "runs" / "b.manifest"
-        ).read_bytes()
+        assert stored_manifest(root, "b") == stored_manifest(clean_root, "b")
+        assert sorted(p.name for p in root.iterdir()) == [
+            "blobs.pack",
+            "corpus.sqlite",
+        ]
 
 
 class TestFailedIngest:
@@ -171,7 +179,7 @@ class TestFailedIngest:
                 raise OSError("no space left on device")
 
             with monkeypatch.context() as patch:
-                patch.setattr(TraceCorpus, "_write_manifest", disk_full)
+                patch.setattr(CorpusCatalog, "add_run", disk_full)
                 with pytest.raises(OSError, match="no space"):
                     corpus.ingest(runs["b"], run="b")
             assert (root / "blobs.pack").stat().st_size == size
@@ -313,52 +321,70 @@ class TestCheck:
             (problem,) = corpus.check()
         assert problem.startswith("blob 1: refs")
 
-    def test_missing_manifest_reported(self, corpus_root):
-        (corpus_root / "runs" / "b.manifest").unlink()
+    @staticmethod
+    def damage_manifests(corpus_root, damage):
+        """Truncate b's stored manifest, or swap a's and b's."""
+        con = sqlite3.connect(corpus_root / "corpus.sqlite")
+        with con:
+            if damage == "truncated":
+                con.execute(
+                    "UPDATE runs SET manifest ="
+                    " substr(manifest, 1, length(manifest) - 3)"
+                    " WHERE run = 'b'"
+                )
+            else:
+                stored = dict(con.execute("SELECT run, manifest FROM runs"))
+                con.executemany(
+                    "UPDATE runs SET manifest = ? WHERE run = ?",
+                    [(stored["b"], "a"), (stored["a"], "b")],
+                )
+        con.close()
+
+    def test_truncated_manifest_reported(self, corpus_root):
+        self.damage_manifests(corpus_root, "truncated")
         with TraceCorpus(corpus_root) as corpus:
             problems = corpus.check()
-        assert any("run b: unreadable manifest" in p for p in problems)
+        assert problems[0].startswith("run b: unreadable manifest")
         # Without b's manifest, every blob b shares now looks over-counted.
         assert any("refs 2, but 1" in p for p in problems)
 
-    @pytest.mark.parametrize("damage", ["missing", "truncated", "swapped"])
+    @pytest.mark.parametrize("damage", ["truncated", "swapped"])
     def test_unreadable_manifest_is_a_typed_read_error(
         self, corpus_root, damage
     ):
-        """Reads take membership from the manifest alone, so a damaged
-        one fails every read of its run, naming the run; ``check``
-        reports it as before."""
-        manifest = corpus_root / "runs" / "b.manifest"
-        if damage == "missing":
-            manifest.unlink()
-            message = "run b: unreadable manifest"
-        elif damage == "truncated":
-            manifest.write_bytes(manifest.read_bytes()[:-3])
-            message = "run b: unreadable manifest"
-        else:
-            manifest.write_bytes(
-                (corpus_root / "runs" / "a.manifest").read_bytes()
-            )
-            message = "run b: manifest names run 'a'"
+        """Reads take membership from the stored manifest alone, so a
+        damaged one fails every read of its run, naming the run;
+        ``check`` reports it as before."""
         with TraceCorpus(corpus_root) as corpus:
             name = corpus.functions("a")[0]
-            assert corpus.traces("a", name)
-            reads = (
-                lambda: corpus.functions("b"),
-                lambda: corpus.traces("b", name),
-                lambda: corpus.dcg("b"),
-                lambda: corpus.diff("a", "b"),
-                lambda: corpus.hot_paths(),
-                lambda: corpus.block_frequencies(runs=["b"]),
-            )
-            for read in reads:
-                with pytest.raises(CorruptRun, match=message):
-                    read()
-            problems = corpus.check()
-        if damage == "swapped":
-            assert problems[0] == "run b: manifest names run 'a'"
+        self.damage_manifests(corpus_root, damage)
+        if damage == "truncated":
+            damaged = {"b": "run b: unreadable manifest"}
         else:
+            damaged = {
+                "a": "run a: manifest names run 'b'",
+                "b": "run b: manifest names run 'a'",
+            }
+        with TraceCorpus(corpus_root) as corpus:
+            if "a" not in damaged:
+                assert corpus.traces("a", name)
+            for run, message in damaged.items():
+                reads = (
+                    lambda: corpus.functions(run),
+                    lambda: corpus.traces(run, name),
+                    lambda: corpus.dcg(run),
+                    lambda: corpus.diff(run, "a" if run == "b" else "b"),
+                    lambda: corpus.hot_paths(runs=[run]),
+                    lambda: corpus.block_frequencies(runs=[run]),
+                )
+                for read in reads:
+                    with pytest.raises(CorruptRun, match=message):
+                        read()
+            problems = corpus.check()
+        if damage == "truncated":
             assert problems[0].startswith("run b: unreadable manifest")
+        else:
+            assert problems[:2] == list(damaged.values())
 
     def test_corrupt_payload_reported(self, corpus_root):
         pack = corpus_root / "blobs.pack"

@@ -1,14 +1,14 @@
 """Golden corpus bytes: what ingesting five analogue runs writes.
 
 Ingest is free to change *how* it writes (batching, transactions,
-fsync order) but not *what*: the pack's bytes, every run's manifest,
-the catalog's blob rows (ids, offsets, reference counts) and every
-run's pair membership with its activation weights are pinned here as
-sha1s of the bytes the reference ingest produced.  The ``pairs`` digest
-hashes one row per section position, ``run_id func position body_blob
-dict_blob weight`` (``run_id`` the 1-based ingest order, rows ordered
-by run, function, position), computed from each run's manifest and
-the DCG the pack stores.  The input ``.twpp`` sha1s are pinned too, so
+fsync order) but not *what*: the pack's bytes, every run's manifest
+(as its catalog row stores it), the catalog's blob rows (ids, offsets,
+reference counts) and every run's pair membership with its activation
+weights are pinned here as sha1s of the bytes the reference ingest
+produced.  The ``pairs`` digest hashes one row per section position,
+``run_id func position body_blob dict_blob weight`` (``run_id`` the
+1-based ingest order, rows ordered by run, function, position),
+computed from each run's manifest and the DCG the pack stores.  The input ``.twpp`` sha1s are pinned too, so
 a failure says whether the inputs or the ingest moved.
 
 Regenerate ``tests/data/corpus_golden.json`` (only when the corpus
@@ -55,20 +55,17 @@ def _digest_rows(rows) -> str:
     return _sha1(lines.encode())
 
 
-def _dump(db: Path, query: str) -> str:
+def _query(db: Path, query: str) -> list:
     con = sqlite3.connect(db)
     try:
-        rows = con.execute(query).fetchall()
+        return con.execute(query).fetchall()
     finally:
         con.close()
-    return _digest_rows(rows)
 
 
-def _pair_rows(corpus, run_id: int, run: str) -> list:
-    """One run's ``pairs`` rows, from its manifest file and its DCG."""
-    manifest = decode_manifest(
-        (corpus.root / "runs" / f"{run}.manifest").read_bytes()
-    )
+def _pair_rows(corpus, run_id: int, run: str, data: bytes) -> list:
+    """One run's ``pairs`` rows, from its stored manifest and its DCG."""
+    manifest = decode_manifest(data)
     dcg = corpus.dcg(run)
     weights = Counter(zip(dcg.node_func, dcg.node_trace))
     rows = []
@@ -102,22 +99,23 @@ def corpus_digests() -> dict:
             session.trace(ir, stream=True, output=paths[-1])
         with TraceCorpus("corpus", session=session) as corpus:
             corpus.ingest_runs(paths, runs=[name for name, _, _ in RUNS])
+            db = Path("corpus") / "corpus.sqlite"
+            manifests = dict(_query(db, "SELECT run, manifest FROM runs"))
             pairs = _digest_rows(
                 row
                 for run_id, (name, _, _) in enumerate(RUNS, start=1)
-                for row in _pair_rows(corpus, run_id, name)
+                for row in _pair_rows(corpus, run_id, name, manifests[name])
             )
-    root = Path("corpus")
     return {
         "twpp": {p.stem: _sha1(p.read_bytes()) for p in paths},
-        "pack": _sha1((root / "blobs.pack").read_bytes()),
-        "manifests": {
-            p.stem: _sha1(p.read_bytes())
-            for p in sorted((root / "runs").glob("*.manifest"))
-        },
-        "blobs": _dump(
-            root / "corpus.sqlite",
-            "SELECT sha, kind, offset, length, refs FROM blobs ORDER BY id",
+        "pack": _sha1((Path("corpus") / "blobs.pack").read_bytes()),
+        "manifests": {run: _sha1(data) for run, data in manifests.items()},
+        "blobs": _digest_rows(
+            _query(
+                db,
+                "SELECT sha, kind, offset, length, refs FROM blobs"
+                " ORDER BY id",
+            )
         ),
         "pairs": pairs,
     }

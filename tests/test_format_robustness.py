@@ -68,9 +68,10 @@ def corpus_originals(tmp_path_factory):
     write_twpp(compacted, tmp / "a.twpp")
     with TraceCorpus(tmp / "corpus") as corpus:
         corpus.ingest(tmp / "a.twpp")
+        cwpm = corpus._catalog.manifest("a")
     return {
         "cwpk": (tmp / "corpus" / "blobs.pack").read_bytes(),
-        "cwpm": (tmp / "corpus" / "runs" / "a.manifest").read_bytes(),
+        "cwpm": cwpm,
     }
 
 
