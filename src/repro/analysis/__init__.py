@@ -32,7 +32,6 @@ from .facts import (
     LoadAvailable,
     VarHasDefinition,
     classify_statements,
-    has_calls,
     parse_fact,
 )
 from .frequency import (
@@ -48,19 +47,8 @@ from .hotpaths import (
     path_profile,
     path_profile_compacted,
 )
-from .interproc import (
-    ActivationAnalysis,
-    ActivationTree,
-    CallEffects,
-    activation_effects,
-    analyze_activation,
-)
+from .interproc import ActivationAnalysis, ActivationTree, CallEffects
 from .parallel import analyze_tasks_parallel
-from .interproc_paths import (
-    InterproceduralEngine,
-    InterproceduralResult,
-    interprocedural_query,
-)
 from .redundancy import (
     RedundancyReport,
     find_load,
@@ -68,7 +56,6 @@ from .redundancy import (
     redundancy_by_block,
 )
 from .slicing import DynamicSlicer, SliceResult
-from .slicing_interproc import InterSliceResult, InterproceduralSlicer
 
 __all__ = [
     "ActivationAnalysis",
@@ -88,10 +75,6 @@ __all__ = [
     "FunctionCoverage",
     "GEN",
     "HotPath",
-    "InterSliceResult",
-    "InterproceduralEngine",
-    "InterproceduralResult",
-    "InterproceduralSlicer",
     "KILL",
     "LoadAvailable",
     "PathProfile",
@@ -102,9 +85,7 @@ __all__ = [
     "TimestampSet",
     "TimestampedCfg",
     "VarHasDefinition",
-    "activation_effects",
     "acyclic_paths",
-    "analyze_activation",
     "analyze_tasks_parallel",
     "classify_statements",
     "coverage_report",
@@ -113,8 +94,6 @@ __all__ = [
     "fact_frequencies_many",
     "find_load",
     "flowgraph_stats",
-    "has_calls",
-    "interprocedural_query",
     "last_definition_before",
     "load_redundancy",
     "parse_fact",

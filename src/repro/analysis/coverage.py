@@ -35,11 +35,6 @@ class FunctionCoverage:
     def edge_coverage(self) -> float:
         return self.edges_hit / self.edges_total if self.edges_total else 1.0
 
-    def uncovered_blocks(self, func) -> List[int]:
-        """Blocks never executed (needs the static function)."""
-        hit = {b for b, _c in self.block_counts}
-        return [b for b in func.block_ids() if b not in hit]
-
 
 @dataclass
 class CoverageReport:

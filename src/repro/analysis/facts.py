@@ -10,10 +10,10 @@ statement-syntactic -- GEN/KILL is decided by looking at one statement
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from ..ir.expr import Const
-from ..ir.stmt import Assign, Call, Load, Read, Stmt, Store
+from ..ir.stmt import Assign, Load, Stmt, Store
 
 #: Effect labels used throughout the analysis package.
 GEN = "gen"
@@ -27,8 +27,8 @@ class Fact:
     ``crosses_calls`` says whether a callee can change the fact.  Most
     facts range over a frame's own variables, which a call changes only
     through its ``dest`` -- :meth:`gens`/:meth:`kills` of the call
-    statement itself; memory facts set it true, and the interprocedural
-    analyses then resolve each call to its callee's net effect.
+    statement itself; memory facts set it true, and the call-aware
+    analysis then resolves each call to its callee's net effect.
     """
 
     crosses_calls = False
@@ -131,12 +131,6 @@ def classify_statements(statements: Sequence[Stmt], fact: Fact) -> str:
         if fact.kills(stmt):
             return KILL
     return TRANSPARENT
-
-
-def has_calls(statements: Sequence[Stmt]) -> bool:
-    """True if any statement is a call: a fact that crosses calls then
-    needs the callees' effects (:mod:`repro.analysis.interproc`)."""
-    return any(isinstance(s, Call) for s in statements)
 
 
 def fact_to_spec(fact: Fact) -> "str | None":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..trace.partition import PartitionedWpp
 
@@ -112,10 +112,6 @@ class PathProfile:
             if acc >= needed:
                 return i
         return len(self.counts)
-
-    def function_paths(self, function: str) -> List[HotPath]:
-        """All of one function's paths, hottest first."""
-        return [h for h in self.hot_paths(k=len(self.counts)) if h.function == function]
 
 
 def path_profile(partitioned: PartitionedWpp) -> PathProfile:

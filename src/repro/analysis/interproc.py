@@ -3,24 +3,23 @@
 Section 4.2: when a node contains a call, its dynamic GEN/KILL sets for
 a fact depend on what the *specific callee activations* did --
 ``GEN_f(T(n))`` is the subset of timestamps whose call generated the
-fact.  Every interprocedural analysis here runs on one
-:class:`ActivationTree`, derived once from the DCG's preorder and the
-traces' call counts (:func:`~repro.trace.dcg.dcg_children`), so a
-``.twpp`` read from disk works as the in-memory form does.  It serves
-one :class:`Activation` view per DCG node, and :class:`CallEffects`
-holds the one backward statement scan that resolves each call to the
-net effect of the child activation it ran.
+fact.  :class:`ActivationAnalysis` runs on one :class:`ActivationTree`,
+derived once from the DCG's preorder and the traces' call counts
+(:func:`~repro.trace.dcg.dcg_children`), so a ``.twpp`` read from disk
+works as the in-memory form does.  The tree serves one
+:class:`Activation` view per DCG node, and :class:`CallEffects` holds
+the one backward statement scan that resolves each call to the net
+effect of the child activation it ran.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..compact.pipeline import CompactedWpp
 from ..compact.series import TimestampSet
 from ..ir.module import Function, Program
-from ..ir.stmt import Call, Stmt
+from ..ir.stmt import Call
 from ..trace.dcg import dcg_children
 from ..trace.reconstruct import block_call_counts, pair_call_counts
 from .dyncfg import TimestampedCfg
@@ -45,24 +44,6 @@ class Activation(NamedTuple):
     calls_before: List[int]
     children: List[int]
 
-    def statements(self, position: int) -> Tuple[Stmt, ...]:
-        """The statements of the block run at trace ``position``."""
-        return self.function.block(self.trace[position - 1]).statements
-
-    def call_site(self, k: int) -> Tuple[int, int, Call]:
-        """The ``k``-th call this activation executes (its ``k``-th child).
-
-        Returns ``(trace position, statement index, Call)``.
-        """
-        position = bisect_right(self.calls_before, k, 1) - 1
-        rank = k - self.calls_before[position]
-        for index, stmt in enumerate(self.statements(position)):
-            if isinstance(stmt, Call):
-                if not rank:
-                    return position, index, stmt
-                rank -= 1
-        raise IndexError(f"activation {self.node}: no call #{k}")
-
 
 class ActivationTree:
     """A run's activation tree, derived once from its DCG's preorder.
@@ -81,12 +62,6 @@ class ActivationTree:
         self.children = dcg_children(
             self.dcg, pair_call_counts(names, self.traces, program)
         )
-        #: Per node: ``(caller node, k)`` -- the node is its caller's
-        #: ``k``-th child -- or ``None`` for the root.
-        self.caller: List[Optional[Tuple[int, int]]] = [None] * len(self.dcg)
-        for parent, kids in enumerate(self.children):
-            for k, child in enumerate(kids):
-                self.caller[child] = (parent, k)
         self._layouts: Dict[Tuple[int, int], tuple] = {}
         self._views: Dict[int, Activation] = {}
 
@@ -174,14 +149,6 @@ class CallEffects:
                         break
                     end -= counts[block_id]
         return self._net
-
-
-def activation_effects(
-    compacted: CompactedWpp, program: Program, fact: Fact
-) -> List[str]:
-    """Net effect (``gen``/``kill``/``transparent``) of every DCG
-    activation on ``fact``: the last decisive event of its execution."""
-    return CallEffects(ActivationTree(compacted, program), fact).net_effects()
 
 
 class ActivationAnalysis:
@@ -289,13 +256,3 @@ class ActivationAnalysis:
             )
         self._block_partition[block_id] = cached
         return cached
-
-
-def analyze_activation(
-    compacted: CompactedWpp,
-    program: Program,
-    fact: Fact,
-    node: int = 0,
-) -> ActivationAnalysis:
-    """Build an :class:`ActivationAnalysis` (default: the root activation)."""
-    return ActivationAnalysis(compacted, program, fact, node)

@@ -53,7 +53,7 @@ from .compact.query import read_twpp
 from .compact.stream import StreamResult, stream_compact as _stream_compact
 from .ir.module import Program
 from .obs import MetricsRegistry
-from .trace.format import read_wpp, scan_function_traces, write_wpp
+from .trace.format import read_wpp, scan_function_traces
 from .trace.partition import PartitionedWpp, PathTrace, partition_wpp
 from .trace.wpp import WppTrace, collect_wpp
 from .util import read_magic
@@ -348,24 +348,6 @@ class Session:
 
         return TraceCorpus(root, session=self)
 
-    def ingest_run(
-        self,
-        root: PathLike,
-        twpp: PathLike,
-        run: Optional[str] = None,
-    ):
-        """Ingest one ``.twpp`` into the corpus at ``root`` and return
-        its committed :class:`~repro.corpus.CorpusRun`.
-
-        Convenience for one-shot ingestion; hold :meth:`corpus` open
-        yourself to ingest batches or query across runs afterwards.
-        """
-        corpus = self.corpus(root)
-        try:
-            return corpus.ingest(twpp, run=run)
-        finally:
-            corpus.close()
-
     def query(
         self,
         twpp: TwppSource,
@@ -497,10 +479,6 @@ class Session:
         return out
 
     # ---- persistence --------------------------------------------------
-
-    def save_wpp(self, wpp: WppTrace, path: PathLike) -> int:
-        """Write an uncompacted ``.wpp`` file; returns bytes written."""
-        return write_wpp(wpp, path)
 
     def load(self, path: PathLike) -> CompactedWpp:
         """Read a ``.twpp`` file back into memory."""

@@ -34,6 +34,7 @@ only it takes ``-j``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -568,14 +569,61 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """argparse ``type=`` for ``--top``/``--limit``: an integer >= 0."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse ``type=`` for ``--top``/``--limit``/``--cache-bytes``:
+    an integer >= 0."""
+    return _int_at_least(text, 0)
+
+
+def _positive_count(text: str) -> int:
+    """argparse ``type=`` for ``--max-events``/``--sample``: an integer
+    >= 1."""
+    return _int_at_least(text, 1)
+
+
+def _port(text: str) -> int:
+    """argparse ``type=`` for ``--port``: a TCP port, 0 to 65535."""
+    value = _int_at_least(text, 0)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(f"must be <= 65535, got {value}")
+    return value
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse ``type=`` for ``--threshold``: a float in [0, 1]."""
+    value = _finite(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and 1, got {text}"
+        )
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse ``type=`` for ``--scale``: a finite float > 0."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
@@ -610,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a synthetic workload as textual IR")
     p.add_argument("name", help="workload name (e.g. gcc-like)")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive, default=1.0)
     p.add_argument("-o", "--output", help="write to file instead of stdout")
     p.set_defaults(func=_cmd_generate)
 
@@ -623,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="argument passed to main (repeatable)")
     p.add_argument("--input", type=int, action="append", default=[],
                    help="value for the read() input stream (repeatable)")
-    p.add_argument("--max-events", type=int, default=50_000_000)
+    p.add_argument("--max-events", type=_positive_count, default=50_000_000)
     p.add_argument("--stream", action="store_true",
                    help="partition while executing and write a .twpp "
                         "directly (no raw .wpp is built)")
@@ -656,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="function name(s); several fan out as one batch")
     p.add_argument("--limit", type=_count, default=10,
                    help="max traces to print per function (0 = all)")
-    p.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
+    p.add_argument("--cache-bytes", type=_count, default=DEFAULT_CACHE_BYTES,
                    help="query LRU cache budget in bytes for "
                         ".twpp serving (0 disables caching; default 64 MiB)")
     p.set_defaults(func=_cmd_query)
@@ -674,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[], metavar="NAME",
                    help="restrict to this function (repeatable; "
                         "default: every function)")
-    p.add_argument("--threshold", type=float, default=0.9,
+    p.add_argument("--threshold", type=_fraction, default=0.9,
                    help="hot-fact frequency threshold (default 0.9)")
     p.add_argument("--limit", type=_count, default=10,
                    help="max hot blocks to print per trace")
@@ -700,10 +748,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("store", help="directory of .twpp files")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8080,
+    p.add_argument("--port", type=_port, default=8080,
                    help="TCP port (0 = ephemeral; the chosen port is "
                         "printed at startup)")
-    p.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
+    p.add_argument("--cache-bytes", type=_count, default=DEFAULT_CACHE_BYTES,
                    help="decoded-bytes budget for everything the daemon "
                         "caches, every file and the corpus together "
                         "(LRU; default 64 MiB)")
@@ -816,8 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hotpaths)
 
     p = sub.add_parser("experiments", help="regenerate every table and figure")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--sample", type=int, default=8)
+    p.add_argument("--scale", type=_positive, default=1.0)
+    p.add_argument("--sample", type=_positive_count, default=8)
     p.add_argument("--workdir", default=None)
     p.add_argument("-o", "--output", help="also write the report to a file")
     p.set_defaults(func=_cmd_experiments)

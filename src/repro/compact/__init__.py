@@ -24,7 +24,6 @@ from .dbb import (
     DbbDictionary,
     compact_trace,
     dynamic_cfg,
-    dynamic_cfg_edges,
     expand_trace,
     find_dbb_chains,
     verify_dictionary,
@@ -52,7 +51,6 @@ from .qserve import (
     QueryEngine,
 )
 from .query import (
-    extract_function_record,
     extract_function_traces,
     read_twpp,
 )
@@ -88,9 +86,7 @@ __all__ = [
     "diff_compacted",
     "diff_twpp_files",
     "dynamic_cfg",
-    "dynamic_cfg_edges",
     "expand_trace",
-    "extract_function_record",
     "extract_function_traces",
     "find_dbb_chains",
     "lzw_compress",

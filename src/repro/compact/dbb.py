@@ -18,7 +18,7 @@ dynamic predecessor; maximal merge paths are the DBBs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 #: Virtual node marking "before the first block" in the dynamic CFG.
 ENTRY_MARK = -1
@@ -85,15 +85,6 @@ def dynamic_cfg(
         preds[b].add(a)
     succs[trace[-1]].add(EXIT_MARK)
     return succs, preds
-
-
-def dynamic_cfg_edges(trace: Sequence[int]) -> Set[Tuple[int, int]]:
-    """Real (non-virtual) edges of the dynamic CFG, as a set of pairs.
-
-    Table 6 counts these per unique trace when sizing dynamic flow
-    graphs against static ones.
-    """
-    return set(zip(trace, trace[1:]))
 
 
 def find_dbb_chains(trace: Sequence[int]) -> DbbDictionary:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from typing import List, Tuple, Union
 
-from .pipeline import CompactedWpp, FunctionCompact
+from .pipeline import CompactedWpp
 from .qserve import QueryEngine
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -32,12 +32,6 @@ def extract_function_traces(path: PathLike, name: str) -> List[PathTrace]:
     """
     with QueryEngine(path, cache_bytes=0) as cold:
         return cold.traces(name)
-
-
-def extract_function_record(path: PathLike, name: str) -> FunctionCompact:
-    """Cold extraction of one function's full compacted record."""
-    with QueryEngine(path, cache_bytes=0) as cold:
-        return cold.extract(name)
 
 
 def read_twpp(path: PathLike) -> CompactedWpp:

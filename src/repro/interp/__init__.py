@@ -26,12 +26,11 @@ from .errors import (
     UndefinedVariable,
 )
 from .interpreter import DEFAULT_MAX_EVENTS, Interpreter, RunResult, run_program
-from .tracer import CountingTracer, ListTracer, NullTracer
+from .tracer import ListTracer, NullTracer
 
 __all__ = [
     "CompileUnsupported",
     "CompiledProgram",
-    "CountingTracer",
     "DEFAULT_MAX_EVENTS",
     "DivisionByZero",
     "FuelExhausted",

@@ -56,21 +56,3 @@ class ListTracer:
 
     def leave(self) -> None:
         self.events.append(("leave",))
-
-
-class CountingTracer:
-    """Counts events without storing them (cheap sanity checks)."""
-
-    def __init__(self) -> None:
-        self.enters = 0
-        self.blocks = 0
-        self.leaves = 0
-
-    def enter(self, func_name: str) -> None:
-        self.enters += 1
-
-    def block_run(self, ids: List[int]) -> None:
-        self.blocks += len(ids)
-
-    def leave(self) -> None:
-        self.leaves += 1

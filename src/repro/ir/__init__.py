@@ -8,18 +8,13 @@ dynamic applications in :mod:`repro.analysis` build on.
 """
 
 from .builder import BlockBuilder, FunctionBuilder, ProgramBuilder
-from .control_dependence import control_dependence, control_dependence_children
+from .control_dependence import control_dependence
 from .dataflow import (
     ReachingDefinitions,
-    live_variables,
     reaching_definitions,
-    statement_reaching_defs,
 )
 from .dominators import (
     VIRTUAL_EXIT,
-    dominates,
-    dominator_tree,
-    function_dominators,
     function_postdominators,
     immediate_dominators,
 )
@@ -39,23 +34,15 @@ from .expr import (
     intrinsic,
     var,
 )
-from .loops import NaturalLoop, back_edges, is_reducible, loop_nest_depth, natural_loops
-from .parser import ParseError, parse_function, parse_program
+from .parser import ParseError, parse_program
 from .module import (
     BasicBlock,
     Function,
     IRError,
     Program,
-    call_graph,
-    iter_statements,
     verify_program,
 )
-from .printer import (
-    format_function,
-    format_program,
-    function_to_dot,
-    program_summary,
-)
+from .printer import format_function, format_program
 from .stmt import (
     Assign,
     Breakpoint,
@@ -92,7 +79,6 @@ __all__ = [
     "ParseError",
     "Jump",
     "Load",
-    "NaturalLoop",
     "Program",
     "ProgramBuilder",
     "Read",
@@ -106,32 +92,17 @@ __all__ = [
     "VIRTUAL_EXIT",
     "Var",
     "Write",
-    "back_edges",
     "binop",
-    "call_graph",
     "coerce",
     "const",
     "control_dependence",
-    "control_dependence_children",
-    "dominates",
-    "dominator_tree",
     "format_function",
     "format_program",
-    "function_dominators",
     "function_postdominators",
-    "function_to_dot",
     "immediate_dominators",
     "intrinsic",
-    "is_reducible",
-    "iter_statements",
-    "live_variables",
-    "loop_nest_depth",
-    "natural_loops",
-    "parse_function",
     "parse_program",
-    "program_summary",
     "reaching_definitions",
-    "statement_reaching_defs",
     "var",
     "verify_program",
 ]

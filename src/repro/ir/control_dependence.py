@@ -13,7 +13,7 @@ control-dependence parents that those traversals follow.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet
 
 from .dominators import VIRTUAL_EXIT, function_postdominators
 from .module import Function
@@ -47,15 +47,3 @@ def control_dependence(func: Function) -> Dict[int, FrozenSet[int]]:
                 runner = nxt
 
     return {bid: frozenset(parents) for bid, parents in deps.items()}
-
-
-def control_dependence_children(func: Function) -> Dict[int, List[int]]:
-    """Invert :func:`control_dependence`: predicate block -> dependents."""
-    parents = control_dependence(func)
-    children: Dict[int, List[int]] = {bid: [] for bid in func.block_ids()}
-    for bid, parent_set in parents.items():
-        for parent in parent_set:
-            children[parent].append(bid)
-    for lst in children.values():
-        lst.sort()
-    return children

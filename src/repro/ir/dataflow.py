@@ -85,68 +85,3 @@ def reaching_definitions(func: Function) -> ReachingDefinitions:
         in_sets={b: frozenset(s) for b, s in in_sets.items()},
         out_sets={b: frozenset(s) for b, s in out_sets.items()},
     )
-
-
-def statement_reaching_defs(
-    func: Function,
-) -> Dict[Tuple[int, int], Dict[str, FrozenSet[DefSite]]]:
-    """Reaching definitions at each *statement*, per used variable.
-
-    Returns a map ``(block_id, stmt_index) -> {variable: def sites}`` for
-    every variable used by that statement.  This is the data-dependence
-    edge set of the static PDG: statement ``s`` data-depends on each def
-    site reaching it for each variable ``s`` uses.
-    """
-    rd = reaching_definitions(func)
-    result: Dict[Tuple[int, int], Dict[str, FrozenSet[DefSite]]] = {}
-    for bid in func.block_ids():
-        block = func.blocks[bid]
-        # Walk forward, updating the local view of reaching defs.
-        current: Dict[str, Set[DefSite]] = {}
-        for var, site in rd.in_sets[bid]:
-            current.setdefault(var, set()).add(site)
-        for idx, stmt in enumerate(block.statements):
-            deps: Dict[str, FrozenSet[DefSite]] = {}
-            for var in stmt.uses():
-                deps[var] = frozenset(current.get(var, set()))
-            result[(bid, idx)] = deps
-            for var in stmt.defs():
-                current[var] = {(bid, idx)}
-        # The terminator's uses matter for slicing on predicates; expose
-        # them under statement index == len(statements).
-        term = block.terminator
-        if term is not None and term.uses():
-            deps = {
-                var: frozenset(current.get(var, set())) for var in term.uses()
-            }
-            result[(bid, len(block.statements))] = deps
-    return result
-
-
-def live_variables(func: Function) -> Dict[int, FrozenSet[str]]:
-    """Backward may-analysis: variables live at each block's entry."""
-    preds = func.predecessors()
-    use: Dict[int, FrozenSet[str]] = {}
-    defs: Dict[int, FrozenSet[str]] = {}
-    for bid in func.block_ids():
-        block = func.blocks[bid]
-        use[bid] = block.upward_exposed_uses()
-        defs[bid] = block.defs()
-
-    live_in: Dict[int, Set[str]] = {b: set() for b in func.blocks}
-    live_out: Dict[int, Set[str]] = {b: set() for b in func.blocks}
-    worklist = list(reversed(func.block_ids()))
-    while worklist:
-        bid = worklist.pop(0)
-        new_out: Set[str] = set()
-        for succ in func.successors(bid):
-            new_out |= live_in[succ]
-        live_out[bid] = new_out
-        new_in = set(use[bid]) | (new_out - set(defs[bid]))
-        if new_in != live_in[bid]:
-            live_in[bid] = new_in
-            for p in preds[bid]:
-                if p not in worklist:
-                    worklist.append(p)
-
-    return {b: frozenset(s) for b, s in live_in.items()}

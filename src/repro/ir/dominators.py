@@ -92,33 +92,6 @@ def immediate_dominators(
     return {node: d for node, d in idom.items() if d is not None}
 
 
-def dominator_tree(idom: Mapping[Node, Node]) -> Dict[Node, List[Node]]:
-    """Invert an idom map into parent -> children lists."""
-    tree: Dict[Node, List[Node]] = {node: [] for node in idom}
-    for node, parent in idom.items():
-        if node != parent:
-            tree[parent].append(node)
-    return tree
-
-
-def dominates(idom: Mapping[Node, Node], a: Node, b: Node) -> bool:
-    """True if ``a`` dominates ``b`` (reflexively)."""
-    node = b
-    while True:
-        if node == a:
-            return True
-        parent = idom.get(node)
-        if parent is None or parent == node:
-            return False
-        node = parent
-
-
-def function_dominators(func: Function) -> Dict[int, int]:
-    """Immediate dominators of a function's CFG blocks."""
-    succs = {bid: list(func.successors(bid)) for bid in func.block_ids()}
-    return immediate_dominators(func.entry, succs)
-
-
 def function_postdominators(func: Function) -> Dict[Node, Node]:
     """Immediate postdominators of a function's CFG blocks.
 

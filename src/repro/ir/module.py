@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
-from .expr import Expr, slotted
+from .expr import slotted
 from .stmt import Call, Stmt, Terminator
 
 
@@ -268,15 +268,3 @@ def _reachable(func: Function) -> set:
                 seen.add(succ)
                 stack.append(succ)
     return seen
-
-
-def call_graph(program: Program) -> Dict[str, FrozenSet[str]]:
-    """Static call graph: function name -> callee names."""
-    return {func.name: func.callees() for func in program}
-
-
-def iter_statements(func: Function) -> Iterable[Tuple[int, int, Stmt]]:
-    """Yield (block_id, index, statement) over a function in block order."""
-    for bid in func.block_ids():
-        for idx, stmt in enumerate(func.blocks[bid].statements):
-            yield bid, idx, stmt

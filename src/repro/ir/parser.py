@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Union
 
 from ..util.lru import lru_lookup
 from .expr import BINARY_OPS, INTRINSICS, UNARY_OPS, BinOp, Const, Expr, Intrinsic, UnaryOp, Var
-from .module import BasicBlock, Function, IRError, Program, verify_program
+from .module import BasicBlock, Function, Program, verify_program
 from .stmt import (
     Assign,
     Breakpoint,
@@ -447,11 +447,3 @@ def _parse_function(stripped: List[str], start: int, close: int) -> Function:
     if block_id is not None:
         blocks[block_id] = BasicBlock(block_id, tuple(statements), terminator)
     return Function(name, params, blocks, int(entry))
-
-
-def parse_function(text: str) -> Function:
-    """Parse a single function (convenience for tests and snippets)."""
-    program = parse_program(text, verify=False)
-    if len(program.functions) != 1:
-        raise ParseError("expected exactly one function")
-    return next(iter(program.functions.values()))

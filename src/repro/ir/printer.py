@@ -1,7 +1,7 @@
-"""Textual and Graphviz rendering of IR programs.
+"""Textual rendering of IR programs.
 
-Purely for humans: examples and debugging print programs in a compact
-form, and the Graphviz output helps when eyeballing generated workloads.
+The text is the format :func:`~repro.ir.parser.parse_program` reads
+back; examples and debugging print programs in this compact form.
 """
 
 from __future__ import annotations
@@ -33,31 +33,3 @@ def format_program(program: Program) -> str:
         n for n in program.function_names() if n != program.main
     ]
     return "\n\n".join(format_function(program.function(n)) for n in names)
-
-
-def function_to_dot(func: Function) -> str:
-    """Render a function's CFG in Graphviz DOT syntax."""
-    lines = [f'digraph "{func.name}" {{', "  node [shape=box, fontname=monospace];"]
-    for bid in func.block_ids():
-        block = func.blocks[bid]
-        body = "\\l".join(str(s) for s in block.statements)
-        if body:
-            body += "\\l"
-        label = f"B{bid}\\n{body}{block.terminator}"
-        label = label.replace('"', '\\"')
-        lines.append(f'  B{bid} [label="{label}"];')
-    for src, dst in func.edges():
-        lines.append(f"  B{src} -> B{dst};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def program_summary(program: Program) -> str:
-    """One line per function: block and edge counts."""
-    rows = []
-    for func in program:
-        rows.append(
-            f"{func.name}: {len(func.blocks)} blocks, "
-            f"{len(func.edges())} edges, entry B{func.entry}"
-        )
-    return "\n".join(rows)

@@ -10,9 +10,7 @@ read+process extraction path.
 from .algorithm import SequiturBuilder, build_grammar
 from .grammar import (
     Grammar,
-    read_grammar,
     verify_grammar_invariants,
-    write_grammar,
 )
 from .wpp_codec import (
     compress_wpp,
@@ -32,10 +30,8 @@ __all__ = [
     "decompress_wpp",
     "extract_function_traces_sequitur",
     "process_step",
-    "read_grammar",
     "read_step",
     "serialize_compressed_wpp",
     "verify_grammar_invariants",
     "write_compressed_wpp",
-    "write_grammar",
 ]

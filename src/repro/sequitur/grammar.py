@@ -13,15 +13,12 @@ compares "compacted size" of the Sequitur representation (Table 5).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, List, Tuple
 
 from ..trace.encoding import check_count, read_uvarint, write_uvarint
 
 MAGIC = b"SQTR"
-
-PathLike = Union[str, "os.PathLike[str]"]
 
 
 @dataclass(frozen=True)
@@ -138,21 +135,6 @@ class Grammar:
         if offset != len(data):
             raise ValueError("trailing bytes after grammar")
         return cls(rules=rules)
-
-
-def write_grammar(grammar: Grammar, path: PathLike) -> int:
-    """Write a grammar file; returns bytes written."""
-    data = grammar.serialize()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
-
-
-def read_grammar(path: PathLike) -> Grammar:
-    """Read a grammar file (the "read" step of Table 5's extraction)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return Grammar.deserialize(data)
 
 
 def verify_grammar_invariants(grammar: Grammar) -> None:

@@ -7,7 +7,7 @@ path traces linked by a dynamic call graph.
 """
 
 from .dcg import DynamicCallGraph, dcg_children
-from .format import read_wpp, scan_function_traces, wpp_file_size, write_wpp
+from .format import read_wpp, scan_function_traces, write_wpp
 from .partition import (
     OnlinePartitioner,
     PartitionedWpp,
@@ -54,6 +54,5 @@ __all__ = [
     "trace_call_count",
     "trace_from_tuples",
     "unpack_event",
-    "wpp_file_size",
     "write_wpp",
 ]

@@ -8,9 +8,9 @@ TWPP path traces").
 
 Two codec tiers live here:
 
-* the scalar functions (``write_uvarint``/``read_uvarint`` and signed
-  variants) encode one value at a time and remain the reference
-  implementation;
+* the scalar functions (``write_uvarint``/``read_uvarint``, plus
+  ``zigzag_encode`` for signed values) encode one value at a time and
+  remain the reference implementation;
 * the bulk functions (``encode_uvarints``/``decode_uvarints`` and
   ``encode_svarints``) process whole sequences.  Trace ingestion and the
   ``.twpp`` decode hot path are dominated by *runs of small values*
@@ -114,24 +114,6 @@ def zigzag_encode(value: int) -> int:
     ``>> 63`` trick, which would corrupt values ``>= 2**63``.
     """
     return (value << 1) if value >= 0 else ((-value) << 1) - 1
-
-
-def zigzag_decode(value: int) -> int:
-    """Inverse of :func:`zigzag_encode`."""
-    if value & 1:
-        return -((value + 1) >> 1)
-    return value >> 1
-
-
-def write_svarint(buf: bytearray, value: int) -> None:
-    """Append one signed (zigzag) varint to ``buf``."""
-    write_uvarint(buf, zigzag_encode(value))
-
-
-def read_svarint(data, offset: int) -> Tuple[int, int]:
-    """Read one signed (zigzag) varint; returns ``(value, next_offset)``."""
-    raw, offset = read_uvarint(data, offset)
-    return zigzag_decode(raw), offset
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +252,7 @@ def decode_uvarints(data, offset: int, count: int) -> Tuple[List[int], int]:
 
 def encode_svarints(values: Sequence[int]) -> bytes:
     """Encode a sequence of signed (zigzag) varints, byte-identical to
-    scalar :func:`write_svarint` calls."""
+    scalar :func:`write_uvarint` calls on each :func:`zigzag_encode`."""
     return encode_uvarints(
         [(v << 1) if v >= 0 else ((-v) << 1) - 1 for v in values]
     )

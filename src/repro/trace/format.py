@@ -14,10 +14,9 @@ requires scanning the entire file, exactly as with a raw linear WPP.
 
 from __future__ import annotations
 
-import io
 import os
 from array import array
-from typing import BinaryIO, Iterator, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from .encoding import (
     check_count,
@@ -48,21 +47,6 @@ def write_wpp(trace: WppTrace, path: PathLike) -> int:
     with open(path, "wb") as fh:
         fh.write(data)
     return len(data)
-
-
-def wpp_file_size(trace: WppTrace) -> int:
-    """Serialized ``.wpp`` size without touching the filesystem."""
-    from .encoding import uvarint_size
-
-    size = len(MAGIC)
-    size += uvarint_size(len(trace.func_names))
-    for name in trace.func_names:
-        raw = name.encode("utf-8")
-        size += uvarint_size(len(raw)) + len(raw)
-    size += uvarint_size(len(trace.events))
-    for packed in trace.events:
-        size += uvarint_size(packed)
-    return size
 
 
 def _read_file(path: PathLike) -> Tuple[List[str], List[int]]:

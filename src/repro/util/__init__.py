@@ -1,13 +1,11 @@
-"""Small shared utilities (deterministic RNG, timing helpers, format
-sniffing)."""
+"""Small shared utilities (deterministic RNG, format sniffing)."""
 
 import os
 from typing import Union
 
 from .lcg import Lcg
-from .timing import Timer
 
-__all__ = ["Lcg", "Timer", "read_magic"]
+__all__ = ["Lcg", "read_magic"]
 
 
 def read_magic(path: Union[str, "os.PathLike[str]"]) -> bytes:

@@ -20,14 +20,14 @@ trace sizes:
            overall factors (the paper's 85x / 64x outlier).
 ========== ===============================================================
 
-Use :func:`workload` / :func:`all_workloads` to build (program, spec)
-pairs; every bench table iterates ``WORKLOAD_NAMES`` in order.
+Use :func:`workload` to build a (program, spec) pair; every bench table
+iterates ``WORKLOAD_NAMES`` in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..ir.module import Program
 from .generator import WorkloadSpec, generate_program
@@ -150,8 +150,3 @@ def workload(name: str, scale: float = 1.0) -> Tuple[Program, WorkloadSpec]:
     """Build one bundled workload program."""
     spec = spec_for(name, scale)
     return generate_program(spec), spec
-
-
-def all_workloads(scale: float = 1.0) -> List[Tuple[Program, WorkloadSpec]]:
-    """Build all five bundled workloads in canonical order."""
-    return [workload(name, scale) for name in WORKLOAD_NAMES]

@@ -7,10 +7,9 @@ from repro.analysis import (
     LoadAvailable,
     VarHasDefinition,
     classify_statements,
-    has_calls,
 )
 from repro.ir.expr import const, var
-from repro.ir.stmt import Assign, Call, Load, Store
+from repro.ir.stmt import Assign, Load, Store
 
 
 class TestLoadAvailable:
@@ -62,10 +61,6 @@ class TestClassification:
             == TRANSPARENT
         )
         assert classify_statements([], self.fact) == TRANSPARENT
-
-    def test_has_calls(self):
-        assert has_calls([Call("f", ())])
-        assert not has_calls([Assign("x", const(1))])
 
 
 class TestExpressionAvailable:

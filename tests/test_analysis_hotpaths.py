@@ -98,12 +98,6 @@ class TestPathProfile:
         with pytest.raises(ValueError):
             profile.coverage(0.0)
 
-    def test_function_paths_filter(self):
-        profile = PathProfile(
-            counts={("f", (1,)): 5, ("g", (1,)): 7}
-        )
-        assert [h.function for h in profile.function_paths("g")] == ["g"]
-
     def test_skewed_workload_concentrates(self):
         """perl-like: few paths dominate (the generator's path skew)."""
         program, _spec = workload("perl-like", scale=0.2)

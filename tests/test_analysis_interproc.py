@@ -5,13 +5,13 @@ import pytest
 from repro.analysis import (
     GEN,
     KILL,
+    ActivationAnalysis,
+    ActivationTree,
+    CallEffects,
     ExpressionAvailable,
-    InterproceduralEngine,
     LoadAvailable,
     TRANSPARENT,
     VarHasDefinition,
-    activation_effects,
-    analyze_activation,
 )
 from repro.compact import compact_wpp
 from repro.ir import ProgramBuilder, binop
@@ -56,6 +56,10 @@ def compacted_for(program):
     return compacted
 
 
+def activation_effects(compacted, program, fact):
+    return CallEffects(ActivationTree(compacted, program), fact).net_effects()
+
+
 class TestActivationEffects:
     def test_killing_callee_marked_kill(self):
         program = build_program(kill_in_callee=True)
@@ -94,9 +98,7 @@ class TestActivationAnalysis:
         availability at the head alternates."""
         program = build_program(kill_in_callee=True)
         compacted = compacted_for(program)
-        analysis = analyze_activation(
-            compacted, program, LoadAvailable(7), node=0
-        )
+        analysis = ActivationAnalysis(compacted, program, LoadAvailable(7), 0)
         # Query availability before each execution of the loop head m2.
         result = analysis.query(2)
         # Head runs 5 times (i=0..4).  Before the first, nothing; before
@@ -113,9 +115,7 @@ class TestActivationAnalysis:
         effects through the callee."""
         program = build_program(kill_in_callee=True)
         compacted = compacted_for(program)
-        analysis = analyze_activation(
-            compacted, program, LoadAvailable(7), node=0
-        )
+        analysis = ActivationAnalysis(compacted, program, LoadAvailable(7), 0)
         result = analysis.query(3)  # before each body execution
         # Body instance i>0 is preceded by head (transparent) then the
         # previous body, which ends with load b (GEN).  Instance 0 is
@@ -132,7 +132,7 @@ class TestActivationAnalysis:
         compacted.dcg.node_func[-1] = compacted.func_names.index("main")
         compacted.dcg.node_trace[-1] = 0
         with pytest.raises(ValueError, match="children"):
-            analyze_activation(compacted, program, LoadAvailable(7), node=0)
+            ActivationAnalysis(compacted, program, LoadAvailable(7), 0)
 
 
 def frame_program(case):
@@ -163,27 +163,19 @@ class TestFrameLocalFacts:
         program = frame_program(case)
         compacted = compacted_for(program)
         fact = VarHasDefinition("x")
-        intra = analyze_activation(compacted, program, fact, node).query(
-            block
-        )
-        inter = InterproceduralEngine(compacted, program, fact).query(
-            node, block
-        )
-        return (
-            (len(intra.holds), len(intra.fails), len(intra.unresolved)),
-            (inter.holds, inter.fails, inter.unresolved_at_start),
-        )
+        result = ActivationAnalysis(compacted, program, fact, node).query(block)
+        return len(result.holds), len(result.fails), len(result.unresolved)
 
     def test_callee_variable_stays_in_the_callee(self):
-        assert self.counts("a", 0, 2) == ((0, 0, 1), (0, 0, 1))
+        assert self.counts("a", 0, 2) == (0, 0, 1)
 
     def test_call_dest_defines(self):
-        assert self.counts("b", 0, 2) == ((1, 0, 0), (1, 0, 0))
+        assert self.counts("b", 0, 2) == (1, 0, 0)
 
     def test_caller_variable_does_not_reach_the_callee(self):
         # Activation 1 is f; its entry block is B1.
-        assert self.counts("c", 1, 1) == ((0, 0, 1), (0, 0, 1))
-        assert self.counts("c", 0, 2) == ((1, 0, 0), (1, 0, 0))
+        assert self.counts("c", 1, 1) == (0, 0, 1)
+        assert self.counts("c", 0, 2) == (1, 0, 0)
 
     def test_only_memory_facts_cross_calls(self):
         assert LoadAvailable(7).crosses_calls

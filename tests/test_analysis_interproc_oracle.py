@@ -1,16 +1,14 @@
-"""Forward-replay oracle for the call-aware analyses.
+"""Forward-replay oracle for the call-aware analysis.
 
 The WPP is replayed forward over the static program: the k-th ``Call``
 of the current block pairs with the k-th ENTER, and each fact's truth
 is tracked per open activation.  A fact that crosses calls is changed
 by callee subtrees; a frame-local fact only by the frame's own
 statements and its calls' ``dest``.  The truth at every block entry is
-recorded two ways -- per activation, starting unknown at the
-activation's entry (what :class:`ActivationAnalysis` answers), and
-program-wide, starting unknown at program start (what
-:class:`InterproceduralEngine` answers for facts that cross calls) --
-and the analyses must agree with it on every ``(activation, block)``.
-The same answers must come back from a ``.twpp`` read from disk.
+recorded per activation, starting unknown at the activation's entry,
+and :class:`ActivationAnalysis` must agree with it on every
+``(activation, block)``.  The same answers must come back from a
+``.twpp`` read from disk.
 """
 
 from collections import Counter, defaultdict
@@ -23,12 +21,11 @@ from repro.analysis import (
     ActivationTree,
     CallEffects,
     ExpressionAvailable,
-    InterproceduralEngine,
-    InterproceduralSlicer,
     LoadAvailable,
     VarHasDefinition,
 )
 from repro.compact import compact_wpp, read_twpp, write_twpp
+from repro.ir import ProgramBuilder, binop
 from repro.ir.expr import Const
 from repro.ir.stmt import Call, Load
 from repro.trace import BLOCK, ENTER, collect_wpp, partition_wpp, unpack_event
@@ -36,32 +33,78 @@ from repro.workloads import WORKLOAD_NAMES, generate_program, workload
 
 from .conftest import tiny_specs
 from .test_analysis_interproc import build_program
-from .test_analysis_interproc_paths import chain_program, siblings_program
 
 HOLDS, FAILS, UNKNOWN = 0, 1, 2
 VERDICT = {True: HOLDS, False: FAILS, None: UNKNOWN}
 
 
-def replay(program, wpp, fact):
+def siblings_program():
+    """main loops 4x: call writer(i%2) then reader(); writer(1) kills.
+
+    reader loads MEM[7]; whether the value is available at reader's
+    entry depends on the sibling writer call and the previous
+    iteration's reader.
+    """
+    pb = ProgramBuilder()
+    writer = pb.function("writer", params=("sel",))
+    w1 = writer.block()
+    w2 = writer.block()
+    w3 = writer.block()
+    w1.branch("sel", w2, w3)
+    w2.store(7, 1).jump(w3)
+    w3.ret(0)
+
+    reader = pb.function("reader")
+    r1 = reader.block()
+    r1.load("v", 7).ret("v")
+
+    main = pb.function("main")
+    m1 = main.block()
+    m2 = main.block()
+    m3 = main.block()
+    m4 = main.block()
+    m1.assign("i", 0).jump(m2)
+    m2.branch(binop("<", "i", 4), m3, m4)
+    m3.call("writer", [binop("%", "i", 2)]).call("reader", [], dest="v").assign(
+        "i", binop("+", "i", 1)
+    ).jump(m2)
+    m4.ret(0)
+    return pb.build()
+
+
+def chain_program():
+    """main -> mid -> leaf, load in leaf, generating load in main."""
+    pb = ProgramBuilder()
+    leaf = pb.function("leaf")
+    l1 = leaf.block()
+    l1.load("v", 9).ret("v")
+    mid = pb.function("mid")
+    d1 = mid.block()
+    d1.assign("t", 1).call("leaf", [], dest="v").ret("v")
+    main = pb.function("main")
+    m1 = main.block()
+    m1.load("a", 9).call("mid", [], dest="v").ret("v")
+    return pb.build()
+
+
+def replay(program, wpp, fact, callees=True):
     """Per ``(activation, block)``: [holds, fails, unknown] counts at
-    block entry, in the activation's own view and program-wide."""
+    block entry, in the activation's own view.  ``callees=False``
+    replays as if no callee could change the fact."""
     names = wpp.func_names
     # Only memory is shared between frames; the oracle decides that
     # itself rather than trusting ``fact.crosses_calls``.
-    memory = isinstance(fact, LoadAvailable)
+    memory = callees and isinstance(fact, LoadAvailable)
     frame_view = defaultdict(lambda: [0, 0, 0])
-    program_view = defaultdict(lambda: [0, 0, 0])
     # Open activations: [node, function, block statements, cursor, truth].
     stack = []
-    truth = None  # program-wide
     nodes = 0
 
     def step(frame, stmt):
-        nonlocal truth
         if fact.gens(stmt):
-            frame[4] = truth = True
+            frame[4] = True
         elif fact.kills(stmt):
-            frame[4] = truth = False
+            frame[4] = False
 
     def run_to_call(frame):
         statements, cursor = frame[2], frame[3]
@@ -84,7 +127,6 @@ def replay(program, wpp, fact):
             frame = stack[-1]
             assert frame[3] == len(frame[2]), "calls left in the last block"
             frame_view[frame[0], arg][VERDICT[frame[4]]] += 1
-            program_view[frame[0], arg][VERDICT[truth]] += 1
             frame[2], frame[3] = frame[1].block(arg).statements, 0
             run_to_call(frame)
         else:
@@ -96,7 +138,7 @@ def replay(program, wpp, fact):
                 step(frame, frame[2][frame[3]])  # the call's own dest
                 frame[3] += 1
                 run_to_call(frame)
-    return frame_view, program_view
+    return dict(frame_view)
 
 
 def most_loaded_address(program, wpp):
@@ -135,52 +177,16 @@ def activation_answers(compacted, program, fact):
     return out
 
 
-def engine_answers(compacted, program, fact):
-    """``InterproceduralEngine`` counts for every executed (node, block)."""
-    engine = InterproceduralEngine(compacted, program, fact)
-    tree = engine.effects.tree
-    out = {}
-    for node in range(len(compacted.dcg)):
-        for block in tree.activation(node).cfg.node_ts:
-            r = engine.query(node, block)
-            out[node, block] = [r.holds, r.fails, r.unresolved_at_start]
-    return out
-
-
-def slice_answers(compacted, program):
-    """Slices at each activation's last block, on its terminator's uses."""
-    slicer = InterproceduralSlicer(compacted, program)
-    out = []
-    for node in range(0, len(compacted.dcg), 7):
-        act = slicer.tree.activation(node)
-        block = act.trace[-1]
-        term = act.function.block(block).terminator
-        variables = sorted(term.uses()) or ["x"]
-        r = slicer.slice(node, block, variables)
-        out.append((r.slice_nodes, r.activations_visited, r.queries_issued))
-    return out
-
-
 def all_answers(compacted, program, facts):
-    """Per fact: (ActivationAnalysis answers, InterproceduralEngine
-    answers or None for a frame-local fact)."""
+    """Per fact: the ``ActivationAnalysis`` answers."""
     return {
-        fact: (
-            activation_answers(compacted, program, fact),
-            engine_answers(compacted, program, fact)
-            if isinstance(fact, LoadAvailable)
-            else None,
-        )
-        for fact in facts
+        fact: activation_answers(compacted, program, fact) for fact in facts
     }
 
 
 def check_against_oracle(program, wpp, answers):
-    for fact, (activation, engine) in answers.items():
-        frame_view, program_view = replay(program, wpp, fact)
-        assert activation == dict(frame_view), fact
-        if engine is not None:
-            assert engine == dict(program_view), fact
+    for fact, activation in answers.items():
+        assert activation == replay(program, wpp, fact), fact
 
 
 def run(program):
@@ -219,11 +225,12 @@ class TestOracle:
 
     def test_oracle_sees_callee_stores(self, small_run):
         """The workloads exercise the call-aware path: some block's
-        ``load:`` verdict differs between the frame and program views."""
+        ``load:`` verdict changes when callees are ignored."""
         program, wpp, _compacted, answers = small_run
         fact = next(iter(answers))
-        frame_view, program_view = replay(program, wpp, fact)
-        assert frame_view != program_view
+        assert replay(program, wpp, fact) != replay(
+            program, wpp, fact, callees=False
+        )
 
 
 def check_disk_equals_memory(program, compacted, answers, tmp_path):
@@ -232,10 +239,10 @@ def check_disk_equals_memory(program, compacted, answers, tmp_path):
     loaded = read_twpp(path)
     assert loaded.dcg == compacted.dcg
     assert all_answers(loaded, program, list(answers)) == answers
-    assert slice_answers(loaded, program) == slice_answers(compacted, program)
 
 
-#: The hand-built programs of the interprocedural unit tests.
+#: Hand-built call patterns: a killing or a transparent callee, sibling
+#: calls, a call chain.
 UNIT_PROGRAMS = {
     "killing-callee": lambda: build_program(kill_in_callee=True),
     "transparent-callee": lambda: build_program(kill_in_callee=False),

@@ -8,7 +8,7 @@ import repro
 from repro.api import CompactResult, Session
 from repro.compact import CompactedWpp, CompactionStats
 from repro.ir.printer import format_program
-from repro.trace import WppTrace
+from repro.trace import WppTrace, write_wpp
 from repro.workloads import figure1_program
 
 
@@ -26,7 +26,7 @@ def session_and_artifacts(program, tmp_path_factory):
     twpp_path = base / "run.twpp"
     result.save(twpp_path)
     wpp_path = base / "run.wpp"
-    session.save_wpp(wpp, wpp_path)
+    write_wpp(wpp, wpp_path)
     return session, wpp, result, wpp_path, twpp_path
 
 

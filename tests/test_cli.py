@@ -542,3 +542,61 @@ class TestCountFlags:
         assert main(["hotpaths", str(wpp), "--top", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3  # the summary line, then two paths
+
+
+class TestNumericFlags:
+    """Scale, fraction, budget, port and count flags are checked when
+    parsed: an out-of-range value is argparse's one-line error and exit
+    2, before any work runs."""
+
+    CASES = [
+        (["generate", "li-like", "--scale", "inf"],
+         "--scale: must be finite, got inf"),
+        (["generate", "li-like", "--scale", "0"],
+         "--scale: must be > 0, got 0"),
+        (["generate", "li-like", "--scale", "-1"],
+         "--scale: must be > 0, got -1"),
+        (["experiments", "--scale", "-1"],
+         "--scale: must be > 0, got -1"),
+        (["trace", "p.ir", "-o", "t.wpp", "--max-events", "-5"],
+         "--max-events: must be >= 1, got -5"),
+        (["trace", "p.ir", "-o", "t.wpp", "--max-events", "0"],
+         "--max-events: must be >= 1, got 0"),
+        (["analyze", "p.twpp", "--program", "p.ir", "--fact", "def:i",
+          "--threshold", "nan"],
+         "--threshold: must be finite, got nan"),
+        (["analyze", "p.twpp", "--program", "p.ir", "--fact", "def:i",
+          "--threshold", "-1"],
+         "--threshold: must be between 0 and 1, got -1"),
+        (["analyze", "p.twpp", "--program", "p.ir", "--fact", "def:i",
+          "--threshold", "5"],
+         "--threshold: must be between 0 and 1, got 5"),
+        (["query", "p.twpp", "main", "--cache-bytes", "-5"],
+         "--cache-bytes: must be >= 0, got -5"),
+        (["serve", "store", "--cache-bytes", "-5"],
+         "--cache-bytes: must be >= 0, got -5"),
+        (["serve", "store", "--port", "-1"],
+         "--port: must be >= 0, got -1"),
+        (["serve", "store", "--port", "70000"],
+         "--port: must be <= 65535, got 70000"),
+        (["experiments", "--sample", "0"],
+         "--sample: must be >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        CASES,
+        ids=[f"{argv[0]}{argv[-2]}={argv[-1]}" for argv, _ in CASES],
+    )
+    def test_out_of_range_is_rejected(self, argv, message, tmp_path,
+                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"repro-wpp {argv[0]}: error: argument {message}"
+        )
+        assert list(tmp_path.iterdir()) == []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.compact import (
     compact_wpp,
-    extract_function_record,
     read_header,
     read_twpp,
     serialize_twpp,
@@ -64,9 +63,10 @@ class TestHeader:
     def test_entry_lookup(self, written):
         _p, _w, compacted, path, _size = written
         name = compacted.functions[0].name
-        assert extract_function_record(path, name).name == name
-        with pytest.raises(KeyError):
-            extract_function_record(path, "ghost")
+        with QueryEngine(path, cache_bytes=0) as cold:
+            assert cold.extract(name).name == name
+            with pytest.raises(KeyError):
+                cold.extract("ghost")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.twpp"

@@ -8,7 +8,6 @@ from repro.compact import (
     MmapSource,
     QueryEngine,
     compact_wpp,
-    extract_function_record,
     extract_function_traces,
     write_twpp,
 )
@@ -79,17 +78,6 @@ class TestColdQueries:
             idx = part.func_index(name)
             assert extract_function_traces(twpp_path, name) == part.traces[idx]
 
-    def test_extract_function_record(self, files):
-        _p, compacted, twpp_path, _w = files
-        name = compacted.functions[0].name
-        fc = extract_function_record(twpp_path, name)
-        assert fc.name == name
-
-    def test_extract_function_module_level(self, files):
-        _p, compacted, twpp_path, _w = files
-        name = compacted.functions[0].name
-        fc = extract_function_record(twpp_path, name)
-        assert fc.twpp_table == compacted.function(name).twpp_table
 
 
 def _open_fds():
@@ -149,8 +137,6 @@ class TestEngineParameter:
         with QueryEngine(twpp_path) as engine:
             fc = engine.extract(name)
             assert fc.twpp_table == compacted.function(name).twpp_table
-            cold = extract_function_record(twpp_path, name)
-            assert cold.twpp_table == fc.twpp_table
 
 
 class TestAgreementWithScan:

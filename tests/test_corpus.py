@@ -399,16 +399,6 @@ class TestSessionFacade:
                 corpus.ingest(paths["li-a"], run="r")
             assert session.metrics.counter("corpus.runs_ingested") == 1
 
-    def test_session_ingest_run_verb(self, corpus_env, tmp_path):
-        _, _, paths, _ = corpus_env
-        with Session() as session:
-            result = session.ingest_run(
-                tmp_path / "c", paths["li-a"], run="r"
-            )
-            assert result.run == "r" and result.blobs_added > 0
-            with session.corpus(tmp_path / "c") as corpus:
-                assert corpus.runs() == [result]
-
     def test_scan_survives_an_evict(self, corpus_env, tmp_path, monkeypatch):
         """A store evicts a path whose file went stale; an ingest
         scanning that path meanwhile holds a lease on its engine, so

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.interp import (
-    CountingTracer,
     FuelExhausted,
     InterpError,
     Interpreter,
@@ -142,10 +141,11 @@ class TestTracing:
         assert enters == leaves == 8  # main + 7 leaf calls
 
     def test_counting_tracer(self, caller_program):
-        tracer = CountingTracer()
+        tracer = ListTracer()
         result = run_program(caller_program, tracer=tracer)
-        assert tracer.enters == tracer.leaves == result.calls_made
-        assert tracer.blocks == result.blocks_executed
+        kinds = [event[0] for event in tracer.events]
+        assert kinds.count("enter") == kinds.count("leave") == result.calls_made
+        assert kinds.count("block") == result.blocks_executed
 
     def test_fuel_exhaustion(self):
         pb = ProgramBuilder()

@@ -23,7 +23,6 @@ from repro.compact.stream import stream_compact
 from repro.interp import (
     CompiledProgram,
     CompileUnsupported,
-    CountingTracer,
     DivisionByZero,
     FuelExhausted,
     InterpError,

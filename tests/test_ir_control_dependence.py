@@ -1,6 +1,6 @@
 """Unit tests for static control dependence (FOW construction)."""
 
-from repro.ir import ProgramBuilder, binop, control_dependence, control_dependence_children
+from repro.ir import ProgramBuilder, binop, control_dependence
 from repro.workloads import figure10_program
 
 
@@ -39,15 +39,6 @@ class TestDiamond:
         deps = control_dependence(program.function("main"))
         assert deps[1] == frozenset()
         assert deps[7] == frozenset()
-
-    def test_children_inverts_parents(self, diamond_program):
-        program, _ = diamond_program
-        func = program.function("main")
-        parents = control_dependence(func)
-        children = control_dependence_children(func)
-        for node, ps in parents.items():
-            for p in ps:
-                assert node in children[p]
 
 
 class TestFigure10:

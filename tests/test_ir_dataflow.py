@@ -1,12 +1,6 @@
-"""Unit tests for static reaching definitions and liveness."""
+"""Unit tests for static reaching definitions."""
 
-from repro.ir import (
-    ProgramBuilder,
-    binop,
-    live_variables,
-    reaching_definitions,
-    statement_reaching_defs,
-)
+from repro.ir import ProgramBuilder, binop, reaching_definitions
 from repro.workloads import figure10_program
 
 
@@ -45,45 +39,3 @@ class TestReachingDefinitions:
         rd = reaching_definitions(program.function("main"))
         assert rd.def_blocks_of(13, "J") == {3, 11}
         assert rd.def_blocks_of(13, "Z") == {9}
-
-
-class TestStatementReachingDefs:
-    def test_within_block_chaining(self):
-        pb = ProgramBuilder()
-        fb = pb.function("main")
-        b1 = fb.block()
-        b1.assign("x", 1).assign("y", binop("+", "x", 1)).ret("y")
-        func = pb.build().function("main")
-        srd = statement_reaching_defs(func)
-        # y's use of x sees the in-block definition only.
-        assert srd[(1, 1)]["x"] == {(1, 0)}
-
-    def test_terminator_uses_exposed(self, diamond_program):
-        program, _ = diamond_program
-        srd = statement_reaching_defs(program.function("main"))
-        # Head block 2 has no statements; its branch uses i, recorded
-        # under the pseudo statement index 0 == len(statements).
-        assert (2, 0) in srd
-        assert srd[(2, 0)]["i"] == {(1, 0), (6, 0)}
-
-
-class TestLiveVariables:
-    def test_live_through_loop(self, diamond_program):
-        program, _ = diamond_program
-        live = live_variables(program.function("main"))
-        # acc is live at the head: used by exit and redefined in arms.
-        assert "acc" in live[2]
-        assert "i" in live[2]
-        # Nothing is live at function entry (everything defined there).
-        assert live[1] == frozenset()
-
-    def test_dead_variable(self):
-        pb = ProgramBuilder()
-        fb = pb.function("main")
-        b1 = fb.block()
-        b2 = fb.block()
-        b1.assign("dead", 1).assign("x", 2).jump(b2)
-        b2.ret("x")
-        live = live_variables(pb.build().function("main"))
-        assert "dead" not in live[2]
-        assert "x" in live[2]

@@ -9,8 +9,6 @@ from repro.ir import (
     Program,
     ProgramBuilder,
     binop,
-    call_graph,
-    iter_statements,
     verify_program,
 )
 from repro.ir.stmt import Assign, Call, Jump, Return
@@ -104,16 +102,6 @@ class TestProgram:
     def test_missing_function_lookup(self):
         with pytest.raises(IRError):
             Program().function("ghost")
-
-    def test_call_graph(self, caller_program):
-        cg = call_graph(caller_program)
-        assert cg["main"] == {"leaf"}
-        assert cg["leaf"] == frozenset()
-
-    def test_iter_statements_in_block_order(self, caller_program):
-        sites = list(iter_statements(caller_program.function("main")))
-        assert sites[0][0] == 1  # first block first
-        assert all(isinstance(s[2].defs(), frozenset) for s in sites)
 
 
 class TestVerifier:

@@ -16,7 +16,6 @@ from repro.ir import (
     IRError,
     ParseError,
     format_program,
-    parse_function,
     parse_program,
     parser,
 )
@@ -104,9 +103,9 @@ class TestParsing:
         assert term.default == 3
 
     def test_bare_return(self):
-        func = parse_function(
+        func = parse_program(
             "func f() entry=B1 {\n  B1:\n    return\n}"
-        )
+        ).function("f")
         assert func.block(1).terminator == Return(None)
 
     def test_main_defaults_to_first_function(self):
@@ -118,16 +117,16 @@ class TestParsing:
     def test_variable_named_func(self):
         """Only ``func NAME(`` reads as a header; ``func`` alone is a
         plain variable name."""
-        func = parse_function(
+        func = parse_program(
             "func f() entry=B1 {\n  B1:\n    func = 1\n    return func\n}"
-        )
+        ).function("f")
         assert func.block(1).statements[0] == Assign("func", Const(1))
 
     def test_negative_literal_vs_subtraction(self):
-        func = parse_function(
+        func = parse_program(
             "func f(a) entry=B1 {\n  B1:\n"
             "    x = (a - 3)\n    y = (a - -3)\n    z = -7\n    return z\n}"
-        )
+        ).function("f")
         stmts = func.block(1).statements
         assert stmts[0].expr == BinOp("-", Var("a"), Const(3))
         assert stmts[1].expr == BinOp("-", Var("a"), Const(-3))

@@ -1,11 +1,6 @@
-"""Unit tests for the textual/DOT IR renderers."""
+"""Unit tests for the textual IR renderer."""
 
-from repro.ir import (
-    format_function,
-    format_program,
-    function_to_dot,
-    program_summary,
-)
+from repro.ir import format_function, format_program
 
 
 class TestTextual:
@@ -19,29 +14,3 @@ class TestTextual:
     def test_program_puts_main_first(self, caller_program):
         text = format_program(caller_program)
         assert text.index("func main") < text.index("func leaf")
-
-    def test_summary_counts(self, caller_program):
-        summary = program_summary(caller_program)
-        assert "main: 4 blocks" in summary
-        assert "leaf: 4 blocks" in summary
-
-
-class TestDot:
-    def test_dot_structure(self, diamond_program):
-        program, _ = diamond_program
-        dot = function_to_dot(program.function("main"))
-        assert dot.startswith('digraph "main"')
-        assert "B2 -> B3;" in dot
-        assert "B6 -> B2;" in dot
-        assert dot.rstrip().endswith("}")
-
-    def test_dot_escapes_quotes(self):
-        # Statement text never contains quotes today, but labels must
-        # stay well-formed if it ever does.
-        from repro.ir import ProgramBuilder
-
-        pb = ProgramBuilder()
-        fb = pb.function("main")
-        fb.block().ret(0)
-        dot = function_to_dot(pb.build().function("main"))
-        assert dot.count('"') % 2 == 0

@@ -5,9 +5,7 @@ import pytest
 from repro.sequitur import (
     Grammar,
     build_grammar,
-    read_grammar,
     verify_grammar_invariants,
-    write_grammar,
 )
 
 
@@ -49,13 +47,6 @@ class TestCodec:
     def test_serialize_roundtrip(self):
         g = build_grammar([5, 6, 7, 5, 6, 7, 5, 6])
         assert Grammar.deserialize(g.serialize()) == g
-
-    def test_file_roundtrip(self, tmp_path):
-        g = build_grammar(list(range(50)) * 3)
-        path = tmp_path / "g.sqtr"
-        size = write_grammar(g, path)
-        assert path.stat().st_size == size
-        assert read_grammar(path) == g
 
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="not a SQTR"):

@@ -9,16 +9,23 @@ from repro.trace.encoding import (
     encode_svarints,
     encode_uvarints,
     read_string,
-    read_svarint,
     read_uvarint,
     svarint_size,
     uvarint_size,
     write_string,
-    write_svarint,
     write_uvarint,
-    zigzag_decode,
     zigzag_encode,
 )
+
+
+def zigzag_decode(value):
+    """Inverse of ``zigzag_encode``."""
+    return (value >> 1) ^ -(value & 1)
+
+
+def read_svarint(data, offset):
+    value, offset = read_uvarint(data, offset)
+    return zigzag_decode(value), offset
 
 
 class TestUvarint:
@@ -70,23 +77,20 @@ class TestZigzag:
 
     @given(st.integers(-(2**40), 2**40))
     def test_svarint_roundtrip(self, value):
-        buf = bytearray()
-        write_svarint(buf, value)
+        buf = encode_svarints([value])
         decoded, offset = read_svarint(buf, 0)
         assert decoded == value and offset == len(buf)
 
     @given(st.integers(-(2**30), 2**30))
     def test_svarint_size(self, value):
-        buf = bytearray()
-        write_svarint(buf, value)
-        assert svarint_size(value) == len(buf)
+        assert svarint_size(value) == len(encode_svarints([value]))
 
 
 class TestLists:
     def test_sequential_decoding(self):
         buf = bytearray()
         write_uvarint(buf, 1)
-        write_svarint(buf, -5)
+        buf += encode_svarints([-5])
         write_uvarint(buf, 300)
         a, off = read_uvarint(buf, 0)
         b, off = read_svarint(buf, off)
@@ -128,8 +132,7 @@ class TestUint64Boundary:
 
     def test_svarint_roundtrip_at_boundary(self):
         for value in (2**63 - 1, -(2**63)):
-            buf = bytearray()
-            write_svarint(buf, value)
+            buf = encode_svarints([value])
             decoded, offset = read_svarint(buf, 0)
             assert decoded == value and offset == len(buf)
 
@@ -142,10 +145,7 @@ def _scalar_uvarint_bytes(values):
 
 
 def _scalar_svarint_bytes(values):
-    buf = bytearray()
-    for value in values:
-        write_svarint(buf, value)
-    return bytes(buf)
+    return _scalar_uvarint_bytes([zigzag_encode(v) for v in values])
 
 
 # Mix of the distributions the fast paths specialize on: single-byte,

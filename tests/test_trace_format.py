@@ -6,12 +6,16 @@ from repro.trace import (
     collect_wpp,
     read_wpp,
     scan_function_traces,
-    wpp_file_size,
     write_wpp,
 )
 
 
 class TestRoundTrip:
+    def test_file_size_prediction(self, caller_program, tmp_path):
+        wpp = collect_wpp(caller_program)
+        path = tmp_path / "t.wpp"
+        assert write_wpp(wpp, path) == path.stat().st_size
+
     def test_write_read(self, caller_program, tmp_path):
         wpp = collect_wpp(caller_program)
         path = tmp_path / "t.wpp"
@@ -20,11 +24,6 @@ class TestRoundTrip:
         back = read_wpp(path)
         assert back.func_names == wpp.func_names
         assert list(back.events) == list(wpp.events)
-
-    def test_file_size_prediction(self, caller_program, tmp_path):
-        wpp = collect_wpp(caller_program)
-        path = tmp_path / "t.wpp"
-        assert write_wpp(wpp, path) == wpp_file_size(wpp)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.wpp"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util import Lcg, Timer
+from repro.util import Lcg
 from repro.util.lcg import zipf_weights
 
 
@@ -63,19 +63,3 @@ class TestZipf:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             zipf_weights(0, 1.0)
-
-
-class TestTimer:
-    def test_measures_nonnegative(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.ms >= 0.0
-
-    def test_reusable(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.ms
-        with t:
-            sum(range(100000))
-        assert t.ms >= 0.0 and t.ms != first or t.ms >= first

@@ -8,7 +8,6 @@ from repro.trace import collect_wpp, partition_wpp
 from repro.workloads import (
     WORKLOAD_NAMES,
     WorkloadSpec,
-    all_workloads,
     generate_program,
     spec_for,
     workload,
@@ -87,10 +86,6 @@ class TestStructure:
 
 
 class TestSpecs:
-    def test_all_workloads_order(self):
-        names = [spec.name for _p, spec in all_workloads(scale=0.05)]
-        assert names == list(WORKLOAD_NAMES)
-
     def test_spec_lookup(self):
         assert spec_for("go-like").name == "go-like"
         with pytest.raises(KeyError, match="unknown workload"):
